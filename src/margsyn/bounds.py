@@ -93,12 +93,6 @@ def _marginal_term_explicit(inp: BoundInputs, loss_sup: float, nu: float) -> tup
     return term, parts
 
 
-def _canonical_mode(mode: str) -> str:
-    if mode == "asymptotic-shape":
-        return "shape"
-    return mode
-
-
 def lipschitz_excess_risk_bound(inp: BoundInputs, mode: str = "explicit") -> BoundReport:
     """Bound for any continuous K-Lipschitz loss with value phi0 at 0.
 
@@ -106,7 +100,6 @@ def lipschitz_excess_risk_bound(inp: BoundInputs, mode: str = "explicit") -> Bou
               + 2/n * (K tau sqrt(m) + phi0) * ((1 + 2/(2 tau sqrt(m))) m max(1,tau))^(d-1) * nu
     shape:    K tau sqrt(m/(d-1)) + (K tau sqrt(m) + phi0)/n * (3 m max(1,tau))^(d-1) * nu
     """
-    mode = _canonical_mode(mode)
     _require(inp, "nu")
     if inp.tau == 0.0:
         return _zero_budget_report(mode)
@@ -140,7 +133,6 @@ def logistic_excess_risk_bound(inp: BoundInputs, mode: str = "explicit") -> Boun
     the margin interval has width >= 1, and explicit mode uses the exact base
     (see notes).
     """
-    mode = _canonical_mode(mode)
     _require(inp, "nu")
     if inp.tau == 0.0:
         return _zero_budget_report(mode)

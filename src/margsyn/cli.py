@@ -1,22 +1,25 @@
 """Command-line interface.
 
-Subcommands: synth, train, dpsgd, eval, bound, approx, pipeline.  All file
-formats are CSV (data, result tables) or JSON (schemas, configs, models,
-reports).
+Subcommands: prep, demo, synth, train, dpsgd, eval, bound, approx, pipeline.
+All file formats are CSV (data, result tables) or JSON (schemas, configs,
+models, reports).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .dataset import Schema, load_csv, load_raw_csv, preprocess, rules_from_dict, write_csv
+from .demo import make_demo_dataset
 from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .experiment import ExperimentConfig, run_experiment
 from .learn import (DpSgdConfig, LossSpec, TrainConfig, dp_sgd, load_model,
@@ -55,6 +58,16 @@ def _cmd_prep(args) -> int:
     return 0
 
 
+def _cmd_demo(args) -> int:
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    ds = make_demo_dataset(m=args.m, n=args.n, seed=args.seed)
+    write_csv(ds, out / "demo.csv")
+    ds.schema.to_file(out / "schema.json")
+    print(f"wrote {ds.n} rows to {out / 'demo.csv'} and the schema to {out / 'schema.json'}")
+    return 0
+
+
 def _cmd_synth(args) -> int:
     schema = Schema.from_file(args.schema)
     ds = load_csv(args.data, schema)
@@ -82,7 +95,7 @@ def _cmd_train(args) -> int:
     loss = _loss_from_args(args)
     tau = math.inf if args.tau == "inf" else float(args.tau)
     cfg = TrainConfig(max_iters=args.max_iters, step_size=args.step_size,
-                      step_decay=args.step_decay, tolerance=args.tolerance, seed=args.seed)
+                      step_decay=args.step_decay, tolerance=args.tolerance)
     model = train_projected(ds, loss, tau, cfg)
     save_model(model, schema, args.out)
     print(f"trained on {ds.n} rows; ||w||={np.linalg.norm(model.w):.6g}, "
@@ -188,7 +201,7 @@ def _cmd_approx(args) -> int:
 def _cmd_pipeline(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if args.out_dir:
-        cfg = ExperimentConfig.from_dict({**json.load(open(args.config)), "out_dir": args.out_dir})
+        cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
     result = run_experiment(cfg)
     print(f"wrote {result.runs_path} and {result.aggregates_path}; "
           f"{sum(r['status'] == 'ok' for r in result.runs)}/{len(result.runs)} cells completed")
@@ -207,6 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--schema-out", default=None, help="write the derived schema here")
     p.set_defaults(func=_cmd_prep)
+
+    p = sub.add_parser("demo", help="write a demo dataset with a planted linear signal")
+    p.add_argument("--out-dir", default="demo_data",
+                   help="directory for demo.csv and schema.json")
+    p.add_argument("-m", type=int, default=4, help="number of features")
+    p.add_argument("-n", type=int, default=2000, help="number of rows")
+    p.add_argument("--seed", type=int, default=11)
+    p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("synth", help="generate a DP synthetic dataset")
     p.add_argument("--data", required=True)
@@ -238,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-size", type=float, default=1.0)
     p.add_argument("--step-decay", type=float, default=0.5)
     p.add_argument("--tolerance", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("dpsgd", help="noisy-gradient baseline training")

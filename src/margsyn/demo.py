@@ -1,7 +1,7 @@
 """Synthetic demo datasets with a planted linear signal.
 
-Used by the example scripts and the end-to-end tests; real data enters the
-pipeline through the CSV path instead.
+Written to disk by `margsyn demo` and used by the end-to-end tests; real
+data enters the pipeline through the CSV path instead.
 """
 
 from __future__ import annotations

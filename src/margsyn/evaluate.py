@@ -2,22 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import Dataset, encode_xy
 from .learn import LinearModel, predict
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    accuracy: float
-    roc_auc: float
-    empirical_risk: float
-    excess_empirical_risk: float
-    normalized_l1_mean: float
-    normalized_l1_max: float
 
 
 def accuracy(model: LinearModel, ds: Dataset) -> float:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, Schema, SplitSpec, load_csv, split, write_csv
-from .evaluate import MetricsReport, accuracy, empirical_risk, roc_auc_model
+from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .learn import LinearModel, LossSpec, TrainConfig, train_projected
 from .privacy import PrivacyParams
 from .synth import generate_synthetic
@@ -97,12 +97,18 @@ def _cell_seeds(base_seed: int, eps_index: int, repeat: int) -> tuple[int, int]:
     return split_seed, gen_seed
 
 
-def _run_cell(ds: Dataset, cfg: ExperimentConfig, eps: float, eps_index: int,
-              repeat: int) -> tuple[dict, dict | None]:
+def _base_row(cfg: ExperimentConfig, eps: float, eps_index: int, repeat: int) -> dict:
+    """A runs.csv row with the cell's identity filled in and every metric blank."""
     split_seed, gen_seed = _cell_seeds(cfg.base_seed, eps_index, repeat)
     row = {c: "" for c in RUN_COLUMNS}
     row.update({"epsilon": eps, "repeat": repeat, "split_seed": split_seed,
                 "gen_seed": gen_seed, "status": "ok", "error": ""})
+    return row
+
+
+def _run_cell(ds: Dataset, cfg: ExperimentConfig, eps: float, split_seed: int,
+              gen_seed: int) -> tuple[dict, dict]:
+    """The cell's metric columns and its generation report."""
     train, test = split(ds, SplitSpec(cfg.train_fraction, split_seed))
     delta = cfg.delta if cfg.delta is not None else 1.0 / train.n**2
     privacy = PrivacyParams(eps, delta, lam=cfg.lam,
@@ -114,30 +120,21 @@ def _run_cell(ds: Dataset, cfg: ExperimentConfig, eps: float, eps_index: int,
     tcfg = TrainConfig(max_iters=cfg.train_max_iters, step_size=cfg.train_step_size)
     model_syn = train_projected(ds_syn, loss, cfg.tau, tcfg)
     model_real = train_projected(train, loss, cfg.tau, tcfg)
-    metrics = MetricsReport(
-        accuracy=accuracy(model_syn, test),
-        roc_auc=roc_auc_model(model_syn, test),
-        empirical_risk=empirical_risk(model_syn, test),
-        excess_empirical_risk=(empirical_risk(model_syn, train)
-                               - empirical_risk(model_real, train)),
-        normalized_l1_mean=report.nonprivate_normalized_l1_mean,
-        normalized_l1_max=report.nonprivate_normalized_l1_max,
-    )
-    row.update({
+    metrics = {
         "sigma": report.sigma,
         "n_train": train.n,
         "n_test": test.n,
-        "accuracy_syn": metrics.accuracy,
+        "accuracy_syn": accuracy(model_syn, test),
         "accuracy_real": accuracy(model_real, test),
-        "roc_auc_syn": metrics.roc_auc,
+        "roc_auc_syn": roc_auc_model(model_syn, test),
         "roc_auc_real": roc_auc_model(model_real, test),
-        "risk_syn_test": metrics.empirical_risk,
+        "risk_syn_test": empirical_risk(model_syn, test),
         "risk_real_test": empirical_risk(model_real, test),
-        "excess_risk_train": metrics.excess_empirical_risk,
-        "normalized_l1_mean": metrics.normalized_l1_mean,
-        "normalized_l1_max": metrics.normalized_l1_max,
-    })
-    return row, report.to_dict()
+        "excess_risk_train": empirical_risk(model_syn, train) - empirical_risk(model_real, train),
+        "normalized_l1_mean": report.nonprivate_normalized_l1_mean,
+        "normalized_l1_max": report.nonprivate_normalized_l1_max,
+    }
+    return metrics, report.to_dict()
 
 
 AGG_METRICS = ["accuracy_syn", "accuracy_real", "roc_auc_syn", "roc_auc_real",
@@ -167,13 +164,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for eps_index, eps in enumerate(cfg.epsilons):
         eps_rows = []
         for repeat in range(cfg.repeats):
+            row = _base_row(cfg, eps, eps_index, repeat)
             try:
-                row, report = _run_cell(ds, cfg, eps, eps_index, repeat)
+                metrics, report = _run_cell(ds, cfg, eps, row["split_seed"], row["gen_seed"])
+                row.update(metrics)
             except Exception as exc:  # cell failure must not sink the sweep
-                split_seed, gen_seed = _cell_seeds(cfg.base_seed, eps_index, repeat)
-                row = {c: "" for c in RUN_COLUMNS}
-                row.update({"epsilon": eps, "repeat": repeat, "split_seed": split_seed,
-                            "gen_seed": gen_seed, "status": "failed", "error": repr(exc)})
+                row.update({"status": "failed", "error": repr(exc)})
                 report = None
             if report is not None:
                 with open(out / "reports" / f"run_eps{eps_index}_rep{repeat}.json", "w") as fh:

@@ -187,7 +187,6 @@ class TrainConfig:
     step_size: float = 1.0
     step_decay: float = 0.5
     tolerance: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1 or self.step_size <= 0 or not 0 < self.step_decay < 1 or self.tolerance < 0:

@@ -103,6 +103,48 @@ def compute_marginal(ds: Dataset, q: MarginalQuery) -> Marginal:
     return Marginal(q, counts, exact=True)
 
 
+class MarginalOperator:
+    """The linear map from joint-cell counts to the marginal vectors of a query list.
+
+    Joint cells are the row-major flat indices of the full domain
+    (schema.sizes).  Each query's cell -> bin map is built once, here, and
+    every synthesizer applies the map through this object.
+    """
+
+    def __init__(self, schema: Schema, queries):
+        self.schema = schema
+        self.queries = tuple(queries)
+        for q in self.queries:
+            q.validate(schema)
+        self.num_cells = int(np.prod(schema.sizes))
+        codes = np.unravel_index(np.arange(self.num_cells), schema.sizes)
+        self.bin_maps = tuple(
+            np.ravel_multi_index(tuple(codes[a] for a in q.attrs), schema.shape(q.attrs))
+            for q in self.queries)
+        self.num_bins = tuple(int(np.prod(schema.shape(q.attrs))) for q in self.queries)
+
+    def forward(self, counts: np.ndarray) -> list[np.ndarray]:
+        """One marginal vector per query from a (possibly fractional) cell-count vector."""
+        return [np.bincount(bm, weights=counts, minlength=k)
+                for bm, k in zip(self.bin_maps, self.num_bins)]
+
+    def adjoint(self, residuals) -> np.ndarray:
+        """Transpose of forward: spread each query's bin values back onto the cells."""
+        out = np.zeros(self.num_cells)
+        for bm, r in zip(self.bin_maps, residuals):
+            out += r[bm]
+        return out
+
+    def l1_to(self, counts: np.ndarray, targets) -> np.ndarray:
+        """Per-query l1 distance between forward(counts) and the target vectors."""
+        return np.array([np.abs(t - seg).sum() for t, seg in zip(targets, self.forward(counts))])
+
+    def cell_counts(self, ds: Dataset) -> np.ndarray:
+        """Number of the dataset's rows in each joint cell."""
+        flat = np.ravel_multi_index(tuple(ds.codes.T), self.schema.sizes)
+        return np.bincount(flat, minlength=self.num_cells).astype(np.float64)
+
+
 def l1_distance(a: Marginal, b: Marginal) -> float:
     if a.query != b.query:
         raise QueryError(f"query mismatch: {a.query.attrs} vs {b.query.attrs}")

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .dataset import Dataset, Schema
-from .marginals import (Marginal, MarginalQuery, compute_marginal, enumerate_queries,
-                        l1_distance, normalized_l1)
+from .marginals import (Marginal, MarginalOperator, MarginalQuery, compute_marginal,
+                        enumerate_queries, l1_distance, normalized_l1)
 from .privacy import PrivacyParams, add_noise_to_set, calibrate, synthesis_l1_bound
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
@@ -54,35 +55,23 @@ class NoisyMarginalSet:
         for q in queries:
             q.validate(self.schema)
 
+    @cached_property
+    def operator(self) -> MarginalOperator:
+        return MarginalOperator(self.schema, [m.query for m in self.marginals])
 
-def _joint_shape(schema: Schema) -> tuple[int, ...]:
-    return schema.sizes
+    @property
+    def targets(self) -> list[np.ndarray]:
+        return [m.counts for m in self.marginals]
 
 
 def num_joint_cells(schema: Schema) -> int:
     return int(np.prod(schema.sizes))
 
 
-def _bin_map(schema: Schema, query: MarginalQuery) -> np.ndarray:
-    """Map from flat joint-cell index to the query's flat marginal bin."""
-    cells = num_joint_cells(schema)
-    codes = np.stack(np.unravel_index(np.arange(cells), _joint_shape(schema)), axis=1)
-    sub = codes[:, list(query.attrs)]
-    return np.ravel_multi_index(tuple(sub.T), schema.shape(query.attrs))
-
-
 def _counts_to_dataset(counts: np.ndarray, schema: Schema) -> Dataset:
     cell_ids = np.repeat(np.arange(counts.shape[0]), counts.astype(np.int64))
-    codes = np.stack(np.unravel_index(cell_ids, _joint_shape(schema)), axis=1)
+    codes = np.stack(np.unravel_index(cell_ids, schema.sizes), axis=1)
     return Dataset(schema, codes)
-
-
-def _max_l1_objective(counts: np.ndarray, bin_maps, targets) -> float:
-    worst = 0.0
-    for bm, t in zip(bin_maps, targets):
-        seg = np.bincount(bm, weights=counts, minlength=t.shape[0])
-        worst = max(worst, float(np.abs(t - seg).sum()))
-    return worst
 
 
 def brute_force_synth(n: int, nm: NoisyMarginalSet,
@@ -104,13 +93,12 @@ def brute_force_synth(n: int, nm: NoisyMarginalSet,
             f"{n_candidates} candidate multisets exceed the cap {cap}; "
             "use the greedy or fitted path for this size"
         )
-    bin_maps = [_bin_map(nm.schema, m.query) for m in nm.marginals]
-    targets = [m.counts for m in nm.marginals]
+    op, targets = nm.operator, nm.targets
     best_counts = None
     best_obj = math.inf
     for combo in combinations_with_replacement(range(cells), n):
         counts = np.bincount(np.asarray(combo, dtype=np.int64), minlength=cells).astype(np.float64)
-        obj = _max_l1_objective(counts, bin_maps, targets)
+        obj = float(op.l1_to(counts, targets).max())
         if obj < best_obj:
             best_obj = obj
             best_counts = counts
@@ -141,21 +129,16 @@ def _greedy_minmax(n: int, nm: NoisyMarginalSet, max_steps: int | None = None) -
     cells = num_joint_cells(schema)
     if cells * cells * max(1, len(nm.marginals)) > 200_000_000:
         raise SynthesisError("joint domain too large for the greedy path; use fitted mode")
-    bin_maps = [_bin_map(schema, m.query) for m in nm.marginals]
-    targets = [m.counts for m in nm.marginals]
+    op, targets = nm.operator, nm.targets
+    bin_maps = op.bin_maps
     eq_masks = [bm[:, None] == bm[None, :] for bm in bin_maps]
     if max_steps is None:
         max_steps = 200 + 40 * n
 
     def descend(counts: np.ndarray) -> tuple[np.ndarray, float]:
         counts = counts.astype(np.float64)
-        resid = []
-        l1 = []
-        for bm, t in zip(bin_maps, targets):
-            seg = np.bincount(bm, weights=counts, minlength=t.shape[0])
-            resid.append(t - seg)
-            l1.append(float(np.abs(t - seg).sum()))
-        l1 = np.asarray(l1)
+        resid = [t - seg for t, seg in zip(targets, op.forward(counts))]
+        l1 = np.array([np.abs(r).sum() for r in resid])
         for _ in range(max_steps):
             obj = float(l1.max())
             cand = None
@@ -223,14 +206,7 @@ class DistributionEstimate:
         object.__setattr__(self, "probs", probs)
 
     def marginal_probs(self, query: MarginalQuery) -> np.ndarray:
-        query.validate(self.schema)
-        shape = _joint_shape(self.schema)
-        keep = set(query.attrs)
-        drop = tuple(i for i in range(len(shape)) if i not in keep)
-        table = self.probs.reshape(shape)
-        if drop:
-            table = table.sum(axis=drop)
-        return table.ravel()
+        return MarginalOperator(self.schema, [query]).forward(self.probs)[0]
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -259,20 +235,15 @@ def fit_distribution(nm: NoisyMarginalSet, n: float | None = None,
         raise SynthesisError(f"joint domain of {cells} cells exceeds dense-mode cap {DENSE_CELL_CAP}")
     if n is None:
         n = max(1.0, float(np.mean([m.total for m in nm.marginals])))
-    bin_maps = [_bin_map(nm.schema, m.query) for m in nm.marginals]
-    targets = [m.counts for m in nm.marginals]
+    op, targets = nm.operator, nm.targets
 
     lipschitz = 2.0 * n * n * sum(cells / t.shape[0] for t in targets)
     step = 1.0 / lipschitz
 
     def objective_and_grad(p):
-        obj = 0.0
-        grad = np.zeros_like(p)
-        for bm, t in zip(bin_maps, targets):
-            diff = n * np.bincount(bm, weights=p, minlength=t.shape[0]) - t
-            obj += float(diff @ diff)
-            grad += 2.0 * n * diff[bm]
-        return obj, grad
+        diffs = [n * seg - t for seg, t in zip(op.forward(p), targets)]
+        obj = sum(float(diff @ diff) for diff in diffs)
+        return obj, op.adjoint([2.0 * n * diff for diff in diffs])
 
     p = np.full(cells, 1.0 / cells)
     obj, grad = objective_and_grad(p)
@@ -347,7 +318,7 @@ def sample_dataset(dist: DistributionEstimate, n: int, rng: np.random.Generator)
     the conditional fractional counts, so group totals are conserved exactly.
     """
     schema = dist.schema
-    shape = _joint_shape(schema)
+    shape = schema.sizes
     k = len(shape)
     joint = dist.probs.reshape(shape)
     prefix_tables = [joint.sum(axis=tuple(range(i + 1, k))) for i in range(k)]
@@ -386,7 +357,9 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
 
     mode "brute" uses exhaustive search when the candidate count fits `cap`
     and the greedy descent otherwise; mode "fitted" fits a dense joint
-    distribution and samples from it (requires rng).
+    distribution and samples from it (requires rng).  The stats hold the
+    l1 distances to the noisy targets and the synthetic marginals
+    ("marginals"), in the noisy set's query order.
     """
     if mode == "brute":
         cells = num_joint_cells(nm.schema)
@@ -402,8 +375,12 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     else:
         raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
 
-    dists = [l1_distance(m, compute_marginal(ds, m.query)) for m in nm.marginals]
-    stats = {"l1_to_noisy_max": max(dists), "l1_to_noisy_mean": float(np.mean(dists))}
+    op = nm.operator
+    counts = op.cell_counts(ds)
+    dists = op.l1_to(counts, nm.targets)
+    synth_margs = [Marginal(q, v, exact=True) for q, v in zip(op.queries, op.forward(counts))]
+    stats = {"l1_to_noisy_max": float(dists.max()), "l1_to_noisy_mean": float(np.mean(dists)),
+             "marginals": synth_margs}
     return ds, stats
 
 
@@ -472,7 +449,7 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams | None =
                              fit_iters=fit_iters, fit_tol=fit_tol)
 
     # evaluation-only diagnostics, outside the mechanism boundary
-    synth_margs = [compute_marginal(ds_s, q) for q in queries]
+    synth_margs = stats["marginals"]
     real_l1 = [l1_distance(e, s) for e, s in zip(exact, synth_margs)]
     norm_l1 = [normalized_l1(e, s, ds_real.n) for e, s in zip(exact, synth_margs)] if ds_real.n else [0.0]
 

@@ -124,3 +124,10 @@ def test_reports_are_pure():
     a = lipschitz_excess_risk_bound(BoundInputs(nu=2.5, **FIXTURE))
     b = lipschitz_excess_risk_bound(BoundInputs(nu=2.5, **FIXTURE))
     assert a == b
+
+
+@pytest.mark.parametrize("bound", [lipschitz_excess_risk_bound, logistic_excess_risk_bound])
+@pytest.mark.parametrize("mode", ["asymptotic-shape", "exact"])
+def test_unknown_mode_raises(bound, mode):
+    with pytest.raises(BoundError):
+        bound(BoundInputs(nu=1.0, **FIXTURE), mode)

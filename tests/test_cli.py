@@ -41,6 +41,16 @@ def test_prep_command(tmp_path):
     assert schema.sizes == (2, 2, 2)  # green vanished with the dropped row
 
 
+def test_demo_command(tmp_path):
+    out = tmp_path / "demo"
+    rc = main(["demo", "--out-dir", str(out), "-m", "3", "-n", "50", "--seed", "5"])
+    assert rc == 0
+    want = make_demo_dataset(m=3, n=50, seed=5)
+    schema = Schema.from_file(out / "schema.json")
+    assert schema == want.schema
+    assert np.array_equal(load_csv(out / "demo.csv", schema).codes, want.codes)
+
+
 def test_synth_command(demo_files):
     ds, data, schema, tmp = demo_files
     out = tmp / "syn.csv"
@@ -147,6 +157,16 @@ def test_pipeline_command_and_determinism(demo_files, tmp_path):
     assert rc == 0
     runs_b = (tmp_path / "out_b" / "runs.csv").read_text()
     assert runs_a == runs_b
+
+
+def test_pipeline_out_dir_overrides_config(demo_files, tmp_path):
+    ds, data, schema, tmp = demo_files
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_pipeline_config(tmp_path, data, schema, "unused")))
+    rc = main(["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "elsewhere")])
+    assert rc == 0
+    assert (tmp_path / "elsewhere" / "runs.csv").exists()
+    assert not (tmp_path / "unused").exists()
 
 
 def test_pipeline_flushes_failures(tmp_path, demo_files):

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from margsyn.dataset import Dataset, Schema
-from margsyn.marginals import (Marginal, MarginalQuery, QueryError, compute_marginal,
-                               enumerate_queries, l1_distance, load_marginals,
-                               normalized_l1, project_marginal, query_count,
-                               save_marginals)
+from margsyn.marginals import (Marginal, MarginalOperator, MarginalQuery, QueryError,
+                               compute_marginal, enumerate_queries, l1_distance,
+                               load_marginals, normalized_l1, project_marginal,
+                               query_count, save_marginals)
 
 from conftest import random_dataset
 
@@ -142,6 +142,55 @@ class TestProjection:
             want = compute_marginal(ds, MarginalQuery(sub_attrs))
             got = project_marginal(big, MarginalQuery(sub_attrs), schema)
             assert np.array_equal(got.counts, want.counts)
+
+
+OPERATOR_SCHEMAS = [
+    Schema(("a", "b", "c", "label"), (2, 2, 2, 2)),
+    Schema(("a", "b", "c", "label"), (3, 2, 4, 2)),
+]
+
+
+class TestMarginalOperator:
+    @pytest.mark.parametrize("schema", OPERATOR_SCHEMAS, ids=["binary", "mixed"])
+    @given(st.integers(0, 35), st.integers(0, 2**31 - 1))
+    @example(n=0, seed=0)
+    def test_forward_matches_compute_marginal(self, schema, n, seed):
+        ds = random_dataset(schema, n, seed)
+        queries = enumerate_queries(3, 4)
+        op = MarginalOperator(schema, queries)
+        cells = op.cell_counts(ds)
+        assert cells.shape == (int(np.prod(schema.sizes)),)
+        assert cells.sum() == n
+        for q, vec in zip(queries, op.forward(cells)):
+            assert np.array_equal(vec, compute_marginal(ds, q).counts)
+
+    @pytest.mark.parametrize("schema", OPERATOR_SCHEMAS, ids=["binary", "mixed"])
+    @given(st.integers(0, 35), st.integers(0, 2**31 - 1))
+    @example(n=0, seed=0)
+    def test_l1_to_matches_l1_distance(self, schema, n, seed):
+        ds = random_dataset(schema, n, seed)
+        queries = enumerate_queries(3, 2)
+        op = MarginalOperator(schema, queries)
+        rng = np.random.default_rng(seed)
+        noisy = [Marginal(q, compute_marginal(ds, q).counts + rng.normal(0.0, 2.0, k), exact=False)
+                 for q, k in zip(queries, op.num_bins)]
+        got = op.l1_to(op.cell_counts(ds), [m.counts for m in noisy])
+        want = [l1_distance(m, compute_marginal(ds, m.query)) for m in noisy]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("schema", OPERATOR_SCHEMAS, ids=["binary", "mixed"])
+    @given(st.integers(0, 2**31 - 1))
+    def test_adjoint_is_transpose(self, schema, seed):
+        rng = np.random.default_rng(seed)
+        op = MarginalOperator(schema, enumerate_queries(3, 3))
+        x = rng.normal(size=op.num_cells)
+        r = [rng.normal(size=k) for k in op.num_bins]
+        lhs = sum(float(f @ rq) for f, rq in zip(op.forward(x), r))
+        assert lhs == pytest.approx(float(x @ op.adjoint(r)), rel=1e-9, abs=1e-9)
+
+    def test_rejects_query_outside_schema(self):
+        with pytest.raises(QueryError):
+            MarginalOperator(OPERATOR_SCHEMAS[0], [MarginalQuery((0, 4))])
 
 
 def test_query_validation():
