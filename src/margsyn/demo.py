@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, EncodingMap, Schema
+from .dataset import Dataset, Schema
 
 
 def make_demo_dataset(m: int = 4, n: int = 2000, seed: int = 0,
@@ -28,7 +28,6 @@ def make_demo_dataset(m: int = 4, n: int = 2000, seed: int = 0,
     names = tuple(f"x{j}" for j in range(m)) + ("label",)
     schema = Schema(names, tuple(sizes) + (2,))
     feats = np.stack([rng.integers(0, s, size=n) for s in sizes], axis=1)
-    enc = EncodingMap(schema)
     w = np.array([(1.0 if j % 2 == 0 else -0.7) / np.sqrt(m) for j in range(m)])
     scores = np.zeros(n)
     for j in range(m):

@@ -19,17 +19,8 @@ def accuracy(model: LinearModel, ds: Dataset) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their rank span."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    ranks = np.empty(values.shape[0], dtype=np.float64)
-    i = 0
-    while i < values.shape[0]:
-        j = i
-        while j + 1 < values.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inv, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
 
 
 def roc_auc(scores, labels) -> float:

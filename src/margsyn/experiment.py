@@ -52,9 +52,7 @@ class ExperimentConfig:
     lam: float = 3.0
     allow_large_epsilon: bool = True
     train_max_iters: int = 400
-    train_step_size: float = 1.0
     fit_iters: int = 2000
-    fit_tol: float = 1e-10
 
     def __post_init__(self):
         if not self.epsilons:
@@ -115,9 +113,9 @@ def _run_cell(ds: Dataset, cfg: ExperimentConfig, eps: float, split_seed: int,
                             allow_large_epsilon=cfg.allow_large_epsilon)
     ds_syn, report = generate_synthetic(train, cfg.d, privacy, mode=cfg.mode,
                                         seed=gen_seed, sensitivity_mode=cfg.sensitivity_mode,
-                                        fit_iters=cfg.fit_iters, fit_tol=cfg.fit_tol)
+                                        fit_iters=cfg.fit_iters)
     loss = LossSpec.from_dict(cfg.loss)
-    tcfg = TrainConfig(max_iters=cfg.train_max_iters, step_size=cfg.train_step_size)
+    tcfg = TrainConfig(max_iters=cfg.train_max_iters)
     model_syn = train_projected(ds_syn, loss, cfg.tau, tcfg)
     model_real = train_projected(train, loss, cfg.tau, tcfg)
     metrics = {

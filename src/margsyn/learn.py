@@ -196,9 +196,9 @@ class TrainConfig:
 def train_projected(ds: Dataset, spec: LossSpec, tau: float, cfg: TrainConfig | None = None) -> LinearModel:
     """Minimize the empirical risk over ||w|| <= tau.
 
-    Projected gradient descent from w = 0 with backtracking line search, so
-    the objective is non-increasing over accepted steps; the best iterate by
-    objective is returned.  tau may be math.inf for unconstrained training.
+    Projected gradient descent from w = 0 with backtracking line search.
+    Every accepted step strictly lowers the objective, so the last iterate is
+    the best and is returned.  tau may be math.inf for unconstrained training.
     """
     cfg = cfg or TrainConfig()
     if ds.n < 1:
@@ -212,7 +212,6 @@ def train_projected(ds: Dataset, spec: LossSpec, tau: float, cfg: TrainConfig | 
     obj, grad = _risk_and_grad(w, X, y, spec)
     if not math.isfinite(obj):
         raise LossError("non-finite loss at the initial point")
-    best_w, best_obj = w, obj
     step = cfg.step_size
     for _ in range(cfg.max_iters):
         improved = False
@@ -230,12 +229,10 @@ def train_projected(ds: Dataset, spec: LossSpec, tau: float, cfg: TrainConfig | 
             break
         gain = obj - obj_new
         w, obj, grad = w_new, obj_new, grad_new
-        if obj < best_obj:
-            best_w, best_obj = w, obj
         step = min(s / cfg.step_decay, cfg.step_size)
         if gain <= cfg.tolerance * max(1.0, abs(obj)):
             break
-    return LinearModel(best_w, tau, spec)
+    return LinearModel(w, tau, spec)
 
 
 # ---------------------------------------------------------------------------

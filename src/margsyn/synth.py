@@ -9,8 +9,10 @@ Two strategies stand behind one entry point:
             minimizing the same objective.
   "fitted"  least-squares fit of a dense joint distribution to the noisy
             marginals (projected gradient on the probability simplex),
-            followed by attribute-by-attribute conditional sampling with
-            floor/remainder count conservation.
+            followed by cumulative rounding of n times the fitted joint over
+            the row-major cells with one uniform offset: exactly n rows,
+            unbiased cell counts within one of n*p, and every group of
+            fixed leading attributes within less than one row of its mass.
 
 The synthesizer sees only the noisy marginals, the target size and the
 schema; diagnostics against the real data are assembled outside it.
@@ -263,86 +265,21 @@ def fit_distribution(nm: NoisyMarginalSet, n: float | None = None,
 # Sampling
 
 
-def sample_column(mu: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Emit exactly n codes with per-value counts in {floor(mu_t), floor(mu_t)+1}.
-
-    Each value first receives floor(mu_t) copies; the remaining slots are
-    drawn without replacement with probability proportional to the fractional
-    parts, and the column is shuffled.  If sum(mu) exceeds n or falls more
-    than one below it, mu is rescaled to sum to n first (the envelope then
-    refers to the rescaled vector).
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    if (mu < 0).any():
-        raise SynthesisError("fractional counts must be non-negative")
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    total = float(mu.sum())
-    if total <= 0.0:
-        raise SynthesisError("all-zero fractional counts with n > 0")
-    if total > n or n - total > 1.0:
-        mu = mu * (n / total)
-    floors = np.floor(mu).astype(np.int64)
-    counts = floors.copy()
-    r = n - int(floors.sum())
-    assert r >= 0, "floor counts cannot exceed n after rescaling"
-    if r > 0:
-        frac = mu - floors
-        chosen = _draw_without_replacement(frac, mu, r, rng)
-        counts[chosen] += 1
-    column = np.repeat(np.arange(mu.shape[0]), counts)
-    rng.shuffle(column)
-    return column
-
-
-def _draw_without_replacement(frac: np.ndarray, mu: np.ndarray, r: int,
-                              rng: np.random.Generator) -> np.ndarray:
-    """r distinct indices, fractional parts first, mu-weighted fallback after."""
-    positive = np.nonzero(frac > 0)[0]
-    if positive.shape[0] >= r:
-        p = frac[positive] / frac[positive].sum()
-        return positive[rng.choice(positive.shape[0], size=r, replace=False, p=p)]
-    chosen = positive
-    rest = np.setdiff1d(np.arange(frac.shape[0]), positive, assume_unique=True)
-    w = mu[rest]
-    w = np.full(rest.shape[0], 1.0) if w.sum() <= 0 else w
-    extra = rest[rng.choice(rest.shape[0], size=r - positive.shape[0], replace=False, p=w / w.sum())]
-    return np.concatenate([chosen, extra])
-
-
 def sample_dataset(dist: DistributionEstimate, n: int, rng: np.random.Generator) -> Dataset:
-    """Draw a size-n dataset column by column from the joint estimate.
+    """Draw a size-n dataset by cumulative (systematic) rounding of n*p.
 
-    Attributes are processed in order; rows are grouped by their already
-    assigned prefix and each group's column is drawn via sample_column from
-    the conditional fractional counts, so group totals are conserved exactly.
+    With C the cumulative sum of the clipped probabilities over the row-major
+    cells, normalized to end at 1, and one uniform u in [0, 1), cell c
+    receives floor(u + n*C_c) - floor(u + n*C_{c-1}) rows.  So there are
+    exactly n rows, each cell count is floor(mu_c) or floor(mu_c)+1 and
+    unbiased for mu_c = n*p_c, zero-probability cells stay empty, and every
+    row-major prefix group (fixed leading attributes, a contiguous block of
+    cells) is within strictly less than one row of its expected mass.  Rows
+    come out in cell order.
     """
-    schema = dist.schema
-    shape = schema.sizes
-    k = len(shape)
-    joint = dist.probs.reshape(shape)
-    prefix_tables = [joint.sum(axis=tuple(range(i + 1, k))) for i in range(k)]
-    codes = np.zeros((n, k), dtype=np.int64)
-    groups: dict[tuple[int, ...], np.ndarray] = {(): np.arange(n)}
-    for i in range(k):
-        table = prefix_tables[i]
-        next_groups: dict[tuple[int, ...], np.ndarray] = {}
-        for prefix in sorted(groups):
-            rows = groups[prefix]
-            weights = np.asarray(table[prefix], dtype=np.float64)
-            mass = float(weights.sum())
-            if mass <= 0.0:
-                mu = np.full(shape[i], rows.shape[0] / shape[i])
-            else:
-                mu = rows.shape[0] * weights / mass
-            column = sample_column(mu, rows.shape[0], rng)
-            codes[rows, i] = column
-            for v in range(shape[i]):
-                sel = rows[column == v]
-                if sel.shape[0]:
-                    next_groups[prefix + (v,)] = sel
-        groups = next_groups
-    return Dataset(schema, codes)
+    cum = np.cumsum(np.maximum(dist.probs, 0.0))
+    edges = np.floor(rng.random() + n * (cum / cum[-1])).astype(np.int64)
+    return _counts_to_dataset(np.diff(edges, prepend=0), dist.schema)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +289,7 @@ def sample_dataset(dist: DistributionEstimate, n: int, rng: np.random.Generator)
 def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
                rng: np.random.Generator | None = None,
                cap: int = DEFAULT_CANDIDATE_CAP,
-               fit_iters: int = 2000, fit_tol: float = 1e-10) -> tuple[Dataset, dict]:
+               fit_iters: int = 2000) -> tuple[Dataset, dict]:
     """Build a size-n dataset from noisy marginals only (no access to real data).
 
     mode "brute" uses exhaustive search when the candidate count fits `cap`
@@ -370,7 +307,7 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     elif mode == "fitted":
         if rng is None:
             raise SynthesisError("fitted mode needs a random generator")
-        dist = fit_distribution(nm, n=n, iters=fit_iters, tol=fit_tol)
+        dist = fit_distribution(nm, n=n, iters=fit_iters)
         ds = sample_dataset(dist, n, rng)
     else:
         raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
@@ -422,7 +359,7 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams | None =
                        sensitivity_mode: str = "exact",
                        cap: int = DEFAULT_CANDIDATE_CAP,
                        sigma_override: float | None = None,
-                       fit_iters: int = 2000, fit_tol: float = 1e-10) -> tuple[Dataset, GenReport]:
+                       fit_iters: int = 2000) -> tuple[Dataset, GenReport]:
     """Measure all order-<=d marginals, noise them, synthesize, and report.
 
     sigma comes from the Gaussian-mechanism calibration of `privacy` under the
@@ -445,8 +382,7 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams | None =
     noisy = add_noise_to_set(exact, sigma, seed)
     nm = NoisyMarginalSet(schema, tuple(noisy), sigma, seed)
     rng = np.random.default_rng([seed, 1])
-    ds_s, stats = synthesize(ds_real.n, nm, mode, rng=rng, cap=cap,
-                             fit_iters=fit_iters, fit_tol=fit_tol)
+    ds_s, stats = synthesize(ds_real.n, nm, mode, rng=rng, cap=cap, fit_iters=fit_iters)
 
     # evaluation-only diagnostics, outside the mechanism boundary
     synth_margs = stats["marginals"]

@@ -24,7 +24,8 @@ from margsyn.marginals import compute_marginal, enumerate_queries, l1_distance
 from margsyn.polyapprox import (Interval, approx_report, bernstein, iterated_bernstein,
                                 logistic_loss, remez_minimax)
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate, synthesis_l1_bound
-from margsyn.synth import NoisyMarginalSet, brute_force_synth, sample_column, synthesize
+from margsyn.synth import (DistributionEstimate, NoisyMarginalSet, brute_force_synth,
+                           sample_dataset, synthesize)
 
 from conftest import random_dataset
 
@@ -275,20 +276,27 @@ def test_criterion_8_sampler_conservation():
     t0 = time.perf_counter()
     for seed in range(1000):
         rng = np.random.default_rng([8, seed])
-        k = int(rng.integers(1, 9))
-        mu = rng.uniform(0.0, 15.0, size=k)
-        if mu.sum() <= 0:
+        sizes = tuple(int(s) for s in rng.integers(2, 5, size=int(rng.integers(1, 4)))) + (2,)
+        schema = Schema(tuple(f"x{j}" for j in range(len(sizes) - 1)) + ("label",), sizes)
+        weights = rng.integers(0, 16, size=math.prod(sizes)) * (rng.random(math.prod(sizes)) < 0.7)
+        if weights.sum() == 0:
             continue
-        n = max(1, int(round(mu.sum())) + int(rng.integers(-1, 2)))
-        scaled = mu if (mu.sum() <= n <= mu.sum() + 1.0) else mu * (n / mu.sum())
-        column = sample_column(mu, n, rng)
-        counts = np.bincount(column, minlength=k)
-        floors = np.floor(scaled).astype(int)
+        total = int(weights.sum())
+        n = int(rng.integers(0, 4 * total))
+        ds = sample_dataset(DistributionEstimate(schema, weights / total, (0.0,)), n, rng)
+        counts = np.bincount(np.ravel_multi_index(tuple(ds.codes.T), sizes),
+                             minlength=weights.shape[0])
+        floors = (n * weights) // total  # floor(mu) for mu = n * w / total, exactly
         assert counts.sum() == n
         assert np.all(counts >= floors) and np.all(counts <= floors + 1)
+        for depth in range(1, len(sizes) + 1):
+            groups = math.prod(sizes[:depth])
+            got = counts.reshape(groups, -1).sum(axis=1)
+            want = weights.reshape(groups, -1).sum(axis=1)
+            assert np.all(np.abs(got * total - n * want) < total)  # prefix error < 1 row
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    report_line("criterion 8 (column sampler floor/ceil conservation, 1000 inputs)",
+    report_line("criterion 8 (joint sampler floor/ceil and prefix conservation, 1000 inputs)",
                 True, f"{elapsed:.1f}s")
 
 

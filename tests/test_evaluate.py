@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from margsyn.dataset import Dataset, Schema
-from margsyn.evaluate import (accuracy, empirical_risk, excess_empirical_risk,
-                              roc_auc, roc_auc_model)
+from margsyn.evaluate import (_average_ranks, accuracy, empirical_risk,
+                              excess_empirical_risk, roc_auc, roc_auc_model)
 from margsyn.learn import LinearModel, LossSpec
 
 from conftest import random_dataset
@@ -86,6 +86,33 @@ class TestRocAuc:
         base = roc_auc(scores, labels)
         transformed = roc_auc(np.exp(0.7 * scores) + 3.0, labels)
         assert transformed == pytest.approx(base, abs=1e-12)
+
+
+def reference_average_ranks(values: np.ndarray) -> np.ndarray:
+    """Tie spans walked one by one: each gets the mean of its 1-based ranks."""
+    order = np.argsort(values, kind="mergesort")
+    sorted_vals = values[order]
+    ranks = np.empty(values.shape[0], dtype=np.float64)
+    i = 0
+    while i < values.shape[0]:
+        j = i
+        while j + 1 < values.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    def test_ties_share_the_mean_rank(self):
+        got = _average_ranks(np.array([0.3, -0.0, 0.3, 0.0, 1.0, 0.3]))
+        assert got.tolist() == [4.0, 1.5, 4.0, 1.5, 6.0, 4.0]
+
+    @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0]), max_size=60)
+           | st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=60))
+    def test_matches_reference_loop(self, values):
+        values = np.array(values, dtype=np.float64)
+        assert np.array_equal(_average_ranks(values), reference_average_ranks(values))
 
 
 class TestEmpiricalRisk:

@@ -12,7 +12,7 @@ from margsyn.marginals import MarginalQuery, compute_marginal, enumerate_queries
 from margsyn.privacy import PrivacyParams, add_noise_to_set
 from margsyn.synth import (DistributionEstimate, NoisyMarginalSet, SynthesisError,
                            brute_force_synth, fit_distribution, generate_synthetic,
-                           num_joint_cells, sample_column, sample_dataset, synthesize)
+                           num_joint_cells, sample_dataset, synthesize)
 
 from conftest import random_dataset
 
@@ -145,29 +145,44 @@ class TestFitDistribution:
             fit_distribution(nm, n=5)
 
 
+def cell_counts(ds: Dataset) -> np.ndarray:
+    flat = np.ravel_multi_index(tuple(ds.codes.T), ds.schema.sizes)
+    return np.bincount(flat, minlength=num_joint_cells(ds.schema))
+
+
+def column_dist(mu) -> DistributionEstimate:
+    """The fractional counts mu as a distribution over cells (a=t, label=0)."""
+    mu = np.asarray(mu, dtype=np.float64)
+    probs = np.zeros((max(2, mu.shape[0]), 2))
+    probs[:mu.shape[0], 0] = mu / mu.sum()
+    return DistributionEstimate(Schema(("a", "label"), probs.shape), probs.ravel(), (0.0,))
+
+
 class TestSampleColumn:
+    """Rounding one column of fractional counts, through sample_dataset."""
+
     def test_fractional_split(self):
-        rng = np.random.default_rng(0)
-        col = sample_column(np.array([1.5, 2.5]), 4, rng)
-        counts = np.bincount(col, minlength=2)
+        ds = sample_dataset(column_dist([1.5, 2.5]), 4, np.random.default_rng(0))
+        counts = cell_counts(ds)[::2]
         assert counts.sum() == 4
         assert tuple(counts) in {(2, 2), (1, 3)}
 
     def test_integral_case_deterministic(self):
-        col = sample_column(np.array([3.0, 1.0]), 4, np.random.default_rng(0))
-        assert np.bincount(col, minlength=2).tolist() == [3, 1]
+        ds = sample_dataset(column_dist([3.0, 1.0]), 4, np.random.default_rng(0))
+        assert cell_counts(ds).tolist() == [3, 0, 1, 0]
 
     def test_remainder_frequency(self):
         hits = 0
         for seed in range(10_000):
-            col = sample_column(np.array([1.5, 2.5]), 4, np.random.default_rng(seed))
-            hits += np.bincount(col, minlength=2)[0] == 2
+            ds = sample_dataset(column_dist([1.5, 2.5]), 4, np.random.default_rng(seed))
+            hits += cell_counts(ds)[0] == 2
         assert hits / 10_000 == pytest.approx(0.5, abs=0.02)
 
     def test_all_zero_weights(self):
-        with pytest.raises(SynthesisError):
-            sample_column(np.zeros(3), 2, np.random.default_rng(0))
-        assert sample_column(np.zeros(3), 0, np.random.default_rng(0)).shape == (0,)
+        dist = column_dist([0.0, 2.0, 0.0])
+        ds = sample_dataset(dist, 5, np.random.default_rng(0))
+        assert cell_counts(ds).tolist() == [0, 0, 5, 0, 0, 0]
+        assert sample_dataset(dist, 0, np.random.default_rng(0)).codes.shape == (0, 2)
 
     @given(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=8), st.integers(-1, 1),
            st.integers(0, 2**31 - 1))
@@ -176,9 +191,9 @@ class TestSampleColumn:
         if mu.sum() <= 0:
             return
         n = max(1, int(round(mu.sum())) + offset)
-        scaled = mu if (mu.sum() <= n <= mu.sum() + 1.0) else mu * (n / mu.sum())
-        col = sample_column(mu, n, np.random.default_rng(seed))
-        counts = np.bincount(col, minlength=len(mu_list))
+        scaled = n * (mu / mu.sum())
+        ds = sample_dataset(column_dist(mu), n, np.random.default_rng(seed))
+        counts = cell_counts(ds)[::2][:len(mu_list)]
         assert counts.sum() == n
         floors = np.floor(scaled).astype(int)
         assert np.all(counts >= floors - 0)  # never below the floor
@@ -212,6 +227,39 @@ class TestSampleDataset:
             emp = compute_marginal(ds, q).counts
             want = n * dist.marginal_probs(q)
             assert np.abs(emp - want).sum() / n <= 0.05
+
+    @given(st.lists(st.integers(2, 4), min_size=1, max_size=3), st.data(),
+           st.integers(0, 60), st.integers(0, 2**31 - 1))
+    def test_rounding_guarantees(self, feature_sizes, data, n, seed):
+        sizes = tuple(feature_sizes) + (2,)
+        schema = Schema(tuple(f"x{j}" for j in range(len(sizes) - 1)) + ("label",), sizes)
+        cells = num_joint_cells(schema)
+        weights = np.array(data.draw(st.lists(st.integers(0, 5), min_size=cells, max_size=cells)
+                                     .filter(lambda w: sum(w) > 0)))
+        total = int(weights.sum())
+        dist = DistributionEstimate(schema, weights / total, (0.0,))
+        counts = cell_counts(sample_dataset(dist, n, np.random.default_rng(seed)))
+        assert counts.sum() == n
+        # integer arithmetic: floor(mu_c) = (n * w_c) // total with mu_c = n * w_c / total
+        floors = (n * weights) // total
+        assert np.all((counts == floors) | (counts == floors + 1))
+        assert np.all(counts[weights == 0] == 0)
+        # every group of fixed leading attributes is within < 1 row of its mass
+        for depth in range(1, len(sizes) + 1):
+            groups = math.prod(sizes[:depth])
+            group_counts = counts.reshape(groups, -1).sum(axis=1)
+            group_weights = weights.reshape(groups, -1).sum(axis=1)
+            assert np.all(np.abs(group_counts * total - n * group_weights) < total)
+
+    def test_cell_counts_unbiased(self):
+        schema = Schema(("a", "label"), (3, 2))
+        probs = np.array([0.13, 0.0, 0.27, 0.05, 0.35, 0.2])
+        dist = DistributionEstimate(schema, probs, (0.0,))
+        n, draws = 7, 10_000
+        mean = sum(cell_counts(sample_dataset(dist, n, np.random.default_rng(seed)))
+                   for seed in range(draws)) / draws
+        # each count is floor(mu) or floor(mu)+1, so its standard deviation is <= 0.5
+        assert np.all(np.abs(mean - n * probs) <= 4 * 0.5 / math.sqrt(draws))
 
 
 class TestMechanism:
