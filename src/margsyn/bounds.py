@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .privacy import gaussian_sigma, synthesis_l1_bound
+from .privacy import gaussian_sigma, marginal_set_sensitivity, synthesis_l1_bound
 
 LN2 = math.log(2.0)
 
@@ -164,14 +164,15 @@ def private_excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
 
     nu := 2 l^d sqrt(2 (ln 2 (1+lam) + d ln(m l))) sigma, valid except with
     probability 2^-lam.  sigma may be given directly, or is derived from
-    (epsilon, delta) as 2 m^(d/2) sqrt(ln(1.25/delta)) / epsilon.
+    (epsilon, delta) with the mechanism's own sensitivity sqrt(2 |Q|), so it
+    equals `privacy.calibrate(m, d, ...).sigma`.
     """
     _require(inp, "l", "lam")
     if inp.sigma is not None:
         sigma = inp.sigma
     else:
         _require(inp, "epsilon", "delta")
-        sigma = gaussian_sigma(inp.epsilon, inp.delta, math.sqrt(2.0 * inp.m**inp.d))
+        sigma = gaussian_sigma(inp.epsilon, inp.delta, marginal_set_sensitivity(inp.m, inp.d))
     nu = synthesis_l1_bound(sigma, inp.d, inp.m, inp.l, inp.lam)
     with_nu = BoundInputs(n=inp.n, m=inp.m, d=inp.d, tau=inp.tau, K=inp.K, phi0=inp.phi0,
                           l=inp.l, nu=nu, sigma=sigma, lam=inp.lam,

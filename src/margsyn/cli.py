@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .dataset import Schema, load_csv, load_raw_csv, preprocess, rules_from_dict, write_csv
 from .demo import make_demo_dataset
-from .evaluate import accuracy, empirical_risk, roc_auc_model
+from .evaluate import accuracy, empirical_risk, excess_empirical_risk, roc_auc_model
 from .experiment import ExperimentConfig, run_experiment
 from .learn import (DpSgdConfig, LossSpec, TrainConfig, dp_sgd, load_model,
                     save_model, train_projected)
@@ -77,7 +77,7 @@ def _cmd_synth(args) -> int:
                                 allow_large_epsilon=args.allow_large_epsilon)
     ds_syn, report = generate_synthetic(
         ds, args.order, privacy, mode=args.mode, seed=args.seed,
-        sensitivity_mode=args.sensitivity_mode, sigma_override=args.sigma_override)
+        sigma_override=args.sigma_override)
     write_csv(ds_syn, args.out)
     if args.report:
         _write_json(report.to_dict(), args.report)
@@ -130,7 +130,7 @@ def _cmd_eval(args) -> int:
     }
     if args.baseline_model:
         baseline, _ = load_model(args.baseline_model)
-        doc["excess_empirical_risk"] = doc["empirical_risk"] - empirical_risk(baseline, ds)
+        doc["excess_empirical_risk"] = excess_empirical_risk(model, baseline, ds)
     if args.out:
         _write_json(doc, args.out)
     print(json.dumps(doc, indent=2))
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=3.0)
     p.add_argument("--order", "-d", type=int, default=2, help="max marginal order d")
     p.add_argument("--mode", choices=["brute", "fitted"], default="fitted")
-    p.add_argument("--sensitivity-mode", choices=["exact", "paper"], default="exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-large-epsilon", action="store_true")
     p.add_argument("--sigma-override", type=float, default=None,

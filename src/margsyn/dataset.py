@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -135,25 +135,10 @@ class Dataset:
         return out
 
 
-@dataclass(frozen=True)
-class EncodingMap:
-    """Affine per-attribute maps from codes to [-1, 1] (labels land on +-1)."""
-
-    schema: Schema
-
-    def encode_value(self, attr: int, code: int) -> float:
-        size = self.schema.sizes[attr]
-        return 2.0 * code / (size - 1) - 1.0
-
-    def encode_codes(self, codes: np.ndarray) -> np.ndarray:
-        codes = np.asarray(codes, dtype=np.float64)
-        sizes = np.asarray(self.schema.sizes, dtype=np.float64)
-        return 2.0 * codes / (sizes - 1.0) - 1.0
-
-
 def encode(ds: Dataset) -> np.ndarray:
     """Numeric view of a dataset: shape (n, m+1), features in [-1,1], label in {-1,1}."""
-    return EncodingMap(ds.schema).encode_codes(ds.codes)
+    sizes = np.asarray(ds.schema.sizes, dtype=np.float64)
+    return 2.0 * ds.codes.astype(np.float64) / (sizes - 1.0) - 1.0
 
 
 def encode_xy(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, Schema, SplitSpec, load_csv, split, write_csv
-from .evaluate import accuracy, empirical_risk, roc_auc_model
+from .evaluate import accuracy, empirical_risk, excess_empirical_risk, roc_auc_model
 from .learn import LinearModel, LossSpec, TrainConfig, train_projected
 from .privacy import PrivacyParams
 from .synth import generate_synthetic
@@ -45,7 +45,6 @@ class ExperimentConfig:
     tau: float  # math.inf for unconstrained training
     loss: dict = field(default_factory=lambda: {"kind": "logistic"})
     mode: str = "fitted"
-    sensitivity_mode: str = "exact"
     base_seed: int = 0
     train_fraction: float = 0.8
     delta: float | None = None  # defaults to 1/n_train^2
@@ -112,8 +111,7 @@ def _run_cell(ds: Dataset, cfg: ExperimentConfig, eps: float, split_seed: int,
     privacy = PrivacyParams(eps, delta, lam=cfg.lam,
                             allow_large_epsilon=cfg.allow_large_epsilon)
     ds_syn, report = generate_synthetic(train, cfg.d, privacy, mode=cfg.mode,
-                                        seed=gen_seed, sensitivity_mode=cfg.sensitivity_mode,
-                                        fit_iters=cfg.fit_iters)
+                                        seed=gen_seed, fit_iters=cfg.fit_iters)
     loss = LossSpec.from_dict(cfg.loss)
     tcfg = TrainConfig(max_iters=cfg.train_max_iters)
     model_syn = train_projected(ds_syn, loss, cfg.tau, tcfg)
@@ -128,7 +126,7 @@ def _run_cell(ds: Dataset, cfg: ExperimentConfig, eps: float, split_seed: int,
         "roc_auc_real": roc_auc_model(model_real, test),
         "risk_syn_test": empirical_risk(model_syn, test),
         "risk_real_test": empirical_risk(model_real, test),
-        "excess_risk_train": empirical_risk(model_syn, train) - empirical_risk(model_real, train),
+        "excess_risk_train": excess_empirical_risk(model_syn, model_real, train),
         "normalized_l1_mean": report.nonprivate_normalized_l1_mean,
         "normalized_l1_max": report.nonprivate_normalized_l1_max,
     }

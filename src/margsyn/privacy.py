@@ -3,14 +3,13 @@
 The released object is the concatenation of all marginal count vectors for
 queries of order at most d.  Changing one row of the dataset changes at most
 two entries of each of the |Q| marginals by 1, so the l2 sensitivity is
-sqrt(2 |Q|), with sqrt(2 m^d) as the closed-form upper bound used when a
-formula independent of the exact query count is preferred.
+sqrt(2 |Q|).  That one value sets the noise of the mechanism and the sigma
+behind the excess-risk bound of `bounds.private_excess_risk_bound`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,6 @@ class NoiseCalibration:
 
     sigma: float
     sensitivity: float
-    sensitivity_mode: str  # "exact" or "paper"
     d: int
     m: int
     epsilon: float
@@ -68,35 +66,17 @@ def gaussian_sigma(eps: float, delta: float, sensitivity: float) -> float:
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / eps
 
 
-def marginal_set_sensitivity(m: int, d: int, exact: bool = True) -> float:
-    """l2 sensitivity of the concatenated order-<=d marginal vector.
-
-    exact=True counts the actual number of queries; exact=False returns the
-    closed-form bound sqrt(2 m^d).  The bound can undershoot the exact value
-    for small m (e.g. m=2, d=2), in which case a warning is raised since the
-    closed form is then not a valid upper bound.
-    """
+def marginal_set_sensitivity(m: int, d: int) -> float:
+    """l2 sensitivity sqrt(2 |Q|) of the concatenated order-<=d marginal vector."""
     if d < 1 or d > m + 1:
         raise ValueError(f"invalid marginal order d={d} for m={m}")
-    exact_value = math.sqrt(2.0 * query_count(m, d))
-    bound_value = math.sqrt(2.0 * m**d)
-    if bound_value < exact_value:
-        warnings.warn(
-            f"closed-form sensitivity sqrt(2 m^d)={bound_value:.4g} is below the exact "
-            f"value {exact_value:.4g} for m={m}, d={d}; the closed form is not a valid "
-            "bound here",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return exact_value if exact else bound_value
+    return math.sqrt(2.0 * query_count(m, d))
 
 
-def calibrate(m: int, d: int, params: PrivacyParams, sensitivity_mode: str = "exact") -> NoiseCalibration:
-    if sensitivity_mode not in ("exact", "paper"):
-        raise ValueError(f"sensitivity_mode must be 'exact' or 'paper', got {sensitivity_mode!r}")
-    sens = marginal_set_sensitivity(m, d, exact=(sensitivity_mode == "exact"))
+def calibrate(m: int, d: int, params: PrivacyParams) -> NoiseCalibration:
+    sens = marginal_set_sensitivity(m, d)
     sigma = gaussian_sigma(params.epsilon, params.delta, sens)
-    return NoiseCalibration(sigma, sens, sensitivity_mode, d, m, params.epsilon, params.delta)
+    return NoiseCalibration(sigma, sens, d, m, params.epsilon, params.delta)
 
 
 def add_noise(h: Marginal, sigma: float, rng: np.random.Generator) -> Marginal:

@@ -325,9 +325,12 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
 class GenReport:
     """Provenance of one synthetic dataset.
 
-    The `nonprivate_*` entries compare against the real marginals; they are
-    evaluation-only diagnostics computed outside the mechanism and must not be
-    released alongside the synthetic data.
+    `bound_certified` says whether the output is within half of
+    `l1_bound_at_lam` of the noisy marginals; by the triangle inequality the
+    bound then holds for it on the same 1 - 2^-lam event, whichever path ran.
+    It reads only noisy data.  The `nonprivate_*` entries compare against the
+    real marginals; they are evaluation-only diagnostics computed outside the
+    mechanism and must not be released alongside the synthetic data.
     """
 
     n: int
@@ -336,13 +339,13 @@ class GenReport:
     seed: int
     sigma: float
     sensitivity: float | None
-    sensitivity_mode: str | None
     epsilon: float | None
     delta: float | None
     epsilon_above_stated_range: bool
     query_count: int
     lam: float | None
     l1_bound_at_lam: float | None
+    bound_certified: bool | None
     l1_to_noisy_max: float
     l1_to_noisy_mean: float
     nonprivate_l1_to_real_max: float
@@ -356,14 +359,13 @@ class GenReport:
 
 def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams | None = None,
                        mode: str = "fitted", seed: int = 0,
-                       sensitivity_mode: str = "exact",
                        cap: int = DEFAULT_CANDIDATE_CAP,
                        sigma_override: float | None = None,
                        fit_iters: int = 2000) -> tuple[Dataset, GenReport]:
     """Measure all order-<=d marginals, noise them, synthesize, and report.
 
-    sigma comes from the Gaussian-mechanism calibration of `privacy` under the
-    chosen sensitivity mode; sigma_override (testing hook) bypasses that.
+    sigma comes from the Gaussian-mechanism calibration of `privacy`;
+    sigma_override (testing hook) bypasses that.
     Fixed seed gives a bit-identical dataset on one platform.
     """
     if privacy is None and sigma_override is None:
@@ -374,14 +376,16 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams | None =
     exact = [compute_marginal(ds_real, q) for q in queries]
 
     if sigma_override is not None:
-        sigma, sensitivity, sens_mode = float(sigma_override), None, None
+        sigma, sensitivity = float(sigma_override), None
     else:
-        calib = calibrate(m, d, privacy, sensitivity_mode)
-        sigma, sensitivity, sens_mode = calib.sigma, calib.sensitivity, calib.sensitivity_mode
+        calib = calibrate(m, d, privacy)
+        sigma, sensitivity = calib.sigma, calib.sensitivity
 
     noisy = add_noise_to_set(exact, sigma, seed)
     nm = NoisyMarginalSet(schema, tuple(noisy), sigma, seed)
-    rng = np.random.default_rng([seed, 1])
+    # a spawned child stream: the noise generators default_rng([seed, idx])
+    # never share its state, so sampling is independent of the noise
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     ds_s, stats = synthesize(ds_real.n, nm, mode, rng=rng, cap=cap, fit_iters=fit_iters)
 
     # evaluation-only diagnostics, outside the mechanism boundary
@@ -390,16 +394,17 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams | None =
     norm_l1 = [normalized_l1(e, s, ds_real.n) for e, s in zip(exact, synth_margs)] if ds_real.n else [0.0]
 
     lam = privacy.lam if privacy is not None else None
+    l1_bound = synthesis_l1_bound(sigma, d, m, schema.max_domain_size, lam) if lam is not None else None
     report = GenReport(
         n=ds_real.n, d=d, mode=mode, seed=seed, sigma=sigma,
-        sensitivity=sensitivity, sensitivity_mode=sens_mode,
+        sensitivity=sensitivity,
         epsilon=privacy.epsilon if privacy else None,
         delta=privacy.delta if privacy else None,
         epsilon_above_stated_range=bool(privacy and privacy.epsilon > 1.0),
         query_count=len(queries),
         lam=lam,
-        l1_bound_at_lam=(synthesis_l1_bound(sigma, d, m, schema.max_domain_size, lam)
-                         if lam is not None else None),
+        l1_bound_at_lam=l1_bound,
+        bound_certified=stats["l1_to_noisy_max"] <= l1_bound / 2 if l1_bound is not None else None,
         l1_to_noisy_max=stats["l1_to_noisy_max"],
         l1_to_noisy_mean=stats["l1_to_noisy_mean"],
         nonprivate_l1_to_real_max=max(real_l1),

@@ -8,7 +8,6 @@ every other clause passes.
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -28,9 +27,6 @@ from margsyn.synth import (DistributionEstimate, NoisyMarginalSet, brute_force_s
                            sample_dataset, synthesize)
 
 from conftest import random_dataset
-
-warnings.filterwarnings("ignore", category=RuntimeWarning, module="margsyn.privacy")
-
 
 def report_line(criterion: str, ok: bool, detail: str = "") -> None:
     state = "PASS" if ok else "FAIL"

@@ -5,6 +5,7 @@ import pytest
 from margsyn.bounds import (BoundError, BoundInputs, hard_instance_schedule,
                             lipschitz_excess_risk_bound, logistic_excess_risk_bound,
                             private_excess_risk_bound)
+from margsyn.privacy import PrivacyParams, calibrate
 
 LN2 = math.log(2.0)
 
@@ -79,12 +80,21 @@ class TestPrivateBound:
         assert rep.total == pytest.approx(base.total, rel=1e-12)
 
     def test_frozen_fixture(self):
-        # eps=2, delta=1/n^2, lam=3, l=4; sigma from the closed-form calibration
+        # eps=2, delta=1/n^2, lam=3, l=4; sigma = sqrt(2 |Q|) sqrt(2 ln(1.25/delta)) / eps
+        # with |Q| = 25 at m=4, d=3; references evaluated in extended precision
         rep = private_excess_risk_bound(
             BoundInputs(l=4, lam=3.0, epsilon=2.0, delta=1e-8, **FIXTURE), loss="lipschitz")
-        assert rep.terms["sigma"] == pytest.approx(34.54279599130708, rel=1e-12)
-        assert rep.terms["nu_from_tail_bound"] == pytest.approx(20823.56951340663, rel=1e-12)
-        assert rep.total == pytest.approx(454.8298444444091, rel=1e-12)
+        assert rep.terms["sigma"] == pytest.approx(21.589247494566928, rel=1e-12)
+        assert rep.terms["nu_from_tail_bound"] == pytest.approx(13014.730945879144, rel=1e-12)
+        assert rep.total == pytest.approx(285.5944779924805, rel=1e-12)
+
+    @pytest.mark.parametrize("m, d", [(2, 2), (2, 3), (3, 2), (3, 4), (4, 3), (8, 2), (12, 3)])
+    @pytest.mark.parametrize("eps, delta", [(0.1, 1e-9), (1.0, 1e-6), (2.0, 1e-8), (8.0, 0.01)])
+    def test_sigma_is_the_mechanism_sigma(self, m, d, eps, delta):
+        rep = private_excess_risk_bound(
+            BoundInputs(n=1000, m=m, d=d, tau=0.5, l=2, lam=3.0, epsilon=eps, delta=delta))
+        calib = calibrate(m, d, PrivacyParams(eps, delta, allow_large_epsilon=True))
+        assert rep.terms["sigma"] == calib.sigma
 
     def test_monotone_in_inverse_epsilon(self):
         totals = [private_excess_risk_bound(

@@ -1,12 +1,14 @@
+import argparse
 import csv
 import json
 import math
-import warnings
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from margsyn.cli import main
+from margsyn.cli import build_parser, main
 from margsyn.dataset import Schema, load_csv, write_csv
 from margsyn.demo import make_demo_dataset
 from margsyn.experiment import ExperimentConfig, run_experiment
@@ -203,3 +205,35 @@ def test_aggregates_match_run_means(demo_files, tmp_path):
     assert result.aggregates[0]["accuracy_syn_mean"] == pytest.approx(np.mean(accs), abs=1e-12)
     assert result.aggregates[0]["excess_risk_train_mean"] == pytest.approx(
         np.mean([r["excess_risk_train"] for r in result.runs]), abs=1e-12)
+
+
+def test_config_with_unknown_key_fails(tmp_path):
+    doc = {"data_path": "d.csv", "schema_path": "s.json", "out_dir": str(tmp_path),
+           "epsilons": [1.0], "repeats": 1, "d": 2, "tau": 0.5, "sensitivity_mode": "exact"}
+    with pytest.raises(TypeError):
+        ExperimentConfig.from_dict(doc)
+
+
+def _readme_cli_rows() -> dict[str, str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return dict(re.findall(r"^\| `(\w+)` *\| (.*) \|$", readme, flags=re.M))
+
+
+def test_readme_cli_table_matches_parser():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    rows = _readme_cli_rows()
+    assert sorted(rows) == sorted(subparsers)
+    for command, purpose in rows.items():
+        options = {flag: action for action in subparsers[command]._actions
+                   for flag in action.option_strings}
+        for span in re.findall(r"`([^`]*)`", purpose):
+            flag = None
+            for token in span.split():
+                if re.fullmatch(r"--?[A-Za-z][\w-]*", token):
+                    flag = token
+                    assert flag in options, f"README lists {command} {flag}, the parser has no such flag"
+                elif token.startswith("{"):
+                    listed = token.strip("{}").split(",")
+                    assert flag is not None and list(options[flag].choices) == listed, \
+                        f"README lists {command} {flag} {token}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from margsyn.dataset import (Dataset, DomainError, EncodingMap, ParseError,
+from margsyn.dataset import (Dataset, DomainError, ParseError,
                              PreprocessRule, RawTable, Schema, SchemaError,
                              SplitSpec, encode, encode_xy, load_csv, load_raw_csv,
                              preprocess, split, write_csv)
@@ -153,8 +153,8 @@ class TestEncoding:
     @given(st.integers(2, 12))
     def test_order_preserving(self, size):
         schema = Schema(("a", "label"), (size, 2))
-        enc = EncodingMap(schema)
-        vals = [enc.encode_value(0, c) for c in range(size)]
+        codes = np.stack([np.arange(size), np.zeros(size, dtype=np.int64)], axis=1)
+        vals = encode(Dataset(schema, codes))[:, 0].tolist()
         assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:]))
         assert vals[0] == -1.0 and vals[-1] == 1.0
 

@@ -1,12 +1,12 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from margsyn.dataset import Dataset, Schema
-from margsyn.marginals import Marginal, MarginalQuery, compute_marginal, enumerate_queries, l1_distance
+from margsyn.marginals import (Marginal, MarginalQuery, compute_marginal, enumerate_queries,
+                               l1_distance, query_count)
 from margsyn.privacy import (NoiseCalibration, PrivacyParams, add_noise, add_noise_to_set,
                              calibrate, gaussian_sigma, marginal_set_sensitivity,
                              synthesis_l1_bound)
@@ -33,43 +33,29 @@ class TestGaussianSigma:
 
     @given(st.integers(1, 8), st.integers(1, 4), st.floats(0.05, 0.95), st.floats(1e-8, 0.5))
     def test_calibration_closed_form(self, m, d, eps, delta):
-        # with the closed-form sensitivity the calibrated sigma collapses to
-        # 2 m^{d/2} sqrt(ln(1.25/delta)) / eps
+        # with sensitivity sqrt(2 |Q|) the calibrated sigma collapses to
+        # 2 sqrt(|Q| ln(1.25/delta)) / eps
         if d > m + 1:
             return
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sens = marginal_set_sensitivity(m, d, exact=False)
-        got = gaussian_sigma(eps, delta, sens)
-        want = 2.0 * m ** (d / 2.0) * math.sqrt(math.log(1.25 / delta)) / eps
+        got = calibrate(m, d, PrivacyParams(eps, delta)).sigma
+        want = 2.0 * math.sqrt(query_count(m, d) * math.log(1.25 / delta)) / eps
         assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestSensitivity:
     def test_exact_m2_d2(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert marginal_set_sensitivity(2, 2, exact=True) == pytest.approx(math.sqrt(12.0))
-
-    def test_paper_bound_m2_d2(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert marginal_set_sensitivity(2, 2, exact=False) == pytest.approx(math.sqrt(8.0))
-
-    def test_warning_when_closed_form_undershoots(self):
-        with pytest.warns(RuntimeWarning):
-            marginal_set_sensitivity(2, 2)
+        assert marginal_set_sensitivity(2, 2) == pytest.approx(math.sqrt(12.0))
 
     @given(st.integers(1, 14), st.data())
-    def test_warning_matches_comparison(self, m, data):
+    def test_matches_query_count(self, m, data):
         d = data.draw(st.integers(1, m + 1))
-        exact_val = math.sqrt(2.0 * sum(math.comb(m + 1, k) for k in range(1, d + 1)))
-        bound_val = math.sqrt(2.0 * m**d)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = marginal_set_sensitivity(m, d, exact=True)
-        assert got == pytest.approx(exact_val)
-        assert bool(caught) == (bound_val < exact_val)
+        want = math.sqrt(2.0 * sum(math.comb(m + 1, k) for k in range(1, d + 1)))
+        assert marginal_set_sensitivity(m, d) == pytest.approx(want)
+
+    @pytest.mark.parametrize("m, d", [(3, 0), (3, 5)])
+    def test_invalid_order_rejected(self, m, d):
+        with pytest.raises(ValueError):
+            marginal_set_sensitivity(m, d)
 
 
 class TestPrivacyParams:
@@ -146,9 +132,7 @@ def test_noisy_vs_real_coverage(three_binary_schema):
     ds = random_dataset(three_binary_schema, 50, seed=123)
     queries = enumerate_queries(3, 2)
     exact = [compute_marginal(ds, q) for q in queries]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        calib = calibrate(3, 2, PrivacyParams(1.0, 1 / 50**2, lam=3.0))
+    calib = calibrate(3, 2, PrivacyParams(1.0, 1 / 50**2, lam=3.0))
     bound = synthesis_l1_bound(calib.sigma, 2, 3, 2, 3.0)
     trials, violations = 1000, 0
     for seed in range(trials):
@@ -160,10 +144,8 @@ def test_noisy_vs_real_coverage(three_binary_schema):
 
 
 def test_calibration_is_recomputable():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        calib = calibrate(4, 2, PrivacyParams(0.5, 1e-6), "paper")
+    calib = calibrate(4, 2, PrivacyParams(0.5, 1e-6))
     assert isinstance(calib, NoiseCalibration)
     assert calib.sigma == pytest.approx(
         gaussian_sigma(calib.epsilon, calib.delta, calib.sensitivity), rel=1e-15)
-    assert calib.sensitivity_mode == "paper"
+    assert calib.sensitivity == marginal_set_sensitivity(4, 2)

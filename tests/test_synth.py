@@ -1,7 +1,6 @@
 import inspect
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -271,22 +270,63 @@ class TestMechanism:
 
     def test_fixed_seed_bit_identical(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 40, seed=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a, ra = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="fitted", seed=9)
-            b, rb = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="fitted", seed=9)
+        a, ra = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="fitted", seed=9)
+        b, rb = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="fitted", seed=9)
         assert np.array_equal(a.codes, b.codes)
         assert ra.to_dict() == rb.to_dict()
 
     def test_output_schema_and_size(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 25, seed=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ds_s, report = generate_synthetic(real, 2, PrivacyParams(0.5, 1e-6), mode="brute", seed=0)
+        ds_s, report = generate_synthetic(real, 2, PrivacyParams(0.5, 1e-6), mode="brute", seed=0)
         assert ds_s.schema == real.schema
         assert ds_s.n == real.n == report.n
         assert report.query_count == 10
-        assert report.sensitivity_mode == "exact"
+        assert report.sensitivity == math.sqrt(2 * 10)
+
+    def test_sampler_stream_differs_from_every_noise_stream(self, three_binary_schema, monkeypatch):
+        from margsyn import synth
+        states = []
+
+        def capture(dist, n, rng):
+            states.append(rng.bit_generator.state)
+            return sample_dataset(dist, n, rng)
+
+        monkeypatch.setattr(synth, "sample_dataset", capture)
+        real = random_dataset(three_binary_schema, 30, seed=8)
+        for seed in (0, 1, 2, 7, 12345, 2**32 - 1):
+            _, report = generate_synthetic(real, 2, mode="fitted", seed=seed, sigma_override=1.0,
+                                           fit_iters=5)
+            sampler_state = states.pop()
+            for idx in range(report.query_count):
+                assert sampler_state != np.random.default_rng([seed, idx]).bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bound_certified_on_exhaustive_path(self, seed):
+        # the real data is itself a candidate of the exhaustive search, so the
+        # minimiser is certified whenever the real data would be
+        schema = Schema(("a", "b", "label"), (2, 2, 2))
+        real = random_dataset(schema, 3, seed=seed)
+        privacy = PrivacyParams(1.0, 1e-3, lam=1.0)
+        _, report = generate_synthetic(real, 2, privacy, mode="brute", seed=seed)
+        exact = [compute_marginal(real, q) for q in enumerate_queries(2, 2)]
+        noisy = add_noise_to_set(exact, report.sigma, seed)
+        real_to_noisy = max(l1_distance(e, h) for e, h in zip(exact, noisy))
+        assert report.bound_certified == (report.l1_to_noisy_max <= report.l1_bound_at_lam / 2)
+        if real_to_noisy <= report.l1_bound_at_lam / 2:
+            assert report.bound_certified is True
+
+    def test_bound_certified_can_fail(self):
+        # with almost no noise, half the bound is far below one row, so any
+        # rounding error of the fitted sampler leaves the bound uncertified
+        schema = Schema(("a", "b", "c", "label"), (2, 2, 2, 2))
+        real = random_dataset(schema, 40, seed=3)
+        privacy = PrivacyParams(1000.0, 0.5, allow_large_epsilon=True)
+        flags = []
+        for seed in range(5):
+            _, report = generate_synthetic(real, 2, privacy, mode="fitted", seed=seed, fit_iters=50)
+            assert report.bound_certified == (report.l1_to_noisy_max <= report.l1_bound_at_lam / 2)
+            flags.append(report.bound_certified)
+        assert False in flags
 
     def test_synthesizer_has_no_real_data_parameter(self):
         params = inspect.signature(synthesize).parameters
@@ -311,4 +351,5 @@ class TestMechanism:
         doc = report.to_dict()
         assert doc["sigma"] == 0.5
         assert doc["epsilon"] is None
+        assert doc["bound_certified"] is None  # no lambda, no bound
         assert doc["mode"] == "brute"
