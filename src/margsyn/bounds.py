@@ -18,7 +18,7 @@ their constants dropped, for plotting shape only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .privacy import gaussian_sigma, marginal_set_sensitivity, synthesis_l1_bound
 
@@ -174,9 +174,7 @@ def private_excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
         _require(inp, "epsilon", "delta")
         sigma = gaussian_sigma(inp.epsilon, inp.delta, marginal_set_sensitivity(inp.m, inp.d))
     nu = synthesis_l1_bound(sigma, inp.d, inp.m, inp.l, inp.lam)
-    with_nu = BoundInputs(n=inp.n, m=inp.m, d=inp.d, tau=inp.tau, K=inp.K, phi0=inp.phi0,
-                          l=inp.l, nu=nu, sigma=sigma, lam=inp.lam,
-                          epsilon=inp.epsilon, delta=inp.delta)
+    with_nu = replace(inp, nu=nu, sigma=sigma)
     if loss == "lipschitz":
         report = lipschitz_excess_risk_bound(with_nu, mode)
     elif loss == "logistic":

@@ -71,13 +71,9 @@ def _cmd_demo(args) -> int:
 def _cmd_synth(args) -> int:
     schema = Schema.from_file(args.schema)
     ds = load_csv(args.data, schema)
-    privacy = None
-    if args.sigma_override is None:
-        privacy = PrivacyParams(args.epsilon, args.delta, lam=args.lam,
-                                allow_large_epsilon=args.allow_large_epsilon)
-    ds_syn, report = generate_synthetic(
-        ds, args.order, privacy, mode=args.mode, seed=args.seed,
-        sigma_override=args.sigma_override)
+    privacy = PrivacyParams(args.epsilon, args.delta, lam=args.lam,
+                            allow_large_epsilon=args.allow_large_epsilon)
+    ds_syn, report = generate_synthetic(ds, args.order, privacy, mode=args.mode, seed=args.seed)
     write_csv(ds_syn, args.out)
     if args.report:
         _write_json(report.to_dict(), args.report)
@@ -240,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["brute", "fitted"], default="fitted")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-large-epsilon", action="store_true")
-    p.add_argument("--sigma-override", type=float, default=None,
-                   help="bypass calibration with an explicit noise scale (testing)")
     p.add_argument("--report", default=None, help="write the provenance report JSON here")
     p.add_argument("--marginals-out", default=None,
                    help="prefix for dumping the synthetic marginals (.csv/.json)")

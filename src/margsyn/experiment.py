@@ -1,11 +1,12 @@
 """Experiment orchestration: privacy-budget sweeps with repeated trials.
 
-For every (epsilon, repeat) cell: split the real data, synthesize from the
-training split, train one model per dataset, evaluate both on the held-out
-split, and measure the excess empirical risk on the training split (the
-quantity the upper bounds speak about).  Cells are independent and own
-derived seeds, so results do not depend on execution order; failures are
-recorded per cell rather than aborting the sweep.
+Each repeat splits the real data and trains the real-data model once.  Each
+(epsilon, repeat) cell then synthesizes from the training split, trains a
+model on the synthetic data, evaluates both on the held-out split, and
+measures the excess empirical risk on the training split (the quantity the
+upper bounds speak about).  Seeds are derived per repeat and per cell, so
+results do not depend on execution order; failures are recorded per cell
+rather than aborting the sweep.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema, SplitSpec, load_csv, split, write_csv
+from .dataset import Dataset, Schema, SplitSpec, load_csv, split
 from .evaluate import accuracy, empirical_risk, excess_empirical_risk, roc_auc_model
 from .learn import LinearModel, LossSpec, TrainConfig, train_projected
 from .privacy import PrivacyParams
@@ -86,36 +87,25 @@ class ExperimentResult:
         return all(r["status"] == "ok" for r in self.runs)
 
 
-def _cell_seeds(base_seed: int, eps_index: int, repeat: int) -> tuple[int, int]:
-    # split seed depends only on the repeat so every epsilon sees the same
-    # partitions; the generation seed is unique per cell
-    split_seed = int(np.random.SeedSequence([base_seed, repeat]).generate_state(1)[0])
-    gen_seed = int(np.random.SeedSequence([base_seed, eps_index, repeat]).generate_state(1)[0])
-    return split_seed, gen_seed
+def _seed(base_seed: int, *key: int) -> int:
+    # the split seed is keyed by the repeat alone, so every epsilon sees the
+    # same partitions; the generation seed by (epsilon index, repeat)
+    return int(np.random.SeedSequence([base_seed, *key]).generate_state(1)[0])
 
 
-def _base_row(cfg: ExperimentConfig, eps: float, eps_index: int, repeat: int) -> dict:
-    """A runs.csv row with the cell's identity filled in and every metric blank."""
-    split_seed, gen_seed = _cell_seeds(cfg.base_seed, eps_index, repeat)
-    row = {c: "" for c in RUN_COLUMNS}
-    row.update({"epsilon": eps, "repeat": repeat, "split_seed": split_seed,
-                "gen_seed": gen_seed, "status": "ok", "error": ""})
-    return row
+def _train(ds: Dataset, loss: LossSpec, cfg: ExperimentConfig) -> LinearModel:
+    """The one training setup, shared by the real-data and synthetic-data models."""
+    return train_projected(ds, loss, cfg.tau, TrainConfig(max_iters=cfg.train_max_iters))
 
 
-def _run_cell(ds: Dataset, cfg: ExperimentConfig, eps: float, split_seed: int,
-              gen_seed: int) -> tuple[dict, dict]:
-    """The cell's metric columns and its generation report."""
-    train, test = split(ds, SplitSpec(cfg.train_fraction, split_seed))
-    delta = cfg.delta if cfg.delta is not None else 1.0 / train.n**2
-    privacy = PrivacyParams(eps, delta, lam=cfg.lam,
+def _run_cell(train: Dataset, test: Dataset, model_real: LinearModel, cfg: ExperimentConfig,
+              eps: float, gen_seed: int) -> tuple[dict, dict]:
+    """The cell's metric columns and its generation report (cfg.delta is set)."""
+    privacy = PrivacyParams(eps, cfg.delta, lam=cfg.lam,
                             allow_large_epsilon=cfg.allow_large_epsilon)
     ds_syn, report = generate_synthetic(train, cfg.d, privacy, mode=cfg.mode,
                                         seed=gen_seed, fit_iters=cfg.fit_iters)
-    loss = LossSpec.from_dict(cfg.loss)
-    tcfg = TrainConfig(max_iters=cfg.train_max_iters)
-    model_syn = train_projected(ds_syn, loss, cfg.tau, tcfg)
-    model_real = train_projected(train, loss, cfg.tau, tcfg)
+    model_syn = _train(ds_syn, model_real.loss, cfg)
     metrics = {
         "sigma": report.sigma,
         "n_train": train.n,
@@ -155,25 +145,36 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     schema = Schema.from_file(cfg.schema_path)
     ds = load_csv(cfg.data_path, schema)
 
-    runs: list[dict] = []
-    aggregates: list[dict] = []
-    for eps_index, eps in enumerate(cfg.epsilons):
-        eps_rows = []
-        for repeat in range(cfg.repeats):
-            row = _base_row(cfg, eps, eps_index, repeat)
+    # repeat-major, so one repeat's split is alive at a time; rows are
+    # collected per epsilon and written epsilon-major
+    grid: list[list[dict]] = [[] for _ in cfg.epsilons]
+    for repeat in range(cfg.repeats):
+        split_seed = _seed(cfg.base_seed, repeat)
+        try:
+            train, test = split(ds, SplitSpec(cfg.train_fraction, split_seed))
+            cell_cfg = cfg if cfg.delta is not None else replace(cfg, delta=1.0 / train.n**2)
+            model_real = _train(train, LossSpec.from_dict(cfg.loss), cfg)
+            real_error = None
+        except Exception as exc:  # fails every cell of this repeat
+            real_error = exc
+        for eps_index, eps in enumerate(cfg.epsilons):
+            row = dict.fromkeys(RUN_COLUMNS, "")
+            grid[eps_index].append(row)
+            row.update({"epsilon": eps, "repeat": repeat, "split_seed": split_seed,
+                        "gen_seed": _seed(cfg.base_seed, eps_index, repeat), "status": "ok"})
             try:
-                metrics, report = _run_cell(ds, cfg, eps, row["split_seed"], row["gen_seed"])
-                row.update(metrics)
+                if real_error is not None:
+                    raise real_error
+                metrics, report = _run_cell(train, test, model_real, cell_cfg, eps, row["gen_seed"])
             except Exception as exc:  # cell failure must not sink the sweep
                 row.update({"status": "failed", "error": repr(exc)})
-                report = None
-            if report is not None:
-                with open(out / "reports" / f"run_eps{eps_index}_rep{repeat}.json", "w") as fh:
-                    json.dump(report, fh, indent=2)
-                    fh.write("\n")
-            eps_rows.append(row)
-        aggregates.append(_aggregate(eps_rows, eps))
-        runs.extend(eps_rows)
+                continue
+            row.update(metrics)
+            with open(out / "reports" / f"run_eps{eps_index}_rep{repeat}.json", "w") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
+    runs = [row for eps_rows in grid for row in eps_rows]
+    aggregates = [_aggregate(eps_rows, eps) for eps_rows, eps in zip(grid, cfg.epsilons)]
 
     runs_path = out / "runs.csv"
     with open(runs_path, "w", newline="") as fh:

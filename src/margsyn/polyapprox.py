@@ -96,14 +96,18 @@ def _power_coeffs_from_nodes(values, a: Fraction, b: Fraction) -> list[Fraction]
     is rational; only the node values themselves carry float rounding.
     """
     d = len(values) - 1
-    w = b - a
     cu = [Fraction(0)] * (d + 1)
     for i, v in enumerate(values):
         vf = Fraction(v) * math.comb(d, i)
         for j in range(d - i + 1):
             term = vf * math.comb(d - i, j)
             cu[i + j] += -term if j % 2 else term
-    cx = [Fraction(0)] * (d + 1)
+    return _shifted_power_coeffs(cu, a, b - a)
+
+
+def _shifted_power_coeffs(cu: list[Fraction], a: Fraction, w: Fraction) -> list[Fraction]:
+    """Exact power-basis coefficients of sum_k cu[k] ((x - a)/w)^k."""
+    cx = [Fraction(0)] * len(cu)
     for k, ck in enumerate(cu):
         if ck == 0:
             continue
@@ -136,13 +140,7 @@ def _check_degree(d: int) -> None:
 def bernstein(f: Callable, d: int, iv: Interval) -> Polynomial:
     """Degree-d Bernstein approximation: sample f at d+1 equispaced nodes and
     take sum_i f(x_i) C(d,i) u^i (1-u)^(d-i) with u = (x-a)/(b-a)."""
-    _check_degree(d)
-    nodes = _nodes(d, iv)
-    vals = _sample(f, np.asarray([float(t) for t in nodes]))
-    _check_finite(vals)
-    coeffs = _power_coeffs_from_nodes([Fraction(float(v)) for v in vals],
-                                      Fraction(iv.a), Fraction(iv.b))
-    return Polynomial(tuple(float(c) for c in coeffs), iv)
+    return iterated_bernstein(f, d, 1, iv)
 
 
 def iterated_bernstein(f: Callable, d: int, iters: int, iv: Interval) -> Polynomial:
@@ -292,14 +290,7 @@ def remez_minimax(f: Callable, d: int, iv: Interval, tol: float = 1e-8,
         )
 
     # exact affine change of variable s = (x - mid)/half
-    mid_f, half_f = Fraction(mid), Fraction(half)
-    cx = [Fraction(0)] * (d + 1)
-    for k, ck in enumerate(best_coeffs):
-        if ck == 0:
-            continue
-        scale = Fraction(float(ck)) / half_f**k
-        for j in range(k + 1):
-            cx[j] += scale * math.comb(k, j) * (-mid_f) ** (k - j)
+    cx = _shifted_power_coeffs([Fraction(float(c)) for c in best_coeffs], Fraction(mid), Fraction(half))
     return Polynomial(tuple(float(c) for c in cx), iv)
 
 

@@ -121,7 +121,7 @@ def _largest_remainder_round(mu: np.ndarray, n: int) -> np.ndarray:
     return floors
 
 
-def _greedy_minmax(n: int, nm: NoisyMarginalSet, max_steps: int | None = None) -> np.ndarray:
+def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     """Deterministic single-row-reassignment descent on the max-l1 objective.
 
     Runs from two starts (uniform counts, and the product of the clipped
@@ -134,8 +134,7 @@ def _greedy_minmax(n: int, nm: NoisyMarginalSet, max_steps: int | None = None) -
     op, targets = nm.operator, nm.targets
     bin_maps = op.bin_maps
     eq_masks = [bm[:, None] == bm[None, :] for bm in bin_maps]
-    if max_steps is None:
-        max_steps = 200 + 40 * n
+    max_steps = 200 + 40 * n
 
     def descend(counts: np.ndarray) -> tuple[np.ndarray, float]:
         counts = counts.astype(np.float64)
@@ -220,8 +219,8 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def fit_distribution(nm: NoisyMarginalSet, n: float | None = None,
-                     iters: int = 2000, tol: float = 1e-10) -> DistributionEstimate:
+def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000,
+                     tol: float = 1e-10) -> DistributionEstimate:
     """Minimize sum_q ||n * M_q(p) - h_q||_2^2 over the probability simplex.
 
     Projected gradient from the uniform distribution with the fixed step
@@ -235,8 +234,6 @@ def fit_distribution(nm: NoisyMarginalSet, n: float | None = None,
     cells = num_joint_cells(nm.schema)
     if cells > DENSE_CELL_CAP:
         raise SynthesisError(f"joint domain of {cells} cells exceeds dense-mode cap {DENSE_CELL_CAP}")
-    if n is None:
-        n = max(1.0, float(np.mean([m.total for m in nm.marginals])))
     op, targets = nm.operator, nm.targets
 
     lipschitz = 2.0 * n * n * sum(cells / t.shape[0] for t in targets)
@@ -325,6 +322,8 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
 class GenReport:
     """Provenance of one synthetic dataset.
 
+    sigma is calibrated from epsilon and delta with the mechanism's
+    sensitivity, so the privacy claim describes the noise actually added.
     `bound_certified` says whether the output is within half of
     `l1_bound_at_lam` of the noisy marginals; by the triangle inequality the
     bound then holds for it on the same 1 - 2^-lam event, whichever path ran.
@@ -338,14 +337,14 @@ class GenReport:
     mode: str
     seed: int
     sigma: float
-    sensitivity: float | None
-    epsilon: float | None
-    delta: float | None
+    sensitivity: float
+    epsilon: float
+    delta: float
     epsilon_above_stated_range: bool
     query_count: int
-    lam: float | None
-    l1_bound_at_lam: float | None
-    bound_certified: bool | None
+    lam: float
+    l1_bound_at_lam: float
+    bound_certified: bool
     l1_to_noisy_max: float
     l1_to_noisy_mean: float
     nonprivate_l1_to_real_max: float
@@ -357,32 +356,25 @@ class GenReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams | None = None,
+def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
                        mode: str = "fitted", seed: int = 0,
                        cap: int = DEFAULT_CANDIDATE_CAP,
-                       sigma_override: float | None = None,
                        fit_iters: int = 2000) -> tuple[Dataset, GenReport]:
     """Measure all order-<=d marginals, noise them, synthesize, and report.
 
-    sigma comes from the Gaussian-mechanism calibration of `privacy`;
-    sigma_override (testing hook) bypasses that.
+    sigma is always the Gaussian-mechanism calibration of `privacy`, so the
+    report's epsilon and delta are those of the noise actually added.  (To
+    synthesize from given marginals, with any noise or none, call
+    `synthesize` on a `NoisyMarginalSet`.)
     Fixed seed gives a bit-identical dataset on one platform.
     """
-    if privacy is None and sigma_override is None:
-        raise SynthesisError("need privacy parameters or an explicit sigma_override")
     schema = ds_real.schema
     m = schema.num_features
     queries = enumerate_queries(m, d)
     exact = [compute_marginal(ds_real, q) for q in queries]
-
-    if sigma_override is not None:
-        sigma, sensitivity = float(sigma_override), None
-    else:
-        calib = calibrate(m, d, privacy)
-        sigma, sensitivity = calib.sigma, calib.sensitivity
-
-    noisy = add_noise_to_set(exact, sigma, seed)
-    nm = NoisyMarginalSet(schema, tuple(noisy), sigma, seed)
+    calib = calibrate(m, d, privacy)
+    noisy = add_noise_to_set(exact, calib.sigma, seed)
+    nm = NoisyMarginalSet(schema, tuple(noisy), calib.sigma, seed)
     # a spawned child stream: the noise generators default_rng([seed, idx])
     # never share its state, so sampling is independent of the noise
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -393,18 +385,17 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams | None =
     real_l1 = [l1_distance(e, s) for e, s in zip(exact, synth_margs)]
     norm_l1 = [normalized_l1(e, s, ds_real.n) for e, s in zip(exact, synth_margs)] if ds_real.n else [0.0]
 
-    lam = privacy.lam if privacy is not None else None
-    l1_bound = synthesis_l1_bound(sigma, d, m, schema.max_domain_size, lam) if lam is not None else None
+    l1_bound = synthesis_l1_bound(calib.sigma, d, m, schema.max_domain_size, privacy.lam)
     report = GenReport(
-        n=ds_real.n, d=d, mode=mode, seed=seed, sigma=sigma,
-        sensitivity=sensitivity,
-        epsilon=privacy.epsilon if privacy else None,
-        delta=privacy.delta if privacy else None,
-        epsilon_above_stated_range=bool(privacy and privacy.epsilon > 1.0),
+        n=ds_real.n, d=d, mode=mode, seed=seed, sigma=calib.sigma,
+        sensitivity=calib.sensitivity,
+        epsilon=privacy.epsilon,
+        delta=privacy.delta,
+        epsilon_above_stated_range=privacy.epsilon > 1.0,
         query_count=len(queries),
-        lam=lam,
+        lam=privacy.lam,
         l1_bound_at_lam=l1_bound,
-        bound_certified=stats["l1_to_noisy_max"] <= l1_bound / 2 if l1_bound is not None else None,
+        bound_certified=stats["l1_to_noisy_max"] <= l1_bound / 2,
         l1_to_noisy_max=stats["l1_to_noisy_max"],
         l1_to_noisy_mean=stats["l1_to_noisy_mean"],
         nonprivate_l1_to_real_max=max(real_l1),

@@ -12,6 +12,7 @@ from margsyn.cli import build_parser, main
 from margsyn.dataset import Schema, load_csv, write_csv
 from margsyn.demo import make_demo_dataset
 from margsyn.experiment import ExperimentConfig, run_experiment
+from margsyn.learn import train_projected
 
 
 @pytest.fixture
@@ -192,6 +193,45 @@ def test_pipeline_flushes_failures(tmp_path, demo_files):
     cfg_path = tmp_path / "cfg_fail.json"
     cfg_path.write_text(json.dumps(cfg_doc))
     assert main(["pipeline", "--config", str(cfg_path)]) == 1  # nonzero on partial failure
+
+
+def test_pipeline_trains_real_model_once_per_repeat(demo_files, tmp_path, monkeypatch):
+    from margsyn import experiment
+    trained = []
+
+    def counting(ds, *args, **kwargs):
+        trained.append(ds.n)
+        return train_projected(ds, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "train_projected", counting)
+    ds, data, schema, tmp = demo_files
+    repeats, epsilons = 3, (0.5, 1.0, 2.0, 4.0)
+    cfg = ExperimentConfig(
+        data_path=data, schema_path=schema, out_dir=str(tmp_path / "out_t"),
+        epsilons=epsilons, repeats=repeats, d=2, tau=math.inf, base_seed=2,
+        train_max_iters=40, fit_iters=200)
+    assert run_experiment(cfg).all_ok
+    assert len(trained) == repeats * (1 + len(epsilons))
+
+
+def test_failed_split_fails_every_cell_of_its_repeat(tmp_path):
+    ds = make_demo_dataset(m=2, n=3, seed=1)
+    data, schema = tmp_path / "tiny.csv", tmp_path / "schema.json"
+    write_csv(ds, data)
+    ds.schema.to_file(schema)
+    cfg_doc = {"data_path": str(data), "schema_path": str(schema), "out_dir": str(tmp_path / "out"),
+               "epsilons": [0.5, 1.0, 2.0], "repeats": 2, "d": 2, "tau": "inf",
+               "train_fraction": 0.9}  # round(0.9 * 3) = 3 leaves the test part empty
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_doc))
+    assert main(["pipeline", "--config", str(cfg_path)]) == 1
+    with open(tmp_path / "out" / "runs.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["epsilon"], r["repeat"]) for r in rows] == [
+        (e, r) for e in ("0.5", "1.0", "2.0") for r in ("0", "1")]
+    want = repr(ValueError("split of n=3 at fraction 0.9 leaves an empty part"))
+    assert all(r["status"] == "failed" and r["error"] == want for r in rows)
+    assert not list((tmp_path / "out" / "reports").iterdir())
 
 
 def test_aggregates_match_run_means(demo_files, tmp_path):

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from margsyn.dataset import Dataset, Schema
 from margsyn.marginals import MarginalQuery, compute_marginal, enumerate_queries, l1_distance
-from margsyn.privacy import PrivacyParams, add_noise_to_set
+from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate
 from margsyn.synth import (DistributionEstimate, NoisyMarginalSet, SynthesisError,
                            brute_force_synth, fit_distribution, generate_synthetic,
                            num_joint_cells, sample_dataset, synthesize)
@@ -264,8 +265,8 @@ class TestSampleDataset:
 class TestMechanism:
     def test_zero_noise_full_order_reproduces_marginals(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 30, seed=3)
-        ds_s, report = generate_synthetic(real, 4, mode="brute", seed=1, sigma_override=0.0)
-        assert report.nonprivate_l1_to_real_max == 0.0
+        ds_s, stats = synthesize(real.n, noisy_set_from(real, 4, 0.0, 1), "brute")
+        assert stats["l1_to_noisy_max"] == 0.0  # the noisy set is the exact one
         assert ds_s.row_multiset() == real.row_multiset()  # full-order marginals pin the multiset
 
     def test_fixed_seed_bit_identical(self, three_binary_schema):
@@ -294,8 +295,8 @@ class TestMechanism:
         monkeypatch.setattr(synth, "sample_dataset", capture)
         real = random_dataset(three_binary_schema, 30, seed=8)
         for seed in (0, 1, 2, 7, 12345, 2**32 - 1):
-            _, report = generate_synthetic(real, 2, mode="fitted", seed=seed, sigma_override=1.0,
-                                           fit_iters=5)
+            _, report = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="fitted",
+                                           seed=seed, fit_iters=5)
             sampler_state = states.pop()
             for idx in range(report.query_count):
                 assert sampler_state != np.random.default_rng([seed, idx]).bit_generator.state
@@ -337,7 +338,7 @@ class TestMechanism:
         from margsyn.evaluate import empirical_risk
         from margsyn.learn import LossSpec, TrainConfig, train_projected
         real = random_dataset(three_binary_schema, 40, seed=12)
-        ds_s, _ = generate_synthetic(real, 4, mode="brute", seed=2, sigma_override=0.0)
+        ds_s, _ = synthesize(real.n, noisy_set_from(real, 4, 0.0, 2), "brute")
         tau = 1.0 / math.sqrt(3)
         cfg = TrainConfig(max_iters=200)
         w_s = train_projected(ds_s, LossSpec.logistic(), tau, cfg)
@@ -347,9 +348,24 @@ class TestMechanism:
 
     def test_report_serializes(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 20, seed=6)
-        ds_s, report = generate_synthetic(real, 2, mode="brute", seed=0, sigma_override=0.5)
+        ds_s, report = generate_synthetic(real, 2, PrivacyParams(0.5, 1e-6, lam=2.0), mode="brute", seed=0)
         doc = report.to_dict()
-        assert doc["sigma"] == 0.5
-        assert doc["epsilon"] is None
-        assert doc["bound_certified"] is None  # no lambda, no bound
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["sigma"] == report.sigma > 0.0
+        assert (doc["epsilon"], doc["delta"], doc["lam"]) == (0.5, 1e-6, 2.0)
+        assert isinstance(doc["bound_certified"], bool)
         assert doc["mode"] == "brute"
+
+    @pytest.mark.parametrize("mode, cap", [("brute", 10_000), ("brute", 0), ("fitted", 10_000)],
+                             ids=["exhaustive", "greedy", "fitted"])
+    def test_sigma_is_calibrated_from_privacy(self, three_binary_schema, mode, cap):
+        params = inspect.signature(generate_synthetic).parameters
+        assert params["privacy"].default is inspect.Parameter.empty
+        assert "sigma_override" not in params
+        # n=3 on 16 cells is 816 candidates: exhaustive under cap 10,000, greedy under cap 0
+        real = random_dataset(three_binary_schema, 3, seed=7)
+        privacy = PrivacyParams(0.7, 1e-4, lam=2.0)
+        _, report = generate_synthetic(real, 2, privacy, mode=mode, seed=5, cap=cap, fit_iters=50)
+        calib = calibrate(three_binary_schema.num_features, 2, privacy)
+        assert report.sigma == calib.sigma and report.sensitivity == calib.sensitivity
+        assert (report.epsilon, report.delta, report.lam) == (0.7, 1e-4, 2.0)
