@@ -153,7 +153,8 @@ def test_pipeline_command_and_determinism(demo_files, tmp_path):
     assert len(rows) == 4  # 2 epsilons x 2 repeats
     assert all(r["status"] == "ok" for r in rows)
     assert (tmp_path / "out_a" / "aggregates.csv").exists()
-    assert (tmp_path / "out_a" / "reports" / "run_eps0_rep0.json").exists()
+    report = json.loads((tmp_path / "out_a" / "reports" / "run_eps0_rep0.json").read_text())
+    assert 0 < report["fit_iters"] <= 300 and isinstance(report["fit_converged"], bool)
 
     cfg_path.write_text(json.dumps(_pipeline_config(tmp_path, data, schema, "out_b")))
     rc = main(["pipeline", "--config", str(cfg_path)])

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from margsyn.dataset import Dataset, Schema
+from margsyn.demo import make_demo_dataset
 from margsyn.marginals import MarginalQuery, compute_marginal, enumerate_queries, l1_distance
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate
-from margsyn.synth import (DistributionEstimate, NoisyMarginalSet, SynthesisError,
-                           brute_force_synth, fit_distribution, generate_synthetic,
-                           num_joint_cells, sample_dataset, synthesize)
+from margsyn.synth import (STEP_SAFETY, DistributionEstimate, NoisyMarginalSet, SynthesisError,
+                           _project_simplex, _simplex_lipschitz, brute_force_synth,
+                           fit_distribution, generate_synthetic, num_joint_cells, sample_dataset,
+                           synthesize)
 
 from conftest import random_dataset
 
@@ -104,6 +106,36 @@ class TestGreedyFallback:
         assert np.array_equal(a.codes, b.codes)
 
 
+def reference_pgd_objective(nm: NoisyMarginalSet, n: float, iters: int = 2000,
+                            tol: float = 1e-10) -> float:
+    """Final objective of plain projected gradient with the fixed step 1/L,
+    L = 2 n^2 sum_q cells/|bins_q| (the all-ones curvature), from uniform."""
+    op, targets = nm.operator, nm.targets
+    cells = op.num_cells
+    step = 1.0 / (2.0 * n * n * sum(cells / t.shape[0] for t in targets))
+
+    def objective_and_grad(p):
+        diffs = [n * seg - t for seg, t in zip(op.forward(p), targets)]
+        return sum(float(d @ d) for d in diffs), op.adjoint([2.0 * n * d for d in diffs])
+
+    p = np.full(cells, 1.0 / cells)
+    obj, grad = objective_and_grad(p)
+    for _ in range(iters):
+        p = _project_simplex(p - step * grad)
+        obj_new, grad = objective_and_grad(p)
+        if obj - obj_new <= tol * max(obj, 1.0):
+            return obj_new
+        obj = obj_new
+    return obj
+
+
+def demo_d3_set(seed: int) -> tuple[NoisyMarginalSet, int]:
+    """6 binary features + label (128 cells), n=2000, all 63 queries of order <= 3, eps=1."""
+    real = make_demo_dataset(m=6, n=2000, seed=seed)
+    sigma = calibrate(6, 3, PrivacyParams(1.0, 1.0 / real.n**2)).sigma
+    return noisy_set_from(real, 3, sigma, seed), real.n
+
+
 class TestFitDistribution:
     def test_noiseless_marginals_are_matched(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 64, seed=9)
@@ -135,6 +167,63 @@ class TestFitDistribution:
             dist = fit_distribution(nm, n=50)
             trace = np.asarray(dist.objective_trace)
             assert np.all(np.diff(trace) <= 1e-9 * np.maximum(trace[:-1], 1.0))
+
+    @pytest.mark.parametrize("sizes, d", [((3, 2, 4, 2), 2), ((3, 3, 2), 1), ((2, 5, 3, 2), 3),
+                                          ((2, 2, 2, 2), 2)])
+    def test_step_covers_the_curvature_on_the_simplex(self, sizes, d):
+        schema = Schema(tuple(f"x{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
+        queries = enumerate_queries(schema.num_features, d)
+        cells = num_joint_cells(schema)
+        all_codes = np.array(list(itertools.product(*[range(s) for s in sizes])))
+        # column c of A is the marginal vector of the one-row dataset in cell c
+        a = np.column_stack([
+            np.concatenate([compute_marginal(Dataset(schema, all_codes[c:c + 1]), q).counts
+                            for q in queries])
+            for c in range(cells)])
+        centre = np.eye(cells) - 1.0 / cells
+        top = np.linalg.eigvalsh(centre @ a.T @ a @ centre)[-1]
+        n = 37
+        nm = NoisyMarginalSet(schema, tuple(compute_marginal(random_dataset(schema, n, 0), q)
+                                            for q in queries), 0.0, 0)
+        lipschitz = _simplex_lipschitz(nm.operator, n)
+        assert lipschitz >= 2.0 * n * n * top
+        assert lipschitz <= 2.0 * n * n * sum(cells / np.prod(schema.shape(q.attrs)) for q in queries)
+        # the power iterations converged: no slack beyond the safety factor
+        assert lipschitz <= 2.0 * n * n * STEP_SAFETY * top * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_converges_below_plain_projected_gradient(self, seed):
+        nm, n = demo_d3_set(seed)
+        dist = fit_distribution(nm, n=n)
+        assert dist.converged is True
+        assert len(dist.objective_trace) - 1 < 2000
+        assert dist.objective_trace[-1] <= reference_pgd_objective(nm, n)
+
+    def test_exactly_fittable_marginals_fit_to_rounding(self, three_binary_schema):
+        # the stopping test is relative, with no absolute floor, so a fit whose
+        # optimum is zero runs down to floating-point rounding
+        real = random_dataset(three_binary_schema, 64, seed=9)
+        dist = fit_distribution(noisy_set_from(real, 2, 0.0, seed=0), n=real.n)
+        assert dist.converged is True
+        assert dist.objective_trace[-1] <= 1e-20
+
+    def test_iteration_cap_is_not_convergence(self):
+        nm, n = demo_d3_set(0)
+        dist = fit_distribution(nm, n=n, iters=5)
+        assert len(dist.objective_trace) == 6
+        assert dist.converged is False
+
+    def test_deterministic_and_draws_no_global_randomness(self):
+        nm, n = demo_d3_set(1)
+        np.random.seed(2024)
+        before = np.random.get_state()
+        a = fit_distribution(nm, n=n)
+        b = fit_distribution(nm, n=n)
+        after = np.random.get_state()
+        assert a.probs.tobytes() == b.probs.tobytes()
+        assert a.objective_trace == b.objective_trace
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
 
     def test_dense_cap(self):
         sizes = (6,) * 8 + (2,)
@@ -355,6 +444,20 @@ class TestMechanism:
         assert (doc["epsilon"], doc["delta"], doc["lam"]) == (0.5, 1e-6, 2.0)
         assert isinstance(doc["bound_certified"], bool)
         assert doc["mode"] == "brute"
+
+    @pytest.mark.parametrize("mode, cap", [("brute", 10_000), ("brute", 0), ("fitted", 10_000)],
+                             ids=["exhaustive", "greedy", "fitted"])
+    def test_report_records_the_fit(self, three_binary_schema, mode, cap):
+        real = random_dataset(three_binary_schema, 3, seed=7)
+        _, report = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-4), mode=mode, seed=5, cap=cap)
+        doc = report.to_dict()
+        if mode == "brute":
+            assert (doc["fit_iters"], doc["fit_converged"]) == (0, None)
+        else:
+            nm = noisy_set_from(real, 2, report.sigma, 5)
+            dist = fit_distribution(nm, n=real.n)
+            assert doc["fit_iters"] == len(dist.objective_trace) - 1 > 0
+            assert doc["fit_converged"] is dist.converged is True
 
     @pytest.mark.parametrize("mode, cap", [("brute", 10_000), ("brute", 0), ("fitted", 10_000)],
                              ids=["exhaustive", "greedy", "fitted"])
