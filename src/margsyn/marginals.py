@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
@@ -103,12 +104,21 @@ def compute_marginal(ds: Dataset, q: MarginalQuery) -> Marginal:
     return Marginal(q, counts, exact=True)
 
 
+# Largest side of a dense factor of MarginalOperator.transform.  It bounds
+# each factor's memory; on 2,048-8,192 binary cells wider factors were slower.
+_GROUP_DIM = 32
+
+
 class MarginalOperator:
-    """The linear map from joint-cell counts to the marginal vectors of a query list.
+    """The linear map A from joint-cell counts to the marginal vectors of a query list.
 
     Joint cells are the row-major flat indices of the full domain
     (schema.sizes).  Each query's cell -> bin map is built once, here, and
     every synthesizer applies the map through this object.
+
+    A^T A is diagonal in a fixed basis: with T the Kronecker product of one
+    Householder reflector per attribute (`transform`), A^T A = T diag(spectrum) T
+    for any list of queries (see `spectrum`).  Both are built on first use.
     """
 
     def __init__(self, schema: Schema, queries):
@@ -134,6 +144,64 @@ class MarginalOperator:
         for bm, r in zip(self.bin_maps, residuals):
             out += r[bm]
         return out
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of A^T A over the coefficients of `transform`, in cell order.
+
+        A^T A = sum_Q kron_a (I if a in Q else J), J the all-ones matrix of
+        side k_a (attribute a's domain size).  Each attribute's reflector has
+        the constant first column u, and J = k_a u u^T, so every term is
+        diagonal in the basis T: it is prod_{a not in Q} k_a on the
+        coefficients omega with omega_a = 0 for each a outside Q, and 0
+        elsewhere.  Flat index 0 (omega = 0) is the constant direction; every
+        other coefficient has sum zero over the cells.
+        """
+        lam = np.zeros(self.schema.sizes)
+        for q, bins in zip(self.queries, self.num_bins):
+            inside = tuple(slice(None) if a in q.attrs else 0 for a in range(lam.ndim))
+            lam[inside] += self.num_cells // bins
+        lam = lam.ravel()
+        lam.setflags(write=False)
+        return lam
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, ...]:
+        """T's factors over consecutive attributes, in order.
+
+        A 2-D factor is the Kronecker product of the reflectors of a run of
+        attributes whose domain sizes multiply to at most _GROUP_DIM.  An
+        attribute larger than that is the 1-D vector w of its reflector
+        I - w w^T.  So a factor holds at most _GROUP_DIM times as many entries
+        as there are cells, whatever the domain sizes.
+        """
+        out = []
+        for k in self.schema.sizes:
+            w = np.full(k, -1.0 / math.sqrt(k))
+            w[0] += 1.0
+            w *= math.sqrt(2.0 / (w @ w))  # I - w w^T maps e_0 to the constant 1/sqrt(k)
+            if k > _GROUP_DIM:
+                out.append(w)
+                continue
+            h = np.eye(k) - np.outer(w, w)
+            if out and out[-1].ndim == 2 and out[-1].shape[0] * k <= _GROUP_DIM:
+                out[-1] = np.kron(out[-1], h)
+            else:
+                out.append(h)
+        return tuple(out)
+
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        """T x over the cells: T is orthogonal, symmetric and its own inverse.
+
+        Each (symmetric) factor acts on the leading axis of the cell grid, which
+        is then moved last, so after all factors the axes are back in order:
+        one small matrix product per factor.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        for f in self._factors:
+            x = x.reshape(f.shape[0], -1).T
+            x = x @ f if f.ndim == 2 else x - np.outer(x @ f, f)
+        return x.ravel()
 
     def l1_to(self, counts: np.ndarray, targets) -> np.ndarray:
         """Per-query l1 distance between forward(counts) and the target vectors."""

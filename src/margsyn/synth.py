@@ -9,9 +9,10 @@ Two strategies stand behind one entry point:
             minimizing the same objective.
   "fitted"  least-squares fit of a dense joint distribution to the noisy
             marginals (accelerated projected gradient on the probability
-            simplex with restart, its step from the curvature along the
-            simplex, one forward and one adjoint operator application per
-            iteration, stopping on a relative-decrease test), followed by
+            simplex with restart, computed in the eigenbasis of the
+            operator's A^T A: two operator applications per fit, two small
+            Kronecker transforms per iteration, an exact step, stopping on
+            a relative-decrease test), followed by
             cumulative rounding of n times the fitted joint over the
             row-major cells with one uniform offset: exactly n rows,
             unbiased cell counts within one of n*p, and every group of
@@ -37,10 +38,6 @@ from .privacy import PrivacyParams, add_noise_to_set, calibrate, synthesis_l1_bo
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
 DENSE_CELL_CAP = 1_000_000
-# The dense fit's step: power iterations for the top curvature on the
-# simplex, and the factor that covers what they leave unconverged.
-POWER_ITERS = 30
-STEP_SAFETY = 1.05
 
 
 class SynthesisError(ValueError):
@@ -213,8 +210,9 @@ class DistributionEstimate:
         probs = np.asarray(self.probs, dtype=np.float64).copy()
         if probs.ndim != 1 or probs.shape[0] != num_joint_cells(self.schema):
             raise SynthesisError("probs must be a flat vector over the joint domain")
-        if (probs < -1e-12).any() or abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise SynthesisError("probs must be a normalized non-negative distribution")
+        if (not np.isfinite(probs).all() or (probs < -1e-12).any()
+                or abs(float(probs.sum()) - 1.0) > 1e-9):
+            raise SynthesisError("probs must be a finite, normalized, non-negative distribution")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -231,86 +229,82 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _simplex_lipschitz(op: MarginalOperator, n: float) -> float:
-    """Lipschitz constant of the fit's gradient along the probability simplex.
-
-    The objective's Hessian is 2 n^2 A^T A, A being `op`.  Its largest
-    eigenvalue, 2 n^2 sum_q cells/|bins_q|, belongs to the all-ones
-    direction (A^T A is non-negative with that constant row sum), which is
-    orthogonal to the simplex, so no step moves along it.  The top
-    eigenvalue on the sum-zero subspace is estimated by POWER_ITERS power
-    iterations of adjoint(forward(.)) from a fixed equidistributed start (it
-    draws from no random stream), the mean removed at each step, then raised
-    by STEP_SAFETY and capped by the all-ones value.
-    """
-    v = np.modf(np.arange(op.num_cells) * 0.5 * (math.sqrt(5.0) - 1.0))[0]  # golden-ratio sequence
-    rayleigh = 0.0
-    for _ in range(POWER_ITERS):
-        v = v - v.mean()
-        v /= np.linalg.norm(v)
-        segs = op.forward(v)
-        rayleigh = sum(float(s @ s) for s in segs)
-        v = op.adjoint(segs)
-    return 2.0 * n * n * min(STEP_SAFETY * rayleigh, sum(op.num_cells / k for k in op.num_bins))
-
-
 def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000,
                      tol: float = 1e-10) -> DistributionEstimate:
     """Minimize sum_q ||n * M_q(p) - h_q||_2^2 over the probability simplex.
 
     Accelerated projected gradient (FISTA: Beck & Teboulle 2009) from the
-    uniform distribution, with step 1/L (L from `_simplex_lipschitz`) and
-    function-value restart (O'Donoghue & Candes 2015): an iteration that
-    would raise the objective is rejected and the momentum restarts from
-    the current iterate; if that iteration already had no momentum, L
-    doubles.  So the recorded objective never rises.
+    uniform distribution with function-value restart (O'Donoghue & Candes
+    2015): an iteration that would raise the objective is rejected and the
+    momentum restarts from the current iterate.  So the recorded objective
+    never rises.
 
-    The residual r(p) = n * M(p) - h, all queries' bins in one vector, is
-    affine in p, so at the extrapolated point y = p_k + beta (p_k - p_{k-1})
-    it is (1 + beta) r_k - beta r_{k-1}: each iteration applies the
-    operator's forward once (at the new iterate, which also gives its
-    objective) and its adjoint once (the gradient at y).
+    The objective is computed in the eigenbasis of the operator's A^T A
+    (`MarginalOperator.transform` T and `spectrum` lambda).  With b = A^T h
+    (h: all queries' noisy bins in one vector), c* = T b / (n lambda) where
+    lambda > 0 (0 elsewhere) and p* = T c*, the residual n A p* - h is
+    orthogonal to the range of A, so with d = T p - c*
+        f(p) = n^2 sum lambda d^2 + ||n A p* - h||^2,   grad f(p) = 2 n^2 T (lambda d).
+    The fit applies the operator twice in all (b and the constant term);
+    each iteration applies T twice (the gradient at the extrapolated point
+    y = p_k + beta (p_k - p_{k-1}), where d is (1 + beta) d_k - beta d_{k-1}
+    since d is affine in p, and d at the new iterate, which gives its
+    objective).  The step is 1/L with the exact Lipschitz constant along the
+    simplex, L = 2 n^2 max lambda over the sum-zero coefficients, so a
+    momentum-free step can raise the objective only through rounding: one
+    that does not lower it ends the fit, converged, at the current iterate.
 
-    Converged when an accepted step lowers the objective by at most tol
+    Also converged when an accepted step lowers the objective by at most tol
     times its value; otherwise it stops after `iters` iterations.  The trace
     holds the initial objective and one value per iteration, so its length
-    minus one is the iteration count.  Negative noisy entries need no
-    pre-clamping; the simplex projection resolves them.
+    minus one is the iteration count.  With n = 0 the objective is constant
+    and the uniform start is returned, converged, after no iteration.
+    Negative noisy entries need no pre-clamping; the simplex projection
+    resolves them.
     """
     if not nm.marginals:
         raise SynthesisError("empty query set")
     cells = num_joint_cells(nm.schema)
     if cells > DENSE_CELL_CAP:
         raise SynthesisError(f"joint domain of {cells} cells exceeds dense-mode cap {DENSE_CELL_CAP}")
-    op = nm.operator
-    target = np.concatenate(nm.targets)
-    splits = np.cumsum(op.num_bins)[:-1]
-    lipschitz = _simplex_lipschitz(op, n)
-
-    def residual(p):
-        return n * np.concatenate(op.forward(p)) - target
-
     p = np.full(cells, 1.0 / cells)
-    r = residual(p)
-    obj = float(r @ r)
-    p_prev, r_prev, t = p, r, 1.0
+    target = np.concatenate(nm.targets)
+    if n == 0:
+        return DistributionEstimate(nm.schema, p, (float(target @ target),), True)
+    op = nm.operator
+    lam = op.spectrum
+    coef = op.transform(op.adjoint(nm.targets))
+    c_star = np.divide(coef, n * lam, out=np.zeros(cells), where=lam > 0)
+    r_star = n * np.concatenate(op.forward(op.transform(c_star))) - target
+    base = float(r_star @ r_star)
+    weight = n * n * lam
+    lipschitz = 2.0 * float(weight[1:].max())
+
+    def objective(d):
+        return float(d @ (weight * d)) + base
+
+    d = op.transform(p) - c_star
+    obj = objective(d)
+    p_prev, d_prev, t = p, d, 1.0
     trace = [obj]
     converged = False
     for _ in range(iters):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         y = p + beta * (p - p_prev)
-        grad = op.adjoint(np.split(2.0 * n * ((1.0 + beta) * r - beta * r_prev), splits))
+        grad = op.transform(2.0 * weight * ((1.0 + beta) * d - beta * d_prev))
         p_new = _project_simplex(y - grad / lipschitz)
-        r_new = residual(p_new)
-        obj_new = float(r_new @ r_new)
+        d_new = op.transform(p_new) - c_star
+        obj_new = objective(d_new)
+        if obj_new >= obj and beta == 0.0:
+            trace.append(obj)
+            converged = True
+            break
         if obj_new > obj:
-            if beta == 0.0:
-                lipschitz *= 2.0
-            p_prev, r_prev, t = p, r, 1.0
+            p_prev, d_prev, t = p, d, 1.0
             trace.append(obj)
             continue
-        p_prev, r_prev, p, r, t = p, r, p_new, r_new, t_next
+        p_prev, d_prev, p, d, t = p, d, p_new, d_new, t_next
         trace.append(obj_new)
         if obj - obj_new <= tol * obj:
             converged = True
@@ -355,7 +349,7 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     distribution and samples from it (requires rng).  The stats hold the
     l1 distances to the noisy targets, the synthetic marginals
     ("marginals"), in the noisy set's query order, and the fit's iteration
-    count and convergence ("fit_iters", "fit_converged": 0 and None when
+    count and convergence ("fit_iterations", "fit_converged": 0 and None when
     no fit ran).
     """
     if mode == "brute":
@@ -364,13 +358,13 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
             ds = brute_force_synth(n, nm, cap=cap)
         else:
             ds = _counts_to_dataset(_greedy_minmax(n, nm), nm.schema)
-        fit = {"fit_iters": 0, "fit_converged": None}
+        fit = {"fit_iterations": 0, "fit_converged": None}
     elif mode == "fitted":
         if rng is None:
             raise SynthesisError("fitted mode needs a random generator")
         dist = fit_distribution(nm, n=n, iters=fit_iters)
         ds = sample_dataset(dist, n, rng)
-        fit = {"fit_iters": len(dist.objective_trace) - 1, "fit_converged": dist.converged}
+        fit = {"fit_iterations": len(dist.objective_trace) - 1, "fit_converged": dist.converged}
     else:
         raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
 
@@ -392,7 +386,7 @@ class GenReport:
     `bound_certified` says whether the output is within half of
     `l1_bound_at_lam` of the noisy marginals; by the triangle inequality the
     bound then holds for it on the same 1 - 2^-lam event, whichever path ran.
-    It reads only noisy data, as do `fit_iters` and `fit_converged`, the
+    It reads only noisy data, as do `fit_iterations` and `fit_converged`, the
     dense fit's iteration count and whether it converged before its cap
     (0 and None when no fit ran).  The `nonprivate_*` entries compare against the
     real marginals; they are evaluation-only diagnostics computed outside the
@@ -414,7 +408,7 @@ class GenReport:
     bound_certified: bool
     l1_to_noisy_max: float
     l1_to_noisy_mean: float
-    fit_iters: int
+    fit_iterations: int
     fit_converged: bool | None
     nonprivate_l1_to_real_max: float
     nonprivate_l1_to_real_mean: float
@@ -467,7 +461,7 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
         bound_certified=stats["l1_to_noisy_max"] <= l1_bound / 2,
         l1_to_noisy_max=stats["l1_to_noisy_max"],
         l1_to_noisy_mean=stats["l1_to_noisy_mean"],
-        fit_iters=stats["fit_iters"],
+        fit_iterations=stats["fit_iterations"],
         fit_converged=stats["fit_converged"],
         nonprivate_l1_to_real_max=max(real_l1),
         nonprivate_l1_to_real_mean=float(np.mean(real_l1)),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from margsyn.dataset import Dataset, Schema
+from margsyn.marginals import compute_marginal
 
 settings.register_profile(
     "ci",
@@ -29,3 +30,12 @@ def random_dataset(schema: Schema, n: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     codes = np.column_stack([rng.integers(0, s, size=n) for s in schema.sizes])
     return Dataset(schema, codes)
+
+
+def dense_marginal_matrix(schema: Schema, queries) -> np.ndarray:
+    """A as a dense matrix: column c is the marginal vector of the one-row dataset in cell c."""
+    sizes = schema.sizes
+    cells = np.stack(np.unravel_index(np.arange(int(np.prod(sizes))), sizes), axis=1)
+    return np.column_stack([
+        np.concatenate([compute_marginal(Dataset(schema, row[None, :]), q).counts for q in queries])
+        for row in cells])

@@ -10,7 +10,7 @@ from margsyn.marginals import (Marginal, MarginalOperator, MarginalQuery, QueryE
                                load_marginals, normalized_l1, project_marginal,
                                query_count, save_marginals)
 
-from conftest import random_dataset
+from conftest import dense_marginal_matrix, random_dataset
 
 
 class TestEnumerate:
@@ -144,6 +144,9 @@ class TestProjection:
             assert np.array_equal(got.counts, want.counts)
 
 
+# mixed arities, and one attribute (40 values) wider than a dense transform factor
+SPECTRAL_SIZES = [(3, 2, 4, 2), (3, 3, 2), (2, 5, 3, 2), (2, 2, 2, 2), (40, 3, 2)]
+
 OPERATOR_SCHEMAS = [
     Schema(("a", "b", "c", "label"), (2, 2, 2, 2)),
     Schema(("a", "b", "c", "label"), (3, 2, 4, 2)),
@@ -187,6 +190,30 @@ class TestMarginalOperator:
         r = [rng.normal(size=k) for k in op.num_bins]
         lhs = sum(float(f @ rq) for f, rq in zip(op.forward(x), r))
         assert lhs == pytest.approx(float(x @ op.adjoint(r)), rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("sizes", SPECTRAL_SIZES, ids=str)
+    @pytest.mark.parametrize("pick", ["all order<=2", "random, not subset-closed", "attribute 1 unused"])
+    def test_spectrum_and_transform_diagonalize_the_gram(self, sizes, pick):
+        schema = Schema(tuple(f"x{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
+        every = enumerate_queries(schema.num_features, min(3, len(sizes)))
+        if pick == "all order<=2":
+            queries = [q for q in every if q.order <= 2]
+        elif pick == "random, not subset-closed":
+            rng = np.random.default_rng(len(sizes) + sum(sizes))
+            top, missing = every[-1], MarginalQuery(every[-1].attrs[:1])
+            queries = [every[i] for i in sorted(rng.choice(len(every), len(every) // 2, replace=False))
+                       if every[i] not in (top, missing)] + [top]
+        else:
+            queries = [q for q in every if 1 not in q.attrs]
+        op = MarginalOperator(schema, queries)
+        a = dense_marginal_matrix(schema, queries)
+        gram = a.T @ a
+        t = np.column_stack([op.transform(e) for e in np.eye(op.num_cells)])
+        assert np.allclose(t, t.T, rtol=0.0, atol=1e-13)
+        assert np.allclose(t @ t, np.eye(op.num_cells), rtol=0.0, atol=1e-12)
+        assert np.allclose(t[:, 0], 1.0 / math.sqrt(op.num_cells), rtol=0.0, atol=1e-15)
+        assert np.all(op.spectrum >= 0.0)
+        assert np.allclose(t @ np.diag(op.spectrum) @ t, gram, rtol=0.0, atol=1e-12 * gram.max())
 
     def test_rejects_query_outside_schema(self):
         with pytest.raises(QueryError):

@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from margsyn.dataset import Dataset, Schema
 from margsyn.demo import make_demo_dataset
-from margsyn.marginals import MarginalQuery, compute_marginal, enumerate_queries, l1_distance
+from margsyn.marginals import (MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries,
+                               l1_distance)
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate
-from margsyn.synth import (STEP_SAFETY, DistributionEstimate, NoisyMarginalSet, SynthesisError,
-                           _project_simplex, _simplex_lipschitz, brute_force_synth,
-                           fit_distribution, generate_synthetic, num_joint_cells, sample_dataset,
-                           synthesize)
+from margsyn.synth import (DistributionEstimate, NoisyMarginalSet, SynthesisError,
+                           _project_simplex, brute_force_synth, fit_distribution,
+                           generate_synthetic, num_joint_cells, sample_dataset, synthesize)
 
-from conftest import random_dataset
+from conftest import dense_marginal_matrix, random_dataset
 
 
 def noisy_set_from(ds: Dataset, d: int, sigma: float, seed: int) -> NoisyMarginalSet:
@@ -129,11 +129,55 @@ def reference_pgd_objective(nm: NoisyMarginalSet, n: float, iters: int = 2000,
     return obj
 
 
+def reference_fista_trace(nm: NoisyMarginalSet, n: float, iters: int, tol: float = 1e-10) -> list[float]:
+    """The fit's iteration on a dense A, objective and gradient from A itself: FISTA
+    from uniform with function-value restart and step 1/L, L = 2 n^2 times the top
+    eigenvalue of A^T A on the sum-zero subspace; a momentum-free step that does
+    not lower the objective, or one lowering it by at most tol relative, stops it."""
+    a = dense_marginal_matrix(nm.schema, [m.query for m in nm.marginals])
+    h = np.concatenate(nm.targets)
+    cells = a.shape[1]
+    centre = np.eye(cells) - 1.0 / cells
+    lipschitz = 2.0 * n * n * np.linalg.eigvalsh(centre @ a.T @ a @ centre)[-1]
+
+    def objective(p):
+        r = n * a @ p - h
+        return float(r @ r)
+
+    p = p_prev = np.full(cells, 1.0 / cells)
+    obj, t = objective(p), 1.0
+    trace = [obj]
+    for _ in range(iters):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        y = p + beta * (p - p_prev)
+        p_new = _project_simplex(y - 2.0 * n * a.T @ (n * a @ y - h) / lipschitz)
+        obj_new = objective(p_new)
+        if obj_new > obj or (obj_new == obj and beta == 0.0):
+            trace.append(obj)
+            if beta == 0.0:
+                break
+            p_prev, t = p, 1.0
+            continue
+        p_prev, p, t = p, p_new, t_next
+        trace.append(obj_new)
+        if obj - obj_new <= tol * obj:
+            break
+        obj = obj_new
+    return trace
+
+
 def demo_d3_set(seed: int) -> tuple[NoisyMarginalSet, int]:
     """6 binary features + label (128 cells), n=2000, all 63 queries of order <= 3, eps=1."""
     real = make_demo_dataset(m=6, n=2000, seed=seed)
     sigma = calibrate(6, 3, PrivacyParams(1.0, 1.0 / real.n**2)).sigma
     return noisy_set_from(real, 3, sigma, seed), real.n
+
+
+def direct_objective(nm: NoisyMarginalSet, n: float, probs: np.ndarray) -> float:
+    """||n A p - h||^2 from the operator's forward map, not from its spectrum."""
+    r = n * np.concatenate(nm.operator.forward(probs)) - np.concatenate(nm.targets)
+    return float(r @ r)
 
 
 class TestFitDistribution:
@@ -174,22 +218,23 @@ class TestFitDistribution:
         schema = Schema(tuple(f"x{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
         queries = enumerate_queries(schema.num_features, d)
         cells = num_joint_cells(schema)
-        all_codes = np.array(list(itertools.product(*[range(s) for s in sizes])))
-        # column c of A is the marginal vector of the one-row dataset in cell c
-        a = np.column_stack([
-            np.concatenate([compute_marginal(Dataset(schema, all_codes[c:c + 1]), q).counts
-                            for q in queries])
-            for c in range(cells)])
+        a = dense_marginal_matrix(schema, queries)
         centre = np.eye(cells) - 1.0 / cells
         top = np.linalg.eigvalsh(centre @ a.T @ a @ centre)[-1]
         n = 37
         nm = NoisyMarginalSet(schema, tuple(compute_marginal(random_dataset(schema, n, 0), q)
                                             for q in queries), 0.0, 0)
-        lipschitz = _simplex_lipschitz(nm.operator, n)
-        assert lipschitz >= 2.0 * n * n * top
+        # the fit's step 1/L: L = 2 n^2 max of the spectrum off the constant direction
+        lipschitz = 2.0 * n * n * nm.operator.spectrum[1:].max()
+        # the lower bound allows eigvalsh's own rounding (a few ulps); the upper is exactness
+        assert lipschitz >= 2.0 * n * n * top * (1.0 - 1e-12)
         assert lipschitz <= 2.0 * n * n * sum(cells / np.prod(schema.shape(q.attrs)) for q in queries)
-        # the power iterations converged: no slack beyond the safety factor
-        assert lipschitz <= 2.0 * n * n * STEP_SAFETY * top * (1.0 + 1e-6)
+        assert lipschitz <= 2.0 * n * n * top * (1.0 + 1e-9)
+        # and the fit's first iterate is the projected gradient step 1/L from uniform
+        u = np.full(cells, 1.0 / cells)
+        grad = 2.0 * n * a.T @ (n * a @ u - np.concatenate(nm.targets))
+        first = _project_simplex(u - grad / (2.0 * n * n * top))
+        assert np.allclose(fit_distribution(nm, n, iters=1).probs, first, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_converges_below_plain_projected_gradient(self, seed):
@@ -224,6 +269,51 @@ class TestFitDistribution:
         assert a.objective_trace == b.objective_trace
         assert before[0] == after[0] and np.array_equal(before[1], after[1])
         assert before[2:] == after[2:]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_final_objective_is_the_direct_objective(self, seed):
+        nm, n = demo_d3_set(seed)
+        dist = fit_distribution(nm, n=n)
+        assert dist.objective_trace[-1] == pytest.approx(direct_objective(nm, n, dist.probs), rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_iterates_like_the_loop_on_the_dense_operator(self, seed):
+        # the whole run, restarts (repeated trace values) and the stop included
+        nm, n = demo_d3_set(seed)
+        got = fit_distribution(nm, n=n).objective_trace
+        want = reference_fista_trace(nm, n, iters=2000)
+        assert len(got) == len(want) < 2000
+        assert any(a == b for a, b in zip(want, want[1:]))
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("iters", [0, 5, 2000])
+    def test_applies_the_operator_at_most_twice(self, iters, monkeypatch):
+        nm, n = demo_d3_set(0)
+        calls = []
+        for name in ("forward", "adjoint"):
+            def counted(op, x, apply=getattr(MarginalOperator, name), name=name):
+                calls.append(name)
+                return apply(op, x)
+            monkeypatch.setattr(MarginalOperator, name, counted)
+        fit_distribution(nm, n=n, iters=iters)
+        assert len(calls) <= 2
+
+    def test_attribute_wider_than_a_dense_factor(self):
+        schema = Schema(("a", "b", "label"), (1500, 3, 2))
+        real = random_dataset(schema, 4000, seed=5)
+        nm = noisy_set_from(real, 2, 3.0, seed=5)
+        dist = fit_distribution(nm, n=real.n)
+        assert dist.objective_trace[-1] == pytest.approx(direct_objective(nm, real.n, dist.probs),
+                                                         rel=1e-9)
+        assert dist.objective_trace[-1] <= reference_pgd_objective(nm, real.n)
+        op = nm.operator
+        assert max(f.size for f in op._factors) <= op.num_cells
+        assert any(f.shape == (1500,) for f in op._factors)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_estimate_rejects_non_finite_probs(self, bad):
+        with pytest.raises(SynthesisError):
+            DistributionEstimate(Schema(("a", "label"), (2, 2)), [bad, 0.5, 0.25, 0.25], (0.0,))
 
     def test_dense_cap(self):
         sizes = (6,) * 8 + (2,)
@@ -452,12 +542,21 @@ class TestMechanism:
         _, report = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-4), mode=mode, seed=5, cap=cap)
         doc = report.to_dict()
         if mode == "brute":
-            assert (doc["fit_iters"], doc["fit_converged"]) == (0, None)
+            assert (doc["fit_iterations"], doc["fit_converged"]) == (0, None)
         else:
             nm = noisy_set_from(real, 2, report.sigma, 5)
             dist = fit_distribution(nm, n=real.n)
-            assert doc["fit_iters"] == len(dist.objective_trace) - 1 > 0
+            assert doc["fit_iterations"] == len(dist.objective_trace) - 1 > 0
             assert doc["fit_converged"] is dist.converged is True
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["brute", "fitted"])
+    def test_empty_dataset_gives_an_empty_dataset(self, three_binary_schema, mode):
+        empty = Dataset(three_binary_schema, np.zeros((0, 4), dtype=np.int64))
+        ds_s, report = generate_synthetic(empty, 2, PrivacyParams(1.0, 1e-6), mode=mode)
+        assert ds_s.n == report.n == 0 and ds_s.schema == three_binary_schema
+        assert report.fit_iterations == 0
+        assert report.fit_converged is (None if mode == "brute" else True)
 
     @pytest.mark.parametrize("mode, cap", [("brute", 10_000), ("brute", 0), ("fitted", 10_000)],
                              ids=["exhaustive", "greedy", "fitted"])
