@@ -133,6 +133,19 @@ class MarginalOperator:
             for q in self.queries)
         self.num_bins = tuple(int(np.prod(schema.shape(q.attrs))) for q in self.queries)
 
+    @cached_property
+    def bin_index(self) -> np.ndarray:
+        """(queries, cells) array: each cell's bin per query, in the concatenated bins.
+
+        Row q is bin_maps[q] plus the bin count of the queries before q, so all
+        queries' marginals are one vector in `forward`'s order, and one
+        bincount over gathered rows gives the marginals of many count vectors.
+        """
+        offsets = np.cumsum((0,) + self.num_bins[:-1])
+        index = np.stack(self.bin_maps) + offsets[:, None]
+        index.setflags(write=False)
+        return index
+
     def forward(self, counts: np.ndarray) -> list[np.ndarray]:
         """One marginal vector per query from a (possibly fractional) cell-count vector."""
         return [np.bincount(bm, weights=counts, minlength=k)

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from margsyn.demo import make_demo_dataset
 from margsyn.marginals import (MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries,
                                l1_distance)
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate
-from margsyn.synth import (DistributionEstimate, NoisyMarginalSet, SynthesisError,
-                           _project_simplex, brute_force_synth, fit_distribution,
+from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, SynthesisError,
+                           _greedy_minmax, _project_simplex, brute_force_synth, fit_distribution,
                            generate_synthetic, num_joint_cells, sample_dataset, synthesize)
 
-from conftest import dense_marginal_matrix, random_dataset
+from conftest import (dense_marginal_matrix, random_dataset, reference_exhaustive_counts,
+                      reference_greedy_counts)
 
 
 def noisy_set_from(ds: Dataset, d: int, sigma: float, seed: int) -> NoisyMarginalSet:
@@ -98,12 +100,103 @@ class TestGreedyFallback:
             obj_r = max(l1_distance(m, compute_marginal(real, m.query)) for m in nm.marginals)
             assert stats["l1_to_noisy_max"] <= obj_r + 1e-9
 
+    def test_empty_query_set(self, two_binary_rows):
+        nm = NoisyMarginalSet(two_binary_rows.schema, (), 0.0, 0)
+        with pytest.raises(SynthesisError, match="empty query set"):
+            synthesize(3, nm, "brute", cap=0)
+
     def test_deterministic(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 40, seed=3)
         nm = noisy_set_from(real, 2, 5.0, seed=11)
         a, _ = synthesize(40, nm, "brute", cap=10)
         b, _ = synthesize(40, nm, "brute", cap=10)
         assert np.array_equal(a.codes, b.codes)
+
+
+
+def noisy_set_over(ds: Dataset, queries, sigma: float, seed: int) -> NoisyMarginalSet:
+    noisy = add_noise_to_set([compute_marginal(ds, q) for q in queries], sigma, seed)
+    return NoisyMarginalSet(ds.schema, tuple(noisy), sigma, seed)
+
+
+# Mixed arities, and (3, 3, 2) puts 9 bins in a query, past numpy's 8-term
+# unrolled sum; sigma 0 makes many candidates tie exactly.
+EQUIV_SCHEMAS = [(3, 2, 2), (2, 2, 2, 2), (3, 3, 2)]
+EQUIV_SIGMAS = [0.0, 0.7, 3.0]
+# Pairs of attributes without their one-way queries, and a three-way query
+# whose pairs are missing.
+OPEN_QUERIES = [MarginalQuery((0, 1)), MarginalQuery((1, 3)), MarginalQuery((2,)),
+                MarginalQuery((0, 2, 3))]
+
+
+class TestBruteMatchesTheLoop:
+    """The batched exhaustive scan and the pruned greedy step pick the same
+    multiset as scoring every candidate and every query one at a time."""
+
+    @pytest.mark.parametrize("sizes", EQUIV_SCHEMAS)
+    @pytest.mark.parametrize("sigma", EQUIV_SIGMAS)
+    def test_exhaustive(self, sizes, sigma):
+        schema = Schema(tuple(f"a{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
+        # seed 3 at sigma 0.7 on (2, 2, 2, 2) and at sigma 3 on (3, 2, 2): summing
+        # a query's bins in another order (np.add.reduceat) picks another multiset
+        for seed in range(4):
+            nm = noisy_set_from(random_dataset(schema, 3, seed=seed), 2, sigma, seed)
+            got = nm.operator.cell_counts(brute_force_synth(3, nm))
+            assert np.array_equal(got, reference_exhaustive_counts(3, nm))
+
+    @pytest.mark.parametrize("sizes", EQUIV_SCHEMAS)
+    @pytest.mark.parametrize("sigma", EQUIV_SIGMAS)
+    def test_greedy(self, sizes, sigma):
+        schema = Schema(tuple(f"a{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
+        for seed, n in ((0, 25), (1, 60)):
+            nm = noisy_set_from(random_dataset(schema, n, seed=seed), 2, sigma, seed)
+            assert np.array_equal(_greedy_minmax(n, nm), reference_greedy_counts(n, nm))
+
+    @pytest.mark.parametrize("sigma", EQUIV_SIGMAS)
+    def test_query_list_not_closed_under_subsets(self, three_binary_schema, sigma):
+        real = random_dataset(three_binary_schema, 30, seed=4)
+        nm = noisy_set_over(real, OPEN_QUERIES, sigma, seed=9)
+        got = nm.operator.cell_counts(brute_force_synth(3, nm))
+        assert np.array_equal(got, reference_exhaustive_counts(3, nm))
+        assert np.array_equal(_greedy_minmax(30, nm), reference_greedy_counts(30, nm))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_smallest_sizes(self, n):
+        schema = Schema(("a", "b", "label"), (3, 2, 2))
+        nm = noisy_set_from(random_dataset(schema, 4, seed=1), 2, 1.0, seed=2)
+        ds_s = brute_force_synth(n, nm)
+        assert ds_s.n == n
+        assert np.array_equal(nm.operator.cell_counts(ds_s), reference_exhaustive_counts(n, nm))
+        assert np.array_equal(_greedy_minmax(n, nm), reference_greedy_counts(n, nm))
+
+    def test_optimum_and_tie_in_later_batches(self, three_binary_schema):
+        # one-way queries only, zero noise: the optimum is first met after the
+        # first batch and met again in the next batch
+        real = Dataset(three_binary_schema, np.array([[0, 0, 1, 0], [0, 1, 1, 0], [1, 1, 1, 0]]))
+        nm = noisy_set_over(real, enumerate_queries(3, 1), 0.0, seed=0)
+        combos = list(itertools.combinations_with_replacement(range(16), 3))
+        objs = np.array([nm.operator.l1_to(np.bincount(c, minlength=16).astype(np.float64),
+                                           nm.targets).max() for c in combos])
+        ties = np.flatnonzero(objs == objs.min())
+        assert len(combos) > 3 * _SCAN_BATCH
+        assert _SCAN_BATCH <= ties[0] and ties[0] // _SCAN_BATCH < ties[-1] // _SCAN_BATCH
+        got = nm.operator.cell_counts(brute_force_synth(3, nm))
+        assert np.array_equal(got, np.bincount(combos[ties[0]], minlength=16))
+        assert np.array_equal(got, reference_exhaustive_counts(3, nm))
+
+    def test_scan_memory_does_not_grow_with_the_candidates(self):
+        schema = Schema(("a", "b", "c", "d", "label"), (2, 2, 2, 2, 2))
+        nm = noisy_set_from(random_dataset(schema, 3, seed=0), 2, 1.0, seed=0)
+        nm.operator.bin_index  # built once, before either measurement
+        peaks = []
+        for n in (2, 3):  # 528 and 5,984 candidates
+            tracemalloc.start()
+            try:
+                brute_force_synth(n, nm)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.5 * min(peaks)
 
 
 def reference_pgd_objective(nm: NoisyMarginalSet, n: float, iters: int = 2000,
@@ -535,12 +628,14 @@ class TestMechanism:
         assert isinstance(doc["bound_certified"], bool)
         assert doc["mode"] == "brute"
 
-    @pytest.mark.parametrize("mode, cap", [("brute", 10_000), ("brute", 0), ("fitted", 10_000)],
+    @pytest.mark.parametrize("mode, cap, path", [("brute", 10_000, "exhaustive"), ("brute", 0, "greedy"),
+                                                 ("fitted", 10_000, "fitted")],
                              ids=["exhaustive", "greedy", "fitted"])
-    def test_report_records_the_fit(self, three_binary_schema, mode, cap):
+    def test_report_records_the_fit(self, three_binary_schema, mode, cap, path):
         real = random_dataset(three_binary_schema, 3, seed=7)
         _, report = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-4), mode=mode, seed=5, cap=cap)
         doc = report.to_dict()
+        assert doc["path"] == path
         if mode == "brute":
             assert (doc["fit_iterations"], doc["fit_converged"]) == (0, None)
         else:
@@ -548,6 +643,21 @@ class TestMechanism:
             dist = fit_distribution(nm, n=real.n)
             assert doc["fit_iterations"] == len(dist.objective_trace) - 1 > 0
             assert doc["fit_converged"] is dist.converged is True
+
+    @pytest.mark.parametrize("mode, cap", [("brute", 10_000), ("brute", 0), ("fitted", 10_000)],
+                             ids=["exhaustive", "greedy", "fitted"])
+    def test_negative_size_is_rejected_before_any_work(self, three_binary_schema, mode, cap,
+                                                       monkeypatch):
+        from margsyn import synth
+        nm = noisy_set_from(random_dataset(three_binary_schema, 3, seed=7), 2, 1.0, 5)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a synthesis path ran for a negative size")
+
+        for name in ("brute_force_synth", "_greedy_minmax", "fit_distribution"):
+            monkeypatch.setattr(synth, name, no_work)
+        with pytest.raises(SynthesisError, match="non-negative"):
+            synthesize(-1, nm, mode, rng=np.random.default_rng(0), cap=cap)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode", ["brute", "fitted"])
