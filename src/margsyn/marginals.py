@@ -114,7 +114,9 @@ class MarginalOperator:
 
     Joint cells are the row-major flat indices of the full domain
     (schema.sizes).  Each query's cell -> bin map is built once, here, and
-    every synthesizer applies the map through this object.
+    every synthesizer applies the map through this object.  It owns the
+    concatenated layout too: all queries' bins in one vector, query q's from
+    `offsets[q]` on, reduced to one value per query by `query_sums`.
 
     A^T A is diagonal in a fixed basis: with T the Kronecker product of one
     Householder reflector per attribute (`transform`), A^T A = T diag(spectrum) T
@@ -132,17 +134,18 @@ class MarginalOperator:
             np.ravel_multi_index(tuple(codes[a] for a in q.attrs), schema.shape(q.attrs))
             for q in self.queries)
         self.num_bins = tuple(int(np.prod(schema.shape(q.attrs))) for q in self.queries)
+        self.offsets = np.cumsum((0,) + self.num_bins[:-1])
+        self.offsets.setflags(write=False)
 
     @cached_property
     def bin_index(self) -> np.ndarray:
         """(queries, cells) array: each cell's bin per query, in the concatenated bins.
 
-        Row q is bin_maps[q] plus the bin count of the queries before q, so all
-        queries' marginals are one vector in `forward`'s order, and one
-        bincount over gathered rows gives the marginals of many count vectors.
+        Row q is bin_maps[q] plus offsets[q], so all queries' marginals are one
+        vector in `forward`'s order, and one bincount over gathered rows gives
+        the marginals of many count vectors.
         """
-        offsets = np.cumsum((0,) + self.num_bins[:-1])
-        index = np.stack(self.bin_maps) + offsets[:, None]
+        index = np.stack(self.bin_maps) + self.offsets[:, None]
         index.setflags(write=False)
         return index
 
@@ -216,9 +219,17 @@ class MarginalOperator:
             x = x @ f if f.ndim == 2 else x - np.outer(x @ f, f)
         return x.ravel()
 
+    def query_sums(self, x: np.ndarray) -> np.ndarray:
+        """Each query's sum over its bins, along the last axis of concatenated vectors x.
+
+        One slice sum per query, so each equals np.sum of that query's bins
+        alone (np.add.reduceat adds in another order)."""
+        return np.stack([x[..., o:o + k].sum(axis=-1)
+                         for o, k in zip(self.offsets, self.num_bins)], axis=-1)
+
     def l1_to(self, counts: np.ndarray, targets) -> np.ndarray:
         """Per-query l1 distance between forward(counts) and the target vectors."""
-        return np.array([np.abs(t - seg).sum() for t, seg in zip(targets, self.forward(counts))])
+        return self.query_sums(np.abs(np.concatenate(targets) - np.concatenate(self.forward(counts))))
 
     def cell_counts(self, ds: Dataset) -> np.ndarray:
         """Number of the dataset's rows in each joint cell."""

@@ -37,8 +37,7 @@ from itertools import combinations_with_replacement, islice
 import numpy as np
 
 from .dataset import Dataset, Schema
-from .marginals import (Marginal, MarginalOperator, MarginalQuery, compute_marginal,
-                        enumerate_queries, l1_distance, normalized_l1)
+from .marginals import Marginal, MarginalOperator, compute_marginal, enumerate_queries
 from .privacy import PrivacyParams, add_noise_to_set, calibrate, synthesis_l1_bound
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
@@ -56,7 +55,9 @@ class SynthesisError(ValueError):
 
 @dataclass(frozen=True)
 class NoisyMarginalSet:
-    """Noisy marginal measurements for a unique, schema-valid query set."""
+    """Noisy marginals of a non-empty, unique, schema-valid query set, with one
+    finite count per bin; `target` is all of them in the layout of `operator`.
+    """
 
     schema: Schema
     marginals: tuple[Marginal, ...]
@@ -65,11 +66,18 @@ class NoisyMarginalSet:
 
     def __post_init__(self):
         object.__setattr__(self, "marginals", tuple(self.marginals))
+        if not self.marginals:
+            raise SynthesisError("empty query set")
         queries = [m.query for m in self.marginals]
         if len(set(queries)) != len(queries):
             raise SynthesisError("duplicate queries in marginal set")
-        for q in queries:
-            q.validate(self.schema)
+        for m in self.marginals:
+            m.query.validate(self.schema)
+            bins = math.prod(self.schema.shape(m.query.attrs))
+            if m.counts.shape != (bins,):
+                raise SynthesisError(f"query {m.query.attrs} has {bins} bins, not {m.counts.shape}")
+            if not np.isfinite(m.counts).all():
+                raise SynthesisError(f"non-finite counts for query {m.query.attrs}")
 
     @cached_property
     def operator(self) -> MarginalOperator:
@@ -78,6 +86,12 @@ class NoisyMarginalSet:
     @property
     def targets(self) -> list[np.ndarray]:
         return [m.counts for m in self.marginals]
+
+    @cached_property
+    def target(self) -> np.ndarray:
+        target = np.concatenate(self.targets)
+        target.setflags(write=False)
+        return target
 
 
 def num_joint_cells(schema: Schema) -> int:
@@ -88,11 +102,6 @@ def _counts_to_dataset(counts: np.ndarray, schema: Schema) -> Dataset:
     cell_ids = np.repeat(np.arange(counts.shape[0]), counts.astype(np.int64))
     codes = np.stack(np.unravel_index(cell_ids, schema.sizes), axis=1)
     return Dataset(schema, codes)
-
-
-def _query_offsets(op: MarginalOperator) -> np.ndarray:
-    """Start of each query's bins in the concatenated marginal vector."""
-    return np.cumsum((0,) + op.num_bins[:-1])
 
 
 def brute_force_synth(n: int, nm: NoisyMarginalSet,
@@ -106,15 +115,14 @@ def brute_force_synth(n: int, nm: NoisyMarginalSet,
     Candidates are scored _SCAN_BATCH at a time: gathering the operator's
     `bin_index` at each candidate's n cells and counting with one bincount
     gives every query's marginal of every candidate in the batch.  Each
-    query's l1 is summed over its own bins of one candidate, the same sum as
-    `MarginalOperator.l1_to`, so objectives and ties are bit-equal to scoring
-    the candidates one at a time (np.add.reduceat adds in another order and
-    can pick another multiset among near-ties).  The first minimum of a batch is kept only
-    if it is strictly below the best so far, which is the lexicographic
-    tie-break.  Memory is fixed by the batch, not by the candidate count.
+    query's l1 is `MarginalOperator.query_sums` of one candidate, the same sum
+    as `MarginalOperator.l1_to`, so objectives and ties are bit-equal to
+    scoring the candidates one at a time (np.add.reduceat adds in another
+    order and can pick another multiset among near-ties).  The first minimum
+    of a batch is kept only if it is strictly below the best so far, which is
+    the lexicographic tie-break.  Memory is fixed by the batch, not by the
+    candidate count.
     """
-    if not nm.marginals:
-        raise SynthesisError("empty query set")
     if n < 0:
         raise SynthesisError("n must be non-negative")
     cells = num_joint_cells(nm.schema)
@@ -124,9 +132,7 @@ def brute_force_synth(n: int, nm: NoisyMarginalSet,
             f"{n_candidates} candidate multisets exceed the cap {cap}; "
             "use the greedy or fitted path for this size"
         )
-    op = nm.operator
-    target = np.concatenate(nm.targets)
-    segments = [slice(o, o + k) for o, k in zip(_query_offsets(op), op.num_bins)]
+    op, target = nm.operator, nm.target
     combos = combinations_with_replacement(range(cells), n)
     best_cells, best_obj = None, math.inf
     while batch := list(islice(combos, _SCAN_BATCH)):
@@ -134,7 +140,7 @@ def brute_force_synth(n: int, nm: NoisyMarginalSet,
         flat = op.bin_index[:, rows] + (target.shape[0] * np.arange(len(batch)))[:, None]
         marg = np.bincount(flat.ravel(), minlength=target.shape[0] * len(batch))
         diff = np.abs(target - marg.reshape(len(batch), -1))
-        obj = np.max([diff[:, seg].sum(axis=1) for seg in segments], axis=0)
+        obj = op.query_sums(diff).max(axis=-1)
         at = int(np.argmin(obj))
         if obj[at] < best_obj:
             best_cells, best_obj = rows[at], obj[at]
@@ -175,22 +181,19 @@ def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     over all queries.  After a move, every query's residual and l1 are
     updated at once, in the same operation order as one query at a time.
     """
-    if not nm.marginals:
-        raise SynthesisError("empty query set")
     schema = nm.schema
     cells = num_joint_cells(schema)
-    if cells * cells * max(1, len(nm.marginals)) > 200_000_000:
+    if cells * cells * len(nm.marginals) > 200_000_000:
         raise SynthesisError("joint domain too large for the greedy path; use fitted mode")
-    op = nm.operator
-    index, offsets = op.bin_index, _query_offsets(op)
-    target = np.concatenate(nm.targets)
+    op, target = nm.operator, nm.target
+    index, offsets = op.bin_index, op.offsets
     eq_masks = [bm[:, None] == bm[None, :] for bm in op.bin_maps]
     max_steps = 200 + 40 * n
 
     def descend(counts: np.ndarray) -> tuple[np.ndarray, float]:
         counts = counts.astype(np.float64)
         resid = target - np.concatenate(op.forward(counts))
-        l1 = np.array([np.abs(r).sum() for r in np.split(resid, offsets[1:])])
+        l1 = op.query_sums(np.abs(resid))
         for _ in range(max_steps):
             w = int(np.argmax(l1))
             obj = float(l1[w])
@@ -267,9 +270,6 @@ class DistributionEstimate:
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
-    def marginal_probs(self, query: MarginalQuery) -> np.ndarray:
-        return MarginalOperator(self.schema, [query]).forward(self.probs)[0]
-
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {p >= 0, sum p = 1} (sort-based, O(n log n))."""
@@ -313,13 +313,11 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000,
     Negative noisy entries need no pre-clamping; the simplex projection
     resolves them.
     """
-    if not nm.marginals:
-        raise SynthesisError("empty query set")
     cells = num_joint_cells(nm.schema)
     if cells > DENSE_CELL_CAP:
         raise SynthesisError(f"joint domain of {cells} cells exceeds dense-mode cap {DENSE_CELL_CAP}")
     p = np.full(cells, 1.0 / cells)
-    target = np.concatenate(nm.targets)
+    target = nm.target
     if n == 0:
         return DistributionEstimate(nm.schema, p, (float(target @ target),), True)
     op = nm.operator
@@ -391,18 +389,17 @@ def sample_dataset(dist: DistributionEstimate, n: int, rng: np.random.Generator)
 
 def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
                rng: np.random.Generator | None = None,
-               cap: int = DEFAULT_CANDIDATE_CAP,
-               fit_iters: int = 2000) -> tuple[Dataset, dict]:
+               cap: int = DEFAULT_CANDIDATE_CAP) -> tuple[Dataset, dict]:
     """Build a size-n dataset from noisy marginals only (no access to real data).
 
     mode "brute" uses exhaustive search when the candidate count fits `cap`
     and the greedy descent otherwise; mode "fitted" fits a dense joint
     distribution and samples from it (requires rng).  The stats hold the
-    path that ran ("path": "exhaustive", "greedy" or "fitted"), the l1
-    distances to the noisy targets, the synthetic marginals ("marginals"),
-    in the noisy set's query order, and the fit's iteration count and
-    convergence ("fit_iterations", "fit_converged": 0 and None when no fit
-    ran).
+    path that ran ("path": "exhaustive", "greedy" or "fitted"), the max and
+    mean over queries of the l1 distance to the noisy targets
+    ("l1_to_noisy_max", "l1_to_noisy_mean"), and the fit's iteration count
+    and convergence ("fit_iterations", "fit_converged": 0 and None when no
+    fit ran).
     """
     if n < 0:
         raise SynthesisError("n must be non-negative")
@@ -416,18 +413,15 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     elif mode == "fitted":
         if rng is None:
             raise SynthesisError("fitted mode needs a random generator")
-        dist = fit_distribution(nm, n=n, iters=fit_iters)
+        dist = fit_distribution(nm, n=n)
         ds, path = sample_dataset(dist, n, rng), "fitted"
         fit = {"fit_iterations": len(dist.objective_trace) - 1, "fit_converged": dist.converged}
     else:
         raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
 
-    op = nm.operator
-    counts = op.cell_counts(ds)
-    dists = op.l1_to(counts, nm.targets)
-    synth_margs = [Marginal(q, v, exact=True) for q, v in zip(op.queries, op.forward(counts))]
+    dists = nm.operator.l1_to(nm.operator.cell_counts(ds), nm.targets)
     stats = {"path": path, "l1_to_noisy_max": float(dists.max()),
-             "l1_to_noisy_mean": float(np.mean(dists)), "marginals": synth_margs, **fit}
+             "l1_to_noisy_mean": float(np.mean(dists)), **fit}
     return ds, stats
 
 
@@ -478,8 +472,7 @@ class GenReport:
 
 def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
                        mode: str = "fitted", seed: int = 0,
-                       cap: int = DEFAULT_CANDIDATE_CAP,
-                       fit_iters: int = 2000) -> tuple[Dataset, GenReport]:
+                       cap: int = DEFAULT_CANDIDATE_CAP) -> tuple[Dataset, GenReport]:
     """Measure all order-<=d marginals, noise them, synthesize, and report.
 
     sigma is always the Gaussian-mechanism calibration of `privacy`, so the
@@ -498,12 +491,11 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     # a spawned child stream: the noise generators default_rng([seed, idx])
     # never share its state, so sampling is independent of the noise
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    ds_s, stats = synthesize(ds_real.n, nm, mode, rng=rng, cap=cap, fit_iters=fit_iters)
+    ds_s, stats = synthesize(ds_real.n, nm, mode, rng=rng, cap=cap)
 
     # evaluation-only diagnostics, outside the mechanism boundary
-    synth_margs = stats["marginals"]
-    real_l1 = [l1_distance(e, s) for e, s in zip(exact, synth_margs)]
-    norm_l1 = [normalized_l1(e, s, ds_real.n) for e, s in zip(exact, synth_margs)] if ds_real.n else [0.0]
+    real_l1 = nm.operator.l1_to(nm.operator.cell_counts(ds_s), [e.counts for e in exact])
+    norm_l1 = real_l1 / ds_real.n if ds_real.n else np.zeros(1)
 
     l1_bound = synthesis_l1_bound(calib.sigma, d, m, schema.max_domain_size, privacy.lam)
     report = GenReport(
@@ -520,9 +512,9 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
         l1_to_noisy_mean=stats["l1_to_noisy_mean"],
         fit_iterations=stats["fit_iterations"],
         fit_converged=stats["fit_converged"],
-        nonprivate_l1_to_real_max=max(real_l1),
+        nonprivate_l1_to_real_max=float(real_l1.max()),
         nonprivate_l1_to_real_mean=float(np.mean(real_l1)),
-        nonprivate_normalized_l1_max=max(norm_l1),
+        nonprivate_normalized_l1_max=float(norm_l1.max()),
         nonprivate_normalized_l1_mean=float(np.mean(norm_l1)),
     )
     return ds_s, report

@@ -137,7 +137,7 @@ def _pipeline_config(tmp_path, data, schema, out_name):
         "out_dir": str(tmp_path / out_name),
         "epsilons": [0.5, 1.0], "repeats": 2, "d": 2,
         "tau": "inf", "loss": {"kind": "logistic"}, "mode": "fitted",
-        "base_seed": 7, "train_max_iters": 60, "fit_iters": 300,
+        "base_seed": 7,
     }
 
 
@@ -154,7 +154,7 @@ def test_pipeline_command_and_determinism(demo_files, tmp_path):
     assert all(r["status"] == "ok" for r in rows)
     assert (tmp_path / "out_a" / "aggregates.csv").exists()
     report = json.loads((tmp_path / "out_a" / "reports" / "run_eps0_rep0.json").read_text())
-    assert 0 < report["fit_iterations"] <= 300 and isinstance(report["fit_converged"], bool)
+    assert 0 < report["fit_iterations"] <= 2000 and isinstance(report["fit_converged"], bool)
 
     cfg_path.write_text(json.dumps(_pipeline_config(tmp_path, data, schema, "out_b")))
     rc = main(["pipeline", "--config", str(cfg_path)])
@@ -175,22 +175,19 @@ def test_pipeline_out_dir_overrides_config(demo_files, tmp_path):
 
 def test_pipeline_flushes_failures(tmp_path, demo_files):
     ds, data, schema, tmp = demo_files
-    # epsilon = 3.0 with allow_large_epsilon disabled fails each cell of that column
+    # epsilon = -1 is rejected by the privacy parameters, failing each cell of that column
     cfg = ExperimentConfig(
         data_path=data, schema_path=schema, out_dir=str(tmp_path / "out_f"),
-        epsilons=(0.5, 3.0), repeats=1, d=2, tau=math.inf,
-        base_seed=1, allow_large_epsilon=False, train_max_iters=40, fit_iters=200)
+        epsilons=(0.5, -1.0), repeats=1, d=2, tau=math.inf, base_seed=1)
     result = run_experiment(cfg)
     assert not result.all_ok
     statuses = {r["epsilon"]: r["status"] for r in result.runs}
-    assert statuses[0.5] == "ok" and statuses[3.0] == "failed"
+    assert statuses[0.5] == "ok" and statuses[-1.0] == "failed"
     failed = [r for r in result.runs if r["status"] == "failed"]
     assert all(r["error"] for r in failed)
     cfg_doc = {
         "data_path": data, "schema_path": schema, "out_dir": str(tmp_path / "out_g"),
-        "epsilons": [0.5, 3.0], "repeats": 1, "d": 2, "tau": "inf",
-        "base_seed": 1, "allow_large_epsilon": False,
-        "train_max_iters": 40, "fit_iters": 200}
+        "epsilons": [0.5, -1.0], "repeats": 1, "d": 2, "tau": "inf", "base_seed": 1}
     cfg_path = tmp_path / "cfg_fail.json"
     cfg_path.write_text(json.dumps(cfg_doc))
     assert main(["pipeline", "--config", str(cfg_path)]) == 1  # nonzero on partial failure
@@ -209,8 +206,7 @@ def test_pipeline_trains_real_model_once_per_repeat(demo_files, tmp_path, monkey
     repeats, epsilons = 3, (0.5, 1.0, 2.0, 4.0)
     cfg = ExperimentConfig(
         data_path=data, schema_path=schema, out_dir=str(tmp_path / "out_t"),
-        epsilons=epsilons, repeats=repeats, d=2, tau=math.inf, base_seed=2,
-        train_max_iters=40, fit_iters=200)
+        epsilons=epsilons, repeats=repeats, d=2, tau=math.inf, base_seed=2)
     assert run_experiment(cfg).all_ok
     assert len(trained) == repeats * (1 + len(epsilons))
 
@@ -239,8 +235,7 @@ def test_aggregates_match_run_means(demo_files, tmp_path):
     ds, data, schema, tmp = demo_files
     cfg = ExperimentConfig(
         data_path=data, schema_path=schema, out_dir=str(tmp_path / "out_m"),
-        epsilons=(1.0,), repeats=3, d=2, tau=math.inf, base_seed=3,
-        train_max_iters=60, fit_iters=300)
+        epsilons=(1.0,), repeats=3, d=2, tau=math.inf, base_seed=3)
     result = run_experiment(cfg)
     accs = [r["accuracy_syn"] for r in result.runs]
     assert result.aggregates[0]["accuracy_syn_mean"] == pytest.approx(np.mean(accs), abs=1e-12)
@@ -252,6 +247,15 @@ def test_config_with_unknown_key_fails(tmp_path):
     doc = {"data_path": "d.csv", "schema_path": "s.json", "out_dir": str(tmp_path),
            "epsilons": [1.0], "repeats": 1, "d": 2, "tau": 0.5, "sensitivity_mode": "exact"}
     with pytest.raises(TypeError):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value", [("fit_iters", 300), ("train_max_iters", 60),
+                                        ("allow_large_epsilon", False)])
+def test_config_with_removed_key_fails_naming_it(tmp_path, key, value):
+    doc = {"data_path": "d.csv", "schema_path": "s.json", "out_dir": str(tmp_path),
+           "epsilons": [1.0], "repeats": 1, "d": 2, "tau": 0.5, key: value}
+    with pytest.raises(TypeError, match=key):
         ExperimentConfig.from_dict(doc)
 
 

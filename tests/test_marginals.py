@@ -215,6 +215,31 @@ class TestMarginalOperator:
         assert np.all(op.spectrum >= 0.0)
         assert np.allclose(t @ np.diag(op.spectrum) @ t, gram, rtol=0.0, atol=1e-12 * gram.max())
 
+    # every query of each schema: segments of 2-9 bins (a domain has at least
+    # 2 values), 127-129, 3,999-4,001, 4,095 and 4,097 bins and twice those;
+    # numpy's pairwise sum adds blocks of 128
+    @pytest.mark.parametrize("sizes", [(2, 3, 5, 2), (7, 9, 2), (4, 2, 2), (8, 2), (127, 2), (128, 2),
+                                       (129, 2), (3999, 2), (4000, 2), (4001, 2), (4095, 2), (4097, 2)],
+                             ids=str)
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["1-D", "2-D"])
+    def test_query_sums_equal_each_query_summed_alone(self, sizes, lead):
+        schema = Schema(tuple(f"x{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
+        op = MarginalOperator(schema, enumerate_queries(len(sizes) - 1, len(sizes)))
+        rng = np.random.default_rng(sum(sizes))
+        shape = lead + (sum(op.num_bins),)
+        # magnitudes from 1e-3 to 1e6 in one vector, so the order of addition shows
+        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 6.0, shape)
+        for v in (x, np.abs(x)):
+            want = []
+            for row in v.reshape(-1, shape[-1]):
+                start = 0
+                for k in op.num_bins:
+                    want.append(np.sum(np.array(row[start:start + k])))  # a 1-D copy per query
+                    start += k
+            got = op.query_sums(v)
+            assert got.shape == lead + (len(op.num_bins),)
+            assert got.ravel().tolist() == want
+
     def test_rejects_query_outside_schema(self):
         with pytest.raises(QueryError):
             MarginalOperator(OPERATOR_SCHEMAS[0], [MarginalQuery((0, 4))])

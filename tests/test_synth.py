@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from margsyn.dataset import Dataset, Schema
 from margsyn.demo import make_demo_dataset
-from margsyn.marginals import (MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries,
-                               l1_distance)
+from margsyn.marginals import (Marginal, MarginalOperator, MarginalQuery, compute_marginal,
+                               enumerate_queries, l1_distance)
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate
 from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, SynthesisError,
                            _greedy_minmax, _project_simplex, brute_force_synth, fit_distribution,
@@ -40,6 +40,44 @@ def oracle_best_objective(n: int, nm: NoisyMarginalSet) -> float:
         obj = max(l1_distance(m, compute_marginal(cand, m.query)) for m in nm.marginals)
         best = min(best, obj)
     return best
+
+
+MISFIT_SCHEMA = Schema(("a", "b", "label"), (4, 2, 2))
+# n=3 on 16 cells is 816 candidates: exhaustive under cap 10,000, greedy under cap 0
+SYNTH_PATHS = {"exhaustive": ("brute", 10_000), "greedy": ("brute", 0), "fitted": ("fitted", 10_000)}
+
+
+def misfit_marginals(case: str) -> list[Marginal]:
+    """All order-<=2 marginals of a 3-row dataset, one of them changed so it no longer fits its query."""
+    margs = [compute_marginal(random_dataset(MISFIT_SCHEMA, 3, seed=0), q)
+             for q in enumerate_queries(2, 2)]
+    a, b = margs[0], margs[1]  # queries (0,) with 4 bins and (1,) with 2 bins
+    if case == "swapped lengths":
+        # equal totals and the same concatenated length, each query with the other's counts
+        margs[0], margs[1] = Marginal(a.query, b.counts, True), Marginal(b.query, a.counts, True)
+    elif case == "2-D counts":
+        margs[0] = Marginal(a.query, a.counts.reshape(2, 2), True)
+    else:
+        counts = margs[2].counts.copy()
+        counts[0] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[case]
+        margs[2] = Marginal(margs[2].query, counts, False)
+    return margs
+
+
+class TestNoisyMarginalSet:
+    @pytest.mark.parametrize("path", SYNTH_PATHS)
+    @pytest.mark.parametrize("case", ["nan", "inf", "-inf", "swapped lengths", "2-D counts"])
+    def test_marginals_that_do_not_fit_their_queries_are_rejected(self, case, path):
+        mode, cap = SYNTH_PATHS[path]
+        match = "non-finite" if "inf" in case or case == "nan" else "bins"
+        with pytest.raises(SynthesisError, match=match):
+            nm = NoisyMarginalSet(MISFIT_SCHEMA, tuple(misfit_marginals(case)), 1.0, 0)
+            synthesize(3, nm, mode, rng=np.random.default_rng(0), cap=cap)
+
+    def test_target_is_the_concatenated_counts(self, three_binary_schema):
+        nm = noisy_set_from(random_dataset(three_binary_schema, 10, seed=1), 2, 1.0, seed=2)
+        assert np.array_equal(nm.target, np.concatenate([m.counts for m in nm.marginals]))
+        assert nm.target is nm.target and not nm.target.flags.writeable
 
 
 class TestBruteForce:
@@ -80,9 +118,8 @@ class TestBruteForce:
             brute_force_synth(4, nm, cap=3)
 
     def test_empty_query_set(self, two_binary_rows):
-        nm = NoisyMarginalSet(two_binary_rows.schema, (), 0.0, 0)
         with pytest.raises(SynthesisError):
-            brute_force_synth(2, nm)
+            NoisyMarginalSet(two_binary_rows.schema, (), 0.0, 0)
 
     def test_duplicate_queries_rejected(self, two_binary_rows):
         m = compute_marginal(two_binary_rows, MarginalQuery((0,)))
@@ -101,9 +138,8 @@ class TestGreedyFallback:
             assert stats["l1_to_noisy_max"] <= obj_r + 1e-9
 
     def test_empty_query_set(self, two_binary_rows):
-        nm = NoisyMarginalSet(two_binary_rows.schema, (), 0.0, 0)
         with pytest.raises(SynthesisError, match="empty query set"):
-            synthesize(3, nm, "brute", cap=0)
+            NoisyMarginalSet(two_binary_rows.schema, (), 0.0, 0)
 
     def test_deterministic(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 40, seed=3)
@@ -278,8 +314,8 @@ class TestFitDistribution:
         real = random_dataset(three_binary_schema, 64, seed=9)
         nm = noisy_set_from(real, 2, 0.0, seed=0)
         dist = fit_distribution(nm, n=real.n)
-        for m in nm.marginals:
-            fitted = real.n * dist.marginal_probs(m.query)
+        for m, probs in zip(nm.marginals, nm.operator.forward(dist.probs)):
+            fitted = real.n * probs
             assert np.abs(fitted - m.counts).sum() <= 1e-3 * real.n
 
     def test_single_full_query_exact(self, two_binary_rows):
@@ -495,9 +531,10 @@ class TestSampleDataset:
         dist = DistributionEstimate(three_binary_schema, raw / raw.sum(), (0.0,))
         n = 10_000
         ds = sample_dataset(dist, n, np.random.default_rng(7))
-        for q in enumerate_queries(3, 2):
+        queries = enumerate_queries(3, 2)
+        for q, probs in zip(queries, MarginalOperator(three_binary_schema, queries).forward(dist.probs)):
             emp = compute_marginal(ds, q).counts
-            want = n * dist.marginal_probs(q)
+            want = n * probs
             assert np.abs(emp - want).sum() / n <= 0.05
 
     @given(st.lists(st.integers(2, 4), min_size=1, max_size=3), st.data(),
@@ -568,7 +605,7 @@ class TestMechanism:
         real = random_dataset(three_binary_schema, 30, seed=8)
         for seed in (0, 1, 2, 7, 12345, 2**32 - 1):
             _, report = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="fitted",
-                                           seed=seed, fit_iters=5)
+                                           seed=seed)
             sampler_state = states.pop()
             for idx in range(report.query_count):
                 assert sampler_state != np.random.default_rng([seed, idx]).bit_generator.state
@@ -596,7 +633,7 @@ class TestMechanism:
         privacy = PrivacyParams(1000.0, 0.5, allow_large_epsilon=True)
         flags = []
         for seed in range(5):
-            _, report = generate_synthetic(real, 2, privacy, mode="fitted", seed=seed, fit_iters=50)
+            _, report = generate_synthetic(real, 2, privacy, mode="fitted", seed=seed)
             assert report.bound_certified == (report.l1_to_noisy_max <= report.l1_bound_at_lam / 2)
             flags.append(report.bound_certified)
         assert False in flags
@@ -677,7 +714,7 @@ class TestMechanism:
         # n=3 on 16 cells is 816 candidates: exhaustive under cap 10,000, greedy under cap 0
         real = random_dataset(three_binary_schema, 3, seed=7)
         privacy = PrivacyParams(0.7, 1e-4, lam=2.0)
-        _, report = generate_synthetic(real, 2, privacy, mode=mode, seed=5, cap=cap, fit_iters=50)
+        _, report = generate_synthetic(real, 2, privacy, mode=mode, seed=5, cap=cap)
         calib = calibrate(three_binary_schema.num_features, 2, privacy)
         assert report.sigma == calib.sigma and report.sensitivity == calib.sensitivity
         assert (report.epsilon, report.delta, report.lam) == (0.7, 1e-4, 2.0)
