@@ -110,13 +110,14 @@ _GROUP_DIM = 32
 
 
 class MarginalOperator:
-    """The linear map A from joint-cell counts to the marginal vectors of a query list.
+    """The linear map A from joint-cell counts to the marginals of a query list.
 
     Joint cells are the row-major flat indices of the full domain
-    (schema.sizes).  Each query's cell -> bin map is built once, here, and
-    every synthesizer applies the map through this object.  It owns the
-    concatenated layout too: all queries' bins in one vector, query q's from
-    `offsets[q]` on, reduced to one value per query by `query_sums`.
+    (schema.sizes).  `bin_maps` is the one cell -> bin table, built here:
+    row q holds each cell's bin of query q.  The marginals of all queries are
+    one concatenated vector, query q's bins from `offsets[q]` on; `forward`
+    returns it, `adjoint` and `l1_to` take it, and `query_sums` reduces it to
+    one value per query.
 
     A^T A is diagonal in a fixed basis: with T the Kronecker product of one
     Householder reflector per attribute (`transform`), A^T A = T diag(spectrum) T
@@ -130,35 +131,25 @@ class MarginalOperator:
             q.validate(schema)
         self.num_cells = int(np.prod(schema.sizes))
         codes = np.unravel_index(np.arange(self.num_cells), schema.sizes)
-        self.bin_maps = tuple(
-            np.ravel_multi_index(tuple(codes[a] for a in q.attrs), schema.shape(q.attrs))
-            for q in self.queries)
+        # filled row by row: stacking a list of rows holds every row twice
+        self.bin_maps = np.empty((len(self.queries), self.num_cells), dtype=np.intp)
+        for row, q in zip(self.bin_maps, self.queries):
+            row[:] = np.ravel_multi_index(tuple(codes[a] for a in q.attrs), schema.shape(q.attrs))
+        self.bin_maps.setflags(write=False)
         self.num_bins = tuple(int(np.prod(schema.shape(q.attrs))) for q in self.queries)
         self.offsets = np.cumsum((0,) + self.num_bins[:-1])
         self.offsets.setflags(write=False)
 
-    @cached_property
-    def bin_index(self) -> np.ndarray:
-        """(queries, cells) array: each cell's bin per query, in the concatenated bins.
+    def forward(self, counts: np.ndarray) -> np.ndarray:
+        """All queries' marginals of a (possibly fractional) cell-count vector."""
+        return np.concatenate([np.bincount(bm, weights=counts, minlength=k)
+                               for bm, k in zip(self.bin_maps, self.num_bins)])
 
-        Row q is bin_maps[q] plus offsets[q], so all queries' marginals are one
-        vector in `forward`'s order, and one bincount over gathered rows gives
-        the marginals of many count vectors.
-        """
-        index = np.stack(self.bin_maps) + self.offsets[:, None]
-        index.setflags(write=False)
-        return index
-
-    def forward(self, counts: np.ndarray) -> list[np.ndarray]:
-        """One marginal vector per query from a (possibly fractional) cell-count vector."""
-        return [np.bincount(bm, weights=counts, minlength=k)
-                for bm, k in zip(self.bin_maps, self.num_bins)]
-
-    def adjoint(self, residuals) -> np.ndarray:
+    def adjoint(self, r: np.ndarray) -> np.ndarray:
         """Transpose of forward: spread each query's bin values back onto the cells."""
         out = np.zeros(self.num_cells)
-        for bm, r in zip(self.bin_maps, residuals):
-            out += r[bm]
+        for bm, o in zip(self.bin_maps, self.offsets):
+            out += r[o:][bm]
         return out
 
     @cached_property
@@ -227,9 +218,9 @@ class MarginalOperator:
         return np.stack([x[..., o:o + k].sum(axis=-1)
                          for o, k in zip(self.offsets, self.num_bins)], axis=-1)
 
-    def l1_to(self, counts: np.ndarray, targets) -> np.ndarray:
-        """Per-query l1 distance between forward(counts) and the target vectors."""
-        return self.query_sums(np.abs(np.concatenate(targets) - np.concatenate(self.forward(counts))))
+    def l1_to(self, counts: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Per-query l1 distance between forward(counts) and a concatenated target."""
+        return self.query_sums(np.abs(target - self.forward(counts)))
 
     def cell_counts(self, ds: Dataset) -> np.ndarray:
         """Number of the dataset's rows in each joint cell."""

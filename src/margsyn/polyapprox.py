@@ -24,6 +24,7 @@ import numpy as np
 MAX_DEGREE = 30
 REPORT_GRID = 4097  # uniform points including both endpoints
 _REMEZ_GRID = 16385
+_REMEZ_MAX_EXCHANGES = 60
 
 
 class ApproxError(ValueError):
@@ -193,13 +194,12 @@ def _alternation_extrema(err: np.ndarray) -> list[int]:
     return idx
 
 
-def remez_minimax(f: Callable, d: int, iv: Interval, tol: float = 1e-8,
-                  max_exchanges: int = 60) -> Polynomial:
+def remez_minimax(f: Callable, d: int, iv: Interval, tol: float = 1e-8) -> Polynomial:
     """Best uniform degree-d approximation via the Remez exchange algorithm.
 
     At convergence the residual equioscillates on d+2 alternation points whose
     |error| values agree to within tol (relative).  On non-convergence after
-    max_exchanges the best iterate seen is returned with a warning.
+    _REMEZ_MAX_EXCHANGES exchanges the best iterate seen is returned with a warning.
 
     The linear solves run in the scaled variable s in [-1, 1] for conditioning;
     coefficients are converted back to x exactly at the end.
@@ -237,7 +237,7 @@ def remez_minimax(f: Callable, d: int, iv: Interval, tol: float = 1e-8,
         inserted = 0.5 * (points[k] + points[k + 1])
         return np.sort(np.append(points[1:] if k > 0 else points[:-1], inserted))
 
-    for _ in range(max_exchanges):
+    for _ in range(_REMEZ_MAX_EXCHANGES):
         system = np.hstack([np.vander(ref, d + 1, increasing=True), signs[:, None]])
         try:
             sol = np.linalg.solve(system, fs(ref))
@@ -283,7 +283,7 @@ def remez_minimax(f: Callable, d: int, iv: Interval, tol: float = 1e-8,
         raise ApproxError("exchange iteration failed before producing an iterate")
     if not converged:
         warnings.warn(
-            f"exchange did not meet tol={tol} within {max_exchanges} iterations; "
+            f"exchange did not meet tol={tol} within {_REMEZ_MAX_EXCHANGES} iterations; "
             f"returning best iterate (max error {best_err:.3g})",
             RuntimeWarning,
             stacklevel=2,

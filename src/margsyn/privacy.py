@@ -32,12 +32,13 @@ class PrivacyParams:
     allow_large_epsilon: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # written so that NaN fails too: every comparison with NaN is False
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lambda must be finite and positive")
         if self.epsilon > 1.0 and not self.allow_large_epsilon:
             raise ValueError(
                 f"epsilon={self.epsilon} > 1 is outside the calibration's stated range; "
@@ -59,7 +60,7 @@ class NoiseCalibration:
 
 def gaussian_sigma(eps: float, delta: float, sensitivity: float) -> float:
     """Standard deviation sensitivity * sqrt(2 ln(1.25/delta)) / eps."""
-    if eps <= 0 or sensitivity <= 0:
+    if not (eps > 0 and sensitivity > 0):
         raise ValueError("eps and sensitivity must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -84,7 +85,7 @@ def add_noise(h: Marginal, sigma: float, rng: np.random.Generator) -> Marginal:
 
     Determinism is per seed, not bit-exact across platforms or numpy builds.
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
     noisy = h.counts + (rng.normal(0.0, sigma, size=h.counts.shape) if sigma > 0 else 0.0)
     return Marginal(h.query, noisy, exact=False)

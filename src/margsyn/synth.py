@@ -42,6 +42,9 @@ from .privacy import PrivacyParams, add_noise_to_set, calibrate, synthesis_l1_bo
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
 DENSE_CELL_CAP = 1_000_000
+# The dense fit stops, converged, once an accepted step lowers its objective
+# by at most this fraction of its value.
+_FIT_TOL = 1e-10
 # Candidates the exhaustive scan scores per bincount.  On 32 cells, 15
 # queries and n=3, batches of 64 to 16,384 took 5.6-13.7 ms per scan, 256
 # the least; the scan's peak allocation grows with the batch (0.57 MB at
@@ -61,8 +64,6 @@ class NoisyMarginalSet:
 
     schema: Schema
     marginals: tuple[Marginal, ...]
-    sigma: float
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "marginals", tuple(self.marginals))
@@ -83,13 +84,9 @@ class NoisyMarginalSet:
     def operator(self) -> MarginalOperator:
         return MarginalOperator(self.schema, [m.query for m in self.marginals])
 
-    @property
-    def targets(self) -> list[np.ndarray]:
-        return [m.counts for m in self.marginals]
-
     @cached_property
     def target(self) -> np.ndarray:
-        target = np.concatenate(self.targets)
+        target = np.concatenate([m.counts for m in self.marginals])
         target.setflags(write=False)
         return target
 
@@ -113,7 +110,8 @@ def brute_force_synth(n: int, nm: NoisyMarginalSet,
     kept).  Candidate count C(|cells|+n-1, n) must not exceed `cap`.
 
     Candidates are scored _SCAN_BATCH at a time: gathering the operator's
-    `bin_index` at each candidate's n cells and counting with one bincount
+    `bin_maps` at each candidate's n cells, shifted by each query's offset
+    and each candidate's place in the batch, and counting with one bincount
     gives every query's marginal of every candidate in the batch.  Each
     query's l1 is `MarginalOperator.query_sums` of one candidate, the same sum
     as `MarginalOperator.l1_to`, so objectives and ties are bit-equal to
@@ -133,12 +131,13 @@ def brute_force_synth(n: int, nm: NoisyMarginalSet,
             "use the greedy or fitted path for this size"
         )
     op, target = nm.operator, nm.target
+    total = target.shape[0]
     combos = combinations_with_replacement(range(cells), n)
     best_cells, best_obj = None, math.inf
     while batch := list(islice(combos, _SCAN_BATCH)):
         rows = np.array(batch, dtype=np.int64).reshape(len(batch), n)
-        flat = op.bin_index[:, rows] + (target.shape[0] * np.arange(len(batch)))[:, None]
-        marg = np.bincount(flat.ravel(), minlength=target.shape[0] * len(batch))
+        flat = op.bin_maps[:, rows] + (op.offsets[:, None, None] + total * np.arange(len(batch))[:, None])
+        marg = np.bincount(flat.ravel(), minlength=total * len(batch))
         diff = np.abs(target - marg.reshape(len(batch), -1))
         obj = op.query_sums(diff).max(axis=-1)
         at = int(np.argmin(obj))
@@ -168,10 +167,13 @@ def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     one-way noisy marginals) and keeps the better local minimum.
 
     Each step moves one row from cell i to cell j, at the pair minimizing
-    cand[i, j] = max_q m_q[i, j], the max-l1 after the move: m_q[i, j] is l1_q
-    when i and j share q's bin, else (l1_q + dr_q[bin_q(i)]) + da_q[bin_q(j)]
-    with dr = |r + 1| - |r| and da = |r - 1| - |r| per bin of the residual r.
-    Only queries that can reach the maximum build their cells x cells matrix.
+    cand[i, j] = max_q m_q[i, j], the max-l1 after the move: m_q[i, j] is
+    t_q[bin_q(i), bin_q(j)], with t_q the bins x bins table
+    (l1_q + dr_q[a]) + da_q[b] off the diagonal and l1_q on it (a move inside
+    one bin leaves q unchanged), dr = |r + 1| - |r| and da = |r - 1| - |r| per
+    bin of the residual r.  Only queries that can reach the maximum build
+    their table and gather it into a cells x cells matrix, one query at a
+    time, so memory does not grow with the number of queries.
     With w a query at the current maximum obj = l1_w, every entry of cand is
     at least m_w[i, j] >= lo = min(obj, (obj + min dr_w) + min da_w), and every
     entry of m_q is at most ceil_q = max(l1_q, (l1_q + max dr_q) + max da_q).
@@ -186,13 +188,12 @@ def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     if cells * cells * len(nm.marginals) > 200_000_000:
         raise SynthesisError("joint domain too large for the greedy path; use fitted mode")
     op, target = nm.operator, nm.target
-    index, offsets = op.bin_index, op.offsets
-    eq_masks = [bm[:, None] == bm[None, :] for bm in op.bin_maps]
+    maps, offsets = op.bin_maps, op.offsets
     max_steps = 200 + 40 * n
 
     def descend(counts: np.ndarray) -> tuple[np.ndarray, float]:
         counts = counts.astype(np.float64)
-        resid = target - np.concatenate(op.forward(counts))
+        resid = target - op.forward(counts)
         l1 = op.query_sums(np.abs(resid))
         for _ in range(max_steps):
             w = int(np.argmax(l1))
@@ -204,10 +205,11 @@ def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
             ceil = np.maximum(l1, (l1 + np.maximum.reduceat(d_remove, offsets))
                               + np.maximum.reduceat(d_add, offsets))
             cand = None
-            for qi in np.flatnonzero(ceil >= lo):
-                bins = index[qi]
-                mq = (l1[qi] + d_remove[bins])[:, None] + d_add[bins][None, :]
-                np.putmask(mq, eq_masks[qi], l1[qi])
+            for q in np.flatnonzero(ceil >= lo):
+                seg = slice(offsets[q], offsets[q] + op.num_bins[q])
+                table = (l1[q] + d_remove[seg])[:, None] + d_add[seg][None, :]
+                np.fill_diagonal(table, l1[q])
+                mq = table.take(maps[q], 0).take(maps[q], 1)
                 cand = mq if cand is None else np.maximum(cand, mq, out=cand)
             cand[counts <= 0, :] = math.inf
             np.fill_diagonal(cand, math.inf)
@@ -217,8 +219,8 @@ def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
                 break
             counts[i] -= 1.0
             counts[j] += 1.0
-            moved = index[:, i] != index[:, j]
-            bi, bj = index[moved, i], index[moved, j]
+            moved = maps[:, i] != maps[:, j]
+            bi, bj = maps[moved, i] + offsets[moved], maps[moved, j] + offsets[moved]
             l1[moved] += ((np.abs(resid[bi] + 1.0) - np.abs(resid[bi]))
                           + (np.abs(resid[bj] - 1.0) - np.abs(resid[bj])))
             resid[bi] += 1.0
@@ -280,8 +282,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000,
-                     tol: float = 1e-10) -> DistributionEstimate:
+def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> DistributionEstimate:
     """Minimize sum_q ||n * M_q(p) - h_q||_2^2 over the probability simplex.
 
     Accelerated projected gradient (FISTA: Beck & Teboulle 2009) from the
@@ -305,10 +306,10 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000,
     momentum-free step can raise the objective only through rounding: one
     that does not lower it ends the fit, converged, at the current iterate.
 
-    Also converged when an accepted step lowers the objective by at most tol
-    times its value; otherwise it stops after `iters` iterations.  The trace
-    holds the initial objective and one value per iteration, so its length
-    minus one is the iteration count.  With n = 0 the objective is constant
+    Also converged when an accepted step lowers the objective by at most
+    _FIT_TOL times its value; otherwise it stops after `iters` iterations.
+    The trace holds the initial objective and one value per iteration, so its
+    length minus one is the iteration count.  With n = 0 the objective is constant
     and the uniform start is returned, converged, after no iteration.
     Negative noisy entries need no pre-clamping; the simplex projection
     resolves them.
@@ -322,9 +323,9 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000,
         return DistributionEstimate(nm.schema, p, (float(target @ target),), True)
     op = nm.operator
     lam = op.spectrum
-    coef = op.transform(op.adjoint(nm.targets))
+    coef = op.transform(op.adjoint(target))
     c_star = np.divide(coef, n * lam, out=np.zeros(cells), where=lam > 0)
-    r_star = n * np.concatenate(op.forward(op.transform(c_star))) - target
+    r_star = n * op.forward(op.transform(c_star)) - target
     base = float(r_star @ r_star)
     weight = n * n * lam
     lipschitz = 2.0 * float(weight[1:].max())
@@ -355,7 +356,7 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000,
             continue
         p_prev, d_prev, p, d, t = p, d, p_new, d_new, t_next
         trace.append(obj_new)
-        if obj - obj_new <= tol * obj:
+        if obj - obj_new <= _FIT_TOL * obj:
             converged = True
             break
         obj = obj_new
@@ -419,7 +420,7 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     else:
         raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
 
-    dists = nm.operator.l1_to(nm.operator.cell_counts(ds), nm.targets)
+    dists = nm.operator.l1_to(nm.operator.cell_counts(ds), nm.target)
     stats = {"path": path, "l1_to_noisy_max": float(dists.max()),
              "l1_to_noisy_mean": float(np.mean(dists)), **fit}
     return ds, stats
@@ -487,14 +488,14 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     exact = [compute_marginal(ds_real, q) for q in queries]
     calib = calibrate(m, d, privacy)
     noisy = add_noise_to_set(exact, calib.sigma, seed)
-    nm = NoisyMarginalSet(schema, tuple(noisy), calib.sigma, seed)
+    nm = NoisyMarginalSet(schema, tuple(noisy))
     # a spawned child stream: the noise generators default_rng([seed, idx])
     # never share its state, so sampling is independent of the noise
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     ds_s, stats = synthesize(ds_real.n, nm, mode, rng=rng, cap=cap)
 
     # evaluation-only diagnostics, outside the mechanism boundary
-    real_l1 = nm.operator.l1_to(nm.operator.cell_counts(ds_s), [e.counts for e in exact])
+    real_l1 = nm.operator.l1_to(nm.operator.cell_counts(ds_s), np.concatenate([e.counts for e in exact]))
     norm_l1 = real_l1 / ds_real.n if ds_real.n else np.zeros(1)
 
     l1_bound = synthesis_l1_bound(calib.sigma, d, m, schema.max_domain_size, privacy.lam)

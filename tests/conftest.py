@@ -48,12 +48,12 @@ def dense_marginal_matrix(schema: Schema, queries) -> np.ndarray:
 def reference_exhaustive_counts(n: int, nm) -> np.ndarray:
     """Cell counts of the exhaustive min-max scan, one candidate at a time."""
     cells = int(np.prod(nm.schema.sizes))
-    op, targets = nm.operator, nm.targets
+    op, target = nm.operator, nm.target
     best_counts = None
     best_obj = math.inf
     for combo in combinations_with_replacement(range(cells), n):
         counts = np.bincount(np.asarray(combo, dtype=np.int64), minlength=cells).astype(np.float64)
-        obj = float(op.l1_to(counts, targets).max())
+        obj = float(op.l1_to(counts, target).max())
         if obj < best_obj:
             best_obj = obj
             best_counts = counts
@@ -64,14 +64,14 @@ def reference_greedy_counts(n: int, nm) -> np.ndarray:
     """Cell counts of the greedy min-max descent, every query scored at every step."""
     schema = nm.schema
     cells = int(np.prod(schema.sizes))
-    op, targets = nm.operator, nm.targets
+    op = nm.operator
     bin_maps = op.bin_maps
     eq_masks = [bm[:, None] == bm[None, :] for bm in bin_maps]
     max_steps = 200 + 40 * n
 
     def descend(counts: np.ndarray) -> tuple[np.ndarray, float]:
         counts = counts.astype(np.float64)
-        resid = [t - seg for t, seg in zip(targets, op.forward(counts))]
+        resid = np.split(nm.target - op.forward(counts), op.offsets[1:])
         l1 = np.array([np.abs(r).sum() for r in resid])
         for _ in range(max_steps):
             obj = float(l1.max())

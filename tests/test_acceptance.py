@@ -119,7 +119,7 @@ def test_criterion_3_brute_force_matches_exhaustive_oracle():
         queries = enumerate_queries(1, 2)
         exact = [compute_marginal(real, q) for q in queries]
         noisy = add_noise_to_set(exact, 1.2, seed)
-        nm = NoisyMarginalSet(schema, tuple(noisy), 1.2, seed)
+        nm = NoisyMarginalSet(schema, tuple(noisy))
         ds_s = brute_force_synth(n, nm)
         got = max(l1_distance(m, compute_marginal(ds_s, m.query)) for m in nm.marginals)
         best = math.inf
@@ -144,7 +144,7 @@ def test_criterion_4_end_to_end_l1_coverage(three_binary_schema):
     trials, violations = 500, 0
     for seed in range(trials):
         noisy = add_noise_to_set(exact, calib.sigma, seed)
-        nm = NoisyMarginalSet(three_binary_schema, tuple(noisy), calib.sigma, seed)
+        nm = NoisyMarginalSet(three_binary_schema, tuple(noisy))
         ds_s, _ = synthesize(50, nm, "brute")
         worst = max(l1_distance(h, compute_marginal(ds_s, h.query)) for h in exact)
         violations += worst > bound
@@ -177,7 +177,7 @@ def test_criterion_5_measured_nu_bound_dominates(three_binary_schema):
         calib = calibrate(3, d, PrivacyParams(1.0, 1.0 / 200**2, lam=3.0))
         for seed in range(runs_per_d):
             noisy = add_noise_to_set(exact, calib.sigma, seed)
-            nm = NoisyMarginalSet(three_binary_schema, tuple(noisy), calib.sigma, seed)
+            nm = NoisyMarginalSet(three_binary_schema, tuple(noisy))
             ds_s, _ = synthesize(200, nm, "brute")
             measured_nu = max(l1_distance(h, compute_marginal(ds_s, h.query)) for h in exact)
             for name, spec in losses.items():

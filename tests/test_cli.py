@@ -70,6 +70,16 @@ def test_synth_command(demo_files):
     assert (tmp / "margs.csv").exists() and (tmp / "margs.json").exists()
 
 
+def test_synth_command_rejects_nan_epsilon(demo_files):
+    # an uncaught error exits the command with status 1, before any output
+    ds, data, schema, tmp = demo_files
+    out, report = tmp / "syn.csv", tmp / "report.json"
+    with pytest.raises(ValueError, match="epsilon"):
+        main(["synth", "--data", data, "--schema", schema, "--out", str(out),
+              "--epsilon", "nan", "--report", str(report)])
+    assert not out.exists() and not report.exists()
+
+
 def test_train_eval_commands(demo_files):
     ds, data, schema, tmp = demo_files
     model = tmp / "model.json"
@@ -191,6 +201,17 @@ def test_pipeline_flushes_failures(tmp_path, demo_files):
     cfg_path = tmp_path / "cfg_fail.json"
     cfg_path.write_text(json.dumps(cfg_doc))
     assert main(["pipeline", "--config", str(cfg_path)]) == 1  # nonzero on partial failure
+
+
+def test_pipeline_fails_a_nan_epsilon_column(tmp_path, demo_files):
+    ds, data, schema, tmp = demo_files
+    cfg = ExperimentConfig(
+        data_path=data, schema_path=schema, out_dir=str(tmp_path / "out_nan"),
+        epsilons=(0.5, math.nan), repeats=2, d=2, tau=math.inf, base_seed=1)
+    result = run_experiment(cfg)
+    nan_rows = [r for r in result.runs if math.isnan(r["epsilon"])]
+    assert len(nan_rows) == 2 and all(r["status"] == "failed" and r["error"] for r in nan_rows)
+    assert all(r["status"] == "ok" for r in result.runs if not math.isnan(r["epsilon"]))
 
 
 def test_pipeline_trains_real_model_once_per_repeat(demo_files, tmp_path, monkeypatch):

@@ -71,8 +71,24 @@ class TestPrivacyParams:
         with pytest.raises(ValueError):
             PrivacyParams(0.5, 1e-6, lam=0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_epsilon_must_be_finite(self, eps):
+        # NaN compares False with every bound, and infinity calibrates sigma = 0:
+        # either would release the marginals without noise
+        with pytest.raises(ValueError, match="epsilon"):
+            PrivacyParams(eps, 1e-6, allow_large_epsilon=True)
+
+    def test_lambda_must_be_a_number(self):
+        with pytest.raises(ValueError, match="lambda"):
+            PrivacyParams(0.5, 1e-6, lam=math.nan)
+
 
 class TestAddNoise:
+    def test_nan_sigma_rejected(self, two_binary_rows):
+        m = compute_marginal(two_binary_rows, MarginalQuery((0,)))
+        with pytest.raises(ValueError, match="sigma"):
+            add_noise(m, math.nan, np.random.default_rng(0))
+
     def test_zero_sigma_identity_but_flagged(self, two_binary_rows):
         m = compute_marginal(two_binary_rows, MarginalQuery((0,)))
         noisy = add_noise(m, 0.0, np.random.default_rng(0))

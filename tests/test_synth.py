@@ -25,7 +25,7 @@ def noisy_set_from(ds: Dataset, d: int, sigma: float, seed: int) -> NoisyMargina
     queries = enumerate_queries(ds.schema.num_features, d)
     exact = [compute_marginal(ds, q) for q in queries]
     noisy = add_noise_to_set(exact, sigma, seed)
-    return NoisyMarginalSet(ds.schema, tuple(noisy), sigma, seed)
+    return NoisyMarginalSet(ds.schema, tuple(noisy))
 
 
 def oracle_best_objective(n: int, nm: NoisyMarginalSet) -> float:
@@ -71,7 +71,7 @@ class TestNoisyMarginalSet:
         mode, cap = SYNTH_PATHS[path]
         match = "non-finite" if "inf" in case or case == "nan" else "bins"
         with pytest.raises(SynthesisError, match=match):
-            nm = NoisyMarginalSet(MISFIT_SCHEMA, tuple(misfit_marginals(case)), 1.0, 0)
+            nm = NoisyMarginalSet(MISFIT_SCHEMA, tuple(misfit_marginals(case)))
             synthesize(3, nm, mode, rng=np.random.default_rng(0), cap=cap)
 
     def test_target_is_the_concatenated_counts(self, three_binary_schema):
@@ -119,12 +119,12 @@ class TestBruteForce:
 
     def test_empty_query_set(self, two_binary_rows):
         with pytest.raises(SynthesisError):
-            NoisyMarginalSet(two_binary_rows.schema, (), 0.0, 0)
+            NoisyMarginalSet(two_binary_rows.schema, ())
 
     def test_duplicate_queries_rejected(self, two_binary_rows):
         m = compute_marginal(two_binary_rows, MarginalQuery((0,)))
         with pytest.raises(SynthesisError):
-            NoisyMarginalSet(two_binary_rows.schema, (m, m), 0.0, 0)
+            NoisyMarginalSet(two_binary_rows.schema, (m, m))
 
 
 class TestGreedyFallback:
@@ -139,7 +139,7 @@ class TestGreedyFallback:
 
     def test_empty_query_set(self, two_binary_rows):
         with pytest.raises(SynthesisError, match="empty query set"):
-            NoisyMarginalSet(two_binary_rows.schema, (), 0.0, 0)
+            NoisyMarginalSet(two_binary_rows.schema, ())
 
     def test_deterministic(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 40, seed=3)
@@ -152,7 +152,7 @@ class TestGreedyFallback:
 
 def noisy_set_over(ds: Dataset, queries, sigma: float, seed: int) -> NoisyMarginalSet:
     noisy = add_noise_to_set([compute_marginal(ds, q) for q in queries], sigma, seed)
-    return NoisyMarginalSet(ds.schema, tuple(noisy), sigma, seed)
+    return NoisyMarginalSet(ds.schema, tuple(noisy))
 
 
 # Mixed arities, and (3, 3, 2) puts 9 bins in a query, past numpy's 8-term
@@ -212,7 +212,7 @@ class TestBruteMatchesTheLoop:
         nm = noisy_set_over(real, enumerate_queries(3, 1), 0.0, seed=0)
         combos = list(itertools.combinations_with_replacement(range(16), 3))
         objs = np.array([nm.operator.l1_to(np.bincount(c, minlength=16).astype(np.float64),
-                                           nm.targets).max() for c in combos])
+                                           nm.target).max() for c in combos])
         ties = np.flatnonzero(objs == objs.min())
         assert len(combos) > 3 * _SCAN_BATCH
         assert _SCAN_BATCH <= ties[0] and ties[0] // _SCAN_BATCH < ties[-1] // _SCAN_BATCH
@@ -223,7 +223,7 @@ class TestBruteMatchesTheLoop:
     def test_scan_memory_does_not_grow_with_the_candidates(self):
         schema = Schema(("a", "b", "c", "d", "label"), (2, 2, 2, 2, 2))
         nm = noisy_set_from(random_dataset(schema, 3, seed=0), 2, 1.0, seed=0)
-        nm.operator.bin_index  # built once, before either measurement
+        nm.operator  # built once, before either measurement
         peaks = []
         for n in (2, 3):  # 528 and 5,984 candidates
             tracemalloc.start()
@@ -234,18 +234,34 @@ class TestBruteMatchesTheLoop:
                 tracemalloc.stop()
         assert max(peaks) <= 1.5 * min(peaks)
 
+    def test_greedy_memory_does_not_grow_with_the_queries(self):
+        # 8 binary features + label at d=2: 45 queries over 512 cells; one
+        # cells x cells mask or matrix per query would take 45 * 512^2 bytes
+        real = make_demo_dataset(m=8, n=40, seed=0)
+        nm = noisy_set_from(real, 2, 3.0, seed=0)
+        nm.operator  # built before the measurement
+        cells = num_joint_cells(nm.schema)
+        tracemalloc.start()
+        try:
+            _greedy_minmax(40, nm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(nm.marginals) * cells * cells
+
 
 def reference_pgd_objective(nm: NoisyMarginalSet, n: float, iters: int = 2000,
                             tol: float = 1e-10) -> float:
     """Final objective of plain projected gradient with the fixed step 1/L,
     L = 2 n^2 sum_q cells/|bins_q| (the all-ones curvature), from uniform."""
-    op, targets = nm.operator, nm.targets
+    op = nm.operator
+    targets = np.split(nm.target, op.offsets[1:])
     cells = op.num_cells
     step = 1.0 / (2.0 * n * n * sum(cells / t.shape[0] for t in targets))
 
     def objective_and_grad(p):
-        diffs = [n * seg - t for seg, t in zip(op.forward(p), targets)]
-        return sum(float(d @ d) for d in diffs), op.adjoint([2.0 * n * d for d in diffs])
+        diffs = [n * seg - t for seg, t in zip(np.split(op.forward(p), op.offsets[1:]), targets)]
+        return sum(float(d @ d) for d in diffs), op.adjoint(np.concatenate([2.0 * n * d for d in diffs]))
 
     p = np.full(cells, 1.0 / cells)
     obj, grad = objective_and_grad(p)
@@ -264,7 +280,7 @@ def reference_fista_trace(nm: NoisyMarginalSet, n: float, iters: int, tol: float
     eigenvalue of A^T A on the sum-zero subspace; a momentum-free step that does
     not lower the objective, or one lowering it by at most tol relative, stops it."""
     a = dense_marginal_matrix(nm.schema, [m.query for m in nm.marginals])
-    h = np.concatenate(nm.targets)
+    h = nm.target
     cells = a.shape[1]
     centre = np.eye(cells) - 1.0 / cells
     lipschitz = 2.0 * n * n * np.linalg.eigvalsh(centre @ a.T @ a @ centre)[-1]
@@ -305,7 +321,7 @@ def demo_d3_set(seed: int) -> tuple[NoisyMarginalSet, int]:
 
 def direct_objective(nm: NoisyMarginalSet, n: float, probs: np.ndarray) -> float:
     """||n A p - h||^2 from the operator's forward map, not from its spectrum."""
-    r = n * np.concatenate(nm.operator.forward(probs)) - np.concatenate(nm.targets)
+    r = n * nm.operator.forward(probs) - nm.target
     return float(r @ r)
 
 
@@ -314,14 +330,15 @@ class TestFitDistribution:
         real = random_dataset(three_binary_schema, 64, seed=9)
         nm = noisy_set_from(real, 2, 0.0, seed=0)
         dist = fit_distribution(nm, n=real.n)
-        for m, probs in zip(nm.marginals, nm.operator.forward(dist.probs)):
+        op = nm.operator
+        for m, probs in zip(nm.marginals, np.split(op.forward(dist.probs), op.offsets[1:])):
             fitted = real.n * probs
             assert np.abs(fitted - m.counts).sum() <= 1e-3 * real.n
 
     def test_single_full_query_exact(self, two_binary_rows):
         nm = noisy_set_from(two_binary_rows, 2, 0.0, seed=0)
         full = [m for m in nm.marginals if m.query.order == 2]
-        nm_full = NoisyMarginalSet(two_binary_rows.schema, tuple(full), 0.0, 0)
+        nm_full = NoisyMarginalSet(two_binary_rows.schema, tuple(full))
         dist = fit_distribution(nm_full, n=4)
         assert dist.objective_trace[-1] <= 1e-20
         assert np.allclose(dist.probs, full[0].counts / 4.0)
@@ -352,7 +369,7 @@ class TestFitDistribution:
         top = np.linalg.eigvalsh(centre @ a.T @ a @ centre)[-1]
         n = 37
         nm = NoisyMarginalSet(schema, tuple(compute_marginal(random_dataset(schema, n, 0), q)
-                                            for q in queries), 0.0, 0)
+                                            for q in queries))
         # the fit's step 1/L: L = 2 n^2 max of the spectrum off the constant direction
         lipschitz = 2.0 * n * n * nm.operator.spectrum[1:].max()
         # the lower bound allows eigvalsh's own rounding (a few ulps); the upper is exactness
@@ -361,7 +378,7 @@ class TestFitDistribution:
         assert lipschitz <= 2.0 * n * n * top * (1.0 + 1e-9)
         # and the fit's first iterate is the projected gradient step 1/L from uniform
         u = np.full(cells, 1.0 / cells)
-        grad = 2.0 * n * a.T @ (n * a @ u - np.concatenate(nm.targets))
+        grad = 2.0 * n * a.T @ (n * a @ u - nm.target)
         first = _project_simplex(u - grad / (2.0 * n * n * top))
         assert np.allclose(fit_distribution(nm, n, iters=1).probs, first, rtol=0.0, atol=1e-12)
 
@@ -532,7 +549,8 @@ class TestSampleDataset:
         n = 10_000
         ds = sample_dataset(dist, n, np.random.default_rng(7))
         queries = enumerate_queries(3, 2)
-        for q, probs in zip(queries, MarginalOperator(three_binary_schema, queries).forward(dist.probs)):
+        op = MarginalOperator(three_binary_schema, queries)
+        for q, probs in zip(queries, np.split(op.forward(dist.probs), op.offsets[1:])):
             emp = compute_marginal(ds, q).counts
             want = n * probs
             assert np.abs(emp - want).sum() / n <= 0.05
