@@ -55,7 +55,7 @@ class BoundInputs:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.tau < 0 or self.K <= 0:
+        if self.n < 1 or self.m < 1 or not self.tau >= 0 or self.K <= 0:  # NaN tau fails too
             raise BoundError("need n >= 1, m >= 1, tau >= 0, K > 0")
         if self.d < 2:
             raise BoundError("bounds are stated for marginal order d >= 2 (they use d-1)")

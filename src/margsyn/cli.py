@@ -37,14 +37,6 @@ def _write_json(doc, path):
         fh.write("\n")
 
 
-def _loss_from_args(args) -> LossSpec:
-    if args.loss == "logistic":
-        return LossSpec.logistic()
-    if args.loss == "gamma_margin":
-        return LossSpec.gamma_margin(args.gamma)
-    raise SystemExit(f"unsupported loss {args.loss!r}")
-
-
 def _cmd_prep(args) -> int:
     raw = load_raw_csv(args.raw)
     with open(args.rules) as fh:
@@ -88,11 +80,9 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     schema = Schema.from_file(args.schema)
     ds = load_csv(args.data, schema)
-    loss = _loss_from_args(args)
-    tau = math.inf if args.tau == "inf" else float(args.tau)
-    cfg = TrainConfig(max_iters=args.max_iters, step_size=args.step_size,
-                      step_decay=args.step_decay, tolerance=args.tolerance)
-    model = train_projected(ds, loss, tau, cfg)
+    loss = LossSpec.from_dict({"kind": args.loss, "gamma": args.gamma})
+    cfg = TrainConfig(max_iters=args.max_iters, tolerance=args.tolerance)
+    model = train_projected(ds, loss, args.tau, cfg)
     save_model(model, schema, args.out)
     print(f"trained on {ds.n} rows; ||w||={np.linalg.norm(model.w):.6g}, "
           f"risk={empirical_risk(model, ds):.6g}")
@@ -102,10 +92,9 @@ def _cmd_train(args) -> int:
 def _cmd_dpsgd(args) -> int:
     schema = Schema.from_file(args.schema)
     ds = load_csv(args.data, schema)
-    loss = _loss_from_args(args)
+    loss = LossSpec.from_dict({"kind": args.loss, "gamma": args.gamma})
     cfg = DpSgdConfig(iterations=args.iterations, batch_size=args.batch_size,
-                      learning_rate=args.learning_rate,
-                      clip_norm=math.inf if args.clip_norm == "inf" else float(args.clip_norm),
+                      learning_rate=args.learning_rate, clip_norm=args.clip_norm,
                       lipschitz_L=args.lipschitz, epsilon=args.epsilon, delta=args.delta)
     model = dp_sgd(ds, loss, cfg, np.random.default_rng(args.seed))
     save_model(model, schema, args.out)
@@ -217,10 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema-out", default=None, help="write the derived schema here")
     p.set_defaults(func=_cmd_prep)
 
-    p = sub.add_parser("demo", help="write a demo dataset with a planted linear signal")
+    p = sub.add_parser("demo", help="write a binary-feature demo dataset with a planted linear signal")
     p.add_argument("--out-dir", default="demo_data",
                    help="directory for demo.csv and schema.json")
-    p.add_argument("-m", type=int, default=4, help="number of features")
+    p.add_argument("-m", type=int, default=4, help="number of binary features")
     p.add_argument("-n", type=int, default=2000, help="number of rows")
     p.add_argument("--seed", type=int, default=11)
     p.set_defaults(func=_cmd_demo)
@@ -247,10 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--loss", choices=["logistic", "gamma_margin"], default="logistic")
     p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--tau", default="inf", help="norm budget; 'inf' for unconstrained")
+    p.add_argument("--tau", type=float, default=math.inf, help="norm budget; 'inf' for unconstrained")
     p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--step-size", type=float, default=1.0)
-    p.add_argument("--step-decay", type=float, default=0.5)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.set_defaults(func=_cmd_train)
 
@@ -263,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", "-T", type=int, default=300)
     p.add_argument("--batch-size", "-B", type=int, default=100)
     p.add_argument("--learning-rate", type=float, default=1.0)
-    p.add_argument("--clip-norm", default="1.0")
+    p.add_argument("--clip-norm", type=float, default=1.0, help="'inf' disables clipping")
     p.add_argument("--lipschitz", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=1e-5)

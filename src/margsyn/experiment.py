@@ -1,9 +1,9 @@
 """Experiment orchestration: privacy-budget sweeps with repeated trials.
 
-Each repeat splits the real data and trains the real-data model once.  Each
-(epsilon, repeat) cell then synthesizes from the training split, trains a
-model on the synthetic data, evaluates both on the held-out split, and
-measures the excess empirical risk on the training split (the quantity the
+Each repeat splits the real data, trains the real-data model and scores it
+once.  Each (epsilon, repeat) cell then synthesizes from the training split,
+trains a model on the synthetic data, scores it on the held-out split, and
+measures its excess empirical risk on the training split (the quantity the
 upper bounds speak about).  Seeds are derived per repeat and per cell, so
 results do not depend on execution order; failures are recorded per cell
 rather than aborting the sweep.
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, Schema, SplitSpec, load_csv, split
-from .evaluate import accuracy, empirical_risk, excess_empirical_risk, roc_auc_model
+from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .learn import LinearModel, LossSpec, TrainConfig, train_projected
 from .privacy import PrivacyParams
 from .synth import generate_synthetic
@@ -56,6 +56,8 @@ class ExperimentConfig:
             raise ValueError("epsilon grid must be non-empty")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if not self.tau >= 0:  # NaN fails too
+            raise ValueError(f"tau must be >= 0 ('inf' for unconstrained), got {self.tau}")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
 
     @classmethod
@@ -95,24 +97,19 @@ def _train(ds: Dataset, loss: LossSpec, cfg: ExperimentConfig) -> LinearModel:
     return train_projected(ds, loss, cfg.tau, TrainConfig(max_iters=400))
 
 
-def _run_cell(train: Dataset, test: Dataset, model_real: LinearModel, cfg: ExperimentConfig,
-              eps: float, gen_seed: int) -> tuple[dict, dict]:
-    """The cell's metric columns and its generation report (cfg.delta is set)."""
+def _run_cell(train: Dataset, test: Dataset, loss: LossSpec, real_risk: float,
+              cfg: ExperimentConfig, eps: float, gen_seed: int) -> tuple[dict, dict]:
+    """The cell's synthetic-side columns and its generation report (cfg.delta is set)."""
     # every epsilon > 0 runs; the report flags one above 1 (epsilon_above_stated_range)
     privacy = PrivacyParams(eps, cfg.delta, lam=cfg.lam, allow_large_epsilon=True)
     ds_syn, report = generate_synthetic(train, cfg.d, privacy, mode=cfg.mode, seed=gen_seed)
-    model_syn = _train(ds_syn, model_real.loss, cfg)
+    model_syn = _train(ds_syn, loss, cfg)
     metrics = {
         "sigma": report.sigma,
-        "n_train": train.n,
-        "n_test": test.n,
         "accuracy_syn": accuracy(model_syn, test),
-        "accuracy_real": accuracy(model_real, test),
         "roc_auc_syn": roc_auc_model(model_syn, test),
-        "roc_auc_real": roc_auc_model(model_real, test),
         "risk_syn_test": empirical_risk(model_syn, test),
-        "risk_real_test": empirical_risk(model_real, test),
-        "excess_risk_train": excess_empirical_risk(model_syn, model_real, train),
+        "excess_risk_train": empirical_risk(model_syn, train) - real_risk,
         "normalized_l1_mean": report.nonprivate_normalized_l1_mean,
         "normalized_l1_max": report.nonprivate_normalized_l1_max,
     }
@@ -149,7 +146,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         try:
             train, test = split(ds, SplitSpec(cfg.train_fraction, split_seed))
             cell_cfg = cfg if cfg.delta is not None else replace(cfg, delta=1.0 / train.n**2)
-            model_real = _train(train, LossSpec.from_dict(cfg.loss), cfg)
+            loss = LossSpec.from_dict(cfg.loss)
+            model_real = _train(train, loss, cfg)
+            real = {"n_train": train.n, "n_test": test.n,
+                    "accuracy_real": accuracy(model_real, test),
+                    "roc_auc_real": roc_auc_model(model_real, test),
+                    "risk_real_test": empirical_risk(model_real, test)}
+            real_risk = empirical_risk(model_real, train)  # on the training split
             real_error = None
         except Exception as exc:  # fails every cell of this repeat
             real_error = exc
@@ -161,11 +164,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             try:
                 if real_error is not None:
                     raise real_error
-                metrics, report = _run_cell(train, test, model_real, cell_cfg, eps, row["gen_seed"])
+                metrics, report = _run_cell(train, test, loss, real_risk, cell_cfg, eps, row["gen_seed"])
             except Exception as exc:  # cell failure must not sink the sweep
                 row.update({"status": "failed", "error": repr(exc)})
                 continue
-            row.update(metrics)
+            row.update({**real, **metrics})
             with open(out / "reports" / f"run_eps{eps_index}_rep{repeat}.json", "w") as fh:
                 json.dump(report, fh, indent=2)
                 fh.write("\n")

@@ -17,8 +17,6 @@ import numpy as np
 
 from .dataset import Dataset, Schema, encode_xy
 
-LN2 = math.log(2.0)
-
 
 class LossError(ValueError):
     """Bad loss specification or loss argument outside its domain."""
@@ -46,7 +44,7 @@ def _margin_loss_tail_grad(t: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A convex margin loss with its Lipschitz constant and value at 0.
+    """A convex margin loss; its Lipschitz constant and value at 0 follow from it.
 
     kinds:
       "logistic"     phi(t) = ln(1 + e^-t), 1-Lipschitz, phi(0) = ln 2
@@ -58,21 +56,19 @@ class LossSpec:
     """
 
     kind: str
-    lipschitz_K: float
-    value_at_zero: float
     gamma: float | None = None
     knots_t: tuple[float, ...] | None = None
     knots_v: tuple[float, ...] | None = None
 
     @classmethod
     def logistic(cls) -> "LossSpec":
-        return cls("logistic", lipschitz_K=1.0, value_at_zero=LN2)
+        return cls("logistic")
 
     @classmethod
     def gamma_margin(cls, gamma: float) -> "LossSpec":
         if not 0.0 < gamma < 1.0:
             raise LossError("gamma must lie in (0, 1)")
-        return cls("gamma_margin", lipschitz_K=2.0, value_at_zero=gamma * 9.0 / 8.0, gamma=gamma)
+        return cls("gamma_margin", gamma=gamma)
 
     @classmethod
     def from_table(cls, knots_t, knots_v) -> "LossSpec":
@@ -84,12 +80,20 @@ class LossSpec:
             raise LossError("knot locations must be strictly increasing")
         if not all(math.isfinite(v) for v in ts + vs):
             raise LossError("non-finite entry in loss table")
-        slopes = [(vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)]
-        k = max(abs(s) for s in slopes)
-        if k <= 0:
+        spec = cls("custom", knots_t=ts, knots_v=vs)
+        if spec.lipschitz_K <= 0:
             raise LossError("loss table is constant; Lipschitz constant must be positive")
-        v0 = float(np.interp(0.0, ts, vs))
-        return cls("custom", lipschitz_K=k, value_at_zero=v0, knots_t=ts, knots_v=vs)
+        return spec
+
+    @property
+    def lipschitz_K(self) -> float:
+        if self.kind == "custom":
+            return float(np.max(np.abs(np.diff(self.knots_v) / np.diff(self.knots_t))))
+        return {"logistic": 1.0, "gamma_margin": 2.0}[self.kind]  # gamma_margin: the nominal K
+
+    @property
+    def value_at_zero(self) -> float:
+        return float(self.value(0.0))
 
     def value(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -144,6 +148,8 @@ class LinearModel:
     loss: LossSpec
 
     def __post_init__(self):
+        if not self.tau >= 0:  # NaN fails too
+            raise ValueError(f"tau must be >= 0 (math.inf for unconstrained), got {self.tau}")
         w = np.asarray(self.w, dtype=np.float64).copy()
         if math.isfinite(self.tau) and np.linalg.norm(w) > self.tau * (1.0 + 1e-9) + 1e-15:
             raise ValueError(f"||w||={np.linalg.norm(w):.6g} exceeds tau={self.tau}")
@@ -181,15 +187,18 @@ def _risk_and_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: LossSpec):
     return val, g
 
 
+# Line search: the largest trial step, and the factor that shrinks a rejected one.
+_STEP_SIZE = 1.0
+_STEP_DECAY = 0.5
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     max_iters: int = 500
-    step_size: float = 1.0
-    step_decay: float = 0.5
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.step_size <= 0 or not 0 < self.step_decay < 1 or self.tolerance < 0:
+        if self.max_iters < 1 or not self.tolerance >= 0:  # NaN fails too
             raise ValueError("invalid training configuration")
 
 
@@ -200,6 +209,8 @@ def train_projected(ds: Dataset, spec: LossSpec, tau: float, cfg: TrainConfig | 
     Every accepted step strictly lowers the objective, so the last iterate is
     the best and is returned.  tau may be math.inf for unconstrained training.
     """
+    if not tau >= 0:  # NaN fails too
+        raise ValueError(f"tau must be >= 0 (math.inf for unconstrained), got {tau}")
     cfg = cfg or TrainConfig()
     if ds.n < 1:
         raise ValueError("cannot train on an empty dataset")
@@ -212,7 +223,7 @@ def train_projected(ds: Dataset, spec: LossSpec, tau: float, cfg: TrainConfig | 
     obj, grad = _risk_and_grad(w, X, y, spec)
     if not math.isfinite(obj):
         raise LossError("non-finite loss at the initial point")
-    step = cfg.step_size
+    step = _STEP_SIZE
     for _ in range(cfg.max_iters):
         improved = False
         s = step
@@ -224,12 +235,12 @@ def train_projected(ds: Dataset, spec: LossSpec, tau: float, cfg: TrainConfig | 
             if obj_new < obj:
                 improved = True
                 break
-            s *= cfg.step_decay
+            s *= _STEP_DECAY
         if not improved:
             break
         gain = obj - obj_new
         w, obj, grad = w_new, obj_new, grad_new
-        step = min(s / cfg.step_decay, cfg.step_size)
+        step = min(s / _STEP_DECAY, _STEP_SIZE)
         if gain <= cfg.tolerance * max(1.0, abs(obj)):
             break
     return LinearModel(w, tau, spec)
@@ -334,6 +345,6 @@ def load_model(path: str | Path) -> tuple[LinearModel, str]:
     """Model plus the schema hash it was trained against."""
     with open(path) as fh:
         doc = json.load(fh)
-    tau = math.inf if doc["tau"] == "inf" else float(doc["tau"])
-    model = LinearModel(np.asarray(doc["weights"], dtype=np.float64), tau, LossSpec.from_dict(doc["loss"]))
+    model = LinearModel(np.asarray(doc["weights"], dtype=np.float64), float(doc["tau"]),
+                        LossSpec.from_dict(doc["loss"]))
     return model, doc["schema_hash"]

@@ -218,9 +218,9 @@ class MarginalOperator:
         return np.stack([x[..., o:o + k].sum(axis=-1)
                          for o, k in zip(self.offsets, self.num_bins)], axis=-1)
 
-    def l1_to(self, counts: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Per-query l1 distance between forward(counts) and a concatenated target."""
-        return self.query_sums(np.abs(target - self.forward(counts)))
+    def l1_to(self, marginals: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Per-query l1 distance between two concatenated marginal vectors."""
+        return self.query_sums(np.abs(target - marginals))
 
     def cell_counts(self, ds: Dataset) -> np.ndarray:
         """Number of the dataset's rows in each joint cell."""

@@ -396,8 +396,9 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     mode "brute" uses exhaustive search when the candidate count fits `cap`
     and the greedy descent otherwise; mode "fitted" fits a dense joint
     distribution and samples from it (requires rng).  The stats hold the
-    path that ran ("path": "exhaustive", "greedy" or "fitted"), the max and
-    mean over queries of the l1 distance to the noisy targets
+    path that ran ("path": "exhaustive", "greedy" or "fitted"), the output's
+    marginals in the layout of `nm.operator` ("marginals"), the max and
+    mean over queries of their l1 distance to the noisy targets
     ("l1_to_noisy_max", "l1_to_noisy_mean"), and the fit's iteration count
     and convergence ("fit_iterations", "fit_converged": 0 and None when no
     fit ran).
@@ -420,8 +421,9 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     else:
         raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
 
-    dists = nm.operator.l1_to(nm.operator.cell_counts(ds), nm.target)
-    stats = {"path": path, "l1_to_noisy_max": float(dists.max()),
+    marginals = nm.operator.forward(nm.operator.cell_counts(ds))
+    dists = nm.operator.l1_to(marginals, nm.target)
+    stats = {"path": path, "marginals": marginals, "l1_to_noisy_max": float(dists.max()),
              "l1_to_noisy_mean": float(np.mean(dists)), **fit}
     return ds, stats
 
@@ -495,7 +497,7 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     ds_s, stats = synthesize(ds_real.n, nm, mode, rng=rng, cap=cap)
 
     # evaluation-only diagnostics, outside the mechanism boundary
-    real_l1 = nm.operator.l1_to(nm.operator.cell_counts(ds_s), np.concatenate([e.counts for e in exact]))
+    real_l1 = nm.operator.l1_to(stats["marginals"], np.concatenate([e.counts for e in exact]))
     norm_l1 = real_l1 / ds_real.n if ds_real.n else np.zeros(1)
 
     l1_bound = synthesis_l1_bound(calib.sigma, d, m, schema.max_domain_size, privacy.lam)

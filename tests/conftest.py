@@ -53,7 +53,7 @@ def reference_exhaustive_counts(n: int, nm) -> np.ndarray:
     best_obj = math.inf
     for combo in combinations_with_replacement(range(cells), n):
         counts = np.bincount(np.asarray(combo, dtype=np.int64), minlength=cells).astype(np.float64)
-        obj = float(op.l1_to(counts, target).max())
+        obj = float(op.l1_to(op.forward(counts), target).max())
         if obj < best_obj:
             best_obj = obj
             best_counts = counts

@@ -130,6 +130,13 @@ class TestHardInstanceSchedule:
             hard_instance_schedule(5)
 
 
+@pytest.mark.parametrize("tau", [math.nan, -0.1])
+def test_budget_must_be_non_negative(tau):
+    with pytest.raises(BoundError):
+        BoundInputs(**{**FIXTURE, "tau": tau, "nu": 1.0})
+    assert BoundInputs(**{**FIXTURE, "tau": math.inf, "nu": 1.0}).tau == math.inf
+
+
 def test_reports_are_pure():
     a = lipschitz_excess_risk_bound(BoundInputs(nu=2.5, **FIXTURE))
     b = lipschitz_excess_risk_bound(BoundInputs(nu=2.5, **FIXTURE))

@@ -3,13 +3,14 @@ import csv
 import json
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from margsyn.cli import build_parser, main
-from margsyn.dataset import Schema, load_csv, write_csv
+from margsyn.dataset import Schema, load_csv, split, write_csv
 from margsyn.demo import make_demo_dataset
 from margsyn.experiment import ExperimentConfig, run_experiment
 from margsyn.learn import train_projected
@@ -94,6 +95,14 @@ def test_train_eval_commands(demo_files):
     assert 0.0 <= doc["accuracy"] <= 1.0
     assert 0.0 <= doc["roc_auc"] <= 1.0
     assert doc["excess_empirical_risk"] == 0.0
+
+
+def test_train_command_rejects_nan_tau(demo_files):
+    ds, data, schema, tmp = demo_files
+    model = tmp / "model.json"
+    with pytest.raises(ValueError, match="tau"):
+        main(["train", "--data", data, "--schema", schema, "--out", str(model), "--tau", "nan"])
+    assert not model.exists()
 
 
 def test_dpsgd_command(demo_files):
@@ -232,6 +241,43 @@ def test_pipeline_trains_real_model_once_per_repeat(demo_files, tmp_path, monkey
     assert len(trained) == repeats * (1 + len(epsilons))
 
 
+def test_pipeline_scores_real_model_once_per_repeat(demo_files, tmp_path, monkeypatch):
+    from margsyn import experiment
+    train_parts, real_models, scored = [], [], []
+
+    def splitting(*args, **kwargs):
+        parts = split(*args, **kwargs)
+        train_parts.append(parts[0])
+        return parts
+
+    def training(ds, *args, **kwargs):
+        model = train_projected(ds, *args, **kwargs)
+        if any(ds is part for part in train_parts):
+            real_models.append(model)
+        return model
+
+    def counting(name, fn):
+        def wrapper(model, ds):
+            if any(model is real for real in real_models):
+                scored.append((name, id(model), id(ds)))
+            return fn(model, ds)
+        return wrapper
+
+    monkeypatch.setattr(experiment, "split", splitting)
+    monkeypatch.setattr(experiment, "train_projected", training)
+    for name in ("accuracy", "roc_auc_model", "empirical_risk"):
+        monkeypatch.setattr(experiment, name, counting(name, getattr(experiment, name)))
+    ds, data, schema, tmp = demo_files
+    cfg = ExperimentConfig(
+        data_path=data, schema_path=schema, out_dir=str(tmp_path / "out_s"),
+        epsilons=(0.5, 1.0), repeats=2, d=2, tau=math.inf, base_seed=4)
+    assert run_experiment(cfg).all_ok
+    assert len(real_models) == 2
+    assert len(set(scored)) == len(scored)  # no model is scored twice on the same data
+    assert Counter(name for name, _, _ in scored) == {"accuracy": 2, "roc_auc_model": 2,
+                                                       "empirical_risk": 4}
+
+
 def test_failed_split_fails_every_cell_of_its_repeat(tmp_path):
     ds = make_demo_dataset(m=2, n=3, seed=1)
     data, schema = tmp_path / "tiny.csv", tmp_path / "schema.json"
@@ -262,6 +308,19 @@ def test_aggregates_match_run_means(demo_files, tmp_path):
     assert result.aggregates[0]["accuracy_syn_mean"] == pytest.approx(np.mean(accs), abs=1e-12)
     assert result.aggregates[0]["excess_risk_train_mean"] == pytest.approx(
         np.mean([r["excess_risk_train"] for r in result.runs]), abs=1e-12)
+
+
+@pytest.mark.parametrize("tau", [math.nan, -1.0])
+def test_config_with_bad_tau_fails(tmp_path, tau):
+    doc = {"data_path": "d.csv", "schema_path": "s.json", "out_dir": str(tmp_path),
+           "epsilons": [1.0], "repeats": 1, "d": 2, "tau": tau}
+    with pytest.raises(ValueError, match="tau"):
+        ExperimentConfig.from_dict(doc)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))  # NaN is written as the bare token NaN
+    with pytest.raises(ValueError, match="tau"):
+        main(["pipeline", "--config", str(cfg_path)])
+    assert not (tmp_path / "runs.csv").exists()
 
 
 def test_config_with_unknown_key_fails(tmp_path):
@@ -303,3 +362,19 @@ def test_readme_cli_table_matches_parser():
                     listed = token.strip("{}").split(",")
                     assert flag is not None and list(options[flag].choices) == listed, \
                         f"README lists {command} {flag} {token}"
+
+
+
+@pytest.mark.parametrize("command", sorted(_readme_cli_rows()))
+def test_readme_cli_flags_parse(command):
+    """Each flag the README lists for a subcommand parses, with a value, after that subcommand."""
+    parser = build_parser()
+    subparser = next(a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices[command]
+    required = [arg for a in subparser._actions if a.required for arg in (a.option_strings[0], "x")]
+    spans = " ".join(re.findall(r"`([^`]*)`", _readme_cli_rows()[command]))
+    for flag in re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", spans):
+        action = subparser._option_string_actions.get(flag)
+        assert action is not None, f"README lists {command} {flag}, the parser has no such flag"
+        value = [] if action.nargs == 0 else [action.choices[0] if action.choices else "1"]
+        assert parser.parse_args([command, *required, flag, *value]).command == command

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -85,6 +86,18 @@ class TestLossValues:
                      LossSpec.from_table((-1.0, 1.0), (1.0, 0.0))):
             assert LossSpec.from_dict(spec.to_dict()) == spec
 
+    def test_constants_follow_from_the_loss(self):
+        assert [f.name for f in dataclasses.fields(LossSpec)] == ["kind", "gamma", "knots_t", "knots_v"]
+        with pytest.raises(TypeError):
+            LossSpec("logistic", lipschitz_K=5.0, value_at_zero=0.0)
+        spec = LossSpec.from_table((-2.0, 0.5, 1.0), (3.0, 0.5, 0.0))
+        with pytest.raises(AttributeError):
+            spec.lipschitz_K = 3.0
+        assert spec.to_dict() == {"kind": "custom", "lipschitz_K": 1.0, "value_at_zero": 1.0,
+                                  "knots_t": [-2.0, 0.5, 1.0], "knots_v": [3.0, 0.5, 0.0]}
+        assert LossSpec.gamma_margin(0.5).to_dict() == {
+            "kind": "gamma_margin", "lipschitz_K": 2.0, "value_at_zero": 0.5625, "gamma": 0.5}
+
 
 class TestGradients:
     @pytest.mark.parametrize("kind", ["logistic", "gamma_margin"])
@@ -156,6 +169,22 @@ class TestTrainProjected:
         ds = Dataset(schema, np.zeros((0, 2), dtype=np.int64))
         with pytest.raises(ValueError):
             train_projected(ds, LossSpec.logistic(), 1.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, -0.5, -math.inf])
+    def test_bad_budget_is_rejected_before_any_work(self, tau, monkeypatch):
+        from margsyn import learn
+
+        def no_work(ds):
+            raise AssertionError("training started with an invalid budget")
+
+        monkeypatch.setattr(learn, "encode_xy", no_work)
+        ds = Dataset(Schema(("a", "label"), (2, 2)), np.array([[0, 0], [1, 1]]))
+        with pytest.raises(ValueError, match="tau"):
+            train_projected(ds, LossSpec.logistic(), tau)
+
+    def test_nan_tolerance_is_rejected(self):
+        with pytest.raises(ValueError):
+            TrainConfig(tolerance=math.nan)
 
 
 class TestDpSgd:
@@ -236,6 +265,13 @@ class TestPredict:
 def test_norm_invariant_enforced():
     with pytest.raises(ValueError):
         LinearModel(np.array([3.0, 4.0]), 1.0, LossSpec.logistic())
+
+
+@pytest.mark.parametrize("tau", [math.nan, -1.0])
+def test_model_budget_must_be_non_negative(tau):
+    with pytest.raises(ValueError, match="tau"):
+        LinearModel(np.zeros(2), tau, LossSpec.logistic())
+    assert LinearModel(np.array([3.0, 4.0]), math.inf, LossSpec.logistic()).tau == math.inf
 
 
 def test_model_file_round_trip(tmp_path, three_binary_schema):

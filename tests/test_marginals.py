@@ -177,7 +177,7 @@ class TestMarginalOperator:
         rng = np.random.default_rng(seed)
         noisy = [Marginal(q, compute_marginal(ds, q).counts + rng.normal(0.0, 2.0, k), exact=False)
                  for q, k in zip(queries, op.num_bins)]
-        got = op.l1_to(op.cell_counts(ds), np.concatenate([m.counts for m in noisy]))
+        got = op.l1_to(op.forward(op.cell_counts(ds)), np.concatenate([m.counts for m in noisy]))
         want = [l1_distance(m, compute_marginal(ds, m.query)) for m in noisy]
         assert got.tolist() == want
 

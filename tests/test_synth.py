@@ -211,8 +211,9 @@ class TestBruteMatchesTheLoop:
         real = Dataset(three_binary_schema, np.array([[0, 0, 1, 0], [0, 1, 1, 0], [1, 1, 1, 0]]))
         nm = noisy_set_over(real, enumerate_queries(3, 1), 0.0, seed=0)
         combos = list(itertools.combinations_with_replacement(range(16), 3))
-        objs = np.array([nm.operator.l1_to(np.bincount(c, minlength=16).astype(np.float64),
-                                           nm.target).max() for c in combos])
+        op = nm.operator
+        objs = np.array([op.l1_to(op.forward(np.bincount(c, minlength=16).astype(np.float64)),
+                                  nm.target).max() for c in combos])
         ties = np.flatnonzero(objs == objs.min())
         assert len(combos) > 3 * _SCAN_BATCH
         assert _SCAN_BATCH <= ties[0] and ties[0] // _SCAN_BATCH < ties[-1] // _SCAN_BATCH
@@ -713,6 +714,32 @@ class TestMechanism:
             monkeypatch.setattr(synth, name, no_work)
         with pytest.raises(SynthesisError, match="non-negative"):
             synthesize(-1, nm, mode, rng=np.random.default_rng(0), cap=cap)
+
+    @pytest.mark.parametrize("mode, cap, path", [("brute", 10_000, "exhaustive"), ("brute", 0, "greedy"),
+                                                 ("fitted", 10_000, "fitted")],
+                             ids=["exhaustive", "greedy", "fitted"])
+    def test_output_is_counted_once(self, three_binary_schema, mode, cap, path, monkeypatch):
+        # the synthesizer's marginals of its output serve both the noisy and the real diagnostics
+        counted = []
+
+        def counting(op, ds):
+            counted.append(ds.n)
+            return cell_counts_of(op, ds)
+
+        cell_counts_of = MarginalOperator.cell_counts
+        monkeypatch.setattr(MarginalOperator, "cell_counts", counting)
+        real = random_dataset(three_binary_schema, 3, seed=7)
+        _, report = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-4), mode=mode, seed=5, cap=cap)
+        assert report.path == path
+        assert counted == [3]
+
+    def test_stats_hold_the_output_marginals(self, three_binary_schema):
+        real = random_dataset(three_binary_schema, 30, seed=3)
+        nm = noisy_set_from(real, 2, 1.0, 4)
+        ds_s, stats = synthesize(real.n, nm, "fitted", rng=np.random.default_rng(0))
+        want = np.concatenate([compute_marginal(ds_s, m.query).counts for m in nm.marginals])
+        assert np.array_equal(stats["marginals"], want)
+        assert stats["l1_to_noisy_max"] == float(nm.operator.l1_to(want, nm.target).max())
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode", ["brute", "fitted"])
