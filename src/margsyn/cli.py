@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .dataset import Schema, load_csv, load_raw_csv, preprocess, rules_from_dict, write_csv
 from .demo import make_demo_dataset
-from .evaluate import accuracy, empirical_risk, excess_empirical_risk, roc_auc_model
+from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .experiment import ExperimentConfig, run_experiment
 from .learn import (DpSgdConfig, LossSpec, TrainConfig, dp_sgd, load_model,
                     save_model, train_projected)
@@ -115,7 +115,7 @@ def _cmd_eval(args) -> int:
     }
     if args.baseline_model:
         baseline, _ = load_model(args.baseline_model)
-        doc["excess_empirical_risk"] = excess_empirical_risk(model, baseline, ds)
+        doc["excess_empirical_risk"] = doc["empirical_risk"] - empirical_risk(baseline, ds)
     if args.out:
         _write_json(doc, args.out)
     print(json.dumps(doc, indent=2))

@@ -14,7 +14,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,9 @@ class DomainError(ValueError):
 
 
 MISSING_TOKENS = frozenset({"", "?", "na", "n/a", "nan", "none", "null"})
+
+# Largest value a row key may reach before it is re-ranked (int64 max).
+_KEY_LIMIT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,13 @@ class Schema:
         return hashlib.sha256(blob).hexdigest()
 
 
+class WeightedRows(NamedTuple):
+    """A dataset's distinct rows in cell order and how often each occurs."""
+
+    codes: np.ndarray   # shape (k, num_attributes), k distinct rows
+    counts: np.ndarray  # shape (k,), int64 multiplicities summing to n
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable multiset of coded rows.  Row order carries no meaning."""
@@ -126,25 +138,61 @@ class Dataset:
     def n(self) -> int:
         return self.codes.shape[0]
 
+    @cached_property
+    def weighted(self) -> WeightedRows:
+        """Distinct rows in cell order (row-major over schema.sizes) with their counts.
+
+        Each row's key is its mixed-radix cell index, key * size + code, built
+        column by column in int64.  Before a step could overflow, the key is
+        replaced by its rank among the keys so far, which keeps their order,
+        so every schema works, however many cells it has.  Every quantity of
+        the empirical distribution (risk, scores, marginals) reads this view.
+        """
+        key = np.zeros(self.n, dtype=np.int64)
+        bound = 1  # every key lies in [0, bound)
+        for col, size in zip(self.codes.T, self.schema.sizes):
+            if bound > _KEY_LIMIT // size:
+                distinct, key = np.unique(key, return_inverse=True)
+                bound = len(distinct)
+            key = key * size + col
+            bound *= size
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        codes = self.codes[first]
+        codes.setflags(write=False)
+        counts.setflags(write=False)
+        return WeightedRows(codes, counts)
+
     def row_multiset(self) -> dict[tuple[int, ...], int]:
         """Rows with multiplicities, for multiset comparisons."""
-        out: dict[tuple[int, ...], int] = {}
-        for row in self.codes:
-            key = tuple(int(c) for c in row)
-            out[key] = out.get(key, 0) + 1
-        return out
+        codes, counts = self.weighted
+        return dict(zip(map(tuple, codes.tolist()), counts.tolist()))
+
+
+def _encode_codes(schema: Schema, codes: np.ndarray) -> np.ndarray:
+    sizes = np.asarray(schema.sizes, dtype=np.float64)
+    return 2.0 * codes.astype(np.float64) / (sizes - 1.0) - 1.0
 
 
 def encode(ds: Dataset) -> np.ndarray:
     """Numeric view of a dataset: shape (n, m+1), features in [-1,1], label in {-1,1}."""
-    sizes = np.asarray(ds.schema.sizes, dtype=np.float64)
-    return 2.0 * ds.codes.astype(np.float64) / (sizes - 1.0) - 1.0
+    return _encode_codes(ds.schema, ds.codes)
 
 
 def encode_xy(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Split numeric view into the feature matrix and the +-1 label vector."""
     mat = encode(ds)
     return mat[:, :-1], mat[:, -1]
+
+
+def encode_weighted(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Features, +-1 labels and counts of the dataset's distinct rows (`Dataset.weighted`).
+
+    Each distinct row encodes to the same values as each of its copies in
+    `encode_xy`, so a count-weighted sum over these rows is a sum over all n.
+    """
+    codes, counts = ds.weighted
+    mat = _encode_codes(ds.schema, codes)
+    return mat[:, :-1], mat[:, -1], counts
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,17 @@
-"""Train-on-synthetic-test-on-real metrics: accuracy, ROC-AUC, empirical risk."""
+"""Train-on-synthetic-test-on-real metrics: accuracy, ROC-AUC, empirical risk.
+
+Each metric depends only on which rows occur and how often, so the model
+scores the dataset's weighted distinct rows (`Dataset.weighted`) once and
+each metric weights a row's result by its count.  Accuracy and ROC-AUC are
+sums of integer (or half-integer) counts, exact in float64, so they equal
+the row-by-row figures bit for bit.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, encode_xy
+from .dataset import Dataset, encode_weighted
 from .learn import LinearModel, predict
 
 
@@ -12,46 +19,45 @@ def accuracy(model: LinearModel, ds: Dataset) -> float:
     """Fraction of rows whose predicted sign matches the label."""
     if ds.n == 0:
         raise ValueError("accuracy needs a non-empty dataset")
-    X, y = encode_xy(ds)
+    X, y, counts = encode_weighted(ds)
     labels, _ = predict(model, X)
-    return float(np.mean(labels == y))
+    return float(counts[labels == y].sum() / ds.n)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean of their rank span."""
-    _, inv, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
+def _weighted_auc(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
+    """ROC-AUC of scored rows that hold pos positives and neg negatives each.
+
+    Over the groups g of equal score, U = sum_g p_g * (negatives below g) +
+    p_g * n_g / 2, and AUC = U / (n_pos * n_neg).  Every term is a whole or
+    half count, so U is exact in float64.
+    """
+    _, group = np.unique(scores, return_inverse=True)
+    p = np.bincount(group, weights=pos)
+    q = np.bincount(group, weights=neg)
+    n_pos, n_neg = p.sum(), q.sum()
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("ROC-AUC needs both classes present")
+    below = np.cumsum(q) - q
+    return float(p @ (below + 0.5 * q)) / float(n_pos * n_neg)
 
 
 def roc_auc(scores, labels) -> float:
-    """P(score_+ > score_-) + P(tie)/2, by rank summation with average ranks."""
+    """P(score_+ > score_-) + P(tie)/2 over rows with +-1 labels."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    n_pos = int(np.sum(labels > 0))
-    n_neg = int(np.sum(labels <= 0))
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("ROC-AUC needs both classes present")
-    ranks = _average_ranks(scores)
-    rank_sum_pos = float(ranks[labels > 0].sum())
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return _weighted_auc(scores, labels > 0, labels <= 0)
 
 
 def roc_auc_model(model: LinearModel, ds: Dataset) -> float:
-    X, y = encode_xy(ds)
+    X, y, counts = encode_weighted(ds)
     _, scores = predict(model, X)
-    return roc_auc(scores, y)
+    return _weighted_auc(scores, np.where(y > 0, counts, 0), np.where(y <= 0, counts, 0))
 
 
 def empirical_risk(model: LinearModel, ds: Dataset) -> float:
     """Mean loss (1/n) sum phi(<w, x> y) under the model's loss spec."""
     if ds.n == 0:
         raise ValueError("empirical risk needs a non-empty dataset")
-    X, y = encode_xy(ds)
+    X, y, counts = encode_weighted(ds)
     _, scores = predict(model, X)
-    return float(np.mean(model.loss.value(scores * y)))
-
-
-def excess_empirical_risk(model_syn: LinearModel, model_real: LinearModel,
-                          ds: Dataset) -> float:
-    """Signed risk gap L(w_s, D) - L(w_r, D) on the same evaluation data."""
-    return empirical_risk(model_syn, ds) - empirical_risk(model_real, ds)
+    return float(counts @ model.loss.value(scores * y)) / ds.n

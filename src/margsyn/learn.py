@@ -2,8 +2,12 @@
 
 Models are weight vectors w with ||w||_2 <= tau scoring a sample as <w, x>;
 training minimizes the empirical risk (1/n) sum phi(<w, x> y) by projected
-gradient descent with backtracking.  A noisy-gradient variant with per-sample
-clipping provides the differentially-private baseline trainer.
+gradient descent with backtracking.  The risk depends only on which rows
+occur and how often, so training runs on the dataset's weighted distinct
+rows (`Dataset.weighted`): at most min(n, cells) rows, each weighted by its
+count.  A noisy-gradient variant with per-sample clipping provides the
+differentially-private baseline trainer; it samples row indices, so it runs
+on all n rows.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema, encode_xy
+from .dataset import Dataset, Schema, encode_weighted, encode_xy
 
 
 class LossError(ValueError):
@@ -158,13 +162,20 @@ class LinearModel:
 
 
 def predict(model: LinearModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Labels (+1 on ties) and raw scores <w, x> for one vector or a matrix."""
+    """Labels (+1 on ties) and raw scores <w, x> for one vector or a matrix.
+
+    Each score is summed in column order, so it depends on its row alone: a
+    BLAS matrix-vector product rounds a row differently by its position in
+    the matrix, and scoring distinct rows must give each copy's score.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     xm = x[None, :] if single else x
     if xm.shape[1] != model.w.shape[0]:
         raise ValueError(f"feature dimension {xm.shape[1]} != model dimension {model.w.shape[0]}")
-    scores = xm @ model.w
+    scores = np.zeros(xm.shape[0])
+    for col, wj in zip(xm.T, model.w):
+        scores = scores + col * wj
     labels = np.where(scores >= 0.0, 1.0, -1.0)
     if single:
         return labels[0], float(scores[0])
@@ -180,10 +191,11 @@ def _project_ball(w: np.ndarray, tau: float) -> np.ndarray:
     return w * (tau / norm)
 
 
-def _risk_and_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: LossSpec):
+def _risk_and_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, c: np.ndarray, n: int, spec: LossSpec):
+    """Risk c.phi(t)/n and its gradient X^T(c * phi'(t) * y)/n over rows weighted by counts c."""
     t = (X @ w) * y
-    val = float(np.mean(spec.value(t)))
-    g = (X.T @ (spec.grad(t) * y)) / X.shape[0]
+    val = float(c @ spec.value(t)) / n
+    g = (X.T @ (c * spec.grad(t) * y)) / n
     return val, g
 
 
@@ -205,7 +217,8 @@ class TrainConfig:
 def train_projected(ds: Dataset, spec: LossSpec, tau: float, cfg: TrainConfig | None = None) -> LinearModel:
     """Minimize the empirical risk over ||w|| <= tau.
 
-    Projected gradient descent from w = 0 with backtracking line search.
+    Projected gradient descent from w = 0 with backtracking line search, on
+    the weighted distinct rows of ds.
     Every accepted step strictly lowers the objective, so the last iterate is
     the best and is returned.  tau may be math.inf for unconstrained training.
     """
@@ -214,13 +227,14 @@ def train_projected(ds: Dataset, spec: LossSpec, tau: float, cfg: TrainConfig | 
     cfg = cfg or TrainConfig()
     if ds.n < 1:
         raise ValueError("cannot train on an empty dataset")
-    X, y = encode_xy(ds)
+    X, y, counts = encode_weighted(ds)
+    c = counts.astype(np.float64)
     m = X.shape[1]
     if tau == 0.0:
         return LinearModel(np.zeros(m), tau, spec)
 
     w = np.zeros(m)
-    obj, grad = _risk_and_grad(w, X, y, spec)
+    obj, grad = _risk_and_grad(w, X, y, c, ds.n, spec)
     if not math.isfinite(obj):
         raise LossError("non-finite loss at the initial point")
     step = _STEP_SIZE
@@ -229,7 +243,7 @@ def train_projected(ds: Dataset, spec: LossSpec, tau: float, cfg: TrainConfig | 
         s = step
         for _ in range(40):
             w_new = _project_ball(w - s * grad, tau)
-            obj_new, grad_new = _risk_and_grad(w_new, X, y, spec)
+            obj_new, grad_new = _risk_and_grad(w_new, X, y, c, ds.n, spec)
             if not math.isfinite(obj_new):
                 raise LossError("non-finite loss during training")
             if obj_new < obj:
@@ -259,7 +273,6 @@ class DpSgdConfig:
     lipschitz_L: float
     epsilon: float
     delta: float
-    sigma_override: float | None = None  # test hook; None derives sigma from the formula
 
     def __post_init__(self):
         ok = (self.iterations > 0 and self.batch_size > 0 and self.learning_rate > 0
@@ -287,15 +300,15 @@ def dp_sgd(ds: Dataset, spec: LossSpec, cfg: DpSgdConfig, rng: np.random.Generat
 
     Batches are sampled uniformly with replacement; each per-sample gradient is
     scaled by 1/max(1, ||g||/C); noise is added to the averaged batch gradient.
-    Returns the final (unprojected) iterate.  With sigma_override=0 the noise
-    draw is skipped entirely, so the trajectory matches plain_sgd under a
-    shared generator state.
+    Returns the final (unprojected) iterate.  When the noise variance is 0
+    the noise draw is skipped entirely, so the trajectory matches plain_sgd
+    under a shared generator state.
     """
     if cfg.batch_size > ds.n:
         raise ValueError(f"batch size {cfg.batch_size} exceeds dataset size {ds.n}")
     X, y = encode_xy(ds)
     m = X.shape[1]
-    sigma = math.sqrt(dp_sgd_sigma_sq(cfg, ds.n)) if cfg.sigma_override is None else cfg.sigma_override
+    sigma = math.sqrt(dp_sgd_sigma_sq(cfg, ds.n))
     w = np.zeros(m)
     for _ in range(cfg.iterations):
         idx = rng.integers(0, ds.n, size=cfg.batch_size)

@@ -92,16 +92,16 @@ def query_count(m: int, d: int) -> int:
 
 
 def compute_marginal(ds: Dataset, q: MarginalQuery) -> Marginal:
-    """Exact occurrence counts of every value combination of q's attributes."""
+    """Exact occurrence counts of every value combination of q's attributes.
+
+    Counted over the dataset's distinct rows, each weighted by its count:
+    whole-number sums, so the same floats as counting row by row.
+    """
     q.validate(ds.schema)
     shape = ds.schema.shape(q.attrs)
-    ncells = int(np.prod(shape))
-    if ds.n == 0:
-        return Marginal(q, np.zeros(ncells), exact=True)
-    sub = ds.codes[:, list(q.attrs)]
-    flat = np.ravel_multi_index(tuple(sub.T), shape)
-    counts = np.bincount(flat, minlength=ncells).astype(np.float64)
-    return Marginal(q, counts, exact=True)
+    codes, counts = ds.weighted
+    flat = np.ravel_multi_index(tuple(codes[:, list(q.attrs)].T), shape)
+    return Marginal(q, np.bincount(flat, weights=counts, minlength=int(np.prod(shape))), exact=True)
 
 
 # Largest side of a dense factor of MarginalOperator.transform.  It bounds
@@ -223,9 +223,11 @@ class MarginalOperator:
         return self.query_sums(np.abs(target - marginals))
 
     def cell_counts(self, ds: Dataset) -> np.ndarray:
-        """Number of the dataset's rows in each joint cell."""
-        flat = np.ravel_multi_index(tuple(ds.codes.T), self.schema.sizes)
-        return np.bincount(flat, minlength=self.num_cells).astype(np.float64)
+        """Number of the dataset's rows in each joint cell, from its weighted distinct rows."""
+        codes, counts = ds.weighted
+        flat = np.ravel_multi_index(tuple(codes.T), self.schema.sizes)
+        # float64 even for an empty dataset, where bincount returns integers
+        return np.bincount(flat, weights=counts, minlength=self.num_cells).astype(np.float64)
 
 
 def l1_distance(a: Marginal, b: Marginal) -> float:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from margsyn.dataset import Dataset, Schema
+from margsyn.dataset import Dataset, Schema, encode_xy
+from margsyn.learn import predict
 from margsyn.marginals import compute_marginal
 from margsyn.synth import _largest_remainder_round
 
@@ -34,6 +35,48 @@ def random_dataset(schema: Schema, n: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     codes = np.column_stack([rng.integers(0, s, size=n) for s in schema.sizes])
     return Dataset(schema, codes)
+
+
+def reference_risk_and_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec):
+    """The row-by-row risk (1/n) sum phi(t) and its gradient over all n rows."""
+    t = (X @ w) * y
+    val = float(np.mean(spec.value(t)))
+    g = (X.T @ (spec.grad(t) * y)) / X.shape[0]
+    return val, g
+
+
+def reference_average_ranks(values: np.ndarray) -> np.ndarray:
+    """Tie spans walked one by one: each gets the mean of its 1-based ranks."""
+    order = np.argsort(values, kind="mergesort")
+    sorted_vals = values[order]
+    ranks = np.empty(values.shape[0], dtype=np.float64)
+    i = 0
+    while i < values.shape[0]:
+        j = i
+        while j + 1 < values.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def reference_roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Mann-Whitney rank sum over every row: (R_+ - n_+(n_+ + 1)/2) / (n_+ n_-)."""
+    n_pos = int(np.sum(labels > 0))
+    n_neg = int(np.sum(labels <= 0))
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("ROC-AUC needs both classes present")
+    rank_sum_pos = float(reference_average_ranks(scores)[labels > 0].sum())
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def reference_scores(model, ds: Dataset) -> dict:
+    """Accuracy, ROC-AUC (None with one class) and empirical risk, row by row over all n rows."""
+    X, y = encode_xy(ds)
+    labels, scores = predict(model, X)
+    auc = reference_roc_auc(scores, y) if len(set(y.tolist())) == 2 else None
+    return {"accuracy": float(np.mean(labels == y)), "roc_auc": auc,
+            "empirical_risk": float(np.mean(model.loss.value(scores * y)))}
 
 
 def dense_marginal_matrix(schema: Schema, queries) -> np.ndarray:

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from margsyn import learn
 from margsyn.bounds import BoundInputs, lipschitz_excess_risk_bound, logistic_excess_risk_bound
 from margsyn.dataset import Dataset, Schema, SplitSpec, encode_xy, split, write_csv
 from margsyn.demo import make_demo_dataset
@@ -296,7 +297,7 @@ def test_criterion_8_sampler_conservation():
                 True, f"{elapsed:.1f}s")
 
 
-def test_criterion_9_noisy_gradient_calibration(three_binary_schema):
+def test_criterion_9_noisy_gradient_calibration(three_binary_schema, monkeypatch):
     t0 = time.perf_counter()
     rng = np.random.default_rng(909)
     for _ in range(20):
@@ -315,8 +316,8 @@ def test_criterion_9_noisy_gradient_calibration(three_binary_schema):
     ds = random_dataset(three_binary_schema, 150, seed=33)
     spec = LossSpec.logistic()
     cfg = DpSgdConfig(iterations=80, batch_size=25, learning_rate=0.4,
-                      clip_norm=math.inf, lipschitz_L=1.0, epsilon=1.0,
-                      delta=1e-5, sigma_override=0.0)
+                      clip_norm=math.inf, lipschitz_L=1.0, epsilon=1.0, delta=1e-5)
+    monkeypatch.setattr(learn, "dp_sgd_sigma_sq", lambda cfg, n: 0.0)  # the zero-noise path
     a = dp_sgd(ds, spec, cfg, np.random.default_rng(2024))
     b = plain_sgd(ds, spec, 80, 25, 0.4, np.random.default_rng(2024))
     assert np.array_equal(a.w, b.w)

@@ -9,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from margsyn import cli
 from margsyn.cli import build_parser, main
 from margsyn.dataset import Schema, load_csv, split, write_csv
 from margsyn.demo import make_demo_dataset
+from margsyn.evaluate import empirical_risk
 from margsyn.experiment import ExperimentConfig, run_experiment
-from margsyn.learn import train_projected
+from margsyn.learn import LinearModel, LossSpec, save_model, train_projected
 
 
 @pytest.fixture
@@ -95,6 +97,25 @@ def test_train_eval_commands(demo_files):
     assert 0.0 <= doc["accuracy"] <= 1.0
     assert 0.0 <= doc["roc_auc"] <= 1.0
     assert doc["excess_empirical_risk"] == 0.0
+
+
+def test_eval_excess_risk_is_signed_gap(demo_files, monkeypatch):
+    # moved from the deleted evaluate.excess_empirical_risk onto the command's output
+    ds, data, schema, tmp = demo_files
+    m1 = LinearModel(np.array([0.4, 0.0, 0.0]), math.inf, LossSpec.logistic())
+    m2 = LinearModel(np.array([0.0, 0.3, 0.0]), math.inf, LossSpec.logistic())
+    save_model(m1, ds.schema, tmp / "m1.json")
+    save_model(m2, ds.schema, tmp / "m2.json")
+    scored = []
+    monkeypatch.setattr(cli, "empirical_risk", lambda model, d: scored.append(model) or empirical_risk(model, d))
+    rc = main(["eval", "--model", str(tmp / "m1.json"), "--data", data, "--schema", schema,
+               "--out", str(tmp / "metrics.json"), "--baseline-model", str(tmp / "m2.json")])
+    assert rc == 0
+    doc = json.loads((tmp / "metrics.json").read_text())
+    assert doc["empirical_risk"] == empirical_risk(m1, ds)
+    assert doc["excess_empirical_risk"] == empirical_risk(m1, ds) - empirical_risk(m2, ds)
+    assert doc["excess_empirical_risk"] != 0.0
+    assert [m.w.tolist() for m in scored] == [m1.w.tolist(), m2.w.tolist()]  # each risk once
 
 
 def test_train_command_rejects_nan_tau(demo_files):

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from margsyn.dataset import Dataset, Schema
-from margsyn.evaluate import (_average_ranks, accuracy, empirical_risk,
-                              excess_empirical_risk, roc_auc, roc_auc_model)
+from margsyn.evaluate import accuracy, empirical_risk, roc_auc, roc_auc_model
 from margsyn.learn import LinearModel, LossSpec
 
-from conftest import random_dataset
+from conftest import random_dataset, reference_roc_auc
 
 LN2 = math.log(2.0)
 
@@ -88,31 +87,23 @@ class TestRocAuc:
         assert transformed == pytest.approx(base, abs=1e-12)
 
 
-def reference_average_ranks(values: np.ndarray) -> np.ndarray:
-    """Tie spans walked one by one: each gets the mean of its 1-based ranks."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    ranks = np.empty(values.shape[0], dtype=np.float64)
-    i = 0
-    while i < values.shape[0]:
-        j = i
-        while j + 1 < values.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+class TestRankSum:
+    def test_tied_scores_count_half(self):
+        # positives score (0.3, 0.0, 1.0), negatives (-0.0, 0.3, 0.3); 0.0 ties -0.0
+        scores = [0.3, -0.0, 0.3, 0.0, 1.0, 0.3]
+        labels = [1, -1, -1, 1, 1, -1]
+        assert roc_auc(scores, labels) == 5.5 / 9.0
 
-
-class TestAverageRanks:
-    def test_ties_share_the_mean_rank(self):
-        got = _average_ranks(np.array([0.3, -0.0, 0.3, 0.0, 1.0, 0.3]))
-        assert got.tolist() == [4.0, 1.5, 4.0, 1.5, 6.0, 4.0]
-
-    @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0]), max_size=60)
-           | st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=60))
-    def test_matches_reference_loop(self, values):
-        values = np.array(values, dtype=np.float64)
-        assert np.array_equal(_average_ranks(values), reference_average_ranks(values))
+    @given(st.lists(st.tuples(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0]),
+                              st.sampled_from([-1, 1])), min_size=2, max_size=60)
+           | st.lists(st.tuples(st.floats(-1e3, 1e3, allow_nan=False), st.sampled_from([-1, 1])),
+                      min_size=2, max_size=60))
+    def test_matches_rank_sum_reference(self, pairs):
+        scores = np.array([p[0] for p in pairs], dtype=np.float64)
+        labels = np.array([p[1] for p in pairs], dtype=np.float64)
+        if len(set(labels.tolist())) < 2:
+            return
+        assert roc_auc(scores, labels) == reference_roc_auc(scores, labels)
 
 
 class TestEmpiricalRisk:
@@ -134,13 +125,6 @@ class TestEmpiricalRisk:
         model = model_with([0.2, -0.5, 0.1])
         assert empirical_risk(model, union) == pytest.approx(
             0.5 * (empirical_risk(model, a) + empirical_risk(model, b)), rel=1e-12)
-
-    def test_excess_risk_is_signed_gap(self, three_binary_schema):
-        ds = random_dataset(three_binary_schema, 30, seed=7)
-        m1 = model_with([0.4, 0.0, 0.0])
-        m2 = model_with([0.0, 0.3, 0.0])
-        gap = excess_empirical_risk(m1, m2, ds)
-        assert gap == pytest.approx(empirical_risk(m1, ds) - empirical_risk(m2, ds))
 
 
 def test_roc_auc_model_consistent(three_binary_schema):

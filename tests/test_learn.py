@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from margsyn import learn
 from margsyn.dataset import Dataset, Schema, encode_xy
 from margsyn.learn import (DpSgdConfig, LinearModel, LossError, LossSpec, TrainConfig,
                            clip_rows, dp_sgd, dp_sgd_sigma_sq, gamma_margin_loss,
@@ -177,7 +178,7 @@ class TestTrainProjected:
         def no_work(ds):
             raise AssertionError("training started with an invalid budget")
 
-        monkeypatch.setattr(learn, "encode_xy", no_work)
+        monkeypatch.setattr(learn, "encode_weighted", no_work)
         ds = Dataset(Schema(("a", "label"), (2, 2)), np.array([[0, 0], [1, 1]]))
         with pytest.raises(ValueError, match="tau"):
             train_projected(ds, LossSpec.logistic(), tau)
@@ -210,15 +211,20 @@ class TestDpSgd:
         small = clip_rows(np.full((2, 2), 1e-3), 10.0)
         assert np.allclose(small, 1e-3)  # below the cap rows pass through
 
-    def test_zero_noise_hook_matches_plain_sgd(self, three_binary_schema):
+    def test_zero_noise_hook_matches_plain_sgd(self, three_binary_schema, monkeypatch):
         ds = random_dataset(three_binary_schema, 120, seed=5)
         spec = LossSpec.logistic()
         cfg = DpSgdConfig(iterations=60, batch_size=20, learning_rate=0.5,
-                          clip_norm=math.inf, lipschitz_L=1.0, epsilon=1.0,
-                          delta=1e-5, sigma_override=0.0)
+                          clip_norm=math.inf, lipschitz_L=1.0, epsilon=1.0, delta=1e-5)
+        monkeypatch.setattr(learn, "dp_sgd_sigma_sq", lambda cfg, n: 0.0)
         a = dp_sgd(ds, spec, cfg, np.random.default_rng(99))
         b = plain_sgd(ds, spec, 60, 20, 0.5, np.random.default_rng(99))
         assert np.array_equal(a.w, b.w)
+
+    def test_sigma_override_key_is_gone(self):
+        with pytest.raises(TypeError):
+            DpSgdConfig(iterations=5, batch_size=2, learning_rate=0.5, clip_norm=1.0,
+                        lipschitz_L=1.0, epsilon=1.0, delta=1e-5, sigma_override=0.0)
 
     def test_batch_size_gate(self, three_binary_schema):
         ds = random_dataset(three_binary_schema, 10, seed=5)
