@@ -4,7 +4,8 @@ A dataset is a multiset of rows over a fixed schema of categorical attributes.
 Every attribute stores integer codes 0..size-1; the last attribute is always
 the binary class label.  The numeric encoding maps code c of an attribute with
 domain size s to 2*c/(s-1) - 1, so features live in [-1, 1] and labels in
-{-1, +1}.
+{-1, +1}.  A coded CSV is parsed by one integer conversion of all its
+cells, and the `Dataset` constructor is the only check of the code domains.
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ class ParseError(ValueError):
 
 
 class DomainError(ValueError):
-    """Integer code outside its attribute's domain."""
+    """Integer code outside its attribute's domain; `row` is the first bad row, when known."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 MISSING_TOKENS = frozenset({"", "?", "na", "n/a", "nan", "none", "null"})
@@ -122,15 +127,16 @@ class Dataset:
     codes: np.ndarray  # shape (n, num_attributes), integer codes
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
+        codes = np.array(self.codes, dtype=np.int64)
         if codes.ndim != 2 or codes.shape[1] != self.schema.num_attributes:
             raise DomainError(
                 f"codes must have shape (n, {self.schema.num_attributes}), got {codes.shape}"
             )
-        for j, size in enumerate(self.schema.sizes):
-            if codes.shape[0] and ((codes[:, j] < 0).any() or (codes[:, j] >= size).any()):
-                raise DomainError(f"attribute {self.schema.names[j]!r} has codes outside [0, {size})")
-        codes = codes.copy()
+        bad = (codes < 0) | (codes >= np.asarray(self.schema.sizes))
+        if bad.any():
+            row, j = divmod(int(bad.argmax()), codes.shape[1])
+            raise DomainError(f"attribute {self.schema.names[j]!r} has code {codes[row, j]} "
+                              f"outside [0, {self.schema.sizes[j]}) at row {row}", row)
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
 
@@ -223,32 +229,40 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 # Coded CSV I/O
 
 
-def load_csv(path: str | Path, schema: Schema) -> Dataset:
-    """Read an already-coded CSV whose header matches the schema exactly."""
+def _read_rows(path: str | Path, names: tuple[str, ...] | None = None):
+    """Stripped header and data rows of a CSV; the header must equal `names` when given."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: missing header row") from None
-        if tuple(h.strip() for h in header) != schema.names:
-            raise ParseError(f"{path}: header {header} does not match schema {list(schema.names)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != schema.num_attributes:
-                raise ParseError(f"{path}:{lineno}: expected {schema.num_attributes} cells, got {len(row)}")
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ParseError(f"{path}: missing header row")
+    header = tuple(h.strip() for h in rows[0])
+    if names is not None and header != names:
+        raise ParseError(f"{path}: header {rows[0]} does not match {list(names)}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+    return header, rows[1:]
+
+
+def load_csv(path: str | Path, schema: Schema) -> Dataset:
+    """Read an already-coded CSV whose header matches the schema exactly.
+
+    One int64 conversion parses every cell; `Dataset` is the only domain check.
+    """
+    _, rows = _read_rows(path, schema.names)
+    try:
+        return Dataset(schema, np.array(rows, dtype=np.int64).reshape(len(rows), schema.num_attributes))
+    except DomainError as exc:
+        raise DomainError(f"{path}:{exc.row + 2}: {exc}", exc.row) from None
+    except (ValueError, OverflowError):  # error path: find the first line that does not convert
+        for lineno, row in enumerate(rows, start=2):
             try:
-                coded = [int(cell) for cell in row]
+                np.array(row, dtype=np.int64)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            for j, c in enumerate(coded):
-                if not 0 <= c < schema.sizes[j]:
-                    raise DomainError(
-                        f"{path}:{lineno}: code {c} out of range for {schema.names[j]!r} (size {schema.sizes[j]})"
-                    )
-            rows.append(coded)
-    codes = np.asarray(rows, dtype=np.int64).reshape(len(rows), schema.num_attributes)
-    return Dataset(schema, codes)
+            except OverflowError as exc:  # beyond int64, so outside every domain
+                raise DomainError(f"{path}:{lineno}: code out of range ({exc})") from None
+        raise
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
@@ -271,19 +285,8 @@ class RawTable:
 
 
 def load_raw_csv(path: str | Path) -> RawTable:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: missing header row") from None
-        names = tuple(h.strip() for h in header)
-        cells = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(names):
-                raise ParseError(f"{path}:{lineno}: expected {len(names)} cells, got {len(row)}")
-            cells.append(tuple(c.strip() for c in row))
-    return RawTable(names, tuple(cells))
+    header, rows = _read_rows(path)
+    return RawTable(header, tuple(tuple(c.strip() for c in row) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -369,13 +372,9 @@ def _code_column(values: list[str], rule: PreprocessRule, name: str) -> tuple[li
 
     # identity
     vals = [int(v) for v in values]
-    if min(vals) < 0:
-        raise DomainError(f"column {name!r}: identity rule forbids negative codes")
     size = rule.size if rule.size is not None else max(vals) + 1
     if size < 2:
         raise SchemaError(f"column {name!r}: needs domain size >= 2")
-    if max(vals) >= size:
-        raise DomainError(f"column {name!r}: code {max(vals)} out of range for size {size}")
     return vals, size
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema
+from .dataset import Dataset, ParseError, Schema, _read_rows
 
 
 class QueryError(ValueError):
@@ -289,17 +289,17 @@ def load_marginals(csv_path: str | Path, manifest_path: str | Path) -> list[Marg
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     entries = {e["id"]: e for e in manifest["queries"]}
-    values: dict[int, dict[int, float]] = {qid: {} for qid in entries}
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            values[int(row["query_id"])][int(row["flat_index"])] = float(row["count"])
-    out = []
-    for qid in sorted(entries):
-        entry = entries[qid]
-        ncells = int(np.prod(entry["shape"]))
-        counts = np.zeros(ncells)
-        for idx, c in values[qid].items():
-            counts[idx] = c
-        out.append(Marginal(MarginalQuery(tuple(entry["attrs"])), counts, exact=bool(entry["exact"])))
-    return out
+    counts = {qid: np.zeros(int(np.prod(e["shape"]))) for qid, e in entries.items()}
+    _, rows = _read_rows(csv_path, ("query_id", "flat_index", "count"))
+    seen = set()
+    for lineno, (qid, idx, value) in enumerate(rows, start=2):
+        try:
+            qid, idx, value = int(qid), int(idx), float(value)
+        except ValueError as exc:
+            raise ParseError(f"{csv_path}:{lineno}: {exc}") from None
+        if qid not in counts or not 0 <= idx < counts[qid].size or (qid, idx) in seen:
+            raise ParseError(f"{csv_path}:{lineno}: cell {idx} of query {qid} is unknown or repeated")
+        seen.add((qid, idx))
+        counts[qid][idx] = value
+    return [Marginal(MarginalQuery(tuple(e["attrs"])), counts[qid], exact=bool(e["exact"]))
+            for qid, e in sorted(entries.items())]

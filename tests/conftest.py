@@ -1,3 +1,4 @@
+import csv
 import math
 from itertools import combinations_with_replacement
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from margsyn.dataset import Dataset, Schema, encode_xy
+from margsyn.dataset import Dataset, DomainError, ParseError, Schema, encode_xy
 from margsyn.learn import predict
 from margsyn.marginals import compute_marginal
 from margsyn.synth import _largest_remainder_round
@@ -34,6 +35,34 @@ def three_binary_schema():
 def random_dataset(schema: Schema, n: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     codes = np.column_stack([rng.integers(0, s, size=n) for s in schema.sizes])
+    return Dataset(schema, codes)
+
+
+def reference_load_csv(path, schema: Schema) -> Dataset:
+    """The coded-CSV loader that parses and range-checks each cell in Python, line by line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: missing header row") from None
+        if tuple(h.strip() for h in header) != schema.names:
+            raise ParseError(f"{path}: header {header} does not match schema {list(schema.names)}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != schema.num_attributes:
+                raise ParseError(f"{path}:{lineno}: expected {schema.num_attributes} cells, got {len(row)}")
+            try:
+                coded = [int(cell) for cell in row]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            for j, c in enumerate(coded):
+                if not 0 <= c < schema.sizes[j]:
+                    raise DomainError(
+                        f"{path}:{lineno}: code {c} out of range for {schema.names[j]!r} (size {schema.sizes[j]})"
+                    )
+            rows.append(coded)
+    codes = np.asarray(rows, dtype=np.int64).reshape(len(rows), schema.num_attributes)
     return Dataset(schema, codes)
 
 

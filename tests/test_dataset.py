@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +9,7 @@ from margsyn.dataset import (Dataset, DomainError, ParseError,
                              SplitSpec, encode, encode_xy, load_csv, load_raw_csv,
                              preprocess, split, write_csv)
 
-from conftest import random_dataset
+from conftest import random_dataset, reference_load_csv
 
 
 class TestSchema:
@@ -37,7 +39,49 @@ class TestSchema:
         assert s.digest() == Schema.from_dict(s.to_dict()).digest()
 
 
+# Ways to write a valid code that Python's int() accepts, and one-defect edits of a coded file.
+_CELL_FORMS = (str, lambda c: f" {c}\t", lambda c: f"+{c}", lambda c: f"0_{c}", lambda c: f'"{c}"',
+               lambda c: f'" {c} "', lambda c: str(c).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")))
+_BAD_CELLS = ("1.0", "x", "", "-1", "size", "99999999999999999999", "-99999999999999999999")
+
+
+@st.composite
+def coded_files(draw):
+    """(schema, file text, line of the defect or None) for a coded CSV with at most one defect."""
+    sizes = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))) + (2,)
+    schema = Schema(tuple(f"a{j}" for j in range(len(sizes) - 1)) + ("label",), sizes)
+    defect = draw(st.sampled_from((None, "ragged", "blank") + _BAD_CELLS))
+    n = draw(st.integers(0 if defect is None else 1, 6))
+    rows = [[draw(st.sampled_from(_CELL_FORMS))(draw(st.integers(0, s - 1))) for s in sizes] for _ in range(n)]
+    where = None if defect is None else draw(st.integers(0, n - 1))
+    if defect == "ragged":
+        rows[where] = rows[where][:-1] if draw(st.booleans()) else rows[where] + ["0"]
+    elif defect == "blank":
+        rows[where] = []
+    elif defect is not None:
+        j = draw(st.integers(0, len(sizes) - 1))
+        rows[where][j] = str(sizes[j]) if defect == "size" else defect
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    text = eol.join([",".join(schema.names)] + [",".join(row) for row in rows]) + eol
+    return schema, text, None if where is None else where + 2
+
+
 class TestLoadCsv:
+    @given(coded_files())
+    def test_matches_the_cell_by_cell_loader(self, tmp_path_factory, case):
+        schema, text, line = case
+        path = tmp_path_factory.mktemp("parity") / "d.csv"
+        path.write_bytes(text.encode())
+        if line is None:
+            assert np.array_equal(load_csv(path, schema).codes, reference_load_csv(path, schema).codes)
+            return
+        with pytest.raises(ValueError) as want:
+            reference_load_csv(path, schema)
+        with pytest.raises(ValueError) as got:
+            load_csv(path, schema)
+        assert type(got.value) is type(want.value)
+        assert f"{path}:{line}:" in str(want.value) and f"{path}:{line}:" in str(got.value)
+
     def test_read_back(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,label\n0,1,0\n1,0,1\n0,0,0\n1,1,1\n")
@@ -71,6 +115,14 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(path, Schema(("a", "label"), (2, 2)))
 
+    def test_raw_reader_strips_cells_and_names_the_line(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(" age ,label\n 31 , yes\n")
+        assert load_raw_csv(path) == RawTable(("age", "label"), (("31", "yes"),))
+        path.write_text(" age ,label\n 31 , yes\n45\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: expected 2 cells, got 1")):
+            load_raw_csv(path)
+
     @given(st.integers(0, 60), st.integers(0, 2**31 - 1))
     def test_write_read_round_trip(self, tmp_path_factory, n, seed):
         schema = Schema(("a", "b", "label"), (3, 5, 2))
@@ -78,6 +130,34 @@ class TestLoadCsv:
         path = tmp_path_factory.mktemp("rt") / "d.csv"
         write_csv(ds, path)
         assert load_csv(path, schema).row_multiset() == ds.row_multiset()
+
+
+class TestDatasetCheck:
+    SCHEMA = Schema(("a", "b", "label"), (3, 2, 2))
+    CODES = np.array([[0, 0, 0], [2, 1, 1], [1, 0, 1], [2, 0, 0]])
+
+    @pytest.mark.parametrize("row, col, code, name", [(1, 1, 2, "b"), (2, 0, -1, "a"), (0, 2, 5, "label")])
+    def test_names_attribute_and_first_bad_row(self, row, col, code, name):
+        codes = self.CODES.copy()
+        codes[row, col] = code
+        codes[3, 0] = 7  # a later bad row is not the one reported
+        with pytest.raises(DomainError, match=rf"attribute '{name}' has code {code} .* at row {row}$") as info:
+            Dataset(self.SCHEMA, codes)
+        assert info.value.row == row
+
+    def test_codes_are_a_read_only_copy(self):
+        codes = self.CODES.copy()
+        ds = Dataset(self.SCHEMA, codes)
+        codes[0, 0] = 2
+        assert ds.codes[0, 0] == 0
+        assert not ds.codes.flags.writeable
+        with pytest.raises(ValueError):
+            ds.codes[0, 0] = 1
+
+    def test_other_integer_dtype_accepted(self):
+        ds = Dataset(self.SCHEMA, self.CODES.astype(np.int32))
+        assert ds.codes.dtype == np.int64
+        assert np.array_equal(ds.codes, self.CODES)
 
 
 class TestPreprocess:

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from margsyn.dataset import Dataset, Schema
+from margsyn.dataset import Dataset, ParseError, Schema
 from margsyn.marginals import (Marginal, MarginalOperator, MarginalQuery, QueryError,
                                compute_marginal, enumerate_queries, l1_distance,
                                load_marginals, normalized_l1, project_marginal,
@@ -266,3 +267,16 @@ def test_save_load_round_trip(tmp_path, two_binary_rows):
         assert orig.query == back.query
         assert orig.exact == back.exact
         assert np.array_equal(orig.counts, back.counts)
+
+
+@pytest.mark.parametrize("row", ["0,-1,5.0",     # negative flat_index
+                                 "1,0,3.0",      # (query_id, flat_index) given twice
+                                 "7,0,1.0",      # query_id absent from the manifest
+                                 "0,2,1.0"])     # flat_index past the query's 2 cells
+def test_load_rejects_bad_cell_ids(tmp_path, two_binary_rows, row):
+    margs = [compute_marginal(two_binary_rows, MarginalQuery(a)) for a in [(0,), (0, 1)]]
+    save_marginals(margs, two_binary_rows.schema, tmp_path / "m.csv", tmp_path / "m.json")
+    lines = (tmp_path / "m.csv").read_text().splitlines() + [row]
+    (tmp_path / "m.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{tmp_path / 'm.csv'}:{len(lines)}:")):
+        load_marginals(tmp_path / "m.csv", tmp_path / "m.json")
