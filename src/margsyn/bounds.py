@@ -55,8 +55,12 @@ class BoundInputs:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1 or not self.tau >= 0 or self.K <= 0:  # NaN tau fails too
-            raise BoundError("need n >= 1, m >= 1, tau >= 0, K > 0")
+        if (self.n < 1 or self.m < 1 or not self.tau >= 0 or not 0 < self.K < math.inf
+                or not math.isfinite(self.phi0) or not (self.nu is None or self.nu >= 0)
+                or not (self.sigma is None or self.sigma >= 0)
+                or not (self.lam is None or 0 < self.lam < math.inf)):  # NaN fails every test
+            raise BoundError("need n >= 1, m >= 1, tau >= 0, finite K > 0 and phi0, and, when "
+                             "given, nu >= 0, sigma >= 0 and finite lam > 0")
         if self.d < 2:
             raise BoundError("bounds are stated for marginal order d >= 2 (they use d-1)")
 

@@ -117,7 +117,7 @@ class MarginalOperator:
     row q holds each cell's bin of query q.  The marginals of all queries are
     one concatenated vector, query q's bins from `offsets[q]` on; `forward`
     returns it, `adjoint` and `l1_to` take it, and `query_sums` reduces it to
-    one value per query.
+    one value per query.  It maps cell counts, such as a synthesizer's output.
 
     A^T A is diagonal in a fixed basis: with T the Kronecker product of one
     Householder reflector per attribute (`transform`), A^T A = T diag(spectrum) T
@@ -222,13 +222,6 @@ class MarginalOperator:
         """Per-query l1 distance between two concatenated marginal vectors."""
         return self.query_sums(np.abs(target - marginals))
 
-    def cell_counts(self, ds: Dataset) -> np.ndarray:
-        """Number of the dataset's rows in each joint cell, from its weighted distinct rows."""
-        codes, counts = ds.weighted
-        flat = np.ravel_multi_index(tuple(codes.T), self.schema.sizes)
-        # float64 even for an empty dataset, where bincount returns integers
-        return np.bincount(flat, weights=counts, minlength=self.num_cells).astype(np.float64)
-
 
 def l1_distance(a: Marginal, b: Marginal) -> float:
     if a.query != b.query:
@@ -288,8 +281,12 @@ def save_marginals(marginals: list[Marginal], schema: Schema,
 def load_marginals(csv_path: str | Path, manifest_path: str | Path) -> list[Marginal]:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    entries = {e["id"]: e for e in manifest["queries"]}
-    counts = {qid: np.zeros(int(np.prod(e["shape"]))) for qid, e in entries.items()}
+    entries, counts = {}, {}
+    for e in manifest["queries"]:
+        if e["id"] in entries or len(e["shape"]) != len(e["attrs"]) or min(e["shape"], default=0) < 2:
+            raise ParseError(f"{manifest_path}: query {e['id']!r} is repeated or has shape "
+                             f"{e['shape']}, not a domain size >= 2 for each of attrs {e['attrs']}")
+        entries[e["id"]], counts[e["id"]] = e, np.zeros(int(np.prod(e["shape"])))
     _, rows = _read_rows(csv_path, ("query_id", "flat_index", "count"))
     seen = set()
     for lineno, (qid, idx, value) in enumerate(rows, start=2):

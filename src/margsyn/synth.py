@@ -17,14 +17,14 @@ Two strategies stand behind one entry point:
             simplex with restart, computed in the eigenbasis of the
             operator's A^T A: two operator applications per fit, two small
             Kronecker transforms per iteration, an exact step, stopping on
-            a relative-decrease test), followed by
-            cumulative rounding of n times the fitted joint over the
-            row-major cells with one uniform offset: exactly n rows,
-            unbiased cell counts within one of n*p, and every group of
-            fixed leading attributes within less than one row of its mass.
+            a relative-decrease test), then cumulative rounding of n times the
+            fitted joint over the row-major cells with one uniform offset:
+            counts summing to n, each unbiased and within one of n*p, every
+            prefix group within less than one row of its mass.
 
-The synthesizer sees only the noisy marginals, the target size and the
-schema; diagnostics against the real data are assembled outside it.
+Each path outputs an int64 count per joint cell; only `synthesize` turns
+them into marginals and rows.  It sees only the noisy marginals, the target
+size and the schema; diagnostics against the real data are made outside it.
 """
 
 from __future__ import annotations
@@ -96,14 +96,14 @@ def num_joint_cells(schema: Schema) -> int:
 
 
 def _counts_to_dataset(counts: np.ndarray, schema: Schema) -> Dataset:
-    cell_ids = np.repeat(np.arange(counts.shape[0]), counts.astype(np.int64))
-    codes = np.stack(np.unravel_index(cell_ids, schema.sizes), axis=1)
-    return Dataset(schema, codes)
+    cells = np.flatnonzero(counts)
+    codes = np.stack(np.unravel_index(cells, schema.sizes), axis=1)
+    return Dataset(schema, np.repeat(codes, counts[cells], axis=0))
 
 
 def brute_force_synth(n: int, nm: NoisyMarginalSet,
-                      cap: int = DEFAULT_CANDIDATE_CAP) -> Dataset:
-    """Exhaustive minimizer of max_q ||h_q - M_q(D)||_1 over size-n multisets.
+                      cap: int = DEFAULT_CANDIDATE_CAP) -> np.ndarray:
+    """Int64 cell counts of the minimizer of max_q ||h_q - M_q(D)||_1 over size-n multisets.
 
     Ties are broken by the lexicographically smallest multiset encoding
     (candidates are scanned in that order and only strict improvements are
@@ -143,7 +143,7 @@ def brute_force_synth(n: int, nm: NoisyMarginalSet,
         at = int(np.argmin(obj))
         if obj[at] < best_obj:
             best_cells, best_obj = rows[at], obj[at]
-    return _counts_to_dataset(np.bincount(best_cells, minlength=cells), nm.schema)
+    return np.bincount(best_cells, minlength=cells)
 
 
 def _largest_remainder_round(mu: np.ndarray, n: int) -> np.ndarray:
@@ -161,7 +161,7 @@ def _largest_remainder_round(mu: np.ndarray, n: int) -> np.ndarray:
 
 
 def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
-    """Deterministic single-row-reassignment descent on the max-l1 objective.
+    """Int64 cell counts of a deterministic one-row-move descent on the max-l1 objective.
 
     Runs from two starts (uniform counts, and the product of the clipped
     one-way noisy marginals) and keeps the better local minimum.
@@ -192,7 +192,6 @@ def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     max_steps = 200 + 40 * n
 
     def descend(counts: np.ndarray) -> tuple[np.ndarray, float]:
-        counts = counts.astype(np.float64)
         resid = target - op.forward(counts)
         l1 = op.query_sums(np.abs(resid))
         for _ in range(max_steps):
@@ -217,8 +216,8 @@ def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
             i, j = divmod(flat, cells)
             if not cand[i, j] < obj - 1e-12:
                 break
-            counts[i] -= 1.0
-            counts[j] += 1.0
+            counts[i] -= 1
+            counts[j] += 1
             moved = maps[:, i] != maps[:, j]
             bi, bj = maps[moved, i] + offsets[moved], maps[moved, j] + offsets[moved]
             l1[moved] += ((np.abs(resid[bi] + 1.0) - np.abs(resid[bi]))
@@ -367,8 +366,8 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> Distr
 # Sampling
 
 
-def sample_dataset(dist: DistributionEstimate, n: int, rng: np.random.Generator) -> Dataset:
-    """Draw a size-n dataset by cumulative (systematic) rounding of n*p.
+def sample_dataset(dist: DistributionEstimate, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Int64 cell counts of a size-n draw by cumulative (systematic) rounding of n*p.
 
     With C the cumulative sum of the clipped probabilities over the row-major
     cells, normalized to end at 1, and one uniform u in [0, 1), cell c
@@ -376,12 +375,11 @@ def sample_dataset(dist: DistributionEstimate, n: int, rng: np.random.Generator)
     exactly n rows, each cell count is floor(mu_c) or floor(mu_c)+1 and
     unbiased for mu_c = n*p_c, zero-probability cells stay empty, and every
     row-major prefix group (fixed leading attributes, a contiguous block of
-    cells) is within strictly less than one row of its expected mass.  Rows
-    come out in cell order.
+    cells) is within strictly less than one row of its expected mass.
     """
     cum = np.cumsum(np.maximum(dist.probs, 0.0))
     edges = np.floor(rng.random() + n * (cum / cum[-1])).astype(np.int64)
-    return _counts_to_dataset(np.diff(edges, prepend=0), dist.schema)
+    return np.diff(edges, prepend=0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,31 +399,31 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     mean over queries of their l1 distance to the noisy targets
     ("l1_to_noisy_max", "l1_to_noisy_mean"), and the fit's iteration count
     and convergence ("fit_iterations", "fit_converged": 0 and None when no
-    fit ran).
+    fit ran).  Marginals and rows both come from the path's cell counts.
     """
     if n < 0:
         raise SynthesisError("n must be non-negative")
     if mode == "brute":
         cells = num_joint_cells(nm.schema)
         if math.comb(cells + n - 1, n) <= cap:
-            ds, path = brute_force_synth(n, nm, cap=cap), "exhaustive"
+            counts, path = brute_force_synth(n, nm, cap=cap), "exhaustive"
         else:
-            ds, path = _counts_to_dataset(_greedy_minmax(n, nm), nm.schema), "greedy"
+            counts, path = _greedy_minmax(n, nm), "greedy"
         fit = {"fit_iterations": 0, "fit_converged": None}
     elif mode == "fitted":
         if rng is None:
             raise SynthesisError("fitted mode needs a random generator")
         dist = fit_distribution(nm, n=n)
-        ds, path = sample_dataset(dist, n, rng), "fitted"
+        counts, path = sample_dataset(dist, n, rng), "fitted"
         fit = {"fit_iterations": len(dist.objective_trace) - 1, "fit_converged": dist.converged}
     else:
         raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
 
-    marginals = nm.operator.forward(nm.operator.cell_counts(ds))
+    marginals = nm.operator.forward(counts)
     dists = nm.operator.l1_to(marginals, nm.target)
     stats = {"path": path, "marginals": marginals, "l1_to_noisy_max": float(dists.max()),
              "l1_to_noisy_mean": float(np.mean(dists)), **fit}
-    return ds, stats
+    return _counts_to_dataset(counts, nm.schema), stats
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,18 @@ def random_dataset(schema: Schema, n: int, seed: int) -> Dataset:
     return Dataset(schema, codes)
 
 
+def cell_counts(ds: Dataset) -> np.ndarray:
+    """Number of the dataset's rows in each joint cell, counted row by row."""
+    flat = np.ravel_multi_index(tuple(ds.codes.T), ds.schema.sizes)
+    return np.bincount(flat, minlength=math.prod(ds.schema.sizes))
+
+
+def reference_counts_to_rows(counts: np.ndarray, schema: Schema) -> np.ndarray:
+    """Codes of the rows of a cell-count vector: one cell id per row, each unravelled."""
+    cell_ids = np.repeat(np.arange(counts.shape[0]), counts.astype(np.int64))
+    return np.stack(np.unravel_index(cell_ids, schema.sizes), axis=1)
+
+
 def reference_load_csv(path, schema: Schema) -> Dataset:
     """The coded-CSV loader that parses and range-checks each cell in Python, line by line."""
     with open(path, newline="") as fh:

@@ -148,3 +148,34 @@ def test_reports_are_pure():
 def test_unknown_mode_raises(bound, mode):
     with pytest.raises(BoundError):
         bound(BoundInputs(nu=1.0, **FIXTURE), mode)
+
+
+@pytest.mark.parametrize("nu", [-50.0, -1e-12, math.nan])
+def test_nu_must_be_non_negative(nu):
+    with pytest.raises(BoundError):
+        BoundInputs(**FIXTURE, nu=nu)
+    assert lipschitz_excess_risk_bound(BoundInputs(**FIXTURE, nu=math.inf)).total == math.inf
+
+
+@pytest.mark.parametrize("sigma", [-1.0, math.nan])
+def test_sigma_must_be_non_negative(sigma):
+    with pytest.raises(BoundError):
+        BoundInputs(**FIXTURE, l=4, lam=3.0, sigma=sigma)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+def test_lam_must_be_finite_and_positive(lam):
+    with pytest.raises(BoundError):
+        BoundInputs(**FIXTURE, l=4, lam=lam, sigma=1.0)
+
+
+@pytest.mark.parametrize("K", [0.0, -1.0, math.inf, math.nan])
+def test_lipschitz_constant_must_be_finite_and_positive(K):
+    with pytest.raises(BoundError):
+        BoundInputs(**{**FIXTURE, "K": K, "nu": 1.0})
+
+
+@pytest.mark.parametrize("phi0", [math.inf, -math.inf, math.nan])
+def test_loss_at_zero_must_be_finite(phi0):
+    with pytest.raises(BoundError):
+        BoundInputs(**{**FIXTURE, "phi0": phi0, "nu": 1.0})

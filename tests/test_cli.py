@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from margsyn import cli
+from margsyn.bounds import BoundError
 from margsyn.cli import build_parser, main
 from margsyn.dataset import Schema, load_csv, split, write_csv
 from margsyn.demo import make_demo_dataset
@@ -155,6 +156,16 @@ def test_bound_command(tmp_path):
     rc = main(["bound", "--params", str(params), "--out", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["gamma"] == pytest.approx(0.4352752816480621)
+
+
+def test_bound_command_rejects_a_negative_nu(tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"family": "lipschitz", "n": 10_000, "m": 4, "d": 3, "tau": 0.5,
+                                  "nu": -50}))
+    out = tmp_path / "bound.json"
+    with pytest.raises(BoundError):
+        main(["bound", "--params", str(params), "--out", str(out)])
+    assert not out.exists()
 
 
 def test_approx_command(tmp_path):

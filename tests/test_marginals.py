@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -11,7 +12,7 @@ from margsyn.marginals import (Marginal, MarginalOperator, MarginalQuery, QueryE
                                load_marginals, normalized_l1, project_marginal,
                                query_count, save_marginals)
 
-from conftest import dense_marginal_matrix, random_dataset
+from conftest import cell_counts, dense_marginal_matrix, random_dataset
 
 
 class TestEnumerate:
@@ -162,7 +163,7 @@ class TestMarginalOperator:
         ds = random_dataset(schema, n, seed)
         queries = enumerate_queries(3, 4)
         op = MarginalOperator(schema, queries)
-        cells = op.cell_counts(ds)
+        cells = cell_counts(ds)
         assert cells.shape == (int(np.prod(schema.sizes)),)
         assert cells.sum() == n
         for q, vec in zip(queries, np.split(op.forward(cells), op.offsets[1:])):
@@ -178,7 +179,7 @@ class TestMarginalOperator:
         rng = np.random.default_rng(seed)
         noisy = [Marginal(q, compute_marginal(ds, q).counts + rng.normal(0.0, 2.0, k), exact=False)
                  for q, k in zip(queries, op.num_bins)]
-        got = op.l1_to(op.forward(op.cell_counts(ds)), np.concatenate([m.counts for m in noisy]))
+        got = op.l1_to(op.forward(cell_counts(ds)), np.concatenate([m.counts for m in noisy]))
         want = [l1_distance(m, compute_marginal(ds, m.query)) for m in noisy]
         assert got.tolist() == want
 
@@ -279,4 +280,21 @@ def test_load_rejects_bad_cell_ids(tmp_path, two_binary_rows, row):
     lines = (tmp_path / "m.csv").read_text().splitlines() + [row]
     (tmp_path / "m.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=re.escape(f"{tmp_path / 'm.csv'}:{len(lines)}:")):
+        load_marginals(tmp_path / "m.csv", tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("case", ["repeated id", "shape of another query", "domain size below 2"])
+def test_load_rejects_a_manifest_that_does_not_fit_its_queries(tmp_path, two_binary_rows, case):
+    margs = [compute_marginal(two_binary_rows, MarginalQuery(a)) for a in [(0,), (0, 1)]]
+    save_marginals(margs, two_binary_rows.schema, tmp_path / "m.csv", tmp_path / "m.json")
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    first, second = manifest["queries"]
+    if case == "repeated id":
+        second["id"] = first["id"]  # the earlier query would be dropped
+    elif case == "shape of another query":
+        first["shape"] = [3, 5]  # 15 bins for the one-attribute query (0,)
+    else:
+        second["shape"] = [4, 1]  # still 4 bins, but no attribute has a domain of 1 value
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParseError, match=re.escape(f"{tmp_path / 'm.json'}:")):
         load_marginals(tmp_path / "m.csv", tmp_path / "m.json")

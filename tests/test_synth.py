@@ -14,11 +14,12 @@ from margsyn.marginals import (Marginal, MarginalOperator, MarginalQuery, comput
                                enumerate_queries, l1_distance)
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate
 from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, SynthesisError,
-                           _greedy_minmax, _project_simplex, brute_force_synth, fit_distribution,
-                           generate_synthetic, num_joint_cells, sample_dataset, synthesize)
+                           _counts_to_dataset, _greedy_minmax, _project_simplex, brute_force_synth,
+                           fit_distribution, generate_synthetic, num_joint_cells, sample_dataset,
+                           synthesize)
 
-from conftest import (dense_marginal_matrix, random_dataset, reference_exhaustive_counts,
-                      reference_greedy_counts)
+from conftest import (dense_marginal_matrix, random_dataset, reference_counts_to_rows,
+                      reference_exhaustive_counts, reference_greedy_counts)
 
 
 def noisy_set_from(ds: Dataset, d: int, sigma: float, seed: int) -> NoisyMarginalSet:
@@ -26,6 +27,11 @@ def noisy_set_from(ds: Dataset, d: int, sigma: float, seed: int) -> NoisyMargina
     exact = [compute_marginal(ds, q) for q in queries]
     noisy = add_noise_to_set(exact, sigma, seed)
     return NoisyMarginalSet(ds.schema, tuple(noisy))
+
+
+def l1_to_noisy(counts: np.ndarray, nm: NoisyMarginalSet) -> np.ndarray:
+    """Each query's l1 distance from the marginal of a cell-count vector to its noisy marginal."""
+    return nm.operator.l1_to(nm.operator.forward(counts), nm.target)
 
 
 def oracle_best_objective(n: int, nm: NoisyMarginalSet) -> float:
@@ -83,22 +89,20 @@ class TestNoisyMarginalSet:
 class TestBruteForce:
     def test_zero_noise_reaches_zero_objective(self, two_binary_rows):
         nm = noisy_set_from(two_binary_rows, 2, 0.0, seed=0)
-        ds_s = brute_force_synth(4, nm)
-        assert all(l1_distance(m, compute_marginal(ds_s, m.query)) == 0.0 for m in nm.marginals)
+        assert all(l1_to_noisy(brute_force_synth(4, nm), nm) == 0.0)
 
     def test_recovers_marginals_of_two_row_dataset(self):
         schema = Schema(("a", "label"), (2, 2))
         real = Dataset(schema, np.array([[0, 1], [1, 0]]))
         nm = noisy_set_from(real, 2, 0.0, seed=0)
-        ds_s = brute_force_synth(2, nm)  # 10 candidate multisets
-        for m in nm.marginals:
-            assert np.array_equal(compute_marginal(ds_s, m.query).counts, m.counts)
+        counts = brute_force_synth(2, nm)  # 10 candidate multisets
+        for m, got in zip(nm.marginals, np.split(nm.operator.forward(counts), nm.operator.offsets[1:])):
+            assert np.array_equal(got, m.counts)
 
     def test_objective_never_worse_than_real_dataset(self, two_binary_rows):
         for seed in range(10):
             nm = noisy_set_from(two_binary_rows, 2, 1.5, seed=seed)
-            ds_s = brute_force_synth(4, nm)
-            obj_s = max(l1_distance(m, compute_marginal(ds_s, m.query)) for m in nm.marginals)
+            obj_s = l1_to_noisy(brute_force_synth(4, nm), nm).max()
             obj_r = max(l1_distance(m, compute_marginal(two_binary_rows, m.query))
                         for m in nm.marginals)
             assert obj_s <= obj_r + 1e-9
@@ -108,8 +112,7 @@ class TestBruteForce:
         real = random_dataset(schema, 3, seed=5)
         for seed in range(8):
             nm = noisy_set_from(real, 2, 1.0, seed=seed)
-            ds_s = brute_force_synth(3, nm)  # C(6,3) = 20 candidates
-            obj = max(l1_distance(m, compute_marginal(ds_s, m.query)) for m in nm.marginals)
+            obj = l1_to_noisy(brute_force_synth(3, nm), nm).max()  # C(6,3) = 20 candidates
             assert obj == pytest.approx(oracle_best_objective(3, nm), abs=1e-9)
 
     def test_cap_exceeded(self, two_binary_rows):
@@ -177,8 +180,7 @@ class TestBruteMatchesTheLoop:
         # a query's bins in another order (np.add.reduceat) picks another multiset
         for seed in range(4):
             nm = noisy_set_from(random_dataset(schema, 3, seed=seed), 2, sigma, seed)
-            got = nm.operator.cell_counts(brute_force_synth(3, nm))
-            assert np.array_equal(got, reference_exhaustive_counts(3, nm))
+            assert np.array_equal(brute_force_synth(3, nm), reference_exhaustive_counts(3, nm))
 
     @pytest.mark.parametrize("sizes", EQUIV_SCHEMAS)
     @pytest.mark.parametrize("sigma", EQUIV_SIGMAS)
@@ -192,18 +194,18 @@ class TestBruteMatchesTheLoop:
     def test_query_list_not_closed_under_subsets(self, three_binary_schema, sigma):
         real = random_dataset(three_binary_schema, 30, seed=4)
         nm = noisy_set_over(real, OPEN_QUERIES, sigma, seed=9)
-        got = nm.operator.cell_counts(brute_force_synth(3, nm))
-        assert np.array_equal(got, reference_exhaustive_counts(3, nm))
+        assert np.array_equal(brute_force_synth(3, nm), reference_exhaustive_counts(3, nm))
         assert np.array_equal(_greedy_minmax(30, nm), reference_greedy_counts(30, nm))
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_smallest_sizes(self, n):
         schema = Schema(("a", "b", "label"), (3, 2, 2))
         nm = noisy_set_from(random_dataset(schema, 4, seed=1), 2, 1.0, seed=2)
-        ds_s = brute_force_synth(n, nm)
-        assert ds_s.n == n
-        assert np.array_equal(nm.operator.cell_counts(ds_s), reference_exhaustive_counts(n, nm))
-        assert np.array_equal(_greedy_minmax(n, nm), reference_greedy_counts(n, nm))
+        exhaustive, greedy = brute_force_synth(n, nm), _greedy_minmax(n, nm)
+        assert exhaustive.dtype == greedy.dtype == np.int64
+        assert exhaustive.sum() == n
+        assert np.array_equal(exhaustive, reference_exhaustive_counts(n, nm))
+        assert np.array_equal(greedy, reference_greedy_counts(n, nm))
 
     def test_optimum_and_tie_in_later_batches(self, three_binary_schema):
         # one-way queries only, zero noise: the optimum is first met after the
@@ -217,7 +219,7 @@ class TestBruteMatchesTheLoop:
         ties = np.flatnonzero(objs == objs.min())
         assert len(combos) > 3 * _SCAN_BATCH
         assert _SCAN_BATCH <= ties[0] and ties[0] // _SCAN_BATCH < ties[-1] // _SCAN_BATCH
-        got = nm.operator.cell_counts(brute_force_synth(3, nm))
+        got = brute_force_synth(3, nm)
         assert np.array_equal(got, np.bincount(combos[ties[0]], minlength=16))
         assert np.array_equal(got, reference_exhaustive_counts(3, nm))
 
@@ -471,11 +473,6 @@ class TestFitDistribution:
             fit_distribution(nm, n=5)
 
 
-def cell_counts(ds: Dataset) -> np.ndarray:
-    flat = np.ravel_multi_index(tuple(ds.codes.T), ds.schema.sizes)
-    return np.bincount(flat, minlength=num_joint_cells(ds.schema))
-
-
 def column_dist(mu) -> DistributionEstimate:
     """The fractional counts mu as a distribution over cells (a=t, label=0)."""
     mu = np.asarray(mu, dtype=np.float64)
@@ -488,27 +485,26 @@ class TestSampleColumn:
     """Rounding one column of fractional counts, through sample_dataset."""
 
     def test_fractional_split(self):
-        ds = sample_dataset(column_dist([1.5, 2.5]), 4, np.random.default_rng(0))
-        counts = cell_counts(ds)[::2]
+        counts = sample_dataset(column_dist([1.5, 2.5]), 4, np.random.default_rng(0))[::2]
         assert counts.sum() == 4
         assert tuple(counts) in {(2, 2), (1, 3)}
 
     def test_integral_case_deterministic(self):
-        ds = sample_dataset(column_dist([3.0, 1.0]), 4, np.random.default_rng(0))
-        assert cell_counts(ds).tolist() == [3, 0, 1, 0]
+        counts = sample_dataset(column_dist([3.0, 1.0]), 4, np.random.default_rng(0))
+        assert counts.tolist() == [3, 0, 1, 0]
 
     def test_remainder_frequency(self):
         hits = 0
         for seed in range(10_000):
-            ds = sample_dataset(column_dist([1.5, 2.5]), 4, np.random.default_rng(seed))
-            hits += cell_counts(ds)[0] == 2
+            hits += sample_dataset(column_dist([1.5, 2.5]), 4, np.random.default_rng(seed))[0] == 2
         assert hits / 10_000 == pytest.approx(0.5, abs=0.02)
 
     def test_all_zero_weights(self):
         dist = column_dist([0.0, 2.0, 0.0])
-        ds = sample_dataset(dist, 5, np.random.default_rng(0))
-        assert cell_counts(ds).tolist() == [0, 0, 5, 0, 0, 0]
-        assert sample_dataset(dist, 0, np.random.default_rng(0)).codes.shape == (0, 2)
+        for n in (5, 0):
+            counts = sample_dataset(dist, n, np.random.default_rng(0))
+            assert counts.dtype == np.int64
+            assert counts.tolist() == [0, 0, n, 0, 0, 0]
 
     @given(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=8), st.integers(-1, 1),
            st.integers(0, 2**31 - 1))
@@ -518,8 +514,7 @@ class TestSampleColumn:
             return
         n = max(1, int(round(mu.sum())) + offset)
         scaled = n * (mu / mu.sum())
-        ds = sample_dataset(column_dist(mu), n, np.random.default_rng(seed))
-        counts = cell_counts(ds)[::2][:len(mu_list)]
+        counts = sample_dataset(column_dist(mu), n, np.random.default_rng(seed))[::2][:len(mu_list)]
         assert counts.sum() == n
         floors = np.floor(scaled).astype(int)
         assert np.all(counts >= floors - 0)  # never below the floor
@@ -531,28 +526,26 @@ class TestSampleDataset:
         probs = np.zeros(num_joint_cells(three_binary_schema))
         probs[5] = 1.0
         dist = DistributionEstimate(three_binary_schema, probs, (0.0,))
-        ds = sample_dataset(dist, 12, np.random.default_rng(0))
-        assert ds.n == 12
-        assert len(ds.row_multiset()) == 1
+        counts = sample_dataset(dist, 12, np.random.default_rng(0))
+        assert counts.sum() == 12
+        assert np.count_nonzero(counts) == 1
 
     def test_uniform_two_cells_exact_split(self):
         schema = Schema(("a", "label"), (2, 2))
         probs = np.array([0.5, 0.0, 0.0, 0.5])
         dist = DistributionEstimate(schema, probs, (0.0,))
-        ds = sample_dataset(dist, 100, np.random.default_rng(1))
-        ms = ds.row_multiset()
-        assert ms[(0, 0)] == 50 and ms[(1, 1)] == 50
+        counts = sample_dataset(dist, 100, np.random.default_rng(1))
+        assert counts[0] == 50 and counts[3] == 50  # cells (0, 0) and (1, 1)
 
     def test_large_sample_matches_marginals(self, three_binary_schema):
         rng = np.random.default_rng(42)
         raw = rng.random(num_joint_cells(three_binary_schema))
         dist = DistributionEstimate(three_binary_schema, raw / raw.sum(), (0.0,))
         n = 10_000
-        ds = sample_dataset(dist, n, np.random.default_rng(7))
-        queries = enumerate_queries(3, 2)
-        op = MarginalOperator(three_binary_schema, queries)
-        for q, probs in zip(queries, np.split(op.forward(dist.probs), op.offsets[1:])):
-            emp = compute_marginal(ds, q).counts
+        counts = sample_dataset(dist, n, np.random.default_rng(7))
+        op = MarginalOperator(three_binary_schema, enumerate_queries(3, 2))
+        for emp, probs in zip(np.split(op.forward(counts), op.offsets[1:]),
+                              np.split(op.forward(dist.probs), op.offsets[1:])):
             want = n * probs
             assert np.abs(emp - want).sum() / n <= 0.05
 
@@ -566,7 +559,7 @@ class TestSampleDataset:
                                      .filter(lambda w: sum(w) > 0)))
         total = int(weights.sum())
         dist = DistributionEstimate(schema, weights / total, (0.0,))
-        counts = cell_counts(sample_dataset(dist, n, np.random.default_rng(seed)))
+        counts = sample_dataset(dist, n, np.random.default_rng(seed))
         assert counts.sum() == n
         # integer arithmetic: floor(mu_c) = (n * w_c) // total with mu_c = n * w_c / total
         floors = (n * weights) // total
@@ -584,8 +577,7 @@ class TestSampleDataset:
         probs = np.array([0.13, 0.0, 0.27, 0.05, 0.35, 0.2])
         dist = DistributionEstimate(schema, probs, (0.0,))
         n, draws = 7, 10_000
-        mean = sum(cell_counts(sample_dataset(dist, n, np.random.default_rng(seed)))
-                   for seed in range(draws)) / draws
+        mean = sum(sample_dataset(dist, n, np.random.default_rng(seed)) for seed in range(draws)) / draws
         # each count is floor(mu) or floor(mu)+1, so its standard deviation is <= 0.5
         assert np.all(np.abs(mean - n * probs) <= 4 * 0.5 / math.sqrt(draws))
 
@@ -718,20 +710,19 @@ class TestMechanism:
     @pytest.mark.parametrize("mode, cap, path", [("brute", 10_000, "exhaustive"), ("brute", 0, "greedy"),
                                                  ("fitted", 10_000, "fitted")],
                              ids=["exhaustive", "greedy", "fitted"])
-    def test_output_is_counted_once(self, three_binary_schema, mode, cap, path, monkeypatch):
-        # the synthesizer's marginals of its output serve both the noisy and the real diagnostics
-        counted = []
+    def test_output_rows_are_never_counted(self, three_binary_schema, mode, cap, path, monkeypatch):
+        # the output's marginals come from the synthesizer's cell counts, not from its rows
+        nm = noisy_set_from(random_dataset(three_binary_schema, 3, seed=7), 2, 1.0, 5)
 
-        def counting(op, ds):
-            counted.append(ds.n)
-            return cell_counts_of(op, ds)
+        def no_count(ds):
+            raise AssertionError("synthesize counted the rows of its output")
 
-        cell_counts_of = MarginalOperator.cell_counts
-        monkeypatch.setattr(MarginalOperator, "cell_counts", counting)
-        real = random_dataset(three_binary_schema, 3, seed=7)
-        _, report = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-4), mode=mode, seed=5, cap=cap)
-        assert report.path == path
-        assert counted == [3]
+        with monkeypatch.context() as mp:
+            mp.setattr(Dataset, "weighted", property(no_count))
+            ds_s, stats = synthesize(3, nm, mode, rng=np.random.default_rng(0), cap=cap)
+        assert stats["path"] == path
+        want = np.concatenate([compute_marginal(ds_s, m.query).counts for m in nm.marginals])
+        assert np.array_equal(stats["marginals"], want)
 
     def test_stats_hold_the_output_marginals(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 30, seed=3)
@@ -763,3 +754,27 @@ class TestMechanism:
         calib = calibrate(three_binary_schema.num_features, 2, privacy)
         assert report.sigma == calib.sigma and report.sensitivity == calib.sensitivity
         assert (report.epsilon, report.delta, report.lam) == (0.7, 1e-4, 2.0)
+
+
+@st.composite
+def schemas_and_counts(draw):
+    """A mixed-arity schema and cell counts: some cells empty, one cell occupied, or n = 0."""
+    sizes = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))) + (2,)
+    schema = Schema(tuple(f"x{j}" for j in range(len(sizes) - 1)) + ("label",), sizes)
+    cells = num_joint_cells(schema)
+    counts = np.zeros(cells, dtype=np.int64)
+    kind = draw(st.sampled_from(["mixed", "one cell", "n = 0"]))
+    if kind == "mixed":
+        counts[:] = draw(st.lists(st.integers(0, 6), min_size=cells, max_size=cells))
+    elif kind == "one cell":
+        counts[draw(st.integers(0, cells - 1))] = draw(st.integers(1, 40))
+    return schema, counts
+
+
+@given(schemas_and_counts())
+def test_rows_from_counts_match_the_row_by_row_expansion(case):
+    schema, counts = case
+    got = _counts_to_dataset(counts, schema).codes
+    want = reference_counts_to_rows(counts, schema)
+    assert got.shape == want.shape == (counts.sum(), schema.num_attributes)
+    assert np.array_equal(got, want)

@@ -12,7 +12,7 @@ from margsyn.dataset import Dataset, Schema, encode_xy
 from margsyn.demo import make_demo_dataset
 from margsyn.evaluate import accuracy, empirical_risk, roc_auc_model
 from margsyn.learn import LinearModel, LossSpec, TrainConfig, train_projected
-from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
+from margsyn.marginals import MarginalQuery, compute_marginal, enumerate_queries
 
 from conftest import reference_risk_and_grad, reference_scores
 
@@ -135,14 +135,9 @@ class TestReferenceEquivalence:
         check_scores(ds, seed)
 
     @given(datasets())
-    def test_marginals_and_cell_counts_bit_equal(self, ds):
+    def test_marginals_bit_equal(self, ds):
         queries = enumerate_queries(ds.schema.num_features, min(3, ds.schema.num_attributes))
         check_marginals(ds, queries)
-        op = MarginalOperator(ds.schema, queries)
-        flat = np.ravel_multi_index(tuple(ds.codes.T), ds.schema.sizes)
-        want = np.bincount(flat, minlength=op.num_cells).astype(np.float64)
-        got = op.cell_counts(ds)
-        assert got.dtype == np.float64 and np.array_equal(got, want)
 
     @pytest.mark.parametrize("ds", fixed_datasets())
     def test_fixed_views(self, ds):
@@ -161,8 +156,6 @@ class TestReferenceEquivalence:
 def test_empty_dataset_counts_as_zeros():
     ds = Dataset(make_schema((3,)), np.zeros((0, 2), dtype=np.int64))
     assert ds.weighted.codes.shape == (0, 2) and ds.weighted.counts.shape == (0,)
-    counts = MarginalOperator(ds.schema, enumerate_queries(1, 2)).cell_counts(ds)
-    assert counts.dtype == np.float64 and not counts.any()
     assert np.array_equal(compute_marginal(ds, MarginalQuery((0, 1))).counts, np.zeros(6))
 
 
