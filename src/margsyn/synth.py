@@ -8,10 +8,17 @@ Two strategies stand behind one entry point:
             fixed batch at a time, one bincount per batch), otherwise a
             deterministic greedy descent over single-row reassignments
             minimizing the same objective.  Each greedy step scores only
-            the queries whose largest possible l1 after a move reaches the
-            smallest possible l1 of the query at the maximum; rounded
-            addition is monotone, so the skipped queries cannot change the
-            chosen move and the pruning is exact.
+            the moves that can lower the query w at the maximum: the
+            occupied source cells I and the destination cells J whose
+            w-bins have a table entry below the stop threshold, so a step's
+            matrices are |I| x |J|, never larger than cells x cells.  Every
+            move outside I x J scores at least that threshold and a
+            same-cell move scores the maximum itself, so the chosen move,
+            its row-major tie-break and the stop test are those of scoring
+            every move.  Of the queries, only those whose largest possible
+            l1 after a move reaches the smallest possible l1 of w are
+            scored: the others can set no entry of the max, so this pruning
+            is exact too.
   "fitted"  least-squares fit of a dense joint distribution to the noisy
             marginals (accelerated projected gradient on the probability
             simplex with restart, computed in the eigenbasis of the
@@ -160,73 +167,11 @@ def _largest_remainder_round(mu: np.ndarray, n: int) -> np.ndarray:
     return floors
 
 
-def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
-    """Int64 cell counts of a deterministic one-row-move descent on the max-l1 objective.
-
-    Runs from two starts (uniform counts, and the product of the clipped
-    one-way noisy marginals) and keeps the better local minimum.
-
-    Each step moves one row from cell i to cell j, at the pair minimizing
-    cand[i, j] = max_q m_q[i, j], the max-l1 after the move: m_q[i, j] is
-    t_q[bin_q(i), bin_q(j)], with t_q the bins x bins table
-    (l1_q + dr_q[a]) + da_q[b] off the diagonal and l1_q on it (a move inside
-    one bin leaves q unchanged), dr = |r + 1| - |r| and da = |r - 1| - |r| per
-    bin of the residual r.  Only queries that can reach the maximum build
-    their table and gather it into a cells x cells matrix, one query at a
-    time, so memory does not grow with the number of queries.
-    With w a query at the current maximum obj = l1_w, every entry of cand is
-    at least m_w[i, j] >= lo = min(obj, (obj + min dr_w) + min da_w), and every
-    entry of m_q is at most ceil_q = max(l1_q, (l1_q + max dr_q) + max da_q).
-    Floating-point addition is monotone in each operand, so both bounds hold
-    for the rounded sums too: a query with ceil_q < lo never sets an entry of
-    cand and is skipped, and cand, hence each move, is bit-equal to the max
-    over all queries.  After a move, every query's residual and l1 are
-    updated at once, in the same operation order as one query at a time.
-    """
+def _greedy_starts(n: int, nm: NoisyMarginalSet) -> list[np.ndarray]:
+    """The greedy's starts: uniform counts, and the product of the clipped
+    one-way noisy marginals when every attribute has one."""
     schema = nm.schema
-    cells = num_joint_cells(schema)
-    if cells * cells * len(nm.marginals) > 200_000_000:
-        raise SynthesisError("joint domain too large for the greedy path; use fitted mode")
-    op, target = nm.operator, nm.target
-    maps, offsets = op.bin_maps, op.offsets
-    max_steps = 200 + 40 * n
-
-    def descend(counts: np.ndarray) -> tuple[np.ndarray, float]:
-        resid = target - op.forward(counts)
-        l1 = op.query_sums(np.abs(resid))
-        for _ in range(max_steps):
-            w = int(np.argmax(l1))
-            obj = float(l1[w])
-            d_remove = np.abs(resid + 1.0) - np.abs(resid)  # take one row out of a cell in the bin
-            d_add = np.abs(resid - 1.0) - np.abs(resid)     # put one row into a cell in the bin
-            own = slice(offsets[w], offsets[w] + op.num_bins[w])
-            lo = min(obj, (obj + d_remove[own].min()) + d_add[own].min())
-            ceil = np.maximum(l1, (l1 + np.maximum.reduceat(d_remove, offsets))
-                              + np.maximum.reduceat(d_add, offsets))
-            cand = None
-            for q in np.flatnonzero(ceil >= lo):
-                seg = slice(offsets[q], offsets[q] + op.num_bins[q])
-                table = (l1[q] + d_remove[seg])[:, None] + d_add[seg][None, :]
-                np.fill_diagonal(table, l1[q])
-                mq = table.take(maps[q], 0).take(maps[q], 1)
-                cand = mq if cand is None else np.maximum(cand, mq, out=cand)
-            cand[counts <= 0, :] = math.inf
-            np.fill_diagonal(cand, math.inf)
-            flat = int(np.argmin(cand))
-            i, j = divmod(flat, cells)
-            if not cand[i, j] < obj - 1e-12:
-                break
-            counts[i] -= 1
-            counts[j] += 1
-            moved = maps[:, i] != maps[:, j]
-            bi, bj = maps[moved, i] + offsets[moved], maps[moved, j] + offsets[moved]
-            l1[moved] += ((np.abs(resid[bi] + 1.0) - np.abs(resid[bi]))
-                          + (np.abs(resid[bj] - 1.0) - np.abs(resid[bj])))
-            resid[bi] += 1.0
-            resid[bj] -= 1.0
-        return counts, float(l1.max())
-
-    starts = [_largest_remainder_round(np.ones(cells), n)]
+    starts = [_largest_remainder_round(np.ones(num_joint_cells(schema)), n)]
     one_way = {m.query.attrs[0]: m for m in nm.marginals if m.query.order == 1}
     if len(one_way) == schema.num_attributes:
         probs = np.ones(1)
@@ -235,10 +180,101 @@ def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
             col = np.full(schema.sizes[j], 1.0 / schema.sizes[j]) if col.sum() <= 0 else col / col.sum()
             probs = np.multiply.outer(probs, col).ravel()
         starts.append(_largest_remainder_round(probs, n))
+    return starts
 
+
+def _descend(counts: np.ndarray, nm: NoisyMarginalSet) -> tuple[np.ndarray, np.ndarray]:
+    """One-row-move descent on the max-l1 objective from `counts` (updated in
+    place): the final counts and every query's final l1 to the noisy marginals.
+
+    Each step moves one row from cell i to cell j, at the pair minimizing
+    cand[i, j] = max_q m_q[i, j], the max-l1 after the move: m_q[i, j] is
+    t_q[bin_q(i), bin_q(j)], with t_q the bins x bins table
+    (l1_q + dr_q[a]) + da_q[b] off the diagonal and l1_q on it (a move inside
+    one bin leaves q unchanged), dr = |r + 1| - |r| and da = |r - 1| - |r| per
+    bin of the residual r.  All queries' tables are built at once, in one
+    concatenated (query, source bin, destination bin) layout fixed per call.
+    The descent stops when no move has cand[i, j] < thr = obj - 1e-12, obj the
+    current maximum, or after 200 + 40 n steps.
+
+    Only moves that can pass that test are scored.  A move lowers the maximum
+    only if it lowers w, the first query at the maximum, so rows I are the
+    occupied cells whose w-bin has an entry of t_w below thr in its row, and
+    columns J the cells whose w-bin has one in its column (both ascending);
+    cand is built on I x J alone, so a step's matrices are |I| x |J|, never
+    larger than cells x cells.  This is exact: every entry outside I x J is
+    at least m_w[i, j] >= thr, a diagonal entry (i = j) is max_q l1_q = obj,
+    and the row-major order over I x J keeps the first-index tie-break, so
+    the chosen move and the stop test are those of the full cells x cells
+    matrix with empty source cells and the diagonal excluded.  An empty I or
+    J ends the descent.  Queries are pruned too: every entry of cand is at
+    least m_w[i, j] >= lo = min t_w, so a query whose largest table entry is
+    below lo never sets an entry of cand and is skipped.  After a move, every
+    query's residual and l1 are updated at once, l1_q += dr_q[a] + da_q[b].
+    """
+    op, target = nm.operator, nm.target
+    maps, offsets = op.bin_maps, op.offsets
+    bins = np.array(op.num_bins)
+    sizes = bins * bins
+    begin = np.cumsum(sizes) - sizes
+    query = np.repeat(np.arange(bins.shape[0]), sizes)
+    entry = np.arange(sizes.sum()) - begin[query]
+    src = offsets[query] + entry // bins[query]
+    dst = offsets[query] + entry % bins[query]
+    same = src == dst
+    tables = np.empty(sizes.sum())
+    views = [tables[b:b + k * k].reshape(k, k) for b, k in zip(begin, op.num_bins)]
+    resid = target - op.forward(counts)
+    l1 = op.query_sums(np.abs(resid))
+    for _ in range(200 + 40 * int(counts.sum())):
+        w = int(np.argmax(l1))
+        thr = l1[w] - 1e-12
+        mag = np.abs(resid)
+        d_remove = np.abs(resid + 1.0) - mag  # take one row out of a cell in the bin
+        d_add = np.abs(resid - 1.0) - mag     # put one row into a cell in the bin
+        base = l1[query]
+        np.add(base, d_remove[src], out=tables)
+        tables += d_add[dst]
+        np.copyto(tables, base, where=same)
+        t_w = views[w]
+        below = t_w < thr
+        rows = np.flatnonzero(below.any(axis=1)[maps[w]] & (counts > 0))
+        cols = np.flatnonzero(below.any(axis=0)[maps[w]])
+        if not (rows.size and cols.size):
+            break
+        row_bins, col_bins = maps.take(rows, 1), maps.take(cols, 1)
+        cand = None
+        for q in np.flatnonzero(np.maximum.reduceat(tables, begin) >= t_w.min()):
+            m_q = views[q].take(row_bins[q], 0).take(col_bins[q], 1)
+            cand = m_q if cand is None else np.maximum(cand, m_q, out=cand)
+        at = int(np.argmin(cand))
+        if not cand.flat[at] < thr:
+            break
+        i, j = rows[at // cols.shape[0]], cols[at % cols.shape[0]]
+        counts[i] -= 1
+        counts[j] += 1
+        moved = maps[:, i] != maps[:, j]
+        bi, bj = maps[moved, i] + offsets[moved], maps[moved, j] + offsets[moved]
+        l1[moved] += d_remove[bi] + d_add[bj]
+        resid[bi] += 1.0
+        resid[bj] -= 1.0
+    return counts, l1
+
+
+def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
+    """Int64 cell counts of a deterministic one-row-move descent (`_descend`)
+    on the max-l1 objective.
+
+    Runs from each of `_greedy_starts` and keeps the first of the best local
+    minima.
+    """
+    cells = num_joint_cells(nm.schema)
+    if cells * cells * len(nm.marginals) > 200_000_000:
+        raise SynthesisError("joint domain too large for the greedy path; use fitted mode")
     best_counts, best_obj = None, math.inf
-    for start in starts:
-        counts, obj = descend(start)
+    for start in _greedy_starts(n, nm):
+        counts, l1 = _descend(start, nm)
+        obj = float(l1.max())
         if obj < best_obj:
             best_counts, best_obj = counts, obj
     return best_counts

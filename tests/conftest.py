@@ -144,8 +144,9 @@ def reference_exhaustive_counts(n: int, nm) -> np.ndarray:
     return best_counts
 
 
-def reference_greedy_counts(n: int, nm) -> np.ndarray:
-    """Cell counts of the greedy min-max descent, every query scored at every step."""
+def reference_greedy_counts(n: int, nm) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Cell counts of the greedy min-max descent, every query scored at every step,
+    and each start's final l1 vector (one entry per query), in start order."""
     schema = nm.schema
     cells = int(np.prod(schema.sizes))
     op = nm.operator
@@ -153,7 +154,7 @@ def reference_greedy_counts(n: int, nm) -> np.ndarray:
     eq_masks = [bm[:, None] == bm[None, :] for bm in bin_maps]
     max_steps = 200 + 40 * n
 
-    def descend(counts: np.ndarray) -> tuple[np.ndarray, float]:
+    def descend(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         counts = counts.astype(np.float64)
         resid = np.split(nm.target - op.forward(counts), op.offsets[1:])
         l1 = np.array([np.abs(r).sum() for r in resid])
@@ -182,7 +183,7 @@ def reference_greedy_counts(n: int, nm) -> np.ndarray:
                     l1[qi] += (abs(r[bi] + 1.0) - abs(r[bi])) + (abs(r[bj] - 1.0) - abs(r[bj]))
                     r[bi] += 1.0
                     r[bj] -= 1.0
-        return counts, float(l1.max())
+        return counts, l1
 
     starts = [_largest_remainder_round(np.ones(cells), n)]
     one_way = {m.query.attrs[0]: m for m in nm.marginals if m.query.order == 1}
@@ -194,9 +195,11 @@ def reference_greedy_counts(n: int, nm) -> np.ndarray:
             probs = np.multiply.outer(probs, col).ravel()
         starts.append(_largest_remainder_round(probs, n))
 
-    best_counts, best_obj = None, math.inf
+    best_counts, best_obj, finals = None, math.inf, []
     for start in starts:
-        counts, obj = descend(start)
+        counts, l1 = descend(start)
+        finals.append(l1)
+        obj = float(l1.max())
         if obj < best_obj:
             best_counts, best_obj = counts, obj
-    return best_counts
+    return best_counts, finals
