@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .dataset import Schema, load_csv, load_raw_csv, preprocess, rules_from_dict, write_csv
+from .dataset import (Schema, _write_json, load_csv, load_raw_csv, preprocess, rules_from_dict,
+                      write_csv)
 from .demo import make_demo_dataset
 from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .experiment import ExperimentConfig, run_experiment
@@ -29,12 +30,6 @@ from .polyapprox import (Interval, approx_report, bernstein, iterated_bernstein,
                          logistic_loss, remez_minimax)
 from .privacy import PrivacyParams
 from .synth import generate_synthetic
-
-
-def _write_json(doc, path):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def _cmd_prep(args) -> int:

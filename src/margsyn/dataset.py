@@ -75,10 +75,6 @@ class Schema:
         return len(self.names) - 1
 
     @property
-    def label_index(self) -> int:
-        return len(self.names) - 1
-
-    @property
     def max_domain_size(self) -> int:
         return max(self.sizes)
 
@@ -102,9 +98,7 @@ class Schema:
             return cls.from_dict(json.load(fh))
 
     def to_file(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(self.to_dict(), path)
 
     def digest(self) -> str:
         """Stable hash of the schema, recorded in model files."""
@@ -168,11 +162,6 @@ class Dataset:
         counts.setflags(write=False)
         return WeightedRows(codes, counts)
 
-    def row_multiset(self) -> dict[tuple[int, ...], int]:
-        """Rows with multiplicities, for multiset comparisons."""
-        codes, counts = self.weighted
-        return dict(zip(map(tuple, codes.tolist()), counts.tolist()))
-
 
 def _encode_codes(schema: Schema, codes: np.ndarray) -> np.ndarray:
     sizes = np.asarray(schema.sizes, dtype=np.float64)
@@ -226,7 +215,14 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 
 
 # ---------------------------------------------------------------------------
-# Coded CSV I/O
+# JSON and coded CSV I/O
+
+
+def _write_json(doc, path: str | Path) -> None:
+    """Write doc as indented JSON with a final newline: every JSON file the program writes."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _read_rows(path: str | Path, names: tuple[str, ...] | None = None):

@@ -41,13 +41,6 @@ def _weighted_auc(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float
     return float(p @ (below + 0.5 * q)) / float(n_pos * n_neg)
 
 
-def roc_auc(scores, labels) -> float:
-    """P(score_+ > score_-) + P(tie)/2 over rows with +-1 labels."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    return _weighted_auc(scores, labels > 0, labels <= 0)
-
-
 def roc_auc_model(model: LinearModel, ds: Dataset) -> float:
     X, y, counts = encode_weighted(ds)
     _, scores = predict(model, X)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema, SplitSpec, load_csv, split
+from .dataset import Dataset, Schema, SplitSpec, _write_json, load_csv, split
 from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .learn import LinearModel, LossSpec, TrainConfig, train_projected
 from .privacy import PrivacyParams
@@ -169,9 +169,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 row.update({"status": "failed", "error": repr(exc)})
                 continue
             row.update({**real, **metrics})
-            with open(out / "reports" / f"run_eps{eps_index}_rep{repeat}.json", "w") as fh:
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
+            _write_json(report, out / "reports" / f"run_eps{eps_index}_rep{repeat}.json")
     runs = [row for eps_rows in grid for row in eps_rows]
     aggregates = [_aggregate(eps_rows, eps) for eps_rows, eps in zip(grid, cfg.epsilons)]
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema, encode_weighted, encode_xy
+from .dataset import Dataset, Schema, _write_json, encode_weighted, encode_xy
 
 
 class LossError(ValueError):
@@ -301,7 +301,8 @@ def dp_sgd(ds: Dataset, spec: LossSpec, cfg: DpSgdConfig, rng: np.random.Generat
     Batches are sampled uniformly with replacement; each per-sample gradient is
     scaled by 1/max(1, ||g||/C); noise is added to the averaged batch gradient.
     Returns the final (unprojected) iterate.  When the noise variance is 0
-    the noise draw is skipped entirely, so the trajectory matches plain_sgd
+    the noise draw is skipped entirely, so the trajectory matches the
+    noiseless reference SGD of the tests (`reference_sgd` in tests/conftest.py)
     under a shared generator state.
     """
     if cfg.batch_size > ds.n:
@@ -322,22 +323,6 @@ def dp_sgd(ds: Dataset, spec: LossSpec, cfg: DpSgdConfig, rng: np.random.Generat
     return LinearModel(w, math.inf, spec)
 
 
-def plain_sgd(ds: Dataset, spec: LossSpec, iterations: int, batch_size: int,
-              learning_rate: float, rng: np.random.Generator) -> LinearModel:
-    """Reference minibatch SGD with the same batch-sampling pattern as dp_sgd."""
-    if batch_size > ds.n:
-        raise ValueError(f"batch size {batch_size} exceeds dataset size {ds.n}")
-    X, y = encode_xy(ds)
-    w = np.zeros(X.shape[1])
-    for _ in range(iterations):
-        idx = rng.integers(0, ds.n, size=batch_size)
-        xb, yb = X[idx], y[idx]
-        t = (xb @ w) * yb
-        gbar = (spec.grad(t)[:, None] * yb[:, None] * xb).mean(axis=0)
-        w = w - learning_rate * gbar
-    return LinearModel(w, math.inf, spec)
-
-
 # ---------------------------------------------------------------------------
 # Model files
 
@@ -349,9 +334,7 @@ def save_model(model: LinearModel, schema: Schema, path: str | Path) -> None:
         "loss": model.loss.to_dict(),
         "weights": [float(v) for v in model.w],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def load_model(path: str | Path) -> tuple[LinearModel, str]:

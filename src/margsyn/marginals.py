@@ -9,7 +9,6 @@ last attribute in the query varying fastest.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, ParseError, Schema, _read_rows
+from .dataset import Dataset, Schema, _write_json
 
 
 class QueryError(ValueError):
@@ -63,10 +62,6 @@ class Marginal:
         counts = np.asarray(self.counts, dtype=np.float64).copy()
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
 
     def shape(self, schema: Schema) -> tuple[int, ...]:
         return schema.shape(self.query.attrs)
@@ -223,32 +218,6 @@ class MarginalOperator:
         return self.query_sums(np.abs(target - marginals))
 
 
-def l1_distance(a: Marginal, b: Marginal) -> float:
-    if a.query != b.query:
-        raise QueryError(f"query mismatch: {a.query.attrs} vs {b.query.attrs}")
-    return float(np.abs(a.counts - b.counts).sum())
-
-
-def normalized_l1(a: Marginal, b: Marginal, n: int) -> float:
-    """l1 distance divided by the dataset size."""
-    if n <= 0:
-        raise ValueError("normalization requires n > 0")
-    return l1_distance(a, b) / n
-
-
-def project_marginal(h: Marginal, q_sub: MarginalQuery, schema: Schema) -> Marginal:
-    """Sum the marginal over the attributes not in q_sub (q_sub must be a subset)."""
-    if not set(q_sub.attrs) <= set(h.query.attrs):
-        raise QueryError(f"{q_sub.attrs} is not a subset of {h.query.attrs}")
-    shape = schema.shape(h.query.attrs)
-    keep = [i for i, a in enumerate(h.query.attrs) if a in set(q_sub.attrs)]
-    drop = tuple(i for i in range(len(h.query.attrs)) if i not in keep)
-    counts = h.counts.reshape(shape)
-    if drop:
-        counts = counts.sum(axis=drop)
-    return Marginal(q_sub, counts.ravel(), exact=h.exact)
-
-
 # ---------------------------------------------------------------------------
 # Serialization: one CSV of (query id, flattened index, count) plus a manifest
 # describing each query's attribute set and domain shape.
@@ -273,30 +242,4 @@ def save_marginals(marginals: list[Marginal], schema: Schema,
             for qid, marg in enumerate(marginals)
         ]
     }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-
-
-def load_marginals(csv_path: str | Path, manifest_path: str | Path) -> list[Marginal]:
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    entries, counts = {}, {}
-    for e in manifest["queries"]:
-        if e["id"] in entries or len(e["shape"]) != len(e["attrs"]) or min(e["shape"], default=0) < 2:
-            raise ParseError(f"{manifest_path}: query {e['id']!r} is repeated or has shape "
-                             f"{e['shape']}, not a domain size >= 2 for each of attrs {e['attrs']}")
-        entries[e["id"]], counts[e["id"]] = e, np.zeros(int(np.prod(e["shape"])))
-    _, rows = _read_rows(csv_path, ("query_id", "flat_index", "count"))
-    seen = set()
-    for lineno, (qid, idx, value) in enumerate(rows, start=2):
-        try:
-            qid, idx, value = int(qid), int(idx), float(value)
-        except ValueError as exc:
-            raise ParseError(f"{csv_path}:{lineno}: {exc}") from None
-        if qid not in counts or not 0 <= idx < counts[qid].size or (qid, idx) in seen:
-            raise ParseError(f"{csv_path}:{lineno}: cell {idx} of query {qid} is unknown or repeated")
-        seen.add((qid, idx))
-        counts[qid][idx] = value
-    return [Marginal(MarginalQuery(tuple(e["attrs"])), counts[qid], exact=bool(e["exact"]))
-            for qid, e in sorted(entries.items())]
+    _write_json(manifest, manifest_path)

@@ -48,14 +48,10 @@ class PrivacyParams:
 
 @dataclass(frozen=True)
 class NoiseCalibration:
-    """Noise scale for one release, recomputable from its inputs."""
+    """Noise scale of one release and the l2 sensitivity it is calibrated to."""
 
     sigma: float
     sensitivity: float
-    d: int
-    m: int
-    epsilon: float
-    delta: float
 
 
 def gaussian_sigma(eps: float, delta: float, sensitivity: float) -> float:
@@ -77,7 +73,7 @@ def marginal_set_sensitivity(m: int, d: int) -> float:
 def calibrate(m: int, d: int, params: PrivacyParams) -> NoiseCalibration:
     sens = marginal_set_sensitivity(m, d)
     sigma = gaussian_sigma(params.epsilon, params.delta, sens)
-    return NoiseCalibration(sigma, sens, d, m, params.epsilon, params.delta)
+    return NoiseCalibration(sigma, sens)
 
 
 def add_noise(h: Marginal, sigma: float, rng: np.random.Generator) -> Marginal:

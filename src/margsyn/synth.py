@@ -269,7 +269,7 @@ def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     minima.
     """
     cells = num_joint_cells(nm.schema)
-    if cells * cells * len(nm.marginals) > 200_000_000:
+    if cells * cells > 200_000_000:  # a step's float64 matrices: <= cells x cells, 1.6 GB each
         raise SynthesisError("joint domain too large for the greedy path; use fitted mode")
     best_counts, best_obj = None, math.inf
     for start in _greedy_starts(n, nm):

@@ -1,5 +1,6 @@
 import csv
 import math
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from margsyn.dataset import Dataset, DomainError, ParseError, Schema, encode_xy
-from margsyn.learn import predict
-from margsyn.marginals import compute_marginal
+from margsyn.evaluate import _weighted_auc
+from margsyn.learn import LinearModel, predict
+from margsyn.marginals import Marginal, compute_marginal
 from margsyn.synth import _largest_remainder_round
 
 settings.register_profile(
@@ -42,6 +44,17 @@ def cell_counts(ds: Dataset) -> np.ndarray:
     """Number of the dataset's rows in each joint cell, counted row by row."""
     flat = np.ravel_multi_index(tuple(ds.codes.T), ds.schema.sizes)
     return np.bincount(flat, minlength=math.prod(ds.schema.sizes))
+
+
+def reference_row_multiset(ds: Dataset) -> Counter:
+    """The dataset's rows with their multiplicities, counted row by row."""
+    return Counter(map(tuple, ds.codes.tolist()))
+
+
+def reference_l1_distance(a: Marginal, b: Marginal) -> float:
+    """l1 distance between two marginals of the same query."""
+    assert a.query == b.query, f"query mismatch: {a.query.attrs} vs {b.query.attrs}"
+    return float(np.abs(a.counts - b.counts).sum())
 
 
 def reference_counts_to_rows(counts: np.ndarray, schema: Schema) -> np.ndarray:
@@ -111,6 +124,13 @@ def reference_roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def reference_auc_by_label(scores, labels) -> float:
+    """`evaluate._weighted_auc` over rows with +-1 labels, each row counted once."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    return _weighted_auc(scores, labels > 0, labels <= 0)
+
+
 def reference_scores(model, ds: Dataset) -> dict:
     """Accuracy, ROC-AUC (None with one class) and empirical risk, row by row over all n rows."""
     X, y = encode_xy(ds)
@@ -118,6 +138,20 @@ def reference_scores(model, ds: Dataset) -> dict:
     auc = reference_roc_auc(scores, y) if len(set(y.tolist())) == 2 else None
     return {"accuracy": float(np.mean(labels == y)), "roc_auc": auc,
             "empirical_risk": float(np.mean(model.loss.value(scores * y)))}
+
+
+def reference_sgd(ds: Dataset, spec, iterations: int, batch_size: int,
+                  learning_rate: float, rng: np.random.Generator) -> LinearModel:
+    """Minibatch SGD without clipping or noise, sampling batches as `learn.dp_sgd` does."""
+    X, y = encode_xy(ds)
+    w = np.zeros(X.shape[1])
+    for _ in range(iterations):
+        idx = rng.integers(0, ds.n, size=batch_size)
+        xb, yb = X[idx], y[idx]
+        t = (xb @ w) * yb
+        gbar = (spec.grad(t)[:, None] * yb[:, None] * xb).mean(axis=0)
+        w = w - learning_rate * gbar
+    return LinearModel(w, math.inf, spec)
 
 
 def dense_marginal_matrix(schema: Schema, queries) -> np.ndarray:

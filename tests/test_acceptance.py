@@ -18,16 +18,15 @@ from margsyn.dataset import Dataset, Schema, SplitSpec, encode_xy, split, write_
 from margsyn.demo import make_demo_dataset
 from margsyn.evaluate import empirical_risk
 from margsyn.experiment import ExperimentConfig, run_experiment
-from margsyn.learn import (DpSgdConfig, LossSpec, TrainConfig, dp_sgd, plain_sgd,
-                           train_projected)
-from margsyn.marginals import compute_marginal, enumerate_queries, l1_distance
+from margsyn.learn import DpSgdConfig, LossSpec, TrainConfig, dp_sgd, train_projected
+from margsyn.marginals import compute_marginal, enumerate_queries
 from margsyn.polyapprox import (Interval, approx_report, bernstein, iterated_bernstein,
                                 logistic_loss, remez_minimax)
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate, synthesis_l1_bound
 from margsyn.synth import (DistributionEstimate, NoisyMarginalSet, brute_force_synth,
                            sample_dataset, synthesize)
 
-from conftest import random_dataset
+from conftest import random_dataset, reference_l1_distance as l1_distance, reference_sgd as plain_sgd
 
 def report_line(criterion: str, ok: bool, detail: str = "") -> None:
     state = "PASS" if ok else "FAIL"

@@ -9,9 +9,9 @@ from margsyn import learn
 from margsyn.dataset import Dataset, Schema, encode_xy
 from margsyn.learn import (DpSgdConfig, LinearModel, LossError, LossSpec, TrainConfig,
                            clip_rows, dp_sgd, dp_sgd_sigma_sq, gamma_margin_loss,
-                           load_model, plain_sgd, predict, save_model, train_projected)
+                           load_model, predict, save_model, train_projected)
 
-from conftest import random_dataset
+from conftest import random_dataset, reference_sgd
 
 LN2 = math.log(2.0)
 
@@ -211,14 +211,14 @@ class TestDpSgd:
         small = clip_rows(np.full((2, 2), 1e-3), 10.0)
         assert np.allclose(small, 1e-3)  # below the cap rows pass through
 
-    def test_zero_noise_hook_matches_plain_sgd(self, three_binary_schema, monkeypatch):
+    def test_zero_noise_hook_matches_reference_sgd(self, three_binary_schema, monkeypatch):
         ds = random_dataset(three_binary_schema, 120, seed=5)
         spec = LossSpec.logistic()
         cfg = DpSgdConfig(iterations=60, batch_size=20, learning_rate=0.5,
                           clip_norm=math.inf, lipschitz_L=1.0, epsilon=1.0, delta=1e-5)
         monkeypatch.setattr(learn, "dp_sgd_sigma_sq", lambda cfg, n: 0.0)
         a = dp_sgd(ds, spec, cfg, np.random.default_rng(99))
-        b = plain_sgd(ds, spec, 60, 20, 0.5, np.random.default_rng(99))
+        b = reference_sgd(ds, spec, 60, 20, 0.5, np.random.default_rng(99))
         assert np.array_equal(a.w, b.w)
 
     def test_sigma_override_key_is_gone(self):
@@ -238,7 +238,7 @@ class TestDpSgd:
         cfg = DpSgdConfig(iterations=30, batch_size=20, learning_rate=0.5,
                           clip_norm=1.0, lipschitz_L=1.0, epsilon=1.0, delta=1e-5)
         noisy = dp_sgd(ds, LossSpec.logistic(), cfg, np.random.default_rng(7))
-        clean = plain_sgd(ds, LossSpec.logistic(), 30, 20, 0.5, np.random.default_rng(7))
+        clean = reference_sgd(ds, LossSpec.logistic(), 30, 20, 0.5, np.random.default_rng(7))
         assert not np.array_equal(noisy.w, clean.w)
 
 

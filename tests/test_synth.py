@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from margsyn.dataset import Dataset, Schema
 from margsyn.demo import make_demo_dataset
 from margsyn.marginals import (Marginal, MarginalOperator, MarginalQuery, compute_marginal,
-                               enumerate_queries, l1_distance)
+                               enumerate_queries)
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate
 from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, SynthesisError,
                            _counts_to_dataset, _descend, _greedy_minmax, _greedy_starts,
@@ -19,7 +19,8 @@ from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, 
                            num_joint_cells, sample_dataset, synthesize)
 
 from conftest import (dense_marginal_matrix, random_dataset, reference_counts_to_rows,
-                      reference_exhaustive_counts, reference_greedy_counts)
+                      reference_exhaustive_counts, reference_greedy_counts, reference_l1_distance,
+                      reference_row_multiset)
 
 
 def noisy_set_from(ds: Dataset, d: int, sigma: float, seed: int) -> NoisyMarginalSet:
@@ -52,7 +53,7 @@ def oracle_best_objective(n: int, nm: NoisyMarginalSet) -> float:
     for combo in itertools.combinations_with_replacement(range(cells), n):
         rows = np.array([all_codes[c] for c in combo], dtype=np.int64).reshape(n, len(schema.sizes))
         cand = Dataset(schema, rows)
-        obj = max(l1_distance(m, compute_marginal(cand, m.query)) for m in nm.marginals)
+        obj = max(reference_l1_distance(m, compute_marginal(cand, m.query)) for m in nm.marginals)
         best = min(best, obj)
     return best
 
@@ -112,7 +113,7 @@ class TestBruteForce:
         for seed in range(10):
             nm = noisy_set_from(two_binary_rows, 2, 1.5, seed=seed)
             obj_s = l1_to_noisy(brute_force_synth(4, nm), nm).max()
-            obj_r = max(l1_distance(m, compute_marginal(two_binary_rows, m.query))
+            obj_r = max(reference_l1_distance(m, compute_marginal(two_binary_rows, m.query))
                         for m in nm.marginals)
             assert obj_s <= obj_r + 1e-9
 
@@ -146,7 +147,7 @@ class TestGreedyFallback:
             nm = noisy_set_from(real, 2, 8.0, seed=seed)
             ds_s, stats = synthesize(60, nm, "brute", cap=1000)
             assert ds_s.n == 60
-            obj_r = max(l1_distance(m, compute_marginal(real, m.query)) for m in nm.marginals)
+            obj_r = max(reference_l1_distance(m, compute_marginal(real, m.query)) for m in nm.marginals)
             assert stats["l1_to_noisy_max"] <= obj_r + 1e-9
 
     def test_empty_query_set(self, two_binary_rows):
@@ -270,6 +271,24 @@ class TestBruteMatchesTheLoop:
         finally:
             tracemalloc.stop()
         assert peak < 8 * cells * cells
+
+    def test_greedy_guard_bounds_one_cells_x_cells_matrix(self):
+        # 10 binary features + label at d=2: 2,048 cells and 66 queries.  A step
+        # holds at most one cells x cells matrix whatever the query count, so it runs.
+        nm = noisy_set_from(make_demo_dataset(m=10, n=20, seed=0), 2, 1.0, seed=0)
+        ds, stats = synthesize(20, nm, "brute")
+        assert stats["path"] == "greedy" and ds.n == 20
+        # 14 binary features + label: 32,768 cells, so cells^2 > 2e8, even at d=1.
+        # It is refused before anything of the size of the cells is allocated.
+        nm = noisy_set_from(make_demo_dataset(m=14, n=20, seed=0), 1, 1.0, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SynthesisError, match="too large for the greedy"):
+                synthesize(20, nm, "brute", cap=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * num_joint_cells(nm.schema)
 
 
 def reference_pgd_objective(nm: NoisyMarginalSet, n: float, iters: int = 2000,
@@ -606,7 +625,8 @@ class TestMechanism:
         real = random_dataset(three_binary_schema, 30, seed=3)
         ds_s, stats = synthesize(real.n, noisy_set_from(real, 4, 0.0, 1), "brute")
         assert stats["l1_to_noisy_max"] == 0.0  # the noisy set is the exact one
-        assert ds_s.row_multiset() == real.row_multiset()  # full-order marginals pin the multiset
+        # full-order marginals pin the multiset
+        assert reference_row_multiset(ds_s) == reference_row_multiset(real)
 
     def test_fixed_seed_bit_identical(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 40, seed=4)
@@ -650,7 +670,7 @@ class TestMechanism:
         _, report = generate_synthetic(real, 2, privacy, mode="brute", seed=seed)
         exact = [compute_marginal(real, q) for q in enumerate_queries(2, 2)]
         noisy = add_noise_to_set(exact, report.sigma, seed)
-        real_to_noisy = max(l1_distance(e, h) for e, h in zip(exact, noisy))
+        real_to_noisy = max(reference_l1_distance(e, h) for e, h in zip(exact, noisy))
         assert report.bound_certified == (report.l1_to_noisy_max <= report.l1_bound_at_lam / 2)
         if real_to_noisy <= report.l1_bound_at_lam / 2:
             assert report.bound_certified is True
