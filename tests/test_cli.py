@@ -17,6 +17,7 @@ from margsyn.demo import make_demo_dataset
 from margsyn.evaluate import empirical_risk
 from margsyn.experiment import ExperimentConfig, run_experiment
 from margsyn.learn import LinearModel, LossSpec, save_model, train_projected
+from margsyn.marginals import compute_marginal, enumerate_queries
 
 
 @pytest.fixture
@@ -72,6 +73,26 @@ def test_synth_command(demo_files):
     doc = json.loads(report.read_text())
     assert doc["mode"] == "fitted" and doc["epsilon"] == 1.0
     assert (tmp / "margs.csv").exists() and (tmp / "margs.json").exists()
+
+
+@pytest.mark.parametrize("mode, order", [("fitted", 1), ("fitted", 2), ("brute", 1)])
+def test_synth_marginals_out_holds_the_synthetic_marginals(demo_files, mode, order):
+    ds, data, schema, tmp = demo_files
+    out, margs = tmp / "syn.csv", tmp / "margs"
+    assert main(["synth", "--data", data, "--schema", schema, "--out", str(out), "--epsilon", "1.0",
+                 "--delta", "1e-6", "--order", str(order), "--mode", mode, "--seed", "3",
+                 "--marginals-out", str(margs)]) == 0
+    ds_syn = load_csv(out, ds.schema)
+    queries = enumerate_queries(ds.schema.num_features, order)
+    manifest = json.loads((tmp / "margs.json").read_text())["queries"]
+    assert [tuple(e["attrs"]) for e in manifest] == [q.attrs for q in queries]
+    assert all(e["exact"] is True for e in manifest)
+    with open(tmp / "margs.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for qid, q in enumerate(queries):
+        counts = [float(r["count"]) for r in rows if int(r["query_id"]) == qid]
+        assert counts == compute_marginal(ds_syn, q).counts.tolist()
+        assert sum(counts) == ds.n
 
 
 def test_synth_command_rejects_nan_epsilon(demo_files):

@@ -67,6 +67,79 @@ class TestComputeMarginal:
         assert compute_marginal(ds, q).counts.sum() == n
 
 
+class TestDistances:
+    """`MarginalOperator.l1_to`, the per-query l1 that synthesis and its reports use."""
+
+    def test_identity_zero(self, two_binary_rows):
+        op = MarginalOperator(two_binary_rows.schema, [MarginalQuery(a) for a in [(0,), (1,), (0, 1)]])
+        v = op.forward(cell_counts(two_binary_rows))
+        assert op.l1_to(v, v).tolist() == [0.0, 0.0, 0.0]
+
+    def test_direct_sum(self, two_binary_rows):
+        op = MarginalOperator(two_binary_rows.schema, [MarginalQuery((0, 1))])
+        assert op.l1_to(np.array([1.0, 1.0, 0.0, 2.0]), np.array([1.0, 0.0, 1.0, 2.0])).tolist() == [2.0]
+
+    def test_half_shift(self, two_binary_rows):
+        op = MarginalOperator(two_binary_rows.schema, [MarginalQuery((0,))])
+        assert op.l1_to(np.array([2.0, 2.0]), np.array([1.5, 2.0])).tolist() == [0.5]
+
+    def test_each_query_counts_only_its_own_bins(self, two_binary_rows):
+        op = MarginalOperator(two_binary_rows.schema, [MarginalQuery(a) for a in [(0,), (1,), (0, 1)]])
+        v = op.forward(cell_counts(two_binary_rows))  # bins 0-1, 2-3 and 4-7
+        target = v.copy()
+        target[2:4] += [0.25, -1.0]
+        assert op.l1_to(v, target).tolist() == [0.0, 1.25, 0.0]
+
+    @given(st.lists(st.floats(-50, 50), min_size=6, max_size=6),
+           st.lists(st.floats(-50, 50), min_size=6, max_size=6),
+           st.lists(st.floats(-50, 50), min_size=6, max_size=6))
+    def test_metric_properties(self, xs, ys, zs):
+        op = MarginalOperator(Schema(("a", "label"), (2, 2)), [MarginalQuery((0,)), MarginalQuery((0, 1))])
+        a, b, c = np.array(xs), np.array(ys), np.array(zs)
+        assert op.l1_to(a, b).tolist() == op.l1_to(b, a).tolist()
+        assert np.all(op.l1_to(a, c) <= op.l1_to(a, b) + op.l1_to(b, c) + 1e-9)
+        assert np.all(op.l1_to(a, b) >= 0.0)
+
+
+class TestProjection:
+    """`MarginalOperator.forward` projects joint-cell counts onto each query's attributes."""
+
+    def test_project_pair_onto_single(self, two_binary_rows):
+        op = MarginalOperator(two_binary_rows.schema, [MarginalQuery((1,))])
+        assert op.forward(cell_counts(two_binary_rows)).tolist() == [1.0, 3.0]
+        pair = compute_marginal(two_binary_rows, MarginalQuery((0, 1)))
+        assert pair.counts.reshape(2, 2).sum(axis=0).tolist() == [1.0, 3.0]
+
+    def test_project_full_is_identity(self):
+        schema = OPERATOR_SCHEMAS[1]
+        op = MarginalOperator(schema, [MarginalQuery(tuple(range(schema.num_attributes)))])
+        x = np.random.default_rng(0).normal(size=op.num_cells)
+        assert np.array_equal(op.forward(x), x)
+
+    def test_total_preserved(self, two_binary_rows):
+        op = MarginalOperator(two_binary_rows.schema, [MarginalQuery(a) for a in [(0,), (1,), (0, 1)]])
+        assert op.query_sums(op.forward(cell_counts(two_binary_rows))).tolist() == [4.0, 4.0, 4.0]
+
+    def test_last_attribute_varies_fastest(self):
+        schema = OPERATOR_SCHEMAS[1]  # sizes (3, 2, 4, 2)
+        op = MarginalOperator(schema, [MarginalQuery((0, 2))])
+        x = np.zeros(op.num_cells)
+        x[np.ravel_multi_index((2, 1, 3, 0), schema.sizes)] = 1.0
+        assert np.flatnonzero(op.forward(x)).tolist() == [2 * 4 + 3]
+
+    @given(st.integers(1, 35), st.integers(0, 2**31 - 1))
+    def test_commutes_with_computation(self, n, seed):
+        schema = Schema(("a", "b", "c", "label"), (3, 2, 4, 2))
+        ds = random_dataset(schema, n, seed)
+        big = compute_marginal(ds, MarginalQuery((0, 2, 3))).counts.reshape(3, 4, 2)
+        subs = [(0,), (2,), (3,), (0, 2), (0, 3), (2, 3)]
+        op = MarginalOperator(schema, [MarginalQuery(s) for s in subs])
+        for sub, got in zip(subs, np.split(op.forward(cell_counts(ds)), op.offsets[1:])):
+            summed = big.sum(axis=tuple(i for i, a in enumerate((0, 2, 3)) if a not in sub))
+            assert np.array_equal(got, summed.ravel())
+            assert np.array_equal(got, compute_marginal(ds, MarginalQuery(sub)).counts)
+
+
 # mixed arities, and one attribute (40 values) wider than a dense transform factor
 SPECTRAL_SIZES = [(3, 2, 4, 2), (3, 3, 2), (2, 5, 3, 2), (2, 2, 2, 2), (40, 3, 2)]
 
@@ -197,3 +270,26 @@ def test_save_load_round_trip(tmp_path, two_binary_rows):
         {"id": 2, "attrs": [0, 1], "shape": [2, 2], "exact": True},
         {"id": 3, "attrs": [0], "shape": [2], "exact": False},
     ]}
+
+
+@pytest.mark.parametrize("sizes, d", [((2, 2, 2), 2), ((3, 2, 4, 2), 3), ((40, 3, 2), 2), ((5, 2), 2)],
+                         ids=["binary", "mixed", "wide attribute", "full order"])
+def test_dump_lists_every_cell_of_every_query_once(tmp_path, sizes, d):
+    """Ids run 0.., each query's cells run 0..bins-1 in order, and `shape` is the schema's."""
+    schema = Schema(tuple(f"x{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
+    queries = enumerate_queries(len(sizes) - 1, d)
+    rng = np.random.default_rng(sum(sizes))
+    margs = [Marginal(q, compute_marginal(random_dataset(schema, 7, 0), q).counts
+                      + rng.normal(0.0, 3.0, math.prod(schema.shape(q.attrs))), exact=False)
+             for q in queries]
+    save_marginals(margs, schema, tmp_path / "m.csv", tmp_path / "m.json")
+    with open(tmp_path / "m.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(int(q), int(i)) for q, i, _ in rows] == [(qid, i) for qid, m in enumerate(margs)
+                                                       for i in range(len(m.counts))]
+    assert [float(c) for _, _, c in rows] == np.concatenate([m.counts for m in margs]).tolist()
+    manifest = json.loads((tmp_path / "m.json").read_text())["queries"]
+    assert [e["id"] for e in manifest] == list(range(len(queries)))
+    assert [tuple(e["attrs"]) for e in manifest] == [q.attrs for q in queries]
+    assert [tuple(e["shape"]) for e in manifest] == [schema.shape(q.attrs) for q in queries]
+    assert all(e["exact"] is False for e in manifest)

@@ -675,6 +675,15 @@ class TestMechanism:
         if real_to_noisy <= report.l1_bound_at_lam / 2:
             assert report.bound_certified is True
 
+    def test_normalized_l1_is_the_real_l1_over_n(self, three_binary_schema):
+        real = random_dataset(three_binary_schema, 30, seed=9)
+        ds_s, report = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="fitted", seed=4)
+        l1 = [reference_l1_distance(compute_marginal(real, q), compute_marginal(ds_s, q))
+              for q in enumerate_queries(3, 2)]
+        assert report.nonprivate_l1_to_real_max == max(l1) > 0.0
+        assert report.nonprivate_normalized_l1_max == max(l1) / 30
+        assert report.nonprivate_normalized_l1_mean == pytest.approx(np.mean(l1) / 30, rel=1e-12)
+
     def test_bound_certified_can_fail(self):
         # with almost no noise, half the bound is far below one row, so any
         # rounding error of the fitted sampler leaves the bound uncertified
