@@ -269,7 +269,9 @@ def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     minima.
     """
     cells = num_joint_cells(nm.schema)
-    if cells * cells > 200_000_000:  # a step's float64 matrices: <= cells x cells, 1.6 GB each
+    # a step's arrays: cand, at most cells x cells, and the move tables of all
+    # queries, sum_q bins_q^2 entries each; 2e8 float64 entries are 1.6 GB
+    if max(cells * cells, sum(m.counts.size ** 2 for m in nm.marginals)) > 200_000_000:
         raise SynthesisError("joint domain too large for the greedy path; use fitted mode")
     best_counts, best_obj = None, math.inf
     for start in _greedy_starts(n, nm):

@@ -124,8 +124,12 @@ def reference_roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def reference_auc_by_label(scores, labels) -> float:
-    """`evaluate._weighted_auc` over rows with +-1 labels, each row counted once."""
+def weighted_auc_by_label(scores, labels) -> float:
+    """`evaluate._weighted_auc` over rows with +-1 labels, each row counted once.
+
+    Not an oracle: it runs the production formula from a list of labels;
+    `reference_roc_auc` is the independent reference.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     return _weighted_auc(scores, labels > 0, labels <= 0)

@@ -8,7 +8,7 @@ from margsyn.dataset import Dataset, Schema
 from margsyn.evaluate import accuracy, empirical_risk, roc_auc_model
 from margsyn.learn import LinearModel, LossSpec
 
-from conftest import random_dataset, reference_auc_by_label, reference_roc_auc
+from conftest import random_dataset, reference_roc_auc, weighted_auc_by_label
 
 LN2 = math.log(2.0)
 
@@ -61,18 +61,18 @@ class TestAccuracy:
 
 class TestRocAuc:
     def test_perfect_separation(self):
-        assert reference_auc_by_label([0.9, 0.8, 0.1, 0.2], [1, 1, -1, -1]) == 1.0
+        assert weighted_auc_by_label([0.9, 0.8, 0.1, 0.2], [1, 1, -1, -1]) == 1.0
 
     def test_all_ties(self):
-        assert reference_auc_by_label([0.5, 0.5, 0.5, 0.5], [1, -1, 1, -1]) == 0.5
+        assert weighted_auc_by_label([0.5, 0.5, 0.5, 0.5], [1, -1, 1, -1]) == 0.5
 
     def test_three_of_four_pairs(self):
         # positives score (0.9, 0.4), negatives (0.5, 0.1): 3 of 4 pairs ordered
-        assert reference_auc_by_label([0.9, 0.4, 0.5, 0.1], [1, 1, -1, -1]) == 0.75
+        assert weighted_auc_by_label([0.9, 0.4, 0.5, 0.1], [1, 1, -1, -1]) == 0.75
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            reference_auc_by_label([0.1, 0.2], [1, 1])
+            weighted_auc_by_label([0.1, 0.2], [1, 1])
 
     @given(st.lists(st.tuples(st.integers(-50, 50), st.sampled_from([-1, 1])),
                     min_size=4, max_size=30))
@@ -82,8 +82,8 @@ class TestRocAuc:
         labels = np.array([p[1] for p in pairs])
         if len(set(labels.tolist())) < 2:
             return
-        base = reference_auc_by_label(scores, labels)
-        transformed = reference_auc_by_label(np.exp(0.7 * scores) + 3.0, labels)
+        base = weighted_auc_by_label(scores, labels)
+        transformed = weighted_auc_by_label(np.exp(0.7 * scores) + 3.0, labels)
         assert transformed == pytest.approx(base, abs=1e-12)
 
 
@@ -92,7 +92,7 @@ class TestRankSum:
         # positives score (0.3, 0.0, 1.0), negatives (-0.0, 0.3, 0.3); 0.0 ties -0.0
         scores = [0.3, -0.0, 0.3, 0.0, 1.0, 0.3]
         labels = [1, -1, -1, 1, 1, -1]
-        assert reference_auc_by_label(scores, labels) == 5.5 / 9.0
+        assert weighted_auc_by_label(scores, labels) == 5.5 / 9.0
 
     @given(st.lists(st.tuples(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0]),
                               st.sampled_from([-1, 1])), min_size=2, max_size=60)
@@ -103,7 +103,7 @@ class TestRankSum:
         labels = np.array([p[1] for p in pairs], dtype=np.float64)
         if len(set(labels.tolist())) < 2:
             return
-        assert reference_auc_by_label(scores, labels) == reference_roc_auc(scores, labels)
+        assert weighted_auc_by_label(scores, labels) == reference_roc_auc(scores, labels)
 
 
 class TestEmpiricalRisk:
@@ -134,4 +134,4 @@ def test_roc_auc_model_consistent(three_binary_schema):
     from margsyn.learn import predict
     X, y = encode_xy(ds)
     _, scores = predict(model, X)
-    assert roc_auc_model(model, ds) == reference_auc_by_label(scores, y)
+    assert roc_auc_model(model, ds) == weighted_auc_by_label(scores, y)

@@ -272,23 +272,30 @@ class TestBruteMatchesTheLoop:
             tracemalloc.stop()
         assert peak < 8 * cells * cells
 
-    def test_greedy_guard_bounds_one_cells_x_cells_matrix(self):
-        # 10 binary features + label at d=2: 2,048 cells and 66 queries.  A step
-        # holds at most one cells x cells matrix whatever the query count, so it runs.
+    def test_greedy_guard_bounds_what_a_step_allocates(self):
+        # 10 binary features + label at d=2: 2,048 cells and 66 queries.  A step's
+        # arrays are cells^2 = 4.2e6 and sum_q bins_q^2 = 924 entries, so it runs.
         nm = noisy_set_from(make_demo_dataset(m=10, n=20, seed=0), 2, 1.0, seed=0)
         ds, stats = synthesize(20, nm, "brute")
         assert stats["path"] == "greedy" and ds.n == 20
         # 14 binary features + label: 32,768 cells, so cells^2 > 2e8, even at d=1.
-        # It is refused before anything of the size of the cells is allocated.
-        nm = noisy_set_from(make_demo_dataset(m=14, n=20, seed=0), 1, 1.0, seed=0)
-        tracemalloc.start()
-        try:
-            with pytest.raises(SynthesisError, match="too large for the greedy"):
-                synthesize(20, nm, "brute", cap=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * num_joint_cells(nm.schema)
+        # 12 binary features + label: 8,192 cells, so cells^2 = 6.7e7, but the full
+        # query and its 13 twelve-attribute subsets give move tables of
+        # sum_q bins_q^2 = 8,192^2 + 13 * 4,096^2 = 2.9e8 entries.
+        # Both are refused before anything of the size of those arrays is allocated.
+        real = make_demo_dataset(m=12, n=20, seed=0)
+        full = tuple(range(13))
+        queries = [MarginalQuery(full)] + [MarginalQuery(full[:k] + full[k + 1:]) for k in range(13)]
+        wide = NoisyMarginalSet(real.schema, tuple(compute_marginal(real, q) for q in queries))
+        for nm in (noisy_set_from(make_demo_dataset(m=14, n=20, seed=0), 1, 1.0, seed=0), wide):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SynthesisError, match="too large for the greedy"):
+                    synthesize(20, nm, "brute", cap=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * num_joint_cells(nm.schema)
 
 
 def reference_pgd_objective(nm: NoisyMarginalSet, n: float, iters: int = 2000,
