@@ -4,8 +4,11 @@ A dataset is a multiset of rows over a fixed schema of categorical attributes.
 Every attribute stores integer codes 0..size-1; the last attribute is always
 the binary class label.  The numeric encoding maps code c of an attribute with
 domain size s to 2*c/(s-1) - 1, so features live in [-1, 1] and labels in
-{-1, +1}.  A coded CSV is parsed by one integer conversion of all its
-cells, and the `Dataset` constructor is the only check of the code domains.
+{-1, +1}.  A plain coded CSV (digits and commas) is parsed by numpy's C
+reader and any other by the csv module, with the same accepted files and
+errors; the `Dataset` constructor is the only check of the code domains.
+Rows exist only at that boundary: a dataset built from cell counts, as
+synthetic datasets are, keeps the counts and builds rows only when read.
 """
 
 from __future__ import annotations
@@ -113,40 +116,72 @@ class WeightedRows(NamedTuple):
     counts: np.ndarray  # shape (k,), int64 multiplicities summing to n
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """Immutable multiset of coded rows.  Row order carries no meaning."""
+    """Immutable multiset of coded rows.  Row order carries no meaning.
 
-    schema: Schema
-    codes: np.ndarray  # shape (n, num_attributes), integer codes
+    `Dataset(schema, codes)` holds the rows it is given.  `from_counts` holds
+    one count per joint cell instead: its `weighted` view is set from the
+    counts, and its rows (`codes`) are built only when first read, by
+    `write_csv`, `encode` (so `dp_sgd`) or `split`.
+    """
 
-    def __post_init__(self):
-        codes = np.array(self.codes, dtype=np.int64)
-        if codes.ndim != 2 or codes.shape[1] != self.schema.num_attributes:
+    def __init__(self, schema: Schema, codes):
+        codes = np.array(codes, dtype=np.int64)
+        if codes.ndim != 2 or codes.shape[1] != schema.num_attributes:
             raise DomainError(
-                f"codes must have shape (n, {self.schema.num_attributes}), got {codes.shape}"
+                f"codes must have shape (n, {schema.num_attributes}), got {codes.shape}"
             )
-        bad = (codes < 0) | (codes >= np.asarray(self.schema.sizes))
+        bad = (codes < 0) | (codes >= np.asarray(schema.sizes))
         if bad.any():
             row, j = divmod(int(bad.argmax()), codes.shape[1])
-            raise DomainError(f"attribute {self.schema.names[j]!r} has code {codes[row, j]} "
-                              f"outside [0, {self.schema.sizes[j]}) at row {row}", row)
+            raise DomainError(f"attribute {schema.names[j]!r} has code {codes[row, j]} "
+                              f"outside [0, {schema.sizes[j]}) at row {row}", row)
         codes.setflags(write=False)
-        object.__setattr__(self, "codes", codes)
+        # in the instance dict, where `codes` shadows the cached property of that name
+        vars(self).update(schema=schema, n=codes.shape[0], codes=codes)
 
-    @property
-    def n(self) -> int:
-        return self.codes.shape[0]
+    @classmethod
+    def from_counts(cls, schema: Schema, counts: np.ndarray) -> "Dataset":
+        """The dataset with counts[c] rows in joint cell c, row-major over schema.sizes.
+
+        `counts` is an int64 count per joint cell, as every synthesizer
+        returns.  The `weighted` view is the occupied cells in cell order with
+        their counts, and `codes` are those rows, each repeated count times.
+        """
+        occupied = np.flatnonzero(counts)
+        weighted = WeightedRows(np.stack(np.unravel_index(occupied, schema.sizes), axis=1),
+                                counts[occupied])
+        for array in weighted:
+            array.setflags(write=False)
+        ds = cls.__new__(cls)
+        vars(ds).update(schema=schema, n=int(weighted.counts.sum()), weighted=weighted)
+        return ds
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a Dataset is immutable")
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The rows, shape (n, num_attributes), int64 and read-only.
+
+        The constructor sets them; `from_counts` builds them from `weighted`
+        on first read, each distinct row repeated its count times, in cell order.
+        """
+        codes, counts = self.weighted
+        rows = np.repeat(codes, counts, axis=0)
+        rows.setflags(write=False)
+        return rows
 
     @cached_property
     def weighted(self) -> WeightedRows:
         """Distinct rows in cell order (row-major over schema.sizes) with their counts.
 
-        Each row's key is its mixed-radix cell index, key * size + code, built
-        column by column in int64.  Before a step could overflow, the key is
-        replaced by its rank among the keys so far, which keeps their order,
-        so every schema works, however many cells it has.  Every quantity of
-        the empirical distribution (risk, scores, marginals) reads this view.
+        `from_counts` sets it.  Built from rows, each row's key is its
+        mixed-radix cell index, key * size + code, built column by column in
+        int64.  Before a step could overflow, the key is replaced by its rank
+        among the keys so far, which keeps their order, so every schema works,
+        however many cells it has.  Every quantity of the empirical
+        distribution (risk, scores, marginals) reads this view.
         """
         key = np.zeros(self.n, dtype=np.int64)
         bound = 1  # every key lies in [0, bound)
@@ -240,25 +275,58 @@ def _read_rows(path: str | Path, names: tuple[str, ...] | None = None):
     return header, rows[1:]
 
 
+def _plain_codes(path: str | Path, schema: Schema) -> np.ndarray | None:
+    r"""The codes of a plain coded CSV by numpy's C reader, or None for any other file.
+
+    Plain means: an ASCII header without quotes whose stripped cells are
+    schema.names, then rows of ASCII digits and commas, every line ending in
+    \n or \r\n (the last may end the file instead), the first line a row.
+    On such a file the C reader and the cell-by-cell path read the same rows,
+    except that the C reader skips blank lines, which are errors: so a row
+    count other than the line count returns None, as does any row it rejects.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header, _, body = data.partition(b"\n")
+    if (not header.isascii() or b'"' in header
+            or tuple(h.strip() for h in header.decode("ascii").split(",")) != schema.names
+            or not body[:1].isdigit() or body.translate(None, b"0123456789,\r\n")
+            or data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    try:
+        codes = np.loadtxt(path, dtype=np.int64, comments=None, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError:  # an empty cell, a ragged row or a code beyond int64
+        return None
+    lines = body.count(b"\n") + (not body.endswith(b"\n"))
+    return codes if codes.shape == (lines, schema.num_attributes) else None
+
+
 def load_csv(path: str | Path, schema: Schema) -> Dataset:
     """Read an already-coded CSV whose header matches the schema exactly.
 
-    One int64 conversion parses every cell; `Dataset` is the only domain check.
+    A plain file (`_plain_codes`) is parsed by numpy's C reader; any other
+    is read by `_read_rows` and parsed by one int64 conversion of all its
+    cells, which finds the first bad line when it fails.  Both accept the
+    same files with the same rows.  `Dataset` is the only domain check.
     """
-    _, rows = _read_rows(path, schema.names)
+    codes = _plain_codes(path, schema)
+    if codes is None:
+        _, rows = _read_rows(path, schema.names)
+        try:
+            codes = np.array(rows, dtype=np.int64).reshape(len(rows), schema.num_attributes)
+        except (ValueError, OverflowError):  # error path: find the first line that does not convert
+            for lineno, row in enumerate(rows, start=2):
+                try:
+                    np.array(row, dtype=np.int64)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+                except OverflowError as exc:  # beyond int64, so outside every domain
+                    raise DomainError(f"{path}:{lineno}: code out of range ({exc})") from None
+            raise
     try:
-        return Dataset(schema, np.array(rows, dtype=np.int64).reshape(len(rows), schema.num_attributes))
+        return Dataset(schema, codes)
     except DomainError as exc:
         raise DomainError(f"{path}:{exc.row + 2}: {exc}", exc.row) from None
-    except (ValueError, OverflowError):  # error path: find the first line that does not convert
-        for lineno, row in enumerate(rows, start=2):
-            try:
-                np.array(row, dtype=np.int64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            except OverflowError as exc:  # beyond int64, so outside every domain
-                raise DomainError(f"{path}:{lineno}: code out of range ({exc})") from None
-        raise
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:

@@ -30,8 +30,10 @@ Two strategies stand behind one entry point:
             prefix group within less than one row of its mass.
 
 Each path outputs an int64 count per joint cell; only `synthesize` turns
-them into marginals and rows.  It sees only the noisy marginals, the target
-size and the schema; diagnostics against the real data are made outside it.
+them into marginals and a dataset.  That dataset holds the counts
+(`Dataset.from_counts`) and builds rows only when they are read.
+`synthesize` sees only the noisy marginals, the target size and the
+schema; diagnostics against the real data are made outside it.
 """
 
 from __future__ import annotations
@@ -100,12 +102,6 @@ class NoisyMarginalSet:
 
 def num_joint_cells(schema: Schema) -> int:
     return int(np.prod(schema.sizes))
-
-
-def _counts_to_dataset(counts: np.ndarray, schema: Schema) -> Dataset:
-    cells = np.flatnonzero(counts)
-    codes = np.stack(np.unravel_index(cells, schema.sizes), axis=1)
-    return Dataset(schema, np.repeat(codes, counts[cells], axis=0))
 
 
 def brute_force_synth(n: int, nm: NoisyMarginalSet,
@@ -437,7 +433,8 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     mean over queries of their l1 distance to the noisy targets
     ("l1_to_noisy_max", "l1_to_noisy_mean"), and the fit's iteration count
     and convergence ("fit_iterations", "fit_converged": 0 and None when no
-    fit ran).  Marginals and rows both come from the path's cell counts.
+    fit ran).  The marginals and the dataset both come from the path's cell
+    counts; the dataset holds them and builds no rows.
     """
     if n < 0:
         raise SynthesisError("n must be non-negative")
@@ -461,7 +458,7 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     dists = nm.operator.l1_to(marginals, nm.target)
     stats = {"path": path, "marginals": marginals, "l1_to_noisy_max": float(dists.max()),
              "l1_to_noisy_mean": float(np.mean(dists)), **fit}
-    return _counts_to_dataset(counts, nm.schema), stats
+    return Dataset.from_counts(nm.schema, counts), stats
 
 
 @dataclass(frozen=True)

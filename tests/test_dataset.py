@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from margsyn import dataset
 from margsyn.dataset import (Dataset, DomainError, ParseError,
                              PreprocessRule, RawTable, Schema, SchemaError,
                              SplitSpec, encode, encode_xy, load_csv, load_raw_csv,
@@ -42,28 +43,49 @@ class TestSchema:
 # Ways to write a valid code that Python's int() accepts, and one-defect edits of a coded file.
 _CELL_FORMS = (str, lambda c: f" {c}\t", lambda c: f"+{c}", lambda c: f"0_{c}", lambda c: f'"{c}"',
                lambda c: f'" {c} "', lambda c: str(c).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")))
-_BAD_CELLS = ("1.0", "x", "", "-1", "size", "99999999999999999999", "-99999999999999999999")
+_BAD_CELLS = ("1.0", "x", "", "-1", "#0", "size", "99999999999999999999", "-99999999999999999999")
 
 
 @st.composite
 def coded_files(draw):
-    """(schema, file text, line of the defect or None) for a coded CSV with at most one defect."""
+    """(schema, file text, line of the defect or None) for a coded CSV with at most one defect.
+
+    Half the files write every cell plainly, the form numpy's C reader parses.
+    """
     sizes = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))) + (2,)
     schema = Schema(tuple(f"a{j}" for j in range(len(sizes) - 1)) + ("label",), sizes)
-    defect = draw(st.sampled_from((None, "ragged", "blank") + _BAD_CELLS))
-    n = draw(st.integers(0 if defect is None else 1, 6))
-    rows = [[draw(st.sampled_from(_CELL_FORMS))(draw(st.integers(0, s - 1))) for s in sizes] for _ in range(n)]
-    where = None if defect is None else draw(st.integers(0, n - 1))
+    defect = draw(st.sampled_from((None, "ragged", "blank", "trailing blank") + _BAD_CELLS))
+    n = draw(st.integers(0 if defect in (None, "trailing blank") else 1, 6))
+    forms = (str,) if draw(st.booleans()) else _CELL_FORMS
+    rows = [[draw(st.sampled_from(forms))(draw(st.integers(0, s - 1))) for s in sizes] for _ in range(n)]
+    where = None if defect is None else n if defect == "trailing blank" else draw(st.integers(0, n - 1))
     if defect == "ragged":
         rows[where] = rows[where][:-1] if draw(st.booleans()) else rows[where] + ["0"]
     elif defect == "blank":
         rows[where] = []
+    elif defect == "trailing blank":
+        rows.append([])
     elif defect is not None:
         j = draw(st.integers(0, len(sizes) - 1))
         rows[where][j] = str(sizes[j]) if defect == "size" else defect
-    eol = draw(st.sampled_from(("\n", "\r\n")))
-    text = eol.join([",".join(schema.names)] + [",".join(row) for row in rows]) + eol
+    eol = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    # a blank last line needs its line end; otherwise the last row may end the file
+    last = eol if defect in ("blank", "trailing blank") or draw(st.booleans()) else ""
+    text = eol.join([",".join(schema.names)] + [",".join(row) for row in rows]) + last
     return schema, text, None if where is None else where + 2
+
+
+def assert_loads_like_the_reference(path, schema: Schema, line: int | None) -> None:
+    """load_csv gives the reference's rows, or its error type naming the same line."""
+    if line is None:
+        assert np.array_equal(load_csv(path, schema).codes, reference_load_csv(path, schema).codes)
+        return
+    with pytest.raises(ValueError) as want:
+        reference_load_csv(path, schema)
+    with pytest.raises(ValueError) as got:
+        load_csv(path, schema)
+    assert type(got.value) is type(want.value)
+    assert f"{path}:{line}:" in str(want.value) and f"{path}:{line}:" in str(got.value)
 
 
 class TestLoadCsv:
@@ -72,15 +94,17 @@ class TestLoadCsv:
         schema, text, line = case
         path = tmp_path_factory.mktemp("parity") / "d.csv"
         path.write_bytes(text.encode())
-        if line is None:
-            assert np.array_equal(load_csv(path, schema).codes, reference_load_csv(path, schema).codes)
-            return
-        with pytest.raises(ValueError) as want:
-            reference_load_csv(path, schema)
-        with pytest.raises(ValueError) as got:
-            load_csv(path, schema)
-        assert type(got.value) is type(want.value)
-        assert f"{path}:{line}:" in str(want.value) and f"{path}:{line}:" in str(got.value)
+        assert_loads_like_the_reference(path, schema, line)
+
+    @pytest.mark.parametrize("body, line", [("1,0\n\n0,1\n", 3), ("1,0\r\n0,1\r\n\r\n", 4),
+                                            ("1,0\r\r\n0,1\n", 3), ("1,0\r\n\r0,1\n", 3),
+                                            ("1,0\r0,1\n", None), ("1,0\n0,1\r", None)])
+    def test_blank_lines_and_mixed_line_ends_match_the_cell_by_cell_loader(self, tmp_path, body, line):
+        # numpy's C reader skips blank lines and opens the file with universal
+        # newlines, so a lone \r ends a line there too
+        path = tmp_path / "d.csv"
+        path.write_bytes(("a,label\n" + body).encode())
+        assert_loads_like_the_reference(path, Schema(("a", "label"), (2, 2)), line)
 
     def test_read_back(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -99,6 +123,32 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text("a,label\n")
         assert load_csv(path, Schema(("a", "label"), (2, 2))).n == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["a,label\n", "a,label\r\n", "a,label"])
+    def test_header_only_file_loads_without_a_warning(self, tmp_path, text):
+        # numpy's C reader warns on a file with no rows, so such a file must not reach it
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        assert load_csv(path, Schema(("a", "label"), (2, 2))).codes.shape == (0, 2)
+
+    def test_a_quote_in_the_header_opens_a_csv_cell(self, tmp_path):
+        # csv reads all of '"x,label\n0,1\n' as one unterminated quoted cell
+        path = tmp_path / "d.csv"
+        path.write_text('"x,label\n0,1\n')
+        with pytest.raises(ParseError, match="header"):
+            load_csv(path, Schema(('"x', "label"), (2, 2)))
+
+    def test_written_files_take_the_c_reader(self, tmp_path, monkeypatch):
+        schema = Schema(("a", "b", "label"), (3, 5, 2))
+        ds = random_dataset(schema, 50, seed=3)
+        write_csv(ds, tmp_path / "d.csv")
+
+        def cell_by_cell(*args):
+            raise AssertionError("a written file went through the cell-by-cell reader")
+
+        monkeypatch.setattr(dataset, "_read_rows", cell_by_cell)
+        assert np.array_equal(load_csv(tmp_path / "d.csv", schema).codes, ds.codes)
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -1,13 +1,13 @@
 """The noisy set owns the one marginal operator of a synthesis run, and only
-`synthesize` turns a synthesizer's cell counts into rows.
+`synthesize` turns a synthesizer's cell counts into a dataset.
 
 Building a `MarginalOperator` builds every query's cell -> bin map, so in
 `synth.py` it is built only by the cached `NoisyMarginalSet.operator`, and
 every synthesizer and diagnostic reaches the maps through it.  Every
 synthesizer outputs cell counts, from which `synthesize` takes the output's
-marginals and builds its rows, so nothing in `synth.py` counts rows back into
-cells.  No linter is a dependency, so the checks walk the module's syntax tree
-with the standard library.
+marginals and builds its dataset (`Dataset.from_counts`), so nothing in
+`synth.py` counts rows back into cells.  No linter is a dependency, so the
+checks walk the module's syntax tree with the standard library.
 """
 
 import ast
@@ -53,7 +53,7 @@ def test_synth_builds_the_operator_only_in_the_noisy_set():
 
 def test_synth_builds_rows_only_in_synthesize_and_never_counts_them():
     source = SYNTH.read_text()
-    assert call_scopes(source, "_counts_to_dataset") == ["synthesize"]
+    assert call_scopes(source, "from_counts") == ["synthesize"]
     assert attribute_scopes(source, "weighted") == []
     assert call_scopes(source, "cell_counts") == []
 

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from margsyn.dataset import Dataset, Schema
+from margsyn.dataset import Dataset, Schema, encode_xy, write_csv
 from margsyn.demo import make_demo_dataset
+from margsyn.evaluate import accuracy, empirical_risk
+from margsyn.learn import LossSpec, TrainConfig, train_projected
 from margsyn.marginals import (Marginal, MarginalOperator, MarginalQuery, compute_marginal,
                                enumerate_queries)
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate
 from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, SynthesisError,
-                           _counts_to_dataset, _descend, _greedy_minmax, _greedy_starts,
+                           _descend, _greedy_minmax, _greedy_starts,
                            _project_simplex, brute_force_synth, fit_distribution, generate_synthetic,
                            num_joint_cells, sample_dataset, synthesize)
 
@@ -710,8 +712,6 @@ class TestMechanism:
         assert all("real" not in name for name in params)
 
     def test_zero_noise_excess_risk_vanishes(self, three_binary_schema):
-        from margsyn.evaluate import empirical_risk
-        from margsyn.learn import LossSpec, TrainConfig, train_projected
         real = random_dataset(three_binary_schema, 40, seed=12)
         ds_s, _ = synthesize(real.n, noisy_set_from(real, 4, 0.0, 2), "brute")
         tau = 1.0 / math.sqrt(3)
@@ -829,7 +829,41 @@ def schemas_and_counts(draw):
 @given(schemas_and_counts())
 def test_rows_from_counts_match_the_row_by_row_expansion(case):
     schema, counts = case
-    got = _counts_to_dataset(counts, schema).codes
+    got = Dataset.from_counts(schema, counts).codes
     want = reference_counts_to_rows(counts, schema)
     assert got.shape == want.shape == (counts.sum(), schema.num_attributes)
     assert np.array_equal(got, want)
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@given(schemas_and_counts(), st.integers(0, 2**31 - 1))
+def test_counts_form_matches_its_row_built_twin(tmp_path_factory, case, seed):
+    schema, counts = case
+    ds = Dataset.from_counts(schema, counts)
+    twin = Dataset(schema, reference_counts_to_rows(counts, schema))
+    assert ds.n == twin.n == counts.sum()
+    for got, want in zip(ds.weighted, twin.weighted):
+        assert_same_array(got, want)
+    held_out = random_dataset(schema, 20, seed)
+    loss, cfg = LossSpec.logistic(), TrainConfig(max_iters=50)
+    if ds.n:
+        model, model_twin = train_projected(ds, loss, 0.5, cfg), train_projected(twin, loss, 0.5, cfg)
+        assert_same_array(model.w, model_twin.w)
+        assert accuracy(model, held_out) == accuracy(model_twin, held_out)
+        assert empirical_risk(model, held_out) == empirical_risk(model_twin, held_out)
+    else:
+        for empty in (ds, twin):
+            with pytest.raises(ValueError, match="empty"):
+                train_projected(empty, loss, 0.5, cfg)
+    assert "codes" not in vars(ds)  # n, weighted and training built no rows
+    assert_same_array(ds.codes, twin.codes)
+    assert not ds.codes.flags.writeable
+    for got, want in zip(encode_xy(ds), encode_xy(twin)):
+        assert_same_array(got, want)
+    out = tmp_path_factory.mktemp("twin")
+    write_csv(ds, out / "counts.csv")
+    write_csv(twin, out / "rows.csv")
+    assert (out / "counts.csv").read_bytes() == (out / "rows.csv").read_bytes()
