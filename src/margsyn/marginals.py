@@ -96,9 +96,11 @@ def compute_marginal(ds: Dataset, q: MarginalQuery) -> Marginal:
     shape = ds.schema.shape(q.attrs)
     codes, counts = ds.weighted
     flat = np.ravel_multi_index(tuple(codes[:, list(q.attrs)].T), shape)
-    return Marginal(q, np.bincount(flat, weights=counts, minlength=int(np.prod(shape))), exact=True)
+    return Marginal(q, np.bincount(flat, weights=counts, minlength=math.prod(shape)), exact=True)
 
 
+# Most entries of one block of MarginalOperator's bin table built at a time.
+_BLOCK_ENTRIES = 65_536
 # Largest side of a dense factor of MarginalOperator.transform.  It bounds
 # each factor's memory; on 2,048-8,192 binary cells wider factors were slower.
 _GROUP_DIM = 32
@@ -109,7 +111,9 @@ class MarginalOperator:
 
     Joint cells are the row-major flat indices of the full domain
     (schema.sizes).  `bin_maps` is the one cell -> bin table, built here:
-    row q holds each cell's bin of query q.  The marginals of all queries are
+    row q holds each cell's bin of query q, the dot product of the cell's
+    codes with the query's row-major strides, so a block of queries' rows is
+    one matrix product with the cells' codes.  The marginals of all queries are
     one concatenated vector, query q's bins from `offsets[q]` on; `forward`
     returns it, `adjoint` and `l1_to` take it, and `query_sums` reduces it to
     one value per query.  It maps cell counts, such as a synthesizer's output.
@@ -124,16 +128,24 @@ class MarginalOperator:
         self.queries = tuple(queries)
         for q in self.queries:
             q.validate(schema)
-        self.num_cells = int(np.prod(schema.sizes))
-        codes = np.unravel_index(np.arange(self.num_cells), schema.sizes)
-        # filled row by row: stacking a list of rows holds every row twice
-        self.bin_maps = np.empty((len(self.queries), self.num_cells), dtype=np.intp)
-        for row, q in zip(self.bin_maps, self.queries):
-            row[:] = np.ravel_multi_index(tuple(codes[a] for a in q.attrs), schema.shape(q.attrs))
-        self.bin_maps.setflags(write=False)
-        self.num_bins = tuple(int(np.prod(schema.shape(q.attrs))) for q in self.queries)
+        self.num_cells = math.prod(schema.sizes)
+        self.num_bins = tuple(math.prod(schema.shape(q.attrs)) for q in self.queries)
         self.offsets = np.cumsum((0,) + self.num_bins[:-1])
         self.offsets.setflags(write=False)
+        # bin of query q = sum over its attributes a of code_a * strides[q, a]:
+        # one matrix product per block of queries, as many queries as fit in
+        # _BLOCK_ENTRIES floats (at least one).  Every value is an integer
+        # below 2**53, so the float product is exact.
+        strides = np.zeros((len(self.queries), schema.num_attributes))
+        for row, q in zip(strides, self.queries):
+            sizes = schema.shape(q.attrs)
+            row[list(q.attrs)] = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+        codes = np.indices(schema.sizes, dtype=np.float64).reshape(schema.num_attributes, -1)
+        self.bin_maps = np.empty((len(self.queries), self.num_cells), dtype=np.intp)
+        step = max(1, _BLOCK_ENTRIES // self.num_cells)
+        for start in range(0, len(self.queries), step):
+            self.bin_maps[start:start + step] = strides[start:start + step] @ codes
+        self.bin_maps.setflags(write=False)
 
     def forward(self, counts: np.ndarray) -> np.ndarray:
         """All queries' marginals of a (possibly fractional) cell-count vector."""
@@ -158,12 +170,27 @@ class MarginalOperator:
         coefficients omega with omega_a = 0 for each a outside Q, and 0
         elsewhere.  Flat index 0 (omega = 0) is the constant direction; every
         other coefficient has sum zero over the cells.
+
+        So lambda(omega) is the sum of cells/bins_Q over the queries Q that hold
+        every attribute of omega's support {a : omega_a != 0}: one sum per
+        support pattern, of which there are 2^A <= cells (A attributes, each
+        of at least 2 values), taken as superset sums over the patterns.
         """
-        lam = np.zeros(self.schema.sizes)
+        sizes = self.schema.sizes
+        # per[s]: the sum of cells/bins over the queries whose attribute set,
+        # as a bit mask, is s; after the superset sums, per[s] is the sum over
+        # the queries that hold every attribute of s.  Integer sums, so exact.
+        per = np.zeros(2 ** len(sizes), dtype=np.int64)
         for q, bins in zip(self.queries, self.num_bins):
-            inside = tuple(slice(None) if a in q.attrs else 0 for a in range(lam.ndim))
-            lam[inside] += self.num_cells // bins
-        lam = lam.ravel()
+            per[sum(1 << a for a in q.attrs)] += self.num_cells // bins
+        for a in range(len(sizes)):
+            view = per.reshape(-1, 2, 1 << a)
+            view[:, 0] += view[:, 1]
+        # each cell's support omega_a != 0 as a bit mask, over the cell grid
+        support = np.zeros(1, dtype=np.intp)
+        for a, k in enumerate(sizes):
+            support = np.add.outer(support, (np.arange(k) > 0) << a).ravel()
+        lam = per[support].astype(np.float64)
         lam.setflags(write=False)
         return lam
 

@@ -46,7 +46,7 @@ from itertools import combinations_with_replacement, islice
 import numpy as np
 
 from .dataset import Dataset, Schema
-from .marginals import Marginal, MarginalOperator, compute_marginal, enumerate_queries
+from .marginals import Marginal, MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
 from .privacy import PrivacyParams, add_noise_to_set, calibrate, synthesis_l1_bound
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
@@ -101,7 +101,40 @@ class NoisyMarginalSet:
 
 
 def num_joint_cells(schema: Schema) -> int:
-    return int(np.prod(schema.sizes))
+    return math.prod(schema.sizes)
+
+
+def _check_dense_cap(cells: int) -> None:
+    if cells > DENSE_CELL_CAP:
+        raise SynthesisError(f"joint domain of {cells} cells exceeds dense-mode cap {DENSE_CELL_CAP}")
+
+
+def _path(n: int, schema: Schema, num_bins, mode: str, cap: int,
+          rng: np.random.Generator | None) -> str:
+    """The path `synthesize` runs for n rows over `schema` and queries with
+    `num_bins` bins each, or the SynthesisError that refuses the request.
+
+    It reads only sizes, so `generate_synthetic` asks it before counting the
+    real data or building an operator, whose arrays span the joint domain.
+    """
+    if n < 0:
+        raise SynthesisError("n must be non-negative")
+    cells = num_joint_cells(schema)
+    if mode == "brute":
+        if math.comb(cells + n - 1, n) <= cap:
+            return "exhaustive"
+        # a greedy step's arrays: cand, at most cells x cells, and the move
+        # tables of all queries, sum_q bins_q^2 entries each; 2e8 float64
+        # entries are 1.6 GB
+        if max(cells * cells, sum(k * k for k in num_bins)) > 200_000_000:
+            raise SynthesisError("joint domain too large for the greedy path; use fitted mode")
+        return "greedy"
+    if mode == "fitted":
+        if rng is None:
+            raise SynthesisError("fitted mode needs a random generator")
+        _check_dense_cap(cells)
+        return "fitted"
+    raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
 
 
 def brute_force_synth(n: int, nm: NoisyMarginalSet,
@@ -262,13 +295,8 @@ def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     on the max-l1 objective.
 
     Runs from each of `_greedy_starts` and keeps the first of the best local
-    minima.
+    minima.  `synthesize` has checked that a step's arrays fit (`_path`).
     """
-    cells = num_joint_cells(nm.schema)
-    # a step's arrays: cand, at most cells x cells, and the move tables of all
-    # queries, sum_q bins_q^2 entries each; 2e8 float64 entries are 1.6 GB
-    if max(cells * cells, sum(m.counts.size ** 2 for m in nm.marginals)) > 200_000_000:
-        raise SynthesisError("joint domain too large for the greedy path; use fitted mode")
     best_counts, best_obj = None, math.inf
     for start in _greedy_starts(n, nm):
         counts, l1 = _descend(start, nm)
@@ -306,13 +334,34 @@ class DistributionEstimate:
         object.__setattr__(self, "probs", probs)
 
 
+def _simplex_projector(size: int):
+    """Euclidean projection onto {p >= 0, sum p = 1} of vectors of `size`
+    entries (sort-based, O(n log n)), into a new array.
+
+    Its work arrays are allocated here, once, and reused by every call.
+    """
+    ranks = np.arange(1.0, size + 1.0)
+    u, css, scaled = np.empty(size), np.empty(size), np.empty(size)
+    above = np.empty(size, dtype=bool)
+    desc = u[::-1]
+
+    def project(v: np.ndarray) -> np.ndarray:
+        np.copyto(u, v)
+        u.sort()
+        np.subtract(np.cumsum(desc, out=css), 1.0, out=css)
+        np.multiply(desc, ranks, out=scaled)
+        np.greater(scaled, css, out=above)
+        # the last index where above holds; above[0] always holds
+        rho = size - 1 - int(np.argmax(above[::-1]))
+        out = np.subtract(v, css[rho] / (rho + 1.0))
+        return np.maximum(out, 0.0, out=out)
+
+    return project
+
+
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {p >= 0, sum p = 1} (sort-based, O(n log n))."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.shape[0] + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    return _simplex_projector(v.shape[0])(v)
 
 
 def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> DistributionEstimate:
@@ -345,11 +394,12 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> Distr
     length minus one is the iteration count.  With n = 0 the objective is constant
     and the uniform start is returned, converged, after no iteration.
     Negative noisy entries need no pre-clamping; the simplex projection
-    resolves them.
+    resolves them.  The work arrays of an iteration (y, the gradient's input,
+    weight * d and the projection's) are allocated once per fit; an iteration
+    allocates only its two transforms' results and the new iterate.
     """
     cells = num_joint_cells(nm.schema)
-    if cells > DENSE_CELL_CAP:
-        raise SynthesisError(f"joint domain of {cells} cells exceeds dense-mode cap {DENSE_CELL_CAP}")
+    _check_dense_cap(cells)
     p = np.full(cells, 1.0 / cells)
     target = nm.target
     if n == 0:
@@ -361,10 +411,14 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> Distr
     r_star = n * op.forward(op.transform(c_star)) - target
     base = float(r_star @ r_star)
     weight = n * n * lam
+    weight2 = 2.0 * weight
     lipschitz = 2.0 * float(weight[1:].max())
+    project = _simplex_projector(cells)
+    # y, the gradient's input and weight * d (also scratch for beta * d_prev)
+    y, grad_in, wd = np.empty(cells), np.empty(cells), np.empty(cells)
 
     def objective(d):
-        return float(d @ (weight * d)) + base
+        return float(d @ np.multiply(weight, d, out=wd)) + base
 
     d = op.transform(p) - c_star
     obj = objective(d)
@@ -374,10 +428,17 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> Distr
     for _ in range(iters):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
-        y = p + beta * (p - p_prev)
-        grad = op.transform(2.0 * weight * ((1.0 + beta) * d - beta * d_prev))
-        p_new = _project_simplex(y - grad / lipschitz)
-        d_new = op.transform(p_new) - c_star
+        np.subtract(p, p_prev, out=y)  # y = p + beta (p - p_prev)
+        y *= beta
+        y += p
+        np.multiply(d, 1.0 + beta, out=grad_in)  # 2 weight ((1 + beta) d - beta d_prev)
+        grad_in -= np.multiply(d_prev, beta, out=wd)
+        grad_in *= weight2
+        step = op.transform(grad_in)  # the gradient, then y - gradient / L
+        step /= lipschitz
+        p_new = project(np.subtract(y, step, out=step))
+        d_new = op.transform(p_new)
+        d_new -= c_star
         obj_new = objective(d_new)
         if obj_new >= obj and beta == 0.0:
             trace.append(obj)
@@ -436,23 +497,16 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     fit ran).  The marginals and the dataset both come from the path's cell
     counts; the dataset holds them and builds no rows.
     """
-    if n < 0:
-        raise SynthesisError("n must be non-negative")
-    if mode == "brute":
-        cells = num_joint_cells(nm.schema)
-        if math.comb(cells + n - 1, n) <= cap:
-            counts, path = brute_force_synth(n, nm, cap=cap), "exhaustive"
-        else:
-            counts, path = _greedy_minmax(n, nm), "greedy"
-        fit = {"fit_iterations": 0, "fit_converged": None}
-    elif mode == "fitted":
-        if rng is None:
-            raise SynthesisError("fitted mode needs a random generator")
-        dist = fit_distribution(nm, n=n)
-        counts, path = sample_dataset(dist, n, rng), "fitted"
-        fit = {"fit_iterations": len(dist.objective_trace) - 1, "fit_converged": dist.converged}
+    path = _path(n, nm.schema, [m.counts.size for m in nm.marginals], mode, cap, rng)
+    fit = {"fit_iterations": 0, "fit_converged": None}
+    if path == "exhaustive":
+        counts = brute_force_synth(n, nm, cap=cap)
+    elif path == "greedy":
+        counts = _greedy_minmax(n, nm)
     else:
-        raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
+        dist = fit_distribution(nm, n=n)
+        counts = sample_dataset(dist, n, rng)
+        fit = {"fit_iterations": len(dist.objective_trace) - 1, "fit_converged": dist.converged}
 
     marginals = nm.operator.forward(counts)
     dists = nm.operator.l1_to(marginals, nm.target)
@@ -511,6 +565,13 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
                        cap: int = DEFAULT_CANDIDATE_CAP) -> tuple[Dataset, GenReport]:
     """Measure all order-<=d marginals, noise them, synthesize, and report.
 
+    First the request is checked as `synthesize` checks it (`_path`), so a
+    joint domain too large for the path is refused before anything of its
+    size is allocated.  Then one `MarginalOperator` is built over the
+    queries, the real data is counted once into joint cells, and the
+    operator's `forward` of those counts gives every real marginal: sums of
+    whole numbers, so the same floats as counting each query on its own.
+    The noisy set uses that same operator.
     sigma is always the Gaussian-mechanism calibration of `privacy`, so the
     report's epsilon and delta are those of the noise actually added.  (To
     synthesize from given marginals, with any noise or none, call
@@ -520,17 +581,23 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     schema = ds_real.schema
     m = schema.num_features
     queries = enumerate_queries(m, d)
-    exact = [compute_marginal(ds_real, q) for q in queries]
-    calib = calibrate(m, d, privacy)
-    noisy = add_noise_to_set(exact, calib.sigma, seed)
-    nm = NoisyMarginalSet(schema, tuple(noisy))
     # a spawned child stream: the noise generators default_rng([seed, idx])
     # never share its state, so sampling is independent of the noise
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    _path(ds_real.n, schema, [math.prod(schema.shape(q.attrs)) for q in queries], mode, cap, rng)
+    op = MarginalOperator(schema, queries)
+    joint = compute_marginal(ds_real, MarginalQuery(tuple(range(schema.num_attributes))))
+    real = op.forward(joint.counts)
+    exact = [Marginal(q, real[o:o + k], exact=True)
+             for q, o, k in zip(queries, op.offsets, op.num_bins)]
+    calib = calibrate(m, d, privacy)
+    noisy = add_noise_to_set(exact, calib.sigma, seed)
+    nm = NoisyMarginalSet(schema, tuple(noisy))
+    vars(nm)["operator"] = op  # the cached operator, built over the same queries
     ds_s, stats = synthesize(ds_real.n, nm, mode, rng=rng, cap=cap)
 
     # evaluation-only diagnostics, outside the mechanism boundary
-    real_l1 = nm.operator.l1_to(stats["marginals"], np.concatenate([e.counts for e in exact]))
+    real_l1 = op.l1_to(stats["marginals"], real)
     norm_l1 = real_l1 / ds_real.n if ds_real.n else np.zeros(1)
 
     l1_bound = synthesis_l1_bound(calib.sigma, d, m, schema.max_domain_size, privacy.lam)

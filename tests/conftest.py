@@ -167,6 +167,83 @@ def dense_marginal_matrix(schema: Schema, queries) -> np.ndarray:
         for row in cells])
 
 
+def reference_bin_maps(schema: Schema, queries) -> np.ndarray:
+    """Each query's bin of every cell, one ravel_multi_index per query."""
+    num_cells = int(np.prod(schema.sizes))
+    codes = np.unravel_index(np.arange(num_cells), schema.sizes)
+    # filled row by row: stacking a list of rows holds every row twice
+    bin_maps = np.empty((len(queries), num_cells), dtype=np.intp)
+    for row, q in zip(bin_maps, queries):
+        row[:] = np.ravel_multi_index(tuple(codes[a] for a in q.attrs), schema.shape(q.attrs))
+    return bin_maps
+
+
+def reference_spectrum(schema: Schema, queries) -> np.ndarray:
+    """Eigenvalues of A^T A in cell order, one strided add per query: query Q
+    adds cells/bins_Q on the coefficients that are 0 on every attribute outside Q."""
+    num_cells = int(np.prod(schema.sizes))
+    lam = np.zeros(schema.sizes)
+    for q in queries:
+        bins = int(np.prod(schema.shape(q.attrs)))
+        inside = tuple(slice(None) if a in q.attrs else 0 for a in range(lam.ndim))
+        lam[inside] += num_cells // bins
+    return lam.ravel()
+
+
+def reference_project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {p >= 0, sum p = 1} (sort-based, O(n log n))."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, v.shape[0] + 1) > css)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def reference_fit(nm, n: float, iters: int = 2000, tol: float = 1e-10) -> tuple[np.ndarray, list[float]]:
+    """Final iterate and objective trace of the eigenbasis FISTA fit with a fresh
+    array for every intermediate, and `reference_project_simplex`."""
+    cells = int(np.prod(nm.schema.sizes))
+    p = np.full(cells, 1.0 / cells)
+    target = nm.target
+    op = nm.operator
+    lam = op.spectrum
+    coef = op.transform(op.adjoint(target))
+    c_star = np.divide(coef, n * lam, out=np.zeros(cells), where=lam > 0)
+    r_star = n * op.forward(op.transform(c_star)) - target
+    base = float(r_star @ r_star)
+    weight = n * n * lam
+    lipschitz = 2.0 * float(weight[1:].max())
+
+    def objective(d):
+        return float(d @ (weight * d)) + base
+
+    d = op.transform(p) - c_star
+    obj = objective(d)
+    p_prev, d_prev, t = p, d, 1.0
+    trace = [obj]
+    for _ in range(iters):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        y = p + beta * (p - p_prev)
+        grad = op.transform(2.0 * weight * ((1.0 + beta) * d - beta * d_prev))
+        p_new = reference_project_simplex(y - grad / lipschitz)
+        d_new = op.transform(p_new) - c_star
+        obj_new = objective(d_new)
+        if obj_new >= obj and beta == 0.0:
+            trace.append(obj)
+            break
+        if obj_new > obj:
+            p_prev, d_prev, t = p, d, 1.0
+            trace.append(obj)
+            continue
+        p_prev, d_prev, p, d, t = p, d, p_new, d_new, t_next
+        trace.append(obj_new)
+        if obj - obj_new <= tol * obj:
+            break
+        obj = obj_new
+    return p, trace
+
+
 def reference_exhaustive_counts(n: int, nm) -> np.ndarray:
     """Cell counts of the exhaustive min-max scan, one candidate at a time."""
     cells = int(np.prod(nm.schema.sizes))

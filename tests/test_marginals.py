@@ -10,7 +10,8 @@ from margsyn.dataset import Dataset, Schema
 from margsyn.marginals import (Marginal, MarginalOperator, MarginalQuery, QueryError,
                                compute_marginal, enumerate_queries, query_count, save_marginals)
 
-from conftest import cell_counts, dense_marginal_matrix, random_dataset, reference_l1_distance
+from conftest import (cell_counts, dense_marginal_matrix, random_dataset, reference_bin_maps,
+                      reference_l1_distance, reference_spectrum)
 
 
 class TestEnumerate:
@@ -143,6 +144,23 @@ class TestProjection:
 # mixed arities, and one attribute (40 values) wider than a dense transform factor
 SPECTRAL_SIZES = [(3, 2, 4, 2), (3, 3, 2), (2, 5, 3, 2), (2, 2, 2, 2), (40, 3, 2)]
 
+QUERY_PICKS = ["all order<=2", "random, not subset-closed", "attribute 1 unused"]
+
+
+def picked_queries(sizes, pick) -> tuple[Schema, list[MarginalQuery]]:
+    """A schema of these domain sizes and a query list over it, of orders 1 to 3."""
+    schema = Schema(tuple(f"x{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
+    every = enumerate_queries(schema.num_features, min(3, len(sizes)))
+    if pick == "all order<=2":
+        return schema, [q for q in every if q.order <= 2]
+    if pick == "random, not subset-closed":
+        rng = np.random.default_rng(len(sizes) + sum(sizes))
+        top, missing = every[-1], MarginalQuery(every[-1].attrs[:1])
+        return schema, [every[i] for i in sorted(rng.choice(len(every), len(every) // 2, replace=False))
+                        if every[i] not in (top, missing)] + [top]
+    return schema, [q for q in every if 1 not in q.attrs]
+
+
 OPERATOR_SCHEMAS = [
     Schema(("a", "b", "c", "label"), (2, 2, 2, 2)),
     Schema(("a", "b", "c", "label"), (3, 2, 4, 2)),
@@ -188,19 +206,9 @@ class TestMarginalOperator:
         assert lhs == pytest.approx(float(x @ op.adjoint(r)), rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("sizes", SPECTRAL_SIZES, ids=str)
-    @pytest.mark.parametrize("pick", ["all order<=2", "random, not subset-closed", "attribute 1 unused"])
+    @pytest.mark.parametrize("pick", QUERY_PICKS)
     def test_spectrum_and_transform_diagonalize_the_gram(self, sizes, pick):
-        schema = Schema(tuple(f"x{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
-        every = enumerate_queries(schema.num_features, min(3, len(sizes)))
-        if pick == "all order<=2":
-            queries = [q for q in every if q.order <= 2]
-        elif pick == "random, not subset-closed":
-            rng = np.random.default_rng(len(sizes) + sum(sizes))
-            top, missing = every[-1], MarginalQuery(every[-1].attrs[:1])
-            queries = [every[i] for i in sorted(rng.choice(len(every), len(every) // 2, replace=False))
-                       if every[i] not in (top, missing)] + [top]
-        else:
-            queries = [q for q in every if 1 not in q.attrs]
+        schema, queries = picked_queries(sizes, pick)
         op = MarginalOperator(schema, queries)
         a = dense_marginal_matrix(schema, queries)
         gram = a.T @ a
@@ -210,6 +218,18 @@ class TestMarginalOperator:
         assert np.allclose(t[:, 0], 1.0 / math.sqrt(op.num_cells), rtol=0.0, atol=1e-15)
         assert np.all(op.spectrum >= 0.0)
         assert np.allclose(t @ np.diag(op.spectrum) @ t, gram, rtol=0.0, atol=1e-12 * gram.max())
+
+    # (1500, 3, 2) builds the bin table in blocks of 7 queries, (300, 300, 2)
+    # one query at a time
+    @pytest.mark.parametrize("sizes", SPECTRAL_SIZES + [(1500, 3, 2), (300, 300, 2), (2,) * 11], ids=str)
+    @pytest.mark.parametrize("pick", QUERY_PICKS)
+    def test_bin_maps_and_spectrum_equal_the_query_loop(self, sizes, pick):
+        schema, queries = picked_queries(sizes, pick)
+        op = MarginalOperator(schema, queries)
+        assert op.bin_maps.dtype == np.intp and not op.bin_maps.flags.writeable
+        assert op.bin_maps.tobytes() == reference_bin_maps(schema, queries).tobytes()
+        assert op.spectrum.dtype == np.float64 and not op.spectrum.flags.writeable
+        assert op.spectrum.tobytes() == reference_spectrum(schema, queries).tobytes()
 
     # every query of each schema: segments of 2-9 bins (a domain has at least
     # 2 values), 127-129, 3,999-4,001, 4,095 and 4,097 bins and twice those;

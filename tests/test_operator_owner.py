@@ -1,17 +1,26 @@
-"""The noisy set owns the one marginal operator of a synthesis run, and only
-`synthesize` turns a synthesizer's cell counts into a dataset.
+"""One marginal operator per synthesis run, and only `synthesize` turns a
+synthesizer's cell counts into a dataset.
 
-Building a `MarginalOperator` builds every query's cell -> bin map, so in
-`synth.py` it is built only by the cached `NoisyMarginalSet.operator`, and
-every synthesizer and diagnostic reaches the maps through it.  Every
-synthesizer outputs cell counts, from which `synthesize` takes the output's
-marginals and builds its dataset (`Dataset.from_counts`), so nothing in
-`synth.py` counts rows back into cells.  No linter is a dependency, so the
-checks walk the module's syntax tree with the standard library.
+Building a `MarginalOperator` builds every query's cell -> bin map, so a
+`generate_synthetic` call builds it once: the real marginals and the noisy
+set's cached `NoisyMarginalSet.operator` share it, and every synthesizer and
+diagnostic reaches the maps through it.  Every synthesizer outputs cell
+counts, from which `synthesize` takes the output's marginals and builds its
+dataset (`Dataset.from_counts`), so nothing in `synth.py` counts rows back
+into cells.  No linter is a dependency, so the static checks walk the
+module's syntax tree with the standard library.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from margsyn.dataset import Dataset, Schema
+from margsyn.marginals import MarginalOperator
+from margsyn.privacy import PrivacyParams
+from margsyn.synth import generate_synthetic
 
 SYNTH = Path(__file__).resolve().parents[1] / "src" / "margsyn" / "synth.py"
 
@@ -47,8 +56,24 @@ def attribute_scopes(source: str, attr: str) -> list[str]:
     return scopes(source, lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
 
 
-def test_synth_builds_the_operator_only_in_the_noisy_set():
-    assert call_scopes(SYNTH.read_text(), "MarginalOperator") == ["NoisyMarginalSet.operator"]
+# n=3 on 16 cells is 816 candidates: exhaustive under cap 10,000, greedy under cap 0
+@pytest.mark.parametrize("mode, cap, path", [("brute", 10_000, "exhaustive"), ("brute", 0, "greedy"),
+                                             ("fitted", 10_000, "fitted")])
+def test_generate_synthetic_builds_one_operator(mode, cap, path, monkeypatch):
+    built = []
+    init = MarginalOperator.__init__
+
+    def counted(op, schema, queries):
+        built.append(op)
+        init(op, schema, queries)
+
+    monkeypatch.setattr(MarginalOperator, "__init__", counted)
+    schema = Schema(("a", "b", "c", "label"), (2, 2, 2, 2))
+    real = Dataset(schema, np.array([[0, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 1]]))
+    for seed in (0, 1):
+        _, report = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-4), mode=mode, seed=seed, cap=cap)
+        assert report.path == path
+        assert len(built) == seed + 1
 
 
 def test_synth_builds_rows_only_in_synthesize_and_never_counts_them():

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from margsyn.dataset import Dataset, Schema, encode_xy, write_csv
 from margsyn.demo import make_demo_dataset
@@ -17,12 +17,12 @@ from margsyn.marginals import (Marginal, MarginalOperator, MarginalQuery, comput
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate
 from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, SynthesisError,
                            _descend, _greedy_minmax, _greedy_starts,
-                           _project_simplex, brute_force_synth, fit_distribution, generate_synthetic,
+                           _project_simplex, _simplex_projector, brute_force_synth, fit_distribution, generate_synthetic,
                            num_joint_cells, sample_dataset, synthesize)
 
 from conftest import (dense_marginal_matrix, random_dataset, reference_counts_to_rows,
                       reference_exhaustive_counts, reference_greedy_counts, reference_l1_distance,
-                      reference_row_multiset)
+                      reference_fit, reference_project_simplex, reference_row_multiset)
 
 
 def noisy_set_from(ds: Dataset, d: int, sigma: float, seed: int) -> NoisyMarginalSet:
@@ -482,6 +482,19 @@ class TestFitDistribution:
         assert any(a == b for a, b in zip(want, want[1:]))
         assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize("case", ["d3 seed 0", "d3 seed 1", "wide attribute"])
+    def test_bit_equal_to_the_allocating_loop(self, case):
+        # the whole run, restarts and the stop included: trace and iterate
+        if case == "wide attribute":
+            real = random_dataset(Schema(("a", "b", "label"), (1500, 3, 2)), 4000, seed=5)
+            nm, n = noisy_set_from(real, 2, 3.0, seed=5), real.n
+        else:
+            nm, n = demo_d3_set(int(case[-1]))
+        probs, trace = reference_fit(nm, n)
+        dist = fit_distribution(nm, n=n)
+        assert dist.objective_trace == tuple(trace)
+        assert dist.probs.tobytes() == probs.tobytes()
+
     @pytest.mark.parametrize("iters", [0, 5, 2000])
     def test_applies_the_operator_at_most_twice(self, iters, monkeypatch):
         nm, n = demo_d3_set(0)
@@ -518,6 +531,33 @@ class TestFitDistribution:
         nm = noisy_set_from(ds, 1, 0.0, seed=0)
         with pytest.raises(SynthesisError):
             fit_distribution(nm, n=5)
+
+
+# every kind of input the fit hands the projection: ties, negatives, and
+# spreads from 1e-12 to 1e6 around several offsets
+simplex_inputs = st.builds(
+    lambda units, scale, shift: np.array(units) * scale + shift,
+    st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-1.0, 1.0)), min_size=1, max_size=300),
+    st.sampled_from([1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e6]),
+    st.sampled_from([0.0, 1.0 / 7.0, -2.5, 1e3]))
+
+
+class TestProjectSimplex:
+    @given(simplex_inputs)
+    @example(np.array([0.3]))
+    @example(np.full(64, 1.0 / 64))
+    @example(np.full(5, -4.0))
+    @example(np.array([2.0, 2.0, -1.0, 2.0, 0.5]))
+    def test_bit_equal_to_the_allocating_projection(self, v):
+        want = reference_project_simplex(v)
+        before = v.copy()
+        assert _project_simplex(v).tobytes() == want.tobytes()
+        project = _simplex_projector(v.shape[0])
+        project(v[::-1] * 3.0 - 1.0)  # work arrays left dirty by an earlier call
+        assert project(v).tobytes() == want.tobytes()
+        assert project(v).tobytes() == want.tobytes()
+        assert v.tobytes() == before.tobytes()
+        assert float(want.sum()) == pytest.approx(1.0, abs=1e-9) and want.min() >= 0.0
 
 
 def column_dist(mu) -> DistributionEstimate:
@@ -809,6 +849,60 @@ class TestMechanism:
         calib = calibrate(three_binary_schema.num_features, 2, privacy)
         assert report.sigma == calib.sigma and report.sensitivity == calib.sensitivity
         assert (report.epsilon, report.delta, report.lam) == (0.7, 1e-4, 2.0)
+
+    @pytest.mark.parametrize("sizes, n", [((2, 2, 2, 2), 0), ((2, 2, 2, 2), 1), ((3, 2, 4, 2), 57),
+                                          ((5, 3, 2), 400), ((2,) * 7, 2000)], ids=str)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_noise_gets_the_real_marginals_counted_query_by_query(self, sizes, n, d, monkeypatch):
+        from margsyn import synth
+        schema = Schema(tuple(f"x{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
+        real = random_dataset(schema, n, seed=n + d)
+        seen = []
+
+        def capture(marginals, sigma, seed):
+            seen.append(marginals)
+            return add_noise_to_set(marginals, sigma, seed)
+
+        monkeypatch.setattr(synth, "add_noise_to_set", capture)
+        generate_synthetic(real, d, PrivacyParams(1.0, 1e-6), mode="fitted", seed=3)
+        queries = enumerate_queries(schema.num_features, d)
+        assert [m.query for m in seen[0]] == queries
+        for got, q in zip(seen[0], queries):
+            assert got.exact is True
+            assert got.counts.tobytes() == compute_marginal(real, q).counts.tobytes()
+
+    @pytest.mark.parametrize("mode", ["brute", "fitted"])
+    def test_a_domain_too_large_is_refused_before_measuring(self, mode):
+        # 40 binary features + label: 2.2e12 cells, so one joint count or one
+        # bin table row would take 17.6 TB; synthesize refuses the request
+        real = make_demo_dataset(m=40, n=20, seed=0)
+        nm = noisy_set_from(real, 1, 1.0, seed=0)
+        with pytest.raises(SynthesisError) as refused:
+            synthesize(real.n, nm, mode, rng=np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SynthesisError) as got:
+                generate_synthetic(real, 1, PrivacyParams(1.0, 1e-6), mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(got.value) == str(refused.value)
+        assert peak < 8 * num_joint_cells(real.schema) / 1e6
+
+    @pytest.mark.parametrize("m", [63, 70])
+    @pytest.mark.parametrize("mode, message", [
+        ("brute", "joint domain too large for the greedy path; use fitted mode"),
+        ("fitted", "joint domain of {cells} cells exceeds dense-mode cap 1000000")])
+    def test_joint_cells_past_int64_are_refused(self, m, mode, message):
+        real = make_demo_dataset(m=m, n=20, seed=0)
+        assert num_joint_cells(real.schema) == 2 ** (m + 1)
+        with pytest.raises(SynthesisError) as got:
+            generate_synthetic(real, 1, PrivacyParams(1.0, 1e-6), mode=mode)
+        assert str(got.value) == message.format(cells=2 ** (m + 1))
+
+    def test_joint_cells_are_counted_exactly(self):
+        schema = Schema(tuple(f"x{i}" for i in range(40)) + ("label",), (3,) * 40 + (2,))
+        assert num_joint_cells(schema) == 2 * 3 ** 40 > 2 ** 64
 
 
 @st.composite
