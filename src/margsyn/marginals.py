@@ -110,13 +110,12 @@ class MarginalOperator:
     """The linear map A from joint-cell counts to the marginals of a query list.
 
     Joint cells are the row-major flat indices of the full domain
-    (schema.sizes).  `bin_maps` is the one cell -> bin table, built here:
-    row q holds each cell's bin of query q, the dot product of the cell's
-    codes with the query's row-major strides, so a block of queries' rows is
-    one matrix product with the cells' codes.  The marginals of all queries are
-    one concatenated vector, query q's bins from `offsets[q]` on; `forward`
+    (schema.sizes).  The marginals of all queries are one concatenated
+    vector, query q's `num_bins[q]` bins from `offsets[q]` on; `forward`
     returns it, `adjoint` and `l1_to` take it, and `query_sums` reduces it to
     one value per query.  It maps cell counts, such as a synthesizer's output.
+    Building an operator reads only sizes, so it is cheap over any domain;
+    the cell -> bin table `bin_maps` is built on first read.
 
     A^T A is diagonal in a fixed basis: with T the Kronecker product of one
     Householder reflector per attribute (`transform`), A^T A = T diag(spectrum) T
@@ -132,20 +131,29 @@ class MarginalOperator:
         self.num_bins = tuple(math.prod(schema.shape(q.attrs)) for q in self.queries)
         self.offsets = np.cumsum((0,) + self.num_bins[:-1])
         self.offsets.setflags(write=False)
-        # bin of query q = sum over its attributes a of code_a * strides[q, a]:
-        # one matrix product per block of queries, as many queries as fit in
-        # _BLOCK_ENTRIES floats (at least one).  Every value is an integer
-        # below 2**53, so the float product is exact.
+
+    @cached_property
+    def bin_maps(self) -> np.ndarray:
+        """The cell -> bin table, queries x cells: row q holds each cell's bin
+        of query q, the dot product of the cell's codes with the query's
+        row-major strides.
+
+        One matrix product per block of queries, as many queries as fit in
+        _BLOCK_ENTRIES floats (at least one).  Every value is an integer
+        below 2**53, so the float product is exact.
+        """
+        schema = self.schema
         strides = np.zeros((len(self.queries), schema.num_attributes))
         for row, q in zip(strides, self.queries):
             sizes = schema.shape(q.attrs)
             row[list(q.attrs)] = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
         codes = np.indices(schema.sizes, dtype=np.float64).reshape(schema.num_attributes, -1)
-        self.bin_maps = np.empty((len(self.queries), self.num_cells), dtype=np.intp)
+        maps = np.empty((len(self.queries), self.num_cells), dtype=np.intp)
         step = max(1, _BLOCK_ENTRIES // self.num_cells)
         for start in range(0, len(self.queries), step):
-            self.bin_maps[start:start + step] = strides[start:start + step] @ codes
-        self.bin_maps.setflags(write=False)
+            maps[start:start + step] = strides[start:start + step] @ codes
+        maps.setflags(write=False)
+        return maps
 
     def forward(self, counts: np.ndarray) -> np.ndarray:
         """All queries' marginals of a (possibly fractional) cell-count vector."""

@@ -1,10 +1,12 @@
 """Gaussian-mechanism calibration and noise injection for marginal sets.
 
 The released object is the concatenation of all marginal count vectors for
-queries of order at most d.  Changing one row of the dataset changes at most
-two entries of each of the |Q| marginals by 1, so the l2 sensitivity is
-sqrt(2 |Q|).  That one value sets the noise of the mechanism and the sigma
-behind the excess-risk bound of `bounds.private_excess_risk_bound`.
+queries of order at most d, one vector in `MarginalOperator`'s layout.
+Changing one row of the dataset changes at most two entries of each of the
+|Q| marginals by 1, so the l2 sensitivity is sqrt(2 |Q|).  That one value
+sets the noise of the mechanism, which `add_noise_to_set` draws into that
+vector, and the sigma behind the excess-risk bound of
+`bounds.private_excess_risk_bound`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import Marginal, query_count
+from .marginals import query_count
 
 
 @dataclass(frozen=True)
@@ -76,28 +78,27 @@ def calibrate(m: int, d: int, params: PrivacyParams) -> NoiseCalibration:
     return NoiseCalibration(sigma, sens)
 
 
-def add_noise(h: Marginal, sigma: float, rng: np.random.Generator) -> Marginal:
-    """Independent N(0, sigma^2) per entry; the result is flagged non-exact.
+def add_noise_to_set(counts: np.ndarray, num_bins, sigma: float, seed: int) -> np.ndarray:
+    """The concatenated marginal vector `counts` plus independent N(0, sigma^2)
+    noise on every entry, as a new vector (sigma 0 draws nothing).
 
-    Determinism is per seed, not bit-exact across platforms or numpy builds.
+    Query idx owns the `num_bins[idx]` entries after those of the queries
+    before it, and its noise comes from its own generator seeded by
+    (seed, idx), so the result does not depend on evaluation order or
+    scheduling.  Determinism is per seed, not bit-exact across platforms or
+    numpy builds.
     """
     if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
-    noisy = h.counts + (rng.normal(0.0, sigma, size=h.counts.shape) if sigma > 0 else 0.0)
-    return Marginal(h.query, noisy, exact=False)
-
-
-def add_noise_to_set(marginals: list[Marginal], sigma: float, seed: int) -> list[Marginal]:
-    """Noise every marginal under a per-query derived sub-seed.
-
-    Each query gets its own generator seeded by (seed, query position), so the
-    result does not depend on evaluation order or scheduling.
-    """
-    out = []
-    for idx, h in enumerate(marginals):
-        rng = np.random.default_rng([seed, idx])
-        out.append(add_noise(h, sigma, rng))
-    return out
+    noisy = np.array(counts, dtype=np.float64)
+    if noisy.shape != (sum(num_bins),):
+        raise ValueError(f"counts of shape {noisy.shape} do not hold {sum(num_bins)} bins")
+    if sigma > 0:
+        start = 0
+        for idx, k in enumerate(num_bins):
+            noisy[start:start + k] += np.random.default_rng([seed, idx]).normal(0.0, sigma, size=k)
+            start += k
+    return noisy
 
 
 def synthesis_l1_bound(sigma: float, d: int, m: int, l: int, lam: float) -> float:

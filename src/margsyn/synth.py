@@ -4,8 +4,8 @@ Two strategies stand behind one entry point:
 
   "brute"   minimize the maximum l1 distance to the noisy marginals over
             size-n multisets of the joint domain.  Exhaustive enumeration when
-            the multiset count fits the configured cap (candidates scored a
-            fixed batch at a time, one bincount per batch), otherwise a
+            the multiset and cell counts fit the configured cap (candidates
+            scored a fixed batch at a time, one bincount per batch), otherwise a
             deterministic greedy descent over single-row reassignments
             minimizing the same objective.  Each greedy step scores only
             the moves that can lower the query w at the maximum: the
@@ -39,14 +39,13 @@ schema; diagnostics against the real data are made outside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, islice
 
 import numpy as np
 
 from .dataset import Dataset, Schema
-from .marginals import Marginal, MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
+from .marginals import MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
 from .privacy import PrivacyParams, add_noise_to_set, calibrate, synthesis_l1_bound
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
@@ -67,83 +66,74 @@ class SynthesisError(ValueError):
 
 @dataclass(frozen=True)
 class NoisyMarginalSet:
-    """Noisy marginals of a non-empty, unique, schema-valid query set, with one
-    finite count per bin; `target` is all of them in the layout of `operator`.
+    """Noisy marginals of a non-empty, unique query set: `target` holds one
+    finite count per bin of every query of `operator`, in its layout, as a
+    read-only copy.  `schema` is the operator's.
     """
 
-    schema: Schema
-    marginals: tuple[Marginal, ...]
+    operator: MarginalOperator
+    target: np.ndarray
+    schema: Schema = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "marginals", tuple(self.marginals))
-        if not self.marginals:
+        op = self.operator
+        object.__setattr__(self, "schema", op.schema)
+        if not op.queries:
             raise SynthesisError("empty query set")
-        queries = [m.query for m in self.marginals]
-        if len(set(queries)) != len(queries):
+        if len(set(op.queries)) != len(op.queries):
             raise SynthesisError("duplicate queries in marginal set")
-        for m in self.marginals:
-            m.query.validate(self.schema)
-            bins = math.prod(self.schema.shape(m.query.attrs))
-            if m.counts.shape != (bins,):
-                raise SynthesisError(f"query {m.query.attrs} has {bins} bins, not {m.counts.shape}")
-            if not np.isfinite(m.counts).all():
-                raise SynthesisError(f"non-finite counts for query {m.query.attrs}")
-
-    @cached_property
-    def operator(self) -> MarginalOperator:
-        return MarginalOperator(self.schema, [m.query for m in self.marginals])
-
-    @cached_property
-    def target(self) -> np.ndarray:
-        target = np.concatenate([m.counts for m in self.marginals])
+        target = np.array(self.target, dtype=np.float64)
+        bins = sum(op.num_bins)
+        if target.shape != (bins,):
+            raise SynthesisError(f"the queries have {bins} bins, not a target of shape {target.shape}")
+        if not np.isfinite(target).all():
+            raise SynthesisError("non-finite counts in the noisy marginals")
         target.setflags(write=False)
-        return target
+        object.__setattr__(self, "target", target)
 
 
 def num_joint_cells(schema: Schema) -> int:
     return math.prod(schema.sizes)
 
 
-def _check_dense_cap(cells: int) -> None:
-    if cells > DENSE_CELL_CAP:
-        raise SynthesisError(f"joint domain of {cells} cells exceeds dense-mode cap {DENSE_CELL_CAP}")
-
-
-def _path(n: int, schema: Schema, num_bins, mode: str, cap: int,
+def _path(n: int, op: MarginalOperator, mode: str, cap: int,
           rng: np.random.Generator | None) -> str:
-    """The path `synthesize` runs for n rows over `schema` and queries with
-    `num_bins` bins each, or the SynthesisError that refuses the request.
+    """The path `synthesize` runs for n rows and the queries of `op`, or the
+    SynthesisError that refuses the request: the one size and mode check.
 
     It reads only sizes, so `generate_synthetic` asks it before counting the
-    real data or building an operator, whose arrays span the joint domain.
+    real data or reading the operator's arrays, which span the joint domain.
+    The exhaustive path needs at most `cap` cells as well as candidates: for
+    n >= 1 the candidate count implies it, and n = 0 is refused where n = 1 is.
     """
     if n < 0:
         raise SynthesisError("n must be non-negative")
-    cells = num_joint_cells(schema)
+    cells = op.num_cells
     if mode == "brute":
-        if math.comb(cells + n - 1, n) <= cap:
+        if cells <= cap and math.comb(cells + n - 1, n) <= cap:
             return "exhaustive"
         # a greedy step's arrays: cand, at most cells x cells, and the move
         # tables of all queries, sum_q bins_q^2 entries each; 2e8 float64
         # entries are 1.6 GB
-        if max(cells * cells, sum(k * k for k in num_bins)) > 200_000_000:
+        if max(cells * cells, sum(k * k for k in op.num_bins)) > 200_000_000:
             raise SynthesisError("joint domain too large for the greedy path; use fitted mode")
         return "greedy"
     if mode == "fitted":
         if rng is None:
             raise SynthesisError("fitted mode needs a random generator")
-        _check_dense_cap(cells)
+        if cells > DENSE_CELL_CAP:
+            raise SynthesisError(f"joint domain of {cells} cells exceeds dense-mode cap {DENSE_CELL_CAP}")
         return "fitted"
     raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
 
 
-def brute_force_synth(n: int, nm: NoisyMarginalSet,
-                      cap: int = DEFAULT_CANDIDATE_CAP) -> np.ndarray:
+def brute_force_synth(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     """Int64 cell counts of the minimizer of max_q ||h_q - M_q(D)||_1 over size-n multisets.
 
     Ties are broken by the lexicographically smallest multiset encoding
     (candidates are scanned in that order and only strict improvements are
-    kept).  Candidate count C(|cells|+n-1, n) must not exceed `cap`.
+    kept).  All C(|cells|+n-1, n) candidates are scanned: `synthesize` has
+    checked that their count fits its cap (`_path`).
 
     Candidates are scored _SCAN_BATCH at a time: gathering the operator's
     `bin_maps` at each candidate's n cells, shifted by each query's offset
@@ -157,15 +147,7 @@ def brute_force_synth(n: int, nm: NoisyMarginalSet,
     the lexicographic tie-break.  Memory is fixed by the batch, not by the
     candidate count.
     """
-    if n < 0:
-        raise SynthesisError("n must be non-negative")
     cells = num_joint_cells(nm.schema)
-    n_candidates = math.comb(cells + n - 1, n)
-    if n_candidates > cap:
-        raise SynthesisError(
-            f"{n_candidates} candidate multisets exceed the cap {cap}; "
-            "use the greedy or fitted path for this size"
-        )
     op, target = nm.operator, nm.target
     total = target.shape[0]
     combos = combinations_with_replacement(range(cells), n)
@@ -199,13 +181,13 @@ def _largest_remainder_round(mu: np.ndarray, n: int) -> np.ndarray:
 def _greedy_starts(n: int, nm: NoisyMarginalSet) -> list[np.ndarray]:
     """The greedy's starts: uniform counts, and the product of the clipped
     one-way noisy marginals when every attribute has one."""
-    schema = nm.schema
+    schema, op = nm.schema, nm.operator
     starts = [_largest_remainder_round(np.ones(num_joint_cells(schema)), n)]
-    one_way = {m.query.attrs[0]: m for m in nm.marginals if m.query.order == 1}
+    one_way = {q.attrs[0]: o for q, o in zip(op.queries, op.offsets) if q.order == 1}
     if len(one_way) == schema.num_attributes:
         probs = np.ones(1)
         for j in range(schema.num_attributes):
-            col = np.maximum(one_way[j].counts, 0.0)
+            col = np.maximum(nm.target[one_way[j]:one_way[j] + schema.sizes[j]], 0.0)
             col = np.full(schema.sizes[j], 1.0 / schema.sizes[j]) if col.sum() <= 0 else col / col.sum()
             probs = np.multiply.outer(probs, col).ravel()
         starts.append(_largest_remainder_round(probs, n))
@@ -399,7 +381,6 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> Distr
     allocates only its two transforms' results and the new iterate.
     """
     cells = num_joint_cells(nm.schema)
-    _check_dense_cap(cells)
     p = np.full(cells, 1.0 / cells)
     target = nm.target
     if n == 0:
@@ -486,9 +467,10 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
                cap: int = DEFAULT_CANDIDATE_CAP) -> tuple[Dataset, dict]:
     """Build a size-n dataset from noisy marginals only (no access to real data).
 
-    mode "brute" uses exhaustive search when the candidate count fits `cap`
-    and the greedy descent otherwise; mode "fitted" fits a dense joint
-    distribution and samples from it (requires rng).  The stats hold the
+    mode "brute" uses exhaustive search when the candidate count and the
+    cell count fit `cap` and the greedy descent otherwise; mode "fitted"
+    fits a dense joint distribution and samples from it (requires rng).
+    `_path` is the one check of the request.  The stats hold the
     path that ran ("path": "exhaustive", "greedy" or "fitted"), the output's
     marginals in the layout of `nm.operator` ("marginals"), the max and
     mean over queries of their l1 distance to the noisy targets
@@ -497,10 +479,10 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     fit ran).  The marginals and the dataset both come from the path's cell
     counts; the dataset holds them and builds no rows.
     """
-    path = _path(n, nm.schema, [m.counts.size for m in nm.marginals], mode, cap, rng)
+    path = _path(n, nm.operator, mode, cap, rng)
     fit = {"fit_iterations": 0, "fit_converged": None}
     if path == "exhaustive":
-        counts = brute_force_synth(n, nm, cap=cap)
+        counts = brute_force_synth(n, nm)
     elif path == "greedy":
         counts = _greedy_minmax(n, nm)
     else:
@@ -565,17 +547,19 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
                        cap: int = DEFAULT_CANDIDATE_CAP) -> tuple[Dataset, GenReport]:
     """Measure all order-<=d marginals, noise them, synthesize, and report.
 
-    First the request is checked as `synthesize` checks it (`_path`), so a
+    One `MarginalOperator` is built over the queries (it reads only sizes)
+    and the request is checked as `synthesize` checks it (`_path`), so a
     joint domain too large for the path is refused before anything of its
-    size is allocated.  Then one `MarginalOperator` is built over the
-    queries, the real data is counted once into joint cells, and the
-    operator's `forward` of those counts gives every real marginal: sums of
-    whole numbers, so the same floats as counting each query on its own.
-    The noisy set uses that same operator.
+    size is allocated.  Then the real data is counted once into joint cells,
+    and the operator's `forward` of those counts gives every real marginal:
+    sums of whole numbers, so the same floats as counting each query on its
+    own.  The noise is drawn into that one vector (`add_noise_to_set`), and
+    the noisy set holds it on the same operator.
     sigma is always the Gaussian-mechanism calibration of `privacy`, so the
     report's epsilon and delta are those of the noise actually added.  (To
-    synthesize from given marginals, with any noise or none, call
-    `synthesize` on a `NoisyMarginalSet`.)
+    synthesize from given marginals `counts` in the operator's layout, with
+    any noise or none, call
+    `synthesize(n, NoisyMarginalSet(MarginalOperator(schema, queries), counts), mode)`.)
     Fixed seed gives a bit-identical dataset on one platform.
     """
     schema = ds_real.schema
@@ -584,16 +568,12 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     # a spawned child stream: the noise generators default_rng([seed, idx])
     # never share its state, so sampling is independent of the noise
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    _path(ds_real.n, schema, [math.prod(schema.shape(q.attrs)) for q in queries], mode, cap, rng)
     op = MarginalOperator(schema, queries)
+    _path(ds_real.n, op, mode, cap, rng)
     joint = compute_marginal(ds_real, MarginalQuery(tuple(range(schema.num_attributes))))
     real = op.forward(joint.counts)
-    exact = [Marginal(q, real[o:o + k], exact=True)
-             for q, o, k in zip(queries, op.offsets, op.num_bins)]
     calib = calibrate(m, d, privacy)
-    noisy = add_noise_to_set(exact, calib.sigma, seed)
-    nm = NoisyMarginalSet(schema, tuple(noisy))
-    vars(nm)["operator"] = op  # the cached operator, built over the same queries
+    nm = NoisyMarginalSet(op, add_noise_to_set(real, op.num_bins, calib.sigma, seed))
     ds_s, stats = synthesize(ds_real.n, nm, mode, rng=rng, cap=cap)
 
     # evaluation-only diagnostics, outside the mechanism boundary

@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, settings
 from margsyn.dataset import Dataset, DomainError, ParseError, Schema, encode_xy
 from margsyn.evaluate import _weighted_auc
 from margsyn.learn import LinearModel, predict
-from margsyn.marginals import Marginal, compute_marginal
-from margsyn.synth import _largest_remainder_round
+from margsyn.marginals import Marginal, MarginalOperator, compute_marginal
+from margsyn.privacy import add_noise_to_set
+from margsyn.synth import NoisyMarginalSet, _largest_remainder_round
 
 settings.register_profile(
     "ci",
@@ -55,6 +56,37 @@ def reference_l1_distance(a: Marginal, b: Marginal) -> float:
     """l1 distance between two marginals of the same query."""
     assert a.query == b.query, f"query mismatch: {a.query.attrs} vs {b.query.attrs}"
     return float(np.abs(a.counts - b.counts).sum())
+
+
+def reference_add_noise_to_set(marginals: list[Marginal], sigma: float, seed: int) -> list[Marginal]:
+    """Noise every marginal under a per-query derived sub-seed, one `Marginal`
+    per query: query idx gets independent N(0, sigma^2) per entry from
+    default_rng([seed, idx]), and no draw at sigma 0."""
+    if not sigma >= 0:
+        raise ValueError("sigma must be non-negative")
+    out = []
+    for idx, h in enumerate(marginals):
+        rng = np.random.default_rng([seed, idx])
+        noisy = h.counts + (rng.normal(0.0, sigma, size=h.counts.shape) if sigma > 0 else 0.0)
+        out.append(Marginal(h.query, noisy, exact=False))
+    return out
+
+
+def noisy_set_of(schema: Schema, marginals: list[Marginal], sigma: float = 0.0,
+                 seed: int = 0) -> NoisyMarginalSet:
+    """The noisy set of per-query marginals, in their order: one operator over
+    their queries and `add_noise_to_set` of their concatenated counts (at
+    sigma 0, the counts themselves)."""
+    op = MarginalOperator(schema, [m.query for m in marginals])
+    counts = np.concatenate([m.counts for m in marginals])
+    return NoisyMarginalSet(op, add_noise_to_set(counts, op.num_bins, sigma, seed))
+
+
+def per_query(nm: NoisyMarginalSet) -> list[Marginal]:
+    """The noisy set's marginals, one per query of its operator, in order."""
+    op = nm.operator
+    return [Marginal(q, nm.target[o:o + k], exact=False)
+            for q, o, k in zip(op.queries, op.offsets, op.num_bins)]
 
 
 def reference_counts_to_rows(counts: np.ndarray, schema: Schema) -> np.ndarray:
@@ -301,7 +333,7 @@ def reference_greedy_counts(n: int, nm) -> tuple[np.ndarray, list[np.ndarray]]:
         return counts, l1
 
     starts = [_largest_remainder_round(np.ones(cells), n)]
-    one_way = {m.query.attrs[0]: m for m in nm.marginals if m.query.order == 1}
+    one_way = {m.query.attrs[0]: m for m in per_query(nm) if m.query.order == 1}
     if len(one_way) == schema.num_attributes:
         probs = np.ones(1)
         for j in range(schema.num_attributes):

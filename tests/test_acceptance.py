@@ -22,11 +22,11 @@ from margsyn.learn import DpSgdConfig, LossSpec, TrainConfig, dp_sgd, train_proj
 from margsyn.marginals import compute_marginal, enumerate_queries
 from margsyn.polyapprox import (Interval, approx_report, bernstein, iterated_bernstein,
                                 logistic_loss, remez_minimax)
-from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate, synthesis_l1_bound
-from margsyn.synth import (DistributionEstimate, NoisyMarginalSet, brute_force_synth,
-                           sample_dataset, synthesize)
+from margsyn.privacy import PrivacyParams, calibrate, synthesis_l1_bound
+from margsyn.synth import DistributionEstimate, brute_force_synth, sample_dataset, synthesize
 
-from conftest import random_dataset, reference_l1_distance as l1_distance, reference_sgd as plain_sgd
+from conftest import (noisy_set_of, per_query, random_dataset, reference_l1_distance as l1_distance,
+                      reference_sgd as plain_sgd)
 
 def report_line(criterion: str, ok: bool, detail: str = "") -> None:
     state = "PASS" if ok else "FAIL"
@@ -118,13 +118,12 @@ def test_criterion_3_brute_force_matches_exhaustive_oracle():
         real = Dataset(schema, rng.integers(0, 2, size=(n, 2)))
         queries = enumerate_queries(1, 2)
         exact = [compute_marginal(real, q) for q in queries]
-        noisy = add_noise_to_set(exact, 1.2, seed)
-        nm = NoisyMarginalSet(schema, tuple(noisy))
+        nm = noisy_set_of(schema, exact, 1.2, seed)
         got = nm.operator.l1_to(nm.operator.forward(brute_force_synth(n, nm)), nm.target).max()
         best = math.inf
         for combo in itertools.combinations_with_replacement(range(4), n):
             cand = Dataset(schema, np.array([all_codes[c] for c in combo]))
-            obj = max(l1_distance(m, compute_marginal(cand, m.query)) for m in nm.marginals)
+            obj = max(l1_distance(m, compute_marginal(cand, m.query)) for m in per_query(nm))
             best = min(best, obj)
         assert got == pytest.approx(best, abs=1e-9), seed
     elapsed = time.perf_counter() - t0
@@ -142,8 +141,7 @@ def test_criterion_4_end_to_end_l1_coverage(three_binary_schema):
     bound = synthesis_l1_bound(calib.sigma, 2, 3, 2, 3.0)
     trials, violations = 500, 0
     for seed in range(trials):
-        noisy = add_noise_to_set(exact, calib.sigma, seed)
-        nm = NoisyMarginalSet(three_binary_schema, tuple(noisy))
+        nm = noisy_set_of(three_binary_schema, exact, calib.sigma, seed)
         ds_s, _ = synthesize(50, nm, "brute")
         worst = max(l1_distance(h, compute_marginal(ds_s, h.query)) for h in exact)
         violations += worst > bound
@@ -175,8 +173,7 @@ def test_criterion_5_measured_nu_bound_dominates(three_binary_schema):
         exact = [compute_marginal(real, q) for q in queries]
         calib = calibrate(3, d, PrivacyParams(1.0, 1.0 / 200**2, lam=3.0))
         for seed in range(runs_per_d):
-            noisy = add_noise_to_set(exact, calib.sigma, seed)
-            nm = NoisyMarginalSet(three_binary_schema, tuple(noisy))
+            nm = noisy_set_of(three_binary_schema, exact, calib.sigma, seed)
             ds_s, _ = synthesize(200, nm, "brute")
             measured_nu = max(l1_distance(h, compute_marginal(ds_s, h.query)) for h in exact)
             for name, spec in losses.items():

@@ -1,14 +1,16 @@
-"""One marginal operator per synthesis run, and only `synthesize` turns a
-synthesizer's cell counts into a dataset.
+"""One marginal operator and one noisy vector per synthesis run, and only
+`synthesize` turns a synthesizer's cell counts into a dataset.
 
-Building a `MarginalOperator` builds every query's cell -> bin map, so a
-`generate_synthetic` call builds it once: the real marginals and the noisy
-set's cached `NoisyMarginalSet.operator` share it, and every synthesizer and
-diagnostic reaches the maps through it.  Every synthesizer outputs cell
-counts, from which `synthesize` takes the output's marginals and builds its
-dataset (`Dataset.from_counts`), so nothing in `synth.py` counts rows back
-into cells.  No linter is a dependency, so the static checks walk the
-module's syntax tree with the standard library.
+A `generate_synthetic` call builds one `MarginalOperator`: the real
+marginals, the noise (drawn into one vector by `privacy.add_noise_to_set`)
+and the `NoisyMarginalSet` that holds it all use its layout, and every
+synthesizer and diagnostic reaches the cell -> bin maps through it.  So
+neither `synth.py` nor `privacy.py` builds a per-query `Marginal`, and
+`synth.py` never sets an object's state through `vars()`.  Every
+synthesizer outputs cell counts, from which `synthesize` takes the output's
+marginals and builds its dataset (`Dataset.from_counts`), so nothing in
+`synth.py` counts rows back into cells.  No linter is a dependency, so the
+static checks walk the module's syntax tree with the standard library.
 """
 
 import ast
@@ -23,6 +25,7 @@ from margsyn.privacy import PrivacyParams
 from margsyn.synth import generate_synthetic
 
 SYNTH = Path(__file__).resolve().parents[1] / "src" / "margsyn" / "synth.py"
+PRIVACY = SYNTH.with_name("privacy.py")
 
 
 def scopes(source: str, matches) -> list[str]:
@@ -81,6 +84,12 @@ def test_synth_builds_rows_only_in_synthesize_and_never_counts_them():
     assert call_scopes(source, "from_counts") == ["synthesize"]
     assert attribute_scopes(source, "weighted") == []
     assert call_scopes(source, "cell_counts") == []
+
+
+def test_the_mechanism_builds_no_per_query_marginal():
+    for module in (SYNTH, PRIVACY):
+        assert call_scopes(module.read_text(), "Marginal") == [], module.name
+    assert call_scopes(SYNTH.read_text(), "vars") == []
 
 
 def test_checker_finds_every_call_with_its_scope():

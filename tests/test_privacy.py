@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from margsyn.dataset import Dataset, Schema
-from margsyn.marginals import Marginal, MarginalQuery, compute_marginal, enumerate_queries, query_count
-from margsyn.privacy import (NoiseCalibration, PrivacyParams, add_noise, add_noise_to_set,
-                             calibrate, gaussian_sigma, marginal_set_sensitivity,
-                             synthesis_l1_bound)
+from margsyn.marginals import (MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries,
+                               query_count)
+from margsyn.privacy import (NoiseCalibration, PrivacyParams, add_noise_to_set, calibrate,
+                             gaussian_sigma, marginal_set_sensitivity, synthesis_l1_bound)
 
-from conftest import random_dataset, reference_l1_distance
+from conftest import random_dataset, reference_add_noise_to_set
 
 
 class TestGaussianSigma:
@@ -83,44 +83,71 @@ class TestPrivacyParams:
 
 
 class TestAddNoise:
-    def test_nan_sigma_rejected(self, two_binary_rows):
+    @pytest.mark.parametrize("sigma", [math.nan, -1.0])
+    def test_nan_or_negative_sigma_rejected(self, two_binary_rows, sigma):
         m = compute_marginal(two_binary_rows, MarginalQuery((0,)))
         with pytest.raises(ValueError, match="sigma"):
-            add_noise(m, math.nan, np.random.default_rng(0))
+            add_noise_to_set(m.counts, [m.counts.size], sigma, 0)
 
-    def test_zero_sigma_identity_but_flagged(self, two_binary_rows):
+    def test_zero_sigma_is_a_copy_of_the_counts(self, two_binary_rows):
         m = compute_marginal(two_binary_rows, MarginalQuery((0,)))
-        noisy = add_noise(m, 0.0, np.random.default_rng(0))
-        assert np.array_equal(noisy.counts, m.counts)
-        assert not noisy.exact
+        noisy = add_noise_to_set(m.counts, [m.counts.size], 0.0, 0)
+        assert noisy.tobytes() == m.counts.tobytes()
+        assert not np.shares_memory(noisy, m.counts)
 
     def test_seed_determinism(self, two_binary_rows):
         m = compute_marginal(two_binary_rows, MarginalQuery((0, 1)))
-        a = add_noise(m, 3.0, np.random.default_rng(42))
-        b = add_noise(m, 3.0, np.random.default_rng(42))
-        assert np.array_equal(a.counts, b.counts)
+        a = add_noise_to_set(m.counts, [m.counts.size], 3.0, 42)
+        b = add_noise_to_set(m.counts, [m.counts.size], 3.0, 42)
+        assert np.array_equal(a, b) and not np.array_equal(a, m.counts)
 
     def test_set_noising_is_order_independent(self, two_binary_rows):
-        margs = [compute_marginal(two_binary_rows, q) for q in enumerate_queries(1, 2)]
-        noisy = add_noise_to_set(margs, 2.0, seed=7)
+        op = MarginalOperator(two_binary_rows.schema, enumerate_queries(1, 2))
+        counts = np.concatenate([compute_marginal(two_binary_rows, q).counts for q in op.queries])
+        noisy = add_noise_to_set(counts, op.num_bins, 2.0, seed=7)
         # noises of query i depend only on (seed, i), so re-noising a prefix agrees
-        again = add_noise_to_set(margs[:2], 2.0, seed=7)
-        for a, b in zip(noisy[:2], again):
-            assert np.array_equal(a.counts, b.counts)
+        prefix = sum(op.num_bins[:2])
+        again = add_noise_to_set(counts[:prefix], op.num_bins[:2], 2.0, seed=7)
+        assert np.array_equal(noisy[:prefix], again)
+
+    @pytest.mark.parametrize("bins", [[3], [2, 1], [4, 1]])
+    def test_counts_must_hold_every_bin(self, bins):
+        with pytest.raises(ValueError, match="bins"):
+            add_noise_to_set(np.zeros(4), bins, 1.0, 0)
 
     def test_empirical_std_within_two_percent(self):
         sigma = 1.7
-        base = Marginal(MarginalQuery((0,)), np.zeros(100_000), exact=True)
-        noisy = add_noise(base, sigma, np.random.default_rng(5))
-        assert np.std(noisy.counts) == pytest.approx(sigma, rel=0.02)
+        noisy = add_noise_to_set(np.zeros(100_000), [100_000], sigma, 5)
+        assert np.std(noisy) == pytest.approx(sigma, rel=0.02)
 
     def test_entries_uncorrelated(self):
-        base = Marginal(MarginalQuery((0, 1)), np.zeros(4), exact=True)
-        draws = np.stack([add_noise(base, 1.0, np.random.default_rng([9, t])).counts
-                          for t in range(10_000)])
+        # 10,000 queries of 4 bins: query t draws from default_rng([9, t])
+        draws = add_noise_to_set(np.zeros(4 * 10_000), [4] * 10_000, 1.0, 9).reshape(10_000, 4)
         corr = np.corrcoef(draws.T)
         off_diag = corr[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off_diag)) < 0.05
+
+
+@st.composite
+def marginal_lists(draw):
+    """Exact marginals of a mixed-arity dataset (possibly empty) over a list of
+    queries of orders 1 to 3, in any order."""
+    sizes = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))) + (2,)
+    schema = Schema(tuple(f"x{j}" for j in range(len(sizes) - 1)) + ("label",), sizes)
+    queries = enumerate_queries(len(sizes) - 1, min(3, len(sizes)))
+    picked = draw(st.lists(st.sampled_from(queries), min_size=1, max_size=len(queries), unique=True))
+    ds = random_dataset(schema, draw(st.integers(0, 30)), draw(st.integers(0, 2**16)))
+    return [compute_marginal(ds, q) for q in picked]
+
+
+@given(marginal_lists(), st.sampled_from([0.0, 1e-3, 0.7, 3.0, 250.0]), st.integers(0, 2**63 - 1))
+def test_noisy_vector_is_the_per_query_loop_bit_for_bit(marginals, sigma, seed):
+    counts = np.concatenate([h.counts for h in marginals])
+    before = counts.copy()
+    got = add_noise_to_set(counts, [h.counts.size for h in marginals], sigma, seed)
+    want = np.concatenate([h.counts for h in reference_add_noise_to_set(marginals, sigma, seed)])
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert counts.tobytes() == before.tobytes()
 
 
 class TestTailBound:
@@ -145,14 +172,14 @@ def test_noisy_vs_real_coverage(three_binary_schema):
     tail bound in all but ~2^-lambda of seeded trials (noise half only, so the
     full doubled bound has wide slack)."""
     ds = random_dataset(three_binary_schema, 50, seed=123)
-    queries = enumerate_queries(3, 2)
-    exact = [compute_marginal(ds, q) for q in queries]
+    op = MarginalOperator(three_binary_schema, enumerate_queries(3, 2))
+    exact = np.concatenate([compute_marginal(ds, q).counts for q in op.queries])
     calib = calibrate(3, 2, PrivacyParams(1.0, 1 / 50**2, lam=3.0))
     bound = synthesis_l1_bound(calib.sigma, 2, 3, 2, 3.0)
     trials, violations = 1000, 0
     for seed in range(trials):
-        noisy = add_noise_to_set(exact, calib.sigma, seed)
-        worst = max(reference_l1_distance(a, b) for a, b in zip(noisy, exact))
+        noisy = add_noise_to_set(exact, op.num_bins, calib.sigma, seed)
+        worst = op.l1_to(noisy, exact).max()
         violations += worst > bound
     slack = 2.326 * math.sqrt(0.125 * 0.875 / trials)  # 99% binomial upper bound
     assert violations / trials <= 0.125 + slack

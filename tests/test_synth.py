@@ -12,24 +12,25 @@ from margsyn.dataset import Dataset, Schema, encode_xy, write_csv
 from margsyn.demo import make_demo_dataset
 from margsyn.evaluate import accuracy, empirical_risk
 from margsyn.learn import LossSpec, TrainConfig, train_projected
-from margsyn.marginals import (Marginal, MarginalOperator, MarginalQuery, compute_marginal,
-                               enumerate_queries)
+from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate
 from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, SynthesisError,
                            _descend, _greedy_minmax, _greedy_starts,
                            _project_simplex, _simplex_projector, brute_force_synth, fit_distribution, generate_synthetic,
                            num_joint_cells, sample_dataset, synthesize)
 
-from conftest import (dense_marginal_matrix, random_dataset, reference_counts_to_rows,
-                      reference_exhaustive_counts, reference_greedy_counts, reference_l1_distance,
-                      reference_fit, reference_project_simplex, reference_row_multiset)
+from conftest import (cell_counts, dense_marginal_matrix, noisy_set_of, per_query, random_dataset,
+                      reference_counts_to_rows, reference_exhaustive_counts, reference_greedy_counts,
+                      reference_l1_distance, reference_fit, reference_project_simplex,
+                      reference_row_multiset)
 
 
 def noisy_set_from(ds: Dataset, d: int, sigma: float, seed: int) -> NoisyMarginalSet:
-    queries = enumerate_queries(ds.schema.num_features, d)
-    exact = [compute_marginal(ds, q) for q in queries]
-    noisy = add_noise_to_set(exact, sigma, seed)
-    return NoisyMarginalSet(ds.schema, tuple(noisy))
+    return noisy_set_over(ds, enumerate_queries(ds.schema.num_features, d), sigma, seed)
+
+
+def noisy_set_over(ds: Dataset, queries, sigma: float, seed: int) -> NoisyMarginalSet:
+    return noisy_set_of(ds.schema, [compute_marginal(ds, q) for q in queries], sigma, seed)
 
 
 def assert_greedy_matches_the_loop(n: int, nm: NoisyMarginalSet) -> None:
@@ -55,7 +56,7 @@ def oracle_best_objective(n: int, nm: NoisyMarginalSet) -> float:
     for combo in itertools.combinations_with_replacement(range(cells), n):
         rows = np.array([all_codes[c] for c in combo], dtype=np.int64).reshape(n, len(schema.sizes))
         cand = Dataset(schema, rows)
-        obj = max(reference_l1_distance(m, compute_marginal(cand, m.query)) for m in nm.marginals)
+        obj = max(reference_l1_distance(m, compute_marginal(cand, m.query)) for m in per_query(nm))
         best = min(best, obj)
     return best
 
@@ -65,37 +66,46 @@ MISFIT_SCHEMA = Schema(("a", "b", "label"), (4, 2, 2))
 SYNTH_PATHS = {"exhaustive": ("brute", 10_000), "greedy": ("brute", 0), "fitted": ("fitted", 10_000)}
 
 
-def misfit_marginals(case: str) -> list[Marginal]:
-    """All order-<=2 marginals of a 3-row dataset, one of them changed so it no longer fits its query."""
-    margs = [compute_marginal(random_dataset(MISFIT_SCHEMA, 3, seed=0), q)
-             for q in enumerate_queries(2, 2)]
-    a, b = margs[0], margs[1]  # queries (0,) with 4 bins and (1,) with 2 bins
-    if case == "swapped lengths":
-        # equal totals and the same concatenated length, each query with the other's counts
-        margs[0], margs[1] = Marginal(a.query, b.counts, True), Marginal(b.query, a.counts, True)
+def misfit_target(case: str) -> tuple[MarginalOperator, np.ndarray]:
+    """All order-<=2 queries of MISFIT_SCHEMA and the marginals of a 3-row dataset
+    in their layout, changed so they no longer fit the queries."""
+    op = MarginalOperator(MISFIT_SCHEMA, enumerate_queries(2, 2))
+    target = op.forward(cell_counts(random_dataset(MISFIT_SCHEMA, 3, seed=0)))
+    if case == "one bin short":
+        target = target[:-1]
+    elif case == "one bin extra":
+        target = np.append(target, 0.0)
     elif case == "2-D counts":
-        margs[0] = Marginal(a.query, a.counts.reshape(2, 2), True)
+        target = target.reshape(-1, 2)
     else:
-        counts = margs[2].counts.copy()
-        counts[0] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[case]
-        margs[2] = Marginal(margs[2].query, counts, False)
-    return margs
+        target[op.offsets[2]] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[case]
+    return op, target
 
 
 class TestNoisyMarginalSet:
     @pytest.mark.parametrize("path", SYNTH_PATHS)
-    @pytest.mark.parametrize("case", ["nan", "inf", "-inf", "swapped lengths", "2-D counts"])
+    @pytest.mark.parametrize("case", ["nan", "inf", "-inf", "one bin short", "one bin extra", "2-D counts"])
     def test_marginals_that_do_not_fit_their_queries_are_rejected(self, case, path):
         mode, cap = SYNTH_PATHS[path]
         match = "non-finite" if "inf" in case or case == "nan" else "bins"
         with pytest.raises(SynthesisError, match=match):
-            nm = NoisyMarginalSet(MISFIT_SCHEMA, tuple(misfit_marginals(case)))
+            nm = NoisyMarginalSet(*misfit_target(case))
             synthesize(3, nm, mode, rng=np.random.default_rng(0), cap=cap)
 
-    def test_target_is_the_concatenated_counts(self, three_binary_schema):
-        nm = noisy_set_from(random_dataset(three_binary_schema, 10, seed=1), 2, 1.0, seed=2)
-        assert np.array_equal(nm.target, np.concatenate([m.counts for m in nm.marginals]))
-        assert nm.target is nm.target and not nm.target.flags.writeable
+    def test_target_is_a_read_only_copy(self, three_binary_schema):
+        op = MarginalOperator(three_binary_schema, enumerate_queries(3, 2))
+        counts = op.forward(cell_counts(random_dataset(three_binary_schema, 10, seed=1)))
+        nm = NoisyMarginalSet(op, counts)
+        assert nm.target.tobytes() == counts.tobytes() and not nm.target.flags.writeable
+        counts[0] += 1.0
+        assert nm.target[0] == counts[0] - 1.0
+        assert nm.operator is op and nm.schema is op.schema
+
+    def test_a_set_over_any_domain_builds_no_table(self):
+        # 40 binary features + label: a bin table would take 17.6 TB per query
+        op = MarginalOperator(make_demo_dataset(m=40, n=1, seed=0).schema, enumerate_queries(40, 1))
+        nm = NoisyMarginalSet(op, np.zeros(sum(op.num_bins)))
+        assert nm.operator.num_cells == 2 ** 41 and "bin_maps" not in vars(op)
 
 
 class TestBruteForce:
@@ -108,7 +118,7 @@ class TestBruteForce:
         real = Dataset(schema, np.array([[0, 1], [1, 0]]))
         nm = noisy_set_from(real, 2, 0.0, seed=0)
         counts = brute_force_synth(2, nm)  # 10 candidate multisets
-        for m, got in zip(nm.marginals, np.split(nm.operator.forward(counts), nm.operator.offsets[1:])):
+        for m, got in zip(per_query(nm), np.split(nm.operator.forward(counts), nm.operator.offsets[1:])):
             assert np.array_equal(got, m.counts)
 
     def test_objective_never_worse_than_real_dataset(self, two_binary_rows):
@@ -116,7 +126,7 @@ class TestBruteForce:
             nm = noisy_set_from(two_binary_rows, 2, 1.5, seed=seed)
             obj_s = l1_to_noisy(brute_force_synth(4, nm), nm).max()
             obj_r = max(reference_l1_distance(m, compute_marginal(two_binary_rows, m.query))
-                        for m in nm.marginals)
+                        for m in per_query(nm))
             assert obj_s <= obj_r + 1e-9
 
     def test_matches_exhaustive_oracle(self):
@@ -127,19 +137,25 @@ class TestBruteForce:
             obj = l1_to_noisy(brute_force_synth(3, nm), nm).max()  # C(6,3) = 20 candidates
             assert obj == pytest.approx(oracle_best_objective(3, nm), abs=1e-9)
 
-    def test_cap_exceeded(self, two_binary_rows):
+    def test_cap_exceeded(self, two_binary_rows, monkeypatch):
+        from margsyn import synth
         nm = noisy_set_from(two_binary_rows, 2, 0.0, seed=0)
-        with pytest.raises(SynthesisError):
-            brute_force_synth(4, nm, cap=3)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the exhaustive scan ran past its cap")
+
+        monkeypatch.setattr(synth, "brute_force_synth", no_scan)
+        ds, stats = synthesize(4, nm, "brute", cap=3)  # 35 candidate multisets
+        assert stats["path"] == "greedy" and ds.n == 4
 
     def test_empty_query_set(self, two_binary_rows):
         with pytest.raises(SynthesisError):
-            NoisyMarginalSet(two_binary_rows.schema, ())
+            NoisyMarginalSet(MarginalOperator(two_binary_rows.schema, []), np.zeros(0))
 
     def test_duplicate_queries_rejected(self, two_binary_rows):
         m = compute_marginal(two_binary_rows, MarginalQuery((0,)))
-        with pytest.raises(SynthesisError):
-            NoisyMarginalSet(two_binary_rows.schema, (m, m))
+        with pytest.raises(SynthesisError, match="duplicate queries"):
+            noisy_set_of(two_binary_rows.schema, [m, m])
 
 
 class TestGreedyFallback:
@@ -149,12 +165,12 @@ class TestGreedyFallback:
             nm = noisy_set_from(real, 2, 8.0, seed=seed)
             ds_s, stats = synthesize(60, nm, "brute", cap=1000)
             assert ds_s.n == 60
-            obj_r = max(reference_l1_distance(m, compute_marginal(real, m.query)) for m in nm.marginals)
+            obj_r = max(reference_l1_distance(m, compute_marginal(real, m.query)) for m in per_query(nm))
             assert stats["l1_to_noisy_max"] <= obj_r + 1e-9
 
     def test_empty_query_set(self, two_binary_rows):
         with pytest.raises(SynthesisError, match="empty query set"):
-            NoisyMarginalSet(two_binary_rows.schema, ())
+            NoisyMarginalSet(MarginalOperator(two_binary_rows.schema, ()), np.zeros(0))
 
     def test_deterministic(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 40, seed=3)
@@ -163,11 +179,6 @@ class TestGreedyFallback:
         b, _ = synthesize(40, nm, "brute", cap=10)
         assert np.array_equal(a.codes, b.codes)
 
-
-
-def noisy_set_over(ds: Dataset, queries, sigma: float, seed: int) -> NoisyMarginalSet:
-    noisy = add_noise_to_set([compute_marginal(ds, q) for q in queries], sigma, seed)
-    return NoisyMarginalSet(ds.schema, tuple(noisy))
 
 
 # Mixed arities, and (3, 3, 2) puts 9 bins in a query, past numpy's 8-term
@@ -247,7 +258,7 @@ class TestBruteMatchesTheLoop:
     def test_scan_memory_does_not_grow_with_the_candidates(self):
         schema = Schema(("a", "b", "c", "d", "label"), (2, 2, 2, 2, 2))
         nm = noisy_set_from(random_dataset(schema, 3, seed=0), 2, 1.0, seed=0)
-        nm.operator  # built once, before either measurement
+        nm.operator.bin_maps  # built once, before either measurement
         peaks = []
         for n in (2, 3):  # 528 and 5,984 candidates
             tracemalloc.start()
@@ -264,7 +275,7 @@ class TestBruteMatchesTheLoop:
         # cells x cells float64 matrix, 8 * 512^2 bytes
         real = make_demo_dataset(m=8, n=40, seed=0)
         nm = noisy_set_from(real, 2, 3.0, seed=0)
-        nm.operator  # built before the measurement
+        nm.operator.bin_maps  # built before the measurement
         cells = num_joint_cells(nm.schema)
         tracemalloc.start()
         try:
@@ -288,7 +299,7 @@ class TestBruteMatchesTheLoop:
         real = make_demo_dataset(m=12, n=20, seed=0)
         full = tuple(range(13))
         queries = [MarginalQuery(full)] + [MarginalQuery(full[:k] + full[k + 1:]) for k in range(13)]
-        wide = NoisyMarginalSet(real.schema, tuple(compute_marginal(real, q) for q in queries))
+        wide = noisy_set_of(real.schema, [compute_marginal(real, q) for q in queries])
         for nm in (noisy_set_from(make_demo_dataset(m=14, n=20, seed=0), 1, 1.0, seed=0), wide):
             tracemalloc.start()
             try:
@@ -329,7 +340,7 @@ def reference_fista_trace(nm: NoisyMarginalSet, n: float, iters: int, tol: float
     from uniform with function-value restart and step 1/L, L = 2 n^2 times the top
     eigenvalue of A^T A on the sum-zero subspace; a momentum-free step that does
     not lower the objective, or one lowering it by at most tol relative, stops it."""
-    a = dense_marginal_matrix(nm.schema, [m.query for m in nm.marginals])
+    a = dense_marginal_matrix(nm.schema, nm.operator.queries)
     h = nm.target
     cells = a.shape[1]
     centre = np.eye(cells) - 1.0 / cells
@@ -381,21 +392,21 @@ class TestFitDistribution:
         nm = noisy_set_from(real, 2, 0.0, seed=0)
         dist = fit_distribution(nm, n=real.n)
         op = nm.operator
-        for m, probs in zip(nm.marginals, np.split(op.forward(dist.probs), op.offsets[1:])):
+        for m, probs in zip(per_query(nm), np.split(op.forward(dist.probs), op.offsets[1:])):
             fitted = real.n * probs
             assert np.abs(fitted - m.counts).sum() <= 1e-3 * real.n
 
     def test_single_full_query_exact(self, two_binary_rows):
         nm = noisy_set_from(two_binary_rows, 2, 0.0, seed=0)
-        full = [m for m in nm.marginals if m.query.order == 2]
-        nm_full = NoisyMarginalSet(two_binary_rows.schema, tuple(full))
+        full = [m for m in per_query(nm) if m.query.order == 2]
+        nm_full = noisy_set_of(two_binary_rows.schema, full)
         dist = fit_distribution(nm_full, n=4)
         assert dist.objective_trace[-1] <= 1e-20
         assert np.allclose(dist.probs, full[0].counts / 4.0)
 
     def test_negative_entries_resolved(self, two_binary_rows):
         nm = noisy_set_from(two_binary_rows, 2, 6.0, seed=4)
-        assert any(m.counts.min() < 0 for m in nm.marginals)  # noise drove some negative
+        assert nm.target.min() < 0  # noise drove some entries negative
         dist = fit_distribution(nm, n=4)
         assert np.all(dist.probs >= 0)
         assert float(dist.probs.sum()) == pytest.approx(1.0, abs=1e-9)
@@ -418,8 +429,7 @@ class TestFitDistribution:
         centre = np.eye(cells) - 1.0 / cells
         top = np.linalg.eigvalsh(centre @ a.T @ a @ centre)[-1]
         n = 37
-        nm = NoisyMarginalSet(schema, tuple(compute_marginal(random_dataset(schema, n, 0), q)
-                                            for q in queries))
+        nm = noisy_set_of(schema, [compute_marginal(random_dataset(schema, n, 0), q) for q in queries])
         # the fit's step 1/L: L = 2 n^2 max of the spectrum off the constant direction
         lipschitz = 2.0 * n * n * nm.operator.spectrum[1:].max()
         # the lower bound allows eigvalsh's own rounding (a few ulps); the upper is exactness
@@ -524,13 +534,19 @@ class TestFitDistribution:
         with pytest.raises(SynthesisError):
             DistributionEstimate(Schema(("a", "label"), (2, 2)), [bad, 0.5, 0.25, 0.25], (0.0,))
 
-    def test_dense_cap(self):
+    def test_dense_cap(self, monkeypatch):
+        from margsyn import synth
         sizes = (6,) * 8 + (2,)
         schema = Schema(tuple(f"x{i}" for i in range(8)) + ("label",), sizes)
         ds = random_dataset(schema, 5, seed=0)
         nm = noisy_set_from(ds, 1, 0.0, seed=0)
-        with pytest.raises(SynthesisError):
-            fit_distribution(nm, n=5)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran past the dense-mode cap")
+
+        monkeypatch.setattr(synth, "fit_distribution", no_fit)
+        with pytest.raises(SynthesisError, match="dense-mode cap"):
+            synthesize(5, nm, "fitted", rng=np.random.default_rng(0))
 
 
 # every kind of input the fit hands the projection: ties, negatives, and
@@ -718,7 +734,7 @@ class TestMechanism:
         privacy = PrivacyParams(1.0, 1e-3, lam=1.0)
         _, report = generate_synthetic(real, 2, privacy, mode="brute", seed=seed)
         exact = [compute_marginal(real, q) for q in enumerate_queries(2, 2)]
-        noisy = add_noise_to_set(exact, report.sigma, seed)
+        noisy = per_query(noisy_set_of(schema, exact, report.sigma, seed))
         real_to_noisy = max(reference_l1_distance(e, h) for e, h in zip(exact, noisy))
         assert report.bound_certified == (report.l1_to_noisy_max <= report.l1_bound_at_lam / 2)
         if real_to_noisy <= report.l1_bound_at_lam / 2:
@@ -816,14 +832,14 @@ class TestMechanism:
             mp.setattr(Dataset, "weighted", property(no_count))
             ds_s, stats = synthesize(3, nm, mode, rng=np.random.default_rng(0), cap=cap)
         assert stats["path"] == path
-        want = np.concatenate([compute_marginal(ds_s, m.query).counts for m in nm.marginals])
+        want = np.concatenate([compute_marginal(ds_s, q).counts for q in nm.operator.queries])
         assert np.array_equal(stats["marginals"], want)
 
     def test_stats_hold_the_output_marginals(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 30, seed=3)
         nm = noisy_set_from(real, 2, 1.0, 4)
         ds_s, stats = synthesize(real.n, nm, "fitted", rng=np.random.default_rng(0))
-        want = np.concatenate([compute_marginal(ds_s, m.query).counts for m in nm.marginals])
+        want = np.concatenate([compute_marginal(ds_s, q).counts for q in nm.operator.queries])
         assert np.array_equal(stats["marginals"], want)
         assert stats["l1_to_noisy_max"] == float(nm.operator.l1_to(want, nm.target).max())
 
@@ -859,17 +875,16 @@ class TestMechanism:
         real = random_dataset(schema, n, seed=n + d)
         seen = []
 
-        def capture(marginals, sigma, seed):
-            seen.append(marginals)
-            return add_noise_to_set(marginals, sigma, seed)
+        def capture(counts, num_bins, sigma, seed):
+            seen.append((counts.copy(), tuple(num_bins)))
+            return add_noise_to_set(counts, num_bins, sigma, seed)
 
         monkeypatch.setattr(synth, "add_noise_to_set", capture)
         generate_synthetic(real, d, PrivacyParams(1.0, 1e-6), mode="fitted", seed=3)
-        queries = enumerate_queries(schema.num_features, d)
-        assert [m.query for m in seen[0]] == queries
-        for got, q in zip(seen[0], queries):
-            assert got.exact is True
-            assert got.counts.tobytes() == compute_marginal(real, q).counts.tobytes()
+        want = [compute_marginal(real, q).counts for q in enumerate_queries(schema.num_features, d)]
+        [(counts, num_bins)] = seen
+        assert num_bins == tuple(w.size for w in want)
+        assert counts.tobytes() == np.concatenate(want).tobytes()
 
     @pytest.mark.parametrize("mode", ["brute", "fitted"])
     def test_a_domain_too_large_is_refused_before_measuring(self, mode):
@@ -888,6 +903,23 @@ class TestMechanism:
             tracemalloc.stop()
         assert str(got.value) == str(refused.value)
         assert peak < 8 * num_joint_cells(real.schema) / 1e6
+
+    def test_an_empty_brute_request_is_refused_where_one_row_is(self):
+        # 40 binary features + label: one row has 2.2e12 candidate cells, past the
+        # cap, and so has the empty request; neither may reach the exhaustive scan
+        schema = make_demo_dataset(m=40, n=1, seed=0).schema
+        empty = Dataset(schema, np.zeros((0, 41), dtype=np.int64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SynthesisError, match="too large for the greedy path"):
+                generate_synthetic(empty, 1, PrivacyParams(1.0, 1e-6), mode="brute")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * num_joint_cells(schema) / 1e6
+        small = Dataset(Schema(("a", "b", "label"), (3, 2, 2)), np.zeros((0, 3), dtype=np.int64))
+        _, report = generate_synthetic(small, 2, PrivacyParams(1.0, 1e-6), mode="brute")
+        assert report.path == "exhaustive"
 
     @pytest.mark.parametrize("m", [63, 70])
     @pytest.mark.parametrize("mode, message", [
