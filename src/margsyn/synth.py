@@ -7,7 +7,10 @@ Two strategies stand behind one entry point:
             the multiset and cell counts fit the configured cap (candidates
             scored a fixed batch at a time, one bincount per batch), otherwise a
             deterministic greedy descent over single-row reassignments
-            minimizing the same objective.  Each greedy step scores only
+            minimizing the same objective, from one start: the
+            largest-remainder rounding of n times the "fitted" path's dense
+            joint, so the descent begins near the noisy marginals and no
+            generator is needed.  Each greedy step scores only
             the moves that can lower the query w at the maximum: the
             occupied source cells I and the destination cells J whose
             w-bins have a table entry below the stop threshold, so a step's
@@ -58,6 +61,9 @@ _FIT_TOL = 1e-10
 # the least; the scan's peak allocation grows with the batch (0.57 MB at
 # 256, 9.8 MB at 16,384).
 _SCAN_BATCH = 256
+# Most entries of any array a brute path allocates over the whole domain:
+# 2e8 float64 entries are 1.6 GB.
+_BRUTE_ENTRIES = 200_000_000
 
 
 class SynthesisError(ValueError):
@@ -105,17 +111,23 @@ def _path(n: int, op: MarginalOperator, mode: str, cap: int,
     real data or reading the operator's arrays, which span the joint domain.
     The exhaustive path needs at most `cap` cells as well as candidates: for
     n >= 1 the candidate count implies it, and n = 0 is refused where n = 1 is.
+    Both brute paths read the operator's queries x cells `bin_maps`, so both
+    are refused when it holds more than _BRUTE_ENTRIES entries.
     """
     if n < 0:
         raise SynthesisError("n must be non-negative")
     cells = op.num_cells
     if mode == "brute":
         if cells <= cap and math.comb(cells + n - 1, n) <= cap:
+            table = len(op.num_bins) * cells
+            if table > _BRUTE_ENTRIES:
+                raise SynthesisError(f"bin table of {table} entries too large for the "
+                                     "exhaustive path; use fitted mode")
             return "exhaustive"
         # a greedy step's arrays: cand, at most cells x cells, and the move
-        # tables of all queries, sum_q bins_q^2 entries each; 2e8 float64
-        # entries are 1.6 GB
-        if max(cells * cells, sum(k * k for k in op.num_bins)) > 200_000_000:
+        # tables of all queries, sum_q bins_q^2 entries each.  The bin table is
+        # smaller than cells x cells: unique queries number fewer than cells.
+        if max(cells * cells, sum(k * k for k in op.num_bins)) > _BRUTE_ENTRIES:
             raise SynthesisError("joint domain too large for the greedy path; use fitted mode")
         return "greedy"
     if mode == "fitted":
@@ -164,39 +176,24 @@ def brute_force_synth(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     return np.bincount(best_cells, minlength=cells)
 
 
-def _largest_remainder_round(mu: np.ndarray, n: int) -> np.ndarray:
-    """Integer counts summing to n, each within one of mu (after scaling to n)."""
-    mu = np.maximum(np.asarray(mu, dtype=np.float64), 0.0)
-    total = mu.sum()
-    mu = np.full_like(mu, n / mu.shape[0]) if total <= 0 else mu * (n / total)
+def _largest_remainder_round(probs: np.ndarray, n: int) -> np.ndarray:
+    """Integer counts summing to n, each within one of mu = n * probs / sum(probs),
+    for non-negative probs with a positive sum; ties in the remainders go to
+    the first cells."""
+    mu = probs * (n / probs.sum())
     floors = np.floor(mu).astype(np.int64)
     r = n - int(floors.sum())
     if r > 0:
-        frac = mu - floors
-        extra = np.argsort(-frac, kind="stable")[:r]
+        extra = np.argsort(floors - mu, kind="stable")[:r]
         floors[extra] += 1
     return floors
-
-
-def _greedy_starts(n: int, nm: NoisyMarginalSet) -> list[np.ndarray]:
-    """The greedy's starts: uniform counts, and the product of the clipped
-    one-way noisy marginals when every attribute has one."""
-    schema, op = nm.schema, nm.operator
-    starts = [_largest_remainder_round(np.ones(num_joint_cells(schema)), n)]
-    one_way = {q.attrs[0]: o for q, o in zip(op.queries, op.offsets) if q.order == 1}
-    if len(one_way) == schema.num_attributes:
-        probs = np.ones(1)
-        for j in range(schema.num_attributes):
-            col = np.maximum(nm.target[one_way[j]:one_way[j] + schema.sizes[j]], 0.0)
-            col = np.full(schema.sizes[j], 1.0 / schema.sizes[j]) if col.sum() <= 0 else col / col.sum()
-            probs = np.multiply.outer(probs, col).ravel()
-        starts.append(_largest_remainder_round(probs, n))
-    return starts
 
 
 def _descend(counts: np.ndarray, nm: NoisyMarginalSet) -> tuple[np.ndarray, np.ndarray]:
     """One-row-move descent on the max-l1 objective from `counts` (updated in
     place): the final counts and every query's final l1 to the noisy marginals.
+    `synthesize` starts it from the rounded dense fit; `_path` has checked
+    that a step's arrays fit.
 
     Each step moves one row from cell i to cell j, at the pair minimizing
     cand[i, j] = max_q m_q[i, j], the max-l1 after the move: m_q[i, j] is
@@ -270,22 +267,6 @@ def _descend(counts: np.ndarray, nm: NoisyMarginalSet) -> tuple[np.ndarray, np.n
         resid[bi] += 1.0
         resid[bj] -= 1.0
     return counts, l1
-
-
-def _greedy_minmax(n: int, nm: NoisyMarginalSet) -> np.ndarray:
-    """Int64 cell counts of a deterministic one-row-move descent (`_descend`)
-    on the max-l1 objective.
-
-    Runs from each of `_greedy_starts` and keeps the first of the best local
-    minima.  `synthesize` has checked that a step's arrays fit (`_path`).
-    """
-    best_counts, best_obj = None, math.inf
-    for start in _greedy_starts(n, nm):
-        counts, l1 = _descend(start, nm)
-        obj = float(l1.max())
-        if obj < best_obj:
-            best_counts, best_obj = counts, obj
-    return best_counts
 
 
 # ---------------------------------------------------------------------------
@@ -468,27 +449,30 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     """Build a size-n dataset from noisy marginals only (no access to real data).
 
     mode "brute" uses exhaustive search when the candidate count and the
-    cell count fit `cap` and the greedy descent otherwise; mode "fitted"
-    fits a dense joint distribution and samples from it (requires rng).
+    cell count fit `cap`, and otherwise the one-row-move descent (`_descend`)
+    from the largest-remainder rounding of n times the dense fit, which needs
+    no generator; mode "fitted" samples from the dense fit (requires rng).
     `_path` is the one check of the request.  The stats hold the
     path that ran ("path": "exhaustive", "greedy" or "fitted"), the output's
     marginals in the layout of `nm.operator` ("marginals"), the max and
     mean over queries of their l1 distance to the noisy targets
     ("l1_to_noisy_max", "l1_to_noisy_mean"), and the fit's iteration count
-    and convergence ("fit_iterations", "fit_converged": 0 and None when no
-    fit ran).  The marginals and the dataset both come from the path's cell
-    counts; the dataset holds them and builds no rows.
+    and convergence ("fit_iterations", "fit_converged": 0 and None on the
+    exhaustive path, the one that runs no fit).  The marginals and the
+    dataset both come from the path's cell counts; the dataset holds them
+    and builds no rows.
     """
     path = _path(n, nm.operator, mode, cap, rng)
     fit = {"fit_iterations": 0, "fit_converged": None}
     if path == "exhaustive":
         counts = brute_force_synth(n, nm)
-    elif path == "greedy":
-        counts = _greedy_minmax(n, nm)
     else:
         dist = fit_distribution(nm, n=n)
-        counts = sample_dataset(dist, n, rng)
         fit = {"fit_iterations": len(dist.objective_trace) - 1, "fit_converged": dist.converged}
+        if path == "greedy":
+            counts, _ = _descend(_largest_remainder_round(dist.probs, n), nm)
+        else:
+            counts = sample_dataset(dist, n, rng)
 
     marginals = nm.operator.forward(counts)
     dists = nm.operator.l1_to(marginals, nm.target)
@@ -509,7 +493,8 @@ class GenReport:
     It reads only noisy data, as do `path`, the synthesis path that ran
     ("exhaustive" or "greedy" in mode "brute", "fitted" in mode "fitted"),
     and `fit_iterations` and `fit_converged`, the dense fit's iteration count
-    and whether it converged before its cap (0 and None when no fit ran).
+    and whether it converged before its cap (the greedy starts from that fit;
+    0 and None on the exhaustive path, which runs none).
     The `nonprivate_*` entries compare against the real marginals; they are
     evaluation-only diagnostics computed outside the mechanism and must not
     be released alongside the synthetic data.

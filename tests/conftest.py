@@ -12,7 +12,7 @@ from margsyn.evaluate import _weighted_auc
 from margsyn.learn import LinearModel, predict
 from margsyn.marginals import Marginal, MarginalOperator, compute_marginal
 from margsyn.privacy import add_noise_to_set
-from margsyn.synth import NoisyMarginalSet, _largest_remainder_round
+from margsyn.synth import NoisyMarginalSet, _largest_remainder_round, fit_distribution
 
 settings.register_profile(
     "ci",
@@ -291,62 +291,43 @@ def reference_exhaustive_counts(n: int, nm) -> np.ndarray:
     return best_counts
 
 
-def reference_greedy_counts(n: int, nm) -> tuple[np.ndarray, list[np.ndarray]]:
+def reference_greedy_counts(n: int, nm) -> tuple[np.ndarray, np.ndarray]:
     """Cell counts of the greedy min-max descent, every query scored at every step,
-    and each start's final l1 vector (one entry per query), in start order."""
+    from the greedy's start, the largest-remainder rounding of n times the dense
+    fit, and its final l1 vector (one entry per query)."""
     schema = nm.schema
     cells = int(np.prod(schema.sizes))
     op = nm.operator
     bin_maps = op.bin_maps
     eq_masks = [bm[:, None] == bm[None, :] for bm in bin_maps]
     max_steps = 200 + 40 * n
-
-    def descend(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        counts = counts.astype(np.float64)
-        resid = np.split(nm.target - op.forward(counts), op.offsets[1:])
-        l1 = np.array([np.abs(r).sum() for r in resid])
-        for _ in range(max_steps):
-            obj = float(l1.max())
-            cand = None
-            for qi, (bm, r) in enumerate(zip(bin_maps, resid)):
-                rb = r[bm]
-                d_remove = np.abs(rb + 1.0) - np.abs(rb)  # take one row out of cell i
-                d_add = np.abs(rb - 1.0) - np.abs(rb)     # put one row into cell j
-                mq = l1[qi] + d_remove[:, None] + d_add[None, :]
-                mq[eq_masks[qi]] = l1[qi]
-                cand = mq if cand is None else np.maximum(cand, mq)
-            cand[counts <= 0, :] = math.inf
-            np.fill_diagonal(cand, math.inf)
-            flat = int(np.argmin(cand))
-            i, j = divmod(flat, cells)
-            if not cand[i, j] < obj - 1e-12:
-                break
-            counts[i] -= 1.0
-            counts[j] += 1.0
-            for qi, bm in enumerate(bin_maps):
-                bi, bj = bm[i], bm[j]
-                if bi != bj:
-                    r = resid[qi]
-                    l1[qi] += (abs(r[bi] + 1.0) - abs(r[bi])) + (abs(r[bj] - 1.0) - abs(r[bj]))
-                    r[bi] += 1.0
-                    r[bj] -= 1.0
-        return counts, l1
-
-    starts = [_largest_remainder_round(np.ones(cells), n)]
-    one_way = {m.query.attrs[0]: m for m in per_query(nm) if m.query.order == 1}
-    if len(one_way) == schema.num_attributes:
-        probs = np.ones(1)
-        for j in range(schema.num_attributes):
-            col = np.maximum(one_way[j].counts, 0.0)
-            col = np.full(schema.sizes[j], 1.0 / schema.sizes[j]) if col.sum() <= 0 else col / col.sum()
-            probs = np.multiply.outer(probs, col).ravel()
-        starts.append(_largest_remainder_round(probs, n))
-
-    best_counts, best_obj, finals = None, math.inf, []
-    for start in starts:
-        counts, l1 = descend(start)
-        finals.append(l1)
+    counts = _largest_remainder_round(fit_distribution(nm, n).probs, n).astype(np.float64)
+    resid = np.split(nm.target - op.forward(counts), op.offsets[1:])
+    l1 = np.array([np.abs(r).sum() for r in resid])
+    for _ in range(max_steps):
         obj = float(l1.max())
-        if obj < best_obj:
-            best_counts, best_obj = counts, obj
-    return best_counts, finals
+        cand = None
+        for qi, (bm, r) in enumerate(zip(bin_maps, resid)):
+            rb = r[bm]
+            d_remove = np.abs(rb + 1.0) - np.abs(rb)  # take one row out of cell i
+            d_add = np.abs(rb - 1.0) - np.abs(rb)     # put one row into cell j
+            mq = l1[qi] + d_remove[:, None] + d_add[None, :]
+            mq[eq_masks[qi]] = l1[qi]
+            cand = mq if cand is None else np.maximum(cand, mq)
+        cand[counts <= 0, :] = math.inf
+        np.fill_diagonal(cand, math.inf)
+        flat = int(np.argmin(cand))
+        i, j = divmod(flat, cells)
+        if not cand[i, j] < obj - 1e-12:
+            break
+        counts[i] -= 1.0
+        counts[j] += 1.0
+        for qi, bm in enumerate(bin_maps):
+            bi, bj = bm[i], bm[j]
+            if bi != bj:
+                r = resid[qi]
+                l1[qi] += (abs(r[bi] + 1.0) - abs(r[bi])) + (abs(r[bj] - 1.0) - abs(r[bj]))
+                r[bi] += 1.0
+                r[bj] -= 1.0
+    return counts, l1
+

@@ -10,7 +10,14 @@ from margsyn.marginals import (MarginalOperator, MarginalQuery, compute_marginal
 from margsyn.privacy import (NoiseCalibration, PrivacyParams, add_noise_to_set, calibrate,
                              gaussian_sigma, marginal_set_sensitivity, synthesis_l1_bound)
 
-from conftest import random_dataset, reference_add_noise_to_set
+from conftest import cell_counts, random_dataset, reference_add_noise_to_set
+
+
+def release_gap(a: Dataset, b: Dataset, d: int) -> np.ndarray:
+    """The difference of two datasets' concatenated order-<=d marginal vectors,
+    the vector the mechanism noises."""
+    op = MarginalOperator(a.schema, enumerate_queries(a.schema.num_features, d))
+    return op.forward(cell_counts(a)) - op.forward(cell_counts(b))
 
 
 class TestGaussianSigma:
@@ -55,6 +62,33 @@ class TestSensitivity:
     def test_invalid_order_rejected(self, m, d):
         with pytest.raises(ValueError):
             marginal_set_sensitivity(m, d)
+
+    @given(st.data())
+    def test_one_replaced_row_moves_the_release_by_at_most_the_sensitivity(self, data):
+        sizes = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=4), label="sizes") + [2]
+        m = len(sizes) - 1
+        d = data.draw(st.integers(1, m + 1), label="d")
+        n = data.draw(st.integers(1, 30), label="n")
+        schema = Schema(tuple(f"x{i}" for i in range(m)) + ("label",), tuple(sizes))
+        ds = random_dataset(schema, n, seed=data.draw(st.integers(0, 2 ** 16), label="seed"))
+        codes = ds.codes.copy()
+        codes[data.draw(st.integers(0, n - 1), label="row")] = [
+            data.draw(st.integers(0, k - 1), label=f"code {a}") for a, k in enumerate(sizes)]
+        gap = release_gap(ds, Dataset(schema, codes), d)
+        assert math.sqrt(gap @ gap) <= marginal_set_sensitivity(m, d)
+
+    @pytest.mark.parametrize("m, d", [(1, 1), (1, 2), (4, 2), (3, 3), (5, 1)])
+    def test_the_complement_row_attains_it_on_binary_attributes(self, m, d):
+        # a row and its complement share no bin of any query, so each of the |Q|
+        # marginals loses one count in one bin and gains one in another
+        ds = random_dataset(Schema(tuple(f"x{i}" for i in range(m)) + ("label",), (2,) * (m + 1)),
+                            20, seed=m + d)
+        for row in (0, 7, 19):
+            codes = ds.codes.copy()
+            codes[row] = 1 - codes[row]
+            gap = release_gap(ds, Dataset(ds.schema, codes), d)
+            assert math.sqrt(gap @ gap) == marginal_set_sensitivity(m, d)
+        assert marginal_set_sensitivity(4, 2) == math.sqrt(30.0)
 
 
 class TestPrivacyParams:

@@ -15,7 +15,7 @@ from margsyn.learn import LossSpec, TrainConfig, train_projected
 from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate
 from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, SynthesisError,
-                           _descend, _greedy_minmax, _greedy_starts,
+                           _descend, _largest_remainder_round,
                            _project_simplex, _simplex_projector, brute_force_synth, fit_distribution, generate_synthetic,
                            num_joint_cells, sample_dataset, synthesize)
 
@@ -34,12 +34,16 @@ def noisy_set_over(ds: Dataset, queries, sigma: float, seed: int) -> NoisyMargin
 
 
 def assert_greedy_matches_the_loop(n: int, nm: NoisyMarginalSet) -> None:
-    """The greedy's counts, and each start's final l1 vector bit for bit, equal the loop's."""
-    counts, finals = reference_greedy_counts(n, nm)
-    got = _greedy_minmax(n, nm)
+    """The greedy path's counts, and the descent's final l1 vector bit for bit,
+    equal the loop's from the same start."""
+    counts, final = reference_greedy_counts(n, nm)
+    ds, stats = synthesize(n, nm, "brute", cap=0)
+    assert stats["path"] == "greedy"
+    assert np.array_equal(cell_counts(ds), counts)
+    start = _largest_remainder_round(fit_distribution(nm, n).probs, n)
+    got, l1 = _descend(start, nm)
     assert got.dtype == np.int64 and np.array_equal(got, counts)
-    l1s = [_descend(start, nm)[1] for start in _greedy_starts(n, nm)]
-    assert [v.tobytes() for v in l1s] == [v.tobytes() for v in finals]
+    assert l1.tobytes() == final.tobytes()
 
 
 def l1_to_noisy(counts: np.ndarray, nm: NoisyMarginalSet) -> np.ndarray:
@@ -179,6 +183,41 @@ class TestGreedyFallback:
         b, _ = synthesize(40, nm, "brute", cap=10)
         assert np.array_equal(a.codes, b.codes)
 
+    def test_the_greedy_starts_from_the_module_fit(self, three_binary_schema, monkeypatch):
+        # the fit is looked up on the module at each call, so a wrapper set
+        # there (as perfbench's tracer sets one) sees the greedy's fit
+        from margsyn import synth
+        nm = noisy_set_from(random_dataset(three_binary_schema, 40, seed=3), 2, 5.0, seed=11)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(fit_distribution(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(synth, "fit_distribution", spy)
+        _, stats = synthesize(40, nm, "brute", cap=10)
+        [dist] = seen
+        assert stats["path"] == "greedy"
+        assert stats["fit_iterations"] == len(dist.objective_trace) - 1 > 0
+        assert stats["fit_converged"] is dist.converged
+        _, stats = synthesize(2, nm, "brute", cap=10_000)  # C(17, 2) = 136 candidates
+        assert stats["path"] == "exhaustive" and len(seen) == 1
+
+    @pytest.mark.parametrize("eps", [0.25, 2.0])
+    def test_at_least_as_close_as_the_real_data_at_sweep_scale(self, eps):
+        # the real data is a candidate, so an output farther from the noisy
+        # marginals than it breaks the premise of synthesis_l1_bound's triangle
+        # inequality; 4 binary features + label at n=32,000 is the sweep's shape
+        n = 32_000
+        privacy = PrivacyParams(eps, 1.0 / n ** 2, allow_large_epsilon=True)
+        for seed in range(1, 6):
+            real = make_demo_dataset(m=4, n=n, seed=seed)
+            _, report = generate_synthetic(real, 2, privacy, mode="brute", seed=seed)
+            nm = noisy_set_from(real, 2, report.sigma, seed)
+            assert report.path == "greedy"
+            assert report.l1_to_noisy_max <= l1_to_noisy(cell_counts(real), nm).max() + 1e-9
+            assert report.bound_certified
+
 
 
 # Mixed arities, and (3, 3, 2) puts 9 bins in a query, past numpy's 8-term
@@ -279,7 +318,7 @@ class TestBruteMatchesTheLoop:
         cells = num_joint_cells(nm.schema)
         tracemalloc.start()
         try:
-            _greedy_minmax(40, nm)
+            synthesize(40, nm, "brute", cap=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -795,9 +834,9 @@ class TestMechanism:
         _, report = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-4), mode=mode, seed=5, cap=cap)
         doc = report.to_dict()
         assert doc["path"] == path
-        if mode == "brute":
+        if path == "exhaustive":
             assert (doc["fit_iterations"], doc["fit_converged"]) == (0, None)
-        else:
+        else:  # the greedy starts from the same fit that fitted mode samples
             nm = noisy_set_from(real, 2, report.sigma, 5)
             dist = fit_distribution(nm, n=real.n)
             assert doc["fit_iterations"] == len(dist.objective_trace) - 1 > 0
@@ -813,7 +852,7 @@ class TestMechanism:
         def no_work(*args, **kwargs):
             raise AssertionError("a synthesis path ran for a negative size")
 
-        for name in ("brute_force_synth", "_greedy_minmax", "fit_distribution"):
+        for name in ("brute_force_synth", "_descend", "fit_distribution"):
             monkeypatch.setattr(synth, name, no_work)
         with pytest.raises(SynthesisError, match="non-negative"):
             synthesize(-1, nm, mode, rng=np.random.default_rng(0), cap=cap)
@@ -920,6 +959,22 @@ class TestMechanism:
         small = Dataset(Schema(("a", "b", "label"), (3, 2, 2)), np.zeros((0, 3), dtype=np.int64))
         _, report = generate_synthetic(small, 2, PrivacyParams(1.0, 1e-6), mode="brute")
         assert report.path == "exhaustive"
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_a_bin_table_too_large_is_refused_on_the_exhaustive_path(self, n):
+        # 20 binary features + label at d=2: 2,097,152 cells, so one row or none
+        # fits the candidate cap, but the bin table the scan reads holds 231
+        # queries x 2,097,152 cells = 484,442,112 entries (3.6 GiB)
+        schema = make_demo_dataset(m=20, n=1, seed=0).schema
+        real = Dataset(schema, np.zeros((n, 21), dtype=np.int64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SynthesisError, match="bin table of 484442112 entries too large"):
+                generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="brute")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < num_joint_cells(schema)  # an eighth of one float64 vector over the cells
 
     @pytest.mark.parametrize("m", [63, 70])
     @pytest.mark.parametrize("mode, message", [
