@@ -1,4 +1,4 @@
-"""Marginal-preserving, differentially-private synthetic tabular data, with
+"""Differentially-private, marginal-preserving synthetic tabular data, with
 norm-constrained linear-model training and explicit excess-risk bound
 calculators."""
 

@@ -25,7 +25,7 @@ from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .experiment import ExperimentConfig, run_experiment
 from .learn import (DpSgdConfig, LossSpec, TrainConfig, dp_sgd, load_model,
                     save_model, train_projected)
-from .marginals import compute_marginal, enumerate_queries, save_marginals
+from .marginals import MarginalOperator, compute_marginal, enumerate_queries, save_marginals
 from .polyapprox import (Interval, approx_report, bernstein, iterated_bernstein,
                          logistic_loss, remez_minimax)
 from .privacy import PrivacyParams
@@ -65,9 +65,10 @@ def _cmd_synth(args) -> int:
     if args.report:
         _write_json(report.to_dict(), args.report)
     if args.marginals_out:
-        queries = enumerate_queries(schema.num_features, args.order)
-        margs = [compute_marginal(ds_syn, q) for q in queries]
-        save_marginals(margs, schema, args.marginals_out + ".csv", args.marginals_out + ".json")
+        # counted one query at a time: forward would build the queries x cells bin table
+        op = MarginalOperator(schema, enumerate_queries(schema.num_features, args.order))
+        vector = np.concatenate([compute_marginal(ds_syn, q) for q in op.queries])
+        save_marginals(op, vector, args.marginals_out + ".csv", args.marginals_out + ".json")
     print(f"wrote {ds_syn.n} synthetic rows to {args.out} (sigma={report.sigma:.6g})")
     return 0
 
@@ -190,7 +191,7 @@ def _cmd_pipeline(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="margsyn",
-                                     description="Marginal-preserving DP synthetic data toolkit")
+                                     description="DP synthetic data toolkit that preserves marginals")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prep", help="clean and integer-code a raw CSV")

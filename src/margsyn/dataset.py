@@ -81,10 +81,8 @@ class Schema:
     def max_domain_size(self) -> int:
         return max(self.sizes)
 
-    def shape(self, attrs: tuple[int, ...] | None = None) -> tuple[int, ...]:
-        """Domain sizes for the given attribute indices (all attributes if None)."""
-        if attrs is None:
-            return self.sizes
+    def shape(self, attrs: tuple[int, ...]) -> tuple[int, ...]:
+        """Domain sizes of the given attribute indices."""
         return tuple(self.sizes[j] for j in attrs)
 
     def to_dict(self) -> dict:

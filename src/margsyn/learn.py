@@ -162,24 +162,19 @@ class LinearModel:
 
 
 def predict(model: LinearModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Labels (+1 on ties) and raw scores <w, x> for one vector or a matrix.
+    """Labels (+1 on ties) and raw scores <w, x> of the rows of a matrix.
 
     Each score is summed in column order, so it depends on its row alone: a
     BLAS matrix-vector product rounds a row differently by its position in
     the matrix, and scoring distinct rows must give each copy's score.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xm = x[None, :] if single else x
-    if xm.shape[1] != model.w.shape[0]:
-        raise ValueError(f"feature dimension {xm.shape[1]} != model dimension {model.w.shape[0]}")
-    scores = np.zeros(xm.shape[0])
-    for col, wj in zip(xm.T, model.w):
+    if x.shape[1] != model.w.shape[0]:
+        raise ValueError(f"feature dimension {x.shape[1]} != model dimension {model.w.shape[0]}")
+    scores = np.zeros(x.shape[0])
+    for col, wj in zip(x.T, model.w):
         scores = scores + col * wj
-    labels = np.where(scores >= 0.0, 1.0, -1.0)
-    if single:
-        return labels[0], float(scores[0])
-    return labels, scores
+    return np.where(scores >= 0.0, 1.0, -1.0), scores
 
 
 def _project_ball(w: np.ndarray, tau: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Marginal queries and marginal count vectors.
+"""Queries for marginals, their count vectors and the operator that computes them.
 
 A marginal query is a subset of attribute indices (0-based, label at index m)
 of size at most d.  Its marginal is the vector of occurrence counts over all
@@ -40,31 +40,10 @@ class MarginalQuery:
             raise QueryError(f"negative attribute index in {attrs}")
         object.__setattr__(self, "attrs", attrs)
 
-    @property
-    def order(self) -> int:
-        return len(self.attrs)
-
     def validate(self, schema: Schema) -> None:
         if self.attrs[-1] >= schema.num_attributes:
             raise QueryError(f"attribute index {self.attrs[-1]} invalid for schema with "
                              f"{schema.num_attributes} attributes")
-
-
-@dataclass(frozen=True)
-class Marginal:
-    """Count vector over the query's domain; noisy marginals may hold negative reals."""
-
-    query: MarginalQuery
-    counts: np.ndarray
-    exact: bool
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.float64).copy()
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    def shape(self, schema: Schema) -> tuple[int, ...]:
-        return schema.shape(self.query.attrs)
 
 
 def enumerate_queries(m: int, d: int) -> list[MarginalQuery]:
@@ -86,8 +65,9 @@ def query_count(m: int, d: int) -> int:
     return sum(math.comb(m + 1, k) for k in range(1, d + 1))
 
 
-def compute_marginal(ds: Dataset, q: MarginalQuery) -> Marginal:
-    """Exact occurrence counts of every value combination of q's attributes.
+def compute_marginal(ds: Dataset, q: MarginalQuery) -> np.ndarray:
+    """Exact occurrence counts of every value combination of q's attributes,
+    as a float64 vector.
 
     Counted over the dataset's distinct rows, each weighted by its count:
     whole-number sums, so the same floats as counting row by row.
@@ -96,7 +76,7 @@ def compute_marginal(ds: Dataset, q: MarginalQuery) -> Marginal:
     shape = ds.schema.shape(q.attrs)
     codes, counts = ds.weighted
     flat = np.ravel_multi_index(tuple(codes[:, list(q.attrs)].T), shape)
-    return Marginal(q, np.bincount(flat, weights=counts, minlength=math.prod(shape)), exact=True)
+    return np.bincount(flat, weights=counts, minlength=math.prod(shape))
 
 
 # Most entries of one block of MarginalOperator's bin table built at a time.
@@ -258,23 +238,19 @@ class MarginalOperator:
 # describing each query's attribute set and domain shape.
 
 
-def save_marginals(marginals: list[Marginal], schema: Schema,
+def save_marginals(op: MarginalOperator, vector: np.ndarray,
                    csv_path: str | Path, manifest_path: str | Path) -> None:
+    """Write a marginal vector in `op`'s layout, one slice per query."""
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "flat_index", "count"])
-        for qid, marg in enumerate(marginals):
-            for idx, c in enumerate(marg.counts):
+        for qid, (o, k) in enumerate(zip(op.offsets, op.num_bins)):
+            for idx, c in enumerate(vector[o:o + k]):
                 writer.writerow([qid, idx, repr(float(c))])
     manifest = {
         "queries": [
-            {
-                "id": qid,
-                "attrs": list(marg.query.attrs),
-                "shape": list(marg.shape(schema)),
-                "exact": marg.exact,
-            }
-            for qid, marg in enumerate(marginals)
+            {"id": qid, "attrs": list(q.attrs), "shape": list(op.schema.shape(q.attrs))}
+            for qid, q in enumerate(op.queries)
         ]
     }
     _write_json(manifest, manifest_path)

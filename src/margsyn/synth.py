@@ -98,10 +98,6 @@ class NoisyMarginalSet:
         object.__setattr__(self, "target", target)
 
 
-def num_joint_cells(schema: Schema) -> int:
-    return math.prod(schema.sizes)
-
-
 def _path(n: int, op: MarginalOperator, mode: str, cap: int,
           rng: np.random.Generator | None) -> str:
     """The path `synthesize` runs for n rows and the queries of `op`, or the
@@ -159,8 +155,8 @@ def brute_force_synth(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     the lexicographic tie-break.  Memory is fixed by the batch, not by the
     candidate count.
     """
-    cells = num_joint_cells(nm.schema)
     op, target = nm.operator, nm.target
+    cells = op.num_cells
     total = target.shape[0]
     combos = combinations_with_replacement(range(cells), n)
     best_cells, best_obj = None, math.inf
@@ -288,7 +284,7 @@ class DistributionEstimate:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64).copy()
-        if probs.ndim != 1 or probs.shape[0] != num_joint_cells(self.schema):
+        if probs.ndim != 1 or probs.shape[0] != math.prod(self.schema.sizes):
             raise SynthesisError("probs must be a flat vector over the joint domain")
         if (not np.isfinite(probs).all() or (probs < -1e-12).any()
                 or abs(float(probs.sum()) - 1.0) > 1e-9):
@@ -320,11 +316,6 @@ def _simplex_projector(size: int):
         return np.maximum(out, 0.0, out=out)
 
     return project
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {p >= 0, sum p = 1} (sort-based, O(n log n))."""
-    return _simplex_projector(v.shape[0])(v)
 
 
 def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> DistributionEstimate:
@@ -361,12 +352,11 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> Distr
     weight * d and the projection's) are allocated once per fit; an iteration
     allocates only its two transforms' results and the new iterate.
     """
-    cells = num_joint_cells(nm.schema)
+    op, target = nm.operator, nm.target
+    cells = op.num_cells
     p = np.full(cells, 1.0 / cells)
-    target = nm.target
     if n == 0:
         return DistributionEstimate(nm.schema, p, (float(target @ target),), True)
-    op = nm.operator
     lam = op.spectrum
     coef = op.transform(op.adjoint(target))
     c_star = np.divide(coef, n * lam, out=np.zeros(cells), where=lam > 0)
@@ -556,7 +546,7 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     op = MarginalOperator(schema, queries)
     _path(ds_real.n, op, mode, cap, rng)
     joint = compute_marginal(ds_real, MarginalQuery(tuple(range(schema.num_attributes))))
-    real = op.forward(joint.counts)
+    real = op.forward(joint)
     calib = calibrate(m, d, privacy)
     nm = NoisyMarginalSet(op, add_noise_to_set(real, op.num_bins, calib.sigma, seed))
     ds_s, stats = synthesize(ds_real.n, nm, mode, rng=rng, cap=cap)

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, settings
 from margsyn.dataset import Dataset, DomainError, ParseError, Schema, encode_xy
 from margsyn.evaluate import _weighted_auc
 from margsyn.learn import LinearModel, predict
-from margsyn.marginals import Marginal, MarginalOperator, compute_marginal
+from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal
 from margsyn.privacy import add_noise_to_set
 from margsyn.synth import NoisyMarginalSet, _largest_remainder_round, fit_distribution
 
@@ -52,41 +52,39 @@ def reference_row_multiset(ds: Dataset) -> Counter:
     return Counter(map(tuple, ds.codes.tolist()))
 
 
-def reference_l1_distance(a: Marginal, b: Marginal) -> float:
-    """l1 distance between two marginals of the same query."""
-    assert a.query == b.query, f"query mismatch: {a.query.attrs} vs {b.query.attrs}"
-    return float(np.abs(a.counts - b.counts).sum())
+def reference_l1_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """l1 distance between two marginal vectors of the same query."""
+    assert a.shape == b.shape, f"shape mismatch: {a.shape} vs {b.shape}"
+    return float(np.abs(a - b).sum())
 
 
-def reference_add_noise_to_set(marginals: list[Marginal], sigma: float, seed: int) -> list[Marginal]:
-    """Noise every marginal under a per-query derived sub-seed, one `Marginal`
-    per query: query idx gets independent N(0, sigma^2) per entry from
+def reference_add_noise_to_set(marginals: list[np.ndarray], sigma: float, seed: int) -> list[np.ndarray]:
+    """Noise every marginal vector under a per-query derived sub-seed, one
+    vector per query: query idx gets independent N(0, sigma^2) per entry from
     default_rng([seed, idx]), and no draw at sigma 0."""
     if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
     out = []
     for idx, h in enumerate(marginals):
         rng = np.random.default_rng([seed, idx])
-        noisy = h.counts + (rng.normal(0.0, sigma, size=h.counts.shape) if sigma > 0 else 0.0)
-        out.append(Marginal(h.query, noisy, exact=False))
+        out.append(h + (rng.normal(0.0, sigma, size=h.shape) if sigma > 0 else 0.0))
     return out
 
 
-def noisy_set_of(schema: Schema, marginals: list[Marginal], sigma: float = 0.0,
-                 seed: int = 0) -> NoisyMarginalSet:
-    """The noisy set of per-query marginals, in their order: one operator over
-    their queries and `add_noise_to_set` of their concatenated counts (at
-    sigma 0, the counts themselves)."""
-    op = MarginalOperator(schema, [m.query for m in marginals])
-    counts = np.concatenate([m.counts for m in marginals])
+def noisy_set_of(schema: Schema, marginals: list[tuple[MarginalQuery, np.ndarray]],
+                 sigma: float = 0.0, seed: int = 0) -> NoisyMarginalSet:
+    """The noisy set of (query, marginal vector) pairs, in their order: one
+    operator over their queries and `add_noise_to_set` of their concatenated
+    vectors (at sigma 0, the vectors themselves)."""
+    op = MarginalOperator(schema, [q for q, _ in marginals])
+    counts = np.concatenate([h for _, h in marginals])
     return NoisyMarginalSet(op, add_noise_to_set(counts, op.num_bins, sigma, seed))
 
 
-def per_query(nm: NoisyMarginalSet) -> list[Marginal]:
-    """The noisy set's marginals, one per query of its operator, in order."""
+def per_query(nm: NoisyMarginalSet) -> list[tuple[MarginalQuery, np.ndarray]]:
+    """The noisy set's (query, marginal vector) pairs, one per query of its operator, in order."""
     op = nm.operator
-    return [Marginal(q, nm.target[o:o + k], exact=False)
-            for q, o, k in zip(op.queries, op.offsets, op.num_bins)]
+    return [(q, nm.target[o:o + k]) for q, o, k in zip(op.queries, op.offsets, op.num_bins)]
 
 
 def reference_counts_to_rows(counts: np.ndarray, schema: Schema) -> np.ndarray:
@@ -195,7 +193,7 @@ def dense_marginal_matrix(schema: Schema, queries) -> np.ndarray:
     sizes = schema.sizes
     cells = np.stack(np.unravel_index(np.arange(int(np.prod(sizes))), sizes), axis=1)
     return np.column_stack([
-        np.concatenate([compute_marginal(Dataset(schema, row[None, :]), q).counts for q in queries])
+        np.concatenate([compute_marginal(Dataset(schema, row[None, :]), q) for q in queries])
         for row in cells])
 
 

@@ -117,13 +117,13 @@ def test_criterion_3_brute_force_matches_exhaustive_oracle():
         n = int(rng.integers(2, 7))
         real = Dataset(schema, rng.integers(0, 2, size=(n, 2)))
         queries = enumerate_queries(1, 2)
-        exact = [compute_marginal(real, q) for q in queries]
+        exact = [(q, compute_marginal(real, q)) for q in queries]
         nm = noisy_set_of(schema, exact, 1.2, seed)
         got = nm.operator.l1_to(nm.operator.forward(brute_force_synth(n, nm)), nm.target).max()
         best = math.inf
         for combo in itertools.combinations_with_replacement(range(4), n):
             cand = Dataset(schema, np.array([all_codes[c] for c in combo]))
-            obj = max(l1_distance(m, compute_marginal(cand, m.query)) for m in per_query(nm))
+            obj = max(l1_distance(h, compute_marginal(cand, q)) for q, h in per_query(nm))
             best = min(best, obj)
         assert got == pytest.approx(best, abs=1e-9), seed
     elapsed = time.perf_counter() - t0
@@ -136,14 +136,14 @@ def test_criterion_4_end_to_end_l1_coverage(three_binary_schema):
     t0 = time.perf_counter()
     real = random_dataset(three_binary_schema, 50, seed=404)
     queries = enumerate_queries(3, 2)
-    exact = [compute_marginal(real, q) for q in queries]
+    exact = [(q, compute_marginal(real, q)) for q in queries]
     calib = calibrate(3, 2, PrivacyParams(1.0, 1.0 / 50**2, lam=3.0))
     bound = synthesis_l1_bound(calib.sigma, 2, 3, 2, 3.0)
     trials, violations = 500, 0
     for seed in range(trials):
         nm = noisy_set_of(three_binary_schema, exact, calib.sigma, seed)
         ds_s, _ = synthesize(50, nm, "brute")
-        worst = max(l1_distance(h, compute_marginal(ds_s, h.query)) for h in exact)
+        worst = max(l1_distance(h, compute_marginal(ds_s, q)) for q, h in exact)
         violations += worst > bound
     slack = 2.326 * math.sqrt(0.125 * 0.875 / trials)  # 99% binomial upper bound
     rate = violations / trials
@@ -170,12 +170,12 @@ def test_criterion_5_measured_nu_bound_dominates(three_binary_schema):
     runs_per_d = 100
     for d in (2, 3):
         queries = enumerate_queries(3, d)
-        exact = [compute_marginal(real, q) for q in queries]
+        exact = [(q, compute_marginal(real, q)) for q in queries]
         calib = calibrate(3, d, PrivacyParams(1.0, 1.0 / 200**2, lam=3.0))
         for seed in range(runs_per_d):
             nm = noisy_set_of(three_binary_schema, exact, calib.sigma, seed)
             ds_s, _ = synthesize(200, nm, "brute")
-            measured_nu = max(l1_distance(h, compute_marginal(ds_s, h.query)) for h in exact)
+            measured_nu = max(l1_distance(h, compute_marginal(ds_s, q)) for q, h in exact)
             for name, spec in losses.items():
                 model_s = train_projected(ds_s, spec, tau, tcfg)
                 gap = abs(empirical_risk(model_s, real) -

@@ -86,13 +86,34 @@ def test_synth_marginals_out_holds_the_synthetic_marginals(demo_files, mode, ord
     queries = enumerate_queries(ds.schema.num_features, order)
     manifest = json.loads((tmp / "margs.json").read_text())["queries"]
     assert [tuple(e["attrs"]) for e in manifest] == [q.attrs for q in queries]
-    assert all(e["exact"] is True for e in manifest)
+    assert all(e.keys() == {"id", "attrs", "shape"} for e in manifest)
     with open(tmp / "margs.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     for qid, q in enumerate(queries):
         counts = [float(r["count"]) for r in rows if int(r["query_id"]) == qid]
-        assert counts == compute_marginal(ds_syn, q).counts.tolist()
+        assert counts == compute_marginal(ds_syn, q).tolist()
         assert sum(counts) == ds.n
+
+
+def test_synth_marginals_out_builds_no_bin_table(demo_files, monkeypatch):
+    """The dump counts the synthetic data one query at a time: its operator only lays out the vector."""
+    ds, data, schema, tmp = demo_files
+
+    class NoTable(cli.MarginalOperator):
+        @property
+        def bin_maps(self):
+            raise AssertionError("the marginal dump built the queries x cells bin table")
+
+    monkeypatch.setattr(cli, "MarginalOperator", NoTable)
+    out, margs = tmp / "syn.csv", tmp / "margs"
+    assert main(["synth", "--data", data, "--schema", schema, "--out", str(out), "--epsilon", "1.0",
+                 "--delta", "1e-6", "--order", "3", "--mode", "fitted", "--seed", "3",
+                 "--marginals-out", str(margs)]) == 0
+    ds_syn = load_csv(out, ds.schema)
+    with open(tmp / "margs.csv", newline="") as fh:
+        got = [float(r["count"]) for r in csv.DictReader(fh)]
+    queries = enumerate_queries(ds.schema.num_features, 3)
+    assert got == np.concatenate([compute_marginal(ds_syn, q) for q in queries]).tolist()
 
 
 def test_synth_command_rejects_nan_epsilon(demo_files):

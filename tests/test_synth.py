@@ -15,9 +15,8 @@ from margsyn.learn import LossSpec, TrainConfig, train_projected
 from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate
 from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, SynthesisError,
-                           _descend, _largest_remainder_round,
-                           _project_simplex, _simplex_projector, brute_force_synth, fit_distribution, generate_synthetic,
-                           num_joint_cells, sample_dataset, synthesize)
+                           _descend, _largest_remainder_round, _simplex_projector, brute_force_synth,
+                           fit_distribution, generate_synthetic, sample_dataset, synthesize)
 
 from conftest import (cell_counts, dense_marginal_matrix, noisy_set_of, per_query, random_dataset,
                       reference_counts_to_rows, reference_exhaustive_counts, reference_greedy_counts,
@@ -30,7 +29,7 @@ def noisy_set_from(ds: Dataset, d: int, sigma: float, seed: int) -> NoisyMargina
 
 
 def noisy_set_over(ds: Dataset, queries, sigma: float, seed: int) -> NoisyMarginalSet:
-    return noisy_set_of(ds.schema, [compute_marginal(ds, q) for q in queries], sigma, seed)
+    return noisy_set_of(ds.schema, [(q, compute_marginal(ds, q)) for q in queries], sigma, seed)
 
 
 def assert_greedy_matches_the_loop(n: int, nm: NoisyMarginalSet) -> None:
@@ -54,13 +53,13 @@ def l1_to_noisy(counts: np.ndarray, nm: NoisyMarginalSet) -> np.ndarray:
 def oracle_best_objective(n: int, nm: NoisyMarginalSet) -> float:
     """Independent exhaustive recomputation of the optimal max-l1 objective."""
     schema = nm.schema
-    cells = num_joint_cells(schema)
+    cells = math.prod(schema.sizes)
     all_codes = list(itertools.product(*[range(s) for s in schema.sizes]))
     best = math.inf
     for combo in itertools.combinations_with_replacement(range(cells), n):
         rows = np.array([all_codes[c] for c in combo], dtype=np.int64).reshape(n, len(schema.sizes))
         cand = Dataset(schema, rows)
-        obj = max(reference_l1_distance(m, compute_marginal(cand, m.query)) for m in per_query(nm))
+        obj = max(reference_l1_distance(h, compute_marginal(cand, q)) for q, h in per_query(nm))
         best = min(best, obj)
     return best
 
@@ -122,15 +121,15 @@ class TestBruteForce:
         real = Dataset(schema, np.array([[0, 1], [1, 0]]))
         nm = noisy_set_from(real, 2, 0.0, seed=0)
         counts = brute_force_synth(2, nm)  # 10 candidate multisets
-        for m, got in zip(per_query(nm), np.split(nm.operator.forward(counts), nm.operator.offsets[1:])):
-            assert np.array_equal(got, m.counts)
+        for (_, h), got in zip(per_query(nm), np.split(nm.operator.forward(counts), nm.operator.offsets[1:])):
+            assert np.array_equal(got, h)
 
     def test_objective_never_worse_than_real_dataset(self, two_binary_rows):
         for seed in range(10):
             nm = noisy_set_from(two_binary_rows, 2, 1.5, seed=seed)
             obj_s = l1_to_noisy(brute_force_synth(4, nm), nm).max()
-            obj_r = max(reference_l1_distance(m, compute_marginal(two_binary_rows, m.query))
-                        for m in per_query(nm))
+            obj_r = max(reference_l1_distance(h, compute_marginal(two_binary_rows, q))
+                        for q, h in per_query(nm))
             assert obj_s <= obj_r + 1e-9
 
     def test_matches_exhaustive_oracle(self):
@@ -157,9 +156,10 @@ class TestBruteForce:
             NoisyMarginalSet(MarginalOperator(two_binary_rows.schema, []), np.zeros(0))
 
     def test_duplicate_queries_rejected(self, two_binary_rows):
-        m = compute_marginal(two_binary_rows, MarginalQuery((0,)))
+        q = MarginalQuery((0,))
+        pair = (q, compute_marginal(two_binary_rows, q))
         with pytest.raises(SynthesisError, match="duplicate queries"):
-            noisy_set_of(two_binary_rows.schema, [m, m])
+            noisy_set_of(two_binary_rows.schema, [pair, pair])
 
 
 class TestGreedyFallback:
@@ -169,7 +169,7 @@ class TestGreedyFallback:
             nm = noisy_set_from(real, 2, 8.0, seed=seed)
             ds_s, stats = synthesize(60, nm, "brute", cap=1000)
             assert ds_s.n == 60
-            obj_r = max(reference_l1_distance(m, compute_marginal(real, m.query)) for m in per_query(nm))
+            obj_r = max(reference_l1_distance(h, compute_marginal(real, q)) for q, h in per_query(nm))
             assert stats["l1_to_noisy_max"] <= obj_r + 1e-9
 
     def test_empty_query_set(self, two_binary_rows):
@@ -315,7 +315,7 @@ class TestBruteMatchesTheLoop:
         real = make_demo_dataset(m=8, n=40, seed=0)
         nm = noisy_set_from(real, 2, 3.0, seed=0)
         nm.operator.bin_maps  # built before the measurement
-        cells = num_joint_cells(nm.schema)
+        cells = math.prod(nm.schema.sizes)
         tracemalloc.start()
         try:
             synthesize(40, nm, "brute", cap=0)
@@ -338,7 +338,7 @@ class TestBruteMatchesTheLoop:
         real = make_demo_dataset(m=12, n=20, seed=0)
         full = tuple(range(13))
         queries = [MarginalQuery(full)] + [MarginalQuery(full[:k] + full[k + 1:]) for k in range(13)]
-        wide = noisy_set_of(real.schema, [compute_marginal(real, q) for q in queries])
+        wide = noisy_set_of(real.schema, [(q, compute_marginal(real, q)) for q in queries])
         for nm in (noisy_set_from(make_demo_dataset(m=14, n=20, seed=0), 1, 1.0, seed=0), wide):
             tracemalloc.start()
             try:
@@ -347,7 +347,7 @@ class TestBruteMatchesTheLoop:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * num_joint_cells(nm.schema)
+            assert peak < 8 * math.prod(nm.schema.sizes)
 
 
 def reference_pgd_objective(nm: NoisyMarginalSet, n: float, iters: int = 2000,
@@ -363,10 +363,11 @@ def reference_pgd_objective(nm: NoisyMarginalSet, n: float, iters: int = 2000,
         diffs = [n * seg - t for seg, t in zip(np.split(op.forward(p), op.offsets[1:]), targets)]
         return sum(float(d @ d) for d in diffs), op.adjoint(np.concatenate([2.0 * n * d for d in diffs]))
 
+    project = _simplex_projector(cells)
     p = np.full(cells, 1.0 / cells)
     obj, grad = objective_and_grad(p)
     for _ in range(iters):
-        p = _project_simplex(p - step * grad)
+        p = project(p - step * grad)
         obj_new, grad = objective_and_grad(p)
         if obj - obj_new <= tol * max(obj, 1.0):
             return obj_new
@@ -389,6 +390,7 @@ def reference_fista_trace(nm: NoisyMarginalSet, n: float, iters: int, tol: float
         r = n * a @ p - h
         return float(r @ r)
 
+    project = _simplex_projector(cells)
     p = p_prev = np.full(cells, 1.0 / cells)
     obj, t = objective(p), 1.0
     trace = [obj]
@@ -396,7 +398,7 @@ def reference_fista_trace(nm: NoisyMarginalSet, n: float, iters: int, tol: float
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         y = p + beta * (p - p_prev)
-        p_new = _project_simplex(y - 2.0 * n * a.T @ (n * a @ y - h) / lipschitz)
+        p_new = project(y - 2.0 * n * a.T @ (n * a @ y - h) / lipschitz)
         obj_new = objective(p_new)
         if obj_new > obj or (obj_new == obj and beta == 0.0):
             trace.append(obj)
@@ -431,17 +433,17 @@ class TestFitDistribution:
         nm = noisy_set_from(real, 2, 0.0, seed=0)
         dist = fit_distribution(nm, n=real.n)
         op = nm.operator
-        for m, probs in zip(per_query(nm), np.split(op.forward(dist.probs), op.offsets[1:])):
+        for (_, h), probs in zip(per_query(nm), np.split(op.forward(dist.probs), op.offsets[1:])):
             fitted = real.n * probs
-            assert np.abs(fitted - m.counts).sum() <= 1e-3 * real.n
+            assert np.abs(fitted - h).sum() <= 1e-3 * real.n
 
     def test_single_full_query_exact(self, two_binary_rows):
         nm = noisy_set_from(two_binary_rows, 2, 0.0, seed=0)
-        full = [m for m in per_query(nm) if m.query.order == 2]
+        full = [(q, h) for q, h in per_query(nm) if len(q.attrs) == 2]
         nm_full = noisy_set_of(two_binary_rows.schema, full)
         dist = fit_distribution(nm_full, n=4)
         assert dist.objective_trace[-1] <= 1e-20
-        assert np.allclose(dist.probs, full[0].counts / 4.0)
+        assert np.allclose(dist.probs, full[0][1] / 4.0)
 
     def test_negative_entries_resolved(self, two_binary_rows):
         nm = noisy_set_from(two_binary_rows, 2, 6.0, seed=4)
@@ -463,12 +465,12 @@ class TestFitDistribution:
     def test_step_covers_the_curvature_on_the_simplex(self, sizes, d):
         schema = Schema(tuple(f"x{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
         queries = enumerate_queries(schema.num_features, d)
-        cells = num_joint_cells(schema)
+        cells = math.prod(schema.sizes)
         a = dense_marginal_matrix(schema, queries)
         centre = np.eye(cells) - 1.0 / cells
         top = np.linalg.eigvalsh(centre @ a.T @ a @ centre)[-1]
         n = 37
-        nm = noisy_set_of(schema, [compute_marginal(random_dataset(schema, n, 0), q) for q in queries])
+        nm = noisy_set_of(schema, [(q, compute_marginal(random_dataset(schema, n, 0), q)) for q in queries])
         # the fit's step 1/L: L = 2 n^2 max of the spectrum off the constant direction
         lipschitz = 2.0 * n * n * nm.operator.spectrum[1:].max()
         # the lower bound allows eigvalsh's own rounding (a few ulps); the upper is exactness
@@ -478,7 +480,7 @@ class TestFitDistribution:
         # and the fit's first iterate is the projected gradient step 1/L from uniform
         u = np.full(cells, 1.0 / cells)
         grad = 2.0 * n * a.T @ (n * a @ u - nm.target)
-        first = _project_simplex(u - grad / (2.0 * n * n * top))
+        first = _simplex_projector(cells)(u - grad / (2.0 * n * n * top))
         assert np.allclose(fit_distribution(nm, n, iters=1).probs, first, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -606,8 +608,8 @@ class TestProjectSimplex:
     def test_bit_equal_to_the_allocating_projection(self, v):
         want = reference_project_simplex(v)
         before = v.copy()
-        assert _project_simplex(v).tobytes() == want.tobytes()
         project = _simplex_projector(v.shape[0])
+        assert project(v).tobytes() == want.tobytes()
         project(v[::-1] * 3.0 - 1.0)  # work arrays left dirty by an earlier call
         assert project(v).tobytes() == want.tobytes()
         assert project(v).tobytes() == want.tobytes()
@@ -665,7 +667,7 @@ class TestSampleColumn:
 
 class TestSampleDataset:
     def test_point_mass(self, three_binary_schema):
-        probs = np.zeros(num_joint_cells(three_binary_schema))
+        probs = np.zeros(math.prod(three_binary_schema.sizes))
         probs[5] = 1.0
         dist = DistributionEstimate(three_binary_schema, probs, (0.0,))
         counts = sample_dataset(dist, 12, np.random.default_rng(0))
@@ -681,7 +683,7 @@ class TestSampleDataset:
 
     def test_large_sample_matches_marginals(self, three_binary_schema):
         rng = np.random.default_rng(42)
-        raw = rng.random(num_joint_cells(three_binary_schema))
+        raw = rng.random(math.prod(three_binary_schema.sizes))
         dist = DistributionEstimate(three_binary_schema, raw / raw.sum(), (0.0,))
         n = 10_000
         counts = sample_dataset(dist, n, np.random.default_rng(7))
@@ -696,7 +698,7 @@ class TestSampleDataset:
     def test_rounding_guarantees(self, feature_sizes, data, n, seed):
         sizes = tuple(feature_sizes) + (2,)
         schema = Schema(tuple(f"x{j}" for j in range(len(sizes) - 1)) + ("label",), sizes)
-        cells = num_joint_cells(schema)
+        cells = math.prod(schema.sizes)
         weights = np.array(data.draw(st.lists(st.integers(0, 5), min_size=cells, max_size=cells)
                                      .filter(lambda w: sum(w) > 0)))
         total = int(weights.sum())
@@ -772,9 +774,9 @@ class TestMechanism:
         real = random_dataset(schema, 3, seed=seed)
         privacy = PrivacyParams(1.0, 1e-3, lam=1.0)
         _, report = generate_synthetic(real, 2, privacy, mode="brute", seed=seed)
-        exact = [compute_marginal(real, q) for q in enumerate_queries(2, 2)]
+        exact = [(q, compute_marginal(real, q)) for q in enumerate_queries(2, 2)]
         noisy = per_query(noisy_set_of(schema, exact, report.sigma, seed))
-        real_to_noisy = max(reference_l1_distance(e, h) for e, h in zip(exact, noisy))
+        real_to_noisy = max(reference_l1_distance(e, h) for (_, e), (_, h) in zip(exact, noisy))
         assert report.bound_certified == (report.l1_to_noisy_max <= report.l1_bound_at_lam / 2)
         if real_to_noisy <= report.l1_bound_at_lam / 2:
             assert report.bound_certified is True
@@ -871,14 +873,14 @@ class TestMechanism:
             mp.setattr(Dataset, "weighted", property(no_count))
             ds_s, stats = synthesize(3, nm, mode, rng=np.random.default_rng(0), cap=cap)
         assert stats["path"] == path
-        want = np.concatenate([compute_marginal(ds_s, q).counts for q in nm.operator.queries])
+        want = np.concatenate([compute_marginal(ds_s, q) for q in nm.operator.queries])
         assert np.array_equal(stats["marginals"], want)
 
     def test_stats_hold_the_output_marginals(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 30, seed=3)
         nm = noisy_set_from(real, 2, 1.0, 4)
         ds_s, stats = synthesize(real.n, nm, "fitted", rng=np.random.default_rng(0))
-        want = np.concatenate([compute_marginal(ds_s, q).counts for q in nm.operator.queries])
+        want = np.concatenate([compute_marginal(ds_s, q) for q in nm.operator.queries])
         assert np.array_equal(stats["marginals"], want)
         assert stats["l1_to_noisy_max"] == float(nm.operator.l1_to(want, nm.target).max())
 
@@ -920,7 +922,7 @@ class TestMechanism:
 
         monkeypatch.setattr(synth, "add_noise_to_set", capture)
         generate_synthetic(real, d, PrivacyParams(1.0, 1e-6), mode="fitted", seed=3)
-        want = [compute_marginal(real, q).counts for q in enumerate_queries(schema.num_features, d)]
+        want = [compute_marginal(real, q) for q in enumerate_queries(schema.num_features, d)]
         [(counts, num_bins)] = seen
         assert num_bins == tuple(w.size for w in want)
         assert counts.tobytes() == np.concatenate(want).tobytes()
@@ -941,7 +943,7 @@ class TestMechanism:
         finally:
             tracemalloc.stop()
         assert str(got.value) == str(refused.value)
-        assert peak < 8 * num_joint_cells(real.schema) / 1e6
+        assert peak < 8 * math.prod(real.schema.sizes) / 1e6
 
     def test_an_empty_brute_request_is_refused_where_one_row_is(self):
         # 40 binary features + label: one row has 2.2e12 candidate cells, past the
@@ -955,7 +957,7 @@ class TestMechanism:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * num_joint_cells(schema) / 1e6
+        assert peak < 8 * math.prod(schema.sizes) / 1e6
         small = Dataset(Schema(("a", "b", "label"), (3, 2, 2)), np.zeros((0, 3), dtype=np.int64))
         _, report = generate_synthetic(small, 2, PrivacyParams(1.0, 1e-6), mode="brute")
         assert report.path == "exhaustive"
@@ -974,7 +976,7 @@ class TestMechanism:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < num_joint_cells(schema)  # an eighth of one float64 vector over the cells
+        assert peak < math.prod(schema.sizes)  # an eighth of one float64 vector over the cells
 
     @pytest.mark.parametrize("m", [63, 70])
     @pytest.mark.parametrize("mode, message", [
@@ -982,14 +984,14 @@ class TestMechanism:
         ("fitted", "joint domain of {cells} cells exceeds dense-mode cap 1000000")])
     def test_joint_cells_past_int64_are_refused(self, m, mode, message):
         real = make_demo_dataset(m=m, n=20, seed=0)
-        assert num_joint_cells(real.schema) == 2 ** (m + 1)
+        assert math.prod(real.schema.sizes) == 2 ** (m + 1)
         with pytest.raises(SynthesisError) as got:
             generate_synthetic(real, 1, PrivacyParams(1.0, 1e-6), mode=mode)
         assert str(got.value) == message.format(cells=2 ** (m + 1))
 
     def test_joint_cells_are_counted_exactly(self):
         schema = Schema(tuple(f"x{i}" for i in range(40)) + ("label",), (3,) * 40 + (2,))
-        assert num_joint_cells(schema) == 2 * 3 ** 40 > 2 ** 64
+        assert MarginalOperator(schema, enumerate_queries(40, 1)).num_cells == 2 * 3 ** 40 > 2 ** 64
 
 
 @st.composite
@@ -997,7 +999,7 @@ def schemas_and_counts(draw):
     """A mixed-arity schema and cell counts: some cells empty, one cell occupied, or n = 0."""
     sizes = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))) + (2,)
     schema = Schema(tuple(f"x{j}" for j in range(len(sizes) - 1)) + ("label",), sizes)
-    cells = num_joint_cells(schema)
+    cells = math.prod(schema.sizes)
     counts = np.zeros(cells, dtype=np.int64)
     kind = draw(st.sampled_from(["mixed", "one cell", "n = 0"]))
     if kind == "mixed":
