@@ -75,91 +75,65 @@ class BoundReport:
     notes: tuple[str, ...] = ()
 
 
-def _zero_budget_report(mode: str) -> BoundReport:
-    return BoundReport(0.0, 0.0, 0.0, mode,
-                       {"tau": 0.0},
-                       ("tau = 0 pins w = 0 on both datasets, so the risks coincide exactly",))
+def excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
+                      mode: str = "explicit") -> BoundReport:
+    """Bound for a loss family at marginal distance inp.nu, in one constants mode.
 
-
-def _marginal_term_explicit(inp: BoundInputs, loss_sup: float, nu: float) -> tuple[float, dict]:
-    half_width = inp.tau * math.sqrt(inp.m)
-    width = 2.0 * half_width
-    coeff_base = (1.0 + 2.0 / width) * inp.m * max(1.0, inp.tau)
-    term = MARGINAL_HOPS / inp.n * loss_sup * coeff_base ** (inp.d - 1) * nu
-    parts = {
-        "marginal_hops": float(MARGINAL_HOPS),
-        "loss_sup_bound": loss_sup,
-        "coeff_base": coeff_base,
-        "coeff_growth": coeff_base ** (inp.d - 1),
-        "nu": nu,
-        "interval_width": width,
-    }
-    return term, parts
-
-
-def lipschitz_excess_risk_bound(inp: BoundInputs, mode: str = "explicit") -> BoundReport:
-    """Bound for any continuous K-Lipschitz loss with value phi0 at 0.
-
-    explicit: 4 * (5/4) * K * tau sqrt(m) / sqrt(d-1)
-              + 2/n * (K tau sqrt(m) + phi0) * ((1 + 2/(2 tau sqrt(m))) m max(1,tau))^(d-1) * nu
-    shape:    K tau sqrt(m/(d-1)) + (K tau sqrt(m) + phi0)/n * (3 m max(1,tau))^(d-1) * nu
+    lipschitz: any continuous K-Lipschitz loss with value phi0 at 0.
+      explicit: 4 * (5/4) * K * tau sqrt(m) / sqrt(d-1)
+                + 2/n * (K tau sqrt(m) + phi0) * ((1 + 2/(2 tau sqrt(m))) m max(1,tau))^(d-1) * nu
+      shape:    K tau sqrt(m/(d-1)) + (K tau sqrt(m) + phi0)/n * (3 m max(1,tau))^(d-1) * nu
+    logistic: tighter, since the derivative of the logistic loss is 1/4-Lipschitz.
+      The approximation certificate for a loss with Lipschitz derivative
+      decays as 1/(d-1) instead of 1/sqrt(d-1); after rescaling the margin
+      interval onto [0,1] its curvature constant becomes (2 tau sqrt(m))^2 / 4.
+      The marginal term keeps the generic form with sup |loss| <= ln 2 + tau sqrt(m).
+      Two variants of the coefficient base circulate (2m vs 3m); shape mode
+      uses 3m, the only base consistent with the coefficient-sum certificate
+      when the margin interval has width >= 1, and explicit mode uses the
+      exact base (see notes).
     """
+    if loss not in ("lipschitz", "logistic"):
+        raise BoundError(f"unknown loss family {loss!r}")
+    if mode not in ("explicit", "shape"):
+        raise BoundError(f"unknown constants mode {mode!r}")
     _require(inp, "nu")
     if inp.tau == 0.0:
-        return _zero_budget_report(mode)
+        return BoundReport(0.0, 0.0, 0.0, mode, {"tau": 0.0},
+                           ("tau = 0 pins w = 0 on both datasets, so the risks coincide exactly",))
     half_width = inp.tau * math.sqrt(inp.m)
-    loss_sup = inp.K * half_width + inp.phi0
-    if mode == "explicit":
+    width = 2.0 * half_width
+    lipschitz = loss == "lipschitz"
+    loss_sup = inp.K * half_width + inp.phi0 if lipschitz else half_width + LN2
+    notes = () if lipschitz else (
+        "coefficient-base variants disagree (2m vs 3m); this calculator uses "
+        "3m in shape mode, and (1 + 2/width) m max(1,tau) exactly in explicit mode",)
+    if mode == "shape":
+        base = 3.0 * inp.m * max(1.0, inp.tau)
+        if lipschitz:
+            approx, top = inp.K * inp.tau * math.sqrt(inp.m / (inp.d - 1)), loss_sup
+        else:
+            approx, top = half_width / (inp.d - 1), half_width
+        marg = top / inp.n * base ** (inp.d - 1) * inp.nu
+        return BoundReport(approx, marg, approx + marg, mode,
+                           {"coeff_base": base, "loss_sup_bound": loss_sup, "nu": inp.nu}, notes)
+    if lipschitz:
         modulus_step = half_width / math.sqrt(inp.d - 1)
         approx = POLY_HOPS * UNIFORM_CERT * inp.K * modulus_step
-        marg, parts = _marginal_term_explicit(inp, loss_sup, inp.nu)
         terms = {"poly_hops": float(POLY_HOPS), "uniform_cert": UNIFORM_CERT,
-                 "modulus_step": modulus_step, "K": inp.K, **parts}
-        return BoundReport(approx, marg, approx + marg, mode, terms)
-    if mode == "shape":
-        approx = inp.K * inp.tau * math.sqrt(inp.m / (inp.d - 1))
-        base = 3.0 * inp.m * max(1.0, inp.tau)
-        marg = loss_sup / inp.n * base ** (inp.d - 1) * inp.nu
-        return BoundReport(approx, marg, approx + marg, mode,
-                           {"coeff_base": base, "loss_sup_bound": loss_sup, "nu": inp.nu})
-    raise BoundError(f"unknown constants mode {mode!r}")
-
-
-def logistic_excess_risk_bound(inp: BoundInputs, mode: str = "explicit") -> BoundReport:
-    """Tighter bound for the logistic loss, whose derivative is 1/4-Lipschitz.
-
-    The approximation certificate for a loss with Lipschitz derivative decays
-    as 1/(d-1) instead of 1/sqrt(d-1); after rescaling the margin interval
-    onto [0,1] its curvature constant becomes (2 tau sqrt(m))^2 / 4. The
-    marginal term keeps the generic form with sup |loss| <= ln 2 + tau sqrt(m).
-    Two variants of the coefficient base circulate (2m vs 3m); shape mode
-    uses 3m, the only base consistent with the coefficient-sum certificate when
-    the margin interval has width >= 1, and explicit mode uses the exact base
-    (see notes).
-    """
-    _require(inp, "nu")
-    if inp.tau == 0.0:
-        return _zero_budget_report(mode)
-    half_width = inp.tau * math.sqrt(inp.m)
-    width = 2.0 * half_width
-    loss_sup = half_width + LN2
-    note = ("coefficient-base variants disagree (2m vs 3m); this calculator uses "
-            "3m in shape mode, and (1 + 2/width) m max(1,tau) exactly in explicit mode",)
-    if mode == "explicit":
+                 "modulus_step": modulus_step, "K": inp.K}
+    else:
         rescaled_curvature = width**2 * LOGISTIC_CURVATURE
         per_hop = DERIVATIVE_CERT * rescaled_curvature / (inp.d - 1)
         approx = POLY_HOPS * per_hop
-        marg, parts = _marginal_term_explicit(inp, loss_sup, inp.nu)
         terms = {"poly_hops": float(POLY_HOPS), "derivative_cert": DERIVATIVE_CERT,
-                 "rescaled_curvature": rescaled_curvature, "per_hop": per_hop, **parts}
-        return BoundReport(approx, marg, approx + marg, mode, terms, note)
-    if mode == "shape":
-        approx = half_width / (inp.d - 1)
-        base = 3.0 * inp.m * max(1.0, inp.tau)
-        marg = half_width / inp.n * base ** (inp.d - 1) * inp.nu
-        return BoundReport(approx, marg, approx + marg, mode,
-                           {"coeff_base": base, "loss_sup_bound": loss_sup, "nu": inp.nu}, note)
-    raise BoundError(f"unknown constants mode {mode!r}")
+                 "rescaled_curvature": rescaled_curvature, "per_hop": per_hop}
+    coeff_base = (1.0 + 2.0 / width) * inp.m * max(1.0, inp.tau)
+    marg = MARGINAL_HOPS / inp.n * loss_sup * coeff_base ** (inp.d - 1) * inp.nu
+    terms.update({"marginal_hops": float(MARGINAL_HOPS), "loss_sup_bound": loss_sup,
+                  "coeff_base": coeff_base, "coeff_growth": coeff_base ** (inp.d - 1),
+                  "nu": inp.nu, "interval_width": width})
+    return BoundReport(approx, marg, approx + marg, mode, terms, notes)
 
 
 def private_excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
@@ -178,18 +152,10 @@ def private_excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
         _require(inp, "epsilon", "delta")
         sigma = gaussian_sigma(inp.epsilon, inp.delta, marginal_set_sensitivity(inp.m, inp.d))
     nu = synthesis_l1_bound(sigma, inp.d, inp.m, inp.l, inp.lam)
-    with_nu = replace(inp, nu=nu, sigma=sigma)
-    if loss == "lipschitz":
-        report = lipschitz_excess_risk_bound(with_nu, mode)
-    elif loss == "logistic":
-        report = logistic_excess_risk_bound(with_nu, mode)
-    else:
-        raise BoundError(f"unknown loss family {loss!r}")
-    terms = dict(report.terms)
-    terms.update({"sigma": sigma, "nu_from_tail_bound": nu, "lam": inp.lam})
-    return BoundReport(report.approx_term, report.marginal_term, report.total,
-                       report.constants_mode, terms,
-                       report.notes + (f"holds except with probability 2^-{inp.lam:g}",))
+    report = excess_risk_bound(replace(inp, nu=nu, sigma=sigma), loss, mode)
+    return replace(report, terms={**report.terms, "sigma": sigma, "nu_from_tail_bound": nu,
+                                  "lam": inp.lam},
+                   notes=report.notes + (f"holds except with probability 2^-{inp.lam:g}",))
 
 
 def _require(inp: BoundInputs, *fields: str) -> None:

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .dataset import (Schema, _write_json, load_csv, load_raw_csv, preprocess, rules_from_dict,
-                      write_csv)
+from .dataset import (Dataset, Schema, _write_json, load_csv, load_raw_csv, preprocess,
+                      rules_from_dict, write_csv)
 from .demo import make_demo_dataset
 from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .experiment import ExperimentConfig, run_experiment
@@ -55,15 +55,20 @@ def _cmd_demo(args) -> int:
     return 0
 
 
-def _cmd_synth(args) -> int:
+def _load(args) -> tuple[Schema, Dataset]:
+    """The schema and the coded CSV named by --schema and --data."""
     schema = Schema.from_file(args.schema)
-    ds = load_csv(args.data, schema)
+    return schema, load_csv(args.data, schema)
+
+
+def _cmd_synth(args) -> int:
+    schema, ds = _load(args)
     privacy = PrivacyParams(args.epsilon, args.delta, lam=args.lam,
                             allow_large_epsilon=args.allow_large_epsilon)
     ds_syn, report = generate_synthetic(ds, args.order, privacy, mode=args.mode, seed=args.seed)
     write_csv(ds_syn, args.out)
     if args.report:
-        _write_json(report.to_dict(), args.report)
+        _write_json(dataclasses.asdict(report), args.report)
     if args.marginals_out:
         # counted one query at a time: forward would build the queries x cells bin table
         op = MarginalOperator(schema, enumerate_queries(schema.num_features, args.order))
@@ -74,8 +79,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    schema = Schema.from_file(args.schema)
-    ds = load_csv(args.data, schema)
+    schema, ds = _load(args)
     loss = LossSpec.from_dict({"kind": args.loss, "gamma": args.gamma})
     cfg = TrainConfig(max_iters=args.max_iters, tolerance=args.tolerance)
     model = train_projected(ds, loss, args.tau, cfg)
@@ -86,8 +90,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_dpsgd(args) -> int:
-    schema = Schema.from_file(args.schema)
-    ds = load_csv(args.data, schema)
+    schema, ds = _load(args)
     loss = LossSpec.from_dict({"kind": args.loss, "gamma": args.gamma})
     cfg = DpSgdConfig(iterations=args.iterations, batch_size=args.batch_size,
                       learning_rate=args.learning_rate, clip_norm=args.clip_norm,
@@ -99,8 +102,7 @@ def _cmd_dpsgd(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    schema = Schema.from_file(args.schema)
-    ds = load_csv(args.data, schema)
+    schema, ds = _load(args)
     model, schema_hash = load_model(args.model)
     if schema_hash != schema.digest():
         print("warning: model schema hash does not match the evaluation schema", file=sys.stderr)
@@ -124,21 +126,16 @@ def _cmd_bound(args) -> int:
     family = params.pop("family", "lipschitz")
     mode = params.pop("mode", "explicit")
     if family == "schedule":
-        schedule = bounds_mod.hard_instance_schedule(int(params["m"]))
-        doc = {k: getattr(schedule, k) for k in schedule.__dataclass_fields__}
+        doc = dataclasses.asdict(bounds_mod.hard_instance_schedule(int(params["m"])))
     else:
         inputs = bounds_mod.BoundInputs(**params)
-        if family == "lipschitz":
-            report = bounds_mod.lipschitz_excess_risk_bound(inputs, mode)
-        elif family == "logistic":
-            report = bounds_mod.logistic_excess_risk_bound(inputs, mode)
+        if family in ("lipschitz", "logistic"):
+            report = bounds_mod.excess_risk_bound(inputs, family, mode)
         elif family in ("private-lipschitz", "private-logistic"):
             report = bounds_mod.private_excess_risk_bound(inputs, family.split("-")[1], mode)
         else:
             raise SystemExit(f"unknown bound family {family!r}")
-        doc = {"approx_term": report.approx_term, "marginal_term": report.marginal_term,
-               "total": report.total, "constants_mode": report.constants_mode,
-               "terms": report.terms, "notes": list(report.notes)}
+        doc = dataclasses.asdict(report)
     if args.out:
         _write_json(doc, args.out)
     print(json.dumps(doc, indent=2))
@@ -193,6 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="margsyn",
                                      description="DP synthetic data toolkit that preserves marginals")
     sub = parser.add_subparsers(dest="command", required=True)
+    coded = argparse.ArgumentParser(add_help=False)
+    coded.add_argument("--data", required=True)
+    coded.add_argument("--schema", required=True)
+    losses = argparse.ArgumentParser(add_help=False)
+    losses.add_argument("--loss", choices=["logistic", "gamma_margin"], default="logistic")
+    losses.add_argument("--gamma", type=float, default=0.5)
 
     p = sub.add_parser("prep", help="clean and integer-code a raw CSV")
     p.add_argument("--raw", required=True)
@@ -210,9 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=11)
     p.set_defaults(func=_cmd_demo)
 
-    p = sub.add_parser("synth", help="generate a DP synthetic dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
+    p = sub.add_parser("synth", parents=[coded], help="generate a DP synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=1e-6)
@@ -226,23 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prefix for dumping the synthetic marginals (.csv/.json)")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="norm-constrained training")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
+    p = sub.add_parser("train", parents=[coded, losses], help="norm-constrained training")
     p.add_argument("--out", required=True)
-    p.add_argument("--loss", choices=["logistic", "gamma_margin"], default="logistic")
-    p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--tau", type=float, default=math.inf, help="norm budget; 'inf' for unconstrained")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("dpsgd", help="noisy-gradient baseline training")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
+    p = sub.add_parser("dpsgd", parents=[coded, losses], help="noisy-gradient baseline training")
     p.add_argument("--out", required=True)
-    p.add_argument("--loss", choices=["logistic", "gamma_margin"], default="logistic")
-    p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--iterations", "-T", type=int, default=300)
     p.add_argument("--batch-size", "-B", type=int, default=100)
     p.add_argument("--learning-rate", type=float, default=1.0)
@@ -253,10 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_dpsgd)
 
-    p = sub.add_parser("eval", help="evaluate a model on a dataset")
+    p = sub.add_parser("eval", parents=[coded], help="evaluate a model on a dataset")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
     p.add_argument("--baseline-model", default=None,
                    help="also report the risk gap against this model")
     p.add_argument("--out", default=None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +100,8 @@ def _train(ds: Dataset, loss: LossSpec, cfg: ExperimentConfig) -> LinearModel:
 def _run_cell(train: Dataset, test: Dataset, loss: LossSpec, real_risk: float,
               cfg: ExperimentConfig, eps: float, gen_seed: int) -> tuple[dict, dict]:
     """The cell's synthetic-side columns and its generation report (cfg.delta is set)."""
-    # every epsilon > 0 runs; the report flags one above 1 (epsilon_above_stated_range)
+    # every epsilon > 0 is tried: the report flags one above 1 (epsilon_above_stated_range),
+    # and one whose sigma is not (epsilon, delta)-DP fails the cell (privacy.gaussian_sigma)
     privacy = PrivacyParams(eps, cfg.delta, lam=cfg.lam, allow_large_epsilon=True)
     ds_syn, report = generate_synthetic(train, cfg.d, privacy, mode=cfg.mode, seed=gen_seed)
     model_syn = _train(ds_syn, loss, cfg)
@@ -113,7 +114,7 @@ def _run_cell(train: Dataset, test: Dataset, loss: LossSpec, real_risk: float,
         "normalized_l1_mean": report.nonprivate_normalized_l1_mean,
         "normalized_l1_max": report.nonprivate_normalized_l1_max,
     }
-    return metrics, report.to_dict()
+    return metrics, asdict(report)
 
 
 AGG_METRICS = ["accuracy_syn", "accuracy_real", "roc_auc_syn", "roc_auc_real",

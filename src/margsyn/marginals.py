@@ -244,9 +244,9 @@ def save_marginals(op: MarginalOperator, vector: np.ndarray,
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "flat_index", "count"])
-        for qid, (o, k) in enumerate(zip(op.offsets, op.num_bins)):
-            for idx, c in enumerate(vector[o:o + k]):
-                writer.writerow([qid, idx, repr(float(c))])
+        qid = np.repeat(np.arange(len(op.queries)), op.num_bins)
+        idx = np.arange(len(qid)) - np.repeat(op.offsets, op.num_bins)
+        writer.writerows(zip(qid.tolist(), idx.tolist(), map(repr, vector.tolist())))
     manifest = {
         "queries": [
             {"id": qid, "attrs": list(q.attrs), "shape": list(op.schema.shape(q.attrs))}

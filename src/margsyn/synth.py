@@ -513,9 +513,6 @@ class GenReport:
     nonprivate_normalized_l1_max: float
     nonprivate_normalized_l1_mean: float
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
                        mode: str = "fitted", seed: int = 0,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from margsyn import learn
-from margsyn.bounds import BoundInputs, lipschitz_excess_risk_bound, logistic_excess_risk_bound
+from margsyn.bounds import BoundInputs, excess_risk_bound
 from margsyn.dataset import Dataset, Schema, SplitSpec, encode_xy, split, write_csv
 from margsyn.demo import make_demo_dataset
 from margsyn.evaluate import empirical_risk
@@ -183,9 +183,9 @@ def test_criterion_5_measured_nu_bound_dominates(three_binary_schema):
                 inputs = BoundInputs(n=200, m=3, d=d, tau=tau, K=spec.lipschitz_K,
                                      phi0=spec.value_at_zero, nu=measured_nu)
                 if name == "lipschitz":
-                    limit = lipschitz_excess_risk_bound(inputs).total
+                    limit = excess_risk_bound(inputs).total
                 else:
-                    limit = logistic_excess_risk_bound(inputs).total
+                    limit = excess_risk_bound(inputs, "logistic").total
                 assert gap <= limit, (d, name, seed, gap, limit)
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0

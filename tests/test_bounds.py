@@ -1,11 +1,15 @@
+import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from margsyn.bounds import (BoundError, BoundInputs, hard_instance_schedule,
-                            lipschitz_excess_risk_bound, logistic_excess_risk_bound,
+from margsyn.bounds import (BoundError, BoundInputs, excess_risk_bound, hard_instance_schedule,
                             private_excess_risk_bound)
+from margsyn.cli import main
 from margsyn.privacy import PrivacyParams, calibrate
+
+from conftest import reference_lipschitz_bound, reference_logistic_bound
 
 LN2 = math.log(2.0)
 
@@ -15,12 +19,12 @@ FIXTURE = dict(n=10_000, m=4, d=3, tau=0.5, K=1.0, phi0=LN2)
 
 class TestLipschitzBound:
     def test_zero_nu_leaves_approx_only(self):
-        rep = lipschitz_excess_risk_bound(BoundInputs(nu=0.0, **FIXTURE))
+        rep = excess_risk_bound(BoundInputs(nu=0.0, **FIXTURE))
         assert rep.marginal_term == 0.0
         assert rep.total == rep.approx_term > 0.0
 
     def test_approx_term_vanishes_with_order(self):
-        vals = [lipschitz_excess_risk_bound(
+        vals = [excess_risk_bound(
             BoundInputs(n=10_000, m=4, d=d, tau=0.5, nu=0.0)).total for d in (2, 5, 20, 100)]
         assert vals == sorted(vals, reverse=True)
         assert vals[-1] < 0.6 * vals[0]
@@ -28,47 +32,47 @@ class TestLipschitzBound:
     def test_frozen_fixture(self):
         # reference computed by extended-precision evaluation of
         # 4*(5/4)*K*tau*sqrt(m)/sqrt(d-1) + 2/n*(K tau sqrt(m)+ln 2)*((1+2/w) m max(1,tau))^(d-1)*nu
-        rep = lipschitz_excess_risk_bound(BoundInputs(nu=10.0, **FIXTURE))
+        rep = excess_risk_bound(BoundInputs(nu=10.0, **FIXTURE))
         assert rep.approx_term == pytest.approx(3.535533905932738, rel=1e-12)
         assert rep.marginal_term == pytest.approx(0.216722839111673, rel=1e-12)
         assert rep.total == pytest.approx(3.752256745044411, rel=1e-12)
 
     def test_requires_nu_and_order(self):
         with pytest.raises(BoundError):
-            lipschitz_excess_risk_bound(BoundInputs(**FIXTURE))
+            excess_risk_bound(BoundInputs(**FIXTURE))
         with pytest.raises(BoundError):
             BoundInputs(n=100, m=4, d=1, tau=0.5)
 
     def test_report_totals_and_terms(self):
-        rep = lipschitz_excess_risk_bound(BoundInputs(nu=3.0, **FIXTURE))
+        rep = excess_risk_bound(BoundInputs(nu=3.0, **FIXTURE))
         assert rep.total == rep.approx_term + rep.marginal_term
         assert rep.terms["poly_hops"] == 4.0
         assert rep.terms["marginal_hops"] == 2.0
 
     def test_shape_mode(self):
-        rep = lipschitz_excess_risk_bound(BoundInputs(nu=10.0, **FIXTURE), mode="shape")
+        rep = excess_risk_bound(BoundInputs(nu=10.0, **FIXTURE), mode="shape")
         assert rep.approx_term == pytest.approx(0.5 * math.sqrt(4.0 / 2.0))
         assert rep.terms["coeff_base"] == pytest.approx(12.0)  # 3 m max(1, tau)
 
 
 class TestLogisticBound:
     def test_tighter_than_generic_at_fixture(self):
-        generic = lipschitz_excess_risk_bound(BoundInputs(nu=10.0, **FIXTURE))
-        logistic = logistic_excess_risk_bound(BoundInputs(nu=10.0, **FIXTURE))
+        generic = excess_risk_bound(BoundInputs(nu=10.0, **FIXTURE))
+        logistic = excess_risk_bound(BoundInputs(nu=10.0, **FIXTURE), "logistic")
         assert logistic.total < generic.total
         assert logistic.total == pytest.approx(1.716722839111673, rel=1e-12)
 
     def test_inverse_linear_scaling_in_order(self):
-        vals = {d: logistic_excess_risk_bound(
-            BoundInputs(n=10_000, m=4, d=d, tau=0.5, nu=0.0)).approx_term for d in (2, 5)}
+        vals = {d: excess_risk_bound(
+            BoundInputs(n=10_000, m=4, d=d, tau=0.5, nu=0.0), "logistic").approx_term for d in (2, 5)}
         assert vals[2] / vals[5] == pytest.approx(4.0, rel=1e-12)
 
     def test_zero_budget(self):
-        rep = logistic_excess_risk_bound(BoundInputs(n=100, m=4, d=3, tau=0.0, nu=5.0))
+        rep = excess_risk_bound(BoundInputs(n=100, m=4, d=3, tau=0.0, nu=5.0), "logistic")
         assert rep.total == rep.approx_term == rep.marginal_term == 0.0
 
     def test_base_discrepancy_note_recorded(self):
-        rep = logistic_excess_risk_bound(BoundInputs(nu=1.0, **FIXTURE))
+        rep = excess_risk_bound(BoundInputs(nu=1.0, **FIXTURE), "logistic")
         assert any("2m vs 3m" in note for note in rep.notes)
 
 
@@ -76,7 +80,7 @@ class TestPrivateBound:
     def test_zero_sigma_reduces_to_zero_nu(self):
         rep = private_excess_risk_bound(
             BoundInputs(l=4, sigma=0.0, lam=3.0, **FIXTURE), loss="lipschitz")
-        base = lipschitz_excess_risk_bound(BoundInputs(nu=0.0, **FIXTURE))
+        base = excess_risk_bound(BoundInputs(nu=0.0, **FIXTURE))
         assert rep.total == pytest.approx(base.total, rel=1e-12)
 
     def test_frozen_fixture(self):
@@ -91,9 +95,16 @@ class TestPrivateBound:
     @pytest.mark.parametrize("m, d", [(2, 2), (2, 3), (3, 2), (3, 4), (4, 3), (8, 2), (12, 3)])
     @pytest.mark.parametrize("eps, delta", [(0.1, 1e-9), (1.0, 1e-6), (2.0, 1e-8), (8.0, 0.01)])
     def test_sigma_is_the_mechanism_sigma(self, m, d, eps, delta):
-        rep = private_excess_risk_bound(
-            BoundInputs(n=1000, m=m, d=d, tau=0.5, l=2, lam=3.0, epsilon=eps, delta=delta))
-        calib = calibrate(m, d, PrivacyParams(eps, delta, allow_large_epsilon=True))
+        inputs = BoundInputs(n=1000, m=m, d=d, tau=0.5, l=2, lam=3.0, epsilon=eps, delta=delta)
+        privacy = PrivacyParams(eps, delta, allow_large_epsilon=True)
+        if (eps, delta) == (8.0, 0.01):  # the classical sigma is not (8, 0.01)-DP: both refuse
+            with pytest.raises(ValueError, match="exact delta"):
+                private_excess_risk_bound(inputs)
+            with pytest.raises(ValueError, match="exact delta"):
+                calibrate(m, d, privacy)
+            return
+        rep = private_excess_risk_bound(inputs)
+        calib = calibrate(m, d, privacy)
         assert rep.terms["sigma"] == calib.sigma
 
     def test_monotone_in_inverse_epsilon(self):
@@ -138,23 +149,57 @@ def test_budget_must_be_non_negative(tau):
 
 
 def test_reports_are_pure():
-    a = lipschitz_excess_risk_bound(BoundInputs(nu=2.5, **FIXTURE))
-    b = lipschitz_excess_risk_bound(BoundInputs(nu=2.5, **FIXTURE))
+    a = excess_risk_bound(BoundInputs(nu=2.5, **FIXTURE))
+    b = excess_risk_bound(BoundInputs(nu=2.5, **FIXTURE))
     assert a == b
 
 
-@pytest.mark.parametrize("bound", [lipschitz_excess_risk_bound, logistic_excess_risk_bound])
+@pytest.mark.parametrize("loss", ["lipschitz", "logistic"])
 @pytest.mark.parametrize("mode", ["asymptotic-shape", "exact"])
-def test_unknown_mode_raises(bound, mode):
+def test_unknown_mode_raises(loss, mode):
     with pytest.raises(BoundError):
-        bound(BoundInputs(nu=1.0, **FIXTURE), mode)
+        excess_risk_bound(BoundInputs(nu=1.0, **FIXTURE), loss, mode)
+
+
+@pytest.mark.parametrize("loss, mode", [("lipschitz", "bogus"), ("logistic", "exact"),
+                                        ("hinge", "explicit"), ("hinge", "shape")])
+def test_unknown_loss_or_mode_raises_at_zero_budget(loss, mode):
+    # tau = 0 has a closed-form report, but only for a loss and mode that exist
+    inputs = BoundInputs(nu=1.0, **{**FIXTURE, "tau": 0.0})
+    with pytest.raises(BoundError, match="unknown"):
+        excess_risk_bound(inputs, loss, mode)
+    with pytest.raises(BoundError, match="unknown"):
+        private_excess_risk_bound(BoundInputs(**{**FIXTURE, "tau": 0.0}, l=2, lam=3.0, sigma=1.0),
+                                  loss, mode)
+
+
+def test_bound_command_refuses_an_unknown_mode_at_zero_budget(tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"family": "logistic", "mode": "bogus", "n": 100, "m": 4, "d": 3,
+                                  "tau": 0.0, "nu": 1.0}))
+    with pytest.raises(BoundError, match="unknown constants mode 'bogus'"):
+        main(["bound", "--params", str(params), "--out", str(tmp_path / "bound.json")])
+    assert not (tmp_path / "bound.json").exists()
+
+
+@given(n=st.integers(1, 10**6), m=st.integers(1, 50), d=st.integers(2, 8),
+       tau=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), K=st.floats(1e-3, 10.0),
+       phi0=st.floats(-5.0, 5.0), nu=st.floats(0.0, 1e6))
+def test_one_calculator_equals_the_two_it_replaced(n, m, d, tau, K, phi0, nu):
+    inputs = BoundInputs(n=n, m=m, d=d, tau=tau, K=K, phi0=phi0, nu=nu)
+    for loss, reference in (("lipschitz", reference_lipschitz_bound),
+                            ("logistic", reference_logistic_bound)):
+        for mode in ("explicit", "shape"):
+            got, want = excess_risk_bound(inputs, loss, mode), reference(inputs, mode)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
 
 
 @pytest.mark.parametrize("nu", [-50.0, -1e-12, math.nan])
 def test_nu_must_be_non_negative(nu):
     with pytest.raises(BoundError):
         BoundInputs(**FIXTURE, nu=nu)
-    assert lipschitz_excess_risk_bound(BoundInputs(**FIXTURE, nu=math.inf)).total == math.inf
+    assert excess_risk_bound(BoundInputs(**FIXTURE, nu=math.inf)).total == math.inf
 
 
 @pytest.mark.parametrize("sigma", [-1.0, math.nan])

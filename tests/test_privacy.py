@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from margsyn.dataset import Dataset, Schema
+from margsyn.cli import main
+from margsyn.dataset import Dataset, Schema, write_csv
+from margsyn.demo import make_demo_dataset
+from margsyn.experiment import ExperimentConfig, run_experiment
 from margsyn.marginals import (MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries,
                                query_count)
 from margsyn.privacy import (NoiseCalibration, PrivacyParams, add_noise_to_set, calibrate,
                              gaussian_sigma, marginal_set_sensitivity, synthesis_l1_bound)
 
-from conftest import cell_counts, random_dataset, reference_add_noise_to_set
+from conftest import cell_counts, random_dataset, reference_add_noise_to_set, reference_gaussian_delta
 
 
 def release_gap(a: Dataset, b: Dataset, d: int) -> np.ndarray:
@@ -36,6 +39,36 @@ class TestGaussianSigma:
         for bad in [(0.0, 1e-5, 1.0), (1.0, 0.0, 1.0), (1.0, 2.0, 1.0), (1.0, 1e-5, 0.0)]:
             with pytest.raises(ValueError):
                 gaussian_sigma(*bad)
+
+    @pytest.mark.parametrize("delta", [1e-12, 1.0 / 32_000**2, 1e-6, 1e-3, 0.01, 1.0 / 9, 0.5, 0.9])
+    def test_returned_sigma_meets_its_delta_and_only_such_are_refused(self, delta):
+        for eps in np.geomspace(0.05, 20.0, 60).tolist():
+            try:
+                sigma = gaussian_sigma(eps, delta, 1.0)
+            except ValueError:
+                r = eps / math.sqrt(2.0 * math.log(1.25 / delta))
+                assert reference_gaussian_delta(eps, r) > delta, (eps, delta)
+            else:
+                assert reference_gaussian_delta(eps, 1.0 / sigma) <= delta, (eps, delta)
+
+    # the smallest refused eps per delta is 9.63, 8.78, 6.77 and 5.68
+    @pytest.mark.parametrize("eps, delta, refused", [
+        (9.6, 1.0 / 32_000**2, False), (9.7, 1.0 / 32_000**2, True),
+        (8.7, 1e-6, False), (8.8, 1e-6, True), (20.0, 1e-6, True),
+        (6.7, 0.01, False), (6.8, 0.01, True), (8.0, 0.01, True),
+        (5.6, 1.0 / 9, False), (5.7, 1.0 / 9, True)])
+    def test_refusal_thresholds(self, eps, delta, refused):
+        if refused:
+            with pytest.raises(ValueError, match="exact delta"):
+                gaussian_sigma(eps, delta, 3.0)
+        else:
+            assert gaussian_sigma(eps, delta, 3.0) > 0.0
+
+    @pytest.mark.parametrize("eps, n", [(0.25 * k, 32_000) for k in range(1, 9)]
+                             + [(1.0, 5000), (2.0, 2000), (1.0, 3), (4.0, 30)])
+    def test_accepts_the_sweep_and_benchmark_budgets(self, eps, n):
+        # delta = 1/n^2 as in sweeps; n = 3 gives the exhaustive benchmark's 1/9
+        assert gaussian_sigma(eps, 1.0 / n**2, 1.0) > 0.0
 
     @given(st.integers(1, 8), st.integers(1, 4), st.floats(0.05, 0.95), st.floats(1e-8, 0.5))
     def test_calibration_closed_form(self, m, d, eps, delta):
@@ -89,6 +122,56 @@ class TestSensitivity:
             gap = release_gap(ds, Dataset(ds.schema, codes), d)
             assert math.sqrt(gap @ gap) == marginal_set_sensitivity(m, d)
         assert marginal_set_sensitivity(4, 2) == math.sqrt(30.0)
+
+
+def test_synth_command_refuses_a_budget_its_sigma_does_not_protect(tmp_path):
+    ds = make_demo_dataset(m=3, n=40, seed=1)
+    write_csv(ds, tmp_path / "d.csv")
+    ds.schema.to_file(tmp_path / "s.json")
+    out = tmp_path / "syn.csv"
+    with pytest.raises(ValueError, match="exact delta"):
+        main(["synth", "--data", str(tmp_path / "d.csv"), "--schema", str(tmp_path / "s.json"),
+              "--out", str(out), "--allow-large-epsilon", "--epsilon", "20"])
+    assert not out.exists()
+
+
+def test_sweep_fails_only_the_cells_whose_sigma_is_not_private(tmp_path):
+    ds = make_demo_dataset(m=3, n=60, seed=2)
+    write_csv(ds, tmp_path / "d.csv")
+    ds.schema.to_file(tmp_path / "s.json")
+    result = run_experiment(ExperimentConfig(
+        data_path=str(tmp_path / "d.csv"), schema_path=str(tmp_path / "s.json"),
+        out_dir=str(tmp_path / "out"), epsilons=(2.0, 20.0), repeats=1, d=2, tau=math.inf))
+    status = {r["epsilon"]: (r["status"], r["error"]) for r in result.runs}
+    assert status[2.0] == ("ok", "")
+    assert status[20.0][0] == "failed" and "exact delta" in status[20.0][1]
+
+
+class TestRelease:
+    def test_projection_on_the_neighbour_direction_is_gaussian(self):
+        # D' replaces one row of D by its complement; each release is projected
+        # onto u = v / |v|, v = forward(D') - forward(D), after subtracting
+        # forward(D): N(0, sigma^2) under D and N(|v|, sigma^2) under D'.  A
+        # correlated or reused per-query stream changes the variance along u.
+        schema = Schema(("a", "b", "c", "e", "label"), (2,) * 5)
+        ds = random_dataset(schema, 60, seed=21)
+        codes = ds.codes.copy()
+        codes[0] = 1 - codes[0]
+        op = MarginalOperator(schema, enumerate_queries(4, 2))
+        base, neighbour = op.forward(cell_counts(ds)), op.forward(cell_counts(Dataset(schema, codes)))
+        v = neighbour - base
+        norm = math.sqrt(v @ v)
+        assert norm == math.sqrt(30.0)
+        sigma = calibrate(4, 2, PrivacyParams(1.0, 1e-6)).sigma
+        k = 2000
+        # each check fails a correct mechanism with probability 7e-6 (|z| > 4.5;
+        # the variance by the normal approximation of chi^2 with k - 1 dof)
+        z = 4.5
+        for counts, seeds, mean in ((base, range(k), 0.0), (neighbour, range(k, 2 * k), norm)):
+            proj = np.array([(add_noise_to_set(counts, op.num_bins, sigma, s) - base) @ v / norm
+                             for s in seeds])
+            assert abs(proj.mean() - mean) <= z * sigma / math.sqrt(k)
+            assert abs(proj.var(ddof=1) / sigma**2 - 1.0) <= z * math.sqrt(2.0 / (k - 1))
 
 
 class TestPrivacyParams:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from margsyn.demo import make_demo_dataset
 from margsyn.evaluate import accuracy, empirical_risk
 from margsyn.learn import LossSpec, TrainConfig, train_projected
 from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
-from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate
+from margsyn.privacy import (NoiseCalibration, PrivacyParams, add_noise_to_set, calibrate,
+                             marginal_set_sensitivity)
 from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, SynthesisError,
                            _descend, _largest_remainder_round, _simplex_projector, brute_force_synth,
                            fit_distribution, generate_synthetic, sample_dataset, synthesize)
@@ -739,7 +741,7 @@ class TestMechanism:
         a, ra = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="fitted", seed=9)
         b, rb = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="fitted", seed=9)
         assert np.array_equal(a.codes, b.codes)
-        assert ra.to_dict() == rb.to_dict()
+        assert asdict(ra) == asdict(rb)
 
     def test_output_schema_and_size(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 25, seed=5)
@@ -790,12 +792,20 @@ class TestMechanism:
         assert report.nonprivate_normalized_l1_max == max(l1) / 30
         assert report.nonprivate_normalized_l1_mean == pytest.approx(np.mean(l1) / 30, rel=1e-12)
 
-    def test_bound_certified_can_fail(self):
+    def test_bound_certified_can_fail(self, monkeypatch):
         # with almost no noise, half the bound is far below one row, so any
-        # rounding error of the fitted sampler leaves the bound uncertified
+        # rounding error of the fitted sampler leaves the bound uncertified.
+        # The classical sigma at (1000, 0.5) is not (1000, 0.5)-DP, so the
+        # mechanism refuses the pair; the test injects that sigma instead
+        from margsyn import synth
         schema = Schema(("a", "b", "c", "label"), (2, 2, 2, 2))
         real = random_dataset(schema, 40, seed=3)
         privacy = PrivacyParams(1000.0, 0.5, allow_large_epsilon=True)
+        with pytest.raises(ValueError, match="exact delta"):
+            calibrate(3, 2, privacy)
+        sens = marginal_set_sensitivity(3, 2)
+        tiny = NoiseCalibration(sens * math.sqrt(2.0 * math.log(1.25 / 0.5)) / 1000.0, sens)
+        monkeypatch.setattr(synth, "calibrate", lambda m, d, p: tiny)
         flags = []
         for seed in range(5):
             _, report = generate_synthetic(real, 2, privacy, mode="fitted", seed=seed)
@@ -821,7 +831,7 @@ class TestMechanism:
     def test_report_serializes(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 20, seed=6)
         ds_s, report = generate_synthetic(real, 2, PrivacyParams(0.5, 1e-6, lam=2.0), mode="brute", seed=0)
-        doc = report.to_dict()
+        doc = asdict(report)
         assert json.loads(json.dumps(doc)) == doc
         assert doc["sigma"] == report.sigma > 0.0
         assert (doc["epsilon"], doc["delta"], doc["lam"]) == (0.5, 1e-6, 2.0)
@@ -834,7 +844,7 @@ class TestMechanism:
     def test_report_records_the_fit(self, three_binary_schema, mode, cap, path):
         real = random_dataset(three_binary_schema, 3, seed=7)
         _, report = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-4), mode=mode, seed=5, cap=cap)
-        doc = report.to_dict()
+        doc = asdict(report)
         assert doc["path"] == path
         if path == "exhaustive":
             assert (doc["fit_iterations"], doc["fit_converged"]) == (0, None)
