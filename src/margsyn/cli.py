@@ -63,8 +63,7 @@ def _load(args) -> tuple[Schema, Dataset]:
 
 def _cmd_synth(args) -> int:
     schema, ds = _load(args)
-    privacy = PrivacyParams(args.epsilon, args.delta, lam=args.lam,
-                            allow_large_epsilon=args.allow_large_epsilon)
+    privacy = PrivacyParams(args.epsilon, args.delta, lam=args.lam)
     ds_syn, report = generate_synthetic(ds, args.order, privacy, mode=args.mode, seed=args.seed)
     write_csv(ds_syn, args.out)
     if args.report:
@@ -221,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", "-d", type=int, default=2, help="max marginal order d")
     p.add_argument("--mode", choices=["brute", "fitted"], default="fitted")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--allow-large-epsilon", action="store_true")
     p.add_argument("--report", default=None, help="write the provenance report JSON here")
     p.add_argument("--marginals-out", default=None,
                    help="prefix for dumping the synthetic marginals (.csv/.json)")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import traceback
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -100,9 +101,8 @@ def _train(ds: Dataset, loss: LossSpec, cfg: ExperimentConfig) -> LinearModel:
 def _run_cell(train: Dataset, test: Dataset, loss: LossSpec, real_risk: float,
               cfg: ExperimentConfig, eps: float, gen_seed: int) -> tuple[dict, dict]:
     """The cell's synthetic-side columns and its generation report (cfg.delta is set)."""
-    # every epsilon > 0 is tried: the report flags one above 1 (epsilon_above_stated_range),
-    # and one whose sigma is not (epsilon, delta)-DP fails the cell (privacy.gaussian_sigma)
-    privacy = PrivacyParams(eps, cfg.delta, lam=cfg.lam, allow_large_epsilon=True)
+    # a pair whose sigma is not (epsilon, delta)-DP fails the cell (privacy.gaussian_sigma)
+    privacy = PrivacyParams(eps, cfg.delta, lam=cfg.lam)
     ds_syn, report = generate_synthetic(train, cfg.d, privacy, mode=cfg.mode, seed=gen_seed)
     model_syn = _train(ds_syn, loss, cfg)
     metrics = {
@@ -133,7 +133,7 @@ def _aggregate(rows: list[dict], eps: float) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Execute the sweep and write runs.csv, aggregates.csv and per-run reports."""
+    """Run the sweep: runs.csv, aggregates.csv, reports/ and each failed cell's traceback in failures/."""
     out = Path(cfg.out_dir)
     (out / "reports").mkdir(parents=True, exist_ok=True)
     schema = Schema.from_file(cfg.schema_path)
@@ -162,12 +162,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             grid[eps_index].append(row)
             row.update({"epsilon": eps, "repeat": repeat, "split_seed": split_seed,
                         "gen_seed": _seed(cfg.base_seed, eps_index, repeat), "status": "ok"})
-            try:
-                if real_error is not None:
-                    raise real_error
-                metrics, report = _run_cell(train, test, loss, real_risk, cell_cfg, eps, row["gen_seed"])
-            except Exception as exc:  # cell failure must not sink the sweep
-                row.update({"status": "failed", "error": repr(exc)})
+            error = real_error
+            if error is None:
+                try:
+                    metrics, report = _run_cell(train, test, loss, real_risk, cell_cfg, eps, row["gen_seed"])
+                except Exception as exc:  # cell failure must not sink the sweep
+                    error = exc
+            if error is not None:
+                row.update({"status": "failed", "error": repr(error)})
+                (out / "failures").mkdir(exist_ok=True)
+                (out / "failures" / f"run_eps{eps_index}_rep{repeat}.txt").write_text(
+                    "".join(traceback.format_exception(error)))
                 continue
             row.update({**real, **metrics})
             _write_json(report, out / "reports" / f"run_eps{eps_index}_rep{repeat}.json")

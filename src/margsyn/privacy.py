@@ -23,15 +23,14 @@ from .marginals import query_count
 class PrivacyParams:
     """(epsilon, delta)-DP target plus the failure exponent lambda.
 
-    The Gaussian-mechanism guarantee is stated for epsilon in (0, 1]; larger
-    budgets are practical but outside that statement, so they must be allowed
-    explicitly and are recorded by callers.
+    `gaussian_sigma`, not this class, refuses a pair whose sigma is not
+    (epsilon, delta)-DP.  `allow_large_epsilon` is ignored; old callers pass it.
     """
 
     epsilon: float
     delta: float
     lam: float = 3.0
-    allow_large_epsilon: bool = False
+    allow_large_epsilon: bool = False  # ignored
 
     def __post_init__(self):
         # written so that NaN fails too: every comparison with NaN is False
@@ -41,11 +40,6 @@ class PrivacyParams:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.lam < math.inf:
             raise ValueError("lambda must be finite and positive")
-        if self.epsilon > 1.0 and not self.allow_large_epsilon:
-            raise ValueError(
-                f"epsilon={self.epsilon} > 1 is outside the calibration's stated range; "
-                "set allow_large_epsilon=True to proceed anyway"
-            )
 
 
 @dataclass(frozen=True)

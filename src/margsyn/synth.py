@@ -499,7 +499,6 @@ class GenReport:
     sensitivity: float
     epsilon: float
     delta: float
-    epsilon_above_stated_range: bool
     query_count: int
     lam: float
     l1_bound_at_lam: float
@@ -519,14 +518,15 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
                        cap: int = DEFAULT_CANDIDATE_CAP) -> tuple[Dataset, GenReport]:
     """Measure all order-<=d marginals, noise them, synthesize, and report.
 
-    One `MarginalOperator` is built over the queries (it reads only sizes)
-    and the request is checked as `synthesize` checks it (`_path`), so a
-    joint domain too large for the path is refused before anything of its
-    size is allocated.  Then the real data is counted once into joint cells,
-    and the operator's `forward` of those counts gives every real marginal:
-    sums of whole numbers, so the same floats as counting each query on its
-    own.  The noise is drawn into that one vector (`add_noise_to_set`), and
-    the noisy set holds it on the same operator.
+    One `MarginalOperator` is built over the queries (it reads only sizes) and
+    the request is checked as `synthesize` checks it (`_path`), so a joint
+    domain too large for the path is refused before anything of its size is
+    allocated, and a budget `calibrate` refuses before the real data is read.
+    Then the real data is counted once into joint cells, and the operator's
+    `forward` of those counts gives every real marginal: sums of whole
+    numbers, so the same floats as counting each query on its own.  The noise
+    is drawn into that one vector (`add_noise_to_set`), and the noisy set
+    holds it on the same operator.
     sigma is always the Gaussian-mechanism calibration of `privacy`, so the
     report's epsilon and delta are those of the noise actually added.  (To
     synthesize from given marginals `counts` in the operator's layout, with
@@ -542,9 +542,9 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     op = MarginalOperator(schema, queries)
     _path(ds_real.n, op, mode, cap, rng)
+    calib = calibrate(m, d, privacy)
     joint = compute_marginal(ds_real, MarginalQuery(tuple(range(schema.num_attributes))))
     real = op.forward(joint)
-    calib = calibrate(m, d, privacy)
     nm = NoisyMarginalSet(op, add_noise_to_set(real, op.num_bins, calib.sigma, seed))
     ds_s, stats = synthesize(ds_real.n, nm, mode, rng=rng, cap=cap)
 
@@ -558,7 +558,6 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
         sensitivity=calib.sensitivity,
         epsilon=privacy.epsilon,
         delta=privacy.delta,
-        epsilon_above_stated_range=privacy.epsilon > 1.0,
         query_count=len(queries),
         lam=privacy.lam,
         l1_bound_at_lam=l1_bound,

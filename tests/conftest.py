@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from itertools import combinations_with_replacement
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -77,7 +78,6 @@ def reference_gaussian_delta(eps: float, r: float) -> float:
     """Exact delta of the Gaussian mechanism with sensitivity / sigma = r at eps,
     Phi(r/2 - eps/r) - e^eps Phi(-r/2 - eps/r) (Balle & Wang, ICML 2018, Thm 8),
     evaluated with 50 significant digits."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         eps, r = mpmath.mpf(eps), mpmath.mpf(r)
         return float(mpmath.ncdf(r / 2 - eps / r) - mpmath.exp(eps) * mpmath.ncdf(-r / 2 - eps / r))

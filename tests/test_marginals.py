@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from margsyn.dataset import Dataset, Schema
+from margsyn.dataset import Dataset, Schema, encode_xy
 from margsyn.marginals import (MarginalOperator, MarginalQuery, QueryError, compute_marginal,
                                enumerate_queries, query_count, save_marginals)
 
@@ -219,6 +219,31 @@ class TestMarginalOperator:
         assert np.allclose(t[:, 0], 1.0 / math.sqrt(op.num_cells), rtol=0.0, atol=1e-15)
         assert np.all(op.spectrum >= 0.0)
         assert np.allclose(t @ np.diag(op.spectrum) @ t, gram, rtol=0.0, atol=1e-12 * gram.max())
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_even_margin_moments_are_fixed_on_the_null_space(self, d, seed):
+        # t = y<w, x> with y = +-1: t^k for even k is <w, x>^k, a polynomial in
+        # feature marginals of order <= k, and odd k carries y and needs order
+        # k + 1.  So moving p along the null space of the order-<=d operator
+        # fixes E[t^k] for every k <= 2 floor(d/2), and not the cubic.  A
+        # ternary feature keeps x_i^2 from hiding differences by parity.
+        sizes = (2, 3, 2, 3, 2)
+        schema = Schema(("a", "b", "c", "e", "label"), sizes)
+        op = MarginalOperator(schema, enumerate_queries(4, d))
+        rng = np.random.default_rng(seed)
+        z = op.transform(np.where(op.spectrum == 0.0, rng.normal(size=op.num_cells), 0.0))
+        assert np.abs(z).max() > 0.1
+        assert np.abs(op.forward(z)).max() <= 1e-13
+        p = rng.uniform(0.5, 1.5, op.num_cells)
+        p /= p.sum()
+        q = p + 0.5 * np.min(p[z < 0] / -z[z < 0]) * z
+        assert q.min() > 0.0
+        x, y = encode_xy(Dataset(schema, np.indices(sizes).reshape(len(sizes), -1).T))
+        t = y * (x @ rng.normal(size=4))
+        for k in range(1, 2 * (d // 2) + 1):
+            assert q @ t**k == pytest.approx(p @ t**k, rel=1e-12)
+        assert abs(q @ t**3 - p @ t**3) > 1e-4 * abs(p @ t**3)
 
     # (1500, 3, 2) builds the bin table in blocks of 7 queries, (300, 300, 2)
     # one query at a time

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from margsyn import synth
 from margsyn.cli import main
 from margsyn.dataset import Dataset, Schema, write_csv
 from margsyn.demo import make_demo_dataset
@@ -131,8 +132,27 @@ def test_synth_command_refuses_a_budget_its_sigma_does_not_protect(tmp_path):
     out = tmp_path / "syn.csv"
     with pytest.raises(ValueError, match="exact delta"):
         main(["synth", "--data", str(tmp_path / "d.csv"), "--schema", str(tmp_path / "s.json"),
-              "--out", str(out), "--allow-large-epsilon", "--epsilon", "20"])
+              "--out", str(out), "--epsilon", "20"])
     assert not out.exists()
+
+
+def test_synth_command_no_longer_takes_allow_large_epsilon(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["synth", "--data", "d.csv", "--schema", "s.json", "--out", str(tmp_path / "syn.csv"),
+              "--allow-large-epsilon", "--epsilon", "2"])
+    assert exit_info.value.code == 2
+    assert "--allow-large-epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["brute", "fitted"])
+def test_a_refused_budget_is_refused_before_the_data_is_read(monkeypatch, mode):
+    def fail(*args):
+        raise AssertionError("the real data was read")
+
+    monkeypatch.setattr(synth, "compute_marginal", fail)
+    ds = make_demo_dataset(m=3, n=40, seed=1)
+    with pytest.raises(ValueError, match="exact delta"):
+        synth.generate_synthetic(ds, 2, PrivacyParams(20.0, 1e-6), mode=mode)
 
 
 def test_sweep_fails_only_the_cells_whose_sigma_is_not_private(tmp_path):
@@ -145,6 +165,11 @@ def test_sweep_fails_only_the_cells_whose_sigma_is_not_private(tmp_path):
     status = {r["epsilon"]: (r["status"], r["error"]) for r in result.runs}
     assert status[2.0] == ("ok", "")
     assert status[20.0][0] == "failed" and "exact delta" in status[20.0][1]
+    # the failed cell keeps its traceback; the ok cell writes none
+    failures = tmp_path / "out" / "failures"
+    assert sorted(f.name for f in failures.iterdir()) == ["run_eps1_rep0.txt"]
+    text = (failures / "run_eps1_rep0.txt").read_text()
+    assert text.startswith("Traceback") and "gaussian_sigma" in text and "exact delta" in text
 
 
 class TestRelease:
@@ -175,11 +200,11 @@ class TestRelease:
 
 
 class TestPrivacyParams:
-    def test_epsilon_range_gate(self):
-        PrivacyParams(1.0, 1e-6)
-        with pytest.raises(ValueError):
-            PrivacyParams(2.0, 1e-6)
-        PrivacyParams(2.0, 1e-6, allow_large_epsilon=True)
+    def test_epsilon_above_one_needs_no_flag(self):
+        # allow_large_epsilon is accepted and ignored: the exact-delta test in
+        # gaussian_sigma is the one budget rule
+        sigma = calibrate(4, 2, PrivacyParams(2.0, 1e-6)).sigma
+        assert sigma == calibrate(4, 2, PrivacyParams(2.0, 1e-6, allow_large_epsilon=True)).sigma
 
     def test_other_validation(self):
         with pytest.raises(ValueError):
