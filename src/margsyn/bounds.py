@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .privacy import gaussian_sigma, marginal_set_sensitivity, synthesis_l1_bound
+from .privacy import PrivacyParams, calibrate, synthesis_l1_bound
 
 LN2 = math.log(2.0)
 
@@ -141,16 +141,16 @@ def private_excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
     """End-to-end bound with nu replaced by the high-probability l1 bound.
 
     nu := 2 l^d sqrt(2 (ln 2 (1+lam) + d ln(m l))) sigma, valid except with
-    probability 2^-lam.  sigma may be given directly, or is derived from
-    (epsilon, delta) with the mechanism's own sensitivity sqrt(2 |Q|), so it
-    equals `privacy.calibrate(m, d, ...).sigma`.
+    probability 2^-lam.  sigma may be given directly, or is the mechanism's
+    own, `privacy.calibrate` of (m, d, epsilon, delta), which refuses the
+    budgets that `generate_synthetic` refuses.
     """
     _require(inp, "l", "lam")
     if inp.sigma is not None:
         sigma = inp.sigma
     else:
         _require(inp, "epsilon", "delta")
-        sigma = gaussian_sigma(inp.epsilon, inp.delta, marginal_set_sensitivity(inp.m, inp.d))
+        sigma = calibrate(inp.m, inp.d, PrivacyParams(inp.epsilon, inp.delta))
     nu = synthesis_l1_bound(sigma, inp.d, inp.m, inp.l, inp.lam)
     report = excess_risk_bound(replace(inp, nu=nu, sigma=sigma), loss, mode)
     return replace(report, terms={**report.terms, "sigma": sigma, "nu_from_tail_bound": nu,

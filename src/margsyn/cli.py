@@ -26,8 +26,7 @@ from .experiment import ExperimentConfig, run_experiment
 from .learn import (DpSgdConfig, LossSpec, TrainConfig, dp_sgd, load_model,
                     save_model, train_projected)
 from .marginals import MarginalOperator, compute_marginal, enumerate_queries, save_marginals
-from .polyapprox import (Interval, approx_report, bernstein, iterated_bernstein,
-                         logistic_loss, remez_minimax)
+from .polyapprox import Interval, approx_report, bernstein, iterated_bernstein, remez_minimax
 from .privacy import PrivacyParams
 from .synth import generate_synthetic
 
@@ -142,7 +141,7 @@ def _cmd_bound(args) -> int:
 
 
 _APPROX_FUNCTIONS = {
-    "logistic-loss": logistic_loss,
+    "logistic-loss": LossSpec.logistic().value,
     "abs": np.abs,
     "exp": np.exp,
 }
@@ -228,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[coded, losses], help="norm-constrained training")
     p.add_argument("--out", required=True)
     p.add_argument("--tau", type=float, default=math.inf, help="norm budget; 'inf' for unconstrained")
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--max-iters", type=int, default=TrainConfig.max_iters)
+    p.add_argument("--tolerance", type=float, default=TrainConfig.tolerance)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("dpsgd", parents=[coded, losses], help="noisy-gradient baseline training")

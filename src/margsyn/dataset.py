@@ -120,7 +120,7 @@ class Dataset:
     `Dataset(schema, codes)` holds the rows it is given.  `from_counts` holds
     one count per joint cell instead: its `weighted` view is set from the
     counts, and its rows (`codes`) are built only when first read, by
-    `write_csv`, `encode` (so `dp_sgd`) or `split`.
+    `write_csv`, `learn.dp_sgd` or `split`.
     """
 
     def __init__(self, schema: Schema, codes):
@@ -197,26 +197,16 @@ class Dataset:
 
 
 def _encode_codes(schema: Schema, codes: np.ndarray) -> np.ndarray:
+    """Numeric view of coded rows: features in [-1, 1], then the label in {-1, 1}."""
     sizes = np.asarray(schema.sizes, dtype=np.float64)
     return 2.0 * codes.astype(np.float64) / (sizes - 1.0) - 1.0
-
-
-def encode(ds: Dataset) -> np.ndarray:
-    """Numeric view of a dataset: shape (n, m+1), features in [-1,1], label in {-1,1}."""
-    return _encode_codes(ds.schema, ds.codes)
-
-
-def encode_xy(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Split numeric view into the feature matrix and the +-1 label vector."""
-    mat = encode(ds)
-    return mat[:, :-1], mat[:, -1]
 
 
 def encode_weighted(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Features, +-1 labels and counts of the dataset's distinct rows (`Dataset.weighted`).
 
-    Each distinct row encodes to the same values as each of its copies in
-    `encode_xy`, so a count-weighted sum over these rows is a sum over all n.
+    Each distinct row encodes to the same values as each of its copies, so a
+    count-weighted sum over these rows is a sum over all n.
     """
     codes, counts = ds.weighted
     mat = _encode_codes(ds.schema, codes)

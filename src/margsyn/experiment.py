@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import Dataset, Schema, SplitSpec, _write_json, load_csv, split
 from .evaluate import accuracy, empirical_risk, roc_auc_model
-from .learn import LinearModel, LossSpec, TrainConfig, train_projected
+from .learn import LossSpec, TrainConfig, train_projected
 from .privacy import PrivacyParams
 from .synth import generate_synthetic
 
@@ -93,9 +93,15 @@ def _seed(base_seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([base_seed, *key]).generate_state(1)[0])
 
 
-def _train(ds: Dataset, loss: LossSpec, cfg: ExperimentConfig) -> LinearModel:
-    """The one training setup, shared by the real-data and synthetic-data models."""
-    return train_projected(ds, loss, cfg.tau, TrainConfig(max_iters=400))
+def _fit_and_score(ds: Dataset, train: Dataset, test: Dataset, loss: LossSpec,
+                   cfg: ExperimentConfig, side: str) -> tuple[dict, float]:
+    """Train on ds as the sweep trains both of its models: accuracy, ROC-AUC and
+    risk on the test split as `side`'s columns, and the risk on the training split."""
+    model = train_projected(ds, loss, cfg.tau, TrainConfig(max_iters=400))
+    columns = {f"accuracy_{side}": accuracy(model, test),
+               f"roc_auc_{side}": roc_auc_model(model, test),
+               f"risk_{side}_test": empirical_risk(model, test)}
+    return columns, empirical_risk(model, train)
 
 
 def _run_cell(train: Dataset, test: Dataset, loss: LossSpec, real_risk: float,
@@ -104,13 +110,11 @@ def _run_cell(train: Dataset, test: Dataset, loss: LossSpec, real_risk: float,
     # a pair whose sigma is not (epsilon, delta)-DP fails the cell (privacy.gaussian_sigma)
     privacy = PrivacyParams(eps, cfg.delta, lam=cfg.lam)
     ds_syn, report = generate_synthetic(train, cfg.d, privacy, mode=cfg.mode, seed=gen_seed)
-    model_syn = _train(ds_syn, loss, cfg)
+    syn, syn_risk = _fit_and_score(ds_syn, train, test, loss, cfg, "syn")
     metrics = {
         "sigma": report.sigma,
-        "accuracy_syn": accuracy(model_syn, test),
-        "roc_auc_syn": roc_auc_model(model_syn, test),
-        "risk_syn_test": empirical_risk(model_syn, test),
-        "excess_risk_train": empirical_risk(model_syn, train) - real_risk,
+        **syn,
+        "excess_risk_train": syn_risk - real_risk,
         "normalized_l1_mean": report.nonprivate_normalized_l1_mean,
         "normalized_l1_max": report.nonprivate_normalized_l1_max,
     }
@@ -148,12 +152,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             train, test = split(ds, SplitSpec(cfg.train_fraction, split_seed))
             cell_cfg = cfg if cfg.delta is not None else replace(cfg, delta=1.0 / train.n**2)
             loss = LossSpec.from_dict(cfg.loss)
-            model_real = _train(train, loss, cfg)
-            real = {"n_train": train.n, "n_test": test.n,
-                    "accuracy_real": accuracy(model_real, test),
-                    "roc_auc_real": roc_auc_model(model_real, test),
-                    "risk_real_test": empirical_risk(model_real, test)}
-            real_risk = empirical_risk(model_real, train)  # on the training split
+            real, real_risk = _fit_and_score(train, train, test, loss, cfg, "real")
+            real.update(n_train=train.n, n_test=test.n)
             real_error = None
         except Exception as exc:  # fails every cell of this repeat
             real_error = exc

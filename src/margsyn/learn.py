@@ -6,8 +6,8 @@ gradient descent with backtracking.  The risk depends only on which rows
 occur and how often, so training runs on the dataset's weighted distinct
 rows (`Dataset.weighted`): at most min(n, cells) rows, each weighted by its
 count.  A noisy-gradient variant with per-sample clipping provides the
-differentially-private baseline trainer; it samples row indices, so it runs
-on all n rows.
+differentially-private baseline trainer; it samples row indices from all n
+rows and encodes only the rows it draws.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema, _write_json, encode_weighted, encode_xy
+from .dataset import Dataset, Schema, _encode_codes, _write_json, encode_weighted
 
 
 class LossError(ValueError):
@@ -302,13 +302,13 @@ def dp_sgd(ds: Dataset, spec: LossSpec, cfg: DpSgdConfig, rng: np.random.Generat
     """
     if cfg.batch_size > ds.n:
         raise ValueError(f"batch size {cfg.batch_size} exceeds dataset size {ds.n}")
-    X, y = encode_xy(ds)
-    m = X.shape[1]
+    m = ds.schema.num_features
     sigma = math.sqrt(dp_sgd_sigma_sq(cfg, ds.n))
     w = np.zeros(m)
     for _ in range(cfg.iterations):
         idx = rng.integers(0, ds.n, size=cfg.batch_size)
-        xb, yb = X[idx], y[idx]
+        batch = _encode_codes(ds.schema, ds.codes[idx])
+        xb, yb = batch[:, :-1], batch[:, -1]
         t = (xb @ w) * yb
         per_sample = clip_rows(spec.grad(t)[:, None] * yb[:, None] * xb, cfg.clip_norm)
         gbar = per_sample.mean(axis=0)

@@ -1,5 +1,8 @@
 """Polynomial approximation: Bernstein, iterated Bernstein, Remez minimax.
 
+The functions approximated are the caller's; the margin loss studied here,
+ln(1 + e^-t), is the training loss itself, `learn.LossSpec.logistic().value`.
+
 All polynomials are stored in the power basis on an explicit interval.  The
 Bernstein construction is done in exact rational arithmetic (binomial
 expansion is ill-conditioned in floating point), with degree capped at 30.
@@ -302,8 +305,3 @@ def approx_report(p: Polynomial, f: Callable) -> ApproxReport:
     return ApproxReport(max_abs_error=err,
                         coeff_abs_sum=float(np.sum(np.abs(p.coeffs))),
                         grid_points=REPORT_GRID)
-
-
-def logistic_loss(t):
-    """ln(1 + exp(-t)), the margin loss whose approximations are studied here."""
-    return np.logaddexp(0.0, -np.asarray(t, dtype=np.float64))

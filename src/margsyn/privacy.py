@@ -3,10 +3,10 @@
 The released object is the concatenation of all marginal count vectors for
 queries of order at most d, one vector in `MarginalOperator`'s layout.
 Changing one row of the dataset changes at most two entries of each of the
-|Q| marginals by 1, so the l2 sensitivity is sqrt(2 |Q|).  That one value
-sets the noise of the mechanism, which `add_noise_to_set` draws into that
-vector, and the sigma behind the excess-risk bound of
-`bounds.private_excess_risk_bound`.
+|Q| marginals by 1, so the l2 sensitivity is sqrt(2 |Q|).  That one value,
+through `calibrate`, sets the noise of the mechanism, which
+`add_noise_to_set` draws into that vector, and the sigma behind the
+excess-risk bound of `bounds.private_excess_risk_bound`.
 """
 
 from __future__ import annotations
@@ -40,14 +40,6 @@ class PrivacyParams:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.lam < math.inf:
             raise ValueError("lambda must be finite and positive")
-
-
-@dataclass(frozen=True)
-class NoiseCalibration:
-    """Noise scale of one release and the l2 sensitivity it is calibrated to."""
-
-    sigma: float
-    sensitivity: float
 
 
 def gaussian_sigma(eps: float, delta: float, sensitivity: float) -> float:
@@ -84,10 +76,10 @@ def marginal_set_sensitivity(m: int, d: int) -> float:
     return math.sqrt(2.0 * query_count(m, d))
 
 
-def calibrate(m: int, d: int, params: PrivacyParams) -> NoiseCalibration:
-    sens = marginal_set_sensitivity(m, d)
-    sigma = gaussian_sigma(params.epsilon, params.delta, sens)
-    return NoiseCalibration(sigma, sens)
+def calibrate(m: int, d: int, params: PrivacyParams) -> float:
+    """The mechanism's sigma for the order-<=d marginals of m features: the one
+    place that derives sigma from (epsilon, delta)."""
+    return gaussian_sigma(params.epsilon, params.delta, marginal_set_sensitivity(m, d))
 
 
 def add_noise_to_set(counts: np.ndarray, num_bins, sigma: float, seed: int) -> np.ndarray:

@@ -49,7 +49,8 @@ import numpy as np
 
 from .dataset import Dataset, Schema
 from .marginals import MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
-from .privacy import PrivacyParams, add_noise_to_set, calibrate, synthesis_l1_bound
+from .privacy import (PrivacyParams, add_noise_to_set, calibrate, marginal_set_sensitivity,
+                      synthesis_l1_bound)
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
 DENSE_CELL_CAP = 1_000_000
@@ -61,8 +62,9 @@ _FIT_TOL = 1e-10
 # the least; the scan's peak allocation grows with the batch (0.57 MB at
 # 256, 9.8 MB at 16,384).
 _SCAN_BATCH = 256
-# Most entries of any array a brute path allocates over the whole domain:
-# 2e8 float64 entries are 1.6 GB.
+# Most entries of the queries x cells bin table, which every path reads, and
+# of any other array a brute path allocates over the whole domain: 2e8
+# float64 entries are 1.6 GB.
 _BRUTE_ENTRIES = 200_000_000
 
 
@@ -107,15 +109,15 @@ def _path(n: int, op: MarginalOperator, mode: str, cap: int,
     real data or reading the operator's arrays, which span the joint domain.
     The exhaustive path needs at most `cap` cells as well as candidates: for
     n >= 1 the candidate count implies it, and n = 0 is refused where n = 1 is.
-    Both brute paths read the operator's queries x cells `bin_maps`, so both
-    are refused when it holds more than _BRUTE_ENTRIES entries.
+    Every path reads the operator's queries x cells `bin_maps`, so every path
+    is refused when it holds more than _BRUTE_ENTRIES entries.
     """
     if n < 0:
         raise SynthesisError("n must be non-negative")
     cells = op.num_cells
+    table = len(op.num_bins) * cells
     if mode == "brute":
         if cells <= cap and math.comb(cells + n - 1, n) <= cap:
-            table = len(op.num_bins) * cells
             if table > _BRUTE_ENTRIES:
                 raise SynthesisError(f"bin table of {table} entries too large for the "
                                      "exhaustive path; use fitted mode")
@@ -131,6 +133,8 @@ def _path(n: int, op: MarginalOperator, mode: str, cap: int,
             raise SynthesisError("fitted mode needs a random generator")
         if cells > DENSE_CELL_CAP:
             raise SynthesisError(f"joint domain of {cells} cells exceeds dense-mode cap {DENSE_CELL_CAP}")
+        if table > _BRUTE_ENTRIES:
+            raise SynthesisError(f"bin table of {table} entries too large for the fitted path")
         return "fitted"
     raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
 
@@ -542,20 +546,20 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     op = MarginalOperator(schema, queries)
     _path(ds_real.n, op, mode, cap, rng)
-    calib = calibrate(m, d, privacy)
+    sigma = calibrate(m, d, privacy)
     joint = compute_marginal(ds_real, MarginalQuery(tuple(range(schema.num_attributes))))
     real = op.forward(joint)
-    nm = NoisyMarginalSet(op, add_noise_to_set(real, op.num_bins, calib.sigma, seed))
+    nm = NoisyMarginalSet(op, add_noise_to_set(real, op.num_bins, sigma, seed))
     ds_s, stats = synthesize(ds_real.n, nm, mode, rng=rng, cap=cap)
 
     # evaluation-only diagnostics, outside the mechanism boundary
     real_l1 = op.l1_to(stats["marginals"], real)
     norm_l1 = real_l1 / ds_real.n if ds_real.n else np.zeros(1)
 
-    l1_bound = synthesis_l1_bound(calib.sigma, d, m, schema.max_domain_size, privacy.lam)
+    l1_bound = synthesis_l1_bound(sigma, d, m, schema.max_domain_size, privacy.lam)
     report = GenReport(
-        n=ds_real.n, d=d, mode=mode, path=stats["path"], seed=seed, sigma=calib.sigma,
-        sensitivity=calib.sensitivity,
+        n=ds_real.n, d=d, mode=mode, path=stats["path"], seed=seed, sigma=sigma,
+        sensitivity=marginal_set_sensitivity(m, d),
         epsilon=privacy.epsilon,
         delta=privacy.delta,
         query_count=len(queries),

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, settings
 
 from margsyn.bounds import (DERIVATIVE_CERT, LN2, LOGISTIC_CURVATURE, MARGINAL_HOPS, POLY_HOPS,
                             UNIFORM_CERT, BoundError, BoundInputs, BoundReport, _require)
-from margsyn.dataset import Dataset, DomainError, ParseError, Schema, encode_xy
+from margsyn.dataset import Dataset, DomainError, ParseError, Schema
 from margsyn.evaluate import _weighted_auc
 from margsyn.learn import LinearModel, predict
 from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal
@@ -177,9 +177,16 @@ def weighted_auc_by_label(scores, labels) -> float:
     return _weighted_auc(scores, labels > 0, labels <= 0)
 
 
+def reference_encode_xy(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Features in [-1, 1] and +-1 labels of all n rows, encoded row by row."""
+    sizes = np.asarray(ds.schema.sizes, dtype=np.float64)
+    mat = 2.0 * ds.codes.astype(np.float64) / (sizes - 1.0) - 1.0
+    return mat[:, :-1], mat[:, -1]
+
+
 def reference_scores(model, ds: Dataset) -> dict:
     """Accuracy, ROC-AUC (None with one class) and empirical risk, row by row over all n rows."""
-    X, y = encode_xy(ds)
+    X, y = reference_encode_xy(ds)
     labels, scores = predict(model, X)
     auc = reference_roc_auc(scores, y) if len(set(y.tolist())) == 2 else None
     return {"accuracy": float(np.mean(labels == y)), "roc_auc": auc,
@@ -189,7 +196,7 @@ def reference_scores(model, ds: Dataset) -> dict:
 def reference_sgd(ds: Dataset, spec, iterations: int, batch_size: int,
                   learning_rate: float, rng: np.random.Generator) -> LinearModel:
     """Minibatch SGD without clipping or noise, sampling batches as `learn.dp_sgd` does."""
-    X, y = encode_xy(ds)
+    X, y = reference_encode_xy(ds)
     w = np.zeros(X.shape[1])
     for _ in range(iterations):
         idx = rng.integers(0, ds.n, size=batch_size)

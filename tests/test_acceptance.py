@@ -14,19 +14,21 @@ import pytest
 
 from margsyn import learn
 from margsyn.bounds import BoundInputs, excess_risk_bound
-from margsyn.dataset import Dataset, Schema, SplitSpec, encode_xy, split, write_csv
+from margsyn.dataset import Dataset, Schema, SplitSpec, split, write_csv
 from margsyn.demo import make_demo_dataset
 from margsyn.evaluate import empirical_risk
 from margsyn.experiment import ExperimentConfig, run_experiment
 from margsyn.learn import DpSgdConfig, LossSpec, TrainConfig, dp_sgd, train_projected
 from margsyn.marginals import compute_marginal, enumerate_queries
-from margsyn.polyapprox import (Interval, approx_report, bernstein, iterated_bernstein,
-                                logistic_loss, remez_minimax)
+from margsyn.polyapprox import Interval, approx_report, bernstein, iterated_bernstein, remez_minimax
 from margsyn.privacy import PrivacyParams, calibrate, synthesis_l1_bound
 from margsyn.synth import DistributionEstimate, brute_force_synth, sample_dataset, synthesize
 
-from conftest import (noisy_set_of, per_query, random_dataset, reference_l1_distance as l1_distance,
-                      reference_sgd as plain_sgd)
+from conftest import (noisy_set_of, per_query, random_dataset, reference_encode_xy as encode_xy,
+                      reference_l1_distance as l1_distance, reference_sgd as plain_sgd)
+
+logistic_loss = LossSpec.logistic().value
+
 
 def report_line(criterion: str, ok: bool, detail: str = "") -> None:
     state = "PASS" if ok else "FAIL"
@@ -137,11 +139,11 @@ def test_criterion_4_end_to_end_l1_coverage(three_binary_schema):
     real = random_dataset(three_binary_schema, 50, seed=404)
     queries = enumerate_queries(3, 2)
     exact = [(q, compute_marginal(real, q)) for q in queries]
-    calib = calibrate(3, 2, PrivacyParams(1.0, 1.0 / 50**2, lam=3.0))
-    bound = synthesis_l1_bound(calib.sigma, 2, 3, 2, 3.0)
+    sigma = calibrate(3, 2, PrivacyParams(1.0, 1.0 / 50**2, lam=3.0))
+    bound = synthesis_l1_bound(sigma, 2, 3, 2, 3.0)
     trials, violations = 500, 0
     for seed in range(trials):
-        nm = noisy_set_of(three_binary_schema, exact, calib.sigma, seed)
+        nm = noisy_set_of(three_binary_schema, exact, sigma, seed)
         ds_s, _ = synthesize(50, nm, "brute")
         worst = max(l1_distance(h, compute_marginal(ds_s, q)) for q, h in exact)
         violations += worst > bound
@@ -171,9 +173,9 @@ def test_criterion_5_measured_nu_bound_dominates(three_binary_schema):
     for d in (2, 3):
         queries = enumerate_queries(3, d)
         exact = [(q, compute_marginal(real, q)) for q in queries]
-        calib = calibrate(3, d, PrivacyParams(1.0, 1.0 / 200**2, lam=3.0))
+        sigma = calibrate(3, d, PrivacyParams(1.0, 1.0 / 200**2, lam=3.0))
         for seed in range(runs_per_d):
-            nm = noisy_set_of(three_binary_schema, exact, calib.sigma, seed)
+            nm = noisy_set_of(three_binary_schema, exact, sigma, seed)
             ds_s, _ = synthesize(200, nm, "brute")
             measured_nu = max(l1_distance(h, compute_marginal(ds_s, q)) for q, h in exact)
             for name, spec in losses.items():

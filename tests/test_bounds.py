@@ -104,8 +104,19 @@ class TestPrivateBound:
                 calibrate(m, d, privacy)
             return
         rep = private_excess_risk_bound(inputs)
-        calib = calibrate(m, d, privacy)
-        assert rep.terms["sigma"] == calib.sigma
+        assert rep.terms["sigma"] == calibrate(m, d, privacy)
+
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, 1e-3, 1.0, 9.0, 20.0, math.inf])
+    @pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-6, 0.5, 1.0])
+    def test_refuses_exactly_the_budgets_the_mechanism_refuses(self, eps, delta):
+        inputs = BoundInputs(n=1000, m=4, d=2, tau=0.5, l=2, lam=3.0, epsilon=eps, delta=delta)
+        try:
+            sigma = calibrate(4, 2, PrivacyParams(eps, delta))
+        except ValueError:
+            with pytest.raises(ValueError):
+                private_excess_risk_bound(inputs)
+        else:
+            assert private_excess_risk_bound(inputs).terms["sigma"] == sigma
 
     def test_monotone_in_inverse_epsilon(self):
         totals = [private_excess_risk_bound(

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from margsyn import dataset
 from margsyn.dataset import (Dataset, DomainError, ParseError,
                              PreprocessRule, RawTable, Schema, SchemaError,
-                             SplitSpec, encode, encode_xy, load_csv, load_raw_csv,
+                             SplitSpec, encode_weighted, load_csv, load_raw_csv,
                              preprocess, split, write_csv)
 
 from conftest import random_dataset, reference_load_csv, reference_row_multiset
@@ -268,30 +268,30 @@ class TestEncoding:
     def test_binary_maps_to_plus_minus_one(self):
         schema = Schema(("a", "label"), (2, 2))
         ds = Dataset(schema, np.array([[0, 0], [1, 1]]))
-        mat = encode(ds)
-        assert mat.tolist() == [[-1.0, -1.0], [1.0, 1.0]]
+        X, y, _ = encode_weighted(ds)
+        assert np.column_stack([X, y]).tolist() == [[-1.0, -1.0], [1.0, 1.0]]
 
     def test_three_level_midpoint(self):
         schema = Schema(("a", "label"), (3, 2))
         ds = Dataset(schema, np.array([[0, 0], [1, 0], [2, 1]]))
-        assert encode(ds)[:, 0].tolist() == [-1.0, 0.0, 1.0]
+        assert encode_weighted(ds)[0][:, 0].tolist() == [-1.0, 0.0, 1.0]
 
     def test_label_map(self, two_binary_rows):
-        _, y = encode_xy(two_binary_rows)
+        _, y, _ = encode_weighted(two_binary_rows)
         assert set(y.tolist()) == {-1.0, 1.0}
 
     @given(st.integers(2, 12))
     def test_order_preserving(self, size):
         schema = Schema(("a", "label"), (size, 2))
         codes = np.stack([np.arange(size), np.zeros(size, dtype=np.int64)], axis=1)
-        vals = encode(Dataset(schema, codes))[:, 0].tolist()
+        vals = encode_weighted(Dataset(schema, codes))[0][:, 0].tolist()
         assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:]))
         assert vals[0] == -1.0 and vals[-1] == 1.0
 
     @given(st.integers(1, 50), st.integers(0, 2**31 - 1))
     def test_encode_range(self, n, seed):
         schema = Schema(("a", "b", "label"), (4, 7, 2))
-        X, y = encode_xy(random_dataset(schema, n, seed))
+        X, y, _ = encode_weighted(random_dataset(schema, n, seed))
         assert np.all(X >= -1.0) and np.all(X <= 1.0)
         assert np.all(np.isin(y, (-1.0, 1.0)))
 

@@ -1,12 +1,14 @@
 """Static checks that keep code the program does not use out of `src/margsyn`.
 
-Two rules over the source, read with `ast`:
+Three rules over the source, read with `ast`:
 
 - Each public module-level function or class of `src/margsyn`, and each
   public method or property of its classes, is named somewhere in `src/` or
   `perfbench/` outside its own definition.  Tests do not count: code that
   only tests call belongs in the tests (`tests/conftest.py` holds the
   references they compare against).
+- So is each private module-level function, class and constant, so that a
+  second implementation that loses its last caller fails too.
 - Every name that a `src/margsyn` module imports is used in that module.
 
 A name counts where it is read (`f`, `x.f`) or imported; strings, such as
@@ -107,17 +109,46 @@ def public_definitions():
                         yield f"{path.stem}.{node.name}.{member.name}", node.name, member
 
 
-def test_every_public_name_is_used_by_the_program():
+def private_definitions():
+    """(qualified name, defined name, node) of each private module-level function, class or constant."""
+    for path in PACKAGE:
+        for node in TREES[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield f"{path.stem}.{name}", name, node
+
+
+def unused(definitions) -> list[str]:
+    """Qualified names of the (qualified name, defined name, owner, node) definitions
+    that are named nowhere outside their own definition."""
     uses = references()
-    unused = []
-    for qualname, owner, node in public_definitions():
+    found = []
+    for qualname, defined, owner, node in definitions:
         own = {id(n) for n in ast.walk(node)}
-        if not any(name == node.name and id(at) not in own and receiver in (None, owner)
+        if not any(name == defined and id(at) not in own and receiver in (None, owner)
                    and (owner is None or isinstance(at, ast.Attribute))
                    for name, receiver, at in uses):
-            unused.append(qualname)
-    assert unused == [], ("named nowhere in src/ or perfbench/ outside its own definition; "
-                          f"delete it, or move it into tests/conftest.py if a test needs it: {unused}")
+            found.append(qualname)
+    return found
+
+
+def test_every_public_name_is_used_by_the_program():
+    names = unused((qualname, node.name, owner, node) for qualname, owner, node in public_definitions())
+    assert names == [], ("named nowhere in src/ or perfbench/ outside its own definition; "
+                         f"delete it, or move it into tests/conftest.py if a test needs it: {names}")
+
+
+def test_every_private_module_name_is_used_by_the_program():
+    names = unused((qualname, name, None, node) for qualname, name, node in private_definitions())
+    assert names == [], ("named nowhere in src/ or perfbench/ outside its own definition; "
+                         f"delete it, or move it into tests/conftest.py if a test needs it: {names}")
 
 
 def imported_names(tree: ast.Module):

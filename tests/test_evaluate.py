@@ -18,7 +18,7 @@ def model_with(w, tau=math.inf, loss=None):
 
 
 def _predictions_and_labels(model, ds):
-    from margsyn.dataset import encode_xy
+    from conftest import reference_encode_xy as encode_xy
     from margsyn.learn import predict
     X, y = encode_xy(ds)
     labels, _ = predict(model, X)
@@ -130,7 +130,7 @@ class TestEmpiricalRisk:
 def test_roc_auc_model_consistent(three_binary_schema):
     ds = random_dataset(three_binary_schema, 50, seed=8)
     model = model_with([0.5, -0.2, 0.9])
-    from margsyn.dataset import encode_xy
+    from conftest import reference_encode_xy as encode_xy
     from margsyn.learn import predict
     X, y = encode_xy(ds)
     _, scores = predict(model, X)

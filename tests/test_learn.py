@@ -1,17 +1,19 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from margsyn import learn
-from margsyn.dataset import Dataset, Schema, encode_xy
+from margsyn.dataset import Dataset, Schema
+from margsyn.demo import make_demo_dataset
 from margsyn.learn import (DpSgdConfig, LinearModel, LossError, LossSpec, TrainConfig,
                            clip_rows, dp_sgd, dp_sgd_sigma_sq, gamma_margin_loss,
                            load_model, predict, save_model, train_projected)
 
-from conftest import random_dataset, reference_sgd
+from conftest import random_dataset, reference_encode_xy as encode_xy, reference_sgd
 
 LN2 = math.log(2.0)
 
@@ -220,6 +222,20 @@ class TestDpSgd:
         a = dp_sgd(ds, spec, cfg, np.random.default_rng(99))
         b = reference_sgd(ds, spec, 60, 20, 0.5, np.random.default_rng(99))
         assert np.array_equal(a.w, b.w)
+
+    def test_encodes_only_the_rows_it_draws(self):
+        # 10 binary features + label, n = 200,000: encoding every row would
+        # allocate 17.6 MB of floats, one batch of 100 rows 8.8 kB
+        ds = make_demo_dataset(m=10, n=200_000, seed=1)
+        cfg = DpSgdConfig(iterations=50, batch_size=100, learning_rate=1.0,
+                          clip_norm=1.0, lipschitz_L=1.0, epsilon=1.0, delta=1e-5)
+        tracemalloc.start()
+        try:
+            dp_sgd(ds, LossSpec.logistic(), cfg, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_sigma_override_key_is_gone(self):
         with pytest.raises(TypeError):

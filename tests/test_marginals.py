@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from margsyn.dataset import Dataset, Schema, encode_xy
+from margsyn.dataset import Dataset, Schema
 from margsyn.marginals import (MarginalOperator, MarginalQuery, QueryError, compute_marginal,
                                enumerate_queries, query_count, save_marginals)
 
 from conftest import (cell_counts, dense_marginal_matrix, random_dataset, reference_bin_maps,
-                      reference_l1_distance, reference_spectrum)
+                      reference_encode_xy as encode_xy, reference_l1_distance, reference_spectrum)
 
 
 class TestEnumerate:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from margsyn.learn import LossSpec
 from margsyn.polyapprox import (ApproxError, Interval, Polynomial, approx_report,
-                                bernstein, iterated_bernstein, logistic_loss,
-                                remez_minimax)
+                                bernstein, iterated_bernstein, remez_minimax)
+
+logistic_loss = LossSpec.logistic().value
 
 
 def de_casteljau(fvals, iv, x):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from margsyn.demo import make_demo_dataset
 from margsyn.experiment import ExperimentConfig, run_experiment
 from margsyn.marginals import (MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries,
                                query_count)
-from margsyn.privacy import (NoiseCalibration, PrivacyParams, add_noise_to_set, calibrate,
-                             gaussian_sigma, marginal_set_sensitivity, synthesis_l1_bound)
+from margsyn.privacy import (PrivacyParams, add_noise_to_set, calibrate, gaussian_sigma,
+                             marginal_set_sensitivity, synthesis_l1_bound)
 
 from conftest import cell_counts, random_dataset, reference_add_noise_to_set, reference_gaussian_delta
+from test_operator_owner import call_scopes
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "margsyn"
 
 
 def release_gap(a: Dataset, b: Dataset, d: int) -> np.ndarray:
@@ -77,7 +81,7 @@ class TestGaussianSigma:
         # 2 sqrt(|Q| ln(1.25/delta)) / eps
         if d > m + 1:
             return
-        got = calibrate(m, d, PrivacyParams(eps, delta)).sigma
+        got = calibrate(m, d, PrivacyParams(eps, delta))
         want = 2.0 * math.sqrt(query_count(m, d) * math.log(1.25 / delta)) / eps
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -187,7 +191,7 @@ class TestRelease:
         v = neighbour - base
         norm = math.sqrt(v @ v)
         assert norm == math.sqrt(30.0)
-        sigma = calibrate(4, 2, PrivacyParams(1.0, 1e-6)).sigma
+        sigma = calibrate(4, 2, PrivacyParams(1.0, 1e-6))
         k = 2000
         # each check fails a correct mechanism with probability 7e-6 (|z| > 4.5;
         # the variance by the normal approximation of chi^2 with k - 1 dof)
@@ -203,8 +207,8 @@ class TestPrivacyParams:
     def test_epsilon_above_one_needs_no_flag(self):
         # allow_large_epsilon is accepted and ignored: the exact-delta test in
         # gaussian_sigma is the one budget rule
-        sigma = calibrate(4, 2, PrivacyParams(2.0, 1e-6)).sigma
-        assert sigma == calibrate(4, 2, PrivacyParams(2.0, 1e-6, allow_large_epsilon=True)).sigma
+        sigma = calibrate(4, 2, PrivacyParams(2.0, 1e-6))
+        assert sigma == calibrate(4, 2, PrivacyParams(2.0, 1e-6, allow_large_epsilon=True))
 
     def test_other_validation(self):
         with pytest.raises(ValueError):
@@ -316,20 +320,26 @@ def test_noisy_vs_real_coverage(three_binary_schema):
     ds = random_dataset(three_binary_schema, 50, seed=123)
     op = MarginalOperator(three_binary_schema, enumerate_queries(3, 2))
     exact = np.concatenate([compute_marginal(ds, q) for q in op.queries])
-    calib = calibrate(3, 2, PrivacyParams(1.0, 1 / 50**2, lam=3.0))
-    bound = synthesis_l1_bound(calib.sigma, 2, 3, 2, 3.0)
+    sigma = calibrate(3, 2, PrivacyParams(1.0, 1 / 50**2, lam=3.0))
+    bound = synthesis_l1_bound(sigma, 2, 3, 2, 3.0)
     trials, violations = 1000, 0
     for seed in range(trials):
-        noisy = add_noise_to_set(exact, op.num_bins, calib.sigma, seed)
+        noisy = add_noise_to_set(exact, op.num_bins, sigma, seed)
         worst = op.l1_to(noisy, exact).max()
         violations += worst > bound
     slack = 2.326 * math.sqrt(0.125 * 0.875 / trials)  # 99% binomial upper bound
     assert violations / trials <= 0.125 + slack
 
 
+def test_sigma_has_one_derivation():
+    # the mechanism and the private bounds both take sigma from calibrate,
+    # so a new derivation of sigma lands there
+    found = {path.name: call_scopes(path.read_text(), "gaussian_sigma") for path in PACKAGE.glob("*.py")}
+    assert {name: scopes for name, scopes in found.items() if scopes} == {"privacy.py": ["calibrate"]}
+
+
 def test_calibration_is_recomputable():
-    calib = calibrate(4, 2, PrivacyParams(0.5, 1e-6))
-    assert isinstance(calib, NoiseCalibration)
-    assert calib.sigma == pytest.approx(
-        gaussian_sigma(0.5, 1e-6, calib.sensitivity), rel=1e-15)
-    assert calib.sensitivity == marginal_set_sensitivity(4, 2)
+    sigma = calibrate(4, 2, PrivacyParams(0.5, 1e-6))
+    assert isinstance(sigma, float)
+    assert sigma == pytest.approx(
+        gaussian_sigma(0.5, 1e-6, marginal_set_sensitivity(4, 2)), rel=1e-15)

@@ -9,21 +9,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from margsyn.dataset import Dataset, Schema, encode_xy, write_csv
+from margsyn.dataset import Dataset, Schema, write_csv
 from margsyn.demo import make_demo_dataset
 from margsyn.evaluate import accuracy, empirical_risk
 from margsyn.learn import LossSpec, TrainConfig, train_projected
 from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
-from margsyn.privacy import (NoiseCalibration, PrivacyParams, add_noise_to_set, calibrate,
-                             marginal_set_sensitivity)
+from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate, marginal_set_sensitivity
 from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, SynthesisError,
                            _descend, _largest_remainder_round, _simplex_projector, brute_force_synth,
                            fit_distribution, generate_synthetic, sample_dataset, synthesize)
 
 from conftest import (cell_counts, dense_marginal_matrix, noisy_set_of, per_query, random_dataset,
-                      reference_counts_to_rows, reference_exhaustive_counts, reference_greedy_counts,
-                      reference_l1_distance, reference_fit, reference_project_simplex,
-                      reference_row_multiset)
+                      reference_counts_to_rows, reference_encode_xy as encode_xy,
+                      reference_exhaustive_counts, reference_greedy_counts, reference_l1_distance,
+                      reference_fit, reference_project_simplex, reference_row_multiset)
 
 
 def noisy_set_from(ds: Dataset, d: int, sigma: float, seed: int) -> NoisyMarginalSet:
@@ -419,7 +418,7 @@ def reference_fista_trace(nm: NoisyMarginalSet, n: float, iters: int, tol: float
 def demo_d3_set(seed: int) -> tuple[NoisyMarginalSet, int]:
     """6 binary features + label (128 cells), n=2000, all 63 queries of order <= 3, eps=1."""
     real = make_demo_dataset(m=6, n=2000, seed=seed)
-    sigma = calibrate(6, 3, PrivacyParams(1.0, 1.0 / real.n**2)).sigma
+    sigma = calibrate(6, 3, PrivacyParams(1.0, 1.0 / real.n**2))
     return noisy_set_from(real, 3, sigma, seed), real.n
 
 
@@ -821,7 +820,7 @@ class TestMechanism:
         with pytest.raises(ValueError, match="exact delta"):
             calibrate(3, 2, privacy)
         sens = marginal_set_sensitivity(3, 2)
-        tiny = NoiseCalibration(sens * math.sqrt(2.0 * math.log(1.25 / 0.5)) / 1000.0, sens)
+        tiny = sens * math.sqrt(2.0 * math.log(1.25 / 0.5)) / 1000.0
         monkeypatch.setattr(synth, "calibrate", lambda m, d, p: tiny)
         flags = []
         for seed in range(5):
@@ -930,8 +929,8 @@ class TestMechanism:
         real = random_dataset(three_binary_schema, 3, seed=7)
         privacy = PrivacyParams(0.7, 1e-4, lam=2.0)
         _, report = generate_synthetic(real, 2, privacy, mode=mode, seed=5, cap=cap)
-        calib = calibrate(three_binary_schema.num_features, 2, privacy)
-        assert report.sigma == calib.sigma and report.sensitivity == calib.sensitivity
+        assert report.sigma == calibrate(three_binary_schema.num_features, 2, privacy)
+        assert report.sensitivity == marginal_set_sensitivity(three_binary_schema.num_features, 2)
         assert (report.epsilon, report.delta, report.lam) == (0.7, 1e-4, 2.0)
 
     @pytest.mark.parametrize("sizes, n", [((2, 2, 2, 2), 0), ((2, 2, 2, 2), 1), ((3, 2, 4, 2), 57),
@@ -1004,6 +1003,22 @@ class TestMechanism:
         finally:
             tracemalloc.stop()
         assert peak < math.prod(schema.sizes)  # an eighth of one float64 vector over the cells
+
+    @pytest.mark.parametrize("m, d, entries", [(16, 4, 421_134_336), (18, 3, 607_649_792)])
+    def test_a_bin_table_too_large_is_refused_on_the_fitted_path(self, m, d, entries):
+        # within the dense cap, but forward and adjoint read the queries x cells
+        # bin table: 3213 x 131,072 entries (3.1 GiB) at m=16, 1159 x 524,288 (4.5 GiB) at m=18
+        schema = make_demo_dataset(m=m, n=1, seed=0).schema
+        real = Dataset(schema, np.zeros((5, m + 1), dtype=np.int64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SynthesisError, match=f"^bin table of {entries} entries too large "
+                                                     "for the fitted path$"):
+                generate_synthetic(real, d, PrivacyParams(1.0, 1e-6), mode="fitted")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * math.prod(schema.sizes)  # one float64 vector over the cells
 
     @pytest.mark.parametrize("m", [63, 70])
     @pytest.mark.parametrize("mode, message", [

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from margsyn import evaluate, learn
-from margsyn.dataset import Dataset, Schema, encode_xy
+from margsyn.dataset import Dataset, Schema
 from margsyn.demo import make_demo_dataset
 from margsyn.evaluate import accuracy, empirical_risk, roc_auc_model
 from margsyn.learn import LinearModel, LossSpec, TrainConfig, train_projected
 from margsyn.marginals import MarginalQuery, compute_marginal, enumerate_queries
 
-from conftest import reference_risk_and_grad, reference_row_multiset, reference_scores
+from conftest import (reference_encode_xy as encode_xy, reference_risk_and_grad, reference_row_multiset,
+                      reference_scores)
 
 WIDE = Schema(tuple(f"f{j}" for j in range(70)) + ("label",), (2,) * 71)  # 2^71 cells
 
