@@ -2,7 +2,8 @@
 
 Subcommands: prep, demo, synth, train, dpsgd, eval, bound, approx, pipeline.
 All file formats are CSV (data, result tables) or JSON (schemas, configs,
-models, reports).
+models, reports).  A refused input (a `ValueError`) prints one line,
+`margsyn <command>: error: <message>`, on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _cmd_bound(args) -> int:
         elif family in ("private-lipschitz", "private-logistic"):
             report = bounds_mod.private_excess_risk_bound(inputs, family.split("-")[1], mode)
         else:
-            raise SystemExit(f"unknown bound family {family!r}")
+            raise bounds_mod.BoundError(f"unknown bound family {family!r}")
         doc = dataclasses.asdict(report)
     if args.out:
         _write_json(doc, args.out)
@@ -148,9 +149,7 @@ _APPROX_FUNCTIONS = {
 
 
 def _cmd_approx(args) -> int:
-    f = _APPROX_FUNCTIONS.get(args.function)
-    if f is None:
-        raise SystemExit(f"unknown function {args.function!r}; choices: {sorted(_APPROX_FUNCTIONS)}")
+    f = _APPROX_FUNCTIONS[args.function]
     iv = Interval(args.a, args.b)
     rows = []
     polys = [("bernstein", bernstein(f, args.degree, iv))]
@@ -256,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("approx", help="polynomial approximation table (CSV)")
-    p.add_argument("--function", default="logistic-loss")
+    p.add_argument("--function", choices=sorted(_APPROX_FUNCTIONS), default="logistic-loss")
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--a", type=float, default=-5.0)
     p.add_argument("--b", type=float, default=5.0)
@@ -273,7 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # the base of every refusal the package raises
+        print(f"margsyn {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

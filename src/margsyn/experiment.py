@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import Dataset, Schema, SplitSpec, _write_json, load_csv, split
 from .evaluate import accuracy, empirical_risk, roc_auc_model
-from .learn import LossSpec, TrainConfig, train_projected
+from .learn import LossError, LossSpec, TrainConfig, train_projected
 from .privacy import PrivacyParams
 from .synth import generate_synthetic
 
@@ -137,11 +137,17 @@ def _aggregate(rows: list[dict], eps: float) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the sweep: runs.csv, aggregates.csv, reports/ and each failed cell's traceback in failures/."""
+    """Run the sweep: runs.csv, aggregates.csv, reports/ and each failed cell's traceback in failures/.
+
+    A gamma_margin loss, defined on margins in [-1, 1], is refused first if tau * sqrt(m) > 1."""
+    schema = Schema.from_file(cfg.schema_path)
+    loss = LossSpec.from_dict(cfg.loss)
+    if loss.kind == "gamma_margin" and not cfg.tau * math.sqrt(schema.num_features) <= 1.0:
+        raise LossError(f"gamma_margin loss needs tau * sqrt(m) <= 1, got tau = {cfg.tau} "
+                        f"at m = {schema.num_features}")
+    ds = load_csv(cfg.data_path, schema)
     out = Path(cfg.out_dir)
     (out / "reports").mkdir(parents=True, exist_ok=True)
-    schema = Schema.from_file(cfg.schema_path)
-    ds = load_csv(cfg.data_path, schema)
 
     # repeat-major, so one repeat's split is alive at a time; rows are
     # collected per epsilon and written epsilon-major
@@ -151,7 +157,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         try:
             train, test = split(ds, SplitSpec(cfg.train_fraction, split_seed))
             cell_cfg = cfg if cfg.delta is not None else replace(cfg, delta=1.0 / train.n**2)
-            loss = LossSpec.from_dict(cfg.loss)
             real, real_risk = _fit_and_score(train, train, test, loss, cfg, "real")
             real.update(n_train=train.n, n_test=test.n)
             real_error = None

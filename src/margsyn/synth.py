@@ -7,13 +7,13 @@ Two strategies stand behind one entry point:
             the multiset and cell counts fit the configured cap (candidates
             scored a fixed batch at a time, one bincount per batch), otherwise a
             deterministic greedy descent over single-row reassignments
-            minimizing the same objective, from one start: the
-            largest-remainder rounding of n times the "fitted" path's dense
-            joint, so the descent begins near the noisy marginals and no
-            generator is needed.  Each greedy step scores only
-            the moves that can lower the query w at the maximum: the
-            occupied source cells I and the destination cells J whose
-            w-bins have a table entry below the stop threshold, so a step's
+            minimizing the same objective, from one start: the "fitted"
+            path's output, so the descent begins near the noisy marginals
+            and mode "brute" above the cap is exactly "fitted", then the
+            descent.  Each greedy step scores only the moves that can
+            lower the query w at the maximum: the occupied source cells I
+            and the destination cells J whose w-bins have a table entry
+            below the stop threshold, so a step's
             matrices are |I| x |J|, never larger than cells x cells.  Every
             move outside I x J scores at least that threshold and a
             same-cell move scores the maximum itself, so the chosen move,
@@ -27,15 +27,16 @@ Two strategies stand behind one entry point:
             simplex with restart, computed in the eigenbasis of the
             operator's A^T A: two operator applications per fit, two small
             Kronecker transforms per iteration, an exact step, stopping on
-            a relative-decrease test), then cumulative rounding of n times the
-            fitted joint over the row-major cells with one uniform offset:
-            counts summing to n, each unbiased and within one of n*p, every
-            prefix group within less than one row of its mass.
+            a relative-decrease test), then the largest-remainder rounding
+            of n times the fitted joint (`sample_dataset`): counts summing
+            to n, each the floor or the ceiling of n*p.
 
-Each path outputs an int64 count per joint cell; only `synthesize` turns
-them into marginals and a dataset.  That dataset holds the counts
-(`Dataset.from_counts`) and builds rows only when they are read.
-`synthesize` sees only the noisy marginals, the target size and the
+No path draws a random number: the output is a deterministic function of
+the noisy marginals, n and the cap, so the only randomness of the
+mechanism is its noise.  Each path outputs an int64 count per joint cell;
+only `synthesize` turns them into marginals and a dataset.  That dataset
+holds the counts (`Dataset.from_counts`) and builds rows only when they are
+read.  `synthesize` sees only the noisy marginals, the target size and the
 schema; diagnostics against the real data are made outside it.
 """
 
@@ -100,8 +101,7 @@ class NoisyMarginalSet:
         object.__setattr__(self, "target", target)
 
 
-def _path(n: int, op: MarginalOperator, mode: str, cap: int,
-          rng: np.random.Generator | None) -> str:
+def _path(n: int, op: MarginalOperator, mode: str, cap: int) -> str:
     """The path `synthesize` runs for n rows and the queries of `op`, or the
     SynthesisError that refuses the request: the one size and mode check.
 
@@ -129,8 +129,6 @@ def _path(n: int, op: MarginalOperator, mode: str, cap: int,
             raise SynthesisError("joint domain too large for the greedy path; use fitted mode")
         return "greedy"
     if mode == "fitted":
-        if rng is None:
-            raise SynthesisError("fitted mode needs a random generator")
         if cells > DENSE_CELL_CAP:
             raise SynthesisError(f"joint domain of {cells} cells exceeds dense-mode cap {DENSE_CELL_CAP}")
         if table > _BRUTE_ENTRIES:
@@ -176,24 +174,11 @@ def brute_force_synth(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     return np.bincount(best_cells, minlength=cells)
 
 
-def _largest_remainder_round(probs: np.ndarray, n: int) -> np.ndarray:
-    """Integer counts summing to n, each within one of mu = n * probs / sum(probs),
-    for non-negative probs with a positive sum; ties in the remainders go to
-    the first cells."""
-    mu = probs * (n / probs.sum())
-    floors = np.floor(mu).astype(np.int64)
-    r = n - int(floors.sum())
-    if r > 0:
-        extra = np.argsort(floors - mu, kind="stable")[:r]
-        floors[extra] += 1
-    return floors
-
-
 def _descend(counts: np.ndarray, nm: NoisyMarginalSet) -> tuple[np.ndarray, np.ndarray]:
     """One-row-move descent on the max-l1 objective from `counts` (updated in
     place): the final counts and every query's final l1 to the noisy marginals.
-    `synthesize` starts it from the rounded dense fit; `_path` has checked
-    that a step's arrays fit.
+    `synthesize` starts it from the rounded dense fit (`sample_dataset`);
+    `_path` has checked that a step's arrays fit.
 
     Each step moves one row from cell i to cell j, at the pair minimizing
     cand[i, j] = max_q m_q[i, j], the max-l1 after the move: m_q[i, j] is
@@ -414,23 +399,27 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> Distr
 
 
 # ---------------------------------------------------------------------------
-# Sampling
+# Rounding
 
 
-def sample_dataset(dist: DistributionEstimate, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Int64 cell counts of a size-n draw by cumulative (systematic) rounding of n*p.
+def sample_dataset(dist: DistributionEstimate, n: int) -> np.ndarray:
+    """Int64 cell counts of size n: the largest-remainder rounding of n*p, the
+    program's one rounding (the fitted output and the greedy descent's start).
 
-    With C the cumulative sum of the clipped probabilities over the row-major
-    cells, normalized to end at 1, and one uniform u in [0, 1), cell c
-    receives floor(u + n*C_c) - floor(u + n*C_{c-1}) rows.  So there are
-    exactly n rows, each cell count is floor(mu_c) or floor(mu_c)+1 and
-    unbiased for mu_c = n*p_c, zero-probability cells stay empty, and every
-    row-major prefix group (fixed leading attributes, a contiguous block of
-    cells) is within strictly less than one row of its expected mass.
+    With p the clipped probabilities and mu = n * p / sum(p), every cell gets
+    floor(mu) and the n - sum(floor(mu)) cells of largest remainder one more,
+    ties to the first cells (a stable sort): exactly n rows, each count
+    floor(mu) or floor(mu) + 1, zero-probability cells empty.  The name is the
+    benchmark tracer's site for this stage; it changes with the benchmark.
     """
-    cum = np.cumsum(np.maximum(dist.probs, 0.0))
-    edges = np.floor(rng.random() + n * (cum / cum[-1])).astype(np.int64)
-    return np.diff(edges, prepend=0)
+    probs = np.maximum(dist.probs, 0.0)
+    mu = probs * (n / probs.sum())
+    floors = np.floor(mu).astype(np.int64)
+    r = n - int(floors.sum())
+    if r > 0:
+        extra = np.argsort(floors - mu, kind="stable")[:r]
+        floors[extra] += 1
+    return floors
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +427,14 @@ def sample_dataset(dist: DistributionEstimate, n: int, rng: np.random.Generator)
 
 
 def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
-               rng: np.random.Generator | None = None,
                cap: int = DEFAULT_CANDIDATE_CAP) -> tuple[Dataset, dict]:
     """Build a size-n dataset from noisy marginals only (no access to real data).
 
-    mode "brute" uses exhaustive search when the candidate count and the
-    cell count fit `cap`, and otherwise the one-row-move descent (`_descend`)
-    from the largest-remainder rounding of n times the dense fit, which needs
-    no generator; mode "fitted" samples from the dense fit (requires rng).
+    mode "fitted" returns `sample_dataset`, the largest-remainder rounding of
+    n times the dense fit.  mode "brute" uses exhaustive search when the
+    candidate count and the cell count fit `cap`, and otherwise runs the
+    one-row-move descent (`_descend`) from that same rounding.  No path draws
+    a random number, so the output is a function of n, `nm`, mode and cap.
     `_path` is the one check of the request.  The stats hold the
     path that ran ("path": "exhaustive", "greedy" or "fitted"), the output's
     marginals in the layout of `nm.operator` ("marginals"), the max and
@@ -456,17 +445,16 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     dataset both come from the path's cell counts; the dataset holds them
     and builds no rows.
     """
-    path = _path(n, nm.operator, mode, cap, rng)
+    path = _path(n, nm.operator, mode, cap)
     fit = {"fit_iterations": 0, "fit_converged": None}
     if path == "exhaustive":
         counts = brute_force_synth(n, nm)
     else:
         dist = fit_distribution(nm, n=n)
         fit = {"fit_iterations": len(dist.objective_trace) - 1, "fit_converged": dist.converged}
+        counts = sample_dataset(dist, n)
         if path == "greedy":
-            counts, _ = _descend(_largest_remainder_round(dist.probs, n), nm)
-        else:
-            counts = sample_dataset(dist, n, rng)
+            counts, _ = _descend(counts, nm)
 
     marginals = nm.operator.forward(counts)
     dists = nm.operator.l1_to(marginals, nm.target)
@@ -530,7 +518,8 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     `forward` of those counts gives every real marginal: sums of whole
     numbers, so the same floats as counting each query on its own.  The noise
     is drawn into that one vector (`add_noise_to_set`), and the noisy set
-    holds it on the same operator.
+    holds it on the same operator.  Synthesis draws nothing, so `seed` seeds
+    only the noise.
     sigma is always the Gaussian-mechanism calibration of `privacy`, so the
     report's epsilon and delta are those of the noise actually added.  (To
     synthesize from given marginals `counts` in the operator's layout, with
@@ -541,16 +530,13 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     schema = ds_real.schema
     m = schema.num_features
     queries = enumerate_queries(m, d)
-    # a spawned child stream: the noise generators default_rng([seed, idx])
-    # never share its state, so sampling is independent of the noise
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     op = MarginalOperator(schema, queries)
-    _path(ds_real.n, op, mode, cap, rng)
+    _path(ds_real.n, op, mode, cap)
     sigma = calibrate(m, d, privacy)
     joint = compute_marginal(ds_real, MarginalQuery(tuple(range(schema.num_attributes))))
     real = op.forward(joint)
     nm = NoisyMarginalSet(op, add_noise_to_set(real, op.num_bins, sigma, seed))
-    ds_s, stats = synthesize(ds_real.n, nm, mode, rng=rng, cap=cap)
+    ds_s, stats = synthesize(ds_real.n, nm, mode, cap=cap)
 
     # evaluation-only diagnostics, outside the mechanism boundary
     real_l1 = op.l1_to(stats["marginals"], real)

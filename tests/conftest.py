@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -10,12 +11,13 @@ from hypothesis import HealthCheck, settings
 
 from margsyn.bounds import (DERIVATIVE_CERT, LN2, LOGISTIC_CURVATURE, MARGINAL_HOPS, POLY_HOPS,
                             UNIFORM_CERT, BoundError, BoundInputs, BoundReport, _require)
+from margsyn.cli import main
 from margsyn.dataset import Dataset, DomainError, ParseError, Schema
 from margsyn.evaluate import _weighted_auc
 from margsyn.learn import LinearModel, predict
 from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal
 from margsyn.privacy import add_noise_to_set
-from margsyn.synth import NoisyMarginalSet, _largest_remainder_round, fit_distribution
+from margsyn.synth import NoisyMarginalSet, fit_distribution, sample_dataset
 
 settings.register_profile(
     "ci",
@@ -24,6 +26,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+def assert_refused(capsys, argv: list[str], match: str) -> None:
+    """The CLI refuses argv at its error boundary: exit status 2 and one
+    `margsyn <command>: error: <message>` line on stderr, the message
+    matching the regex `match`."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"margsyn {argv[0]}: error: [^\n]*\n", err), err
+    assert re.search(match, err), err
 
 
 @pytest.fixture
@@ -318,7 +330,7 @@ def reference_greedy_counts(n: int, nm) -> tuple[np.ndarray, np.ndarray]:
     bin_maps = op.bin_maps
     eq_masks = [bm[:, None] == bm[None, :] for bm in bin_maps]
     max_steps = 200 + 40 * n
-    counts = _largest_remainder_round(fit_distribution(nm, n).probs, n).astype(np.float64)
+    counts = sample_dataset(fit_distribution(nm, n), n).astype(np.float64)
     resid = np.split(nm.target - op.forward(counts), op.offsets[1:])
     l1 = np.array([np.abs(r).sum() for r in resid])
     for _ in range(max_steps):

@@ -6,10 +6,9 @@ from hypothesis import given, strategies as st
 
 from margsyn.bounds import (BoundError, BoundInputs, excess_risk_bound, hard_instance_schedule,
                             private_excess_risk_bound)
-from margsyn.cli import main
 from margsyn.privacy import PrivacyParams, calibrate
 
-from conftest import reference_lipschitz_bound, reference_logistic_bound
+from conftest import assert_refused, reference_lipschitz_bound, reference_logistic_bound
 
 LN2 = math.log(2.0)
 
@@ -184,12 +183,12 @@ def test_unknown_loss_or_mode_raises_at_zero_budget(loss, mode):
                                   loss, mode)
 
 
-def test_bound_command_refuses_an_unknown_mode_at_zero_budget(tmp_path):
+def test_bound_command_refuses_an_unknown_mode_at_zero_budget(tmp_path, capsys):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"family": "logistic", "mode": "bogus", "n": 100, "m": 4, "d": 3,
                                   "tau": 0.0, "nu": 1.0}))
-    with pytest.raises(BoundError, match="unknown constants mode 'bogus'"):
-        main(["bound", "--params", str(params), "--out", str(tmp_path / "bound.json")])
+    assert_refused(capsys, ["bound", "--params", str(params), "--out", str(tmp_path / "bound.json")],
+                   "unknown constants mode 'bogus'")
     assert not (tmp_path / "bound.json").exists()
 
 

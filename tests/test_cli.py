@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from margsyn import cli
-from margsyn.bounds import BoundError
 from margsyn.cli import build_parser, main
 from margsyn.dataset import Schema, load_csv, split, write_csv
 from margsyn.demo import make_demo_dataset
@@ -18,6 +17,8 @@ from margsyn.evaluate import empirical_risk
 from margsyn.experiment import ExperimentConfig, run_experiment
 from margsyn.learn import LinearModel, LossSpec, save_model, train_projected
 from margsyn.marginals import compute_marginal, enumerate_queries
+
+from conftest import assert_refused
 
 
 @pytest.fixture
@@ -116,13 +117,12 @@ def test_synth_marginals_out_builds_no_bin_table(demo_files, monkeypatch):
     assert got == np.concatenate([compute_marginal(ds_syn, q) for q in queries]).tolist()
 
 
-def test_synth_command_rejects_nan_epsilon(demo_files):
-    # an uncaught error exits the command with status 1, before any output
+def test_synth_command_rejects_nan_epsilon(demo_files, capsys):
+    # a refusal exits the command with status 2, before any output
     ds, data, schema, tmp = demo_files
     out, report = tmp / "syn.csv", tmp / "report.json"
-    with pytest.raises(ValueError, match="epsilon"):
-        main(["synth", "--data", data, "--schema", schema, "--out", str(out),
-              "--epsilon", "nan", "--report", str(report)])
+    assert_refused(capsys, ["synth", "--data", data, "--schema", schema, "--out", str(out),
+                            "--epsilon", "nan", "--report", str(report)], "epsilon")
     assert not out.exists() and not report.exists()
 
 
@@ -161,11 +161,11 @@ def test_eval_excess_risk_is_signed_gap(demo_files, monkeypatch):
     assert [m.w.tolist() for m in scored] == [m1.w.tolist(), m2.w.tolist()]  # each risk once
 
 
-def test_train_command_rejects_nan_tau(demo_files):
+def test_train_command_rejects_nan_tau(demo_files, capsys):
     ds, data, schema, tmp = demo_files
     model = tmp / "model.json"
-    with pytest.raises(ValueError, match="tau"):
-        main(["train", "--data", data, "--schema", schema, "--out", str(model), "--tau", "nan"])
+    assert_refused(capsys, ["train", "--data", data, "--schema", schema, "--out", str(model),
+                            "--tau", "nan"], "tau")
     assert not model.exists()
 
 
@@ -200,14 +200,28 @@ def test_bound_command(tmp_path):
     assert json.loads(out.read_text())["gamma"] == pytest.approx(0.4352752816480621)
 
 
-def test_bound_command_rejects_a_negative_nu(tmp_path):
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps({"family": "lipschitz", "n": 10_000, "m": 4, "d": 3, "tau": 0.5,
-                                  "nu": -50}))
+@pytest.mark.parametrize("params, match", [
+    ({"family": "lipschitz", "n": 10_000, "m": 4, "d": 3, "tau": 0.5, "nu": -50}, "nu >= 0"),
+    ({"family": "lipschitz", "n": 10_000, "m": 4, "d": 3, "tau": 0.5},
+     r"missing bound inputs: \['nu'\]"),
+    ({"family": "private-logistic", "n": 10_000, "m": 4, "d": 3, "tau": 0.5, "l": 2, "lam": 3.0,
+      "epsilon": math.inf, "delta": 1e-6}, "epsilon must be finite"),
+    ({"family": "hinge", "n": 10_000, "m": 4, "d": 3, "tau": 0.5, "nu": 1.0},
+     "unknown bound family 'hinge'"),
+], ids=["negative nu", "missing nu", "infinite epsilon", "unknown family"])
+def test_bound_command_refuses_a_bad_parameter_file(tmp_path, capsys, params, match):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))  # an infinite epsilon is written as the bare token Infinity
     out = tmp_path / "bound.json"
-    with pytest.raises(BoundError):
-        main(["bound", "--params", str(params), "--out", str(out)])
+    assert_refused(capsys, ["bound", "--params", str(path), "--out", str(out)], match)
     assert not out.exists()
+
+
+def test_approx_command_offers_only_its_functions(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["approx", "--function", "sin"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'sin'" in capsys.readouterr().err
 
 
 def test_approx_command(tmp_path):
@@ -385,16 +399,33 @@ def test_aggregates_match_run_means(demo_files, tmp_path):
 
 
 @pytest.mark.parametrize("tau", [math.nan, -1.0])
-def test_config_with_bad_tau_fails(tmp_path, tau):
+def test_config_with_bad_tau_fails(tmp_path, capsys, tau):
     doc = {"data_path": "d.csv", "schema_path": "s.json", "out_dir": str(tmp_path),
            "epsilons": [1.0], "repeats": 1, "d": 2, "tau": tau}
     with pytest.raises(ValueError, match="tau"):
         ExperimentConfig.from_dict(doc)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))  # NaN is written as the bare token NaN
-    with pytest.raises(ValueError, match="tau"):
-        main(["pipeline", "--config", str(cfg_path)])
+    assert_refused(capsys, ["pipeline", "--config", str(cfg_path)], "tau")
     assert not (tmp_path / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("tau", [1.0, "inf"])
+def test_config_with_a_margin_loss_out_of_range_fails_when_read(demo_files, tmp_path, capsys, tau):
+    # the demo data has m = 3 features: tau * sqrt(3) > 1 puts margins outside
+    # [-1, 1], where the gamma-margin loss is undefined, so no cell could run
+    ds, data, schema, tmp = demo_files
+    doc = {**_pipeline_config(tmp_path, data, schema, "out"), "tau": tau,
+           "loss": {"kind": "gamma_margin", "gamma": 0.5}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert_refused(capsys, ["pipeline", "--config", str(cfg_path)],
+                   r"gamma_margin loss needs tau \* sqrt\(m\) <= 1")
+    assert not (tmp_path / "out").exists()
+    doc["tau"] = 0.5  # 0.5 * sqrt(3) <= 1: every cell runs
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["pipeline", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "out" / "runs.csv").exists()
 
 
 def test_config_with_unknown_key_fails(tmp_path):

@@ -15,7 +15,8 @@ from margsyn.marginals import (MarginalOperator, MarginalQuery, compute_marginal
 from margsyn.privacy import (PrivacyParams, add_noise_to_set, calibrate, gaussian_sigma,
                              marginal_set_sensitivity, synthesis_l1_bound)
 
-from conftest import cell_counts, random_dataset, reference_add_noise_to_set, reference_gaussian_delta
+from conftest import (assert_refused, cell_counts, random_dataset, reference_add_noise_to_set,
+                      reference_gaussian_delta)
 from test_operator_owner import call_scopes
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "margsyn"
@@ -129,14 +130,14 @@ class TestSensitivity:
         assert marginal_set_sensitivity(4, 2) == math.sqrt(30.0)
 
 
-def test_synth_command_refuses_a_budget_its_sigma_does_not_protect(tmp_path):
+def test_synth_command_refuses_a_budget_its_sigma_does_not_protect(tmp_path, capsys):
     ds = make_demo_dataset(m=3, n=40, seed=1)
     write_csv(ds, tmp_path / "d.csv")
     ds.schema.to_file(tmp_path / "s.json")
     out = tmp_path / "syn.csv"
-    with pytest.raises(ValueError, match="exact delta"):
-        main(["synth", "--data", str(tmp_path / "d.csv"), "--schema", str(tmp_path / "s.json"),
-              "--out", str(out), "--epsilon", "20"])
+    assert_refused(capsys, ["synth", "--data", str(tmp_path / "d.csv"), "--schema",
+                            str(tmp_path / "s.json"), "--out", str(out), "--epsilon", "20"],
+                   "exact delta")
     assert not out.exists()
 
 

@@ -16,7 +16,7 @@ from margsyn.learn import LossSpec, TrainConfig, train_projected
 from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
 from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate, marginal_set_sensitivity
 from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, SynthesisError,
-                           _descend, _largest_remainder_round, _simplex_projector, brute_force_synth,
+                           _descend, _simplex_projector, brute_force_synth,
                            fit_distribution, generate_synthetic, sample_dataset, synthesize)
 
 from conftest import (cell_counts, dense_marginal_matrix, noisy_set_of, per_query, random_dataset,
@@ -40,7 +40,7 @@ def assert_greedy_matches_the_loop(n: int, nm: NoisyMarginalSet) -> None:
     ds, stats = synthesize(n, nm, "brute", cap=0)
     assert stats["path"] == "greedy"
     assert np.array_equal(cell_counts(ds), counts)
-    start = _largest_remainder_round(fit_distribution(nm, n).probs, n)
+    start = sample_dataset(fit_distribution(nm, n), n)
     got, l1 = _descend(start, nm)
     assert got.dtype == np.int64 and np.array_equal(got, counts)
     assert l1.tobytes() == final.tobytes()
@@ -94,7 +94,7 @@ class TestNoisyMarginalSet:
         match = "non-finite" if "inf" in case or case == "nan" else "bins"
         with pytest.raises(SynthesisError, match=match):
             nm = NoisyMarginalSet(*misfit_target(case))
-            synthesize(3, nm, mode, rng=np.random.default_rng(0), cap=cap)
+            synthesize(3, nm, mode, cap=cap)
 
     def test_target_is_a_read_only_copy(self, three_binary_schema):
         op = MarginalOperator(three_binary_schema, enumerate_queries(3, 2))
@@ -588,7 +588,7 @@ class TestFitDistribution:
 
         monkeypatch.setattr(synth, "fit_distribution", no_fit)
         with pytest.raises(SynthesisError, match="dense-mode cap"):
-            synthesize(5, nm, "fitted", rng=np.random.default_rng(0))
+            synthesize(5, nm, "fitted")
 
 
 # every kind of input the fit hands the projection: ties, negatives, and
@@ -630,36 +630,35 @@ class TestSampleColumn:
     """Rounding one column of fractional counts, through sample_dataset."""
 
     def test_fractional_split(self):
-        counts = sample_dataset(column_dist([1.5, 2.5]), 4, np.random.default_rng(0))[::2]
+        counts = sample_dataset(column_dist([1.5, 2.5]), 4)[::2]
         assert counts.sum() == 4
         assert tuple(counts) in {(2, 2), (1, 3)}
 
     def test_integral_case_deterministic(self):
-        counts = sample_dataset(column_dist([3.0, 1.0]), 4, np.random.default_rng(0))
+        counts = sample_dataset(column_dist([3.0, 1.0]), 4)
         assert counts.tolist() == [3, 0, 1, 0]
 
-    def test_remainder_frequency(self):
-        hits = 0
-        for seed in range(10_000):
-            hits += sample_dataset(column_dist([1.5, 2.5]), 4, np.random.default_rng(seed))[0] == 2
-        assert hits / 10_000 == pytest.approx(0.5, abs=0.02)
+    @pytest.mark.parametrize("mu, n, want", [([1.5, 2.5], 4, [2, 2]), ([2.5, 1.5], 4, [3, 1]),
+                                             ([1.5, 1.5, 1.5, 1.5], 6, [2, 2, 1, 1])])
+    def test_ties_go_to_the_first_cells(self, mu, n, want):
+        # equal remainders of one half: the extra rows go to the first cells
+        assert sample_dataset(column_dist(mu), n)[::2][:len(mu)].tolist() == want
 
     def test_all_zero_weights(self):
         dist = column_dist([0.0, 2.0, 0.0])
         for n in (5, 0):
-            counts = sample_dataset(dist, n, np.random.default_rng(0))
+            counts = sample_dataset(dist, n)
             assert counts.dtype == np.int64
             assert counts.tolist() == [0, 0, n, 0, 0, 0]
 
-    @given(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=8), st.integers(-1, 1),
-           st.integers(0, 2**31 - 1))
-    def test_conservation_envelope(self, mu_list, offset, seed):
+    @given(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=8), st.integers(-1, 1))
+    def test_conservation_envelope(self, mu_list, offset):
         mu = np.asarray(mu_list)
         if mu.sum() <= 0:
             return
         n = max(1, int(round(mu.sum())) + offset)
         scaled = n * (mu / mu.sum())
-        counts = sample_dataset(column_dist(mu), n, np.random.default_rng(seed))[::2][:len(mu_list)]
+        counts = sample_dataset(column_dist(mu), n)[::2][:len(mu_list)]
         assert counts.sum() == n
         floors = np.floor(scaled).astype(int)
         assert np.all(counts >= floors - 0)  # never below the floor
@@ -671,7 +670,7 @@ class TestSampleDataset:
         probs = np.zeros(math.prod(three_binary_schema.sizes))
         probs[5] = 1.0
         dist = DistributionEstimate(three_binary_schema, probs, (0.0,))
-        counts = sample_dataset(dist, 12, np.random.default_rng(0))
+        counts = sample_dataset(dist, 12)
         assert counts.sum() == 12
         assert np.count_nonzero(counts) == 1
 
@@ -679,7 +678,7 @@ class TestSampleDataset:
         schema = Schema(("a", "label"), (2, 2))
         probs = np.array([0.5, 0.0, 0.0, 0.5])
         dist = DistributionEstimate(schema, probs, (0.0,))
-        counts = sample_dataset(dist, 100, np.random.default_rng(1))
+        counts = sample_dataset(dist, 100)
         assert counts[0] == 50 and counts[3] == 50  # cells (0, 0) and (1, 1)
 
     def test_large_sample_matches_marginals(self, three_binary_schema):
@@ -687,16 +686,15 @@ class TestSampleDataset:
         raw = rng.random(math.prod(three_binary_schema.sizes))
         dist = DistributionEstimate(three_binary_schema, raw / raw.sum(), (0.0,))
         n = 10_000
-        counts = sample_dataset(dist, n, np.random.default_rng(7))
+        counts = sample_dataset(dist, n)
         op = MarginalOperator(three_binary_schema, enumerate_queries(3, 2))
         for emp, probs in zip(np.split(op.forward(counts), op.offsets[1:]),
                               np.split(op.forward(dist.probs), op.offsets[1:])):
             want = n * probs
             assert np.abs(emp - want).sum() / n <= 0.05
 
-    @given(st.lists(st.integers(2, 4), min_size=1, max_size=3), st.data(),
-           st.integers(0, 60), st.integers(0, 2**31 - 1))
-    def test_rounding_guarantees(self, feature_sizes, data, n, seed):
+    @given(st.lists(st.integers(2, 4), min_size=1, max_size=3), st.data(), st.integers(0, 60))
+    def test_rounding_guarantees(self, feature_sizes, data, n):
         sizes = tuple(feature_sizes) + (2,)
         schema = Schema(tuple(f"x{j}" for j in range(len(sizes) - 1)) + ("label",), sizes)
         cells = math.prod(schema.sizes)
@@ -704,27 +702,18 @@ class TestSampleDataset:
                                      .filter(lambda w: sum(w) > 0)))
         total = int(weights.sum())
         dist = DistributionEstimate(schema, weights / total, (0.0,))
-        counts = sample_dataset(dist, n, np.random.default_rng(seed))
+        counts = sample_dataset(dist, n)
         assert counts.sum() == n
-        # integer arithmetic: floor(mu_c) = (n * w_c) // total with mu_c = n * w_c / total
-        floors = (n * weights) // total
+        # integer arithmetic: floor(mu_c) = (n * w_c) // total with mu_c = n * w_c / total,
+        # and the remainder mu_c - floor(mu_c) is ((n * w_c) % total) / total
+        floors, rems = np.divmod(n * weights, total)
         assert np.all((counts == floors) | (counts == floors + 1))
         assert np.all(counts[weights == 0] == 0)
-        # every group of fixed leading attributes is within < 1 row of its mass
-        for depth in range(1, len(sizes) + 1):
-            groups = math.prod(sizes[:depth])
-            group_counts = counts.reshape(groups, -1).sum(axis=1)
-            group_weights = weights.reshape(groups, -1).sum(axis=1)
-            assert np.all(np.abs(group_counts * total - n * group_weights) < total)
-
-    def test_cell_counts_unbiased(self):
-        schema = Schema(("a", "label"), (3, 2))
-        probs = np.array([0.13, 0.0, 0.27, 0.05, 0.35, 0.2])
-        dist = DistributionEstimate(schema, probs, (0.0,))
-        n, draws = 7, 10_000
-        mean = sum(sample_dataset(dist, n, np.random.default_rng(seed)) for seed in range(draws)) / draws
-        # each count is floor(mu) or floor(mu)+1, so its standard deviation is <= 0.5
-        assert np.all(np.abs(mean - n * probs) <= 4 * 0.5 / math.sqrt(draws))
+        extra = counts - floors
+        if 0 < extra.sum() < cells:  # no cell passed over for a smaller remainder
+            assert rems[extra == 1].min() >= rems[extra == 0].max()
+        for w in np.unique(weights):  # ties go to the first cells of one weight
+            assert np.all(np.diff(extra[weights == w]) <= 0)
 
 
 class TestMechanism:
@@ -750,22 +739,31 @@ class TestMechanism:
         assert report.query_count == 10
         assert report.sensitivity == math.sqrt(2 * 10)
 
-    def test_sampler_stream_differs_from_every_noise_stream(self, three_binary_schema, monkeypatch):
+    @pytest.mark.parametrize("path, n", [("exhaustive", 3), ("greedy", 30), ("fitted", 30)])
+    def test_synthesis_reads_no_randomness(self, three_binary_schema, path, n, monkeypatch):
+        # with the release pinned to one vector, neither the seed nor the state
+        # of numpy's global generator changes the output: the noise is the
+        # mechanism's only randomness
         from margsyn import synth
-        states = []
+        real = random_dataset(three_binary_schema, n, seed=8)
+        op = MarginalOperator(three_binary_schema, enumerate_queries(3, 2))
+        released = add_noise_to_set(op.forward(cell_counts(real)), op.num_bins, 2.0, 3)
+        monkeypatch.setattr(synth, "add_noise_to_set", lambda *args: released.copy())
+        mode, cap = SYNTH_PATHS[path]
+        codes = []
+        for seed, draws in ((0, 3), (1, 1000)):
+            np.random.random(draws)
+            ds_s, report = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-4), mode=mode,
+                                              seed=seed, cap=cap)
+            assert report.path == path
+            codes.append(ds_s.codes.tobytes())
+        assert codes[0] == codes[1]
 
-        def capture(dist, n, rng):
-            states.append(rng.bit_generator.state)
-            return sample_dataset(dist, n, rng)
-
-        monkeypatch.setattr(synth, "sample_dataset", capture)
-        real = random_dataset(three_binary_schema, 30, seed=8)
-        for seed in (0, 1, 2, 7, 12345, 2**32 - 1):
-            _, report = generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="fitted",
-                                           seed=seed)
-            sampler_state = states.pop()
-            for idx in range(report.query_count):
-                assert sampler_state != np.random.default_rng([seed, idx]).bit_generator.state
+    def test_fitted_output_is_the_rounding_of_the_fit(self, three_binary_schema):
+        real = random_dataset(three_binary_schema, 30, seed=3)
+        nm = noisy_set_from(real, 2, 1.0, 4)
+        ds_s, _ = synthesize(real.n, nm, "fitted")
+        assert np.array_equal(cell_counts(ds_s), sample_dataset(fit_distribution(nm, real.n), real.n))
 
     @pytest.mark.parametrize("mode", ["brute", "fitted"])
     def test_only_nonprivate_fields_read_the_real_data(self, monkeypatch, mode):
@@ -810,7 +808,7 @@ class TestMechanism:
 
     def test_bound_certified_can_fail(self, monkeypatch):
         # with almost no noise, half the bound is far below one row, so any
-        # rounding error of the fitted sampler leaves the bound uncertified.
+        # rounding error of the fitted path leaves the bound uncertified.
         # The classical sigma at (1000, 0.5) is not (1000, 0.5)-DP, so the
         # mechanism refuses the pair; the test injects that sigma instead
         from margsyn import synth
@@ -864,7 +862,7 @@ class TestMechanism:
         assert doc["path"] == path
         if path == "exhaustive":
             assert (doc["fit_iterations"], doc["fit_converged"]) == (0, None)
-        else:  # the greedy starts from the same fit that fitted mode samples
+        else:  # the greedy starts from the same fit that fitted mode rounds
             nm = noisy_set_from(real, 2, report.sigma, 5)
             dist = fit_distribution(nm, n=real.n)
             assert doc["fit_iterations"] == len(dist.objective_trace) - 1 > 0
@@ -883,7 +881,7 @@ class TestMechanism:
         for name in ("brute_force_synth", "_descend", "fit_distribution"):
             monkeypatch.setattr(synth, name, no_work)
         with pytest.raises(SynthesisError, match="non-negative"):
-            synthesize(-1, nm, mode, rng=np.random.default_rng(0), cap=cap)
+            synthesize(-1, nm, mode, cap=cap)
 
     @pytest.mark.parametrize("mode, cap, path", [("brute", 10_000, "exhaustive"), ("brute", 0, "greedy"),
                                                  ("fitted", 10_000, "fitted")],
@@ -897,7 +895,7 @@ class TestMechanism:
 
         with monkeypatch.context() as mp:
             mp.setattr(Dataset, "weighted", property(no_count))
-            ds_s, stats = synthesize(3, nm, mode, rng=np.random.default_rng(0), cap=cap)
+            ds_s, stats = synthesize(3, nm, mode, cap=cap)
         assert stats["path"] == path
         want = np.concatenate([compute_marginal(ds_s, q) for q in nm.operator.queries])
         assert np.array_equal(stats["marginals"], want)
@@ -905,7 +903,7 @@ class TestMechanism:
     def test_stats_hold_the_output_marginals(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 30, seed=3)
         nm = noisy_set_from(real, 2, 1.0, 4)
-        ds_s, stats = synthesize(real.n, nm, "fitted", rng=np.random.default_rng(0))
+        ds_s, stats = synthesize(real.n, nm, "fitted")
         want = np.concatenate([compute_marginal(ds_s, q) for q in nm.operator.queries])
         assert np.array_equal(stats["marginals"], want)
         assert stats["l1_to_noisy_max"] == float(nm.operator.l1_to(want, nm.target).max())
@@ -960,7 +958,7 @@ class TestMechanism:
         real = make_demo_dataset(m=40, n=20, seed=0)
         nm = noisy_set_from(real, 1, 1.0, seed=0)
         with pytest.raises(SynthesisError) as refused:
-            synthesize(real.n, nm, mode, rng=np.random.default_rng(0))
+            synthesize(real.n, nm, mode)
         tracemalloc.start()
         try:
             with pytest.raises(SynthesisError) as got:
