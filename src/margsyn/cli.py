@@ -2,7 +2,8 @@
 
 Subcommands: prep, demo, synth, train, dpsgd, eval, bound, approx, pipeline.
 All file formats are CSV (data, result tables) or JSON (schemas, configs,
-models, reports).  A refused input (a `ValueError`) prints one line,
+models, reports).  A refused input (a `ValueError`) or a file that cannot be
+read or written (an `OSError`) prints one line,
 `margsyn <command>: error: <message>`, on stderr and exits 2.
 """
 
@@ -127,6 +128,9 @@ def _cmd_bound(args) -> int:
     if family == "schedule":
         doc = dataclasses.asdict(bounds_mod.hard_instance_schedule(int(params["m"])))
     else:
+        unknown = sorted(set(params) - {f.name for f in dataclasses.fields(bounds_mod.BoundInputs)})
+        if unknown:
+            raise bounds_mod.BoundError(f"unknown bound inputs: {unknown}")
         inputs = bounds_mod.BoundInputs(**params)
         if family in ("lipschitz", "logistic"):
             report = bounds_mod.excess_risk_bound(inputs, family, mode)
@@ -274,7 +278,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # the base of every refusal the package raises
+    # ValueError is the base of every refusal the package raises; OSError is a
+    # file that cannot be read or written, such as a missing --data or --config
+    except (ValueError, OSError) as exc:
         print(f"margsyn {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,8 @@ domain size s to 2*c/(s-1) - 1, so features live in [-1, 1] and labels in
 reader and any other by the csv module, with the same accepted files and
 errors; the `Dataset` constructor is the only check of the code domains.
 Rows exist only at that boundary: a dataset built from cell counts, as
-synthetic datasets are, keeps the counts and builds rows only when read.
+synthetic datasets and the parts of a split are, keeps the counts and builds
+rows only when read.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ MISSING_TOKENS = frozenset({"", "?", "na", "n/a", "nan", "none", "null"})
 
 # Largest value a row key may reach before it is re-ranked (int64 max).
 _KEY_LIMIT = np.iinfo(np.int64).max
+# `split` takes fewer rows than this: numpy's multivariate hypergeometric
+# draw ("marginals" method) refuses a total of 10**9 or more.
+_SPLIT_ROWS = 10**9
 
 
 @dataclass(frozen=True)
@@ -117,10 +121,10 @@ class WeightedRows(NamedTuple):
 class Dataset:
     """Immutable multiset of coded rows.  Row order carries no meaning.
 
-    `Dataset(schema, codes)` holds the rows it is given.  `from_counts` holds
-    one count per joint cell instead: its `weighted` view is set from the
-    counts, and its rows (`codes`) are built only when first read, by
-    `write_csv`, `learn.dp_sgd` or `split`.
+    `Dataset(schema, codes)` holds the rows it is given.  `from_counts` and
+    `split` hold counts instead: their `weighted` view is set from the
+    counts, and their rows (`codes`) are built only when first read, by
+    `write_csv` or `learn.dp_sgd`.
     """
 
     def __init__(self, schema: Schema, codes):
@@ -147,8 +151,14 @@ class Dataset:
         their counts, and `codes` are those rows, each repeated count times.
         """
         occupied = np.flatnonzero(counts)
-        weighted = WeightedRows(np.stack(np.unravel_index(occupied, schema.sizes), axis=1),
-                                counts[occupied])
+        return cls._from_weighted(schema, WeightedRows(
+            np.stack(np.unravel_index(occupied, schema.sizes), axis=1), counts[occupied]))
+
+    @classmethod
+    def _from_weighted(cls, schema: Schema, weighted: WeightedRows) -> "Dataset":
+        """The dataset whose `weighted` view is `weighted`: distinct in-domain
+        rows in cell order, each with a positive count.  The arrays are made
+        read-only and held as given; rows are built only when read."""
         for array in weighted:
             array.setflags(write=False)
         ds = cls.__new__(cls)
@@ -162,8 +172,9 @@ class Dataset:
     def codes(self) -> np.ndarray:
         """The rows, shape (n, num_attributes), int64 and read-only.
 
-        The constructor sets them; `from_counts` builds them from `weighted`
-        on first read, each distinct row repeated its count times, in cell order.
+        The constructor sets them; a dataset made by `from_counts` or `split`
+        builds them from `weighted` on first read, each distinct row repeated
+        its count times, in cell order.
         """
         codes, counts = self.weighted
         rows = np.repeat(codes, counts, axis=0)
@@ -174,7 +185,7 @@ class Dataset:
     def weighted(self) -> WeightedRows:
         """Distinct rows in cell order (row-major over schema.sizes) with their counts.
 
-        `from_counts` sets it.  Built from rows, each row's key is its
+        `from_counts` and `split` set it.  Built from rows, each row's key is its
         mixed-radix cell index, key * size + code, built column by column in
         int64.  Before a step could overflow, the key is replaced by its rank
         among the keys so far, which keeps their order, so every schema works,
@@ -224,17 +235,27 @@ class SplitSpec:
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Deterministic random partition; |train| = round(train_fraction * n)."""
+    """Deterministic random partition; |train| = round(train_fraction * n).
+
+    The train part is a uniformly random size-n_train sub-multiset of the
+    rows, drawn as counts: how many copies of each distinct row it takes is
+    one multivariate hypergeometric draw over `ds.weighted`, the same
+    distribution as the first n_train rows of a random permutation.  Both
+    parts are held as counts on the parent's distinct rows, so a split reads
+    no rows and costs O(distinct rows), not O(n).  numpy's draw takes fewer
+    than _SPLIT_ROWS rows; a larger dataset is refused before any draw.
+    """
     if ds.n < 2:
         raise ValueError("need at least 2 rows to split")
+    if ds.n >= _SPLIT_ROWS:
+        raise ValueError(f"cannot split {ds.n} rows; the split takes fewer than {_SPLIT_ROWS}")
     n_train = int(math.floor(spec.train_fraction * ds.n + 0.5))
     if n_train == 0 or n_train == ds.n:
         raise ValueError(f"split of n={ds.n} at fraction {spec.train_fraction} leaves an empty part")
-    perm = np.random.default_rng(spec.seed).permutation(ds.n)
-    return (
-        Dataset(ds.schema, ds.codes[perm[:n_train]]),
-        Dataset(ds.schema, ds.codes[perm[n_train:]]),
-    )
+    codes, counts = ds.weighted
+    train = np.random.default_rng(spec.seed).multivariate_hypergeometric(counts, n_train)
+    return tuple(Dataset._from_weighted(ds.schema, WeightedRows(codes[part > 0], part[part > 0]))
+                 for part in (train, counts - train))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import traceback
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        """The config of a JSON document; a key that names no field is refused."""
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
         doc = dict(doc)
         if doc.get("tau") == "inf":
             doc["tau"] = math.inf

@@ -24,12 +24,13 @@ Two strategies stand behind one entry point:
             is exact too.
   "fitted"  least-squares fit of a dense joint distribution to the noisy
             marginals (accelerated projected gradient on the probability
-            simplex with restart, computed in the eigenbasis of the
+            simplex with restarts, computed in the eigenbasis of the
             operator's A^T A: two operator applications per fit, two small
-            Kronecker transforms per iteration, an exact step, stopping on
-            a relative-decrease test), then the largest-remainder rounding
-            of n times the fitted joint (`sample_dataset`): counts summing
-            to n, each the floor or the ceiling of n*p.
+            Kronecker transforms per iteration, an exact step, a start at
+            the closed-form minimizer on the plane sum p = 1, projected,
+            stopping on a relative-decrease test), then the largest-remainder
+            rounding of n times the fitted joint (`sample_dataset`, O(cells)):
+            counts summing to n, each the floor or the ceiling of n*p.
 
 No path draws a random number: the output is a deterministic function of
 the noisy marginals, n and the cap, so the only randomness of the
@@ -310,11 +311,13 @@ def _simplex_projector(size: int):
 def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> DistributionEstimate:
     """Minimize sum_q ||n * M_q(p) - h_q||_2^2 over the probability simplex.
 
-    Accelerated projected gradient (FISTA: Beck & Teboulle 2009) from the
-    uniform distribution with function-value restart (O'Donoghue & Candes
-    2015): an iteration that would raise the objective is rejected and the
-    momentum restarts from the current iterate.  So the recorded objective
-    never rises.
+    Accelerated projected gradient (FISTA: Beck & Teboulle 2009) with the two
+    restarts of O'Donoghue & Candes (2015).  Function-value restart: an
+    iteration that would raise the objective is rejected and the momentum
+    restarts from the current iterate, so the recorded objective never rises.
+    Gradient restart: an accepted step from y to p_new restarts the momentum
+    (t = 1) when (y - p_new).(p_new - p) > 0, that is when the step's
+    projected gradient points against the direction the iterate moved.
 
     The objective is computed in the eigenbasis of the operator's A^T A
     (`MarginalOperator.transform` T and `spectrum` lambda).  With b = A^T h
@@ -322,6 +325,12 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> Distr
     lambda > 0 (0 elsewhere) and p* = T c*, the residual n A p* - h is
     orthogonal to the range of A, so with d = T p - c*
         f(p) = n^2 sum lambda d^2 + ||n A p* - h||^2,   grad f(p) = 2 n^2 T (lambda d).
+    The start is the projection of T c_u, where c_u is c* with its constant
+    coefficient (index 0) set to 1/sqrt(cells), the value it has for every p
+    summing to 1: T c_u = p* + (1/sqrt(cells) - c*_0) / sqrt(cells) is the
+    minimum-norm minimizer of f on the plane sum p = 1.
+    When it is non-negative it minimizes f on the simplex, and the first
+    iteration, whose gradient is constant, confirms it and stops the fit.
     The fit applies the operator twice in all (b and the constant term);
     each iteration applies T twice (the gradient at the extrapolated point
     y = p_k + beta (p_k - p_{k-1}), where d is (1 + beta) d_k - beta d_{k-1}
@@ -335,21 +344,23 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> Distr
     _FIT_TOL times its value; otherwise it stops after `iters` iterations.
     The trace holds the initial objective and one value per iteration, so its
     length minus one is the iteration count.  With n = 0 the objective is constant
-    and the uniform start is returned, converged, after no iteration.
+    and the uniform distribution is returned, converged, after no iteration.
     Negative noisy entries need no pre-clamping; the simplex projection
     resolves them.  The work arrays of an iteration (y, the gradient's input,
-    weight * d and the projection's) are allocated once per fit; an iteration
-    allocates only its two transforms' results and the new iterate.
+    weight * d and the projection's) are allocated once per fit and also
+    hold the restart test's differences; an iteration allocates only its two
+    transforms' results and the new iterate.
     """
     op, target = nm.operator, nm.target
     cells = op.num_cells
-    p = np.full(cells, 1.0 / cells)
     if n == 0:
-        return DistributionEstimate(nm.schema, p, (float(target @ target),), True)
+        uniform = np.full(cells, 1.0 / cells)
+        return DistributionEstimate(nm.schema, uniform, (float(target @ target),), True)
     lam = op.spectrum
     coef = op.transform(op.adjoint(target))
     c_star = np.divide(coef, n * lam, out=np.zeros(cells), where=lam > 0)
-    r_star = n * op.forward(op.transform(c_star)) - target
+    p_star = op.transform(c_star)
+    r_star = n * op.forward(p_star) - target
     base = float(r_star @ r_star)
     weight = n * n * lam
     weight2 = 2.0 * weight
@@ -361,6 +372,9 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> Distr
     def objective(d):
         return float(d @ np.multiply(weight, d, out=wd)) + base
 
+    root = math.sqrt(cells)
+    p_star += (1.0 / root - c_star[0]) / root  # T c_u
+    p = project(p_star)
     d = op.transform(p) - c_star
     obj = objective(d)
     p_prev, d_prev, t = p, d, 1.0
@@ -389,7 +403,9 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> Distr
             p_prev, d_prev, t = p, d, 1.0
             trace.append(obj)
             continue
-        p_prev, d_prev, p, d, t = p, d, p_new, d_new, t_next
+        # gradient restart: (y - p_new).(p_new - p) > 0, in the work arrays
+        restart = float(np.subtract(y, p_new, out=grad_in) @ np.subtract(p_new, p, out=wd)) > 0.0
+        p_prev, d_prev, p, d, t = p, d, p_new, d_new, 1.0 if restart else t_next
         trace.append(obj_new)
         if obj - obj_new <= _FIT_TOL * obj:
             converged = True
@@ -407,18 +423,25 @@ def sample_dataset(dist: DistributionEstimate, n: int) -> np.ndarray:
     program's one rounding (the fitted output and the greedy descent's start).
 
     With p the clipped probabilities and mu = n * p / sum(p), every cell gets
-    floor(mu) and the n - sum(floor(mu)) cells of largest remainder one more,
-    ties to the first cells (a stable sort): exactly n rows, each count
-    floor(mu) or floor(mu) + 1, zero-probability cells empty.  The name is the
-    benchmark tracer's site for this stage; it changes with the benchmark.
+    floor(mu) and the r = n - sum(floor(mu)) cells of largest remainder one
+    more, ties to the first cells: exactly n rows, each count floor(mu) or
+    floor(mu) + 1, zero-probability cells empty.  The r-th largest remainder
+    is found by a partition, so the rounding is O(cells): every cell above it
+    gets one more, then the first of the cells equal to it, as many as are
+    left.  That picks the first r cells of a stable sort by remainder.  The
+    name is the benchmark tracer's site for this stage; it changes with the
+    benchmark.
     """
     probs = np.maximum(dist.probs, 0.0)
     mu = probs * (n / probs.sum())
     floors = np.floor(mu).astype(np.int64)
     r = n - int(floors.sum())
     if r > 0:
-        extra = np.argsort(floors - mu, kind="stable")[:r]
-        floors[extra] += 1
+        key = floors - mu  # minus the remainder
+        kth = np.partition(key, r - 1)[r - 1]
+        below = key < kth
+        floors[below] += 1
+        floors[np.flatnonzero(key == kth)[:r - np.count_nonzero(below)]] += 1
     return floors
 
 

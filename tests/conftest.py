@@ -262,15 +262,17 @@ def reference_project_simplex(v: np.ndarray) -> np.ndarray:
 
 def reference_fit(nm, n: float, iters: int = 2000, tol: float = 1e-10) -> tuple[np.ndarray, list[float]]:
     """Final iterate and objective trace of the eigenbasis FISTA fit with a fresh
-    array for every intermediate, and `reference_project_simplex`."""
+    array for every intermediate, and `reference_project_simplex`: from the
+    projection of T c_u, c_u being c* with its constant coefficient set to
+    1/sqrt(cells), with function-value and gradient restarts."""
     cells = int(np.prod(nm.schema.sizes))
-    p = np.full(cells, 1.0 / cells)
     target = nm.target
     op = nm.operator
     lam = op.spectrum
     coef = op.transform(op.adjoint(target))
     c_star = np.divide(coef, n * lam, out=np.zeros(cells), where=lam > 0)
-    r_star = n * op.forward(op.transform(c_star)) - target
+    p_star = op.transform(c_star)
+    r_star = n * op.forward(p_star) - target
     base = float(r_star @ r_star)
     weight = n * n * lam
     lipschitz = 2.0 * float(weight[1:].max())
@@ -278,6 +280,8 @@ def reference_fit(nm, n: float, iters: int = 2000, tol: float = 1e-10) -> tuple[
     def objective(d):
         return float(d @ (weight * d)) + base
 
+    root = math.sqrt(cells)
+    p = reference_project_simplex(p_star + (1.0 / root - c_star[0]) / root)
     d = op.transform(p) - c_star
     obj = objective(d)
     p_prev, d_prev, t = p, d, 1.0
@@ -297,7 +301,8 @@ def reference_fit(nm, n: float, iters: int = 2000, tol: float = 1e-10) -> tuple[
             p_prev, d_prev, t = p, d, 1.0
             trace.append(obj)
             continue
-        p_prev, d_prev, p, d, t = p, d, p_new, d_new, t_next
+        restart = float((y - p_new) @ (p_new - p)) > 0.0
+        p_prev, d_prev, p, d, t = p, d, p_new, d_new, 1.0 if restart else t_next
         trace.append(obj_new)
         if obj - obj_new <= tol * obj:
             break

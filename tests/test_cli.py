@@ -17,6 +17,7 @@ from margsyn.evaluate import empirical_risk
 from margsyn.experiment import ExperimentConfig, run_experiment
 from margsyn.learn import LinearModel, LossSpec, save_model, train_projected
 from margsyn.marginals import compute_marginal, enumerate_queries
+from margsyn.synth import generate_synthetic
 
 from conftest import assert_refused
 
@@ -366,6 +367,31 @@ def test_pipeline_scores_real_model_once_per_repeat(demo_files, tmp_path, monkey
                                                        "empirical_risk": 4}
 
 
+def test_pipeline_builds_no_rows_of_its_splits_or_synthetic_data(demo_files, tmp_path, monkeypatch):
+    from margsyn import experiment
+    made = []
+
+    def splitting(*args, **kwargs):
+        parts = split(*args, **kwargs)
+        made.extend(parts)
+        return parts
+
+    def generating(*args, **kwargs):
+        ds_syn, report = generate_synthetic(*args, **kwargs)
+        made.append(ds_syn)
+        return ds_syn, report
+
+    monkeypatch.setattr(experiment, "split", splitting)
+    monkeypatch.setattr(experiment, "generate_synthetic", generating)
+    ds, data, schema, tmp = demo_files
+    cfg = ExperimentConfig(
+        data_path=data, schema_path=schema, out_dir=str(tmp_path / "out_r"),
+        epsilons=(0.5, 1.0), repeats=2, d=2, tau=0.5, base_seed=4)
+    assert run_experiment(cfg).all_ok
+    assert len(made) == 2 * 2 + 2 * 2
+    assert not any("codes" in vars(part) for part in made)
+
+
 def test_failed_split_fails_every_cell_of_its_repeat(tmp_path):
     ds = make_demo_dataset(m=2, n=3, seed=1)
     data, schema = tmp_path / "tiny.csv", tmp_path / "schema.json"
@@ -431,7 +457,7 @@ def test_config_with_a_margin_loss_out_of_range_fails_when_read(demo_files, tmp_
 def test_config_with_unknown_key_fails(tmp_path):
     doc = {"data_path": "d.csv", "schema_path": "s.json", "out_dir": str(tmp_path),
            "epsilons": [1.0], "repeats": 1, "d": 2, "tau": 0.5, "sensitivity_mode": "exact"}
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"unknown config keys: \['sensitivity_mode'\]"):
         ExperimentConfig.from_dict(doc)
 
 
@@ -440,8 +466,32 @@ def test_config_with_unknown_key_fails(tmp_path):
 def test_config_with_removed_key_fails_naming_it(tmp_path, key, value):
     doc = {"data_path": "d.csv", "schema_path": "s.json", "out_dir": str(tmp_path),
            "epsilons": [1.0], "repeats": 1, "d": 2, "tau": 0.5, key: value}
-    with pytest.raises(TypeError, match=key):
+    with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_dict(doc)
+
+
+def test_pipeline_refuses_an_unknown_config_key(demo_files, tmp_path, capsys):
+    ds, data, schema, tmp = demo_files
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_pipeline_config(tmp_path, data, schema, "out"), "bogus": 1}))
+    assert_refused(capsys, ["pipeline", "--config", str(cfg_path)], r"unknown config keys: \['bogus'\]")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bound_refuses_an_unknown_input(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"family": "lipschitz", "n": 10_000, "m": 4, "d": 3, "tau": 0.5,
+                                "nu": 1.0, "bogus": 1}))
+    assert_refused(capsys, ["bound", "--params", str(path)], r"unknown bound inputs: \['bogus'\]")
+
+
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_a_missing_input_file_is_refused(demo_files, tmp_path, capsys, command):
+    ds, data, schema, tmp = demo_files
+    missing = str(tmp_path / "absent")
+    argv = (["train", "--data", missing, "--schema", schema, "--out", str(tmp_path / "m.json")]
+            if command == "train" else ["pipeline", "--config", missing])
+    assert_refused(capsys, argv, "No such file or directory: '.*absent'")
 
 
 def _readme_cli_rows() -> dict[str, str]:

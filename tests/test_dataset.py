@@ -10,7 +10,14 @@ from margsyn.dataset import (Dataset, DomainError, ParseError,
                              SplitSpec, encode_weighted, load_csv, load_raw_csv,
                              preprocess, split, write_csv)
 
-from conftest import random_dataset, reference_load_csv, reference_row_multiset
+from conftest import cell_counts, random_dataset, reference_load_csv, reference_row_multiset
+
+
+def weighted_cells(ds: Dataset) -> np.ndarray:
+    """Rows per joint cell read from the `weighted` view, which builds no rows."""
+    codes, counts = ds.weighted
+    flat = np.ravel_multi_index(tuple(codes.T), ds.schema.sizes)
+    return np.bincount(flat, weights=counts, minlength=int(np.prod(ds.schema.sizes))).astype(np.int64)
 
 
 class TestSchema:
@@ -319,6 +326,42 @@ class TestSplit:
         ds = random_dataset(Schema(("a", "label"), (2, 2)), 1, 0)
         with pytest.raises(ValueError):
             split(ds, SplitSpec(0.8, seed=0))
+
+    def test_parts_are_counts_over_the_parent_cells(self):
+        ds = random_dataset(Schema(("a", "b", "label"), (3, 4, 2)), 500, 3)
+        for fraction, n_train in ((0.7, 350), (0.8, 400), (0.002, 1), (0.998, 499), (0.503, 252)):
+            train, test = split(ds, SplitSpec(fraction, seed=11))
+            assert (train.n, test.n) == (n_train, 500 - n_train)
+            for part in (train, test):
+                assert "codes" not in vars(part)  # no rows were built
+                assert part.weighted.counts.min() > 0 and part.weighted.counts.sum() == part.n
+            assert np.array_equal(weighted_cells(train) + weighted_cells(test), cell_counts(ds))
+            again = split(ds, SplitSpec(fraction, seed=11))
+            for part, same in zip((train, test), again):
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(part.weighted, same.weighted))
+
+    def test_train_count_is_hypergeometric(self):
+        # 50 of 200 rows in cell (1, 0); the train part takes 160
+        codes = np.array([[1, 0]] * 50 + [[0, 0]] * 70 + [[0, 1]] * 80)
+        ds = Dataset(Schema(("a", "label"), (2, 2)), codes)
+        got = np.array([weighted_cells(split(ds, SplitSpec(0.8, seed=seed))[0])[2]
+                        for seed in range(2000)])
+        mean = 160 * 50 / 200
+        var = 160 * (50 / 200) * (150 / 200) * (200 - 160) / (200 - 1)
+        assert abs(got.mean() - mean) <= 4.0 * np.sqrt(var / got.size)
+        assert abs(got.var(ddof=1) / var - 1.0) <= 4.0 * np.sqrt(2.0 / (got.size - 1))
+
+    def test_a_billion_rows_are_refused_before_any_draw(self, monkeypatch):
+        schema = Schema(("a", "label"), (2, 2))
+        assert split(Dataset.from_counts(schema, np.array([10**9 - 4, 1, 1, 1])),
+                     SplitSpec(0.5, seed=0))[0].n == 500_000_000
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("split drew before refusing")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match="cannot split 1000000000 rows"):
+            split(Dataset.from_counts(schema, np.array([10**9 - 3, 1, 1, 1])), SplitSpec(0.5, seed=0))
 
     @given(st.integers(2, 40), st.integers(0, 2**31 - 1))
     def test_partition_is_multiset_cover(self, n, seed):

@@ -376,11 +376,25 @@ def reference_pgd_objective(nm: NoisyMarginalSet, n: float, iters: int = 2000,
     return obj
 
 
-def reference_fista_trace(nm: NoisyMarginalSet, n: float, iters: int, tol: float = 1e-10) -> list[float]:
+def dense_start(a: np.ndarray, h: np.ndarray, n: float) -> np.ndarray:
+    """The minimum-norm minimizer of ||n a p - h||^2 on the plane sum p = 1:
+    uniform plus the pseudo-inverse correction on the sum-zero subspace."""
+    cells = a.shape[1]
+    u = np.full(cells, 1.0 / cells)
+    centre = np.eye(cells) - 1.0 / cells
+    # the spectrum is a sum of whole numbers, so every non-zero singular value of
+    # n a centre is at least n: the cut-off drops only rounding
+    return u + np.linalg.pinv(n * a @ centre, rcond=1e-10) @ (h - n * a @ u)
+
+
+def reference_fista_trace(nm: NoisyMarginalSet, n: float, iters: int,
+                          tol: float = 1e-10) -> tuple[list[float], int]:
     """The fit's iteration on a dense A, objective and gradient from A itself: FISTA
-    from uniform with function-value restart and step 1/L, L = 2 n^2 times the top
-    eigenvalue of A^T A on the sum-zero subspace; a momentum-free step that does
-    not lower the objective, or one lowering it by at most tol relative, stops it."""
+    from the projected `dense_start` with function-value restart, gradient restart
+    ((y - p_new).(p_new - p) > 0 on an accepted step) and step 1/L, L = 2 n^2 times
+    the top eigenvalue of A^T A on the sum-zero subspace; a momentum-free step that
+    does not lower the objective, or one lowering it by at most tol relative, stops it.
+    Returns the objective trace and the number of gradient restarts."""
     a = dense_marginal_matrix(nm.schema, nm.operator.queries)
     h = nm.target
     cells = a.shape[1]
@@ -392,9 +406,9 @@ def reference_fista_trace(nm: NoisyMarginalSet, n: float, iters: int, tol: float
         return float(r @ r)
 
     project = _simplex_projector(cells)
-    p = p_prev = np.full(cells, 1.0 / cells)
+    p = p_prev = project(dense_start(a, h, n))
     obj, t = objective(p), 1.0
-    trace = [obj]
+    trace, restarts = [obj], 0
     for _ in range(iters):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
@@ -407,12 +421,14 @@ def reference_fista_trace(nm: NoisyMarginalSet, n: float, iters: int, tol: float
                 break
             p_prev, t = p, 1.0
             continue
-        p_prev, p, t = p, p_new, t_next
+        restart = (y - p_new) @ (p_new - p) > 0.0
+        restarts += restart
+        p_prev, p, t = p, p_new, 1.0 if restart else t_next
         trace.append(obj_new)
         if obj - obj_new <= tol * obj:
             break
         obj = obj_new
-    return trace
+    return trace, restarts
 
 
 def demo_d3_set(seed: int) -> tuple[NoisyMarginalSet, int]:
@@ -478,10 +494,12 @@ class TestFitDistribution:
         assert lipschitz >= 2.0 * n * n * top * (1.0 - 1e-12)
         assert lipschitz <= 2.0 * n * n * sum(cells / np.prod(schema.shape(q.attrs)) for q in queries)
         assert lipschitz <= 2.0 * n * n * top * (1.0 + 1e-9)
-        # and the fit's first iterate is the projected gradient step 1/L from uniform
-        u = np.full(cells, 1.0 / cells)
-        grad = 2.0 * n * a.T @ (n * a @ u - nm.target)
-        first = _simplex_projector(cells)(u - grad / (2.0 * n * n * top))
+        # and the fit's first iterate is the projected gradient step 1/L from its
+        # start, the projected minimum-norm minimizer on the plane sum p = 1
+        project = _simplex_projector(cells)
+        start = project(dense_start(a, nm.target, n))
+        grad = 2.0 * n * a.T @ (n * a @ start - nm.target)
+        first = project(start - grad / (2.0 * n * n * top))
         assert np.allclose(fit_distribution(nm, n, iters=1).probs, first, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -524,14 +542,36 @@ class TestFitDistribution:
         dist = fit_distribution(nm, n=n)
         assert dist.objective_trace[-1] == pytest.approx(direct_objective(nm, n, dist.probs), rel=1e-9)
 
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_a_non_negative_closed_form_start_is_the_fit(self, seed):
+        # sweep scale: 4 binary features + label, n = 32,000, d = 2, eps = 1
+        real = make_demo_dataset(m=4, n=32_000, seed=seed)
+        n = real.n
+        nm = noisy_set_from(real, 2, calibrate(4, 2, PrivacyParams(1.0, 1.0 / n**2)), seed)
+        # the least-squares minimizer on the plane sum p = 1, from the dense A by
+        # np.linalg.lstsq over an orthonormal basis of the sum-zero subspace
+        a = dense_marginal_matrix(nm.schema, nm.operator.queries)
+        cells = a.shape[1]
+        u = np.full(cells, 1.0 / cells)
+        basis = np.linalg.qr(np.eye(cells) - 1.0 / cells)[0][:, :cells - 1]
+        z = np.linalg.lstsq(n * a @ basis, nm.target - n * a @ u, rcond=1e-10)[0]
+        p_ls = u + basis @ z
+        assert p_ls.min() >= 0.0  # so it minimizes on the simplex too
+        dist = fit_distribution(nm, n)
+        assert len(dist.objective_trace) - 1 <= 2 and dist.converged
+        assert np.allclose(dist.probs, p_ls, rtol=0.0, atol=1e-12)
+        assert dist.objective_trace[-1] == pytest.approx(direct_objective(nm, n, p_ls), rel=1e-9)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_iterates_like_the_loop_on_the_dense_operator(self, seed):
-        # the whole run, restarts (repeated trace values) and the stop included
+        # the whole run, gradient restarts and the stop included (no step is
+        # rejected on these instances; the wide-attribute case of the test below
+        # covers a rejected step)
         nm, n = demo_d3_set(seed)
         got = fit_distribution(nm, n=n).objective_trace
-        want = reference_fista_trace(nm, n, iters=2000)
+        want, restarts = reference_fista_trace(nm, n, iters=2000)
         assert len(got) == len(want) < 2000
-        assert any(a == b for a, b in zip(want, want[1:]))
+        assert restarts > 0
         assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("case", ["d3 seed 0", "d3 seed 1", "wide attribute"])
@@ -543,6 +583,8 @@ class TestFitDistribution:
         else:
             nm, n = demo_d3_set(int(case[-1]))
         probs, trace = reference_fit(nm, n)
+        if case == "wide attribute":  # a rejected step: a repeated value before the last
+            assert any(a == b for a, b in zip(trace[:-2], trace[1:-1]))
         dist = fit_distribution(nm, n=n)
         assert dist.objective_trace == tuple(trace)
         assert dist.probs.tobytes() == probs.tobytes()
@@ -665,7 +707,32 @@ class TestSampleColumn:
         assert np.all(counts <= floors + 1)  # at most one extra per value
 
 
+def reference_largest_remainder(dist: DistributionEstimate, n: int) -> np.ndarray:
+    """The largest-remainder rounding of n*p by a full stable sort of the remainders."""
+    probs = np.maximum(dist.probs, 0.0)
+    mu = probs * (n / probs.sum())
+    floors = np.floor(mu).astype(np.int64)
+    floors[np.argsort(floors - mu, kind="stable")[:n - int(floors.sum())]] += 1
+    return floors
+
+
 class TestSampleDataset:
+    @pytest.mark.parametrize("kind", ["random", "uniform", "repeated values", "with zeros"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_to_the_stable_sort(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        schema = Schema(("a", "b", "label"), (37, 7, 2))  # 518 cells
+        cells = math.prod(schema.sizes)
+        weights = {"random": lambda: rng.random(cells),
+                   "uniform": lambda: np.ones(cells),
+                   "repeated values": lambda: rng.choice([1.0, 2.0, 3.0, 7.0], cells),
+                   "with zeros": lambda: rng.choice([0.0, 0.0, 1.0, 1.0 / 3.0], cells)}[kind]()
+        dist = DistributionEstimate(schema, weights / weights.sum(), (0.0,))
+        for n in (0, 1, 7, cells - 1, cells, cells + 1, 3 * cells + 5, 40_000, int(rng.integers(1, 10**6))):
+            got = sample_dataset(dist, n)
+            assert got.dtype == np.int64 and got.sum() == n
+            assert got.tobytes() == reference_largest_remainder(dist, n).tobytes(), n
+
     def test_point_mass(self, three_binary_schema):
         probs = np.zeros(math.prod(three_binary_schema.sizes))
         probs[5] = 1.0
