@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .dataset import (Dataset, Schema, _write_json, load_csv, load_raw_csv, preprocess,
-                      rules_from_dict, write_csv)
+from .dataset import (Dataset, Schema, _check_document, _write_csv, _write_json, load_csv,
+                      load_raw_csv, preprocess, rules_from_dict, write_csv)
 from .demo import make_demo_dataset
 from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .experiment import ExperimentConfig, run_experiment
@@ -36,8 +36,7 @@ from .synth import generate_synthetic
 def _cmd_prep(args) -> int:
     raw = load_raw_csv(args.raw)
     with open(args.rules) as fh:
-        doc = json.load(fh)
-    rules = rules_from_dict(doc.get("preprocess", doc))
+        rules = rules_from_dict(json.load(fh))
     ds = preprocess(raw, rules)
     write_csv(ds, args.out)
     if args.schema_out:
@@ -78,9 +77,14 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _loss(args) -> LossSpec:
+    """The loss that --loss names; --gamma is read by gamma_margin only."""
+    return LossSpec.gamma_margin(args.gamma) if args.loss == "gamma_margin" else LossSpec.logistic()
+
+
 def _cmd_train(args) -> int:
     schema, ds = _load(args)
-    loss = LossSpec.from_dict({"kind": args.loss, "gamma": args.gamma})
+    loss = _loss(args)
     cfg = TrainConfig(max_iters=args.max_iters, tolerance=args.tolerance)
     model = train_projected(ds, loss, args.tau, cfg)
     save_model(model, schema, args.out)
@@ -91,7 +95,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_dpsgd(args) -> int:
     schema, ds = _load(args)
-    loss = LossSpec.from_dict({"kind": args.loss, "gamma": args.gamma})
+    loss = _loss(args)
     cfg = DpSgdConfig(iterations=args.iterations, batch_size=args.batch_size,
                       learning_rate=args.learning_rate, clip_norm=args.clip_norm,
                       lipschitz_L=args.lipschitz, epsilon=args.epsilon, delta=args.delta)
@@ -123,14 +127,15 @@ def _cmd_eval(args) -> int:
 def _cmd_bound(args) -> int:
     with open(args.params) as fh:
         params = json.load(fh)
+    # the schedule family takes m alone; every other family the fields of BoundInputs
+    schedule = isinstance(params, dict) and params.get("family") == "schedule"
+    _check_document(params, "bound input", {"m": int} if schedule else bounds_mod.BoundInputs,
+                    {"family": str, "mode": str})
     family = params.pop("family", "lipschitz")
     mode = params.pop("mode", "explicit")
-    if family == "schedule":
-        doc = dataclasses.asdict(bounds_mod.hard_instance_schedule(int(params["m"])))
+    if schedule:
+        doc = dataclasses.asdict(bounds_mod.hard_instance_schedule(params["m"]))
     else:
-        unknown = sorted(set(params) - {f.name for f in dataclasses.fields(bounds_mod.BoundInputs)})
-        if unknown:
-            raise bounds_mod.BoundError(f"unknown bound inputs: {unknown}")
         inputs = bounds_mod.BoundInputs(**params)
         if family in ("lipschitz", "logistic"):
             report = bounds_mod.excess_risk_bound(inputs, family, mode)
@@ -166,14 +171,12 @@ def _cmd_approx(args) -> int:
                      *[repr(c) for c in poly.coeffs]])
     header = ["method", "degree", "a", "b", "max_abs_error", "coeff_abs_sum",
               *[f"c{k}" for k in range(args.degree + 1)]]
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
+    if args.out:
+        _write_csv(args.out, header, rows)
+    else:
+        writer = csv.writer(sys.stdout)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

@@ -15,9 +15,12 @@ rows only when read.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -66,7 +69,9 @@ class Schema:
         if len(set(self.names)) != len(self.names):
             raise SchemaError("attribute names must be unique")
         for name, size in zip(self.names, self.sizes):
-            if int(size) < 2:
+            if int(size) != size:
+                raise SchemaError(f"attribute {name!r} has domain size {size}, not a whole number")
+            if size < 2:
                 raise SchemaError(f"attribute {name!r} has domain size {size} < 2")
         if self.sizes[-1] != 2:
             raise SchemaError("label (last attribute) must have domain size 2")
@@ -93,9 +98,11 @@ class Schema:
         return {"attributes": [{"name": n, "size": s} for n, s in zip(self.names, self.sizes)]}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Schema":
-        attrs = doc["attributes"]
-        return cls(tuple(a["name"] for a in attrs), tuple(int(a["size"]) for a in attrs))
+    def from_dict(cls, doc) -> "Schema":
+        """The schema of a JSON document; its optional `preprocess` section is read by `prep` only."""
+        attrs = _check_document(doc, "schema key", {"attributes": list}, {"preprocess": dict})["attributes"]
+        attrs = [_check_document(a, "attribute key", {"name": str, "size": int}) for a in attrs]
+        return cls(tuple(a["name"] for a in attrs), tuple(a["size"] for a in attrs))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Schema":
@@ -269,6 +276,82 @@ def _write_json(doc, path: str | Path) -> None:
         fh.write("\n")
 
 
+def _check_document(doc, noun: str, keys, optional: dict | None = None) -> dict:
+    """`doc`, a parsed JSON value, if it is a JSON object of `noun`s with the
+    given keys: the one check of every JSON document the program reads.
+
+    `keys` maps each required key to a type hint for its JSON type (int an
+    integer, float any number, str a string, dict an object, list[hint] or
+    tuple[hint, ...] an array, None null, a union any member), or is a
+    dataclass, whose fields are the keys, required unless they have a
+    default.  `optional` maps the keys that may be left out; None for `keys`
+    takes any key (a map keyed by data, such as column names).  A value that
+    is not an object, an unknown key, a missing key and a value of another
+    JSON type are each refused with a ValueError that names them.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object of {noun}s, got {_shown(doc)}")
+    if keys is None:
+        return doc
+    optional = dict(optional or {})
+    if dataclasses.is_dataclass(keys):
+        fields, hints, keys = dataclasses.fields(keys), typing.get_type_hints(keys), {}
+        for f in fields:
+            has_default = f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+            (optional if has_default else keys)[f.name] = hints[f.name]
+    hints = {**keys, **optional}
+    unknown = sorted(set(doc) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown {noun}s: {unknown}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"missing {noun}s: {missing}")
+    for key, value in doc.items():
+        if not _json_fits(value, hints[key]):
+            raise ValueError(f"{noun} {key!r} must be {_json_name(hints[key])}, got {_shown(value)}")
+    return doc
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a parsed JSON value has the JSON type that `hint` names (`_check_document`)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_json_fits(value, arg) for arg in args)
+    if origin in (list, tuple):
+        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
+    if isinstance(value, bool):  # JSON true and false: no document takes one, and Python counts them as ints
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object",
+               list: "an array", type(None): "null"}
+
+
+def _json_name(hint) -> str:
+    """The JSON type that `hint` names, in words."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(map(_json_name, args))
+    if origin in (list, tuple):
+        return f"an array with each entry {_json_name(args[0])}"
+    return _JSON_NAMES[hint]
+
+
+def _shown(value) -> str:
+    """A JSON value as an error message quotes it, cut to 60 characters."""
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:56] + " ..."
+
+
+def _write_csv(path: str | Path, header, rows) -> None:
+    """Write a header row and then rows as CSV: every CSV file the program writes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _read_rows(path: str | Path, names: tuple[str, ...] | None = None):
     """Stripped header and data rows of a CSV; the header must equal `names` when given."""
     with open(path, newline="") as fh:
@@ -339,10 +422,7 @@ def load_csv(path: str | Path, schema: Schema) -> Dataset:
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.schema.names)
-        writer.writerows(ds.codes.tolist())
+    _write_csv(path, ds.schema.names, ds.codes.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -389,22 +469,22 @@ class PreprocessRule:
             raise SchemaError(f"unknown preprocessing kind {self.kind!r}")
         if self.kind == "continuous" and (self.buckets is None or self.buckets < 2):
             raise SchemaError("continuous rule needs buckets >= 2")
+        if self.order is not None:
+            object.__setattr__(self, "order", tuple(self.order))
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "PreprocessRule":
-        return cls(
-            kind=doc["kind"],
-            buckets=doc.get("buckets"),
-            lo=doc.get("lo"),
-            hi=doc.get("hi"),
-            size=doc.get("size"),
-            order=tuple(doc["order"]) if "order" in doc else None,
-        )
+    def from_dict(cls, doc) -> "PreprocessRule":
+        """The rule of a JSON object whose keys are the fields; only `kind` is required."""
+        return cls(**_check_document(doc, "rule key", cls))
 
 
-def rules_from_dict(doc: dict) -> dict[str, PreprocessRule]:
-    """Parse the `preprocess` section of a schema document: {column: rule}."""
-    return {name: PreprocessRule.from_dict(rule) for name, rule in doc.items()}
+def rules_from_dict(doc) -> dict[str, PreprocessRule]:
+    """The rules of a rules document: {column: rule}, alone or as the `preprocess`
+    section of a schema document."""
+    if isinstance(doc, dict) and "preprocess" in doc:
+        doc = _check_document(doc, "schema key", {"preprocess": dict}, {"attributes": list})["preprocess"]
+    rules = _check_document(doc, "column rule", None)
+    return {name: PreprocessRule.from_dict(rule) for name, rule in rules.items()}
 
 
 def _is_missing(cell: str) -> bool:

@@ -11,20 +11,20 @@ rather than aborting the sweep.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import traceback
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema, SplitSpec, _write_json, load_csv, split
+from .dataset import Dataset, Schema, SplitSpec, _check_document, _write_csv, _write_json, load_csv, split
 from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .learn import LossError, LossSpec, TrainConfig, train_projected
+from .marginals import MarginalOperator, enumerate_queries
 from .privacy import PrivacyParams
-from .synth import generate_synthetic
+from .synth import DEFAULT_CANDIDATE_CAP, _path, generate_synthetic
 
 RUN_COLUMNS = [
     "epsilon", "repeat", "split_seed", "gen_seed", "sigma",
@@ -62,16 +62,12 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """The config of a JSON document; a key that names no field is refused."""
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        doc = dict(doc)
-        if doc.get("tau") == "inf":
-            doc["tau"] = math.inf
-        doc["epsilons"] = tuple(doc["epsilons"])
-        return cls(**doc)
+    def from_dict(cls, doc) -> "ExperimentConfig":
+        """The config of a JSON document whose keys are the fields (`_check_document`);
+        a `tau` of "inf" is math.inf."""
+        if isinstance(doc, dict) and doc.get("tau") == "inf":
+            doc = {**doc, "tau": math.inf}
+        return cls(**_check_document(doc, "config key", cls))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -143,9 +139,19 @@ def _aggregate(rows: list[dict], eps: float) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the sweep: runs.csv, aggregates.csv, reports/ and each failed cell's traceback in failures/.
 
-    A gamma_margin loss, defined on margins in [-1, 1], is refused first if tau * sqrt(m) > 1."""
+    A config that no cell could run is refused before any output: a marginal
+    order, mode or joint domain that synthesis refuses, a train_fraction,
+    base_seed, delta or lam out of range, and a gamma_margin loss, defined on
+    margins in [-1, 1], with tau * sqrt(m) > 1.  An epsilon out of range
+    fails its cells."""
     schema = Schema.from_file(cfg.schema_path)
     loss = LossSpec.from_dict(cfg.loss)
+    # a request refused at 1 row is refused at every size, so at every cell's n_train
+    _path(1, MarginalOperator(schema, enumerate_queries(schema.num_features, cfg.d)), cfg.mode,
+          DEFAULT_CANDIDATE_CAP)
+    SplitSpec(cfg.train_fraction, _seed(cfg.base_seed))  # numpy refuses a negative base_seed
+    # each epsilon is checked by its own cells, and so is the default delta, 1/n_train^2
+    PrivacyParams(1.0, 0.5 if cfg.delta is None else cfg.delta, lam=cfg.lam)
     if loss.kind == "gamma_margin" and not cfg.tau * math.sqrt(schema.num_features) <= 1.0:
         raise LossError(f"gamma_margin loss needs tau * sqrt(m) <= 1, got tau = {cfg.tau} "
                         f"at m = {schema.num_features}")
@@ -189,13 +195,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     aggregates = [_aggregate(eps_rows, eps) for eps_rows, eps in zip(grid, cfg.epsilons)]
 
     runs_path = out / "runs.csv"
-    with open(runs_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RUN_COLUMNS)
-        writer.writeheader()
-        writer.writerows(runs)
+    _write_csv(runs_path, RUN_COLUMNS, ([row[c] for c in RUN_COLUMNS] for row in runs))
     agg_path = out / "aggregates.csv"
-    with open(agg_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(aggregates[0].keys()))
-        writer.writeheader()
-        writer.writerows(aggregates)
+    _write_csv(agg_path, aggregates[0].keys(), (agg.values() for agg in aggregates))
     return ExperimentResult(runs, aggregates, str(runs_path), str(agg_path))

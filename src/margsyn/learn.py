@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema, _encode_codes, _write_json, encode_weighted
+from .dataset import Dataset, Schema, _check_document, _encode_codes, _write_json, encode_weighted
 
 
 class LossError(ValueError):
@@ -137,12 +137,26 @@ class LossSpec:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "LossSpec":
-        if doc["kind"] == "logistic":
+    def from_dict(cls, doc) -> "LossSpec":
+        """The loss of a JSON document: `kind` and the keys that kind takes
+        (`_LOSS_KEYS`).  The derived `lipschitz_K` and `value_at_zero` that
+        `to_dict` writes are taken and not read: they follow from the loss."""
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        params = _LOSS_KEYS.get(kind, {}) if isinstance(kind, str) else {}
+        doc = _check_document(doc, "loss key", {"kind": str, **params},
+                              {"lipschitz_K": float, "value_at_zero": float})
+        if kind == "logistic":
             return cls.logistic()
-        if doc["kind"] == "gamma_margin":
+        if kind == "gamma_margin":
             return cls.gamma_margin(doc["gamma"])
-        return cls.from_table(doc["knots_t"], doc["knots_v"])
+        if kind == "custom":
+            return cls.from_table(doc["knots_t"], doc["knots_v"])
+        raise LossError(f"unknown loss kind {kind!r}; expected one of {sorted(_LOSS_KEYS)}")
+
+
+# The keys each loss kind's document takes besides `kind`, with their JSON types.
+_LOSS_KEYS = {"logistic": {}, "gamma_margin": {"gamma": float},
+              "custom": {"knots_t": list[float], "knots_v": list[float]}}
 
 
 @dataclass(frozen=True)
@@ -333,9 +347,14 @@ def save_model(model: LinearModel, schema: Schema, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> tuple[LinearModel, str]:
-    """Model plus the schema hash it was trained against."""
+    """Model plus the schema hash it was trained against, from a `save_model`
+    file: its four keys, with a `tau` of "inf" for math.inf."""
     with open(path) as fh:
         doc = json.load(fh)
-    model = LinearModel(np.asarray(doc["weights"], dtype=np.float64), float(doc["tau"]),
+    if isinstance(doc, dict) and doc.get("tau") == "inf":
+        doc = {**doc, "tau": math.inf}
+    doc = _check_document(doc, "model key", {"schema_hash": str, "tau": float, "loss": dict,
+                                             "weights": list[float]})
+    model = LinearModel(np.asarray(doc["weights"], dtype=np.float64), doc["tau"],
                         LossSpec.from_dict(doc["loss"]))
     return model, doc["schema_hash"]

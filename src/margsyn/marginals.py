@@ -8,7 +8,6 @@ last attribute in the query varying fastest.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema, _write_json
+from .dataset import Dataset, Schema, _write_csv, _write_json
 
 
 class QueryError(ValueError):
@@ -241,12 +240,10 @@ class MarginalOperator:
 def save_marginals(op: MarginalOperator, vector: np.ndarray,
                    csv_path: str | Path, manifest_path: str | Path) -> None:
     """Write a marginal vector in `op`'s layout, one slice per query."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "flat_index", "count"])
-        qid = np.repeat(np.arange(len(op.queries)), op.num_bins)
-        idx = np.arange(len(qid)) - np.repeat(op.offsets, op.num_bins)
-        writer.writerows(zip(qid.tolist(), idx.tolist(), map(repr, vector.tolist())))
+    qid = np.repeat(np.arange(len(op.queries)), op.num_bins)
+    idx = np.arange(len(qid)) - np.repeat(op.offsets, op.num_bins)
+    _write_csv(csv_path, ["query_id", "flat_index", "count"],
+               zip(qid.tolist(), idx.tolist(), map(repr, vector.tolist())))
     manifest = {
         "queries": [
             {"id": qid, "attrs": list(q.attrs), "shape": list(op.schema.shape(q.attrs))}

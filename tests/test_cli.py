@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import re
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -446,7 +447,7 @@ def test_config_with_a_margin_loss_out_of_range_fails_when_read(demo_files, tmp_
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     assert_refused(capsys, ["pipeline", "--config", str(cfg_path)],
-                   r"gamma_margin loss needs tau \* sqrt\(m\) <= 1")
+                       r"gamma_margin loss needs tau \* sqrt\(m\) <= 1")
     assert not (tmp_path / "out").exists()
     doc["tau"] = 0.5  # 0.5 * sqrt(3) <= 1: every cell runs
     cfg_path.write_text(json.dumps(doc))
@@ -483,6 +484,108 @@ def test_bound_refuses_an_unknown_input(tmp_path, capsys):
     path.write_text(json.dumps({"family": "lipschitz", "n": 10_000, "m": 4, "d": 3, "tau": 0.5,
                                 "nu": 1.0, "bogus": 1}))
     assert_refused(capsys, ["bound", "--params", str(path)], r"unknown bound inputs: \['bogus'\]")
+
+
+# (command, the document it reads, an edit that turns a valid document into a refused one,
+# the refusal's message).  Each command reads one document; the rest of its input is valid.
+_REFUSED_DOCUMENTS = [
+    pytest.param("pipeline", "config", lambda doc: {"data_path": doc["data_path"]},
+                 r"missing config keys: \['schema_path', 'out_dir', 'epsilons', 'repeats', 'd', 'tau'\]",
+                 id="config of data_path alone"),
+    pytest.param("pipeline", "config", lambda doc: [1, 2],
+                 r"expected a JSON object of config keys, got \[1, 2\]", id="config a list"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "repeats": 1.5},
+                 r"config key 'repeats' must be an integer, got 1\.5", id="repeats 1.5"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "tau": "0.5"},
+                 r"config key 'tau' must be a number, got \"0\.5\"", id="tau a string"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "epsilons": "12"},
+                 r"config key 'epsilons' must be an array with each entry a number, got \"12\"",
+                 id="epsilons a string"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "loss": {"knd": "logistic"}},
+                 r"unknown loss keys: \['knd'\]", id="loss key typo"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "loss": {"kind": "gamma_margin"}},
+                 r"missing loss keys: \['gamma'\]", id="gamma missing"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "loss": {"kind": "logistic", "gama": 0.3}},
+                 r"unknown loss keys: \['gama'\]", id="logistic loss with a typo"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "loss": {"kind": "hinge"}},
+                 r"unknown loss kind 'hinge'", id="unknown loss kind"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "mode": "bogus"},
+                 r"unknown mode 'bogus'", id="unknown mode"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "d": 9},
+                 r"marginal order d=9 out of range", id="d above m + 1"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "train_fraction": 1.5},
+                 r"train_fraction must lie", id="train_fraction 1.5"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "base_seed": -1},
+                 r"expected non-negative integer", id="base_seed -1"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "delta": 2.0},
+                 r"delta must lie in \(0, 1\)", id="delta 2"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "lam": -1},
+                 r"lambda must be finite and positive", id="lam -1"),
+    pytest.param("bound", "params", lambda doc: {"family": "lipschitz", "n": 10},
+                 r"missing bound inputs: \['m', 'd', 'tau'\]", id="bound inputs missing"),
+    pytest.param("bound", "params", lambda doc: {**doc, "n": "10"},
+                 r"bound input 'n' must be an integer, got \"10\"", id="n a string"),
+    pytest.param("bound", "params", lambda doc: [1],
+                 r"expected a JSON object of bound inputs, got \[1\]", id="bound params a list"),
+    pytest.param("bound", "params", lambda doc: {"family": "schedule"},
+                 r"missing bound inputs: \['m'\]", id="schedule without m"),
+    pytest.param("prep", "rules", lambda doc: {**doc, "label": {"kidn": "categorical"}},
+                 r"unknown rule keys: \['kidn'\]", id="rule key typo"),
+    pytest.param("prep", "rules", lambda doc: {**doc, "age": {"kind": "continuous", "buckets": "3"}},
+                 r"rule key 'buckets' must be an integer or null, got \"3\"", id="buckets a string"),
+    pytest.param("prep", "rules", lambda doc: [1],
+                 r"expected a JSON object of column rules, got \[1\]", id="rules a list"),
+    pytest.param("prep", "rules", lambda doc: {**doc, "label": {"kind": "categorical", "oder": ["y", "x"]}},
+                 r"unknown rule keys: \['oder'\]", id="order typo"),
+    pytest.param("prep", "rules", lambda doc: {"preprocess": doc, "atributes": []},
+                 r"unknown schema keys: \['atributes'\]", id="schema key typo in rules"),
+    pytest.param("synth", "schema", lambda doc: {"atributes": doc["attributes"]},
+                 r"unknown schema keys: \['atributes'\]", id="schema key typo"),
+    pytest.param("synth", "schema", lambda doc: {"attributes": {"a": 2}},
+                 r"schema key 'attributes' must be an array, got \{\"a\": 2\}", id="attributes an object"),
+    pytest.param("synth", "schema",
+                 lambda doc: {"attributes": [{"name": "x0", "size": 2.7}, *doc["attributes"][1:]]},
+                 r"attribute key 'size' must be an integer, got 2\.7", id="size 2.7"),
+    pytest.param("eval", "model", lambda doc: {k: v for k, v in doc.items() if k != "schema_hash"},
+                 r"missing model keys: \['schema_hash'\]", id="model key missing"),
+    pytest.param("eval", "model", lambda doc: {**doc, "tau": None},
+                 r"model key 'tau' must be a number, got null", id="model tau null"),
+]
+
+
+@pytest.mark.parametrize("command, kind, edit, match", _REFUSED_DOCUMENTS)
+def test_a_refused_document_writes_nothing(demo_files, tmp_path, capsys, command, kind, edit, match):
+    ds, data, schema, tmp = demo_files
+    out = tmp_path / "out"
+    if command == "pipeline":
+        valid = _pipeline_config(tmp_path, data, schema, "out")
+        argv = ["pipeline", "--config"]
+    elif command == "bound":
+        valid = {"family": "lipschitz", "n": 10_000, "m": 4, "d": 3, "tau": 0.5, "nu": 1.0}
+        argv = ["bound", "--out", str(out), "--params"]
+    elif command == "prep":
+        (tmp_path / "raw.csv").write_text("age,label\n31,yes\n45,no\n52,no\n")
+        valid = {"age": {"kind": "continuous", "buckets": 2}, "label": {"kind": "categorical"}}
+        argv = ["prep", "--raw", str(tmp_path / "raw.csv"), "--out", str(out), "--schema-out",
+                str(tmp_path / "schema_out.json"), "--rules"]
+    elif command == "synth":
+        valid = ds.schema.to_dict()
+        argv = ["synth", "--data", data, "--out", str(out), "--report", str(tmp_path / "report.json"),
+                "--schema"]
+    else:
+        save_model(train_projected(ds, LossSpec.logistic(), 0.5), ds.schema, tmp_path / "model.json")
+        valid = json.loads((tmp_path / "model.json").read_text())
+        argv = ["eval", "--data", data, "--schema", schema, "--out", str(out), "--model"]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(valid))
+    given = set(tmp_path.iterdir())
+    assert main([*argv, str(path)]) == 0 and out.exists()  # the unedited document is taken
+    for made in set(tmp_path.iterdir()) - given:
+        shutil.rmtree(made) if made.is_dir() else made.unlink()
+    capsys.readouterr()
+    path.write_text(json.dumps(edit(valid)))
+    assert_refused(capsys, [*argv, str(path)], match)
+    assert set(tmp_path.iterdir()) == given
 
 
 @pytest.mark.parametrize("command", ["train", "pipeline"])

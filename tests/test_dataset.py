@@ -36,6 +36,11 @@ class TestSchema:
         with pytest.raises(SchemaError):
             Schema(("a", "label"), (1, 2))
 
+    def test_domain_sizes_are_whole_numbers(self):
+        with pytest.raises(SchemaError, match="domain size 2.7, not a whole number"):
+            Schema(("a", "label"), (2.7, 2))
+        assert Schema(("a", "label"), (np.int64(3), 2.0)).sizes == (3, 2)
+
     def test_unique_names(self):
         with pytest.raises(SchemaError):
             Schema(("a", "a", "label"), (2, 2, 2))
@@ -45,6 +50,8 @@ class TestSchema:
         s.to_file(tmp_path / "schema.json")
         assert Schema.from_file(tmp_path / "schema.json") == s
         assert s.digest() == Schema.from_dict(s.to_dict()).digest()
+        # the optional `preprocess` section, which only `prep` reads
+        assert Schema.from_dict({**s.to_dict(), "preprocess": {"a": {"kind": "identity"}}}) == s
 
 
 # Ways to write a valid code that Python's int() accepts, and one-defect edits of a coded file.

@@ -296,10 +296,14 @@ def test_model_budget_must_be_non_negative(tau):
     assert LinearModel(np.array([3.0, 4.0]), math.inf, LossSpec.logistic()).tau == math.inf
 
 
-def test_model_file_round_trip(tmp_path, three_binary_schema):
+@pytest.mark.parametrize("loss, tau", [
+    (LossSpec.gamma_margin(0.4), 1.0 / math.sqrt(3)),
+    (LossSpec.logistic(), math.inf),
+    (LossSpec.from_table((-2.0, 0.5, 1.0), (3.0, 0.5, 0.0)), 0.5),
+], ids=["gamma_margin", "logistic", "custom"])
+def test_model_file_round_trip(tmp_path, three_binary_schema, loss, tau):
     ds = random_dataset(three_binary_schema, 40, seed=1)
-    model = train_projected(ds, LossSpec.gamma_margin(0.4), 1.0 / math.sqrt(3),
-                            TrainConfig(max_iters=50))
+    model = train_projected(ds, loss, tau, TrainConfig(max_iters=50))
     save_model(model, three_binary_schema, tmp_path / "m.json")
     back, schema_hash = load_model(tmp_path / "m.json")
     assert schema_hash == three_binary_schema.digest()
