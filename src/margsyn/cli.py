@@ -27,7 +27,7 @@ from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .experiment import ExperimentConfig, run_experiment
 from .learn import (DpSgdConfig, LossSpec, TrainConfig, dp_sgd, load_model,
                     save_model, train_projected)
-from .marginals import MarginalOperator, compute_marginal, enumerate_queries, save_marginals
+from .marginals import compute_marginal, order_operator, save_marginals
 from .polyapprox import Interval, approx_report, bernstein, iterated_bernstein, remez_minimax
 from .privacy import PrivacyParams
 from .synth import generate_synthetic
@@ -69,8 +69,8 @@ def _cmd_synth(args) -> int:
     if args.report:
         _write_json(dataclasses.asdict(report), args.report)
     if args.marginals_out:
-        # counted one query at a time: forward would build the queries x cells bin table
-        op = MarginalOperator(schema, enumerate_queries(schema.num_features, args.order))
+        # the release's operator lays out the vector; each query is counted on its own
+        op = order_operator(schema, args.order)
         vector = np.concatenate([compute_marginal(ds_syn, q) for q in op.queries])
         save_marginals(op, vector, args.marginals_out + ".csv", args.marginals_out + ".json")
     print(f"wrote {ds_syn.n} synthetic rows to {args.out} (sigma={report.sigma:.6g})")

@@ -193,20 +193,32 @@ class Dataset:
         """Distinct rows in cell order (row-major over schema.sizes) with their counts.
 
         `from_counts` and `split` set it.  Built from rows, each row's key is its
-        mixed-radix cell index, key * size + code, built column by column in
-        int64.  Before a step could overflow, the key is replaced by its rank
-        among the keys so far, which keeps their order, so every schema works,
+        mixed-radix cell index in int64, extended by one run of columns at a
+        time: key * prod(run sizes) + codes[:, run] @ radix, the run's
+        row-major strides as radix, so one integer product per run.  A run
+        takes columns while the key bound times their sizes stays within
+        _KEY_LIMIT; before the next run the key is replaced by its rank among
+        the keys so far, which keeps their order, so every schema works,
         however many cells it has.  Every quantity of the empirical
         distribution (risk, scores, marginals) reads this view.
         """
+        sizes = self.schema.sizes
         key = np.zeros(self.n, dtype=np.int64)
         bound = 1  # every key lies in [0, bound)
-        for col, size in zip(self.codes.T, self.schema.sizes):
-            if bound > _KEY_LIMIT // size:
+        start = 0
+        while start < len(sizes):
+            if bound > _KEY_LIMIT // sizes[start]:
                 distinct, key = np.unique(key, return_inverse=True)
                 bound = len(distinct)
-            key = key * size + col
-            bound *= size
+            stop = start + 1
+            bound *= sizes[start]
+            while stop < len(sizes) and bound <= _KEY_LIMIT // sizes[stop]:
+                bound *= sizes[stop]
+                stop += 1
+            run = sizes[start:stop]
+            radix = np.array([math.prod(run[k + 1:]) for k in range(len(run))], dtype=np.int64)
+            key = key * math.prod(run) + self.codes[:, start:stop] @ radix
+            start = stop
         _, first, counts = np.unique(key, return_index=True, return_counts=True)
         codes = self.codes[first]
         codes.setflags(write=False)
@@ -474,8 +486,17 @@ class PreprocessRule:
 
     @classmethod
     def from_dict(cls, doc) -> "PreprocessRule":
-        """The rule of a JSON object whose keys are the fields; only `kind` is required."""
-        return cls(**_check_document(doc, "rule key", cls))
+        """The rule of a JSON object: `kind` and, optionally, the keys that kind
+        reads (`_RULE_KEYS`)."""
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        hints = typing.get_type_hints(cls)
+        keys = _RULE_KEYS.get(kind, ()) if isinstance(kind, str) else ()
+        return cls(**_check_document(doc, "rule key", {"kind": str}, {key: hints[key] for key in keys}))
+
+
+# The fields each preprocessing kind reads besides `kind`.
+_RULE_KEYS = {"categorical": ("order",), "continuous": ("buckets", "lo", "hi"), "integer": (),
+              "identity": ("size",)}
 
 
 def rules_from_dict(doc) -> dict[str, PreprocessRule]:

@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import Dataset, Schema, SplitSpec, _check_document, _write_csv, _write_json, load_csv, split
 from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .learn import LossError, LossSpec, TrainConfig, train_projected
-from .marginals import MarginalOperator, enumerate_queries
+from .marginals import order_operator
 from .privacy import PrivacyParams
 from .synth import DEFAULT_CANDIDATE_CAP, _path, generate_synthetic
 
@@ -147,8 +147,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     schema = Schema.from_file(cfg.schema_path)
     loss = LossSpec.from_dict(cfg.loss)
     # a request refused at 1 row is refused at every size, so at every cell's n_train
-    _path(1, MarginalOperator(schema, enumerate_queries(schema.num_features, cfg.d)), cfg.mode,
-          DEFAULT_CANDIDATE_CAP)
+    _path(1, order_operator(schema, cfg.d), cfg.mode, DEFAULT_CANDIDATE_CAP)
     SplitSpec(cfg.train_fraction, _seed(cfg.base_seed))  # numpy refuses a negative base_seed
     # each epsilon is checked by its own cells, and so is the default delta, 1/n_train^2
     PrivacyParams(1.0, 0.5 if cfg.delta is None else cfg.delta, lam=cfg.lam)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -183,7 +183,7 @@ class MarginalOperator:
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, ...]:
-        """T's factors over consecutive attributes, in order.
+        """T's factors over consecutive attributes, in order, read-only.
 
         A 2-D factor is the Kronecker product of the reflectors of a run of
         attributes whose domain sizes multiply to at most _GROUP_DIM.  An
@@ -204,6 +204,8 @@ class MarginalOperator:
                 out[-1] = np.kron(out[-1], h)
             else:
                 out.append(h)
+        for f in out:
+            f.setflags(write=False)
         return tuple(out)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
@@ -230,6 +232,19 @@ class MarginalOperator:
     def l1_to(self, marginals: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Per-query l1 distance between two concatenated marginal vectors."""
         return self.query_sums(np.abs(target - marginals))
+
+
+@lru_cache(maxsize=1)
+def order_operator(schema: Schema, d: int) -> MarginalOperator:
+    """The operator over every query of order <= d on `schema` (`enumerate_queries`).
+
+    It reads only the schema and d, so every release over them can share it:
+    the last (schema, d) asked keeps its operator, with the bin table,
+    spectrum and transform factors it has built, and a sweep's releases
+    build one between them.  Its arrays are read-only, so no release can
+    change what a later one reads.
+    """
+    return MarginalOperator(schema, enumerate_queries(schema.num_features, d))
 
 
 # ---------------------------------------------------------------------------

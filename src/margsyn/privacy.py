@@ -87,10 +87,10 @@ def add_noise_to_set(counts: np.ndarray, num_bins, sigma: float, seed: int) -> n
     noise on every entry, as a new vector (sigma 0 draws nothing).
 
     Query idx owns the `num_bins[idx]` entries after those of the queries
-    before it, and its noise comes from its own generator seeded by
-    (seed, idx), so the result does not depend on evaluation order or
-    scheduling.  Determinism is per seed, not bit-exact across platforms or
-    numpy builds.
+    before it.  The noise is one draw of the whole vector from one generator
+    seeded by `seed`, so the result does not depend on evaluation order, and
+    a vector's first k entries get the noise of a k-entry vector.
+    Determinism is per seed, not bit-exact across platforms or numpy builds.
     """
     if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
@@ -98,10 +98,7 @@ def add_noise_to_set(counts: np.ndarray, num_bins, sigma: float, seed: int) -> n
     if noisy.shape != (sum(num_bins),):
         raise ValueError(f"counts of shape {noisy.shape} do not hold {sum(num_bins)} bins")
     if sigma > 0:
-        start = 0
-        for idx, k in enumerate(num_bins):
-            noisy[start:start + k] += np.random.default_rng([seed, idx]).normal(0.0, sigma, size=k)
-            start += k
+        noisy += np.random.default_rng(seed).normal(0.0, sigma, size=noisy.shape[0])
     return noisy
 
 

@@ -50,7 +50,7 @@ from itertools import combinations_with_replacement, islice
 import numpy as np
 
 from .dataset import Dataset, Schema
-from .marginals import MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
+from .marginals import MarginalOperator, MarginalQuery, compute_marginal, order_operator
 from .privacy import (PrivacyParams, add_noise_to_set, calibrate, marginal_set_sensitivity,
                       synthesis_l1_bound)
 
@@ -533,16 +533,18 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
                        cap: int = DEFAULT_CANDIDATE_CAP) -> tuple[Dataset, GenReport]:
     """Measure all order-<=d marginals, noise them, synthesize, and report.
 
-    One `MarginalOperator` is built over the queries (it reads only sizes) and
-    the request is checked as `synthesize` checks it (`_path`), so a joint
-    domain too large for the path is refused before anything of its size is
-    allocated, and a budget `calibrate` refuses before the real data is read.
+    The operator over the queries comes from `order_operator`, so the
+    releases of one (schema, d) share one, with its bin table, spectrum and
+    transform factors.  The request is checked as `synthesize` checks it
+    (`_path`, which reads only sizes), so a joint domain too large for the
+    path is refused before anything of its size is allocated, and a budget
+    `calibrate` refuses before the real data is read.
     Then the real data is counted once into joint cells, and the operator's
     `forward` of those counts gives every real marginal: sums of whole
     numbers, so the same floats as counting each query on its own.  The noise
-    is drawn into that one vector (`add_noise_to_set`), and the noisy set
-    holds it on the same operator.  Synthesis draws nothing, so `seed` seeds
-    only the noise.
+    is drawn into that one vector by one generator (`add_noise_to_set`), and
+    the noisy set holds it on the same operator.  Synthesis draws nothing, so
+    `seed` seeds only the noise.
     sigma is always the Gaussian-mechanism calibration of `privacy`, so the
     report's epsilon and delta are those of the noise actually added.  (To
     synthesize from given marginals `counts` in the operator's layout, with
@@ -552,8 +554,7 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     """
     schema = ds_real.schema
     m = schema.num_features
-    queries = enumerate_queries(m, d)
-    op = MarginalOperator(schema, queries)
+    op = order_operator(schema, d)
     _path(ds_real.n, op, mode, cap)
     sigma = calibrate(m, d, privacy)
     joint = compute_marginal(ds_real, MarginalQuery(tuple(range(schema.num_attributes))))
@@ -571,7 +572,7 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
         sensitivity=marginal_set_sensitivity(m, d),
         epsilon=privacy.epsilon,
         delta=privacy.delta,
-        query_count=len(queries),
+        query_count=len(op.queries),
         lam=privacy.lam,
         l1_bound_at_lam=l1_bound,
         bound_certified=stats["l1_to_noisy_max"] <= l1_bound / 2,

@@ -74,16 +74,13 @@ def reference_l1_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def reference_add_noise_to_set(marginals: list[np.ndarray], sigma: float, seed: int) -> list[np.ndarray]:
-    """Noise every marginal vector under a per-query derived sub-seed, one
-    vector per query: query idx gets independent N(0, sigma^2) per entry from
-    default_rng([seed, idx]), and no draw at sigma 0."""
+    """Noise every marginal vector from one stream, one vector per query: the
+    queries, in order, each take their entries' independent N(0, sigma^2)
+    draws in turn from one default_rng(seed), and nothing is drawn at sigma 0."""
     if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
-    out = []
-    for idx, h in enumerate(marginals):
-        rng = np.random.default_rng([seed, idx])
-        out.append(h + (rng.normal(0.0, sigma, size=h.shape) if sigma > 0 else 0.0))
-    return out
+    rng = np.random.default_rng(seed)
+    return [h + (rng.normal(0.0, sigma, size=h.shape) if sigma > 0 else 0.0) for h in marginals]
 
 
 def reference_gaussian_delta(eps: float, r: float) -> float:

@@ -5,6 +5,7 @@ import math
 import re
 import shutil
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from margsyn.demo import make_demo_dataset
 from margsyn.evaluate import empirical_risk
 from margsyn.experiment import ExperimentConfig, run_experiment
 from margsyn.learn import LinearModel, LossSpec, save_model, train_projected
-from margsyn.marginals import compute_marginal, enumerate_queries
+from margsyn.marginals import MarginalOperator, compute_marginal, enumerate_queries, order_operator
 from margsyn.synth import generate_synthetic
 
 from conftest import assert_refused
@@ -99,19 +100,25 @@ def test_synth_marginals_out_holds_the_synthetic_marginals(demo_files, mode, ord
 
 
 def test_synth_marginals_out_builds_no_bin_table(demo_files, monkeypatch):
-    """The dump counts the synthetic data one query at a time: its operator only lays out the vector."""
+    """The dump counts the synthetic data one query at a time on the release's
+    operator: the command builds one bin table, the release's, with or without it."""
     ds, data, schema, tmp = demo_files
+    built = []
 
-    class NoTable(cli.MarginalOperator):
-        @property
-        def bin_maps(self):
-            raise AssertionError("the marginal dump built the queries x cells bin table")
+    def counted(op, build=MarginalOperator.bin_maps.func):
+        built.append(op)
+        return build(op)
 
-    monkeypatch.setattr(cli, "MarginalOperator", NoTable)
+    table = cached_property(counted)
+    table.__set_name__(MarginalOperator, "bin_maps")
+    monkeypatch.setattr(MarginalOperator, "bin_maps", table)
     out, margs = tmp / "syn.csv", tmp / "margs"
-    assert main(["synth", "--data", data, "--schema", schema, "--out", str(out), "--epsilon", "1.0",
-                 "--delta", "1e-6", "--order", "3", "--mode", "fitted", "--seed", "3",
-                 "--marginals-out", str(margs)]) == 0
+    for dump in ([], ["--marginals-out", str(margs)]):
+        order_operator.cache_clear()
+        built.clear()
+        assert main(["synth", "--data", data, "--schema", schema, "--out", str(out), "--epsilon", "1.0",
+                     "--delta", "1e-6", "--order", "3", "--mode", "fitted", "--seed", "3", *dump]) == 0
+        assert len(built) == 1
     ds_syn = load_csv(out, ds.schema)
     with open(tmp / "margs.csv", newline="") as fh:
         got = [float(r["count"]) for r in csv.DictReader(fh)]
@@ -537,6 +544,15 @@ _REFUSED_DOCUMENTS = [
                  r"expected a JSON object of column rules, got \[1\]", id="rules a list"),
     pytest.param("prep", "rules", lambda doc: {**doc, "label": {"kind": "categorical", "oder": ["y", "x"]}},
                  r"unknown rule keys: \['oder'\]", id="order typo"),
+    pytest.param("prep", "rules", lambda doc: {**doc, "label": {"kind": "categorical", "buckets": 3, "lo": 0,
+                                                                 "size": 9}},
+                 r"unknown rule keys: \['buckets', 'lo', 'size'\]", id="categorical rule with bucket keys"),
+    pytest.param("prep", "rules", lambda doc: {**doc, "age": {"kind": "continuous", "buckets": 2, "order": []}},
+                 r"unknown rule keys: \['order'\]", id="continuous rule with an order"),
+    pytest.param("prep", "rules", lambda doc: {**doc, "age": {"kind": "integer", "size": 60}},
+                 r"unknown rule keys: \['size'\]", id="integer rule with a size"),
+    pytest.param("prep", "rules", lambda doc: {**doc, "age": {"kind": "identity", "size": 60, "hi": 60}},
+                 r"unknown rule keys: \['hi'\]", id="identity rule with a bound"),
     pytest.param("prep", "rules", lambda doc: {"preprocess": doc, "atributes": []},
                  r"unknown schema keys: \['atributes'\]", id="schema key typo in rules"),
     pytest.param("synth", "schema", lambda doc: {"atributes": doc["attributes"]},

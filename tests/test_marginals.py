@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from margsyn.dataset import Dataset, Schema
 from margsyn.marginals import (MarginalOperator, MarginalQuery, QueryError, compute_marginal,
-                               enumerate_queries, query_count, save_marginals)
+                               enumerate_queries, order_operator, query_count, save_marginals)
 
 from conftest import (cell_counts, dense_marginal_matrix, random_dataset, reference_bin_maps,
                       reference_encode_xy as encode_xy, reference_l1_distance, reference_spectrum)
@@ -244,6 +244,21 @@ class TestMarginalOperator:
         for k in range(1, 2 * (d // 2) + 1):
             assert q @ t**k == pytest.approx(p @ t**k, rel=1e-12)
         assert abs(q @ t**3 - p @ t**3) > 1e-4 * abs(p @ t**3)
+
+    def test_order_operator_is_shared_and_read_only(self):
+        # sizes 2 and 3 share a dense factor; 40, wider than one, is a reflector's vector
+        schema = Schema(("a", "b", "c", "label"), (2, 3, 40, 2))
+        order_operator.cache_clear()
+        op = order_operator(schema, 2)
+        assert op.queries == tuple(enumerate_queries(3, 2))
+        assert order_operator(Schema(schema.names, schema.sizes), 2) is op
+        assert [f.ndim for f in op._factors] == [2, 1, 2]
+        arrays = [op.offsets, op.bin_maps, op.spectrum, *op._factors]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
+        assert order_operator(schema, 3).queries == tuple(enumerate_queries(3, 3))
+        assert order_operator(schema, 2) is not op  # one entry: the last (schema, d) asked
 
     # (1500, 3, 2) builds the bin table in blocks of 7 queries, (300, 300, 2)
     # one query at a time

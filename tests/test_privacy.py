@@ -252,7 +252,7 @@ class TestAddNoise:
         op = MarginalOperator(two_binary_rows.schema, enumerate_queries(1, 2))
         counts = np.concatenate([compute_marginal(two_binary_rows, q) for q in op.queries])
         noisy = add_noise_to_set(counts, op.num_bins, 2.0, seed=7)
-        # noises of query i depend only on (seed, i), so re-noising a prefix agrees
+        # entry k takes draw k of the seed's one stream, so re-noising a prefix agrees
         prefix = sum(op.num_bins[:2])
         again = add_noise_to_set(counts[:prefix], op.num_bins[:2], 2.0, seed=7)
         assert np.array_equal(noisy[:prefix], again)
@@ -268,7 +268,7 @@ class TestAddNoise:
         assert np.std(noisy) == pytest.approx(sigma, rel=0.02)
 
     def test_entries_uncorrelated(self):
-        # 10,000 queries of 4 bins: query t draws from default_rng([9, t])
+        # 10,000 queries of 4 bins, one stream from default_rng(9): query t takes draws 4t to 4t + 3
         draws = add_noise_to_set(np.zeros(4 * 10_000), [4] * 10_000, 1.0, 9).reshape(10_000, 4)
         corr = np.corrcoef(draws.T)
         off_diag = corr[~np.eye(4, dtype=bool)]

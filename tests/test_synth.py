@@ -542,7 +542,7 @@ class TestFitDistribution:
         dist = fit_distribution(nm, n=n)
         assert dist.objective_trace[-1] == pytest.approx(direct_objective(nm, n, dist.probs), rel=1e-9)
 
-    @pytest.mark.parametrize("seed", [0, 1, 4])
+    @pytest.mark.parametrize("seed", [1, 4, 7])  # the seeds below 8 whose minimizer is non-negative
     def test_a_non_negative_closed_form_start_is_the_fit(self, seed):
         # sweep scale: 4 binary features + label, n = 32,000, d = 2, eps = 1
         real = make_demo_dataset(m=4, n=32_000, seed=seed)
@@ -578,8 +578,9 @@ class TestFitDistribution:
     def test_bit_equal_to_the_allocating_loop(self, case):
         # the whole run, restarts and the stop included: trace and iterate
         if case == "wide attribute":
+            # noise seed 2, the smallest whose fit on this data rejects a step
             real = random_dataset(Schema(("a", "b", "label"), (1500, 3, 2)), 4000, seed=5)
-            nm, n = noisy_set_from(real, 2, 3.0, seed=5), real.n
+            nm, n = noisy_set_from(real, 2, 3.0, seed=2), real.n
         else:
             nm, n = demo_d3_set(int(case[-1]))
         probs, trace = reference_fit(nm, n)

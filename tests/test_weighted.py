@@ -181,3 +181,24 @@ def test_no_per_row_work_on_a_duplicated_dataset(monkeypatch):
     empirical_risk(model, ds)
     assert {name for name, _ in seen} == {"_risk_and_grad", "predict"}
     assert max(rows for _, rows in seen) <= distinct
+
+
+# (feature sizes, re-ranks): 200 binary features from a pool of 30 rows re-rank
+# after 62 columns and then after each 58 (at most 30 distinct keys times 2^58
+# fits in int64); 2^40 re-ranks before the second and third; 2^62 before the 3.
+@pytest.mark.parametrize("sizes, reranks", [((2,) * 200, 3), ((2**40,) * 3, 2), ((2**62, 3, 5), 1)],
+                         ids=["200-binary", "three-2^40", "2^62-3-5"])
+def test_keys_re_rank_between_runs_of_columns(sizes, reranks, monkeypatch):
+    ds = pooled_dataset(make_schema(sizes), 30, 200, seed=8)
+    unique = np.unique
+    calls = []
+
+    def counted(key, **kwargs):
+        calls.append(kwargs.get("return_inverse", False))
+        return unique(key, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "unique", counted)
+        ds.weighted
+    assert calls.count(True) == reranks
+    check_view(ds)
