@@ -141,12 +141,16 @@ def private_excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
     """End-to-end bound with nu replaced by the high-probability l1 bound.
 
     nu := 2 l^d sqrt(2 (ln 2 (1+lam) + d ln(m l))) sigma, valid except with
-    probability 2^-lam.  sigma may be given directly, or is the mechanism's
-    own, `privacy.calibrate` of (m, d, epsilon, delta), which refuses the
-    budgets that `generate_synthetic` refuses.
+    probability 2^-lam.  sigma is given directly, or is the mechanism's own,
+    `privacy.calibrate` of (m, d, epsilon, delta), which refuses the budgets
+    that `generate_synthetic` refuses.  A nu, or a sigma with epsilon or delta, is refused.
     """
     _require(inp, "l", "lam")
+    if inp.nu is not None:
+        raise BoundError("a private bound derives nu from sigma; give no nu")
     if inp.sigma is not None:
+        if inp.epsilon is not None or inp.delta is not None:
+            raise BoundError("give sigma, or epsilon and delta, not both")
         sigma = inp.sigma
     else:
         _require(inp, "epsilon", "delta")

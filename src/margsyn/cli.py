@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .experiment import ExperimentConfig, run_experiment
 from .learn import (DpSgdConfig, LossSpec, TrainConfig, dp_sgd, load_model,
                     save_model, train_projected)
-from .marginals import compute_marginal, order_operator, save_marginals
+from .marginals import MarginalQuery, compute_marginal, order_operator, save_marginals
 from .polyapprox import Interval, approx_report, bernstein, iterated_bernstein, remez_minimax
 from .privacy import PrivacyParams
 from .synth import generate_synthetic
@@ -69,10 +70,9 @@ def _cmd_synth(args) -> int:
     if args.report:
         _write_json(dataclasses.asdict(report), args.report)
     if args.marginals_out:
-        # the release's operator lays out the vector; each query is counted on its own
         op = order_operator(schema, args.order)
-        vector = np.concatenate([compute_marginal(ds_syn, q) for q in op.queries])
-        save_marginals(op, vector, args.marginals_out + ".csv", args.marginals_out + ".json")
+        joint = compute_marginal(ds_syn, MarginalQuery(tuple(range(schema.num_attributes))))
+        save_marginals(op, op.forward(joint), args.marginals_out + ".csv", args.marginals_out + ".json")
     print(f"wrote {ds_syn.n} synthetic rows to {args.out} (sigma={report.sigma:.6g})")
     return 0
 
@@ -98,7 +98,7 @@ def _cmd_dpsgd(args) -> int:
     loss = _loss(args)
     cfg = DpSgdConfig(iterations=args.iterations, batch_size=args.batch_size,
                       learning_rate=args.learning_rate, clip_norm=args.clip_norm,
-                      lipschitz_L=args.lipschitz, epsilon=args.epsilon, delta=args.delta)
+                      epsilon=args.epsilon, delta=args.delta)
     model = dp_sgd(ds, loss, cfg, np.random.default_rng(args.seed))
     save_model(model, schema, args.out)
     print(f"noisy-gradient training done; risk={empirical_risk(model, ds):.6g}")
@@ -124,26 +124,32 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# The BoundInputs fields each bound family requires, and those it also takes.
+_BOUND_KEYS = {"lipschitz": ("n m d tau nu", "family mode K phi0"),
+               "logistic": ("n m d tau nu", "family mode"),
+               "private-lipschitz": ("n m d tau l lam", "family mode K phi0 sigma epsilon delta"),
+               "private-logistic": ("n m d tau l lam", "family mode sigma epsilon delta"),
+               "schedule": ("m", "family")}
+
+
 def _cmd_bound(args) -> int:
     with open(args.params) as fh:
         params = json.load(fh)
-    # the schedule family takes m alone; every other family the fields of BoundInputs
-    schedule = isinstance(params, dict) and params.get("family") == "schedule"
-    _check_document(params, "bound input", {"m": int} if schedule else bounds_mod.BoundInputs,
-                    {"family": str, "mode": str})
-    family = params.pop("family", "lipschitz")
+    family = params.get("family", "lipschitz") if isinstance(params, dict) else "lipschitz"
+    if not isinstance(family, str) or family not in _BOUND_KEYS:
+        raise bounds_mod.BoundError(f"unknown bound family {family!r}; expected one of {sorted(_BOUND_KEYS)}")
+    hints = typing.get_type_hints(bounds_mod.BoundInputs) | {"family": str, "mode": str}
+    required, optional = ({key: hints[key] for key in keys.split()} for keys in _BOUND_KEYS[family])
+    _check_document(params, "bound input", required, optional)
+    params.pop("family", None)
     mode = params.pop("mode", "explicit")
-    if schedule:
-        doc = dataclasses.asdict(bounds_mod.hard_instance_schedule(params["m"]))
+    if family == "schedule":
+        report = bounds_mod.hard_instance_schedule(params["m"])
+    elif family.startswith("private-"):
+        report = bounds_mod.private_excess_risk_bound(bounds_mod.BoundInputs(**params), family[8:], mode)
     else:
-        inputs = bounds_mod.BoundInputs(**params)
-        if family in ("lipschitz", "logistic"):
-            report = bounds_mod.excess_risk_bound(inputs, family, mode)
-        elif family in ("private-lipschitz", "private-logistic"):
-            report = bounds_mod.private_excess_risk_bound(inputs, family.split("-")[1], mode)
-        else:
-            raise bounds_mod.BoundError(f"unknown bound family {family!r}")
-        doc = dataclasses.asdict(report)
+        report = bounds_mod.excess_risk_bound(bounds_mod.BoundInputs(**params), family, mode)
+    doc = dataclasses.asdict(report)
     if args.out:
         _write_json(doc, args.out)
     print(json.dumps(doc, indent=2))
@@ -242,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", "-T", type=int, default=300)
     p.add_argument("--batch-size", "-B", type=int, default=100)
     p.add_argument("--learning-rate", type=float, default=1.0)
-    p.add_argument("--clip-norm", type=float, default=1.0, help="'inf' disables clipping")
-    p.add_argument("--lipschitz", type=float, default=1.0)
+    p.add_argument("--clip-norm", type=float, default=1.0, help="per-sample gradient cap; sets the noise")
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)

@@ -278,28 +278,26 @@ class DpSgdConfig:
     iterations: int
     batch_size: int
     learning_rate: float
-    clip_norm: float  # may be math.inf to disable clipping
-    lipschitz_L: float
+    clip_norm: float  # C: every clipped per-sample gradient has norm at most C
     epsilon: float
     delta: float
 
     def __post_init__(self):
+        if not 0 < self.clip_norm < math.inf:  # NaN fails too
+            raise ValueError(f"clip norm must be finite and positive, got {self.clip_norm}")
         ok = (self.iterations > 0 and self.batch_size > 0 and self.learning_rate > 0
-              and self.clip_norm > 0 and self.lipschitz_L > 0 and self.epsilon > 0
-              and 0 < self.delta < 1)
+              and self.epsilon > 0 and 0 < self.delta < 1)
         if not ok:
             raise ValueError("all noisy-gradient training parameters must be positive (delta in (0,1))")
 
 
 def dp_sgd_sigma_sq(cfg: DpSgdConfig, n: int) -> float:
-    """Per-coordinate noise variance 16 L^2 T ln(1/delta) / (n^2 eps^2)."""
-    return 16.0 * cfg.lipschitz_L**2 * cfg.iterations * math.log(1.0 / cfg.delta) / (n**2 * cfg.epsilon**2)
+    """Noise variance 16 C^2 T ln(1/delta) / (n^2 eps^2): Bassily et al. (2014) with L the clip norm C."""
+    return 16.0 * cfg.clip_norm**2 * cfg.iterations * math.log(1.0 / cfg.delta) / (n**2 * cfg.epsilon**2)
 
 
 def clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     """Scale each row g by 1/max(1, ||g||_2 / clip_norm)."""
-    if not math.isfinite(clip_norm):
-        return grads
     norms = np.linalg.norm(grads, axis=1)
     return grads / np.maximum(1.0, norms / clip_norm)[:, None]
 

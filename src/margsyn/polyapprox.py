@@ -2,6 +2,8 @@
 
 The functions approximated are the caller's; the margin loss studied here,
 ln(1 + e^-t), is the training loss itself, `learn.LossSpec.logistic().value`.
+Each is called once per grid, on a float64 array, and must return an array
+of the same shape.
 
 All polynomials are stored in the power basis on an explicit interval.  The
 Bernstein construction is done in exact rational arithmetic (binomial
@@ -28,6 +30,7 @@ MAX_DEGREE = 30
 REPORT_GRID = 4097  # uniform points including both endpoints
 _REMEZ_GRID = 16385
 _REMEZ_MAX_EXCHANGES = 60
+_REMEZ_TOL = 1e-8  # converged: the alternation |errors| agree to this (relative), or all are below it
 
 
 class ApproxError(ValueError):
@@ -77,19 +80,14 @@ class ApproxReport:
     grid_points: int
 
 
-def _sample(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(xs), dtype=np.float64)
-        if vals.shape != xs.shape:
-            raise TypeError
-    except Exception:
-        vals = np.asarray([float(f(float(x))) for x in xs], dtype=np.float64)
-    return vals
-
-
-def _check_finite(vals: np.ndarray) -> None:
+def _sample(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """f on the grid xs, in one call: f takes and returns an array of the grid's shape."""
+    vals = np.asarray(f(xs), dtype=np.float64)
+    if vals.shape != xs.shape:
+        raise ApproxError(f"function returned shape {vals.shape} on a grid of shape {xs.shape}")
     if not np.all(np.isfinite(vals)):
         raise ApproxError("function returned a non-finite sample")
+    return vals
 
 
 def _power_coeffs_from_nodes(values, a: Fraction, b: Fraction) -> list[Fraction]:
@@ -159,7 +157,6 @@ def iterated_bernstein(f: Callable, d: int, iters: int, iv: Interval) -> Polynom
     nodes = _nodes(d, iv)
     node_floats = np.asarray([float(t) for t in nodes])
     fvals = _sample(f, node_floats)
-    _check_finite(fvals)
     a, b = Fraction(iv.a), Fraction(iv.b)
     coeffs = _power_coeffs_from_nodes([Fraction(float(v)) for v in fvals], a, b)
     for _ in range(iters - 1):
@@ -197,20 +194,17 @@ def _alternation_extrema(err: np.ndarray) -> list[int]:
     return idx
 
 
-def remez_minimax(f: Callable, d: int, iv: Interval, tol: float = 1e-8) -> Polynomial:
+def remez_minimax(f: Callable, d: int, iv: Interval) -> Polynomial:
     """Best uniform degree-d approximation via the Remez exchange algorithm.
 
     At convergence the residual equioscillates on d+2 alternation points whose
-    |error| values agree to within tol (relative).  On non-convergence after
+    |error| values agree to within _REMEZ_TOL (relative).  On non-convergence after
     _REMEZ_MAX_EXCHANGES exchanges the best iterate seen is returned with a warning.
 
     The linear solves run in the scaled variable s in [-1, 1] for conditioning;
     coefficients are converted back to x exactly at the end.
     """
     _check_degree(d)
-    if tol <= 0:
-        raise ApproxError("tol must be positive")
-
     mid = 0.5 * (iv.a + iv.b)
     half = 0.5 * iv.width
 
@@ -219,7 +213,6 @@ def remez_minimax(f: Callable, d: int, iv: Interval, tol: float = 1e-8) -> Polyn
 
     grid = np.linspace(-1.0, 1.0, _REMEZ_GRID)
     fgrid = fs(grid)
-    _check_finite(fgrid)
     fscale = max(1.0, float(np.max(np.abs(fgrid))))
 
     # Deliberately skewed initial reference: a symmetric one makes the solve
@@ -255,10 +248,10 @@ def remez_minimax(f: Callable, d: int, iv: Interval, tol: float = 1e-8) -> Polyn
             best_err = max_err
             best_coeffs = coeffs_s
 
-        if max_err <= max(tol, 1e-13 * fscale):
+        if max_err <= max(_REMEZ_TOL, 1e-13 * fscale):
             converged = True
             break
-        if (max_err - level) <= tol * max_err:
+        if (max_err - level) <= _REMEZ_TOL * max_err:
             converged = True
             break
         if level <= 1e-13 * fscale:
@@ -286,7 +279,7 @@ def remez_minimax(f: Callable, d: int, iv: Interval, tol: float = 1e-8) -> Polyn
         raise ApproxError("exchange iteration failed before producing an iterate")
     if not converged:
         warnings.warn(
-            f"exchange did not meet tol={tol} within {_REMEZ_MAX_EXCHANGES} iterations; "
+            f"exchange did not meet tol={_REMEZ_TOL} within {_REMEZ_MAX_EXCHANGES} iterations; "
             f"returning best iterate (max error {best_err:.3g})",
             RuntimeWarning,
             stacklevel=2,

@@ -294,22 +294,22 @@ def test_criterion_9_noisy_gradient_calibration(three_binary_schema, monkeypatch
     t0 = time.perf_counter()
     rng = np.random.default_rng(909)
     for _ in range(20):
-        L = float(rng.uniform(0.2, 4.0))
+        C = float(rng.uniform(0.2, 4.0))
         T = int(rng.integers(10, 500))
         n = int(rng.integers(100, 5000))
         eps = float(rng.uniform(0.1, 3.0))
         delta = float(rng.uniform(1e-8, 0.1))
         cfg = DpSgdConfig(iterations=T, batch_size=10, learning_rate=1.0,
-                          clip_norm=1.0, lipschitz_L=L, epsilon=eps, delta=delta)
+                          clip_norm=C, epsilon=eps, delta=delta)
         from margsyn.learn import dp_sgd_sigma_sq
-        want = 16.0 * L * L * T * math.log(1.0 / delta) / (n * n * eps * eps)
+        want = 16.0 * C * C * T * math.log(1.0 / delta) / (n * n * eps * eps)
         got = dp_sgd_sigma_sq(cfg, n)
         assert got == pytest.approx(want, rel=1e-15)
 
     ds = random_dataset(three_binary_schema, 150, seed=33)
     spec = LossSpec.logistic()
     cfg = DpSgdConfig(iterations=80, batch_size=25, learning_rate=0.4,
-                      clip_norm=math.inf, lipschitz_L=1.0, epsilon=1.0, delta=1e-5)
+                      clip_norm=2.0, epsilon=1.0, delta=1e-5)  # above sqrt(3): clipping does nothing
     monkeypatch.setattr(learn, "dp_sgd_sigma_sq", lambda cfg, n: 0.0)  # the zero-noise path
     a = dp_sgd(ds, spec, cfg, np.random.default_rng(2024))
     b = plain_sgd(ds, spec, 80, 25, 0.4, np.random.default_rng(2024))

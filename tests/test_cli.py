@@ -100,8 +100,8 @@ def test_synth_marginals_out_holds_the_synthetic_marginals(demo_files, mode, ord
 
 
 def test_synth_marginals_out_builds_no_bin_table(demo_files, monkeypatch):
-    """The dump counts the synthetic data one query at a time on the release's
-    operator: the command builds one bin table, the release's, with or without it."""
+    """The dump maps the synthetic data's joint counts by the release's operator:
+    the command builds one bin table, the release's, with or without it."""
     ds, data, schema, tmp = demo_files
     built = []
 
@@ -188,6 +188,25 @@ def test_dpsgd_command(demo_files):
     doc = json.loads(model.read_text())
     assert doc["tau"] == "inf"
     assert len(doc["weights"]) == 3
+
+
+def test_dpsgd_command_has_no_lipschitz_flag(demo_files, capsys):
+    # the noise follows --clip-norm, the bound that clipping puts on every per-sample gradient
+    ds, data, schema, tmp = demo_files
+    with pytest.raises(SystemExit) as exit_info:
+        main(["dpsgd", "--data", data, "--schema", schema, "--out", str(tmp / "m.json"), "--lipschitz", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --lipschitz 1" in capsys.readouterr().err
+    assert not (tmp / "m.json").exists()
+
+
+def test_dpsgd_command_refuses_an_infinite_clip_norm(demo_files, capsys):
+    ds, data, schema, tmp = demo_files
+    model = tmp / "dp_model.json"
+    assert_refused(capsys, ["dpsgd", "--data", data, "--schema", schema, "--out", str(model),
+                            "--iterations", "30", "--batch-size", "20", "--clip-norm", "inf"],
+                   "clip norm must be finite and positive, got inf")
+    assert not model.exists()
 
 
 def test_bound_command(tmp_path):
@@ -529,7 +548,18 @@ _REFUSED_DOCUMENTS = [
     pytest.param("pipeline", "config", lambda doc: {**doc, "lam": -1},
                  r"lambda must be finite and positive", id="lam -1"),
     pytest.param("bound", "params", lambda doc: {"family": "lipschitz", "n": 10},
-                 r"missing bound inputs: \['m', 'd', 'tau'\]", id="bound inputs missing"),
+                 r"missing bound inputs: \['m', 'd', 'tau', 'nu'\]", id="bound inputs missing"),
+    pytest.param("bound", "params", lambda doc: {**doc, "family": "logistic", "K": 50, "phi0": 9},
+                 r"unknown bound inputs: \['K', 'phi0'\]", id="logistic bound with K and phi0"),
+    pytest.param("bound", "params", lambda doc: {**doc, "family": "private-logistic", "l": 2, "lam": 3.0,
+                                                 "epsilon": 1.0, "delta": 1e-6, "nu": 0.001},
+                 r"unknown bound inputs: \['nu'\]", id="private bound with nu"),
+    pytest.param("bound", "params", lambda doc: {k: v for k, v in doc.items() if k != "nu"}
+                 | {"family": "private-lipschitz", "l": 2, "lam": 3.0, "sigma": 1.0, "epsilon": 0.01,
+                    "delta": 1e-6},
+                 r"give sigma, or epsilon and delta, not both", id="sigma with epsilon"),
+    pytest.param("bound", "params", lambda doc: {"family": "schedule", "m": 8, "mode": "shape"},
+                 r"unknown bound inputs: \['mode'\]", id="schedule with mode"),
     pytest.param("bound", "params", lambda doc: {**doc, "n": "10"},
                  r"bound input 'n' must be an integer, got \"10\"", id="n a string"),
     pytest.param("bound", "params", lambda doc: [1],

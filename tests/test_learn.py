@@ -193,16 +193,30 @@ class TestTrainProjected:
 class TestDpSgd:
     def test_sigma_formula_frozen(self):
         cfg = DpSgdConfig(iterations=100, batch_size=10, learning_rate=1.0,
-                          clip_norm=1.0, lipschitz_L=1.0, epsilon=1.0, delta=1e-5)
+                          clip_norm=1.0, epsilon=1.0, delta=1e-5)
         assert dp_sgd_sigma_sq(cfg, 1000) == pytest.approx(0.018420680743952367, rel=1e-15)
 
     @given(st.floats(0.2, 4.0), st.integers(10, 500), st.integers(100, 5000),
            st.floats(0.1, 3.0), st.floats(1e-8, 0.1))
-    def test_sigma_formula_randomized(self, L, T, n, eps, delta):
+    def test_sigma_formula_randomized(self, C, T, n, eps, delta):
         cfg = DpSgdConfig(iterations=T, batch_size=5, learning_rate=1.0,
-                          clip_norm=1.0, lipschitz_L=L, epsilon=eps, delta=delta)
-        want = 16.0 * L * L * T * math.log(1.0 / delta) / (n * n * eps * eps)
+                          clip_norm=C, epsilon=eps, delta=delta)
+        want = 16.0 * C * C * T * math.log(1.0 / delta) / (n * n * eps * eps)
         assert dp_sgd_sigma_sq(cfg, n) == pytest.approx(want, rel=1e-15)
+
+    def test_sigma_scales_with_the_clip_norm_squared(self):
+        # the per-sample gradient bound is the clip norm, so the noise follows it
+        sigma_sq = {C: dp_sgd_sigma_sq(DpSgdConfig(iterations=300, batch_size=100, learning_rate=1.0,
+                                                   clip_norm=C, epsilon=1.0, delta=1e-5), 32_000)
+                    for C in (0.1, 1.0, 5.0)}
+        assert sigma_sq[0.1] == pytest.approx(0.01 * sigma_sq[1.0], rel=1e-15)
+        assert sigma_sq[5.0] == pytest.approx(25.0 * sigma_sq[1.0], rel=1e-15)
+
+    @pytest.mark.parametrize("clip_norm", [math.inf, math.nan, 0.0, -1.0])
+    def test_clip_norm_must_be_finite_and_positive(self, clip_norm):
+        with pytest.raises(ValueError, match="clip norm must be finite and positive"):
+            DpSgdConfig(iterations=5, batch_size=2, learning_rate=0.5, clip_norm=clip_norm,
+                        epsilon=1.0, delta=1e-5)
 
     def test_clipping_caps_row_norms(self):
         rng = np.random.default_rng(0)
@@ -216,8 +230,10 @@ class TestDpSgd:
     def test_zero_noise_hook_matches_reference_sgd(self, three_binary_schema, monkeypatch):
         ds = random_dataset(three_binary_schema, 120, seed=5)
         spec = LossSpec.logistic()
+        # every per-sample gradient norm is below sqrt(3) < 2 on three binary features, so
+        # clipping divides each row by 1.0 and leaves the reference trajectory bit-exact
         cfg = DpSgdConfig(iterations=60, batch_size=20, learning_rate=0.5,
-                          clip_norm=math.inf, lipschitz_L=1.0, epsilon=1.0, delta=1e-5)
+                          clip_norm=2.0, epsilon=1.0, delta=1e-5)
         monkeypatch.setattr(learn, "dp_sgd_sigma_sq", lambda cfg, n: 0.0)
         a = dp_sgd(ds, spec, cfg, np.random.default_rng(99))
         b = reference_sgd(ds, spec, 60, 20, 0.5, np.random.default_rng(99))
@@ -228,7 +244,7 @@ class TestDpSgd:
         # allocate 17.6 MB of floats, one batch of 100 rows 8.8 kB
         ds = make_demo_dataset(m=10, n=200_000, seed=1)
         cfg = DpSgdConfig(iterations=50, batch_size=100, learning_rate=1.0,
-                          clip_norm=1.0, lipschitz_L=1.0, epsilon=1.0, delta=1e-5)
+                          clip_norm=1.0, epsilon=1.0, delta=1e-5)
         tracemalloc.start()
         try:
             dp_sgd(ds, LossSpec.logistic(), cfg, np.random.default_rng(3))
@@ -238,21 +254,23 @@ class TestDpSgd:
         assert peak < 1_000_000
 
     def test_sigma_override_key_is_gone(self):
-        with pytest.raises(TypeError):
-            DpSgdConfig(iterations=5, batch_size=2, learning_rate=0.5, clip_norm=1.0,
-                        lipschitz_L=1.0, epsilon=1.0, delta=1e-5, sigma_override=0.0)
+        # neither the noise nor the gradient bound it follows is set apart from the clip norm
+        for key in ("sigma_override", "lipschitz_L"):
+            with pytest.raises(TypeError, match=key):
+                DpSgdConfig(iterations=5, batch_size=2, learning_rate=0.5, clip_norm=1.0,
+                            epsilon=1.0, delta=1e-5, **{key: 1.0})
 
     def test_batch_size_gate(self, three_binary_schema):
         ds = random_dataset(three_binary_schema, 10, seed=5)
         cfg = DpSgdConfig(iterations=5, batch_size=11, learning_rate=0.5,
-                          clip_norm=1.0, lipschitz_L=1.0, epsilon=1.0, delta=1e-5)
+                          clip_norm=1.0, epsilon=1.0, delta=1e-5)
         with pytest.raises(ValueError):
             dp_sgd(ds, LossSpec.logistic(), cfg, np.random.default_rng(0))
 
     def test_noise_changes_trajectory(self, three_binary_schema):
         ds = random_dataset(three_binary_schema, 100, seed=6)
         cfg = DpSgdConfig(iterations=30, batch_size=20, learning_rate=0.5,
-                          clip_norm=1.0, lipschitz_L=1.0, epsilon=1.0, delta=1e-5)
+                          clip_norm=1.0, epsilon=1.0, delta=1e-5)
         noisy = dp_sgd(ds, LossSpec.logistic(), cfg, np.random.default_rng(7))
         clean = reference_sgd(ds, LossSpec.logistic(), 30, 20, 0.5, np.random.default_rng(7))
         assert not np.array_equal(noisy.w, clean.w)
