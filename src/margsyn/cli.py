@@ -78,8 +78,13 @@ def _cmd_synth(args) -> int:
 
 
 def _loss(args) -> LossSpec:
-    """The loss that --loss names; --gamma is read by gamma_margin only."""
-    return LossSpec.gamma_margin(args.gamma) if args.loss == "gamma_margin" else LossSpec.logistic()
+    """The loss that --loss names.  --gamma sets gamma_margin's margin (0.5
+    when absent) and is refused with any other loss, which would ignore it."""
+    if args.loss == "gamma_margin":
+        return LossSpec.gamma_margin(0.5 if args.gamma is None else args.gamma)
+    if args.gamma is not None:
+        raise ValueError(f"--gamma is read only by --loss gamma_margin, not {args.loss}")
+    return LossSpec.logistic()
 
 
 def _cmd_train(args) -> int:
@@ -205,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     coded.add_argument("--schema", required=True)
     losses = argparse.ArgumentParser(add_help=False)
     losses.add_argument("--loss", choices=["logistic", "gamma_margin"], default="logistic")
-    losses.add_argument("--gamma", type=float, default=0.5)
+    losses.add_argument("--gamma", type=float, default=None,
+                        help="margin of --loss gamma_margin (default 0.5)")
 
     p = sub.add_parser("prep", help="clean and integer-code a raw CSV")
     p.add_argument("--raw", required=True)

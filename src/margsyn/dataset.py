@@ -379,6 +379,15 @@ def _read_rows(path: str | Path, names: tuple[str, ...] | None = None):
     return header, rows[1:]
 
 
+def _has_lone_cr(data: bytes) -> bool:
+    r"""Whether some \r of `data` is not followed by \n: fewer \r\n pairs
+    than \r bytes, counted by numpy's byte compares, which take less time
+    than two bytes.count scans."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    cr = raw == 13
+    return np.count_nonzero(cr) != np.count_nonzero(cr[:-1] & (raw[1:] == 10))
+
+
 def _plain_codes(path: str | Path, schema: Schema) -> np.ndarray | None:
     r"""The codes of a plain coded CSV by numpy's C reader, or None for any other file.
 
@@ -395,7 +404,7 @@ def _plain_codes(path: str | Path, schema: Schema) -> np.ndarray | None:
     if (not header.isascii() or b'"' in header
             or tuple(h.strip() for h in header.decode("ascii").split(",")) != schema.names
             or not body[:1].isdigit() or body.translate(None, b"0123456789,\r\n")
-            or data.count(b"\r") != data.count(b"\r\n")):
+            or b"\r" in data and _has_lone_cr(data)):
         return None
     try:
         codes = np.loadtxt(path, dtype=np.int64, comments=None, delimiter=",", skiprows=1, ndmin=2)

@@ -83,6 +83,8 @@ _BLOCK_ENTRIES = 65_536
 # Largest side of a dense factor of MarginalOperator.transform.  It bounds
 # each factor's memory; on 2,048-8,192 binary cells wider factors were slower.
 _GROUP_DIM = 32
+# Most bins numpy's pairwise float sum adds as one block, by 8 running sums.
+_PAIRWISE_BLOCK = 128
 
 
 class MarginalOperator:
@@ -221,13 +223,62 @@ class MarginalOperator:
             x = x @ f if f.ndim == 2 else x - np.outer(x @ f, f)
         return x.ravel()
 
+    @cached_property
+    def _runs(self) -> tuple[tuple[int, int, int], ...]:
+        """(first bin, queries, bins per query) of each run of consecutive
+        queries with equal bin counts, in query order."""
+        runs = []
+        for first, bins in zip(self.offsets.tolist(), self.num_bins):
+            if runs and runs[-1][2] == bins:
+                runs[-1][1] += 1
+            else:
+                runs.append([first, 1, bins])
+        return tuple(map(tuple, runs))
+
     def query_sums(self, x: np.ndarray) -> np.ndarray:
         """Each query's sum over its bins, along the last axis of concatenated vectors x.
 
-        One slice sum per query, so each equals np.sum of that query's bins
-        alone (np.add.reduceat adds in another order)."""
-        return np.stack([x[..., o:o + k].sum(axis=-1)
-                         for o, k in zip(self.offsets, self.num_bins)], axis=-1)
+        Every sum is bit-equal to np.sum of that query's bins alone
+        (np.add.reduceat adds in another order).  numpy adds k floats as 0 +
+        their pairwise sum: for k < 8 one by one; for k <= _PAIRWISE_BLOCK as
+        8 running sums over the whole blocks of 8, combined as
+        ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then the other
+        k mod 8 one by one; longer sums are split in halves.
+
+        The queries are reduced one run of equal bin counts (`_runs`) at a
+        time.  A run of at most _PAIRWISE_BLOCK bins per query, with at least
+        as many sums (rows of x times queries) as bins per query, is added in
+        that order column by column, each add over every row and every query
+        of the run: about k / 8 + 8 numpy calls for the run, where one row
+        reduction per sum costs numpy's per-row overhead each.  Any other run
+        is one np.sum over its bins axis, of a contiguous copy so that numpy's
+        inner loop runs along the bins whatever the layout of x.
+        """
+        flat = x.reshape(-1, x.shape[-1])
+        rows = flat.shape[0]
+        by_bin = np.ascontiguousarray(flat.T)
+        out = np.zeros((len(self.num_bins), rows))
+        q = 0
+        for first, count, bins in self._runs:
+            dst = out[q:q + count]
+            q += count
+            if bins > _PAIRWISE_BLOCK or rows * count < bins:
+                run = np.ascontiguousarray(flat[:, first:first + count * bins])
+                np.sum(run.reshape(rows, count, bins), axis=-1, out=dst.T)
+                continue
+            cols = by_bin[first:first + count * bins].reshape(count, bins, rows)
+            rest = 0
+            if bins >= 8:
+                rest = bins - bins % 8
+                acc = cols[:, :8].copy()
+                for i in range(8, rest, 8):
+                    acc += cols[:, i:i + 8]
+                acc = acc[:, 0::2] + acc[:, 1::2]
+                acc = acc[:, 0::2] + acc[:, 1::2]
+                dst += acc[:, 0] + acc[:, 1]
+            for j in range(rest, bins):
+                dst += cols[:, j]
+        return out.T.reshape(x.shape[:-1] + (len(self.num_bins),))
 
     def l1_to(self, marginals: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Per-query l1 distance between two concatenated marginal vectors."""

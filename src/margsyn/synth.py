@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, islice
+from itertools import chain, combinations_with_replacement, islice
 
 import numpy as np
 
@@ -60,9 +60,10 @@ DENSE_CELL_CAP = 1_000_000
 # by at most this fraction of its value.
 _FIT_TOL = 1e-10
 # Candidates the exhaustive scan scores per bincount.  On 32 cells, 15
-# queries and n=3, batches of 64 to 16,384 took 5.6-13.7 ms per scan, 256
-# the least; the scan's peak allocation grows with the batch (0.57 MB at
-# 256, 9.8 MB at 16,384).
+# queries and n=3 (one BLAS thread), batches of 64 to 16,384 took 3.3-8.6 ms
+# per scan; 256 and 512 were the fastest, within 10% of each other either
+# way over repeated runs, and 768 or more slower.  The scan's peak allocation
+# grows with the batch (0.50 MB at 256, 1.0 MB at 512, 12 MB at 16,384).
 _SCAN_BATCH = 256
 # Most entries of the queries x cells bin table, which every path reads, and
 # of any other array a brute path allocates over the whole domain: 2e8
@@ -146,29 +147,38 @@ def brute_force_synth(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     kept).  All C(|cells|+n-1, n) candidates are scanned: `synthesize` has
     checked that their count fits its cap (`_path`).
 
-    Candidates are scored _SCAN_BATCH at a time: gathering the operator's
-    `bin_maps` at each candidate's n cells, shifted by each query's offset
-    and each candidate's place in the batch, and counting with one bincount
-    gives every query's marginal of every candidate in the batch.  Each
-    query's l1 is `MarginalOperator.query_sums` of one candidate, the same sum
-    as `MarginalOperator.l1_to`, so objectives and ties are bit-equal to
-    scoring the candidates one at a time (np.add.reduceat adds in another
-    order and can pick another multiset among near-ties).  The first minimum
-    of a batch is kept only if it is strictly below the best so far, which is
-    the lexicographic tie-break.  Memory is fixed by the batch, not by the
-    candidate count.
+    Candidates are scored _SCAN_BATCH at a time, each batch by a fixed number
+    of numpy calls.  The batch's cells are read by np.fromiter from the
+    flattened stream of `combinations_with_replacement`, in its order, with
+    no list of tuples per batch to convert.  Gathering the operator's
+    `bin_maps` at those cells and adding the (queries x batch) shift of each
+    query's offset and each candidate's place in the batch, built once per
+    scan, lets one bincount give every query's marginal of every candidate.  Each query's l1
+    is `MarginalOperator.query_sums` of the batch's absolute residuals, which
+    is bit-equal to summing one candidate's query at a time, as
+    `MarginalOperator.l1_to` does, so objectives and ties are those of
+    scoring the candidates one by one (np.add.reduceat adds in another order
+    and can pick another multiset among near-ties).  The first minimum of a
+    batch is kept only if it is strictly below the best so far, which is the
+    lexicographic tie-break.  Memory is fixed by the batch, not by the
+    candidate count, and the queries x cells table is read, never copied.
+    n = 0 has one candidate, the empty multiset: all-zero counts.
     """
     op, target = nm.operator, nm.target
     cells = op.num_cells
+    if n == 0:
+        return np.zeros(cells, dtype=np.int64)
     total = target.shape[0]
-    combos = combinations_with_replacement(range(cells), n)
+    stream = chain.from_iterable(combinations_with_replacement(range(cells), n))
+    shift = op.offsets[:, None] + total * np.arange(_SCAN_BATCH)
     best_cells, best_obj = None, math.inf
-    while batch := list(islice(combos, _SCAN_BATCH)):
-        rows = np.array(batch, dtype=np.int64).reshape(len(batch), n)
-        flat = op.bin_maps[:, rows] + (op.offsets[:, None, None] + total * np.arange(len(batch))[:, None])
-        marg = np.bincount(flat.ravel(), minlength=total * len(batch))
-        diff = np.abs(target - marg.reshape(len(batch), -1))
-        obj = op.query_sums(diff).max(axis=-1)
+    while (rows := np.fromiter(islice(stream, _SCAN_BATCH * n), dtype=np.intp)).size:
+        rows = rows.reshape(-1, n)
+        size = rows.shape[0]
+        flat = op.bin_maps[:, rows.T]
+        flat += shift[:, None, :size]
+        marg = np.bincount(flat.ravel(), minlength=total * size)
+        obj = op.query_sums(np.abs(target - marg.reshape(size, total))).max(axis=-1)
         at = int(np.argmin(obj))
         if obj[at] < best_obj:
             best_cells, best_obj = rows[at], obj[at]

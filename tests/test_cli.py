@@ -178,6 +178,25 @@ def test_train_command_rejects_nan_tau(demo_files, capsys):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "dpsgd"])
+def test_gamma_is_refused_with_a_loss_that_ignores_it(demo_files, capsys, command):
+    ds, data, schema, tmp = demo_files
+    model = tmp / "model.json"
+    assert_refused(capsys, [command, "--data", data, "--schema", schema, "--out", str(model),
+                            "--loss", "logistic", "--gamma", "0.3"],
+                   "--gamma is read only by --loss gamma_margin, not logistic")
+    assert not model.exists()
+
+
+def test_gamma_margin_reads_gamma_and_defaults_to_one_half(demo_files):
+    ds, data, schema, tmp = demo_files
+    argv = ["train", "--data", data, "--schema", schema, "--loss", "gamma_margin", "--tau", "0.5"]
+    for name, extra in (("absent", []), ("half", ["--gamma", "0.5"]), ("other", ["--gamma", "0.3"])):
+        assert main(argv + ["--out", str(tmp / f"{name}.json")] + extra) == 0
+    assert (tmp / "absent.json").read_bytes() == (tmp / "half.json").read_bytes()
+    assert json.loads((tmp / "other.json").read_text())["loss"]["gamma"] == 0.3
+
+
 def test_dpsgd_command(demo_files):
     ds, data, schema, tmp = demo_files
     model = tmp / "dp_model.json"

@@ -297,6 +297,41 @@ class TestMarginalOperator:
             assert got.shape == lead + (len(op.num_bins),)
             assert got.ravel().tolist() == want
 
+    # bin counts 2, 2, 2 | 6 | 4, 4 | 12, 12 | 6 | 2 | 6, 6: runs of one and of
+    # more, equal counts that are not adjacent, and a run of 12 bins, one block
+    # of 8 and four more
+    RUN_QUERIES = [MarginalQuery(attrs) for attrs in [(1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 1, 2),
+                                                      (0, 1, 3), (0, 2), (4,), (0, 3), (0, 4)]]
+
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)], ids=["1-D", "2-D", "3-D"])
+    def test_query_sums_over_runs_of_equal_bin_counts(self, lead):
+        schema = Schema(("a", "b", "c", "d", "label"), (3, 2, 2, 2, 2))
+        op = MarginalOperator(schema, self.RUN_QUERIES)
+        assert op.num_bins == (2, 2, 2, 6, 4, 4, 12, 12, 6, 2, 6, 6)
+        rng = np.random.default_rng(len(lead))
+        shape = lead + (sum(op.num_bins),)
+        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 6.0, shape)
+        for v in (x, np.abs(x)):
+            want = np.array([[np.sum(np.array(row[o:o + k])) for o, k in zip(op.offsets, op.num_bins)]
+                             for row in v.reshape(-1, shape[-1])]).reshape(lead + (len(op.num_bins),))
+            # bins last in memory, and bins first
+            for layout in (v, np.moveaxis(np.moveaxis(v, -1, 0).copy(), 0, -1)):
+                got = op.query_sums(layout)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    # one run of two queries of k bins over 70 rows: added by columns up to
+    # 128 bins (numpy's block), summed along the bins beyond it
+    @pytest.mark.parametrize("k", [8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129])
+    def test_query_sums_by_columns_equal_numpys_blocks(self, k):
+        schema = Schema(("a", "b", "label"), (k, k, 2))
+        op = MarginalOperator(schema, [MarginalQuery((0,)), MarginalQuery((1,))])
+        rng = np.random.default_rng(k)
+        x = rng.choice([-1.0, 1.0], (70, 2 * k)) * 10.0 ** rng.uniform(-3.0, 6.0, (70, 2 * k))
+        want = [[np.sum(np.array(row[:k])), np.sum(np.array(row[k:]))] for row in x]
+        assert op.query_sums(x).tolist() == want
+        assert op.query_sums(np.asfortranarray(x)).tolist() == want
+
     def test_rejects_query_outside_schema(self):
         with pytest.raises(QueryError):
             MarginalOperator(OPERATOR_SCHEMAS[0], [MarginalQuery((0, 4))])

@@ -279,6 +279,32 @@ class TestBruteMatchesTheLoop:
         assert np.array_equal(exhaustive, reference_exhaustive_counts(n, nm))
         assert_greedy_matches_the_loop(n, nm)
 
+    def test_zero_rows_give_all_zero_counts(self):
+        for sizes in ((3, 2, 2), (2, 2, 2, 2)):
+            schema = Schema(tuple(f"a{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
+            nm = noisy_set_from(random_dataset(schema, 4, seed=0), 2, 1.0, seed=0)
+            counts = brute_force_synth(0, nm)
+            assert counts.dtype == np.int64 and counts.tolist() == [0] * math.prod(sizes)
+
+    def test_candidates_fill_whole_batches(self):
+        # 8 binary features + label at n = 1: 512 candidates, two whole batches
+        real = make_demo_dataset(m=8, n=40, seed=3)
+        nm = noisy_set_from(real, 2, 2.0, seed=3)
+        assert nm.operator.num_cells % _SCAN_BATCH == 0
+        assert np.array_equal(brute_force_synth(1, nm), reference_exhaustive_counts(1, nm))
+
+    # 2 binary features + label at n = 3: C(10, 3) = 120 candidates, in whole
+    # batches of 8, 40 or 120, or with one candidate left for the last batch
+    @pytest.mark.parametrize("batch", [8, 40, 120, 7, 17, 119])
+    def test_batch_boundaries(self, monkeypatch, batch):
+        from margsyn import synth
+        schema = Schema(("a", "b", "label"), (2, 2, 2))
+        monkeypatch.setattr(synth, "_SCAN_BATCH", batch)
+        assert math.comb(8 + 3 - 1, 3) % batch in (0, 1)
+        for seed in range(3):
+            nm = noisy_set_from(random_dataset(schema, 3, seed=seed), 2, 0.7, seed)
+            assert np.array_equal(brute_force_synth(3, nm), reference_exhaustive_counts(3, nm))
+
     def test_optimum_and_tie_in_later_batches(self, three_binary_schema):
         # one-way queries only, zero noise: the optimum is first met after the
         # first batch and met again in the next batch
