@@ -88,8 +88,8 @@ def _loss(args) -> LossSpec:
 
 
 def _cmd_train(args) -> int:
-    schema, ds = _load(args)
     loss = _loss(args)
+    schema, ds = _load(args)
     cfg = TrainConfig(max_iters=args.max_iters, tolerance=args.tolerance)
     model = train_projected(ds, loss, args.tau, cfg)
     save_model(model, schema, args.out)
@@ -99,8 +99,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_dpsgd(args) -> int:
-    schema, ds = _load(args)
     loss = _loss(args)
+    schema, ds = _load(args)
     cfg = DpSgdConfig(iterations=args.iterations, batch_size=args.batch_size,
                       learning_rate=args.learning_rate, clip_norm=args.clip_norm,
                       epsilon=args.epsilon, delta=args.delta)

@@ -246,27 +246,27 @@ class MarginalOperator:
         k mod 8 one by one; longer sums are split in halves.
 
         The queries are reduced one run of equal bin counts (`_runs`) at a
-        time.  A run of at most _PAIRWISE_BLOCK bins per query, with at least
-        as many sums (rows of x times queries) as bins per query, is added in
+        time.  A run of at most _PAIRWISE_BLOCK bins per query is added in
         that order column by column, each add over every row and every query
         of the run: about k / 8 + 8 numpy calls for the run, where one row
-        reduction per sum costs numpy's per-row overhead each.  Any other run
-        is one np.sum over its bins axis, of a contiguous copy so that numpy's
-        inner loop runs along the bins whatever the layout of x.
+        reduction per sum costs numpy's per-row overhead each.  A run of more
+        bins per query is one np.sum over its bins axis, of a contiguous copy
+        so that numpy's inner loop runs along the bins whatever the layout
+        of x.
         """
         flat = x.reshape(-1, x.shape[-1])
         rows = flat.shape[0]
-        by_bin = np.ascontiguousarray(flat.T)
         out = np.zeros((len(self.num_bins), rows))
         q = 0
         for first, count, bins in self._runs:
             dst = out[q:q + count]
             q += count
-            if bins > _PAIRWISE_BLOCK or rows * count < bins:
-                run = np.ascontiguousarray(flat[:, first:first + count * bins])
+            run = flat[:, first:first + count * bins]
+            if bins > _PAIRWISE_BLOCK:
+                run = np.ascontiguousarray(run)
                 np.sum(run.reshape(rows, count, bins), axis=-1, out=dst.T)
                 continue
-            cols = by_bin[first:first + count * bins].reshape(count, bins, rows)
+            cols = run.T.reshape(count, bins, rows)
             rest = 0
             if bins >= 8:
                 rest = bins - bins % 8

@@ -188,6 +188,14 @@ def test_gamma_is_refused_with_a_loss_that_ignores_it(demo_files, capsys, comman
     assert not model.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "dpsgd"])
+def test_gamma_is_refused_before_any_file_is_read(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing")
+    assert_refused(capsys, [command, "--data", missing, "--schema", missing, "--out", str(tmp_path / "m.json"),
+                            "--loss", "logistic", "--gamma", "0.3"],
+                   "--gamma is read only by --loss gamma_margin, not logistic")
+
+
 def test_gamma_margin_reads_gamma_and_defaults_to_one_half(demo_files):
     ds, data, schema, tmp = demo_files
     argv = ["train", "--data", data, "--schema", schema, "--loss", "gamma_margin", "--tau", "0.5"]
