@@ -7,21 +7,19 @@ Two strategies stand behind one entry point:
             the multiset and cell counts fit the configured cap (candidates
             scored a fixed batch at a time, one bincount per batch), otherwise a
             deterministic greedy descent over single-row reassignments
-            minimizing the same objective, from one start: the "fitted"
-            path's output, so the descent begins near the noisy marginals
-            and mode "brute" above the cap is exactly "fitted", then the
-            descent.  Each greedy step scores only the moves that can
-            lower the query w at the maximum: the occupied source cells I
-            and the destination cells J whose w-bins have a table entry
-            below the stop threshold, so a step's
-            matrices are |I| x |J|, never larger than cells x cells.  Every
-            move outside I x J scores at least that threshold and a
-            same-cell move scores the maximum itself, so the chosen move,
-            its row-major tie-break and the stop test are those of scoring
-            every move.  Of the queries, only those whose largest possible
-            l1 after a move reaches the smallest possible l1 of w are
-            scored: the others can set no entry of the max, so this pruning
-            is exact too.
+            minimizing the same objective, from the "fitted" path's output,
+            near the noisy marginals: mode "brute" above the cap is exactly
+            "fitted", then the descent.  Each greedy step scores only the
+            moves that can lower the query w at the maximum: the occupied
+            source cells I and the destination cells J whose w-bins have a
+            table entry below the stop threshold, so a step's matrices are
+            |I| x |J|, never larger than cells x cells.  Every move outside
+            I x J scores at least that threshold and a same-cell move scores
+            the maximum itself, so the chosen move, its row-major tie-break
+            and the stop test are those of scoring every move.  Of the
+            queries, only those whose largest possible l1 after a move
+            reaches the smallest possible l1 of w are scored: the others can
+            set no entry of the max, so this pruning is exact too.
   "fitted"  least-squares fit of a dense joint distribution to the noisy
             marginals (accelerated projected gradient on the probability
             simplex with restarts, computed in the eigenbasis of the
@@ -33,12 +31,12 @@ Two strategies stand behind one entry point:
             counts summing to n, each the floor or the ceiling of n*p.
 
 No path draws a random number: the output is a deterministic function of
-the noisy marginals, n and the cap, so the only randomness of the
-mechanism is its noise.  Each path outputs an int64 count per joint cell;
-only `synthesize` turns them into marginals and a dataset.  That dataset
-holds the counts (`Dataset.from_counts`) and builds rows only when they are
-read.  `synthesize` sees only the noisy marginals, the target size and the
-schema; diagnostics against the real data are made outside it.
+the release (its noisy marginals and n) and the cap, so the only randomness
+of the mechanism is its noise.  Each path outputs an int64 count per joint
+cell; only `synthesize` turns them into marginals and a dataset.  That
+dataset holds the counts (`Dataset.from_counts`) and builds rows only when
+they are read.  `synthesize` sees only the `Release`; diagnostics against
+the real data are made outside it.
 """
 
 from __future__ import annotations
@@ -76,19 +74,24 @@ class SynthesisError(ValueError):
 
 
 @dataclass(frozen=True)
-class NoisyMarginalSet:
-    """Noisy marginals of a non-empty, unique query set: `target` holds one
-    finite count per bin of every query of `operator`, in its layout, as a
-    read-only copy.  `schema` is the operator's.
+class Release:
+    """One release: the noisy marginals of n >= 0 rows at noise scale `sigma`
+    (0 for marginals given as they are).  `target` holds one finite count per
+    bin of every query of `operator`, in its layout, as a read-only copy; the
+    queries are non-empty and unique.  `schema` is the operator's.
     """
 
     operator: MarginalOperator
     target: np.ndarray
+    n: int
+    sigma: float
     schema: Schema = field(init=False)
 
     def __post_init__(self):
         op = self.operator
         object.__setattr__(self, "schema", op.schema)
+        if self.n < 0:
+            raise SynthesisError("n must be non-negative")
         if not op.queries:
             raise SynthesisError("empty query set")
         if len(set(op.queries)) != len(op.queries):
@@ -104,8 +107,8 @@ class NoisyMarginalSet:
 
 
 def _path(n: int, op: MarginalOperator, mode: str, cap: int) -> str:
-    """The path `synthesize` runs for n rows and the queries of `op`, or the
-    SynthesisError that refuses the request: the one size and mode check.
+    """The path `synthesize` runs for a release's n rows and the queries of `op`,
+    or the SynthesisError that refuses the request: the one size and mode check.
 
     It reads only sizes, so `generate_synthetic` asks it before counting the
     real data or reading the operator's arrays, which span the joint domain.
@@ -114,8 +117,6 @@ def _path(n: int, op: MarginalOperator, mode: str, cap: int) -> str:
     Every path reads the operator's queries x cells `bin_maps`, so every path
     is refused when it holds more than _BRUTE_ENTRIES entries.
     """
-    if n < 0:
-        raise SynthesisError("n must be non-negative")
     cells = op.num_cells
     table = len(op.num_bins) * cells
     if mode == "brute":
@@ -139,7 +140,7 @@ def _path(n: int, op: MarginalOperator, mode: str, cap: int) -> str:
     raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
 
 
-def brute_force_synth(n: int, nm: NoisyMarginalSet) -> np.ndarray:
+def brute_force_synth(n: int, nm: Release) -> np.ndarray:
     """Int64 cell counts of the minimizer of max_q ||h_q - M_q(D)||_1 over size-n multisets.
 
     Ties are broken by the lexicographically smallest multiset encoding
@@ -185,7 +186,7 @@ def brute_force_synth(n: int, nm: NoisyMarginalSet) -> np.ndarray:
     return np.bincount(best_cells, minlength=cells)
 
 
-def _descend(counts: np.ndarray, nm: NoisyMarginalSet) -> tuple[np.ndarray, np.ndarray]:
+def _descend(counts: np.ndarray, release: Release) -> tuple[np.ndarray, np.ndarray]:
     """One-row-move descent on the max-l1 objective from `counts` (updated in
     place): the final counts and every query's final l1 to the noisy marginals.
     `synthesize` starts it from the rounded dense fit (`sample_dataset`);
@@ -216,7 +217,7 @@ def _descend(counts: np.ndarray, nm: NoisyMarginalSet) -> tuple[np.ndarray, np.n
     below lo never sets an entry of cand and is skipped.  After a move, every
     query's residual and l1 are updated at once, l1_q += dr_q[a] + da_q[b].
     """
-    op, target = nm.operator, nm.target
+    op, target = release.operator, release.target
     maps, offsets = op.bin_maps, op.offsets
     bins = np.array(op.num_bins)
     sizes = bins * bins
@@ -318,8 +319,8 @@ def _simplex_projector(size: int):
     return project
 
 
-def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> DistributionEstimate:
-    """Minimize sum_q ||n * M_q(p) - h_q||_2^2 over the probability simplex.
+def fit_distribution(release: Release, iters: int = 2000) -> DistributionEstimate:
+    """Minimize sum_q ||n * M_q(p) - h_q||_2^2 over the simplex, n and h the release's.
 
     Accelerated projected gradient (FISTA: Beck & Teboulle 2009) with the two
     restarts of O'Donoghue & Candes (2015).  Function-value restart: an
@@ -361,11 +362,11 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> Distr
     hold the restart test's differences; an iteration allocates only its two
     transforms' results and the new iterate.
     """
-    op, target = nm.operator, nm.target
+    op, target, n = release.operator, release.target, release.n
     cells = op.num_cells
     if n == 0:
         uniform = np.full(cells, 1.0 / cells)
-        return DistributionEstimate(nm.schema, uniform, (float(target @ target),), True)
+        return DistributionEstimate(release.schema, uniform, (float(target @ target),), True)
     lam = op.spectrum
     coef = op.transform(op.adjoint(target))
     c_star = np.divide(coef, n * lam, out=np.zeros(cells), where=lam > 0)
@@ -421,7 +422,7 @@ def fit_distribution(nm: NoisyMarginalSet, n: float, iters: int = 2000) -> Distr
             converged = True
             break
         obj = obj_new
-    return DistributionEstimate(nm.schema, p, tuple(trace), converged)
+    return DistributionEstimate(release.schema, p, tuple(trace), converged)
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +460,17 @@ def sample_dataset(dist: DistributionEstimate, n: int) -> np.ndarray:
 # End-to-end mechanism
 
 
-def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
-               cap: int = DEFAULT_CANDIDATE_CAP) -> tuple[Dataset, dict]:
-    """Build a size-n dataset from noisy marginals only (no access to real data).
+def synthesize(release: Release, mode: str, cap: int = DEFAULT_CANDIDATE_CAP) -> tuple[Dataset, dict]:
+    """Build a dataset of `release.n` rows from the release alone (no access to real data).
 
     mode "fitted" returns `sample_dataset`, the largest-remainder rounding of
     n times the dense fit.  mode "brute" uses exhaustive search when the
     candidate count and the cell count fit `cap`, and otherwise runs the
     one-row-move descent (`_descend`) from that same rounding.  No path draws
-    a random number, so the output is a function of n, `nm`, mode and cap.
-    `_path` is the one check of the request.  The stats hold the
+    a random number, so the output is a function of the release, mode and
+    cap.  `_path` is the one check of the request.  The stats hold the
     path that ran ("path": "exhaustive", "greedy" or "fitted"), the output's
-    marginals in the layout of `nm.operator` ("marginals"), the max and
+    marginals in the layout of `release.operator` ("marginals"), the max and
     mean over queries of their l1 distance to the noisy targets
     ("l1_to_noisy_max", "l1_to_noisy_mean"), and the fit's iteration count
     and convergence ("fit_iterations", "fit_converged": 0 and None on the
@@ -478,22 +478,22 @@ def synthesize(n: int, nm: NoisyMarginalSet, mode: str,
     dataset both come from the path's cell counts; the dataset holds them
     and builds no rows.
     """
-    path = _path(n, nm.operator, mode, cap)
+    path = _path(release.n, release.operator, mode, cap)
     fit = {"fit_iterations": 0, "fit_converged": None}
     if path == "exhaustive":
-        counts = brute_force_synth(n, nm)
+        counts = brute_force_synth(release.n, release)
     else:
-        dist = fit_distribution(nm, n=n)
+        dist = fit_distribution(release)
         fit = {"fit_iterations": len(dist.objective_trace) - 1, "fit_converged": dist.converged}
-        counts = sample_dataset(dist, n)
+        counts = sample_dataset(dist, release.n)
         if path == "greedy":
-            counts, _ = _descend(counts, nm)
+            counts, _ = _descend(counts, release)
 
-    marginals = nm.operator.forward(counts)
-    dists = nm.operator.l1_to(marginals, nm.target)
+    marginals = release.operator.forward(counts)
+    dists = release.operator.l1_to(marginals, release.target)
     stats = {"path": path, "marginals": marginals, "l1_to_noisy_max": float(dists.max()),
              "l1_to_noisy_mean": float(np.mean(dists)), **fit}
-    return Dataset.from_counts(nm.schema, counts), stats
+    return Dataset.from_counts(release.schema, counts), stats
 
 
 @dataclass(frozen=True)
@@ -553,13 +553,13 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     `forward` of those counts gives every real marginal: sums of whole
     numbers, so the same floats as counting each query on its own.  The noise
     is drawn into that one vector by one generator (`add_noise_to_set`), and
-    the noisy set holds it on the same operator.  Synthesis draws nothing, so
-    `seed` seeds only the noise.
+    the `Release` holds it on the same operator with n and sigma, which the
+    report reads.  Synthesis draws nothing, so `seed` seeds only the noise.
     sigma is always the Gaussian-mechanism calibration of `privacy`, so the
     report's epsilon and delta are those of the noise actually added.  (To
-    synthesize from given marginals `counts` in the operator's layout, with
-    any noise or none, call
-    `synthesize(n, NoisyMarginalSet(MarginalOperator(schema, queries), counts), mode)`.)
+    synthesize n rows from given marginals `counts` in the operator's layout,
+    with any noise or none, call
+    `synthesize(Release(MarginalOperator(schema, queries), counts, n, sigma), mode)`.)
     Fixed seed gives a bit-identical dataset on one platform.
     """
     schema = ds_real.schema
@@ -569,20 +569,20 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     sigma = calibrate(m, d, privacy)
     joint = compute_marginal(ds_real, MarginalQuery(tuple(range(schema.num_attributes))))
     real = op.forward(joint)
-    nm = NoisyMarginalSet(op, add_noise_to_set(real, op.num_bins, sigma, seed))
-    ds_s, stats = synthesize(ds_real.n, nm, mode, cap=cap)
+    release = Release(op, add_noise_to_set(real, op.num_bins, sigma, seed), ds_real.n, sigma)
+    ds_s, stats = synthesize(release, mode, cap=cap)
 
     # evaluation-only diagnostics, outside the mechanism boundary
     real_l1 = op.l1_to(stats["marginals"], real)
-    norm_l1 = real_l1 / ds_real.n if ds_real.n else np.zeros(1)
+    norm_l1 = real_l1 / release.n if release.n else np.zeros(1)
 
-    l1_bound = synthesis_l1_bound(sigma, d, m, schema.max_domain_size, privacy.lam)
+    l1_bound = synthesis_l1_bound(release.sigma, d, m, schema.max_domain_size, privacy.lam)
     report = GenReport(
-        n=ds_real.n, d=d, mode=mode, path=stats["path"], seed=seed, sigma=sigma,
+        n=release.n, d=d, mode=mode, path=stats["path"], seed=seed, sigma=release.sigma,
         sensitivity=marginal_set_sensitivity(m, d),
         epsilon=privacy.epsilon,
         delta=privacy.delta,
-        query_count=len(op.queries),
+        query_count=len(release.operator.queries),
         lam=privacy.lam,
         l1_bound_at_lam=l1_bound,
         bound_certified=stats["l1_to_noisy_max"] <= l1_bound / 2,

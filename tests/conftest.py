@@ -17,7 +17,7 @@ from margsyn.evaluate import _weighted_auc
 from margsyn.learn import LinearModel, predict
 from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal
 from margsyn.privacy import add_noise_to_set
-from margsyn.synth import NoisyMarginalSet, fit_distribution, sample_dataset
+from margsyn.synth import Release, fit_distribution, sample_dataset
 
 settings.register_profile(
     "ci",
@@ -92,18 +92,18 @@ def reference_gaussian_delta(eps: float, r: float) -> float:
         return float(mpmath.ncdf(r / 2 - eps / r) - mpmath.exp(eps) * mpmath.ncdf(-r / 2 - eps / r))
 
 
-def noisy_set_of(schema: Schema, marginals: list[tuple[MarginalQuery, np.ndarray]],
-                 sigma: float = 0.0, seed: int = 0) -> NoisyMarginalSet:
-    """The noisy set of (query, marginal vector) pairs, in their order: one
-    operator over their queries and `add_noise_to_set` of their concatenated
-    vectors (at sigma 0, the vectors themselves)."""
+def release_of(schema: Schema, marginals: list[tuple[MarginalQuery, np.ndarray]], n: int,
+               sigma: float = 0.0, seed: int = 0) -> Release:
+    """The release of n rows from (query, marginal vector) pairs, in their order:
+    one operator over their queries and `add_noise_to_set` of their
+    concatenated vectors (at sigma 0, the vectors themselves)."""
     op = MarginalOperator(schema, [q for q, _ in marginals])
     counts = np.concatenate([h for _, h in marginals])
-    return NoisyMarginalSet(op, add_noise_to_set(counts, op.num_bins, sigma, seed))
+    return Release(op, add_noise_to_set(counts, op.num_bins, sigma, seed), n, sigma)
 
 
-def per_query(nm: NoisyMarginalSet) -> list[tuple[MarginalQuery, np.ndarray]]:
-    """The noisy set's (query, marginal vector) pairs, one per query of its operator, in order."""
+def per_query(nm: Release) -> list[tuple[MarginalQuery, np.ndarray]]:
+    """The release's (query, marginal vector) pairs, one per query of its operator, in order."""
     op = nm.operator
     return [(q, nm.target[o:o + k]) for q, o, k in zip(op.queries, op.offsets, op.num_bins)]
 
@@ -257,13 +257,14 @@ def reference_project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def reference_fit(nm, n: float, iters: int = 2000, tol: float = 1e-10) -> tuple[np.ndarray, list[float]]:
-    """Final iterate and objective trace of the eigenbasis FISTA fit with a fresh
-    array for every intermediate, and `reference_project_simplex`: from the
-    projection of T c_u, c_u being c* with its constant coefficient set to
-    1/sqrt(cells), with function-value and gradient restarts."""
+def reference_fit(nm, iters: int = 2000, tol: float = 1e-10) -> tuple[np.ndarray, list[float]]:
+    """Final iterate and objective trace of the eigenbasis FISTA fit of the
+    release `nm` with a fresh array for every intermediate, and
+    `reference_project_simplex`: from the projection of T c_u, c_u being c*
+    with its constant coefficient set to 1/sqrt(cells), with function-value
+    and gradient restarts."""
     cells = int(np.prod(nm.schema.sizes))
-    target = nm.target
+    target, n = nm.target, nm.n
     op = nm.operator
     lam = op.spectrum
     coef = op.transform(op.adjoint(target))
@@ -322,17 +323,17 @@ def reference_exhaustive_counts(n: int, nm) -> np.ndarray:
     return best_counts
 
 
-def reference_greedy_counts(n: int, nm) -> tuple[np.ndarray, np.ndarray]:
-    """Cell counts of the greedy min-max descent, every query scored at every step,
-    from the greedy's start, the largest-remainder rounding of n times the dense
-    fit, and its final l1 vector (one entry per query)."""
-    schema = nm.schema
+def reference_greedy_counts(nm) -> tuple[np.ndarray, np.ndarray]:
+    """Cell counts of the greedy min-max descent of the release `nm`, every query
+    scored at every step, from the greedy's start, the largest-remainder rounding
+    of n times the dense fit, and its final l1 vector (one entry per query)."""
+    n, schema = nm.n, nm.schema
     cells = int(np.prod(schema.sizes))
     op = nm.operator
     bin_maps = op.bin_maps
     eq_masks = [bm[:, None] == bm[None, :] for bm in bin_maps]
     max_steps = 200 + 40 * n
-    counts = sample_dataset(fit_distribution(nm, n), n).astype(np.float64)
+    counts = sample_dataset(fit_distribution(nm), n).astype(np.float64)
     resid = np.split(nm.target - op.forward(counts), op.offsets[1:])
     l1 = np.array([np.abs(r).sum() for r in resid])
     for _ in range(max_steps):

@@ -24,7 +24,7 @@ from margsyn.polyapprox import Interval, approx_report, bernstein, iterated_bern
 from margsyn.privacy import PrivacyParams, calibrate, synthesis_l1_bound
 from margsyn.synth import DistributionEstimate, brute_force_synth, sample_dataset, synthesize
 
-from conftest import (noisy_set_of, per_query, random_dataset, reference_encode_xy as encode_xy,
+from conftest import (per_query, random_dataset, reference_encode_xy as encode_xy, release_of,
                       reference_l1_distance as l1_distance, reference_sgd as plain_sgd)
 
 logistic_loss = LossSpec.logistic().value
@@ -120,7 +120,7 @@ def test_criterion_3_brute_force_matches_exhaustive_oracle():
         real = Dataset(schema, rng.integers(0, 2, size=(n, 2)))
         queries = enumerate_queries(1, 2)
         exact = [(q, compute_marginal(real, q)) for q in queries]
-        nm = noisy_set_of(schema, exact, 1.2, seed)
+        nm = release_of(schema, exact, n, 1.2, seed)
         got = nm.operator.l1_to(nm.operator.forward(brute_force_synth(n, nm)), nm.target).max()
         best = math.inf
         for combo in itertools.combinations_with_replacement(range(4), n):
@@ -143,8 +143,8 @@ def test_criterion_4_end_to_end_l1_coverage(three_binary_schema):
     bound = synthesis_l1_bound(sigma, 2, 3, 2, 3.0)
     trials, violations = 500, 0
     for seed in range(trials):
-        nm = noisy_set_of(three_binary_schema, exact, sigma, seed)
-        ds_s, _ = synthesize(50, nm, "brute")
+        nm = release_of(three_binary_schema, exact, 50, sigma, seed)
+        ds_s, _ = synthesize(nm, "brute")
         worst = max(l1_distance(h, compute_marginal(ds_s, q)) for q, h in exact)
         violations += worst > bound
     slack = 2.326 * math.sqrt(0.125 * 0.875 / trials)  # 99% binomial upper bound
@@ -175,8 +175,8 @@ def test_criterion_5_measured_nu_bound_dominates(three_binary_schema):
         exact = [(q, compute_marginal(real, q)) for q in queries]
         sigma = calibrate(3, d, PrivacyParams(1.0, 1.0 / 200**2, lam=3.0))
         for seed in range(runs_per_d):
-            nm = noisy_set_of(three_binary_schema, exact, sigma, seed)
-            ds_s, _ = synthesize(200, nm, "brute")
+            nm = release_of(three_binary_schema, exact, 200, sigma, seed)
+            ds_s, _ = synthesize(nm, "brute")
             measured_nu = max(l1_distance(h, compute_marginal(ds_s, q)) for q, h in exact)
             for name, spec in losses.items():
                 model_s = train_projected(ds_s, spec, tau, tcfg)

@@ -6,7 +6,7 @@ Every release over one schema and marginal order d reads one
 sweep, its refusal check and the CLI's marginal dump build one between
 them, and another d builds one more.  In a release the real marginals, the
 noise (drawn into one vector by one generator in
-`privacy.add_noise_to_set`) and the `NoisyMarginalSet` that holds it all use
+`privacy.add_noise_to_set`) and the `synth.Release` that holds it all use
 its layout, every synthesizer and diagnostic reaches the cell -> bin maps
 through it, and `synth.py` never sets an object's state through `vars()`.
 Every synthesizer outputs cell counts, from which `synthesize` takes the

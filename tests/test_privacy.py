@@ -339,6 +339,18 @@ def test_sigma_has_one_derivation():
     assert {name: scopes for name, scopes in found.items() if scopes} == {"privacy.py": ["calibrate"]}
 
 
+def test_the_release_has_one_builder():
+    # only the mechanism noises the marginals and records them as a Release, so
+    # a release's n and sigma are those of the noise actually added; the
+    # private bounds take sigma from calibrate too
+    def callers(name: str) -> list[str]:
+        return sorted(f"{path.stem}.{scope}" for path in PACKAGE.glob("*.py")
+                      for scope in call_scopes(path.read_text(), name))
+
+    assert callers("Release") == callers("add_noise_to_set") == ["synth.generate_synthetic"]
+    assert callers("calibrate") == ["bounds.private_excess_risk_bound", "synth.generate_synthetic"]
+
+
 def test_calibration_is_recomputable():
     sigma = calibrate(4, 2, PrivacyParams(0.5, 1e-6))
     assert isinstance(sigma, float)

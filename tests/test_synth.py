@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,44 +14,47 @@ from margsyn.demo import make_demo_dataset
 from margsyn.evaluate import accuracy, empirical_risk
 from margsyn.learn import LossSpec, TrainConfig, train_projected
 from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
-from margsyn.privacy import PrivacyParams, add_noise_to_set, calibrate, marginal_set_sensitivity
-from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, NoisyMarginalSet, SynthesisError,
+from margsyn.privacy import (PrivacyParams, add_noise_to_set, calibrate, marginal_set_sensitivity,
+                            synthesis_l1_bound)
+from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, Release, SynthesisError,
                            _descend, _simplex_projector, brute_force_synth,
                            fit_distribution, generate_synthetic, sample_dataset, synthesize)
 
-from conftest import (cell_counts, dense_marginal_matrix, noisy_set_of, per_query, random_dataset,
+from conftest import (cell_counts, dense_marginal_matrix, per_query, random_dataset, release_of,
                       reference_counts_to_rows, reference_encode_xy as encode_xy,
                       reference_exhaustive_counts, reference_greedy_counts, reference_l1_distance,
                       reference_fit, reference_project_simplex, reference_row_multiset)
 
 
-def noisy_set_from(ds: Dataset, d: int, sigma: float, seed: int) -> NoisyMarginalSet:
-    return noisy_set_over(ds, enumerate_queries(ds.schema.num_features, d), sigma, seed)
+def release_from(ds: Dataset, d: int, sigma: float, seed: int, n: int | None = None) -> Release:
+    """The release of the order-<=d marginals of `ds`, of `ds.n` rows unless n is given."""
+    return release_over(ds, enumerate_queries(ds.schema.num_features, d), sigma, seed, n)
 
 
-def noisy_set_over(ds: Dataset, queries, sigma: float, seed: int) -> NoisyMarginalSet:
-    return noisy_set_of(ds.schema, [(q, compute_marginal(ds, q)) for q in queries], sigma, seed)
+def release_over(ds: Dataset, queries, sigma: float, seed: int, n: int | None = None) -> Release:
+    return release_of(ds.schema, [(q, compute_marginal(ds, q)) for q in queries],
+                      ds.n if n is None else n, sigma, seed)
 
 
-def assert_greedy_matches_the_loop(n: int, nm: NoisyMarginalSet) -> None:
+def assert_greedy_matches_the_loop(nm: Release) -> None:
     """The greedy path's counts, and the descent's final l1 vector bit for bit,
     equal the loop's from the same start."""
-    counts, final = reference_greedy_counts(n, nm)
-    ds, stats = synthesize(n, nm, "brute", cap=0)
+    counts, final = reference_greedy_counts(nm)
+    ds, stats = synthesize(nm, "brute", cap=0)
     assert stats["path"] == "greedy"
     assert np.array_equal(cell_counts(ds), counts)
-    start = sample_dataset(fit_distribution(nm, n), n)
+    start = sample_dataset(fit_distribution(nm), nm.n)
     got, l1 = _descend(start, nm)
     assert got.dtype == np.int64 and np.array_equal(got, counts)
     assert l1.tobytes() == final.tobytes()
 
 
-def l1_to_noisy(counts: np.ndarray, nm: NoisyMarginalSet) -> np.ndarray:
+def l1_to_noisy(counts: np.ndarray, nm: Release) -> np.ndarray:
     """Each query's l1 distance from the marginal of a cell-count vector to its noisy marginal."""
     return nm.operator.l1_to(nm.operator.forward(counts), nm.target)
 
 
-def oracle_best_objective(n: int, nm: NoisyMarginalSet) -> float:
+def oracle_best_objective(n: int, nm: Release) -> float:
     """Independent exhaustive recomputation of the optimal max-l1 objective."""
     schema = nm.schema
     cells = math.prod(schema.sizes)
@@ -86,20 +89,20 @@ def misfit_target(case: str) -> tuple[MarginalOperator, np.ndarray]:
     return op, target
 
 
-class TestNoisyMarginalSet:
+class TestRelease:
     @pytest.mark.parametrize("path", SYNTH_PATHS)
     @pytest.mark.parametrize("case", ["nan", "inf", "-inf", "one bin short", "one bin extra", "2-D counts"])
     def test_marginals_that_do_not_fit_their_queries_are_rejected(self, case, path):
         mode, cap = SYNTH_PATHS[path]
         match = "non-finite" if "inf" in case or case == "nan" else "bins"
         with pytest.raises(SynthesisError, match=match):
-            nm = NoisyMarginalSet(*misfit_target(case))
-            synthesize(3, nm, mode, cap=cap)
+            nm = Release(*misfit_target(case), 3, 0.0)
+            synthesize(nm, mode, cap=cap)
 
     def test_target_is_a_read_only_copy(self, three_binary_schema):
         op = MarginalOperator(three_binary_schema, enumerate_queries(3, 2))
         counts = op.forward(cell_counts(random_dataset(three_binary_schema, 10, seed=1)))
-        nm = NoisyMarginalSet(op, counts)
+        nm = Release(op, counts, 10, 0.0)
         assert nm.target.tobytes() == counts.tobytes() and not nm.target.flags.writeable
         counts[0] += 1.0
         assert nm.target[0] == counts[0] - 1.0
@@ -108,26 +111,26 @@ class TestNoisyMarginalSet:
     def test_a_set_over_any_domain_builds_no_table(self):
         # 40 binary features + label: a bin table would take 17.6 TB per query
         op = MarginalOperator(make_demo_dataset(m=40, n=1, seed=0).schema, enumerate_queries(40, 1))
-        nm = NoisyMarginalSet(op, np.zeros(sum(op.num_bins)))
+        nm = Release(op, np.zeros(sum(op.num_bins)), 1, 0.0)
         assert nm.operator.num_cells == 2 ** 41 and "bin_maps" not in vars(op)
 
 
 class TestBruteForce:
     def test_zero_noise_reaches_zero_objective(self, two_binary_rows):
-        nm = noisy_set_from(two_binary_rows, 2, 0.0, seed=0)
+        nm = release_from(two_binary_rows, 2, 0.0, seed=0)
         assert all(l1_to_noisy(brute_force_synth(4, nm), nm) == 0.0)
 
     def test_recovers_marginals_of_two_row_dataset(self):
         schema = Schema(("a", "label"), (2, 2))
         real = Dataset(schema, np.array([[0, 1], [1, 0]]))
-        nm = noisy_set_from(real, 2, 0.0, seed=0)
+        nm = release_from(real, 2, 0.0, seed=0)
         counts = brute_force_synth(2, nm)  # 10 candidate multisets
         for (_, h), got in zip(per_query(nm), np.split(nm.operator.forward(counts), nm.operator.offsets[1:])):
             assert np.array_equal(got, h)
 
     def test_objective_never_worse_than_real_dataset(self, two_binary_rows):
         for seed in range(10):
-            nm = noisy_set_from(two_binary_rows, 2, 1.5, seed=seed)
+            nm = release_from(two_binary_rows, 2, 1.5, seed=seed)
             obj_s = l1_to_noisy(brute_force_synth(4, nm), nm).max()
             obj_r = max(reference_l1_distance(h, compute_marginal(two_binary_rows, q))
                         for q, h in per_query(nm))
@@ -137,58 +140,58 @@ class TestBruteForce:
         schema = Schema(("a", "label"), (2, 2))
         real = random_dataset(schema, 3, seed=5)
         for seed in range(8):
-            nm = noisy_set_from(real, 2, 1.0, seed=seed)
+            nm = release_from(real, 2, 1.0, seed=seed)
             obj = l1_to_noisy(brute_force_synth(3, nm), nm).max()  # C(6,3) = 20 candidates
             assert obj == pytest.approx(oracle_best_objective(3, nm), abs=1e-9)
 
     def test_cap_exceeded(self, two_binary_rows, monkeypatch):
         from margsyn import synth
-        nm = noisy_set_from(two_binary_rows, 2, 0.0, seed=0)
+        nm = release_from(two_binary_rows, 2, 0.0, seed=0)
 
         def no_scan(*args, **kwargs):
             raise AssertionError("the exhaustive scan ran past its cap")
 
         monkeypatch.setattr(synth, "brute_force_synth", no_scan)
-        ds, stats = synthesize(4, nm, "brute", cap=3)  # 35 candidate multisets
+        ds, stats = synthesize(nm, "brute", cap=3)  # 35 candidate multisets
         assert stats["path"] == "greedy" and ds.n == 4
 
     def test_empty_query_set(self, two_binary_rows):
         with pytest.raises(SynthesisError):
-            NoisyMarginalSet(MarginalOperator(two_binary_rows.schema, []), np.zeros(0))
+            Release(MarginalOperator(two_binary_rows.schema, []), np.zeros(0), 4, 0.0)
 
     def test_duplicate_queries_rejected(self, two_binary_rows):
         q = MarginalQuery((0,))
         pair = (q, compute_marginal(two_binary_rows, q))
         with pytest.raises(SynthesisError, match="duplicate queries"):
-            noisy_set_of(two_binary_rows.schema, [pair, pair])
+            release_of(two_binary_rows.schema, [pair, pair], 4)
 
 
 class TestGreedyFallback:
     def test_greedy_engages_beyond_cap_and_beats_real(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 60, seed=2)
         for seed in range(5):
-            nm = noisy_set_from(real, 2, 8.0, seed=seed)
-            ds_s, stats = synthesize(60, nm, "brute", cap=1000)
+            nm = release_from(real, 2, 8.0, seed=seed)
+            ds_s, stats = synthesize(nm, "brute", cap=1000)
             assert ds_s.n == 60
             obj_r = max(reference_l1_distance(h, compute_marginal(real, q)) for q, h in per_query(nm))
             assert stats["l1_to_noisy_max"] <= obj_r + 1e-9
 
     def test_empty_query_set(self, two_binary_rows):
         with pytest.raises(SynthesisError, match="empty query set"):
-            NoisyMarginalSet(MarginalOperator(two_binary_rows.schema, ()), np.zeros(0))
+            Release(MarginalOperator(two_binary_rows.schema, ()), np.zeros(0), 4, 0.0)
 
     def test_deterministic(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 40, seed=3)
-        nm = noisy_set_from(real, 2, 5.0, seed=11)
-        a, _ = synthesize(40, nm, "brute", cap=10)
-        b, _ = synthesize(40, nm, "brute", cap=10)
+        nm = release_from(real, 2, 5.0, seed=11)
+        a, _ = synthesize(nm, "brute", cap=10)
+        b, _ = synthesize(nm, "brute", cap=10)
         assert np.array_equal(a.codes, b.codes)
 
     def test_the_greedy_starts_from_the_module_fit(self, three_binary_schema, monkeypatch):
         # the fit is looked up on the module at each call, so a wrapper set
         # there (as perfbench's tracer sets one) sees the greedy's fit
         from margsyn import synth
-        nm = noisy_set_from(random_dataset(three_binary_schema, 40, seed=3), 2, 5.0, seed=11)
+        nm = release_from(random_dataset(three_binary_schema, 40, seed=3), 2, 5.0, seed=11)
         seen = []
 
         def spy(*args, **kwargs):
@@ -196,12 +199,12 @@ class TestGreedyFallback:
             return seen[-1]
 
         monkeypatch.setattr(synth, "fit_distribution", spy)
-        _, stats = synthesize(40, nm, "brute", cap=10)
+        _, stats = synthesize(nm, "brute", cap=10)
         [dist] = seen
         assert stats["path"] == "greedy"
         assert stats["fit_iterations"] == len(dist.objective_trace) - 1 > 0
         assert stats["fit_converged"] is dist.converged
-        _, stats = synthesize(2, nm, "brute", cap=10_000)  # C(17, 2) = 136 candidates
+        _, stats = synthesize(replace(nm, n=2), "brute", cap=10_000)  # C(17, 2) = 136 candidates
         assert stats["path"] == "exhaustive" and len(seen) == 1
 
     @pytest.mark.parametrize("eps", [0.25, 2.0])
@@ -214,7 +217,7 @@ class TestGreedyFallback:
         for seed in range(1, 6):
             real = make_demo_dataset(m=4, n=n, seed=seed)
             _, report = generate_synthetic(real, 2, privacy, mode="brute", seed=seed)
-            nm = noisy_set_from(real, 2, report.sigma, seed)
+            nm = release_from(real, 2, report.sigma, seed)
             assert report.path == "greedy"
             assert report.l1_to_noisy_max <= l1_to_noisy(cell_counts(real), nm).max() + 1e-9
             assert report.bound_certified
@@ -242,7 +245,7 @@ class TestBruteMatchesTheLoop:
         # seed 3 at sigma 0.7 on (2, 2, 2, 2) and at sigma 3 on (3, 2, 2): summing
         # a query's bins in another order (np.add.reduceat) picks another multiset
         for seed in range(4):
-            nm = noisy_set_from(random_dataset(schema, 3, seed=seed), 2, sigma, seed)
+            nm = release_from(random_dataset(schema, 3, seed=seed), 2, sigma, seed)
             assert np.array_equal(brute_force_synth(3, nm), reference_exhaustive_counts(3, nm))
 
     @pytest.mark.parametrize("sizes", EQUIV_SCHEMAS)
@@ -250,8 +253,8 @@ class TestBruteMatchesTheLoop:
     def test_greedy(self, sizes, sigma):
         schema = Schema(tuple(f"a{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
         for seed, n in ((0, 25), (1, 60)):
-            nm = noisy_set_from(random_dataset(schema, n, seed=seed), 2, sigma, seed)
-            assert_greedy_matches_the_loop(n, nm)
+            nm = release_from(random_dataset(schema, n, seed=seed), 2, sigma, seed)
+            assert_greedy_matches_the_loop(nm)
 
     @pytest.mark.parametrize("sigma", [0.0, 3.0])
     def test_greedy_at_the_benchmark_shape(self, sigma):
@@ -260,36 +263,36 @@ class TestBruteMatchesTheLoop:
         # are integers, so many moves tie at the minimum.
         for seed in range(3):
             real = make_demo_dataset(m=6, n=200, seed=seed)
-            assert_greedy_matches_the_loop(200, noisy_set_from(real, 2, sigma, seed))
+            assert_greedy_matches_the_loop(release_from(real, 2, sigma, seed))
 
     @pytest.mark.parametrize("sigma", EQUIV_SIGMAS)
     def test_query_list_not_closed_under_subsets(self, three_binary_schema, sigma):
         real = random_dataset(three_binary_schema, 30, seed=4)
-        nm = noisy_set_over(real, OPEN_QUERIES, sigma, seed=9)
+        nm = release_over(real, OPEN_QUERIES, sigma, seed=9)
         assert np.array_equal(brute_force_synth(3, nm), reference_exhaustive_counts(3, nm))
-        assert_greedy_matches_the_loop(30, nm)
+        assert_greedy_matches_the_loop(nm)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_smallest_sizes(self, n):
         schema = Schema(("a", "b", "label"), (3, 2, 2))
-        nm = noisy_set_from(random_dataset(schema, 4, seed=1), 2, 1.0, seed=2)
+        nm = release_from(random_dataset(schema, 4, seed=1), 2, 1.0, seed=2, n=n)
         exhaustive = brute_force_synth(n, nm)
         assert exhaustive.dtype == np.int64
         assert exhaustive.sum() == n
         assert np.array_equal(exhaustive, reference_exhaustive_counts(n, nm))
-        assert_greedy_matches_the_loop(n, nm)
+        assert_greedy_matches_the_loop(nm)
 
     def test_zero_rows_give_all_zero_counts(self):
         for sizes in ((3, 2, 2), (2, 2, 2, 2)):
             schema = Schema(tuple(f"a{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
-            nm = noisy_set_from(random_dataset(schema, 4, seed=0), 2, 1.0, seed=0)
+            nm = release_from(random_dataset(schema, 4, seed=0), 2, 1.0, seed=0)
             counts = brute_force_synth(0, nm)
             assert counts.dtype == np.int64 and counts.tolist() == [0] * math.prod(sizes)
 
     def test_candidates_fill_whole_batches(self):
         # 8 binary features + label at n = 1: 512 candidates, two whole batches
         real = make_demo_dataset(m=8, n=40, seed=3)
-        nm = noisy_set_from(real, 2, 2.0, seed=3)
+        nm = release_from(real, 2, 2.0, seed=3)
         assert nm.operator.num_cells % _SCAN_BATCH == 0
         assert np.array_equal(brute_force_synth(1, nm), reference_exhaustive_counts(1, nm))
 
@@ -302,14 +305,14 @@ class TestBruteMatchesTheLoop:
         monkeypatch.setattr(synth, "_SCAN_BATCH", batch)
         assert math.comb(8 + 3 - 1, 3) % batch in (0, 1)
         for seed in range(3):
-            nm = noisy_set_from(random_dataset(schema, 3, seed=seed), 2, 0.7, seed)
+            nm = release_from(random_dataset(schema, 3, seed=seed), 2, 0.7, seed)
             assert np.array_equal(brute_force_synth(3, nm), reference_exhaustive_counts(3, nm))
 
     def test_optimum_and_tie_in_later_batches(self, three_binary_schema):
         # one-way queries only, zero noise: the optimum is first met after the
         # first batch and met again in the next batch
         real = Dataset(three_binary_schema, np.array([[0, 0, 1, 0], [0, 1, 1, 0], [1, 1, 1, 0]]))
-        nm = noisy_set_over(real, enumerate_queries(3, 1), 0.0, seed=0)
+        nm = release_over(real, enumerate_queries(3, 1), 0.0, seed=0)
         combos = list(itertools.combinations_with_replacement(range(16), 3))
         op = nm.operator
         objs = np.array([op.l1_to(op.forward(np.bincount(c, minlength=16).astype(np.float64)),
@@ -323,7 +326,7 @@ class TestBruteMatchesTheLoop:
 
     def test_scan_memory_does_not_grow_with_the_candidates(self):
         schema = Schema(("a", "b", "c", "d", "label"), (2, 2, 2, 2, 2))
-        nm = noisy_set_from(random_dataset(schema, 3, seed=0), 2, 1.0, seed=0)
+        nm = release_from(random_dataset(schema, 3, seed=0), 2, 1.0, seed=0)
         nm.operator.bin_maps  # built once, before either measurement
         peaks = []
         for n in (2, 3):  # 528 and 5,984 candidates
@@ -340,12 +343,12 @@ class TestBruteMatchesTheLoop:
         # builds its matrices on I x J only, so the peak stays below one
         # cells x cells float64 matrix, 8 * 512^2 bytes
         real = make_demo_dataset(m=8, n=40, seed=0)
-        nm = noisy_set_from(real, 2, 3.0, seed=0)
+        nm = release_from(real, 2, 3.0, seed=0)
         nm.operator.bin_maps  # built before the measurement
         cells = math.prod(nm.schema.sizes)
         tracemalloc.start()
         try:
-            synthesize(40, nm, "brute", cap=0)
+            synthesize(nm, "brute", cap=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -354,8 +357,8 @@ class TestBruteMatchesTheLoop:
     def test_greedy_guard_bounds_what_a_step_allocates(self):
         # 10 binary features + label at d=2: 2,048 cells and 66 queries.  A step's
         # arrays are cells^2 = 4.2e6 and sum_q bins_q^2 = 924 entries, so it runs.
-        nm = noisy_set_from(make_demo_dataset(m=10, n=20, seed=0), 2, 1.0, seed=0)
-        ds, stats = synthesize(20, nm, "brute")
+        nm = release_from(make_demo_dataset(m=10, n=20, seed=0), 2, 1.0, seed=0)
+        ds, stats = synthesize(nm, "brute")
         assert stats["path"] == "greedy" and ds.n == 20
         # 14 binary features + label: 32,768 cells, so cells^2 > 2e8, even at d=1.
         # 12 binary features + label: 8,192 cells, so cells^2 = 6.7e7, but the full
@@ -365,23 +368,22 @@ class TestBruteMatchesTheLoop:
         real = make_demo_dataset(m=12, n=20, seed=0)
         full = tuple(range(13))
         queries = [MarginalQuery(full)] + [MarginalQuery(full[:k] + full[k + 1:]) for k in range(13)]
-        wide = noisy_set_of(real.schema, [(q, compute_marginal(real, q)) for q in queries])
-        for nm in (noisy_set_from(make_demo_dataset(m=14, n=20, seed=0), 1, 1.0, seed=0), wide):
+        wide = release_of(real.schema, [(q, compute_marginal(real, q)) for q in queries], real.n)
+        for nm in (release_from(make_demo_dataset(m=14, n=20, seed=0), 1, 1.0, seed=0), wide):
             tracemalloc.start()
             try:
                 with pytest.raises(SynthesisError, match="too large for the greedy"):
-                    synthesize(20, nm, "brute", cap=0)
+                    synthesize(nm, "brute", cap=0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 8 * math.prod(nm.schema.sizes)
 
 
-def reference_pgd_objective(nm: NoisyMarginalSet, n: float, iters: int = 2000,
-                            tol: float = 1e-10) -> float:
+def reference_pgd_objective(nm: Release, iters: int = 2000, tol: float = 1e-10) -> float:
     """Final objective of plain projected gradient with the fixed step 1/L,
     L = 2 n^2 sum_q cells/|bins_q| (the all-ones curvature), from uniform."""
-    op = nm.operator
+    op, n = nm.operator, nm.n
     targets = np.split(nm.target, op.offsets[1:])
     cells = op.num_cells
     step = 1.0 / (2.0 * n * n * sum(cells / t.shape[0] for t in targets))
@@ -413,8 +415,7 @@ def dense_start(a: np.ndarray, h: np.ndarray, n: float) -> np.ndarray:
     return u + np.linalg.pinv(n * a @ centre, rcond=1e-10) @ (h - n * a @ u)
 
 
-def reference_fista_trace(nm: NoisyMarginalSet, n: float, iters: int,
-                          tol: float = 1e-10) -> tuple[list[float], int]:
+def reference_fista_trace(nm: Release, iters: int, tol: float = 1e-10) -> tuple[list[float], int]:
     """The fit's iteration on a dense A, objective and gradient from A itself: FISTA
     from the projected `dense_start` with function-value restart, gradient restart
     ((y - p_new).(p_new - p) > 0 on an accepted step) and step 1/L, L = 2 n^2 times
@@ -422,7 +423,7 @@ def reference_fista_trace(nm: NoisyMarginalSet, n: float, iters: int,
     does not lower the objective, or one lowering it by at most tol relative, stops it.
     Returns the objective trace and the number of gradient restarts."""
     a = dense_marginal_matrix(nm.schema, nm.operator.queries)
-    h = nm.target
+    h, n = nm.target, nm.n
     cells = a.shape[1]
     centre = np.eye(cells) - 1.0 / cells
     lipschitz = 2.0 * n * n * np.linalg.eigvalsh(centre @ a.T @ a @ centre)[-1]
@@ -457,49 +458,49 @@ def reference_fista_trace(nm: NoisyMarginalSet, n: float, iters: int,
     return trace, restarts
 
 
-def demo_d3_set(seed: int) -> tuple[NoisyMarginalSet, int]:
+def demo_d3_set(seed: int) -> Release:
     """6 binary features + label (128 cells), n=2000, all 63 queries of order <= 3, eps=1."""
     real = make_demo_dataset(m=6, n=2000, seed=seed)
     sigma = calibrate(6, 3, PrivacyParams(1.0, 1.0 / real.n**2))
-    return noisy_set_from(real, 3, sigma, seed), real.n
+    return release_from(real, 3, sigma, seed)
 
 
-def direct_objective(nm: NoisyMarginalSet, n: float, probs: np.ndarray) -> float:
+def direct_objective(nm: Release, probs: np.ndarray) -> float:
     """||n A p - h||^2 from the operator's forward map, not from its spectrum."""
-    r = n * nm.operator.forward(probs) - nm.target
+    r = nm.n * nm.operator.forward(probs) - nm.target
     return float(r @ r)
 
 
 class TestFitDistribution:
     def test_noiseless_marginals_are_matched(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 64, seed=9)
-        nm = noisy_set_from(real, 2, 0.0, seed=0)
-        dist = fit_distribution(nm, n=real.n)
+        nm = release_from(real, 2, 0.0, seed=0)
+        dist = fit_distribution(nm)
         op = nm.operator
         for (_, h), probs in zip(per_query(nm), np.split(op.forward(dist.probs), op.offsets[1:])):
             fitted = real.n * probs
             assert np.abs(fitted - h).sum() <= 1e-3 * real.n
 
     def test_single_full_query_exact(self, two_binary_rows):
-        nm = noisy_set_from(two_binary_rows, 2, 0.0, seed=0)
+        nm = release_from(two_binary_rows, 2, 0.0, seed=0)
         full = [(q, h) for q, h in per_query(nm) if len(q.attrs) == 2]
-        nm_full = noisy_set_of(two_binary_rows.schema, full)
-        dist = fit_distribution(nm_full, n=4)
+        nm_full = release_of(two_binary_rows.schema, full, 4)
+        dist = fit_distribution(nm_full)
         assert dist.objective_trace[-1] <= 1e-20
         assert np.allclose(dist.probs, full[0][1] / 4.0)
 
     def test_negative_entries_resolved(self, two_binary_rows):
-        nm = noisy_set_from(two_binary_rows, 2, 6.0, seed=4)
+        nm = release_from(two_binary_rows, 2, 6.0, seed=4)
         assert nm.target.min() < 0  # noise drove some entries negative
-        dist = fit_distribution(nm, n=4)
+        dist = fit_distribution(nm)
         assert np.all(dist.probs >= 0)
         assert float(dist.probs.sum()) == pytest.approx(1.0, abs=1e-9)
 
     def test_objective_monotone(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 50, seed=1)
         for seed in range(5):
-            nm = noisy_set_from(real, 2, 4.0, seed=seed)
-            dist = fit_distribution(nm, n=50)
+            nm = release_from(real, 2, 4.0, seed=seed)
+            dist = fit_distribution(nm)
             trace = np.asarray(dist.objective_trace)
             assert np.all(np.diff(trace) <= 1e-9 * np.maximum(trace[:-1], 1.0))
 
@@ -513,7 +514,7 @@ class TestFitDistribution:
         centre = np.eye(cells) - 1.0 / cells
         top = np.linalg.eigvalsh(centre @ a.T @ a @ centre)[-1]
         n = 37
-        nm = noisy_set_of(schema, [(q, compute_marginal(random_dataset(schema, n, 0), q)) for q in queries])
+        nm = release_of(schema, [(q, compute_marginal(random_dataset(schema, n, 0), q)) for q in queries], n)
         # the fit's step 1/L: L = 2 n^2 max of the spectrum off the constant direction
         lipschitz = 2.0 * n * n * nm.operator.spectrum[1:].max()
         # the lower bound allows eigvalsh's own rounding (a few ulps); the upper is exactness
@@ -526,36 +527,36 @@ class TestFitDistribution:
         start = project(dense_start(a, nm.target, n))
         grad = 2.0 * n * a.T @ (n * a @ start - nm.target)
         first = project(start - grad / (2.0 * n * n * top))
-        assert np.allclose(fit_distribution(nm, n, iters=1).probs, first, rtol=0.0, atol=1e-12)
+        assert np.allclose(fit_distribution(nm, iters=1).probs, first, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_converges_below_plain_projected_gradient(self, seed):
-        nm, n = demo_d3_set(seed)
-        dist = fit_distribution(nm, n=n)
+        nm = demo_d3_set(seed)
+        dist = fit_distribution(nm)
         assert dist.converged is True
         assert len(dist.objective_trace) - 1 < 2000
-        assert dist.objective_trace[-1] <= reference_pgd_objective(nm, n)
+        assert dist.objective_trace[-1] <= reference_pgd_objective(nm)
 
     def test_exactly_fittable_marginals_fit_to_rounding(self, three_binary_schema):
         # the stopping test is relative, with no absolute floor, so a fit whose
         # optimum is zero runs down to floating-point rounding
         real = random_dataset(three_binary_schema, 64, seed=9)
-        dist = fit_distribution(noisy_set_from(real, 2, 0.0, seed=0), n=real.n)
+        dist = fit_distribution(release_from(real, 2, 0.0, seed=0))
         assert dist.converged is True
         assert dist.objective_trace[-1] <= 1e-20
 
     def test_iteration_cap_is_not_convergence(self):
-        nm, n = demo_d3_set(0)
-        dist = fit_distribution(nm, n=n, iters=5)
+        nm = demo_d3_set(0)
+        dist = fit_distribution(nm, iters=5)
         assert len(dist.objective_trace) == 6
         assert dist.converged is False
 
     def test_deterministic_and_draws_no_global_randomness(self):
-        nm, n = demo_d3_set(1)
+        nm = demo_d3_set(1)
         np.random.seed(2024)
         before = np.random.get_state()
-        a = fit_distribution(nm, n=n)
-        b = fit_distribution(nm, n=n)
+        a = fit_distribution(nm)
+        b = fit_distribution(nm)
         after = np.random.get_state()
         assert a.probs.tobytes() == b.probs.tobytes()
         assert a.objective_trace == b.objective_trace
@@ -564,16 +565,16 @@ class TestFitDistribution:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_final_objective_is_the_direct_objective(self, seed):
-        nm, n = demo_d3_set(seed)
-        dist = fit_distribution(nm, n=n)
-        assert dist.objective_trace[-1] == pytest.approx(direct_objective(nm, n, dist.probs), rel=1e-9)
+        nm = demo_d3_set(seed)
+        dist = fit_distribution(nm)
+        assert dist.objective_trace[-1] == pytest.approx(direct_objective(nm, dist.probs), rel=1e-9)
 
     @pytest.mark.parametrize("seed", [1, 4, 7])  # the seeds below 8 whose minimizer is non-negative
     def test_a_non_negative_closed_form_start_is_the_fit(self, seed):
         # sweep scale: 4 binary features + label, n = 32,000, d = 2, eps = 1
         real = make_demo_dataset(m=4, n=32_000, seed=seed)
         n = real.n
-        nm = noisy_set_from(real, 2, calibrate(4, 2, PrivacyParams(1.0, 1.0 / n**2)), seed)
+        nm = release_from(real, 2, calibrate(4, 2, PrivacyParams(1.0, 1.0 / n**2)), seed)
         # the least-squares minimizer on the plane sum p = 1, from the dense A by
         # np.linalg.lstsq over an orthonormal basis of the sum-zero subspace
         a = dense_marginal_matrix(nm.schema, nm.operator.queries)
@@ -583,19 +584,19 @@ class TestFitDistribution:
         z = np.linalg.lstsq(n * a @ basis, nm.target - n * a @ u, rcond=1e-10)[0]
         p_ls = u + basis @ z
         assert p_ls.min() >= 0.0  # so it minimizes on the simplex too
-        dist = fit_distribution(nm, n)
+        dist = fit_distribution(nm)
         assert len(dist.objective_trace) - 1 <= 2 and dist.converged
         assert np.allclose(dist.probs, p_ls, rtol=0.0, atol=1e-12)
-        assert dist.objective_trace[-1] == pytest.approx(direct_objective(nm, n, p_ls), rel=1e-9)
+        assert dist.objective_trace[-1] == pytest.approx(direct_objective(nm, p_ls), rel=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_iterates_like_the_loop_on_the_dense_operator(self, seed):
         # the whole run, gradient restarts and the stop included (no step is
         # rejected on these instances; the wide-attribute case of the test below
         # covers a rejected step)
-        nm, n = demo_d3_set(seed)
-        got = fit_distribution(nm, n=n).objective_trace
-        want, restarts = reference_fista_trace(nm, n, iters=2000)
+        nm = demo_d3_set(seed)
+        got = fit_distribution(nm).objective_trace
+        want, restarts = reference_fista_trace(nm, iters=2000)
         assert len(got) == len(want) < 2000
         assert restarts > 0
         assert np.allclose(got, want, rtol=1e-9, atol=0.0)
@@ -606,36 +607,36 @@ class TestFitDistribution:
         if case == "wide attribute":
             # noise seed 2, the smallest whose fit on this data rejects a step
             real = random_dataset(Schema(("a", "b", "label"), (1500, 3, 2)), 4000, seed=5)
-            nm, n = noisy_set_from(real, 2, 3.0, seed=2), real.n
+            nm = release_from(real, 2, 3.0, seed=2)
         else:
-            nm, n = demo_d3_set(int(case[-1]))
-        probs, trace = reference_fit(nm, n)
+            nm = demo_d3_set(int(case[-1]))
+        probs, trace = reference_fit(nm)
         if case == "wide attribute":  # a rejected step: a repeated value before the last
             assert any(a == b for a, b in zip(trace[:-2], trace[1:-1]))
-        dist = fit_distribution(nm, n=n)
+        dist = fit_distribution(nm)
         assert dist.objective_trace == tuple(trace)
         assert dist.probs.tobytes() == probs.tobytes()
 
     @pytest.mark.parametrize("iters", [0, 5, 2000])
     def test_applies_the_operator_at_most_twice(self, iters, monkeypatch):
-        nm, n = demo_d3_set(0)
+        nm = demo_d3_set(0)
         calls = []
         for name in ("forward", "adjoint"):
             def counted(op, x, apply=getattr(MarginalOperator, name), name=name):
                 calls.append(name)
                 return apply(op, x)
             monkeypatch.setattr(MarginalOperator, name, counted)
-        fit_distribution(nm, n=n, iters=iters)
+        fit_distribution(nm, iters=iters)
         assert len(calls) <= 2
 
     def test_attribute_wider_than_a_dense_factor(self):
         schema = Schema(("a", "b", "label"), (1500, 3, 2))
         real = random_dataset(schema, 4000, seed=5)
-        nm = noisy_set_from(real, 2, 3.0, seed=5)
-        dist = fit_distribution(nm, n=real.n)
-        assert dist.objective_trace[-1] == pytest.approx(direct_objective(nm, real.n, dist.probs),
+        nm = release_from(real, 2, 3.0, seed=5)
+        dist = fit_distribution(nm)
+        assert dist.objective_trace[-1] == pytest.approx(direct_objective(nm, dist.probs),
                                                          rel=1e-9)
-        assert dist.objective_trace[-1] <= reference_pgd_objective(nm, real.n)
+        assert dist.objective_trace[-1] <= reference_pgd_objective(nm)
         op = nm.operator
         assert max(f.size for f in op._factors) <= op.num_cells
         assert any(f.shape == (1500,) for f in op._factors)
@@ -650,14 +651,14 @@ class TestFitDistribution:
         sizes = (6,) * 8 + (2,)
         schema = Schema(tuple(f"x{i}" for i in range(8)) + ("label",), sizes)
         ds = random_dataset(schema, 5, seed=0)
-        nm = noisy_set_from(ds, 1, 0.0, seed=0)
+        nm = release_from(ds, 1, 0.0, seed=0)
 
         def no_fit(*args, **kwargs):
             raise AssertionError("a fit ran past the dense-mode cap")
 
         monkeypatch.setattr(synth, "fit_distribution", no_fit)
         with pytest.raises(SynthesisError, match="dense-mode cap"):
-            synthesize(5, nm, "fitted")
+            synthesize(nm, "fitted")
 
 
 # every kind of input the fit hands the projection: ties, negatives, and
@@ -813,8 +814,8 @@ class TestSampleDataset:
 class TestMechanism:
     def test_zero_noise_full_order_reproduces_marginals(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 30, seed=3)
-        ds_s, stats = synthesize(real.n, noisy_set_from(real, 4, 0.0, 1), "brute")
-        assert stats["l1_to_noisy_max"] == 0.0  # the noisy set is the exact one
+        ds_s, stats = synthesize(release_from(real, 4, 0.0, 1), "brute")
+        assert stats["l1_to_noisy_max"] == 0.0  # the release is the exact one
         # full-order marginals pin the multiset
         assert reference_row_multiset(ds_s) == reference_row_multiset(real)
 
@@ -855,9 +856,9 @@ class TestMechanism:
 
     def test_fitted_output_is_the_rounding_of_the_fit(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 30, seed=3)
-        nm = noisy_set_from(real, 2, 1.0, 4)
-        ds_s, _ = synthesize(real.n, nm, "fitted")
-        assert np.array_equal(cell_counts(ds_s), sample_dataset(fit_distribution(nm, real.n), real.n))
+        nm = release_from(real, 2, 1.0, 4)
+        ds_s, _ = synthesize(nm, "fitted")
+        assert np.array_equal(cell_counts(ds_s), sample_dataset(fit_distribution(nm), real.n))
 
     @pytest.mark.parametrize("mode", ["brute", "fitted"])
     def test_only_nonprivate_fields_read_the_real_data(self, monkeypatch, mode):
@@ -885,7 +886,7 @@ class TestMechanism:
         privacy = PrivacyParams(1.0, 1e-3, lam=1.0)
         _, report = generate_synthetic(real, 2, privacy, mode="brute", seed=seed)
         exact = [(q, compute_marginal(real, q)) for q in enumerate_queries(2, 2)]
-        noisy = per_query(noisy_set_of(schema, exact, report.sigma, seed))
+        noisy = per_query(release_of(schema, exact, real.n, report.sigma, seed))
         real_to_noisy = max(reference_l1_distance(e, h) for (_, e), (_, h) in zip(exact, noisy))
         assert report.bound_certified == (report.l1_to_noisy_max <= report.l1_bound_at_lam / 2)
         if real_to_noisy <= report.l1_bound_at_lam / 2:
@@ -928,7 +929,7 @@ class TestMechanism:
 
     def test_zero_noise_excess_risk_vanishes(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 40, seed=12)
-        ds_s, _ = synthesize(real.n, noisy_set_from(real, 4, 0.0, 2), "brute")
+        ds_s, _ = synthesize(release_from(real, 4, 0.0, 2), "brute")
         tau = 1.0 / math.sqrt(3)
         cfg = TrainConfig(max_iters=200)
         w_s = train_projected(ds_s, LossSpec.logistic(), tau, cfg)
@@ -957,17 +958,47 @@ class TestMechanism:
         if path == "exhaustive":
             assert (doc["fit_iterations"], doc["fit_converged"]) == (0, None)
         else:  # the greedy starts from the same fit that fitted mode rounds
-            nm = noisy_set_from(real, 2, report.sigma, 5)
-            dist = fit_distribution(nm, n=real.n)
+            nm = release_from(real, 2, report.sigma, 5)
+            dist = fit_distribution(nm)
             assert doc["fit_iterations"] == len(dist.objective_trace) - 1 > 0
             assert doc["fit_converged"] is dist.converged is True
+
+    @pytest.mark.parametrize("mode, cap", [("brute", 10_000), ("brute", 0), ("fitted", 10_000)],
+                             ids=["exhaustive", "greedy", "fitted"])
+    def test_the_report_reads_the_release(self, three_binary_schema, mode, cap, monkeypatch):
+        # the release synthesis sees holds the noise actually added, and the
+        # report's size, sigma, query count and l1 bound are read off it
+        from margsyn import synth
+        released = []
+
+        def capture(release, *args, **kwargs):
+            released.append(release)
+            return synthesize(release, *args, **kwargs)
+
+        monkeypatch.setattr(synth, "synthesize", capture)
+        real = random_dataset(three_binary_schema, 3, seed=7)
+        privacy = PrivacyParams(0.7, 1e-4, lam=2.0)
+        _, report = generate_synthetic(real, 2, privacy, mode=mode, seed=5, cap=cap)
+        [release] = released
+        op = release.operator
+        assert report.n == release.n == real.n
+        assert report.sigma == release.sigma == calibrate(3, 2, privacy)
+        assert report.query_count == len(op.queries) == 10
+        assert report.l1_bound_at_lam == synthesis_l1_bound(release.sigma, 2, 3, 2, 2.0)
+        noise = add_noise_to_set(op.forward(cell_counts(real)), op.num_bins, release.sigma, 5)
+        assert release.target.tobytes() == noise.tobytes()
+        assert not release.target.flags.writeable
+        with pytest.raises(ValueError):
+            release.target[0] = 0.0
+        with pytest.raises(SynthesisError, match="non-negative"):
+            Release(op, release.target, -1, release.sigma)
 
     @pytest.mark.parametrize("mode, cap", [("brute", 10_000), ("brute", 0), ("fitted", 10_000)],
                              ids=["exhaustive", "greedy", "fitted"])
     def test_negative_size_is_rejected_before_any_work(self, three_binary_schema, mode, cap,
                                                        monkeypatch):
         from margsyn import synth
-        nm = noisy_set_from(random_dataset(three_binary_schema, 3, seed=7), 2, 1.0, 5)
+        nm = release_from(random_dataset(three_binary_schema, 3, seed=7), 2, 1.0, 5)
 
         def no_work(*args, **kwargs):
             raise AssertionError("a synthesis path ran for a negative size")
@@ -975,29 +1006,29 @@ class TestMechanism:
         for name in ("brute_force_synth", "_descend", "fit_distribution"):
             monkeypatch.setattr(synth, name, no_work)
         with pytest.raises(SynthesisError, match="non-negative"):
-            synthesize(-1, nm, mode, cap=cap)
+            synthesize(Release(nm.operator, nm.target, -1, nm.sigma), mode, cap=cap)
 
     @pytest.mark.parametrize("mode, cap, path", [("brute", 10_000, "exhaustive"), ("brute", 0, "greedy"),
                                                  ("fitted", 10_000, "fitted")],
                              ids=["exhaustive", "greedy", "fitted"])
     def test_output_rows_are_never_counted(self, three_binary_schema, mode, cap, path, monkeypatch):
         # the output's marginals come from the synthesizer's cell counts, not from its rows
-        nm = noisy_set_from(random_dataset(three_binary_schema, 3, seed=7), 2, 1.0, 5)
+        nm = release_from(random_dataset(three_binary_schema, 3, seed=7), 2, 1.0, 5)
 
         def no_count(ds):
             raise AssertionError("synthesize counted the rows of its output")
 
         with monkeypatch.context() as mp:
             mp.setattr(Dataset, "weighted", property(no_count))
-            ds_s, stats = synthesize(3, nm, mode, cap=cap)
+            ds_s, stats = synthesize(nm, mode, cap=cap)
         assert stats["path"] == path
         want = np.concatenate([compute_marginal(ds_s, q) for q in nm.operator.queries])
         assert np.array_equal(stats["marginals"], want)
 
     def test_stats_hold_the_output_marginals(self, three_binary_schema):
         real = random_dataset(three_binary_schema, 30, seed=3)
-        nm = noisy_set_from(real, 2, 1.0, 4)
-        ds_s, stats = synthesize(real.n, nm, "fitted")
+        nm = release_from(real, 2, 1.0, 4)
+        ds_s, stats = synthesize(nm, "fitted")
         want = np.concatenate([compute_marginal(ds_s, q) for q in nm.operator.queries])
         assert np.array_equal(stats["marginals"], want)
         assert stats["l1_to_noisy_max"] == float(nm.operator.l1_to(want, nm.target).max())
@@ -1050,9 +1081,9 @@ class TestMechanism:
         # 40 binary features + label: 2.2e12 cells, so one joint count or one
         # bin table row would take 17.6 TB; synthesize refuses the request
         real = make_demo_dataset(m=40, n=20, seed=0)
-        nm = noisy_set_from(real, 1, 1.0, seed=0)
+        nm = release_from(real, 1, 1.0, seed=0)
         with pytest.raises(SynthesisError) as refused:
-            synthesize(real.n, nm, mode)
+            synthesize(nm, mode)
         tracemalloc.start()
         try:
             with pytest.raises(SynthesisError) as got:

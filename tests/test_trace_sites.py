@@ -60,7 +60,7 @@ def test_keywords_the_workloads_pass():
 
 @pytest.mark.parametrize("cls, names", [
     (synth.GenReport, ("l1_to_noisy_mean", "l1_to_noisy_max", "nonprivate_normalized_l1_mean")),
-    (synth.NoisyMarginalSet, ("schema",)),
+    (synth.Release, ("schema",)),
     (synth.DistributionEstimate, ("objective_trace",)),
 ])
 def test_fields_the_benchmark_reads(cls, names):
