@@ -3,23 +3,10 @@
 Two strategies stand behind one entry point:
 
   "brute"   minimize the maximum l1 distance to the noisy marginals over
-            size-n multisets of the joint domain.  Exhaustive enumeration when
-            the multiset and cell counts fit the configured cap (candidates
-            scored a fixed batch at a time, one bincount per batch), otherwise a
-            deterministic greedy descent over single-row reassignments
-            minimizing the same objective, from the "fitted" path's output,
-            near the noisy marginals: mode "brute" above the cap is exactly
-            "fitted", then the descent.  Each greedy step scores only the
-            moves that can lower the query w at the maximum: the occupied
-            source cells I and the destination cells J whose w-bins have a
-            table entry below the stop threshold, so a step's matrices are
-            |I| x |J|, never larger than cells x cells.  Every move outside
-            I x J scores at least that threshold and a same-cell move scores
-            the maximum itself, so the chosen move, its row-major tie-break
-            and the stop test are those of scoring every move.  Of the
-            queries, only those whose largest possible l1 after a move
-            reaches the smallest possible l1 of w are scored: the others can
-            set no entry of the max, so this pruning is exact too.
+            size-n multisets of the joint domain by exhaustive enumeration
+            when the multiset and cell counts fit the configured cap
+            (candidates scored a fixed batch at a time, one bincount per
+            batch); above the cap, mode "brute" is exactly "fitted".
   "fitted"  least-squares fit of a dense joint distribution to the noisy
             marginals (accelerated projected gradient on the probability
             simplex with restarts, computed in the eigenbasis of the
@@ -63,10 +50,9 @@ _FIT_TOL = 1e-10
 # way over repeated runs, and 768 or more slower.  The scan's peak allocation
 # grows with the batch (0.50 MB at 256, 1.0 MB at 512, 12 MB at 16,384).
 _SCAN_BATCH = 256
-# Most entries of the queries x cells bin table, which every path reads, and
-# of any other array a brute path allocates over the whole domain: 2e8
+# Most entries of the queries x cells bin table, which both paths read: 2e8
 # float64 entries are 1.6 GB.
-_BRUTE_ENTRIES = 200_000_000
+_TABLE_ENTRIES = 200_000_000
 
 
 class SynthesisError(ValueError):
@@ -112,32 +98,26 @@ def _path(n: int, op: MarginalOperator, mode: str, cap: int) -> str:
 
     It reads only sizes, so `generate_synthetic` asks it before counting the
     real data or reading the operator's arrays, which span the joint domain.
-    The exhaustive path needs at most `cap` cells as well as candidates: for
-    n >= 1 the candidate count implies it, and n = 0 is refused where n = 1 is.
-    Every path reads the operator's queries x cells `bin_maps`, so every path
-    is refused when it holds more than _BRUTE_ENTRIES entries.
+    Mode "brute" takes the exhaustive path when both its candidates and its
+    cells fit `cap` (for n >= 1 the candidate count implies the cells, and
+    n = 0 goes where n = 1 goes), and otherwise the fitted path with its
+    refusals, as mode "fitted" does.  Both paths read the operator's
+    queries x cells `bin_maps`, so either is refused when it holds more than
+    _TABLE_ENTRIES entries.
     """
     cells = op.num_cells
-    table = len(op.num_bins) * cells
-    if mode == "brute":
-        if cells <= cap and math.comb(cells + n - 1, n) <= cap:
-            if table > _BRUTE_ENTRIES:
-                raise SynthesisError(f"bin table of {table} entries too large for the "
-                                     "exhaustive path; use fitted mode")
-            return "exhaustive"
-        # a greedy step's arrays: cand, at most cells x cells, and the move
-        # tables of all queries, sum_q bins_q^2 entries each.  The bin table is
-        # smaller than cells x cells: unique queries number fewer than cells.
-        if max(cells * cells, sum(k * k for k in op.num_bins)) > _BRUTE_ENTRIES:
-            raise SynthesisError("joint domain too large for the greedy path; use fitted mode")
-        return "greedy"
-    if mode == "fitted":
+    if mode == "brute" and cells <= cap and math.comb(cells + n - 1, n) <= cap:
+        path = "exhaustive"
+    elif mode in ("brute", "fitted"):
         if cells > DENSE_CELL_CAP:
             raise SynthesisError(f"joint domain of {cells} cells exceeds dense-mode cap {DENSE_CELL_CAP}")
-        if table > _BRUTE_ENTRIES:
-            raise SynthesisError(f"bin table of {table} entries too large for the fitted path")
-        return "fitted"
-    raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
+        path = "fitted"
+    else:
+        raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
+    table = len(op.num_bins) * cells
+    if table > _TABLE_ENTRIES:
+        raise SynthesisError(f"bin table of {table} entries too large for the {path} path")
+    return path
 
 
 def brute_force_synth(n: int, nm: Release) -> np.ndarray:
@@ -184,86 +164,6 @@ def brute_force_synth(n: int, nm: Release) -> np.ndarray:
         if obj[at] < best_obj:
             best_cells, best_obj = rows[at], obj[at]
     return np.bincount(best_cells, minlength=cells)
-
-
-def _descend(counts: np.ndarray, release: Release) -> tuple[np.ndarray, np.ndarray]:
-    """One-row-move descent on the max-l1 objective from `counts` (updated in
-    place): the final counts and every query's final l1 to the noisy marginals.
-    `synthesize` starts it from the rounded dense fit (`sample_dataset`);
-    `_path` has checked that a step's arrays fit.
-
-    Each step moves one row from cell i to cell j, at the pair minimizing
-    cand[i, j] = max_q m_q[i, j], the max-l1 after the move: m_q[i, j] is
-    t_q[bin_q(i), bin_q(j)], with t_q the bins x bins table
-    (l1_q + dr_q[a]) + da_q[b] off the diagonal and l1_q on it (a move inside
-    one bin leaves q unchanged), dr = |r + 1| - |r| and da = |r - 1| - |r| per
-    bin of the residual r.  All queries' tables are built at once, in one
-    concatenated (query, source bin, destination bin) layout fixed per call.
-    The descent stops when no move has cand[i, j] < thr = obj - 1e-12, obj the
-    current maximum, or after 200 + 40 n steps.
-
-    Only moves that can pass that test are scored.  A move lowers the maximum
-    only if it lowers w, the first query at the maximum, so rows I are the
-    occupied cells whose w-bin has an entry of t_w below thr in its row, and
-    columns J the cells whose w-bin has one in its column (both ascending);
-    cand is built on I x J alone, so a step's matrices are |I| x |J|, never
-    larger than cells x cells.  This is exact: every entry outside I x J is
-    at least m_w[i, j] >= thr, a diagonal entry (i = j) is max_q l1_q = obj,
-    and the row-major order over I x J keeps the first-index tie-break, so
-    the chosen move and the stop test are those of the full cells x cells
-    matrix with empty source cells and the diagonal excluded.  An empty I or
-    J ends the descent.  Queries are pruned too: every entry of cand is at
-    least m_w[i, j] >= lo = min t_w, so a query whose largest table entry is
-    below lo never sets an entry of cand and is skipped.  After a move, every
-    query's residual and l1 are updated at once, l1_q += dr_q[a] + da_q[b].
-    """
-    op, target = release.operator, release.target
-    maps, offsets = op.bin_maps, op.offsets
-    bins = np.array(op.num_bins)
-    sizes = bins * bins
-    begin = np.cumsum(sizes) - sizes
-    query = np.repeat(np.arange(bins.shape[0]), sizes)
-    entry = np.arange(sizes.sum()) - begin[query]
-    src = offsets[query] + entry // bins[query]
-    dst = offsets[query] + entry % bins[query]
-    same = src == dst
-    tables = np.empty(sizes.sum())
-    views = [tables[b:b + k * k].reshape(k, k) for b, k in zip(begin, op.num_bins)]
-    resid = target - op.forward(counts)
-    l1 = op.query_sums(np.abs(resid))
-    for _ in range(200 + 40 * int(counts.sum())):
-        w = int(np.argmax(l1))
-        thr = l1[w] - 1e-12
-        mag = np.abs(resid)
-        d_remove = np.abs(resid + 1.0) - mag  # take one row out of a cell in the bin
-        d_add = np.abs(resid - 1.0) - mag     # put one row into a cell in the bin
-        base = l1[query]
-        np.add(base, d_remove[src], out=tables)
-        tables += d_add[dst]
-        np.copyto(tables, base, where=same)
-        t_w = views[w]
-        below = t_w < thr
-        rows = np.flatnonzero(below.any(axis=1)[maps[w]] & (counts > 0))
-        cols = np.flatnonzero(below.any(axis=0)[maps[w]])
-        if not (rows.size and cols.size):
-            break
-        row_bins, col_bins = maps.take(rows, 1), maps.take(cols, 1)
-        cand = None
-        for q in np.flatnonzero(np.maximum.reduceat(tables, begin) >= t_w.min()):
-            m_q = views[q].take(row_bins[q], 0).take(col_bins[q], 1)
-            cand = m_q if cand is None else np.maximum(cand, m_q, out=cand)
-        at = int(np.argmin(cand))
-        if not cand.flat[at] < thr:
-            break
-        i, j = rows[at // cols.shape[0]], cols[at % cols.shape[0]]
-        counts[i] -= 1
-        counts[j] += 1
-        moved = maps[:, i] != maps[:, j]
-        bi, bj = maps[moved, i] + offsets[moved], maps[moved, j] + offsets[moved]
-        l1[moved] += d_remove[bi] + d_add[bj]
-        resid[bi] += 1.0
-        resid[bj] -= 1.0
-    return counts, l1
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +331,7 @@ def fit_distribution(release: Release, iters: int = 2000) -> DistributionEstimat
 
 def sample_dataset(dist: DistributionEstimate, n: int) -> np.ndarray:
     """Int64 cell counts of size n: the largest-remainder rounding of n*p, the
-    program's one rounding (the fitted output and the greedy descent's start).
+    program's one rounding and the fitted path's output, in either mode.
 
     With p the clipped probabilities and mu = n * p / sum(p), every cell gets
     floor(mu) and the r = n - sum(floor(mu)) cells of largest remainder one
@@ -465,11 +365,11 @@ def synthesize(release: Release, mode: str, cap: int = DEFAULT_CANDIDATE_CAP) ->
 
     mode "fitted" returns `sample_dataset`, the largest-remainder rounding of
     n times the dense fit.  mode "brute" uses exhaustive search when the
-    candidate count and the cell count fit `cap`, and otherwise runs the
-    one-row-move descent (`_descend`) from that same rounding.  No path draws
-    a random number, so the output is a function of the release, mode and
-    cap.  `_path` is the one check of the request.  The stats hold the
-    path that ran ("path": "exhaustive", "greedy" or "fitted"), the output's
+    candidate count and the cell count fit `cap`, and otherwise returns that
+    same rounding, the fitted path's output.  No path draws a random number,
+    so the output is a function of the release, mode and cap.  `_path` is
+    the one check of the request.  The stats hold the path that ran
+    ("path": "exhaustive" or "fitted"), the output's
     marginals in the layout of `release.operator` ("marginals"), the max and
     mean over queries of their l1 distance to the noisy targets
     ("l1_to_noisy_max", "l1_to_noisy_mean"), and the fit's iteration count
@@ -486,8 +386,6 @@ def synthesize(release: Release, mode: str, cap: int = DEFAULT_CANDIDATE_CAP) ->
         dist = fit_distribution(release)
         fit = {"fit_iterations": len(dist.objective_trace) - 1, "fit_converged": dist.converged}
         counts = sample_dataset(dist, release.n)
-        if path == "greedy":
-            counts, _ = _descend(counts, release)
 
     marginals = release.operator.forward(counts)
     dists = release.operator.l1_to(marginals, release.target)
@@ -506,10 +404,10 @@ class GenReport:
     `l1_bound_at_lam` of the noisy marginals; by the triangle inequality the
     bound then holds for it on the same 1 - 2^-lam event, whichever path ran.
     It reads only noisy data, as do `path`, the synthesis path that ran
-    ("exhaustive" or "greedy" in mode "brute", "fitted" in mode "fitted"),
-    and `fit_iterations` and `fit_converged`, the dense fit's iteration count
-    and whether it converged before its cap (the greedy starts from that fit;
-    0 and None on the exhaustive path, which runs none).
+    ("exhaustive" or, above the cap, "fitted" in mode "brute"; "fitted" in
+    mode "fitted"), and `fit_iterations` and `fit_converged`, the dense fit's
+    iteration count and whether it converged before its cap (0 and None on
+    the exhaustive path, which runs none).
     The `nonprivate_*` entries compare against the real marginals; they are
     evaluation-only diagnostics computed outside the mechanism and must not
     be released alongside the synthetic data.

@@ -17,7 +17,7 @@ from margsyn.evaluate import _weighted_auc
 from margsyn.learn import LinearModel, predict
 from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal
 from margsyn.privacy import add_noise_to_set
-from margsyn.synth import Release, fit_distribution, sample_dataset
+from margsyn.synth import Release
 
 settings.register_profile(
     "ci",
@@ -321,47 +321,6 @@ def reference_exhaustive_counts(n: int, nm) -> np.ndarray:
             best_obj = obj
             best_counts = counts
     return best_counts
-
-
-def reference_greedy_counts(nm) -> tuple[np.ndarray, np.ndarray]:
-    """Cell counts of the greedy min-max descent of the release `nm`, every query
-    scored at every step, from the greedy's start, the largest-remainder rounding
-    of n times the dense fit, and its final l1 vector (one entry per query)."""
-    n, schema = nm.n, nm.schema
-    cells = int(np.prod(schema.sizes))
-    op = nm.operator
-    bin_maps = op.bin_maps
-    eq_masks = [bm[:, None] == bm[None, :] for bm in bin_maps]
-    max_steps = 200 + 40 * n
-    counts = sample_dataset(fit_distribution(nm), n).astype(np.float64)
-    resid = np.split(nm.target - op.forward(counts), op.offsets[1:])
-    l1 = np.array([np.abs(r).sum() for r in resid])
-    for _ in range(max_steps):
-        obj = float(l1.max())
-        cand = None
-        for qi, (bm, r) in enumerate(zip(bin_maps, resid)):
-            rb = r[bm]
-            d_remove = np.abs(rb + 1.0) - np.abs(rb)  # take one row out of cell i
-            d_add = np.abs(rb - 1.0) - np.abs(rb)     # put one row into cell j
-            mq = l1[qi] + d_remove[:, None] + d_add[None, :]
-            mq[eq_masks[qi]] = l1[qi]
-            cand = mq if cand is None else np.maximum(cand, mq)
-        cand[counts <= 0, :] = math.inf
-        np.fill_diagonal(cand, math.inf)
-        flat = int(np.argmin(cand))
-        i, j = divmod(flat, cells)
-        if not cand[i, j] < obj - 1e-12:
-            break
-        counts[i] -= 1.0
-        counts[j] += 1.0
-        for qi, bm in enumerate(bin_maps):
-            bi, bj = bm[i], bm[j]
-            if bi != bj:
-                r = resid[qi]
-                l1[qi] += (abs(r[bi] + 1.0) - abs(r[bi])) + (abs(r[bj] - 1.0) - abs(r[bj]))
-                r[bi] += 1.0
-                r[bj] -= 1.0
-    return counts, l1
 
 
 # The two per-loss calculators that `bounds.excess_risk_bound` replaced, kept as

@@ -65,8 +65,9 @@ def attribute_scopes(source: str, attr: str) -> list[str]:
     return scopes(source, lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
 
 
-# n=3 on 16 cells is 816 candidates: exhaustive under cap 10,000, greedy under cap 0
-@pytest.mark.parametrize("mode, cap, path", [("brute", 10_000, "exhaustive"), ("brute", 0, "greedy"),
+# n=3 on 16 cells is 816 candidates: exhaustive under cap 10,000, fitted under cap 0
+@pytest.mark.parametrize("mode, cap, path", [("brute", 10_000, "exhaustive"),
+                                             pytest.param("brute", 0, "fitted", id="brute-above-cap"),
                                              ("fitted", 10_000, "fitted")])
 def test_generate_synthetic_builds_one_operator(mode, cap, path, monkeypatch, tmp_path):
     built = []
