@@ -1101,6 +1101,37 @@ class TestMechanism:
             tracemalloc.stop()
         assert peak < 8 * math.prod(schema.sizes)  # one float64 vector over the cells
 
+    def test_brute_above_the_cap_takes_the_fitted_bin_table_refusal(self):
+        # 16 binary features + label at d=4 with 5 rows: C(131,076, 5) candidates,
+        # past the cap, so brute mode runs the fitted path and is refused, as
+        # fitted mode is, on its 3213 x 131,072 bin table
+        schema = make_demo_dataset(m=16, n=1, seed=0).schema
+        real = Dataset(schema, np.zeros((5, 17), dtype=np.int64))
+        with pytest.raises(SynthesisError) as fitted:
+            generate_synthetic(real, 4, PrivacyParams(1.0, 1e-6), mode="fitted")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SynthesisError) as brute:
+                generate_synthetic(real, 4, PrivacyParams(1.0, 1e-6), mode="brute")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(brute.value) == str(fitted.value)
+        assert str(brute.value) == "bin table of 421134336 entries too large for the fitted path"
+        assert peak < 8 * math.prod(schema.sizes)  # one float64 vector over the cells
+
+    def test_the_exhaustive_bin_table_refusal_advises_no_other_mode(self):
+        # 20 binary features + label at d=2 with one row: the exhaustive path is
+        # refused on its bin table, and fitted mode is refused on the dense cap,
+        # so the exhaustive refusal names its path and points to no other mode
+        schema = make_demo_dataset(m=20, n=1, seed=0).schema
+        real = Dataset(schema, np.zeros((1, 21), dtype=np.int64))
+        with pytest.raises(SynthesisError) as brute:
+            generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="brute")
+        assert str(brute.value) == "bin table of 484442112 entries too large for the exhaustive path"
+        with pytest.raises(SynthesisError, match="^joint domain of 2097152 cells exceeds dense-mode cap 1000000$"):
+            generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="fitted")
+
     @pytest.mark.parametrize("m", [63, 70])
     @pytest.mark.parametrize("mode", ["brute", "fitted"])
     def test_joint_cells_past_int64_are_refused(self, m, mode):
