@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .dataset import (Dataset, Schema, _check_document, _write_csv, _write_json, load_csv,
-                      load_raw_csv, preprocess, rules_from_dict, write_csv)
+from .dataset import (Dataset, Schema, _check_document, _read_json, _write_csv, _write_json,
+                      load_csv, load_raw_csv, preprocess, rules_from_dict, write_csv)
 from .demo import make_demo_dataset
 from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .experiment import ExperimentConfig, run_experiment
@@ -36,8 +36,7 @@ from .synth import generate_synthetic
 
 def _cmd_prep(args) -> int:
     raw = load_raw_csv(args.raw)
-    with open(args.rules) as fh:
-        rules = rules_from_dict(json.load(fh))
+    rules = rules_from_dict(_read_json(args.rules))
     ds = preprocess(raw, rules)
     write_csv(ds, args.out)
     if args.schema_out:
@@ -99,12 +98,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_dpsgd(args) -> int:
-    loss = _loss(args)
+    """Logistic training only: dp_sgd trains unconstrained, and gamma_margin
+    is defined only while tau sqrt(m) <= 1."""
     schema, ds = _load(args)
     cfg = DpSgdConfig(iterations=args.iterations, batch_size=args.batch_size,
                       learning_rate=args.learning_rate, clip_norm=args.clip_norm,
                       epsilon=args.epsilon, delta=args.delta)
-    model = dp_sgd(ds, loss, cfg, np.random.default_rng(args.seed))
+    model = dp_sgd(ds, LossSpec.logistic(), cfg, np.random.default_rng(args.seed))
     save_model(model, schema, args.out)
     print(f"noisy-gradient training done; risk={empirical_risk(model, ds):.6g}")
     return 0
@@ -138,8 +138,7 @@ _BOUND_KEYS = {"lipschitz": ("n m d tau nu", "family mode K phi0"),
 
 
 def _cmd_bound(args) -> int:
-    with open(args.params) as fh:
-        params = json.load(fh)
+    params = _read_json(args.params)
     family = params.get("family", "lipschitz") if isinstance(params, dict) else "lipschitz"
     if not isinstance(family, str) or family not in _BOUND_KEYS:
         raise bounds_mod.BoundError(f"unknown bound family {family!r}; expected one of {sorted(_BOUND_KEYS)}")
@@ -208,10 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     coded = argparse.ArgumentParser(add_help=False)
     coded.add_argument("--data", required=True)
     coded.add_argument("--schema", required=True)
-    losses = argparse.ArgumentParser(add_help=False)
-    losses.add_argument("--loss", choices=["logistic", "gamma_margin"], default="logistic")
-    losses.add_argument("--gamma", type=float, default=None,
-                        help="margin of --loss gamma_margin (default 0.5)")
 
     p = sub.add_parser("prep", help="clean and integer-code a raw CSV")
     p.add_argument("--raw", required=True)
@@ -242,14 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prefix for dumping the synthetic marginals (.csv/.json)")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", parents=[coded, losses], help="norm-constrained training")
+    p = sub.add_parser("train", parents=[coded], help="norm-constrained training")
     p.add_argument("--out", required=True)
+    p.add_argument("--loss", choices=["logistic", "gamma_margin"], default="logistic")
+    p.add_argument("--gamma", type=float, default=None, help="margin of --loss gamma_margin (default 0.5)")
     p.add_argument("--tau", type=float, default=math.inf, help="norm budget; 'inf' for unconstrained")
     p.add_argument("--max-iters", type=int, default=TrainConfig.max_iters)
     p.add_argument("--tolerance", type=float, default=TrainConfig.tolerance)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("dpsgd", parents=[coded, losses], help="noisy-gradient baseline training")
+    p = sub.add_parser("dpsgd", parents=[coded], help="noisy-gradient baseline training (logistic loss)")
     p.add_argument("--out", required=True)
     p.add_argument("--iterations", "-T", type=int, default=300)
     p.add_argument("--batch-size", "-B", type=int, default=100)

@@ -34,7 +34,7 @@ class SchemaError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed CSV content (bad cell, row length, header)."""
+    """Malformed CSV content (bad cell, row length, header) or malformed JSON."""
 
 
 class DomainError(ValueError):
@@ -106,8 +106,7 @@ class Schema:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Schema":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_json(path))
 
     def to_file(self, path: str | Path) -> None:
         _write_json(self.to_dict(), path)
@@ -281,6 +280,15 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 # JSON and coded CSV I/O
 
 
+def _read_json(path: str | Path):
+    """The JSON value in the file at `path`, or a ParseError that names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+
+
 def _write_json(doc, path: str | Path) -> None:
     """Write doc as indented JSON with a final newline: every JSON file the program writes."""
     with open(path, "w") as fh:
@@ -379,15 +387,6 @@ def _read_rows(path: str | Path, names: tuple[str, ...] | None = None):
     return header, rows[1:]
 
 
-def _has_lone_cr(data: bytes) -> bool:
-    r"""Whether some \r of `data` is not followed by \n: fewer \r\n pairs
-    than \r bytes, counted by numpy's byte compares, which take less time
-    than two bytes.count scans."""
-    raw = np.frombuffer(data, dtype=np.uint8)
-    cr = raw == 13
-    return np.count_nonzero(cr) != np.count_nonzero(cr[:-1] & (raw[1:] == 10))
-
-
 def _plain_codes(path: str | Path, schema: Schema) -> np.ndarray | None:
     r"""The codes of a plain coded CSV by numpy's C reader, or None for any other file.
 
@@ -403,14 +402,19 @@ def _plain_codes(path: str | Path, schema: Schema) -> np.ndarray | None:
     header, _, body = data.partition(b"\n")
     if (not header.isascii() or b'"' in header
             or tuple(h.strip() for h in header.decode("ascii").split(",")) != schema.names
-            or not body[:1].isdigit() or body.translate(None, b"0123456789,\r\n")
-            or b"\r" in data and _has_lone_cr(data)):
+            or not body[:1].isdigit() or body.translate(None, b"0123456789,\r\n")):
         return None
+    # line ends by numpy's byte compares on one view, faster than bytes.count scans
+    raw = np.frombuffer(data, dtype=np.uint8)
+    lf = raw == 10
+    if b"\r" in data and np.count_nonzero(cr := raw == 13) != np.count_nonzero(cr[:-1] & lf[1:]):
+        return None  # a \r not followed by \n
     try:
         codes = np.loadtxt(path, dtype=np.int64, comments=None, delimiter=",", skiprows=1, ndmin=2)
     except ValueError:  # an empty cell, a ragged row or a code beyond int64
         return None
-    lines = body.count(b"\n") + (not body.endswith(b"\n"))
+    # the body's lines: every \n but the header's, and a last line without one
+    lines = np.count_nonzero(lf) - 1 + (not data.endswith(b"\n"))
     return codes if codes.shape == (lines, schema.num_attributes) else None
 
 

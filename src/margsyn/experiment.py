@@ -11,7 +11,6 @@ rather than aborting the sweep.
 
 from __future__ import annotations
 
-import json
 import math
 import traceback
 from dataclasses import asdict, dataclass, field, replace
@@ -19,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema, SplitSpec, _check_document, _write_csv, _write_json, load_csv, split
+from .dataset import (Dataset, Schema, SplitSpec, _check_document, _read_json, _write_csv, _write_json,
+                      load_csv, split)
 from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .learn import LossError, LossSpec, TrainConfig, train_projected
 from .marginals import order_operator
@@ -71,8 +71,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_json(path))
 
 
 @dataclass

@@ -12,14 +12,14 @@ rows and encodes only the rows it draws.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema, _check_document, _encode_codes, _write_json, encode_weighted
+from .dataset import (Dataset, Schema, _check_document, _encode_codes, _read_json, _write_json,
+                      encode_weighted)
 
 
 class LossError(ValueError):
@@ -347,8 +347,7 @@ def save_model(model: LinearModel, schema: Schema, path: str | Path) -> None:
 def load_model(path: str | Path) -> tuple[LinearModel, str]:
     """Model plus the schema hash it was trained against, from a `save_model`
     file: its four keys, with a `tau` of "inf" for math.inf."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if isinstance(doc, dict) and doc.get("tau") == "inf":
         doc = {**doc, "tau": math.inf}
     doc = _check_document(doc, "model key", {"schema_hash": str, "tau": float, "loss": dict,

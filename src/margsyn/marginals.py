@@ -78,8 +78,6 @@ def compute_marginal(ds: Dataset, q: MarginalQuery) -> np.ndarray:
     return np.bincount(flat, weights=counts, minlength=math.prod(shape))
 
 
-# Most entries of one block of MarginalOperator's bin table built at a time.
-_BLOCK_ENTRIES = 65_536
 # Largest side of a dense factor of MarginalOperator.transform.  It bounds
 # each factor's memory; on 2,048-8,192 binary cells wider factors were slower.
 _GROUP_DIM = 32
@@ -115,24 +113,20 @@ class MarginalOperator:
 
     @cached_property
     def bin_maps(self) -> np.ndarray:
-        """The cell -> bin table, queries x cells: row q holds each cell's bin
-        of query q, the dot product of the cell's codes with the query's
-        row-major strides.
+        """The cell -> bin table, queries x cells, read-only: row q holds each
+        cell's bin of query q, the row-major index of its codes on q's
+        attributes.
 
-        One matrix product per block of queries, as many queries as fit in
-        _BLOCK_ENTRIES floats (at least one).  Every value is an integer
-        below 2**53, so the float product is exact.
+        Row q is np.arange(bins) shaped over q's attributes (size 1 on the
+        others) and broadcast over the cell grid: integers throughout.
         """
-        schema = self.schema
-        strides = np.zeros((len(self.queries), schema.num_attributes))
-        for row, q in zip(strides, self.queries):
-            sizes = schema.shape(q.attrs)
-            row[list(q.attrs)] = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
-        codes = np.indices(schema.sizes, dtype=np.float64).reshape(schema.num_attributes, -1)
+        sizes = self.schema.sizes
         maps = np.empty((len(self.queries), self.num_cells), dtype=np.intp)
-        step = max(1, _BLOCK_ENTRIES // self.num_cells)
-        for start in range(0, len(self.queries), step):
-            maps[start:start + step] = strides[start:start + step] @ codes
+        for row, q, bins in zip(maps, self.queries, self.num_bins):
+            shape = [1] * len(sizes)
+            for a in q.attrs:
+                shape[a] = sizes[a]
+            row.reshape(sizes)[...] = np.arange(bins).reshape(shape)
         maps.setflags(write=False)
         return maps
 

@@ -82,23 +82,21 @@ def calibrate(m: int, d: int, params: PrivacyParams) -> float:
     return gaussian_sigma(params.epsilon, params.delta, marginal_set_sensitivity(m, d))
 
 
-def add_noise_to_set(counts: np.ndarray, num_bins, sigma: float, seed: int) -> np.ndarray:
+def add_noise_to_set(counts: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """The concatenated marginal vector `counts` plus independent N(0, sigma^2)
-    noise on every entry, as a new vector (sigma 0 draws nothing).
+    noise on every entry, as a new float64 vector (sigma 0 draws nothing).
 
-    Query idx owns the `num_bins[idx]` entries after those of the queries
-    before it.  The noise is one draw of the whole vector from one generator
-    seeded by `seed`, so the result does not depend on evaluation order, and
-    a vector's first k entries get the noise of a k-entry vector.
+    The noise is one draw of the whole vector from one generator seeded by
+    `seed`, so the result does not depend on evaluation order, and a
+    vector's first k entries get the noise of a k-entry vector.  The
+    `synth.Release` that holds the result checks that it fits its queries.
     Determinism is per seed, not bit-exact across platforms or numpy builds.
     """
     if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
     noisy = np.array(counts, dtype=np.float64)
-    if noisy.shape != (sum(num_bins),):
-        raise ValueError(f"counts of shape {noisy.shape} do not hold {sum(num_bins)} bins")
     if sigma > 0:
-        noisy += np.random.default_rng(seed).normal(0.0, sigma, size=noisy.shape[0])
+        noisy += np.random.default_rng(seed).normal(0.0, sigma, size=noisy.shape)
     return noisy
 
 

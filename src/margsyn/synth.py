@@ -4,7 +4,7 @@ Two strategies stand behind one entry point:
 
   "brute"   minimize the maximum l1 distance to the noisy marginals over
             size-n multisets of the joint domain by exhaustive enumeration
-            when the multiset and cell counts fit the configured cap
+            when the count of multisets fits the configured cap
             (candidates scored a fixed batch at a time, one bincount per
             batch); above the cap, mode "brute" is exactly "fitted".
   "fitted"  least-squares fit of a dense joint distribution to the noisy
@@ -98,15 +98,22 @@ def _path(n: int, op: MarginalOperator, mode: str, cap: int) -> str:
 
     It reads only sizes, so `generate_synthetic` asks it before counting the
     real data or reading the operator's arrays, which span the joint domain.
-    Mode "brute" takes the exhaustive path when both its candidates and its
-    cells fit `cap` (for n >= 1 the candidate count implies the cells, and
-    n = 0 goes where n = 1 goes), and otherwise the fitted path with its
-    refusals, as mode "fitted" does.  Both paths read the operator's
-    queries x cells `bin_maps`, so either is refused when it holds more than
-    _TABLE_ENTRIES entries.
+    Mode "brute" takes the exhaustive path when its C(cells + k - 1, k)
+    candidates, k = max(n, 1), fit `cap` (so n = 0 goes where n = 1 goes),
+    and otherwise the fitted path with its refusals, as mode "fitted" does.
+    The count is built one integer factor at a time and stops once past
+    `cap`: at most a few hundred steps on 4 or more cells at the default cap.
+    Both paths read the operator's queries x cells `bin_maps`, so either is
+    refused when it holds more than _TABLE_ENTRIES entries.
     """
     cells = op.num_cells
-    if mode == "brute" and cells <= cap and math.comb(cells + n - 1, n) <= cap:
+    count = 1
+    if mode == "brute":
+        for j in range(1, max(n, 1) + 1):
+            count = count * (cells + j - 1) // j
+            if count > cap:
+                break
+    if mode == "brute" and count <= cap:
         path = "exhaustive"
     elif mode in ("brute", "fitted"):
         if cells > DENSE_CELL_CAP:
@@ -467,7 +474,7 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     sigma = calibrate(m, d, privacy)
     joint = compute_marginal(ds_real, MarginalQuery(tuple(range(schema.num_attributes))))
     real = op.forward(joint)
-    release = Release(op, add_noise_to_set(real, op.num_bins, sigma, seed), ds_real.n, sigma)
+    release = Release(op, add_noise_to_set(real, sigma, seed), ds_real.n, sigma)
     ds_s, stats = synthesize(release, mode, cap=cap)
 
     # evaluation-only diagnostics, outside the mechanism boundary

@@ -99,7 +99,7 @@ def release_of(schema: Schema, marginals: list[tuple[MarginalQuery, np.ndarray]]
     concatenated vectors (at sigma 0, the vectors themselves)."""
     op = MarginalOperator(schema, [q for q, _ in marginals])
     counts = np.concatenate([h for _, h in marginals])
-    return Release(op, add_noise_to_set(counts, op.num_bins, sigma, seed), n, sigma)
+    return Release(op, add_noise_to_set(counts, sigma, seed), n, sigma)
 
 
 def per_query(nm: Release) -> list[tuple[MarginalQuery, np.ndarray]]:

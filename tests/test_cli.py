@@ -178,20 +178,18 @@ def test_train_command_rejects_nan_tau(demo_files, capsys):
     assert not model.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "dpsgd"])
-def test_gamma_is_refused_with_a_loss_that_ignores_it(demo_files, capsys, command):
+def test_gamma_is_refused_with_a_loss_that_ignores_it(demo_files, capsys):
     ds, data, schema, tmp = demo_files
     model = tmp / "model.json"
-    assert_refused(capsys, [command, "--data", data, "--schema", schema, "--out", str(model),
+    assert_refused(capsys, ["train", "--data", data, "--schema", schema, "--out", str(model),
                             "--loss", "logistic", "--gamma", "0.3"],
                    "--gamma is read only by --loss gamma_margin, not logistic")
     assert not model.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "dpsgd"])
-def test_gamma_is_refused_before_any_file_is_read(tmp_path, capsys, command):
+def test_gamma_is_refused_before_any_file_is_read(tmp_path, capsys):
     missing = str(tmp_path / "missing")
-    assert_refused(capsys, [command, "--data", missing, "--schema", missing, "--out", str(tmp_path / "m.json"),
+    assert_refused(capsys, ["train", "--data", missing, "--schema", missing, "--out", str(tmp_path / "m.json"),
                             "--loss", "logistic", "--gamma", "0.3"],
                    "--gamma is read only by --loss gamma_margin, not logistic")
 
@@ -224,6 +222,17 @@ def test_dpsgd_command_has_no_lipschitz_flag(demo_files, capsys):
         main(["dpsgd", "--data", data, "--schema", schema, "--out", str(tmp / "m.json"), "--lipschitz", "1"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --lipschitz 1" in capsys.readouterr().err
+    assert not (tmp / "m.json").exists()
+
+
+@pytest.mark.parametrize("flag", [["--loss", "gamma_margin"], ["--gamma", "0.3"]], ids=["loss", "gamma"])
+def test_dpsgd_command_has_no_loss_flag(demo_files, capsys, flag):
+    # dp_sgd trains unconstrained, so only the logistic loss is defined along its iterates
+    ds, data, schema, tmp = demo_files
+    with pytest.raises(SystemExit) as exit_info:
+        main(["dpsgd", "--data", data, "--schema", schema, "--out", str(tmp / "m.json"), *flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp / "m.json").exists()
 
 
@@ -626,10 +635,9 @@ _REFUSED_DOCUMENTS = [
 ]
 
 
-@pytest.mark.parametrize("command, kind, edit, match", _REFUSED_DOCUMENTS)
-def test_a_refused_document_writes_nothing(demo_files, tmp_path, capsys, command, kind, edit, match):
+def _document_argv(command, demo_files, tmp_path, out):
+    """A valid document `command` reads, and its argv up to that document's path."""
     ds, data, schema, tmp = demo_files
-    out = tmp_path / "out"
     if command == "pipeline":
         valid = _pipeline_config(tmp_path, data, schema, "out")
         argv = ["pipeline", "--config"]
@@ -649,6 +657,13 @@ def test_a_refused_document_writes_nothing(demo_files, tmp_path, capsys, command
         save_model(train_projected(ds, LossSpec.logistic(), 0.5), ds.schema, tmp_path / "model.json")
         valid = json.loads((tmp_path / "model.json").read_text())
         argv = ["eval", "--data", data, "--schema", schema, "--out", str(out), "--model"]
+    return valid, argv
+
+
+@pytest.mark.parametrize("command, kind, edit, match", _REFUSED_DOCUMENTS)
+def test_a_refused_document_writes_nothing(demo_files, tmp_path, capsys, command, kind, edit, match):
+    out = tmp_path / "out"
+    valid, argv = _document_argv(command, demo_files, tmp_path, out)
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(valid))
     given = set(tmp_path.iterdir())
@@ -658,6 +673,18 @@ def test_a_refused_document_writes_nothing(demo_files, tmp_path, capsys, command
     capsys.readouterr()
     path.write_text(json.dumps(edit(valid)))
     assert_refused(capsys, [*argv, str(path)], match)
+    assert set(tmp_path.iterdir()) == given
+
+
+@pytest.mark.parametrize("command, kind", [("pipeline", "config"), ("bound", "params"), ("prep", "rules"),
+                                           ("synth", "schema"), ("eval", "model")])
+def test_a_truncated_document_is_refused_naming_its_file(demo_files, tmp_path, capsys, command, kind):
+    out = tmp_path / "out"
+    valid, argv = _document_argv(command, demo_files, tmp_path, out)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(valid)[:16])
+    given = set(tmp_path.iterdir())
+    assert_refused(capsys, [*argv, str(path)], rf"error: {re.escape(str(path))}: .* line 1 column ")
     assert set(tmp_path.iterdir()) == given
 
 

@@ -4,8 +4,8 @@ CSV file it writes.
 `dataset._check_document` is the one place that refuses a document that is
 not a JSON object, a key the document does not take, a required key left out
 and a value of another JSON type; every reader of a document calls it.  JSON
-is parsed only where a document is read, so a new document has to be added
-here.  `dataset._write_csv` opens every CSV file the program writes; the only
+is parsed only by `dataset._read_json`, which names the file of malformed
+JSON, so a new document has to be added here.  `dataset._write_csv` opens every CSV file the program writes; the only
 other CSV writer is `approx`'s table on stdout.  The checks walk the syntax
 tree with the standard library, as `test_operator_owner.py` does.
 """
@@ -18,14 +18,13 @@ from test_operator_owner import call_scopes, scopes
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "margsyn"
 SOURCES = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
-# Each module's readers of a JSON document, and where JSON is parsed: each
-# parsed value goes straight to one of the readers.
+# Each module's readers of a JSON document, and the one place JSON is parsed:
+# each parsed value goes straight to one of the readers.
 READERS = {"dataset.py": ["Schema.from_dict", "rules_from_dict", "PreprocessRule.from_dict"],
            "experiment.py": ["ExperimentConfig.from_dict"],
            "learn.py": ["LossSpec.from_dict", "load_model"],
            "cli.py": ["_cmd_bound"]}
-PARSERS = {"dataset.py": ["Schema.from_file"], "experiment.py": ["ExperimentConfig.from_file"],
-           "learn.py": ["load_model"], "cli.py": ["_cmd_prep", "_cmd_bound"]}
+PARSERS = {"dataset.py": ["_read_json"]}
 
 
 def json_parse_scopes(source: str) -> list[str]:

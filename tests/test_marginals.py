@@ -260,8 +260,6 @@ class TestMarginalOperator:
         assert order_operator(schema, 3).queries == tuple(enumerate_queries(3, 3))
         assert order_operator(schema, 2) is not op  # one entry: the last (schema, d) asked
 
-    # (1500, 3, 2) builds the bin table in blocks of 7 queries, (300, 300, 2)
-    # one query at a time
     @pytest.mark.parametrize("sizes", SPECTRAL_SIZES + [(1500, 3, 2), (300, 300, 2), (2,) * 11], ids=str)
     @pytest.mark.parametrize("pick", QUERY_PICKS)
     def test_bin_maps_and_spectrum_equal_the_query_loop(self, sizes, pick):

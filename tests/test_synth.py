@@ -17,7 +17,7 @@ from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal,
 from margsyn.privacy import (PrivacyParams, add_noise_to_set, calibrate, marginal_set_sensitivity,
                             synthesis_l1_bound)
 from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, Release, SynthesisError,
-                           _simplex_projector, brute_force_synth,
+                           _path, _simplex_projector, brute_force_synth,
                            fit_distribution, generate_synthetic, sample_dataset, synthesize)
 
 from conftest import (cell_counts, dense_marginal_matrix, per_query, random_dataset, release_of,
@@ -204,6 +204,33 @@ class TestAboveTheCap:
         assert stats["fit_converged"] is dist.converged
         _, stats = synthesize(replace(nm, n=2), "brute", cap=10_000)  # C(17, 2) = 136 candidates
         assert stats["path"] == "exhaustive" and len(seen) == 1
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 2, 2), (3, 2, 2), (2,) * 4, (5, 3, 2),
+                                       (2,) * 10, (2,) * 17], ids=str)
+    def test_brute_routes_by_the_candidate_count(self, sizes):
+        # exhaustive iff C(cells + k - 1, k) <= cap with k = max(n, 1), so the
+        # empty request goes where one row does; otherwise brute is fitted
+        schema = Schema(tuple(f"x{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
+        op = MarginalOperator(schema, enumerate_queries(len(sizes) - 1, 1))
+        for n in (0, 1, 2, 3, 5, 10, 50, 400, 100_000):
+            count = math.comb(op.num_cells + max(n, 1) - 1, max(n, 1))
+            for cap in {0, 1, 3, 4, 10, 816, 10_000, 10**7, count - 1, count, count + 1}:
+                want = "exhaustive" if count <= cap else "fitted"
+                assert _path(n, op, "brute", cap) == want, (n, cap)
+                assert _path(n, op, "fitted", cap) == "fitted"
+
+    def test_brute_routes_without_a_binomial(self, monkeypatch):
+        # 16 binary features + label at n = 100,000: C(231,071, 100,000) has
+        # about 65,000 digits, and the route needs only its first steps
+        from margsyn import synth
+        op = MarginalOperator(make_demo_dataset(m=16, n=1, seed=0).schema, enumerate_queries(16, 1))
+
+        def refuse(*args):
+            raise AssertionError("the route computed a binomial")
+
+        monkeypatch.setattr(synth.math, "comb", refuse)
+        assert _path(100_000, op, "brute", synth.DEFAULT_CANDIDATE_CAP) == "fitted"
+        assert _path(0, op, "brute", op.num_cells) == "exhaustive"
 
     @pytest.mark.parametrize("eps", [0.25, 2.0])
     def test_at_least_as_close_as_the_real_data_at_sweep_scale(self, eps):
@@ -798,7 +825,7 @@ class TestMechanism:
         from margsyn import synth
         real = random_dataset(three_binary_schema, n, seed=8)
         op = MarginalOperator(three_binary_schema, enumerate_queries(3, 2))
-        released = add_noise_to_set(op.forward(cell_counts(real)), op.num_bins, 2.0, 3)
+        released = add_noise_to_set(op.forward(cell_counts(real)), 2.0, 3)
         monkeypatch.setattr(synth, "add_noise_to_set", lambda *args: released.copy())
         mode, cap, ran = SYNTH_PATHS[path]
         codes = []
@@ -823,7 +850,7 @@ class TestMechanism:
         # evaluation-only diagnostics, whose names carry the nonprivate_ prefix
         from margsyn import synth
         op = MarginalOperator(make_demo_dataset(m=4, n=500, seed=1).schema, enumerate_queries(4, 2))
-        released = add_noise_to_set(np.full(sum(op.num_bins), 100.0), op.num_bins, 30.0, 3)
+        released = add_noise_to_set(np.full(sum(op.num_bins), 100.0), 30.0, 3)
         monkeypatch.setattr(synth, "add_noise_to_set", lambda *args: released.copy())
         runs = [generate_synthetic(make_demo_dataset(m=4, n=500, seed=s), 2, PrivacyParams(1.0, 4e-6),
                                    mode=mode, seed=5) for s in (1, 2)]
@@ -941,7 +968,7 @@ class TestMechanism:
         assert report.sigma == release.sigma == calibrate(3, 2, privacy)
         assert report.query_count == len(op.queries) == 10
         assert report.l1_bound_at_lam == synthesis_l1_bound(release.sigma, 2, 3, 2, 2.0)
-        noise = add_noise_to_set(op.forward(cell_counts(real)), op.num_bins, release.sigma, 5)
+        noise = add_noise_to_set(op.forward(cell_counts(real)), release.sigma, 5)
         assert release.target.tobytes() == noise.tobytes()
         assert not release.target.flags.writeable
         with pytest.raises(ValueError):
@@ -1021,15 +1048,14 @@ class TestMechanism:
         real = random_dataset(schema, n, seed=n + d)
         seen = []
 
-        def capture(counts, num_bins, sigma, seed):
-            seen.append((counts.copy(), tuple(num_bins)))
-            return add_noise_to_set(counts, num_bins, sigma, seed)
+        def capture(counts, sigma, seed):
+            seen.append(counts.copy())
+            return add_noise_to_set(counts, sigma, seed)
 
         monkeypatch.setattr(synth, "add_noise_to_set", capture)
         generate_synthetic(real, d, PrivacyParams(1.0, 1e-6), mode="fitted", seed=3)
         want = [compute_marginal(real, q) for q in enumerate_queries(schema.num_features, d)]
-        [(counts, num_bins)] = seen
-        assert num_bins == tuple(w.size for w in want)
+        [counts] = seen
         assert counts.tobytes() == np.concatenate(want).tobytes()
 
     @pytest.mark.parametrize("mode", ["brute", "fitted"])
