@@ -7,6 +7,8 @@ domain size s to 2*c/(s-1) - 1, so features live in [-1, 1] and labels in
 {-1, +1}.  A plain coded CSV (digits and commas) is parsed by numpy's C
 reader and any other by the csv module, with the same accepted files and
 errors; the `Dataset` constructor is the only check of the code domains.
+A coded CSV is written with the csv module's bytes, its body built by numpy
+as one buffer rather than one Python int per cell.
 Rows exist only at that boundary: a dataset built from cell counts, as
 synthetic datasets and the parts of a split are, keeps the counts and builds
 rows only when read.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import types
@@ -365,11 +368,55 @@ def _shown(value) -> str:
 
 
 def _write_csv(path: str | Path, header, rows) -> None:
-    """Write a header row and then rows as CSV: every CSV file the program writes."""
+    """Write a header row and then rows as CSV: every CSV file the program writes.
+
+    The header, and rows given as Python values, go through the csv module,
+    which quotes a cell where needed.  Rows given as a non-negative integer
+    matrix (`write_csv`'s codes) are written as one buffer of the same bytes
+    (`_code_bytes`): no cell of such a matrix needs quoting.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, np.ndarray):
+            fh.flush()
+            fh.buffer.write(_code_bytes(rows))
+        else:
+            writer.writerows(rows)
+
+
+def _code_bytes(codes: np.ndarray) -> np.ndarray:
+    r"""The bytes `csv.writer` writes for the rows of a non-negative integer
+    matrix: each row's codes in decimal, joined by "," and ended by "\r\n".
+
+    The rows are laid out side by side in one uint8 array, each column as
+    wide as its largest code.  Digit p of code v (from the right) is
+    v // 10**p % 10, written for a whole run of equal-width columns by one
+    strided assignment, so a binary matrix takes one add; the leading zeros
+    of shorter codes are dropped by one mask, made only when some column is
+    wider than one digit.
+    """
+    n, k = codes.shape
+    if n == 0:
+        return np.empty(0, dtype=np.uint8)
+    widths = [len(str(top)) for top in codes.max(axis=0).tolist()]
+    out = np.empty((n, sum(widths) + k + 1), dtype=np.uint8)  # each column's digits and a comma, then \n
+    keep = np.ones(out.shape, dtype=bool) if max(widths) > 1 else None
+    start = pos = 0  # the run's first column, and its first byte in a row
+    for width, run in itertools.groupby(widths):
+        stop = start + len(list(run))
+        block, end = codes[:, start:stop], pos + (stop - start) * (width + 1)
+        for p in range(width):
+            digit = block // 10**p if p else block
+            at = np.s_[:, pos + width - 1 - p:end:width + 1]
+            np.add(digit % 10 if p < width - 1 else digit, ord("0"), out=out[at], casting="unsafe")
+            if p:
+                keep[at] = block >= 10**p
+        out[:, pos + width:end:width + 1] = ord(",")
+        start, pos = stop, end
+    out[:, -2] = ord("\r")  # over the last column's comma
+    out[:, -1] = ord("\n")
+    return out.ravel() if keep is None else out[keep]
 
 
 def _read_rows(path: str | Path, names: tuple[str, ...] | None = None):
@@ -447,7 +494,13 @@ def load_csv(path: str | Path, schema: Schema) -> Dataset:
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
-    _write_csv(path, ds.schema.names, ds.codes.tolist())
+    r"""Write the dataset as a coded CSV: the schema's names, then one line of codes per row.
+
+    The body is one byte buffer built by numpy (`_code_bytes`), byte for
+    byte what the csv module writes, with "\r\n" line ends; a dataset held
+    as counts builds its rows (`codes`) first.
+    """
+    _write_csv(path, ds.schema.names, ds.codes)
 
 
 # ---------------------------------------------------------------------------

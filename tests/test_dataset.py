@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 
 import numpy as np
@@ -194,6 +196,55 @@ class TestLoadCsv:
         path = tmp_path_factory.mktemp("rt") / "d.csv"
         write_csv(ds, path)
         assert reference_row_multiset(load_csv(path, schema)) == reference_row_multiset(ds)
+
+
+# Schemas whose largest codes take 1 to 13 digits, beside binary and mixed ones.
+WRITE_SIZES = [(2, 2), (2,) * 11, (11, 2), (100, 3, 2), (12345, 7, 2), (2**40, 2),
+               *((10**w, 7, 2) for w in range(1, 14))]
+
+
+def written_dataset(sizes, n: int, form: str, names: str) -> Dataset:
+    """n rows over `sizes`, with codes of every length up to each domain's widest
+    (a uniform draw cut by a random power of ten), held as rows or as counts."""
+    rng = np.random.default_rng(n)
+    k = len(sizes)
+    header = [f"x{j}" for j in range(k - 1)] + ["label"]
+    if names == "quoted":  # cells the csv module quotes
+        header[:2] = ["a,b", 'say "c"']
+    schema = Schema(tuple(header), sizes)
+    if form == "counts":
+        cells = int(np.prod(sizes))
+        return Dataset.from_counts(schema, rng.multinomial(n, np.full(cells, 1 / cells)))
+    widths = [len(str(s - 1)) for s in sizes]
+    return Dataset(schema, rng.integers(0, sizes, size=(n, k)) // 10 ** rng.integers(0, widths, size=(n, k)))
+
+
+def reference_csv_bytes(ds: Dataset) -> bytes:
+    """The file `csv.writer` writes for the dataset, one Python int per cell."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(ds.schema.names)
+    writer.writerows(ds.codes.tolist())
+    return text.getvalue().encode()
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("names", ["plain", "quoted"])
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    @pytest.mark.parametrize("sizes, form", [*((sizes, "rows") for sizes in WRITE_SIZES),
+                                             ((3, 5, 2), "counts"), ((2,) * 11, "counts")],
+                             ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_writes_the_bytes_of_the_csv_module(self, tmp_path, sizes, form, n, names):
+        ds = written_dataset(sizes, n, form, names)
+        write_csv(ds, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == reference_csv_bytes(ds)
+
+    @pytest.mark.parametrize("sizes", WRITE_SIZES, ids=lambda v: "x".join(map(str, v)))
+    def test_written_codes_read_back_by_the_c_reader(self, tmp_path, sizes):
+        ds = written_dataset(sizes, 1000, "rows", "plain")
+        write_csv(ds, tmp_path / "d.csv")
+        assert np.array_equal(dataset._plain_codes(tmp_path / "d.csv", ds.schema), ds.codes)
+        assert np.array_equal(load_csv(tmp_path / "d.csv", ds.schema).codes, ds.codes)
 
 
 class TestDatasetCheck:
