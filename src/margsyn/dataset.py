@@ -8,7 +8,8 @@ domain size s to 2*c/(s-1) - 1, so features live in [-1, 1] and labels in
 reader and any other by the csv module, with the same accepted files and
 errors; the `Dataset` constructor is the only check of the code domains.
 A coded CSV is written with the csv module's bytes, its body built by numpy
-as one buffer rather than one Python int per cell.
+as one buffer rather than one Python int per cell, from a dataset's
+distinct rows when it holds counts.
 Rows exist only at that boundary: a dataset built from cell counts, as
 synthetic datasets and the parts of a split are, keeps the counts and builds
 rows only when read.
@@ -132,8 +133,8 @@ class Dataset:
 
     `Dataset(schema, codes)` holds the rows it is given.  `from_counts` and
     `split` hold counts instead: their `weighted` view is set from the
-    counts, and their rows (`codes`) are built only when first read, by
-    `write_csv` or `learn.dp_sgd`.
+    counts, and their rows (`codes`) are built only when first read, as
+    `learn.dp_sgd` reads them; `write_csv` writes them from the counts.
     """
 
     def __init__(self, schema: Schema, codes):
@@ -372,29 +373,33 @@ def _write_csv(path: str | Path, header, rows) -> None:
 
     The header, and rows given as Python values, go through the csv module,
     which quotes a cell where needed.  Rows given as a non-negative integer
-    matrix (`write_csv`'s codes) are written as one buffer of the same bytes
-    (`_code_bytes`): no cell of such a matrix needs quoting.
+    matrix, or as distinct rows with counts (`WeightedRows`), as `write_csv`
+    gives them, are written as one buffer of the same bytes (`_code_bytes`):
+    no cell of such a matrix needs quoting.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if isinstance(rows, np.ndarray):
+        if isinstance(rows, (np.ndarray, WeightedRows)):
+            body = _code_bytes(*rows) if isinstance(rows, WeightedRows) else _code_bytes(rows)
             fh.flush()
-            fh.buffer.write(_code_bytes(rows))
+            fh.buffer.write(body)
         else:
             writer.writerows(rows)
 
 
-def _code_bytes(codes: np.ndarray) -> np.ndarray:
+def _code_bytes(codes: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
     r"""The bytes `csv.writer` writes for the rows of a non-negative integer
     matrix: each row's codes in decimal, joined by "," and ended by "\r\n".
+    With `counts`, row i is written counts[i] times.
 
     The rows are laid out side by side in one uint8 array, each column as
     wide as its largest code.  Digit p of code v (from the right) is
     v // 10**p % 10, written for a whole run of equal-width columns by one
     strided assignment, so a binary matrix takes one add; the leading zeros
     of shorter codes are dropped by one mask, made only when some column is
-    wider than one digit.
+    wider than one digit.  Counted rows are formatted once and their bytes,
+    and their rows of the mask, repeated.
     """
     n, k = codes.shape
     if n == 0:
@@ -416,6 +421,9 @@ def _code_bytes(codes: np.ndarray) -> np.ndarray:
         start, pos = stop, end
     out[:, -2] = ord("\r")  # over the last column's comma
     out[:, -1] = ord("\n")
+    if counts is not None:
+        out = np.repeat(out, counts, axis=0)
+        keep = None if keep is None else np.repeat(keep, counts, axis=0)
     return out.ravel() if keep is None else out[keep]
 
 
@@ -497,10 +505,12 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
     r"""Write the dataset as a coded CSV: the schema's names, then one line of codes per row.
 
     The body is one byte buffer built by numpy (`_code_bytes`), byte for
-    byte what the csv module writes, with "\r\n" line ends; a dataset held
-    as counts builds its rows (`codes`) first.
+    byte what the csv module writes, with "\r\n" line ends.  A dataset held
+    as counts whose rows were never read writes its distinct rows, each
+    formatted once and repeated its count times, and builds no rows.
     """
-    _write_csv(path, ds.schema.names, ds.codes)
+    rows = vars(ds).get("codes")  # set by the constructor or by a first read
+    _write_csv(path, ds.schema.names, ds.weighted if rows is None else rows)
 
 
 # ---------------------------------------------------------------------------

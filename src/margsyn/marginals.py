@@ -218,7 +218,7 @@ class MarginalOperator:
         return x.ravel()
 
     @cached_property
-    def _runs(self) -> tuple[tuple[int, int, int], ...]:
+    def runs(self) -> tuple[tuple[int, int, int], ...]:
         """(first bin, queries, bins per query) of each run of consecutive
         queries with equal bin counts, in query order."""
         runs = []
@@ -233,45 +233,17 @@ class MarginalOperator:
         """Each query's sum over its bins, along the last axis of concatenated vectors x.
 
         Every sum is bit-equal to np.sum of that query's bins alone
-        (np.add.reduceat adds in another order).  numpy adds k floats as 0 +
-        their pairwise sum: for k < 8 one by one; for k <= _PAIRWISE_BLOCK as
-        8 running sums over the whole blocks of 8, combined as
-        ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then the other
-        k mod 8 one by one; longer sums are split in halves.
-
-        The queries are reduced one run of equal bin counts (`_runs`) at a
-        time.  A run of at most _PAIRWISE_BLOCK bins per query is added in
-        that order column by column, each add over every row and every query
-        of the run: about k / 8 + 8 numpy calls for the run, where one row
-        reduction per sum costs numpy's per-row overhead each.  A run of more
-        bins per query is one np.sum over its bins axis, of a contiguous copy
-        so that numpy's inner loop runs along the bins whatever the layout
-        of x.
+        (np.add.reduceat adds in another order).  The queries are reduced one
+        run of equal bin counts (`runs`) at a time, by `bin_sums`.
         """
         flat = x.reshape(-1, x.shape[-1])
         rows = flat.shape[0]
         out = np.zeros((len(self.num_bins), rows))
         q = 0
-        for first, count, bins in self._runs:
-            dst = out[q:q + count]
-            q += count
+        for first, count, bins in self.runs:
             run = flat[:, first:first + count * bins]
-            if bins > _PAIRWISE_BLOCK:
-                run = np.ascontiguousarray(run)
-                np.sum(run.reshape(rows, count, bins), axis=-1, out=dst.T)
-                continue
-            cols = run.T.reshape(count, bins, rows)
-            rest = 0
-            if bins >= 8:
-                rest = bins - bins % 8
-                acc = cols[:, :8].copy()
-                for i in range(8, rest, 8):
-                    acc += cols[:, i:i + 8]
-                acc = acc[:, 0::2] + acc[:, 1::2]
-                acc = acc[:, 0::2] + acc[:, 1::2]
-                dst += acc[:, 0] + acc[:, 1]
-            for j in range(rest, bins):
-                dst += cols[:, j]
+            bin_sums(run.T.reshape(count, bins, rows), out[q:q + count])
+            q += count
         return out.T.reshape(x.shape[:-1] + (len(self.num_bins),))
 
     def l1_to(self, marginals: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -279,15 +251,49 @@ class MarginalOperator:
         return self.query_sums(np.abs(target - marginals))
 
 
-@lru_cache(maxsize=1)
+def bin_sums(cols: np.ndarray, out: np.ndarray) -> None:
+    """Sum `cols` (queries, bins, ...) over its bins axis into `out` (queries,
+    ...), which holds zeros, each sum bit-equal to np.sum of those bins alone.
+
+    numpy adds k floats as 0 + their pairwise sum: for k < 8 one by one; for
+    k <= _PAIRWISE_BLOCK as 8 running sums over the whole blocks of 8,
+    combined as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then the
+    other k mod 8 one by one; longer sums are split in halves.  Up to
+    _PAIRWISE_BLOCK bins the bins are added in that order, each add over
+    every query and every other index at once: about k / 8 + 8 numpy calls,
+    where one reduction per sum costs numpy's per-row overhead each.  More
+    bins are one np.sum over a copy with the bins last, so that numpy's inner
+    loop runs along them whatever the layout of `cols`.
+    """
+    bins = cols.shape[1]
+    if bins > _PAIRWISE_BLOCK:
+        np.sum(np.ascontiguousarray(np.moveaxis(cols, 1, -1)), axis=-1, out=out)
+        return
+    rest = 0
+    if bins >= 8:
+        rest = bins - bins % 8
+        acc = cols[:, :8].copy()
+        for i in range(8, rest, 8):
+            acc += cols[:, i:i + 8]
+        acc = acc[:, 0::2] + acc[:, 1::2]
+        acc = acc[:, 0::2] + acc[:, 1::2]
+        out += acc[:, 0] + acc[:, 1]
+    for j in range(rest, bins):
+        out += cols[:, j]
+
+
+@lru_cache(maxsize=2)
 def order_operator(schema: Schema, d: int) -> MarginalOperator:
     """The operator over every query of order <= d on `schema` (`enumerate_queries`).
 
     It reads only the schema and d, so every release over them can share it:
-    the last (schema, d) asked keeps its operator, with the bin table,
-    spectrum and transform factors it has built, and a sweep's releases
-    build one between them.  Its arrays are read-only, so no release can
-    change what a later one reads.
+    the last two (schema, d) asked keep their operators, with the bin
+    tables, spectra and transform factors they have built, so a sweep's
+    releases build one between them and a workload that alternates two
+    shapes builds two.  That holds at most two bin tables; each synthesis
+    path refuses one of more than `synth._TABLE_ENTRIES` entries before it
+    is built.  Its arrays are read-only, so no release can change what a
+    later one reads.
     """
     return MarginalOperator(schema, enumerate_queries(schema.num_features, d))
 

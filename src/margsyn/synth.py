@@ -4,9 +4,12 @@ Two strategies stand behind one entry point:
 
   "brute"   minimize the maximum l1 distance to the noisy marginals over
             size-n multisets of the joint domain by exhaustive enumeration
-            when the count of multisets fits the configured cap
-            (candidates scored a fixed batch at a time, one bincount per
-            batch); above the cap, mode "brute" is exactly "fitted".
+            when the count of multisets fits the configured cap (the
+            marginals of each (n-1)-cell prefix counted once, a batch of
+            prefixes per bincount, and each candidate's l1 distances read
+            from its prefix's tables, or scored on their own for queries
+            wider than a prefix has last cells on average); above the cap,
+            mode "brute" is exactly "fitted".
   "fitted"  least-squares fit of a dense joint distribution to the noisy
             marginals (accelerated projected gradient on the probability
             simplex with restarts, computed in the eigenbasis of the
@@ -35,7 +38,7 @@ from itertools import chain, combinations_with_replacement, islice
 import numpy as np
 
 from .dataset import Dataset, Schema
-from .marginals import MarginalOperator, MarginalQuery, compute_marginal, order_operator
+from .marginals import MarginalOperator, MarginalQuery, bin_sums, compute_marginal, order_operator
 from .privacy import (PrivacyParams, add_noise_to_set, calibrate, marginal_set_sensitivity,
                       synthesis_l1_bound)
 
@@ -44,12 +47,17 @@ DENSE_CELL_CAP = 1_000_000
 # The dense fit stops, converged, once an accepted step lowers its objective
 # by at most this fraction of its value.
 _FIT_TOL = 1e-10
-# Candidates the exhaustive scan scores per bincount.  On 32 cells, 15
-# queries and n=3 (one BLAS thread), batches of 64 to 16,384 took 3.3-8.6 ms
-# per scan; 256 and 512 were the fastest, within 10% of each other either
-# way over repeated runs, and 768 or more slower.  The scan's peak allocation
-# grows with the batch (0.50 MB at 256, 1.0 MB at 512, 12 MB at 16,384).
-_SCAN_BATCH = 256
+# Candidates the exhaustive scan scores per chunk, and about as many per
+# batch of prefixes.  On the brute panel's exhaustive instance (32 cells, 15
+# queries, n = 3; workload seeds 1, 2 and 1009; one BLAS thread, fresh
+# interpreters, best of 40 scans, three rounds) chunks of 256, 512, 768,
+# 1,024 and 2,048 took 2.0-3.1, 1.3-2.3, 1.1-2.5, 1.0-1.8 and 1.3-1.5 ms per
+# scan, and on (7, 9, 2) at d = 2, n = 2 5.0, 3.0-4.7, 2.4-3.6, 2.0-3.0 and
+# 1.5-1.6 ms.  But past 512 the 528 candidates of n = 2 on 32 cells no
+# longer fill a batch, so the peak allocation grows with the candidate count:
+# at n = 3 it is 1.9x (768), 2.5x (1,024) and 4.5x (2,048) that at n = 2,
+# against 1.3x at 512 (0.25 and 0.34 MB).
+_SCAN_BATCH = 512
 # Most entries of the queries x cells bin table, which both paths read: 2e8
 # float64 entries are 1.6 GB.
 _TABLE_ENTRIES = 200_000_000
@@ -127,6 +135,20 @@ def _path(n: int, op: MarginalOperator, mode: str, cap: int) -> str:
     return path
 
 
+def _prefixes(cells: int, k: int, size: int):
+    """The k-cell multisets of the joint cells in lexicographic order, `size`
+    at a time, each batch an intp array of shape (multisets, k).  k = 0 gives
+    the one empty multiset.  The cells are read by np.fromiter from the
+    flattened stream of `combinations_with_replacement`, in its order, with
+    no list of tuples per batch to convert."""
+    if k == 0:
+        yield np.empty((1, 0), dtype=np.intp)
+        return
+    stream = chain.from_iterable(combinations_with_replacement(range(cells), k))
+    while (rows := np.fromiter(islice(stream, size * k), dtype=np.intp)).size:
+        yield rows.reshape(-1, k)
+
+
 def brute_force_synth(n: int, nm: Release) -> np.ndarray:
     """Int64 cell counts of the minimizer of max_q ||h_q - M_q(D)||_1 over size-n multisets.
 
@@ -135,41 +157,108 @@ def brute_force_synth(n: int, nm: Release) -> np.ndarray:
     kept).  All C(|cells|+n-1, n) candidates are scanned: `synthesize` has
     checked that their count fits its cap (`_path`).
 
-    Candidates are scored _SCAN_BATCH at a time, each batch by a fixed number
-    of numpy calls.  The batch's cells are read by np.fromiter from the
-    flattened stream of `combinations_with_replacement`, in its order, with
-    no list of tuples per batch to convert.  Gathering the operator's
-    `bin_maps` at those cells and adding the (queries x batch) shift of each
-    query's offset and each candidate's place in the batch, built once per
-    scan, lets one bincount give every query's marginal of every candidate.  Each query's l1
-    is `MarginalOperator.query_sums` of the batch's absolute residuals, which
-    is bit-equal to summing one candidate's query at a time, as
+    A candidate is an (n-1)-cell prefix p, the prefixes in lexicographic
+    order, followed by a last cell c >= last(p): its marginals are the
+    prefix's h_p plus one count in bin bin_maps[q, c] of each query q.  The
+    prefixes are read a batch at a time (`_prefixes`), as many as have about
+    _SCAN_BATCH candidates, and one bincount of the operator's `bin_maps`
+    gathered at their cells and shifted by each query's offset and each
+    prefix's place gives every query's marginal of every prefix.
+
+    Each run of equal-sized queries (`MarginalOperator.runs`) of k bins is
+    then scored one of two ways.  A prefix has (cells + n - 1) / n last
+    cells on average; a run of at most that many bins, and at most
+    _SCAN_BATCH, is tabled: for each prefix, query and bin j, the l1
+    distance ||t_q - (h_p + e_j)||_1, k sums of k absolute residuals, and a
+    candidate's distance is the entry of its prefix at j = bin_maps[q, c].
+    A wider run is scored per candidate, in one array of a chunk's
+    candidates by the run's bins: the prefix's marginals, one count added at
+    the last cell's bins, then the absolute residuals, summed.  The
+    marginals are held as floats, exact as whole numbers, so a residual is
+    the float that counting the candidate alone gives.  Either way each sum
+    is `bin_sums`, bit-equal to summing one candidate's query at a time, as
     `MarginalOperator.l1_to` does, so objectives and ties are those of
     scoring the candidates one by one (np.add.reduceat adds in another order
-    and can pick another multiset among near-ties).  The first minimum of a
-    batch is kept only if it is strictly below the best so far, which is the
-    lexicographic tie-break.  Memory is fixed by the batch, not by the
-    candidate count, and the queries x cells table is read, never copied.
-    n = 0 has one candidate, the empty multiset: all-zero counts.
+    and can pick another multiset among near-ties).  The rule reads only the
+    input's shape and the batch, and a table holds no more entries than
+    scoring a batch's candidates would.
+
+    A batch's candidates are scored _SCAN_BATCH at a time in their order,
+    so the last cells of one prefix may fall in several chunks (at n = 1 the
+    one empty prefix has every cell); a chunk's objective is the max over
+    queries.  Its first minimum is kept only if it is strictly below the
+    best so far, which is the lexicographic tie-break.  Memory is fixed by
+    the batch, not by the candidate count, and the queries x cells table is
+    read, never copied.  n = 0 has one candidate, the empty multiset:
+    all-zero counts.
     """
     op, target = nm.operator, nm.target
     cells = op.num_cells
     if n == 0:
         return np.zeros(cells, dtype=np.int64)
     total = target.shape[0]
-    stream = chain.from_iterable(combinations_with_replacement(range(cells), n))
-    shift = op.offsets[:, None] + total * np.arange(_SCAN_BATCH)
+    # the tabled runs' (first bin, queries, bins), those runs as ranges of
+    # consecutive queries, each gathered at once, and the other runs' (first
+    # query, first bin, queries, bins)
+    tabled, spans, direct = [], [], []
+    q = 0
+    for first, count, bins in op.runs:
+        if bins * n > cells + n - 1 or bins > _SCAN_BATCH:
+            direct.append((q, first, count, bins))
+        else:
+            tabled.append((first, count, bins))
+            if spans and spans[-1][1] == q:
+                spans[-1][1] += count
+            else:
+                spans.append([q, q + count])
+        q += count
+    batch = max(1, _SCAN_BATCH * n // (cells + n - 1))  # prefixes
+    shift = op.offsets[:, None] + total * np.arange(batch)
     best_cells, best_obj = None, math.inf
-    while (rows := np.fromiter(islice(stream, _SCAN_BATCH * n), dtype=np.intp)).size:
-        rows = rows.reshape(-1, n)
+    for rows in _prefixes(cells, n - 1, batch):
         size = rows.shape[0]
-        flat = op.bin_maps[:, rows.T]
+        flat = op.bin_maps.take(rows.T, axis=1)
         flat += shift[:, None, :size]
-        marg = np.bincount(flat.ravel(), minlength=total * size)
-        obj = op.query_sums(np.abs(target - marg.reshape(size, total))).max(axis=-1)
-        at = int(np.argmin(obj))
-        if obj[at] < best_obj:
-            best_cells, best_obj = rows[at], obj[at]
+        marg = np.bincount(flat.ravel(), minlength=total * size).reshape(size, total).astype(np.float64)
+        if tabled:
+            low, high = np.abs(target - marg), np.abs(target - (marg + 1))
+            table = np.empty((size, total))
+            for first, count, bins in tabled:
+                cut = np.s_[:, first:first + count * bins]
+                sums = np.empty((size, bins, count, bins))  # prefix, bin, query, the bin raised
+                sums[...] = low[cut].reshape(size, count, bins).transpose(0, 2, 1)[..., None]
+                raised = np.arange(bins)
+                sums[:, raised, :, raised] = high[cut].reshape(size, count, bins).transpose(2, 0, 1)
+                out = np.zeros((size, count, bins))
+                bin_sums(sums, out)
+                table[cut] = out.reshape(size, -1)
+        ends = np.cumsum(cells - rows[:, -1]) if n > 1 else np.array([cells])
+        for start in range(0, int(ends[-1]), _SCAN_BATCH):
+            pos = np.arange(start, min(start + _SCAN_BATCH, int(ends[-1])))
+            pre = np.searchsorted(ends, pos, side="right")  # each candidate's prefix
+            cell = pos + (cells - ends)[pre]
+            row = pre * total
+            obj = None
+            for q, end in spans:
+                idx = op.bin_maps[q:end].take(cell, axis=1)
+                idx += op.offsets[q:end, None]
+                idx += row
+                part = np.take(table, idx).max(axis=0)
+                obj = part if obj is None else np.maximum(obj, part, out=obj)
+            for q, first, count, bins in direct:
+                res = marg[pre, first:first + count * bins]  # the candidates' marginals, then residuals
+                idx = op.bin_maps[q:q + count].take(cell, axis=1)
+                idx += bins * np.arange(count)[:, None]
+                res[np.arange(pos.size), idx] += 1
+                np.subtract(target[first:first + count * bins], res, out=res)
+                l1 = np.zeros((count, pos.size))
+                bin_sums(np.abs(res, out=res).T.reshape(count, bins, -1), l1)
+                del res  # before the next chunk gathers its own
+                part = l1.max(axis=0)
+                obj = part if obj is None else np.maximum(obj, part, out=obj)
+            at = int(np.argmin(obj))
+            if obj[at] < best_obj:
+                best_cells, best_obj = np.append(rows[pre[at]], cell[at]), obj[at]
     return np.bincount(best_cells, minlength=cells)
 
 

@@ -257,8 +257,13 @@ class TestMarginalOperator:
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
-        assert order_operator(schema, 3).queries == tuple(enumerate_queries(3, 3))
-        assert order_operator(schema, 2) is not op  # one entry: the last (schema, d) asked
+        # two entries: asking for A, B, A, C keeps A and evicts B, the least recently asked
+        b = order_operator(schema, 3)
+        assert b.queries == tuple(enumerate_queries(3, 3))
+        assert order_operator(schema, 2) is op
+        assert order_operator(schema, 1).queries == tuple(enumerate_queries(3, 1))
+        assert order_operator(schema, 2) is op
+        assert order_operator(schema, 3) is not b
 
     @pytest.mark.parametrize("sizes", SPECTRAL_SIZES + [(1500, 3, 2), (300, 300, 2), (2,) * 11], ids=str)
     @pytest.mark.parametrize("pick", QUERY_PICKS)

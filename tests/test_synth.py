@@ -313,28 +313,80 @@ class TestBruteMatchesTheLoop:
             counts = brute_force_synth(0, nm)
             assert counts.dtype == np.int64 and counts.tolist() == [0] * math.prod(sizes)
 
+    # Each shape at d and n, and the bins per query of the runs it scores per
+    # candidate: those with more bins than a prefix has last cells on average,
+    # (cells + n - 1) / n.  (2, 2, 2, 2, 2) at n = 3 has 34 / 3 last cells per
+    # prefix; (7, 9, 2) at n = 2 has 63.5, just enough to table its 63-bin
+    # query; 6 binary features + label at n = 2 has 64.5; (12, 12, 2) at n = 1
+    # has 288, and its 144-bin query is summed as numpy sums more than 128.
+    @pytest.mark.parametrize("sizes, d, n, per_candidate", [
+        ((2, 2, 2, 2, 2), 5, 3, {16, 32}), ((7, 9, 2), 2, 2, set()), ((2,) * 7, 2, 2, set()),
+        ((12, 12, 2), 2, 1, set())],
+        ids=["five-binary-d5", "7x9x2", "six-binary-d2", "12x12x2"])
+    @pytest.mark.parametrize("sigma", [0.0, 3.0])
+    def test_tabled_and_per_candidate_runs(self, sizes, d, n, per_candidate, sigma):
+        schema = Schema(tuple(f"a{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
+        nm = release_from(random_dataset(schema, 40, seed=5), d, sigma, seed=5, n=n)
+        cells = nm.operator.num_cells
+        runs = {bins for _, _, bins in nm.operator.runs}
+        assert {bins for bins in runs if bins * n > cells + n - 1} == per_candidate
+        assert 63 not in runs or 63 * n <= cells + n - 1 < 64 * n
+        assert np.array_equal(brute_force_synth(n, nm), reference_exhaustive_counts(n, nm))
+
+    @pytest.mark.parametrize("seed", [9, 15])
+    def test_tabled_sums_add_in_numpys_order(self, seed):
+        # (3, 3, 2) at n = 2 tables its 9-bin query (9 <= 19 / 2); adding those
+        # bins one by one, not in numpy's pairwise order, picks another multiset
+        schema = Schema(("a", "b", "label"), (3, 3, 2))
+        nm = release_from(random_dataset(schema, 6, seed=seed), 2, 0.7, seed, n=2)
+        assert np.array_equal(brute_force_synth(2, nm), reference_exhaustive_counts(2, nm))
+
     def test_candidates_fill_whole_batches(self):
-        # 8 binary features + label at n = 1: 512 candidates, two whole batches
-        real = make_demo_dataset(m=8, n=40, seed=3)
+        # 9 binary features + label at n = 1: the one empty prefix's 1,024 last
+        # cells are two whole chunks
+        real = make_demo_dataset(m=9, n=40, seed=3)
         nm = release_from(real, 2, 2.0, seed=3)
-        assert nm.operator.num_cells % _SCAN_BATCH == 0
+        assert nm.operator.num_cells == 2 * _SCAN_BATCH
         assert np.array_equal(brute_force_synth(1, nm), reference_exhaustive_counts(1, nm))
 
-    # 2 binary features + label at n = 3: C(10, 3) = 120 candidates, in whole
-    # batches of 8, 40 or 120, or with one candidate left for the last batch
-    @pytest.mark.parametrize("batch", [8, 40, 120, 7, 17, 119])
+    # 2 binary features + label at n = 3: C(10, 3) = 120 candidates behind the
+    # C(9, 2) = 36 two-cell prefixes, each followed by 1 to 8 last cells.  Chunks
+    # of 1 or 7 candidates split the last cells of a prefix, and 8 hold the
+    # first prefix's exactly; the prefix batches fill whole or leave one prefix
+    # for the last; at 120 one batch and one chunk hold every candidate.  The
+    # 2-bin queries are tabled and the 4-bin ones, wider than the 10 / 3 last
+    # cells of a prefix on average, scored per candidate; at chunks of 1 every
+    # query is, being wider than a chunk.
+    @pytest.mark.parametrize("batch", [1, 7, 8, 12, 17, 40, 119, 120])
     def test_batch_boundaries(self, monkeypatch, batch):
         from margsyn import synth
         schema = Schema(("a", "b", "label"), (2, 2, 2))
         monkeypatch.setattr(synth, "_SCAN_BATCH", batch)
-        assert math.comb(8 + 3 - 1, 3) % batch in (0, 1)
+        batches = record_prefix_batches(monkeypatch)
         for seed in range(3):
             nm = release_from(random_dataset(schema, 3, seed=seed), 2, 0.7, seed)
             assert np.array_equal(brute_force_synth(3, nm), reference_exhaustive_counts(3, nm))
+        scan = batches[:len(batches) // 3]  # each seed's scan reads the same batches
+        assert sum(scan) == 36 and set(scan[:-1]) <= {scan[0]} and scan[-1] in (scan[0], 1)
 
-    def test_optimum_and_tie_in_later_batches(self, three_binary_schema):
+    @pytest.mark.parametrize("batch", [4, 15])
+    def test_a_run_wider_than_a_chunk_is_scored_per_candidate(self, monkeypatch, batch):
+        # n = 1 on (3, 5, 2): the (0, 1) query's 15 bins are tabled at chunks of
+        # 15 and scored per candidate at 4, with the 6- and 10-bin queries
+        from margsyn import synth
+        schema = Schema(("a", "b", "label"), (3, 5, 2))
+        monkeypatch.setattr(synth, "_SCAN_BATCH", batch)
+        for sigma in (0.0, 3.0):
+            nm = release_from(random_dataset(schema, 5, seed=2), 2, sigma, seed=2, n=1)
+            assert max(nm.operator.num_bins) == 15
+            assert np.array_equal(brute_force_synth(1, nm), reference_exhaustive_counts(1, nm))
+
+    def test_optimum_and_tie_in_later_batches(self, three_binary_schema, monkeypatch):
         # one-way queries only, zero noise: the optimum is first met after the
-        # first batch and met again in the next batch
+        # first batch of prefixes and met again in a later batch
+        from margsyn import synth
+        monkeypatch.setattr(synth, "_SCAN_BATCH", 64)
+        batches = record_prefix_batches(monkeypatch)
         real = Dataset(three_binary_schema, np.array([[0, 0, 1, 0], [0, 1, 1, 0], [1, 1, 1, 0]]))
         nm = release_over(real, enumerate_queries(3, 1), 0.0, seed=0)
         combos = list(itertools.combinations_with_replacement(range(16), 3))
@@ -342,9 +394,12 @@ class TestBruteMatchesTheLoop:
         objs = np.array([op.l1_to(op.forward(np.bincount(c, minlength=16).astype(np.float64)),
                                   nm.target).max() for c in combos])
         ties = np.flatnonzero(objs == objs.min())
-        assert len(combos) > 3 * _SCAN_BATCH
-        assert _SCAN_BATCH <= ties[0] and ties[0] // _SCAN_BATCH < ties[-1] // _SCAN_BATCH
         got = brute_force_synth(3, nm)
+        # each candidate's batch: the batch of its two-cell prefix
+        prefixes = list(itertools.combinations_with_replacement(range(16), 2))
+        batch_of = np.repeat(np.arange(len(batches)), batches)
+        at = [batch_of[prefixes.index(combos[t][:2])] for t in ties]
+        assert len(batches) > 2 and 0 < at[0] < at[-1]
         assert np.array_equal(got, np.bincount(combos[ties[0]], minlength=16))
         assert np.array_equal(got, reference_exhaustive_counts(3, nm))
 
@@ -361,6 +416,34 @@ class TestBruteMatchesTheLoop:
             finally:
                 tracemalloc.stop()
         assert max(peaks) <= 1.5 * min(peaks)
+        # 12 binary features + label at n = 1: the one empty prefix has all
+        # 8,192 cells as last cells; gathering every query's bin of every cell
+        # at once would allocate one queries x cells table of float64 (6.0 MB)
+        nm = release_from(make_demo_dataset(m=12, n=50, seed=0), 2, 1.0, seed=0, n=1)
+        op = nm.operator
+        op.bin_maps
+        assert (len(op.queries), op.num_cells) == (91, 8192)
+        tracemalloc.start()
+        try:
+            brute_force_synth(1, nm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(op.queries) * op.num_cells * 8
+
+
+def record_prefix_batches(monkeypatch) -> list[int]:
+    """The number of prefixes in each batch the exhaustive scan reads, appended as it reads them."""
+    from margsyn import synth
+    sizes, prefixes = [], synth._prefixes
+
+    def recorded(*args):
+        for rows in prefixes(*args):
+            sizes.append(rows.shape[0])
+            yield rows
+
+    monkeypatch.setattr(synth, "_prefixes", recorded)
+    return sizes
 
 
 def reference_pgd_objective(nm: Release, iters: int = 2000, tol: float = 1e-10) -> float:
