@@ -8,12 +8,14 @@ Two strategies stand behind one entry point:
             marginals of each (n-1)-cell prefix counted once, a batch of
             prefixes per bincount, and each candidate's l1 distances read
             from its prefix's tables, or scored on their own for queries
-            wider than a prefix has last cells on average); above the cap,
+            wider than a prefix has last cells on average).  Only this scan
+            reads the operator's queries x cells bin table.  Above the cap,
             mode "brute" is exactly "fitted".
   "fitted"  least-squares fit of a dense joint distribution to the noisy
             marginals (accelerated projected gradient on the probability
             simplex with restarts, computed in the eigenbasis of the
-            operator's A^T A: two operator applications per fit, two small
+            operator's A^T A: two operator applications per fit, each
+            applied in that basis with no table over the cells, two small
             Kronecker transforms per iteration, an exact step, a start at
             the closed-form minimizer on the plane sum p = 1, projected,
             stopping on a relative-decrease test), then the largest-remainder
@@ -58,8 +60,8 @@ _FIT_TOL = 1e-10
 # at n = 3 it is 1.9x (768), 2.5x (1,024) and 4.5x (2,048) that at n = 2,
 # against 1.3x at 512 (0.25 and 0.34 MB).
 _SCAN_BATCH = 512
-# Most entries of the queries x cells bin table, which both paths read: 2e8
-# float64 entries are 1.6 GB.
+# Most entries of the queries x cells bin table, which only the exhaustive
+# scan reads: 2e8 intp entries are 1.6 GB.
 _TABLE_ENTRIES = 200_000_000
 
 
@@ -111,8 +113,9 @@ def _path(n: int, op: MarginalOperator, mode: str, cap: int) -> str:
     and otherwise the fitted path with its refusals, as mode "fitted" does.
     The count is built one integer factor at a time and stops once past
     `cap`: at most a few hundred steps on 4 or more cells at the default cap.
-    Both paths read the operator's queries x cells `bin_maps`, so either is
-    refused when it holds more than _TABLE_ENTRIES entries.
+    The exhaustive scan reads the operator's queries x cells `bin_maps`, so
+    it is refused when that holds more than _TABLE_ENTRIES entries; the
+    fitted path reads no table, so only DENSE_CELL_CAP refuses it.
     """
     cells = op.num_cells
     count = 1
@@ -122,17 +125,15 @@ def _path(n: int, op: MarginalOperator, mode: str, cap: int) -> str:
             if count > cap:
                 break
     if mode == "brute" and count <= cap:
-        path = "exhaustive"
-    elif mode in ("brute", "fitted"):
-        if cells > DENSE_CELL_CAP:
-            raise SynthesisError(f"joint domain of {cells} cells exceeds dense-mode cap {DENSE_CELL_CAP}")
-        path = "fitted"
-    else:
+        table = len(op.num_bins) * cells
+        if table > _TABLE_ENTRIES:
+            raise SynthesisError(f"bin table of {table} entries too large for the exhaustive path")
+        return "exhaustive"
+    if mode not in ("brute", "fitted"):
         raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
-    table = len(op.num_bins) * cells
-    if table > _TABLE_ENTRIES:
-        raise SynthesisError(f"bin table of {table} entries too large for the {path} path")
-    return path
+    if cells > DENSE_CELL_CAP:
+        raise SynthesisError(f"joint domain of {cells} cells exceeds dense-mode cap {DENSE_CELL_CAP}")
+    return "fitted"
 
 
 def _prefixes(cells: int, k: int, size: int):
@@ -538,11 +539,12 @@ def generate_synthetic(ds_real: Dataset, d: int, privacy: PrivacyParams,
     """Measure all order-<=d marginals, noise them, synthesize, and report.
 
     The operator over the queries comes from `order_operator`, so the
-    releases of one (schema, d) share one, with its bin table, spectrum and
-    transform factors.  The request is checked as `synthesize` checks it
-    (`_path`, which reads only sizes), so a joint domain too large for the
-    path is refused before anything of its size is allocated, and a budget
-    `calibrate` refuses before the real data is read.
+    releases of one (schema, d) share one, with its query groups, spectrum
+    and (for the exhaustive scan) bin table.  The request is checked as
+    `synthesize` checks it (`_path`, which reads only sizes), so a joint
+    domain too large for the path is refused before anything of its size is
+    allocated, and a budget `calibrate` refuses before the real data is
+    read.
     Then the real data is counted once into joint cells, and the operator's
     `forward` of those counts gives every real marginal: sums of whole
     numbers, so the same floats as counting each query on its own.  The noise

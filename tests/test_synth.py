@@ -16,8 +16,8 @@ from margsyn.learn import LossSpec, TrainConfig, train_projected
 from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal, enumerate_queries
 from margsyn.privacy import (PrivacyParams, add_noise_to_set, calibrate, marginal_set_sensitivity,
                             synthesis_l1_bound)
-from margsyn.synth import (_SCAN_BATCH, DistributionEstimate, Release, SynthesisError,
-                           _path, _simplex_projector, brute_force_synth,
+from margsyn.synth import (_SCAN_BATCH, DEFAULT_CANDIDATE_CAP, DistributionEstimate, Release,
+                           SynthesisError, _path, _simplex_projector, brute_force_synth,
                            fit_distribution, generate_synthetic, sample_dataset, synthesize)
 
 from conftest import (cell_counts, dense_marginal_matrix, per_query, random_dataset, release_of,
@@ -408,7 +408,7 @@ class TestBruteMatchesTheLoop:
         nm = release_from(random_dataset(schema, 3, seed=0), 2, 1.0, seed=0)
         nm.operator.bin_maps  # built once, before either measurement
         peaks = []
-        for n in (2, 3):  # 528 and 5,984 candidates
+        for n in (3, 4):  # 5,984 and 52,360 candidates, each filling batches
             tracemalloc.start()
             try:
                 brute_force_synth(n, nm)
@@ -1194,40 +1194,33 @@ class TestMechanism:
             tracemalloc.stop()
         assert peak < math.prod(schema.sizes)  # an eighth of one float64 vector over the cells
 
-    @pytest.mark.parametrize("m, d, entries", [(16, 4, 421_134_336), (18, 3, 607_649_792)])
-    def test_a_bin_table_too_large_is_refused_on_the_fitted_path(self, m, d, entries):
-        # within the dense cap, but forward and adjoint read the queries x cells
-        # bin table: 3213 x 131,072 entries (3.1 GiB) at m=16, 1159 x 524,288 (4.5 GiB) at m=18
-        schema = make_demo_dataset(m=m, n=1, seed=0).schema
-        real = Dataset(schema, np.zeros((5, m + 1), dtype=np.int64))
-        tracemalloc.start()
-        try:
-            with pytest.raises(SynthesisError, match=f"^bin table of {entries} entries too large "
-                                                     "for the fitted path$"):
-                generate_synthetic(real, d, PrivacyParams(1.0, 1e-6), mode="fitted")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * math.prod(schema.sizes)  # one float64 vector over the cells
+    @pytest.mark.parametrize("m, d", [(16, 4), (18, 3)])
+    @pytest.mark.parametrize("mode", ["fitted", "brute"])
+    def test_a_wide_domain_within_the_dense_cap_takes_the_fitted_path(self, m, d, mode):
+        # 3,213 x 131,072 (m=16) and 1,159 x 524,288 (m=18) queries x cells, a
+        # bin table of 3.1 and 4.5 GiB, which the fitted path does not read;
+        # C(cells + 4, 5) candidates are past the cap, so brute mode goes there too
+        op = MarginalOperator(make_demo_dataset(m=m, n=1, seed=0).schema, enumerate_queries(m, d))
+        assert _path(5, op, mode, DEFAULT_CANDIDATE_CAP) == "fitted"
+        assert "bin_maps" not in vars(op)
 
-    def test_brute_above_the_cap_takes_the_fitted_bin_table_refusal(self):
-        # 16 binary features + label at d=4 with 5 rows: C(131,076, 5) candidates,
-        # past the cap, so brute mode runs the fitted path and is refused, as
-        # fitted mode is, on its 3213 x 131,072 bin table
-        schema = make_demo_dataset(m=16, n=1, seed=0).schema
-        real = Dataset(schema, np.zeros((5, 17), dtype=np.int64))
-        with pytest.raises(SynthesisError) as fitted:
-            generate_synthetic(real, 4, PrivacyParams(1.0, 1e-6), mode="fitted")
+    def test_the_fitted_operator_reads_no_bin_table(self):
+        # 16 binary features + label at d=4: forward and adjoint allocate a few
+        # float64 vectors over the 131,072 cells, not the 3.1 GiB table
+        op = MarginalOperator(make_demo_dataset(m=16, n=1, seed=0).schema, enumerate_queries(16, 4))
+        rng = np.random.default_rng(0)
+        counts = rng.multinomial(5000, np.full(op.num_cells, 1.0 / op.num_cells)).astype(np.float64)
+        op.forward(counts)  # the query groups, built once, before the measurement
+        target = op.forward(counts) + rng.normal(0.0, 3.0, sum(op.num_bins))
         tracemalloc.start()
         try:
-            with pytest.raises(SynthesisError) as brute:
-                generate_synthetic(real, 4, PrivacyParams(1.0, 1e-6), mode="brute")
+            op.forward(counts)
+            op.adjoint(target)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(brute.value) == str(fitted.value)
-        assert str(brute.value) == "bin table of 421134336 entries too large for the fitted path"
-        assert peak < 8 * math.prod(schema.sizes)  # one float64 vector over the cells
+        assert "bin_maps" not in vars(op)
+        assert peak < 4 * 8 * op.num_cells  # four float64 vectors over the cells
 
     def test_the_exhaustive_bin_table_refusal_advises_no_other_mode(self):
         # 20 binary features + label at d=2 with one row: the exhaustive path is
