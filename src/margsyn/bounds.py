@@ -92,6 +92,8 @@ def excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
       uses 3m, the only base consistent with the coefficient-sum certificate
       when the margin interval has width >= 1, and explicit mode uses the
       exact base (see notes).
+    At nu = 0 the marginal term is exactly 0, also where its coefficient is
+    infinite (tau = inf).
     """
     if loss not in ("lipschitz", "logistic"):
         raise BoundError(f"unknown loss family {loss!r}")
@@ -114,7 +116,7 @@ def excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
             approx, top = inp.K * inp.tau * math.sqrt(inp.m / (inp.d - 1)), loss_sup
         else:
             approx, top = half_width / (inp.d - 1), half_width
-        marg = top / inp.n * base ** (inp.d - 1) * inp.nu
+        marg = top / inp.n * base ** (inp.d - 1) * inp.nu if inp.nu else 0.0
         return BoundReport(approx, marg, approx + marg, mode,
                            {"coeff_base": base, "loss_sup_bound": loss_sup, "nu": inp.nu}, notes)
     if lipschitz:
@@ -129,7 +131,7 @@ def excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
         terms = {"poly_hops": float(POLY_HOPS), "derivative_cert": DERIVATIVE_CERT,
                  "rescaled_curvature": rescaled_curvature, "per_hop": per_hop}
     coeff_base = (1.0 + 2.0 / width) * inp.m * max(1.0, inp.tau)
-    marg = MARGINAL_HOPS / inp.n * loss_sup * coeff_base ** (inp.d - 1) * inp.nu
+    marg = MARGINAL_HOPS / inp.n * loss_sup * coeff_base ** (inp.d - 1) * inp.nu if inp.nu else 0.0
     terms.update({"marginal_hops": float(MARGINAL_HOPS), "loss_sup_bound": loss_sup,
                   "coeff_base": coeff_base, "coeff_growth": coeff_base ** (inp.d - 1),
                   "nu": inp.nu, "interval_width": width})
@@ -195,19 +197,24 @@ class HardInstanceParams:
 def hard_instance_schedule(m: int) -> HardInstanceParams:
     """r = 5/6, gamma = (m/2)^(-5/(10-2r)), n = exp(gamma^(-2r/5)), tau = 1/sqrt(m).
 
-    Requires m > 2e.  gamma_range_ok reports whether gamma < 2^(-1/(1-r)),
-    the precondition of the query-complexity argument (it fails for small m).
+    Requires m > 2e, and n to be a finite float (m up to about 3.6e14).
+    gamma_range_ok reports whether gamma < 2^(-1/(1-r)), the precondition of
+    the query-complexity argument (it fails for small m).
     """
     if m <= 2 * math.e:
         raise BoundError(f"schedule needs m > 2e, got m={m}")
     r = 5.0 / 6.0
-    gamma = (m / 2.0) ** (-5.0 / (10.0 - 2.0 * r))
-    exponent = gamma ** (-2.0 * r / 5.0)
+    try:
+        gamma = (m / 2.0) ** (-5.0 / (10.0 - 2.0 * r))
+        exponent = gamma ** (-2.0 * r / 5.0)
+        n = math.exp(exponent)
+    except OverflowError:
+        raise BoundError("schedule's n = exp((m/2)^(1/5)) overflows a float "
+                         "for m above about 3.6e14") from None
     d_scale = exponent / (-math.log(gamma))
     c_prime_cap = 1.0 / 5.0
     return HardInstanceParams(
-        m=m, r=r, gamma=gamma, tau=1.0 / math.sqrt(m),
-        n=math.exp(exponent),
+        m=m, r=r, gamma=gamma, tau=1.0 / math.sqrt(m), n=n,
         d_scale=d_scale, c_prime_cap=c_prime_cap, d_at_cap=c_prime_cap * d_scale,
         gamma_range_ok=(0.0 < gamma < 2.0 ** (-1.0 / (1.0 - r))),
     )

@@ -173,12 +173,10 @@ class MarginalOperator:
         A_Q T = (kron_{a in Q} H_a) kron (kron_{a not in Q} sqrt(k_a) e_0^T):
     Q's marginal of x is sqrt(cells / bins_Q) times Q's own Kronecker
     transform of the bins_Q coefficients of T x whose support lies inside Q
-    (`_groups`).  So `forward` is one T and `adjoint` one T, each with a small
-    transform per group of queries of equal domain sizes; neither loops over
-    the queries or holds a table over the cells.  The same basis makes A^T A
-    diagonal: A^T A = T diag(spectrum) T for any list of queries (see
-    `spectrum`).  The cell -> bin table `bin_maps`, which only the exhaustive
-    scan reads, is built on first read.
+    (`_groups`).  `forward`, `adjoint` and `spectrum` read A off those groups
+    of queries of equal domain sizes, with no loop over the queries and no
+    table over the cells.  The cell -> bin table `bin_maps`, which only the
+    exhaustive scan reads, is built on first read.
     """
 
     def __init__(self, schema: Schema, queries):
@@ -269,43 +267,31 @@ class MarginalOperator:
         """
         r = np.asarray(r, dtype=np.float64)
         parts = np.concatenate([_apply_factors(g.factors, r[g.pos.T]).ravel() * g.scale for g in self._groups])
-        coef = np.bincount(np.concatenate([g.coef.ravel() for g in self._groups]), weights=parts,
-                           minlength=self.num_cells)
+        coef = np.bincount(self._coef, weights=parts, minlength=self.num_cells)
         del parts  # freed before the transform, whose two vectors over the cells are the peak
         return _rounded_if_whole(r, self.transform(coef))
+
+    @cached_property
+    def _coef(self) -> np.ndarray:
+        """Every group's `coef`, flattened and concatenated in group order, read-only."""
+        coef = np.concatenate([g.coef.ravel() for g in self._groups])
+        coef.setflags(write=False)
+        return coef
 
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of A^T A over the coefficients of `transform`, in cell order.
 
-        A^T A = sum_Q kron_a (I if a in Q else J), J the all-ones matrix of
-        side k_a (attribute a's domain size).  Each attribute's reflector has
-        the constant first column u, and J = k_a u u^T, so every term is
-        diagonal in the basis T: it is prod_{a not in Q} k_a on the
-        coefficients omega with omega_a = 0 for each a outside Q, and 0
-        elsewhere.  Flat index 0 (omega = 0) is the constant direction; every
-        other coefficient has sum zero over the cells.
-
-        So lambda(omega) is the sum of cells/bins_Q over the queries Q that hold
-        every attribute of omega's support {a : omega_a != 0}: one sum per
-        support pattern, of which there are 2^A <= cells (A attributes, each
-        of at least 2 values), taken as superset sums over the patterns.
+        A_Q T is sqrt(cells / bins_Q) times an orthogonal transform of the
+        coefficients whose support lies inside Q (`_groups`), so
+        A^T A = T diag(lambda) T with lambda(omega) the sum of cells / bins_Q
+        over the queries Q whose coefficients hold omega: one bincount of
+        whole numbers, so exact.  Flat index 0 (omega = 0) is the constant
+        direction; every other coefficient has sum zero over the cells.
         """
-        sizes = self.schema.sizes
-        # per[s]: the sum of cells/bins over the queries whose attribute set,
-        # as a bit mask, is s; after the superset sums, per[s] is the sum over
-        # the queries that hold every attribute of s.  Integer sums, so exact.
-        per = np.zeros(2 ** len(sizes), dtype=np.int64)
-        for q, bins in zip(self.queries, self.num_bins):
-            per[sum(1 << a for a in q.attrs)] += self.num_cells // bins
-        for a in range(len(sizes)):
-            view = per.reshape(-1, 2, 1 << a)
-            view[:, 0] += view[:, 1]
-        # each cell's support omega_a != 0 as a bit mask, over the cell grid
-        support = np.zeros(1, dtype=np.intp)
-        for a, k in enumerate(sizes):
-            support = np.add.outer(support, (np.arange(k) > 0) << a).ravel()
-        lam = per[support].astype(np.float64)
+        weights = np.concatenate([np.full(g.coef.size, float(self.num_cells // g.coef.shape[1]))
+                                  for g in self._groups])
+        lam = np.bincount(self._coef, weights=weights, minlength=self.num_cells)
         lam.setflags(write=False)
         return lam
 
@@ -392,9 +378,9 @@ def order_operator(schema: Schema, d: int) -> MarginalOperator:
     groups and spectra they have built, so a sweep's releases build one
     between them and a workload that alternates two shapes builds two.  Only
     an operator used by an exhaustive scan holds a bin table, so at most two
-    are held; the exhaustive path refuses one of more than
-    `synth._TABLE_ENTRIES` entries before it is built.  Its arrays are
-    read-only, so no release can change what a later one reads.
+    are held, and brute mode takes that path only when the table fits
+    `synth._TABLE_ENTRIES`.  Its arrays are read-only, so no release can
+    change what a later one reads.
     """
     return MarginalOperator(schema, enumerate_queries(schema.num_features, d))
 

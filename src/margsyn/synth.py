@@ -9,8 +9,9 @@ Two strategies stand behind one entry point:
             prefixes per bincount, and each candidate's l1 distances read
             from its prefix's tables, or scored on their own for queries
             wider than a prefix has last cells on average).  Only this scan
-            reads the operator's queries x cells bin table.  Above the cap,
-            mode "brute" is exactly "fitted".
+            reads the operator's queries x cells bin table, so it also needs
+            that table to fit its budget.  Otherwise mode "brute" is exactly
+            "fitted".
   "fitted"  least-squares fit of a dense joint distribution to the noisy
             marginals (accelerated projected gradient on the probability
             simplex with restarts, computed in the eigenbasis of the
@@ -109,13 +110,12 @@ def _path(n: int, op: MarginalOperator, mode: str, cap: int) -> str:
     It reads only sizes, so `generate_synthetic` asks it before counting the
     real data or reading the operator's arrays, which span the joint domain.
     Mode "brute" takes the exhaustive path when its C(cells + k - 1, k)
-    candidates, k = max(n, 1), fit `cap` (so n = 0 goes where n = 1 goes),
-    and otherwise the fitted path with its refusals, as mode "fitted" does.
+    candidates, k = max(n, 1), fit `cap` (so n = 0 goes where n = 1 goes)
+    and the queries x cells `bin_maps` it reads fits _TABLE_ENTRIES, and
+    otherwise the fitted path with its refusals, as mode "fitted" does.
     The count is built one integer factor at a time and stops once past
     `cap`: at most a few hundred steps on 4 or more cells at the default cap.
-    The exhaustive scan reads the operator's queries x cells `bin_maps`, so
-    it is refused when that holds more than _TABLE_ENTRIES entries; the
-    fitted path reads no table, so only DENSE_CELL_CAP refuses it.
+    The fitted path reads no table, so only DENSE_CELL_CAP refuses it.
     """
     cells = op.num_cells
     count = 1
@@ -124,10 +124,7 @@ def _path(n: int, op: MarginalOperator, mode: str, cap: int) -> str:
             count = count * (cells + j - 1) // j
             if count > cap:
                 break
-    if mode == "brute" and count <= cap:
-        table = len(op.num_bins) * cells
-        if table > _TABLE_ENTRIES:
-            raise SynthesisError(f"bin table of {table} entries too large for the exhaustive path")
+    if mode == "brute" and count <= cap and len(op.num_bins) * cells <= _TABLE_ENTRIES:
         return "exhaustive"
     if mode not in ("brute", "fitted"):
         raise SynthesisError(f"unknown mode {mode!r}; expected 'brute' or 'fitted'")
@@ -156,7 +153,7 @@ def brute_force_synth(n: int, nm: Release) -> np.ndarray:
     Ties are broken by the lexicographically smallest multiset encoding
     (candidates are scanned in that order and only strict improvements are
     kept).  All C(|cells|+n-1, n) candidates are scanned: `synthesize` has
-    checked that their count fits its cap (`_path`).
+    checked that their count fits its cap and the bin table its budget (`_path`).
 
     A candidate is an (n-1)-cell prefix p, the prefixes in lexicographic
     order, followed by a last cell c >= last(p): its marginals are the

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from margsyn.bounds import (BoundError, BoundInputs, excess_risk_bound, hard_instance_schedule,
                             private_excess_risk_bound)
+from margsyn.cli import main
 from margsyn.privacy import PrivacyParams, calibrate
 
 from conftest import assert_refused, reference_lipschitz_bound, reference_logistic_bound
@@ -150,6 +151,18 @@ class TestHardInstanceSchedule:
         with pytest.raises(BoundError):
             hard_instance_schedule(5)
 
+    def test_an_n_past_the_largest_float_is_refused(self, tmp_path, capsys):
+        # n = exp((m/2)^(1/5)) passes 1.8e308 between m = 3.5e14 and 3.7e14
+        assert math.isfinite(hard_instance_schedule(350_000_000_000_000).n)
+        for m in (370_000_000_000_000, 10**15, 10**400):
+            with pytest.raises(BoundError, match="overflows a float"):
+                hard_instance_schedule(m)
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"family": "schedule", "m": 10**15}))
+        assert_refused(capsys, ["bound", "--params", str(params), "--out", str(tmp_path / "bound.json")],
+                       r"schedule's n = exp\(\(m/2\)\^\(1/5\)\) overflows a float")
+        assert not (tmp_path / "bound.json").exists()
+
 
 @pytest.mark.parametrize("tau", [math.nan, -0.1])
 def test_budget_must_be_non_negative(tau):
@@ -181,6 +194,28 @@ def test_unknown_loss_or_mode_raises_at_zero_budget(loss, mode):
     with pytest.raises(BoundError, match="unknown"):
         private_excess_risk_bound(BoundInputs(**{**FIXTURE, "tau": 0.0}, l=2, lam=3.0, sigma=1.0),
                                   loss, mode)
+
+
+@pytest.mark.parametrize("loss", ["lipschitz", "logistic"])
+@pytest.mark.parametrize("mode", ["explicit", "shape"])
+def test_no_marginal_shift_at_an_infinite_budget(loss, mode):
+    # tau = inf makes the marginal term's coefficient infinite; at nu = 0 (or
+    # a private bound at sigma = 0) the term is 0, not inf * 0 = NaN
+    inputs = {**FIXTURE, "tau": math.inf}
+    for report in (excess_risk_bound(BoundInputs(**inputs, nu=0.0), loss, mode),
+                   private_excess_risk_bound(BoundInputs(**inputs, l=2, lam=3.0, sigma=0.0), loss, mode)):
+        assert report.marginal_term == 0.0
+        assert report.approx_term == report.total == math.inf
+    assert excess_risk_bound(BoundInputs(**inputs, nu=1.0), loss, mode).marginal_term == math.inf
+
+
+def test_bound_command_reports_an_infinite_total_at_an_infinite_budget(tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"family": "lipschitz", "n": 100, "m": 4, "d": 2, "tau": math.inf,
+                                  "nu": 0.0}))
+    assert main(["bound", "--params", str(params), "--out", str(tmp_path / "bound.json")]) == 0
+    doc = json.loads((tmp_path / "bound.json").read_text())
+    assert (doc["marginal_term"], doc["total"]) == (0.0, math.inf)
 
 
 def test_bound_command_refuses_an_unknown_mode_at_zero_budget(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,21 @@ class TestMarginalOperator:
         assert op.bin_maps.tobytes() == reference_bin_maps(schema, queries).tobytes()
         assert op.spectrum.dtype == np.float64 and not op.spectrum.flags.writeable
         assert op.spectrum.tobytes() == reference_spectrum(schema, queries).tobytes()
+
+    def test_the_spectrum_allocates_one_vector_over_the_cells(self):
+        # 18 binary features + label at d=2: 524,288 cells and 190 queries; the
+        # spectrum is read off the query groups, with no array over the 2^19
+        # support patterns and no support grid over the cells
+        schema = Schema(tuple(f"x{i}" for i in range(18)) + ("label",), (2,) * 19)
+        op = MarginalOperator(schema, enumerate_queries(18, 2))
+        op._groups  # built once, before the measurement
+        tracemalloc.start()
+        try:
+            op.spectrum
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * op.num_cells  # two float64 vectors over the cells
 
     # every query of each schema: segments of 2-9 bins (a domain has at least
     # 2 values), 127-129, 3,999-4,001, 4,095 and 4,097 bins and twice those;

@@ -1179,20 +1179,34 @@ class TestMechanism:
         assert report.path == "exhaustive"
 
     @pytest.mark.parametrize("n", [0, 1])
-    def test_a_bin_table_too_large_is_refused_on_the_exhaustive_path(self, n):
+    def test_a_bin_table_past_its_budget_routes_brute_to_the_fitted_path(self, n):
         # 20 binary features + label at d=2: 2,097,152 cells, so one row or none
-        # fits the candidate cap, but the bin table the scan reads holds 231
-        # queries x 2,097,152 cells = 484,442,112 entries (3.6 GiB)
+        # fits the candidate cap, but the bin table the scan would read holds 231
+        # queries x 2,097,152 cells = 484,442,112 entries (3.6 GiB); brute mode
+        # takes the fitted path and its dense-cap refusal, as fitted mode does
         schema = make_demo_dataset(m=20, n=1, seed=0).schema
         real = Dataset(schema, np.zeros((n, 21), dtype=np.int64))
         tracemalloc.start()
         try:
-            with pytest.raises(SynthesisError, match="bin table of 484442112 entries too large"):
+            with pytest.raises(SynthesisError) as brute:
                 generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="brute")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < math.prod(schema.sizes)  # an eighth of one float64 vector over the cells
+        with pytest.raises(SynthesisError) as fitted:
+            generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="fitted")
+        assert str(brute.value) == str(fitted.value) == ("joint domain of 2097152 cells exceeds "
+                                                         "dense-mode cap 1000000")
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_brute_routes_by_both_budgets_whatever_the_rows(self, n):
+        # 17 binary features + label at d=3: 262,144 cells, so n <= 1 fits the
+        # candidate cap and n = 2 does not, but the 987 x 262,144 = 258,736,128
+        # entry bin table is past its budget: every n takes the fitted path
+        op = MarginalOperator(make_demo_dataset(m=17, n=1, seed=0).schema, enumerate_queries(17, 3))
+        assert _path(n, op, "brute", DEFAULT_CANDIDATE_CAP) == "fitted"
+        assert "bin_maps" not in vars(op)
 
     @pytest.mark.parametrize("m, d", [(16, 4), (18, 3)])
     @pytest.mark.parametrize("mode", ["fitted", "brute"])
@@ -1221,18 +1235,6 @@ class TestMechanism:
             tracemalloc.stop()
         assert "bin_maps" not in vars(op)
         assert peak < 4 * 8 * op.num_cells  # four float64 vectors over the cells
-
-    def test_the_exhaustive_bin_table_refusal_advises_no_other_mode(self):
-        # 20 binary features + label at d=2 with one row: the exhaustive path is
-        # refused on its bin table, and fitted mode is refused on the dense cap,
-        # so the exhaustive refusal names its path and points to no other mode
-        schema = make_demo_dataset(m=20, n=1, seed=0).schema
-        real = Dataset(schema, np.zeros((1, 21), dtype=np.int64))
-        with pytest.raises(SynthesisError) as brute:
-            generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="brute")
-        assert str(brute.value) == "bin table of 484442112 entries too large for the exhaustive path"
-        with pytest.raises(SynthesisError, match="^joint domain of 2097152 cells exceeds dense-mode cap 1000000$"):
-            generate_synthetic(real, 2, PrivacyParams(1.0, 1e-6), mode="fitted")
 
     @pytest.mark.parametrize("m", [63, 70])
     @pytest.mark.parametrize("mode", ["brute", "fitted"])
