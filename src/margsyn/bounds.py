@@ -93,7 +93,7 @@ def excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
       when the margin interval has width >= 1, and explicit mode uses the
       exact base (see notes).
     At nu = 0 the marginal term is exactly 0, also where its coefficient is
-    infinite (tau = inf).
+    infinite (tau = inf, or a power past the float range).
     """
     if loss not in ("lipschitz", "logistic"):
         raise BoundError(f"unknown loss family {loss!r}")
@@ -116,7 +116,7 @@ def excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
             approx, top = inp.K * inp.tau * math.sqrt(inp.m / (inp.d - 1)), loss_sup
         else:
             approx, top = half_width / (inp.d - 1), half_width
-        marg = top / inp.n * base ** (inp.d - 1) * inp.nu if inp.nu else 0.0
+        marg = _times_power(top / inp.n, base, inp.d - 1) * inp.nu if inp.nu else 0.0
         return BoundReport(approx, marg, approx + marg, mode,
                            {"coeff_base": base, "loss_sup_bound": loss_sup, "nu": inp.nu}, notes)
     if lipschitz:
@@ -125,15 +125,15 @@ def excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
         terms = {"poly_hops": float(POLY_HOPS), "uniform_cert": UNIFORM_CERT,
                  "modulus_step": modulus_step, "K": inp.K}
     else:
-        rescaled_curvature = width**2 * LOGISTIC_CURVATURE
+        rescaled_curvature = _times_power(LOGISTIC_CURVATURE, width, 2)
         per_hop = DERIVATIVE_CERT * rescaled_curvature / (inp.d - 1)
         approx = POLY_HOPS * per_hop
         terms = {"poly_hops": float(POLY_HOPS), "derivative_cert": DERIVATIVE_CERT,
                  "rescaled_curvature": rescaled_curvature, "per_hop": per_hop}
     coeff_base = (1.0 + 2.0 / width) * inp.m * max(1.0, inp.tau)
-    marg = MARGINAL_HOPS / inp.n * loss_sup * coeff_base ** (inp.d - 1) * inp.nu if inp.nu else 0.0
+    marg = _times_power(MARGINAL_HOPS / inp.n * loss_sup, coeff_base, inp.d - 1) * inp.nu if inp.nu else 0.0
     terms.update({"marginal_hops": float(MARGINAL_HOPS), "loss_sup_bound": loss_sup,
-                  "coeff_base": coeff_base, "coeff_growth": coeff_base ** (inp.d - 1),
+                  "coeff_base": coeff_base, "coeff_growth": _times_power(1.0, coeff_base, inp.d - 1),
                   "nu": inp.nu, "interval_width": width})
     return BoundReport(approx, marg, approx + marg, mode, terms, notes)
 
@@ -162,6 +162,15 @@ def private_excess_risk_bound(inp: BoundInputs, loss: str = "lipschitz",
     return replace(report, terms={**report.terms, "sigma": sigma, "nu_from_tail_bound": nu,
                                   "lam": inp.lam},
                    notes=report.notes + (f"holds except with probability 2^-{inp.lam:g}",))
+
+
+def _times_power(scale: float, base: float, exponent: int) -> float:
+    """scale * base ** exponent, for base > 0: +-inf where the power passes the
+    float range (Python's float power raises there), and 0 at scale 0."""
+    try:
+        return scale * base ** exponent
+    except OverflowError:
+        return scale * math.inf if scale else 0.0
 
 
 def _require(inp: BoundInputs, *fields: str) -> None:
@@ -197,12 +206,12 @@ class HardInstanceParams:
 def hard_instance_schedule(m: int) -> HardInstanceParams:
     """r = 5/6, gamma = (m/2)^(-5/(10-2r)), n = exp(gamma^(-2r/5)), tau = 1/sqrt(m).
 
-    Requires m > 2e, and n to be a finite float (m up to about 3.6e14).
-    gamma_range_ok reports whether gamma < 2^(-1/(1-r)), the precondition of
-    the query-complexity argument (it fails for small m).
+    Requires a finite m > 2e, and n to be a finite float (m up to about
+    3.6e14).  gamma_range_ok reports whether gamma < 2^(-1/(1-r)), the
+    precondition of the query-complexity argument (it fails for small m).
     """
-    if m <= 2 * math.e:
-        raise BoundError(f"schedule needs m > 2e, got m={m}")
+    if not 2 * math.e < m < math.inf:  # NaN fails too
+        raise BoundError(f"schedule needs a finite m > 2e, got m={m}")
     r = 5.0 / 6.0
     try:
         gamma = (m / 2.0) ** (-5.0 / (10.0 - 2.0 * r))

@@ -289,6 +289,8 @@ class DpSgdConfig:
               and self.epsilon > 0 and 0 < self.delta < 1)
         if not ok:
             raise ValueError("all noisy-gradient training parameters must be positive (delta in (0,1))")
+        if not 1.0 / self.delta < math.inf:  # ln(1/delta), so the noise, would be infinite
+            raise ValueError(f"delta={self.delta} is too small: 1/delta overflows a float")
 
 
 def dp_sgd_sigma_sq(cfg: DpSgdConfig, n: int) -> float:

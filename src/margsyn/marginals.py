@@ -131,14 +131,6 @@ def _apply_factors(factors: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray
     return x
 
 
-def _rounded_if_whole(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`out` rounded to whole numbers with no negative zero, in place, if every entry of x is whole."""
-    if x.dtype.kind in "biu" or (np.rint(x) == x).all():
-        np.rint(out, out=out)
-        out += 0.0
-    return out
-
-
 @dataclass(frozen=True)
 class _QueryGroup:
     """The queries of one operator that share their attributes' domain sizes.
@@ -162,9 +154,9 @@ class MarginalOperator:
     Joint cells are the row-major flat indices of the full domain
     (schema.sizes).  The marginals of all queries are one concatenated
     vector, query q's `num_bins[q]` bins from `offsets[q]` on; `forward`
-    returns it, `adjoint` and `l1_to` take it, and `query_sums` reduces it to
-    one value per query.  It maps cell counts, such as a synthesizer's output.
-    Building an operator reads only sizes, so it is cheap over any domain.
+    and `forward_coef` return it, `adjoint_coef` and `l1_to` take it, and
+    `query_sums` reduces it to one value per query.  Building an operator
+    reads only sizes, so it is cheap over any domain.
 
     A is applied in a fixed basis: T, the Kronecker product of one
     Householder reflector H_a per attribute (`transform`), symmetric,
@@ -173,9 +165,12 @@ class MarginalOperator:
         A_Q T = (kron_{a in Q} H_a) kron (kron_{a not in Q} sqrt(k_a) e_0^T):
     Q's marginal of x is sqrt(cells / bins_Q) times Q's own Kronecker
     transform of the bins_Q coefficients of T x whose support lies inside Q
-    (`_groups`).  `forward`, `adjoint` and `spectrum` read A off those groups
-    of queries of equal domain sizes, with no loop over the queries and no
-    table over the cells.  The cell -> bin table `bin_maps`, which only the
+    (`_groups`).  `forward_coef` (A T c), its transpose `adjoint_coef`
+    (T A^T r) and `spectrum` read A off those groups of queries of equal
+    domain sizes, with no loop over the queries and no table over the cells.
+    They work on coefficients, not cells; `forward`, `forward_coef` of
+    `transform` rounded, is the one map of cell counts, such as a
+    synthesizer's output.  The cell -> bin table `bin_maps`, which only the
     exhaustive scan reads, is built on first read.
     """
 
@@ -236,11 +231,10 @@ class MarginalOperator:
     def forward(self, counts: np.ndarray) -> np.ndarray:
         """All queries' marginals of a (possibly fractional) cell-count vector.
 
-        One `transform`, then per group a gather of its queries'
-        coefficients, the scale and the group's small transform.  Whole-number
-        counts give their exact marginals: the result is rounded to whole
-        numbers, with no negative zero, which is exact while every entry's
-        error is below 1/2.  To first order that error is at most
+        One `transform`, then `forward_coef`.  Whole-number counts give
+        their exact marginals: the result is rounded to whole numbers, with
+        no negative zero, which is exact while every entry's error is below
+        1/2.  To first order that error is at most
         2^-53 * n * sqrt(cells / 2) * C, n = sum |x| >= ||x||_2, with C the
         sum over the factors of T of k^1.5 for a dense factor of side k and
         2k for a reflector's vector, and as much again for the query's own
@@ -250,26 +244,30 @@ class MarginalOperator:
         Measured errors are far smaller: at most 1e-15 * n on binary and
         mixed domains and 1.3e-13 * n on sizes (250000, 2).
         """
-        coef = self.transform(counts)
+        x = np.asarray(counts)
+        out = self.forward_coef(self.transform(x))
+        if x.dtype.kind in "biu" or (np.rint(x) == x).all():
+            np.rint(out, out=out)
+            out += 0.0  # no negative zero
+        return out
+
+    def forward_coef(self, c: np.ndarray) -> np.ndarray:
+        """A T c, the marginals of the cells whose coefficients (`transform`) are c, unrounded:
+        per group a gather of its queries' coefficients, the scale and the group's small transform."""
+        c = np.asarray(c, dtype=np.float64)
         out = np.empty(sum(self.num_bins))
         for g in self._groups:
-            part = coef[g.coef.T]
+            part = c[g.coef.T]
             part *= g.scale
             out[g.pos] = _apply_factors(g.factors, part).reshape(g.pos.shape)
-        return _rounded_if_whole(np.asarray(counts), out)
+        return out
 
-    def adjoint(self, r: np.ndarray) -> np.ndarray:
-        """Transpose of forward: spread each query's bin values back onto the cells.
-
-        Per group the small transform and the scale, then one bincount of
-        every group's values at their coefficients and one `transform`.
-        Whole-number values give whole-number results, as `forward`'s do.
-        """
+    def adjoint_coef(self, r: np.ndarray) -> np.ndarray:
+        """T A^T r, the transpose of `forward_coef` (A^T r is `transform` of it): per group
+        the small transform and the scale, then one bincount of every group's values at their coefficients."""
         r = np.asarray(r, dtype=np.float64)
         parts = np.concatenate([_apply_factors(g.factors, r[g.pos.T]).ravel() * g.scale for g in self._groups])
-        coef = np.bincount(self._coef, weights=parts, minlength=self.num_cells)
-        del parts  # freed before the transform, whose two vectors over the cells are the peak
-        return _rounded_if_whole(r, self.transform(coef))
+        return np.bincount(self._coef, weights=parts, minlength=self.num_cells)
 
     @cached_property
     def _coef(self) -> np.ndarray:

@@ -174,24 +174,16 @@ def iterated_bernstein(f: Callable, d: int, iters: int, iv: Interval) -> Polynom
 
 
 def _alternation_extrema(err: np.ndarray) -> list[int]:
-    """One max-|err| index per run of constant sign, left to right."""
-    idx: list[int] = []
-    cur_sign = 0.0
-    best = -1
-    for i, e in enumerate(err):
-        s = math.copysign(1.0, e) if e != 0 else 0.0
-        if s == 0.0:
-            continue
-        if s != cur_sign:
-            if best >= 0:
-                idx.append(best)
-            cur_sign = s
-            best = i
-        elif abs(e) > abs(err[best]):
-            best = i
-    if best >= 0:
-        idx.append(best)
-    return idx
+    """One max-|err| index per run of constant sign, left to right: the first
+    largest of its run, zeros of either sign in no run."""
+    nz = np.flatnonzero(err)
+    if not nz.size:
+        return []
+    starts = np.flatnonzero(np.r_[True, np.diff(np.signbit(err[nz]))])
+    mag = np.abs(err[nz])
+    top = np.repeat(np.maximum.reduceat(mag, starts), np.diff(np.r_[starts, nz.size]))
+    first = np.minimum.reduceat(np.where(mag == top, np.arange(nz.size), nz.size), starts)  # of each run's top
+    return nz[first].tolist()
 
 
 def remez_minimax(f: Callable, d: int, iv: Interval) -> Polynomial:

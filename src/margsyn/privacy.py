@@ -36,8 +36,7 @@ class PrivacyParams:
         # written so that NaN fails too: every comparison with NaN is False
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        _check_delta(self.delta)
         if not 0.0 < self.lam < math.inf:
             raise ValueError("lambda must be finite and positive")
 
@@ -53,8 +52,7 @@ def gaussian_sigma(eps: float, delta: float, sensitivity: float) -> float:
     """
     if not (eps > 0 and sensitivity > 0):
         raise ValueError("eps and sensitivity must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_delta(delta)
     c = math.sqrt(2.0 * math.log(1.25 / delta))
     r = eps / c
     tail = _normal_cdf(-r / 2 - eps / r)  # times e^eps in logs: e^eps overflows above 709
@@ -63,6 +61,15 @@ def gaussian_sigma(eps: float, delta: float, sensitivity: float) -> float:
         raise ValueError(f"sigma = sensitivity * sqrt(2 ln(1.25/delta)) / eps is not "
                          f"(eps, delta)-DP at eps={eps}, delta={delta}: its exact delta is {exact:.3g}")
     return sensitivity * c / eps
+
+
+def _check_delta(delta: float) -> None:
+    """Refuse a delta outside (0, 1), or so small that 1.25/delta overflows a
+    float (below about 6.95e-309), where ln(1.25/delta) and sigma would be infinite."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if not 1.25 / delta < math.inf:
+        raise ValueError(f"delta={delta} is too small: 1.25/delta overflows a float")
 
 
 def _normal_cdf(x: float) -> float:
@@ -108,9 +115,12 @@ def synthesis_l1_bound(sigma: float, d: int, m: int, l: int, lam: float) -> floa
     2 l^d sqrt(2 (ln(2)(1+lambda) + d ln(m l))) sigma of the real marginal,
     except with probability 2^-lambda.  (Per-entry Gaussian tail of k*sigma,
     union bound over at most (m l)^d entries, doubled by the minimizer's
-    triangle inequality.)
+    triangle inequality.)  A bound past the float range is inf (0 at sigma = 0).
     """
     if sigma < 0 or d < 1 or m < 1 or l < 2 or lam <= 0:
         raise ValueError("need sigma >= 0, d >= 1, m >= 1, l >= 2, lam > 0")
     k = math.sqrt(2.0 * (math.log(2.0) * (1.0 + lam) + d * math.log(m * l)))
-    return 2.0 * l**d * k * sigma
+    try:
+        return 2.0 * l**d * k * sigma
+    except OverflowError:  # the int l**d is too large to convert to a float
+        return math.inf if sigma else 0.0

@@ -15,13 +15,14 @@ Two strategies stand behind one entry point:
   "fitted"  least-squares fit of a dense joint distribution to the noisy
             marginals (accelerated projected gradient on the probability
             simplex with restarts, computed in the eigenbasis of the
-            operator's A^T A: two operator applications per fit, each
-            applied in that basis with no table over the cells, two small
-            Kronecker transforms per iteration, an exact step, a start at
-            the closed-form minimizer on the plane sum p = 1, projected,
-            stopping on a relative-decrease test), then the largest-remainder
-            rounding of n times the fitted joint (`sample_dataset`, O(cells)):
-            counts summing to n, each the floor or the ceiling of n*p.
+            operator's A^T A: the operator applied twice per fit, on the
+            coefficients in that basis with no table over the cells, the
+            transform into it twice before the first iteration and twice
+            per iteration, an exact step, a start at the closed-form
+            minimizer on the plane sum p = 1, projected, stopping on a
+            relative-decrease test), then the largest-remainder rounding of
+            n times the fitted joint (`sample_dataset`, O(cells)): counts
+            summing to n, each the floor or the ceiling of n*p.
 
 No path draws a random number: the output is a deterministic function of
 the release (its noisy marginals and n) and the cap, so the only randomness
@@ -325,9 +326,10 @@ def fit_distribution(release: Release, iters: int = 2000) -> DistributionEstimat
     projected gradient points against the direction the iterate moved.
 
     The objective is computed in the eigenbasis of the operator's A^T A
-    (`MarginalOperator.transform` T and `spectrum` lambda).  With b = A^T h
-    (h: all queries' noisy bins in one vector), c* = T b / (n lambda) where
-    lambda > 0 (0 elsewhere) and p* = T c*, the residual n A p* - h is
+    (`MarginalOperator.transform` T and `spectrum` lambda).  With b = T A^T h
+    read in that basis (`adjoint_coef`; h: all queries' noisy bins in one
+    vector), c* = b / (n lambda) where lambda > 0 (0 elsewhere) and
+    p* = T c*, the residual n A p* - h (A p* = `forward_coef(c*)`) is
     orthogonal to the range of A, so with d = T p - c*
         f(p) = n^2 sum lambda d^2 + ||n A p* - h||^2,   grad f(p) = 2 n^2 T (lambda d).
     The start is the projection of T c_u, where c_u is c* with its constant
@@ -336,8 +338,9 @@ def fit_distribution(release: Release, iters: int = 2000) -> DistributionEstimat
     minimum-norm minimizer of f on the plane sum p = 1.
     When it is non-negative it minimizes f on the simplex, and the first
     iteration, whose gradient is constant, confirms it and stops the fit.
-    The fit applies the operator twice in all (b and the constant term);
-    each iteration applies T twice (the gradient at the extrapolated point
+    The fit applies the operator twice in all (b and the constant term) and
+    T twice before its first iteration (p* and the start's d); each
+    iteration applies T twice (the gradient at the extrapolated point
     y = p_k + beta (p_k - p_{k-1}), where d is (1 + beta) d_k - beta d_{k-1}
     since d is affine in p, and d at the new iterate, which gives its
     objective).  The step is 1/L with the exact Lipschitz constant along the
@@ -362,10 +365,9 @@ def fit_distribution(release: Release, iters: int = 2000) -> DistributionEstimat
         uniform = np.full(cells, 1.0 / cells)
         return DistributionEstimate(release.schema, uniform, (float(target @ target),), True)
     lam = op.spectrum
-    coef = op.transform(op.adjoint(target))
-    c_star = np.divide(coef, n * lam, out=np.zeros(cells), where=lam > 0)
+    c_star = np.divide(op.adjoint_coef(target), n * lam, out=np.zeros(cells), where=lam > 0)
     p_star = op.transform(c_star)
-    r_star = n * op.forward(p_star) - target
+    r_star = n * op.forward_coef(c_star) - target
     base = float(r_star @ r_star)
     weight = n * n * lam
     weight2 = 2.0 * weight

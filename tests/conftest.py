@@ -267,10 +267,9 @@ def reference_fit(nm, iters: int = 2000, tol: float = 1e-10) -> tuple[np.ndarray
     target, n = nm.target, nm.n
     op = nm.operator
     lam = op.spectrum
-    coef = op.transform(op.adjoint(target))
-    c_star = np.divide(coef, n * lam, out=np.zeros(cells), where=lam > 0)
+    c_star = np.divide(op.adjoint_coef(target), n * lam, out=np.zeros(cells), where=lam > 0)
     p_star = op.transform(c_star)
-    r_star = n * op.forward(p_star) - target
+    r_star = n * op.forward_coef(c_star) - target
     base = float(r_star @ r_star)
     weight = n * n * lam
     lipschitz = 2.0 * float(weight[1:].max())
@@ -306,6 +305,28 @@ def reference_fit(nm, iters: int = 2000, tol: float = 1e-10) -> tuple[np.ndarray
             break
         obj = obj_new
     return p, trace
+
+
+def reference_alternation_extrema(err: np.ndarray) -> list[int]:
+    """One max-|err| index per run of constant sign, left to right, by a scan
+    of the grid: the first largest of its run; zeros of either sign skipped."""
+    idx: list[int] = []
+    cur_sign = 0.0
+    best = -1
+    for i, e in enumerate(err):
+        s = math.copysign(1.0, e) if e != 0 else 0.0
+        if s == 0.0:
+            continue
+        if s != cur_sign:
+            if best >= 0:
+                idx.append(best)
+            cur_sign = s
+            best = i
+        elif abs(e) > abs(err[best]):
+            best = i
+    if best >= 0:
+        idx.append(best)
+    return idx
 
 
 def reference_exhaustive_counts(n: int, nm) -> np.ndarray:

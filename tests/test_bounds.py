@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -151,6 +152,12 @@ class TestHardInstanceSchedule:
         with pytest.raises(BoundError):
             hard_instance_schedule(5)
 
+    @pytest.mark.parametrize("m", [math.inf, math.nan, -math.inf])
+    def test_a_non_finite_m_is_refused(self, m):
+        # inf used to divide by zero, and NaN to give all-NaN parameters
+        with pytest.raises(BoundError, match="schedule needs a finite m > 2e"):
+            hard_instance_schedule(m)
+
     def test_an_n_past_the_largest_float_is_refused(self, tmp_path, capsys):
         # n = exp((m/2)^(1/5)) passes 1.8e308 between m = 3.5e14 and 3.7e14
         assert math.isfinite(hard_instance_schedule(350_000_000_000_000).n)
@@ -225,6 +232,58 @@ def test_bound_command_refuses_an_unknown_mode_at_zero_budget(tmp_path, capsys):
     assert_refused(capsys, ["bound", "--params", str(params), "--out", str(tmp_path / "bound.json")],
                    "unknown constants mode 'bogus'")
     assert not (tmp_path / "bound.json").exists()
+
+
+@given(n=st.integers(1, 10**6), m=st.integers(1, 50), d=st.integers(2, 600), tau=st.floats(1e-3, 1e12),
+       nu=st.floats(1e-6, 1e6))
+def test_a_power_past_the_float_range_saturates_to_infinity(n, m, d, tau, nu):
+    # coeff_base ** (d - 1) raises OverflowError past 1.8e308 on Python floats;
+    # every value that computes is kept, and the others are infinite, not NaN
+    inputs = BoundInputs(n=n, m=m, d=d, tau=tau, nu=nu)
+    for loss, reference in (("lipschitz", reference_lipschitz_bound),
+                            ("logistic", reference_logistic_bound)):
+        for mode in ("explicit", "shape"):
+            got = excess_risk_bound(inputs, loss, mode)
+            try:
+                want = reference(inputs, mode)
+            except OverflowError:
+                assert got.marginal_term == got.total == math.inf
+                assert math.isfinite(got.approx_term)
+                assert excess_risk_bound(replace(inputs, nu=0.0), loss, mode).marginal_term == 0.0
+            else:
+                assert got == want
+
+
+@pytest.mark.parametrize("loss", ["lipschitz", "logistic"])
+@pytest.mark.parametrize("mode", ["explicit", "shape"])
+def test_a_tail_bound_past_the_float_range_is_infinite(loss, mode):
+    # l**d is an int too large to convert to a float
+    inputs = dict(n=100, m=4, d=400, tau=0.5, l=10, lam=3.0)
+    report = private_excess_risk_bound(BoundInputs(**inputs, sigma=1.0), loss, mode)
+    assert report.terms["nu_from_tail_bound"] == report.marginal_term == report.total == math.inf
+    report = private_excess_risk_bound(BoundInputs(**inputs, sigma=0.0), loss, mode)
+    assert report.terms["nu_from_tail_bound"] == report.marginal_term == 0.0
+    assert math.isfinite(report.total)
+
+
+def test_a_logistic_curvature_past_the_float_range_is_infinite():
+    # (2 tau sqrt(m))^2 passes 1.8e308 at tau = 1e160
+    report = excess_risk_bound(BoundInputs(n=100, m=4, d=3, tau=1e160, nu=1.0), "logistic")
+    assert report.terms["rescaled_curvature"] == report.approx_term == report.total == math.inf
+
+
+@pytest.mark.parametrize("params", [
+    {"family": "lipschitz", "n": 100, "m": 4, "d": 200, "tau": 1e10, "nu": 1.0},
+    {"family": "lipschitz", "n": 100, "m": 4, "d": 200, "tau": 1e10, "nu": 1.0, "mode": "shape"},
+    {"family": "private-logistic", "n": 100, "m": 4, "d": 400, "tau": 0.5, "l": 10, "lam": 3.0, "sigma": 1.0},
+], ids=["lipschitz", "lipschitz shape", "private-logistic"])
+def test_bound_command_reports_an_infinite_total_past_the_float_range(tmp_path, params):
+    # both used to exit 1 with an OverflowError traceback
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    assert main(["bound", "--params", str(path), "--out", str(tmp_path / "bound.json")]) == 0
+    doc = json.loads((tmp_path / "bound.json").read_text())
+    assert (doc["marginal_term"], doc["total"]) == (math.inf, math.inf)
 
 
 @given(n=st.integers(1, 10**6), m=st.integers(1, 50), d=st.integers(2, 8),

@@ -581,6 +581,8 @@ _REFUSED_DOCUMENTS = [
                  r"expected non-negative integer", id="base_seed -1"),
     pytest.param("pipeline", "config", lambda doc: {**doc, "delta": 2.0},
                  r"delta must lie in \(0, 1\)", id="delta 2"),
+    pytest.param("pipeline", "config", lambda doc: {**doc, "delta": 1e-320},
+                 r"delta=1e-320 is too small: 1\.25/delta overflows a float", id="delta 1e-320"),
     pytest.param("pipeline", "config", lambda doc: {**doc, "lam": -1},
                  r"lambda must be finite and positive", id="lam -1"),
     pytest.param("bound", "params", lambda doc: {"family": "lipschitz", "n": 10},
@@ -594,6 +596,9 @@ _REFUSED_DOCUMENTS = [
                  | {"family": "private-lipschitz", "l": 2, "lam": 3.0, "sigma": 1.0, "epsilon": 0.01,
                     "delta": 1e-6},
                  r"give sigma, or epsilon and delta, not both", id="sigma with epsilon"),
+    pytest.param("bound", "params", lambda doc: {k: v for k, v in doc.items() if k != "nu"}
+                 | {"family": "private-lipschitz", "l": 2, "lam": 3.0, "epsilon": 1.0, "delta": 1e-320},
+                 r"delta=1e-320 is too small: 1\.25/delta overflows a float", id="private bound at delta 1e-320"),
     pytest.param("bound", "params", lambda doc: {"family": "schedule", "m": 8, "mode": "shape"},
                  r"unknown bound inputs: \['mode'\]", id="schedule with mode"),
     pytest.param("bound", "params", lambda doc: {**doc, "n": "10"},
@@ -673,6 +678,16 @@ def test_a_refused_document_writes_nothing(demo_files, tmp_path, capsys, command
     capsys.readouterr()
     path.write_text(json.dumps(edit(valid)))
     assert_refused(capsys, [*argv, str(path)], match)
+    assert set(tmp_path.iterdir()) == given
+
+
+@pytest.mark.parametrize("command, match", [("synth", r"1\.25/delta overflows"), ("dpsgd", r"1/delta overflows")])
+def test_a_delta_whose_inverse_overflows_writes_nothing(demo_files, tmp_path, capsys, command, match):
+    # sigma would be infinite: synth used to crash, and dpsgd to write NaN weights
+    ds, data, schema, tmp = demo_files
+    given = set(tmp_path.iterdir())
+    assert_refused(capsys, [command, "--data", data, "--schema", schema, "--out", str(tmp_path / "out"),
+                            "--delta", "1e-320"], rf"delta=1e-320 is too small: {match} a float")
     assert set(tmp_path.iterdir()) == given
 
 

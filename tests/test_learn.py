@@ -212,6 +212,19 @@ class TestDpSgd:
         assert sigma_sq[0.1] == pytest.approx(0.01 * sigma_sq[1.0], rel=1e-15)
         assert sigma_sq[5.0] == pytest.approx(25.0 * sigma_sq[1.0], rel=1e-15)
 
+    @pytest.mark.parametrize("delta", [5e-309, 1e-320, 5e-324])
+    def test_a_delta_whose_inverse_overflows_is_refused(self, delta):
+        # ln(1/delta), so the noise, would be infinite, and the weights NaN
+        with pytest.raises(ValueError, match=f"delta={delta} is too small: 1/delta overflows"):
+            DpSgdConfig(iterations=5, batch_size=2, learning_rate=0.5, clip_norm=1.0,
+                        epsilon=1.0, delta=delta)
+
+    def test_the_smallest_deltas_keep_their_noise(self):
+        for delta in (1e-308, 5.6e-309):
+            cfg = DpSgdConfig(iterations=5, batch_size=2, learning_rate=0.5, clip_norm=1.0,
+                              epsilon=1.0, delta=delta)
+            assert dp_sgd_sigma_sq(cfg, 100) == 16.0 * 1.0 * 5 * math.log(1.0 / delta) / (100**2 * 1.0)
+
     @pytest.mark.parametrize("clip_norm", [math.inf, math.nan, 0.0, -1.0])
     def test_clip_norm_must_be_finite_and_positive(self, clip_norm):
         with pytest.raises(ValueError, match="clip norm must be finite and positive"):

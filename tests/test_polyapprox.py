@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from margsyn.learn import LossSpec
-from margsyn.polyapprox import (ApproxError, Interval, Polynomial, approx_report,
+from margsyn.polyapprox import (ApproxError, Interval, Polynomial, _alternation_extrema, approx_report,
                                 bernstein, iterated_bernstein, remez_minimax)
+
+from conftest import reference_alternation_extrema
 
 logistic_loss = LossSpec.logistic().value
 
@@ -179,6 +181,20 @@ class TestRemez:
         peaks = mag[is_peak & (mag > 0.5 * max_err)]
         assert len(peaks) >= 6
         assert max(peaks) - min(peaks) <= 1e-3 * max_err
+
+
+    # errors drawn from a few values, so that zeros of either sign, runs and ties are common
+    @given(st.lists(st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+                    | st.floats(-3.0, 3.0), max_size=60))
+    def test_alternation_extrema_are_the_scan_of_the_grid(self, errors):
+        err = np.array(errors, dtype=np.float64)
+        assert _alternation_extrema(err) == reference_alternation_extrema(err)
+
+    def test_alternation_extrema_on_the_exchange_grid(self):
+        grid = np.linspace(-1.0, 1.0, 16385)
+        err = np.cos(20.0 * grid) * 1e-3 + 1e-9 * grid
+        err[::7] = 0.0
+        assert _alternation_extrema(err) == reference_alternation_extrema(err)
 
 
 class TestReport:

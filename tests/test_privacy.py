@@ -46,6 +46,22 @@ class TestGaussianSigma:
             with pytest.raises(ValueError):
                 gaussian_sigma(*bad)
 
+    @pytest.mark.parametrize("delta", [6.95e-309, 5e-309, 1e-320, 5e-324])
+    def test_a_delta_whose_inverse_overflows_is_refused(self, delta):
+        # below about 6.95e-309, 1.25/delta passes the largest float, and
+        # ln(1.25/delta), so sigma, would be infinite
+        with pytest.raises(ValueError, match=f"delta={delta} is too small"):
+            gaussian_sigma(1.0, delta, 3.0)
+        with pytest.raises(ValueError, match=f"delta={delta} is too small"):
+            PrivacyParams(1.0, delta)
+
+    @pytest.mark.parametrize("delta", [1e-308, 6.96e-309])
+    def test_the_smallest_deltas_keep_their_sigma(self, delta):
+        want = 3.0 * math.sqrt(2.0 * math.log(1.25 / delta)) / 1.0
+        assert gaussian_sigma(1.0, delta, 3.0) == want
+        assert calibrate(2, 2, PrivacyParams(1.0, delta)) == gaussian_sigma(1.0, delta,
+                                                                            marginal_set_sensitivity(2, 2))
+
     @pytest.mark.parametrize("delta", [1e-12, 1.0 / 32_000**2, 1e-6, 1e-3, 0.01, 1.0 / 9, 0.5, 0.9])
     def test_returned_sigma_meets_its_delta_and_only_such_are_refused(self, delta):
         for eps in np.geomspace(0.05, 20.0, 60).tolist():
@@ -300,6 +316,22 @@ class TestTailBound:
         # 2 * 2^2 * sqrt(2 (11 ln 2 + 2 ln 4)), evaluated in extended precision
         got = synthesis_l1_bound(1.0, 2, 2, 2, 10.0)
         assert got == pytest.approx(36.48071527088106, rel=1e-12)
+
+    def test_a_bound_past_the_float_range_is_infinite(self):
+        # 10**400 is an int too large to convert to a float
+        assert synthesis_l1_bound(1.0, 400, 4, 10, 3.0) == math.inf
+        assert synthesis_l1_bound(1e-300, 400, 4, 10, 3.0) == math.inf
+        assert synthesis_l1_bound(0.0, 400, 4, 10, 3.0) == 0.0
+
+    @given(st.floats(0.0, 1e6), st.integers(1, 400), st.integers(1, 50), st.integers(2, 20),
+           st.floats(0.1, 20.0))
+    def test_values_in_the_float_range_are_kept(self, sigma, d, m, l, lam):
+        k = math.sqrt(2.0 * (math.log(2.0) * (1.0 + lam) + d * math.log(m * l)))
+        try:
+            want = 2.0 * l**d * k * sigma
+        except OverflowError:
+            want = math.inf if sigma else 0.0
+        assert synthesis_l1_bound(sigma, d, m, l, lam) == want
 
     def test_monotonicity(self):
         base = synthesis_l1_bound(1.0, 2, 2, 2, 3.0)

@@ -456,7 +456,8 @@ def reference_pgd_objective(nm: Release, iters: int = 2000, tol: float = 1e-10) 
 
     def objective_and_grad(p):
         diffs = [n * seg - t for seg, t in zip(np.split(op.forward(p), op.offsets[1:]), targets)]
-        return sum(float(d @ d) for d in diffs), op.adjoint(np.concatenate([2.0 * n * d for d in diffs]))
+        grad = op.transform(op.adjoint_coef(np.concatenate([2.0 * n * d for d in diffs])))
+        return sum(float(d @ d) for d in diffs), grad
 
     project = _simplex_projector(cells)
     p = np.full(cells, 1.0 / cells)
@@ -687,13 +688,25 @@ class TestFitDistribution:
     def test_applies_the_operator_at_most_twice(self, iters, monkeypatch):
         nm = demo_d3_set(0)
         calls = []
-        for name in ("forward", "adjoint"):
+        for name in ("forward", "forward_coef", "adjoint_coef"):
             def counted(op, x, apply=getattr(MarginalOperator, name), name=name):
                 calls.append(name)
                 return apply(op, x)
             monkeypatch.setattr(MarginalOperator, name, counted)
         fit_distribution(nm, iters=iters)
         assert len(calls) <= 2
+
+    def test_transforms_twice_before_the_first_iteration(self, monkeypatch):
+        # p* = T c* and the start's T p; b and A p* are read in the eigenbasis
+        nm = demo_d3_set(0)
+        calls = []
+
+        def counted(op, x, apply=MarginalOperator.transform):
+            calls.append(1)
+            return apply(op, x)
+        monkeypatch.setattr(MarginalOperator, "transform", counted)
+        fit_distribution(nm, iters=0)
+        assert len(calls) == 2
 
     def test_attribute_wider_than_a_dense_factor(self):
         schema = Schema(("a", "b", "label"), (1500, 3, 2))
@@ -1219,7 +1232,7 @@ class TestMechanism:
         assert "bin_maps" not in vars(op)
 
     def test_the_fitted_operator_reads_no_bin_table(self):
-        # 16 binary features + label at d=4: forward and adjoint allocate a few
+        # 16 binary features + label at d=4: forward and adjoint_coef allocate a few
         # float64 vectors over the 131,072 cells, not the 3.1 GiB table
         op = MarginalOperator(make_demo_dataset(m=16, n=1, seed=0).schema, enumerate_queries(16, 4))
         rng = np.random.default_rng(0)
@@ -1229,7 +1242,7 @@ class TestMechanism:
         tracemalloc.start()
         try:
             op.forward(counts)
-            op.adjoint(target)
+            op.adjoint_coef(target)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
