@@ -18,6 +18,7 @@ their constants dropped, for plotting shape only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .privacy import PrivacyParams, calibrate, synthesis_l1_bound
@@ -63,6 +64,12 @@ class BoundInputs:
                              "given, nu >= 0, sigma >= 0 and finite lam > 0")
         if self.d < 2:
             raise BoundError("bounds are stated for marginal order d >= 2 (they use d-1)")
+        # the calculators take square roots and quotients of these in floats
+        huge = [name for name in ("n", "m", "d", "l")
+                if getattr(self, name) is not None and getattr(self, name) > sys.float_info.max]
+        if huge:
+            raise BoundError(f"bound inputs too large for a float (above {sys.float_info.max:.4g}): "
+                             f"{huge}")
 
 
 @dataclass(frozen=True)

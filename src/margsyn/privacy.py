@@ -119,6 +119,8 @@ def synthesis_l1_bound(sigma: float, d: int, m: int, l: int, lam: float) -> floa
     """
     if sigma < 0 or d < 1 or m < 1 or l < 2 or lam <= 0:
         raise ValueError("need sigma >= 0, d >= 1, m >= 1, l >= 2, lam > 0")
+    if d > 2048 / math.log2(l):  # l**d far past the float range: do not build the int
+        return math.inf if sigma else 0.0
     k = math.sqrt(2.0 * (math.log(2.0) * (1.0 + lam) + d * math.log(m * l)))
     try:
         return 2.0 * l**d * k * sigma

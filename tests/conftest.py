@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from margsyn import synth
 from margsyn.bounds import (DERIVATIVE_CERT, LN2, LOGISTIC_CURVATURE, MARGINAL_HOPS, POLY_HOPS,
                             UNIFORM_CERT, BoundError, BoundInputs, BoundReport, _require)
 from margsyn.cli import main
@@ -257,12 +258,16 @@ def reference_project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def reference_fit(nm, iters: int = 2000, tol: float = 1e-10) -> tuple[np.ndarray, list[float]]:
+def reference_fit(nm, iters: int = 2000, tol: float | None = None) -> tuple[np.ndarray, list[float]]:
     """Final iterate and objective trace of the eigenbasis FISTA fit of the
     release `nm` with a fresh array for every intermediate, and
     `reference_project_simplex`: from the projection of T c_u, c_u being c*
     with its constant coefficient set to 1/sqrt(cells), with function-value
-    and gradient restarts."""
+    and gradient restarts, each step taken in the eigenbasis,
+    T (y - grad / L) = c* + (1 - 2 w / L) d(y), and the restart test read
+    there too.  `tol` defaults to the fit's own `synth._FIT_TOL`, read at
+    the call."""
+    tol = synth._FIT_TOL if tol is None else tol
     cells = int(np.prod(nm.schema.sizes))
     target, n = nm.target, nm.n
     op = nm.operator
@@ -272,7 +277,7 @@ def reference_fit(nm, iters: int = 2000, tol: float = 1e-10) -> tuple[np.ndarray
     r_star = n * op.forward_coef(c_star) - target
     base = float(r_star @ r_star)
     weight = n * n * lam
-    lipschitz = 2.0 * float(weight[1:].max())
+    shrink = 1.0 - weight / float(weight[1:].max())
 
     def objective(d):
         return float(d @ (weight * d)) + base
@@ -281,25 +286,24 @@ def reference_fit(nm, iters: int = 2000, tol: float = 1e-10) -> tuple[np.ndarray
     p = reference_project_simplex(p_star + (1.0 / root - c_star[0]) / root)
     d = op.transform(p) - c_star
     obj = objective(d)
-    p_prev, d_prev, t = p, d, 1.0
+    d_prev, t = d, 1.0
     trace = [obj]
     for _ in range(iters):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
-        y = p + beta * (p - p_prev)
-        grad = op.transform(2.0 * weight * ((1.0 + beta) * d - beta * d_prev))
-        p_new = reference_project_simplex(y - grad / lipschitz)
+        dy = d + beta * (d - d_prev)
+        p_new = reference_project_simplex(op.transform(shrink * dy + c_star))
         d_new = op.transform(p_new) - c_star
         obj_new = objective(d_new)
         if obj_new >= obj and beta == 0.0:
             trace.append(obj)
             break
         if obj_new > obj:
-            p_prev, d_prev, t = p, d, 1.0
+            d_prev, t = d, 1.0
             trace.append(obj)
             continue
-        restart = float((y - p_new) @ (p_new - p)) > 0.0
-        p_prev, d_prev, p, d, t = p, d, p_new, d_new, 1.0 if restart else t_next
+        restart = float((dy - d_new) @ (d_new - d)) > 0.0
+        d_prev, p, d, t = d, p_new, d_new, 1.0 if restart else t_next
         trace.append(obj_new)
         if obj - obj_new <= tol * obj:
             break

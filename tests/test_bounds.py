@@ -328,3 +328,21 @@ def test_lipschitz_constant_must_be_finite_and_positive(K):
 def test_loss_at_zero_must_be_finite(phi0):
     with pytest.raises(BoundError):
         BoundInputs(**{**FIXTURE, "phi0": phi0, "nu": 1.0})
+
+
+@pytest.mark.parametrize("family, name", [("lipschitz", "n"), ("lipschitz", "m"), ("lipschitz", "d"),
+                                          ("private-lipschitz", "l")])
+def test_an_integer_past_the_float_range_is_refused(family, name, tmp_path, capsys):
+    # math.sqrt and float quotients of these used to raise OverflowError
+    private = {**FIXTURE, "l": 2, "lam": 3.0, "sigma": 1.0}
+    with pytest.raises(BoundError, match=rf"too large for a float .*\['{name}'\]"):
+        BoundInputs(**{**private, name: 10**400})
+    largest = BoundInputs(**{**private, name: 10**308})  # still a float
+    assert not math.isnan(private_excess_risk_bound(largest).total)
+    doc = {**FIXTURE, "nu": 1.0} if family == "lipschitz" else private
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**doc, name: 10**400, "family": family}))
+    out = tmp_path / "bound.json"
+    assert_refused(capsys, ["bound", "--params", str(params), "--out", str(out)],
+                   rf"bound inputs too large for a float \(above 1\.798e\+308\): \['{name}'\]")
+    assert not out.exists()

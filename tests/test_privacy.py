@@ -323,6 +323,24 @@ class TestTailBound:
         assert synthesis_l1_bound(1e-300, 400, 4, 10, 3.0) == math.inf
         assert synthesis_l1_bound(0.0, 400, 4, 10, 3.0) == 0.0
 
+    @pytest.mark.parametrize("d", [10**12, 10**300])
+    def test_a_huge_order_returns_without_building_the_power(self, d):
+        # l**d as an exact int would take d bits of memory
+        assert synthesis_l1_bound(1.0, d, 4, 2, 3.0) == math.inf
+        assert synthesis_l1_bound(0.0, d, 4, 2, 3.0) == 0.0
+
+    @pytest.mark.parametrize("l", [2, 3, 10, 20])
+    def test_the_shortcut_keeps_every_value_at_its_threshold(self, l):
+        # orders on both sides of d log2(l) = 2048, where the power is skipped
+        for d in range(int(2048 / math.log2(l)) - 2, int(2048 / math.log2(l)) + 3):
+            for sigma in (0.0, 1e-300, 1.0):
+                k = math.sqrt(2.0 * (math.log(2.0) * 4.0 + d * math.log(4 * l)))
+                try:
+                    want = 2.0 * l**d * k * sigma
+                except OverflowError:
+                    want = math.inf if sigma else 0.0
+                assert synthesis_l1_bound(sigma, d, 4, l, 3.0) == want
+
     @given(st.floats(0.0, 1e6), st.integers(1, 400), st.integers(1, 50), st.integers(2, 20),
            st.floats(0.1, 20.0))
     def test_values_in_the_float_range_are_kept(self, sigma, d, m, l, lam):

@@ -482,13 +482,16 @@ def dense_start(a: np.ndarray, h: np.ndarray, n: float) -> np.ndarray:
     return u + np.linalg.pinv(n * a @ centre, rcond=1e-10) @ (h - n * a @ u)
 
 
-def reference_fista_trace(nm: Release, iters: int, tol: float = 1e-10) -> tuple[list[float], int]:
+def reference_fista_trace(nm: Release, iters: int, tol: float | None = None) -> tuple[list[float], int]:
     """The fit's iteration on a dense A, objective and gradient from A itself: FISTA
     from the projected `dense_start` with function-value restart, gradient restart
     ((y - p_new).(p_new - p) > 0 on an accepted step) and step 1/L, L = 2 n^2 times
     the top eigenvalue of A^T A on the sum-zero subspace; a momentum-free step that
-    does not lower the objective, or one lowering it by at most tol relative, stops it.
+    does not lower the objective, or one lowering it by at most tol relative (the
+    fit's `synth._FIT_TOL` unless given), stops it.
     Returns the objective trace and the number of gradient restarts."""
+    from margsyn import synth
+    tol = synth._FIT_TOL if tol is None else tol
     a = dense_marginal_matrix(nm.schema, nm.operator.queries)
     h, n = nm.target, nm.n
     cells = a.shape[1]
@@ -525,10 +528,12 @@ def reference_fista_trace(nm: Release, iters: int, tol: float = 1e-10) -> tuple[
     return trace, restarts
 
 
-def demo_d3_set(seed: int) -> Release:
-    """6 binary features + label (128 cells), n=2000, all 63 queries of order <= 3, eps=1."""
-    real = make_demo_dataset(m=6, n=2000, seed=seed)
-    sigma = calibrate(6, 3, PrivacyParams(1.0, 1.0 / real.n**2))
+def demo_d3_set(seed: int, m: int = 6, n: int = 2000) -> Release:
+    """m binary features + label, n rows, all queries of order <= 3, eps=1; by
+    default 128 cells and 63 queries, and at m = 10, n = 5000 the shape of the
+    fitted-d3 benchmark (2,048 cells, 231 queries)."""
+    real = make_demo_dataset(m=m, n=n, seed=seed)
+    sigma = calibrate(m, 3, PrivacyParams(1.0, 1.0 / real.n**2))
     return release_from(real, 3, sigma, seed)
 
 
@@ -612,6 +617,27 @@ class TestFitDistribution:
         assert dist.converged is True
         assert dist.objective_trace[-1] <= 1e-20
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stops_within_the_resolution_of_its_rounding(self, seed, monkeypatch):
+        # the shipped stop leaves at most 5% of what rounding to n rows adds
+        # to the objective, against the fit run on to a relative 1e-10
+        from margsyn import synth
+        nm = demo_d3_set(seed, m=10, n=5000)
+        dist = fit_distribution(nm)
+        rounded = direct_objective(nm, sample_dataset(dist, nm.n) / nm.n)
+        monkeypatch.setattr(synth, "_FIT_TOL", 1e-10)
+        tight = fit_distribution(nm)
+        assert dist.converged and tight.converged
+        assert len(dist.objective_trace) < len(tight.objective_trace)
+        gap = dist.objective_trace[-1] - tight.objective_trace[-1]
+        assert 0.0 <= gap <= 0.05 * (rounded - dist.objective_trace[-1])
+
+    def test_twelve_binary_features_converge_before_the_cap(self):
+        # 8,192 cells, 377 queries: a relative 1e-10 ran into the 2,000 cap here
+        dist = fit_distribution(demo_d3_set(0, m=12, n=5000))
+        assert dist.converged is True
+        assert len(dist.objective_trace) - 1 < 2000
+
     def test_iteration_cap_is_not_convergence(self):
         nm = demo_d3_set(0)
         dist = fit_distribution(nm, iters=5)
@@ -669,10 +695,14 @@ class TestFitDistribution:
         assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("case", ["d3 seed 0", "d3 seed 1", "wide attribute"])
-    def test_bit_equal_to_the_allocating_loop(self, case):
+    def test_bit_equal_to_the_allocating_loop(self, case, monkeypatch):
         # the whole run, restarts and the stop included: trace and iterate
         if case == "wide attribute":
-            # noise seed 2, the smallest whose fit on this data rejects a step
+            # noise seed 2, the smallest whose fit on this data rejects a step;
+            # at the shipped tolerance it stops before that step, so both fits
+            # run to 1e-10 here
+            from margsyn import synth
+            monkeypatch.setattr(synth, "_FIT_TOL", 1e-10)
             real = random_dataset(Schema(("a", "b", "label"), (1500, 3, 2)), 4000, seed=5)
             nm = release_from(real, 2, 3.0, seed=2)
         else:
@@ -707,6 +737,22 @@ class TestFitDistribution:
         monkeypatch.setattr(MarginalOperator, "transform", counted)
         fit_distribution(nm, iters=0)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("iters", [1, 5, 20])
+    def test_transforms_twice_per_iteration(self, iters, monkeypatch):
+        # the step's coefficients and the new iterate; y, its gradient and
+        # the restart test are read in the eigenbasis
+        nm = demo_d3_set(0)
+        assert len(fit_distribution(nm).objective_trace) - 1 > 20  # no early stop below
+        calls = []
+
+        def counted(op, x, apply=MarginalOperator.transform):
+            calls.append(1)
+            return apply(op, x)
+        monkeypatch.setattr(MarginalOperator, "transform", counted)
+        dist = fit_distribution(nm, iters=iters)
+        assert not dist.converged and len(dist.objective_trace) - 1 == iters
+        assert len(calls) == 2 + 2 * iters
 
     def test_attribute_wider_than_a_dense_factor(self):
         schema = Schema(("a", "b", "label"), (1500, 3, 2))
