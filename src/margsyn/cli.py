@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: prep, demo, synth, train, dpsgd, eval, bound, approx, pipeline.
+Subcommands: prep, demo, synth, train, eval, bound, approx, pipeline.
 All file formats are CSV (data, result tables) or JSON (schemas, configs,
 models, reports).  A refused input (a `ValueError`) or a file that cannot be
 read or written (an `OSError`) prints one line,
@@ -26,8 +26,7 @@ from .dataset import (Dataset, Schema, _check_document, _read_json, _write_csv, 
 from .demo import make_demo_dataset
 from .evaluate import accuracy, empirical_risk, roc_auc_model
 from .experiment import ExperimentConfig, run_experiment
-from .learn import (DpSgdConfig, LossSpec, TrainConfig, dp_sgd, load_model,
-                    save_model, train_projected)
+from .learn import LossSpec, TrainConfig, load_model, save_model, train_projected
 from .marginals import MarginalQuery, compute_marginal, order_operator, save_marginals
 from .polyapprox import Interval, approx_report, bernstein, iterated_bernstein, remez_minimax
 from .privacy import PrivacyParams
@@ -97,31 +96,24 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_dpsgd(args) -> int:
-    """Logistic training only: dp_sgd trains unconstrained, and gamma_margin
-    is defined only while tau sqrt(m) <= 1."""
-    schema, ds = _load(args)
-    cfg = DpSgdConfig(iterations=args.iterations, batch_size=args.batch_size,
-                      learning_rate=args.learning_rate, clip_norm=args.clip_norm,
-                      epsilon=args.epsilon, delta=args.delta)
-    model = dp_sgd(ds, LossSpec.logistic(), cfg, np.random.default_rng(args.seed))
-    save_model(model, schema, args.out)
-    print(f"noisy-gradient training done; risk={empirical_risk(model, ds):.6g}")
-    return 0
+def _load_model_of(path: str, schema: Schema, role: str):
+    """The model in `path`, with a warning on stderr when it was trained on another schema."""
+    model, schema_hash = load_model(path)
+    if schema_hash != schema.digest():
+        print(f"warning: {role} schema hash does not match the evaluation schema", file=sys.stderr)
+    return model
 
 
 def _cmd_eval(args) -> int:
     schema, ds = _load(args)
-    model, schema_hash = load_model(args.model)
-    if schema_hash != schema.digest():
-        print("warning: model schema hash does not match the evaluation schema", file=sys.stderr)
+    model = _load_model_of(args.model, schema, "model")
     doc = {
         "accuracy": accuracy(model, ds),
         "roc_auc": roc_auc_model(model, ds),
         "empirical_risk": empirical_risk(model, ds),
     }
     if args.baseline_model:
-        baseline, _ = load_model(args.baseline_model)
+        baseline = _load_model_of(args.baseline_model, schema, "baseline model")
         doc["excess_empirical_risk"] = doc["empirical_risk"] - empirical_risk(baseline, ds)
     if args.out:
         _write_json(doc, args.out)
@@ -245,17 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=TrainConfig.max_iters)
     p.add_argument("--tolerance", type=float, default=TrainConfig.tolerance)
     p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("dpsgd", parents=[coded], help="noisy-gradient baseline training (logistic loss)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--iterations", "-T", type=int, default=300)
-    p.add_argument("--batch-size", "-B", type=int, default=100)
-    p.add_argument("--learning-rate", type=float, default=1.0)
-    p.add_argument("--clip-norm", type=float, default=1.0, help="per-sample gradient cap; sets the noise")
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_dpsgd)
 
     p = sub.add_parser("eval", parents=[coded], help="evaluate a model on a dataset")
     p.add_argument("--model", required=True)

@@ -133,8 +133,9 @@ class Dataset:
 
     `Dataset(schema, codes)` holds the rows it is given.  `from_counts` and
     `split` hold counts instead: their `weighted` view is set from the
-    counts, and their rows (`codes`) are built only when first read, as
-    `learn.dp_sgd` reads them; `write_csv` writes them from the counts.
+    counts, and their rows (`codes`) are built only when first read.  No step
+    of the pipeline reads them: it reads `weighted`, and `write_csv` writes
+    rows from the counts.
     """
 
     def __init__(self, schema: Schema, codes):
@@ -184,7 +185,8 @@ class Dataset:
 
         The constructor sets them; a dataset made by `from_counts` or `split`
         builds them from `weighted` on first read, each distinct row repeated
-        its count times, in cell order.
+        its count times, in cell order.  They serve callers that need every
+        row, such as perfbench's output digests.
         """
         codes, counts = self.weighted
         rows = np.repeat(codes, counts, axis=0)
@@ -229,20 +231,16 @@ class Dataset:
         return WeightedRows(codes, counts)
 
 
-def _encode_codes(schema: Schema, codes: np.ndarray) -> np.ndarray:
-    """Numeric view of coded rows: features in [-1, 1], then the label in {-1, 1}."""
-    sizes = np.asarray(schema.sizes, dtype=np.float64)
-    return 2.0 * codes.astype(np.float64) / (sizes - 1.0) - 1.0
-
-
 def encode_weighted(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Features, +-1 labels and counts of the dataset's distinct rows (`Dataset.weighted`).
+    """Features in [-1, 1], +-1 labels and counts of the dataset's distinct rows
+    (`Dataset.weighted`).
 
     Each distinct row encodes to the same values as each of its copies, so a
     count-weighted sum over these rows is a sum over all n.
     """
     codes, counts = ds.weighted
-    mat = _encode_codes(ds.schema, codes)
+    sizes = np.asarray(ds.schema.sizes, dtype=np.float64)
+    mat = 2.0 * codes.astype(np.float64) / (sizes - 1.0) - 1.0
     return mat[:, :-1], mat[:, -1], counts
 
 
@@ -557,6 +555,8 @@ class PreprocessRule:
             raise SchemaError(f"unknown preprocessing kind {self.kind!r}")
         if self.kind == "continuous" and (self.buckets is None or self.buckets < 2):
             raise SchemaError("continuous rule needs buckets >= 2")
+        if not all(math.isfinite(v) for v in (self.lo, self.hi) if v is not None):
+            raise SchemaError(f"rule bounds must be finite, got lo={self.lo}, hi={self.hi}")
         if self.order is not None:
             object.__setattr__(self, "order", tuple(self.order))
 

@@ -5,9 +5,7 @@ training minimizes the empirical risk (1/n) sum phi(<w, x> y) by projected
 gradient descent with backtracking.  The risk depends only on which rows
 occur and how often, so training runs on the dataset's weighted distinct
 rows (`Dataset.weighted`): at most min(n, cells) rows, each weighted by its
-count.  A noisy-gradient variant with per-sample clipping provides the
-differentially-private baseline trainer; it samples row indices from all n
-rows and encodes only the rows it draws.
+count.
 """
 
 from __future__ import annotations
@@ -18,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (Dataset, Schema, _check_document, _encode_codes, _read_json, _write_json,
-                      encode_weighted)
+from .dataset import Dataset, Schema, _check_document, _read_json, _write_json, encode_weighted
 
 
 class LossError(ValueError):
@@ -169,6 +166,9 @@ class LinearModel:
         if not self.tau >= 0:  # NaN fails too
             raise ValueError(f"tau must be >= 0 (math.inf for unconstrained), got {self.tau}")
         w = np.asarray(self.w, dtype=np.float64).copy()
+        if not np.isfinite(w).all():
+            i = int(np.argmin(np.isfinite(w)))
+            raise ValueError(f"model weight {i} is {w[i]}; weights must be finite")
         if math.isfinite(self.tau) and np.linalg.norm(w) > self.tau * (1.0 + 1e-9) + 1e-15:
             raise ValueError(f"||w||={np.linalg.norm(w):.6g} exceeds tau={self.tau}")
         w.setflags(write=False)
@@ -267,69 +267,6 @@ def train_projected(ds: Dataset, spec: LossSpec, tau: float, cfg: TrainConfig | 
         if gain <= cfg.tolerance * max(1.0, abs(obj)):
             break
     return LinearModel(w, tau, spec)
-
-
-# ---------------------------------------------------------------------------
-# Noisy-gradient baseline trainer
-
-
-@dataclass(frozen=True)
-class DpSgdConfig:
-    iterations: int
-    batch_size: int
-    learning_rate: float
-    clip_norm: float  # C: every clipped per-sample gradient has norm at most C
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        if not 0 < self.clip_norm < math.inf:  # NaN fails too
-            raise ValueError(f"clip norm must be finite and positive, got {self.clip_norm}")
-        ok = (self.iterations > 0 and self.batch_size > 0 and self.learning_rate > 0
-              and self.epsilon > 0 and 0 < self.delta < 1)
-        if not ok:
-            raise ValueError("all noisy-gradient training parameters must be positive (delta in (0,1))")
-        if not 1.0 / self.delta < math.inf:  # ln(1/delta), so the noise, would be infinite
-            raise ValueError(f"delta={self.delta} is too small: 1/delta overflows a float")
-
-
-def dp_sgd_sigma_sq(cfg: DpSgdConfig, n: int) -> float:
-    """Noise variance 16 C^2 T ln(1/delta) / (n^2 eps^2): Bassily et al. (2014) with L the clip norm C."""
-    return 16.0 * cfg.clip_norm**2 * cfg.iterations * math.log(1.0 / cfg.delta) / (n**2 * cfg.epsilon**2)
-
-
-def clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale each row g by 1/max(1, ||g||_2 / clip_norm)."""
-    norms = np.linalg.norm(grads, axis=1)
-    return grads / np.maximum(1.0, norms / clip_norm)[:, None]
-
-
-def dp_sgd(ds: Dataset, spec: LossSpec, cfg: DpSgdConfig, rng: np.random.Generator) -> LinearModel:
-    """Minibatch gradient descent with per-sample clipping and Gaussian noise.
-
-    Batches are sampled uniformly with replacement; each per-sample gradient is
-    scaled by 1/max(1, ||g||/C); noise is added to the averaged batch gradient.
-    Returns the final (unprojected) iterate.  When the noise variance is 0
-    the noise draw is skipped entirely, so the trajectory matches the
-    noiseless reference SGD of the tests (`reference_sgd` in tests/conftest.py)
-    under a shared generator state.
-    """
-    if cfg.batch_size > ds.n:
-        raise ValueError(f"batch size {cfg.batch_size} exceeds dataset size {ds.n}")
-    m = ds.schema.num_features
-    sigma = math.sqrt(dp_sgd_sigma_sq(cfg, ds.n))
-    w = np.zeros(m)
-    for _ in range(cfg.iterations):
-        idx = rng.integers(0, ds.n, size=cfg.batch_size)
-        batch = _encode_codes(ds.schema, ds.codes[idx])
-        xb, yb = batch[:, :-1], batch[:, -1]
-        t = (xb @ w) * yb
-        per_sample = clip_rows(spec.grad(t)[:, None] * yb[:, None] * xb, cfg.clip_norm)
-        gbar = per_sample.mean(axis=0)
-        if sigma > 0.0:
-            gbar = gbar + rng.normal(0.0, sigma, size=m)
-        w = w - cfg.learning_rate * gbar
-    return LinearModel(w, math.inf, spec)
 
 
 # ---------------------------------------------------------------------------

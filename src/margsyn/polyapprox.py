@@ -45,6 +45,8 @@ class Interval:
     def __post_init__(self):
         if not self.a < self.b:
             raise ApproxError(f"need a < b, got [{self.a}, {self.b}]")
+        if not math.isfinite(self.b - self.a):  # an infinite end, or a width past the float range
+            raise ApproxError(f"need finite a, b and b - a, got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:

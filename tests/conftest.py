@@ -15,7 +15,7 @@ from margsyn.bounds import (DERIVATIVE_CERT, LN2, LOGISTIC_CURVATURE, MARGINAL_H
 from margsyn.cli import main
 from margsyn.dataset import Dataset, DomainError, ParseError, Schema
 from margsyn.evaluate import _weighted_auc
-from margsyn.learn import LinearModel, predict
+from margsyn.learn import predict
 from margsyn.marginals import MarginalOperator, MarginalQuery, compute_marginal
 from margsyn.privacy import add_noise_to_set
 from margsyn.synth import Release
@@ -201,20 +201,6 @@ def reference_scores(model, ds: Dataset) -> dict:
     auc = reference_roc_auc(scores, y) if len(set(y.tolist())) == 2 else None
     return {"accuracy": float(np.mean(labels == y)), "roc_auc": auc,
             "empirical_risk": float(np.mean(model.loss.value(scores * y)))}
-
-
-def reference_sgd(ds: Dataset, spec, iterations: int, batch_size: int,
-                  learning_rate: float, rng: np.random.Generator) -> LinearModel:
-    """Minibatch SGD without clipping or noise, sampling batches as `learn.dp_sgd` does."""
-    X, y = reference_encode_xy(ds)
-    w = np.zeros(X.shape[1])
-    for _ in range(iterations):
-        idx = rng.integers(0, ds.n, size=batch_size)
-        xb, yb = X[idx], y[idx]
-        t = (xb @ w) * yb
-        gbar = (spec.grad(t)[:, None] * yb[:, None] * xb).mean(axis=0)
-        w = w - learning_rate * gbar
-    return LinearModel(w, math.inf, spec)
 
 
 def dense_marginal_matrix(schema: Schema, queries) -> np.ndarray:

@@ -12,20 +12,19 @@ import time
 import numpy as np
 import pytest
 
-from margsyn import learn
 from margsyn.bounds import BoundInputs, excess_risk_bound
 from margsyn.dataset import Dataset, Schema, SplitSpec, split, write_csv
 from margsyn.demo import make_demo_dataset
 from margsyn.evaluate import empirical_risk
 from margsyn.experiment import ExperimentConfig, run_experiment
-from margsyn.learn import DpSgdConfig, LossSpec, TrainConfig, dp_sgd, train_projected
+from margsyn.learn import LossSpec, TrainConfig, train_projected
 from margsyn.marginals import compute_marginal, enumerate_queries
 from margsyn.polyapprox import Interval, approx_report, bernstein, iterated_bernstein, remez_minimax
 from margsyn.privacy import PrivacyParams, calibrate, synthesis_l1_bound
 from margsyn.synth import DistributionEstimate, brute_force_synth, sample_dataset, synthesize
 
 from conftest import (per_query, random_dataset, reference_encode_xy as encode_xy, release_of,
-                      reference_l1_distance as l1_distance, reference_sgd as plain_sgd)
+                      reference_l1_distance as l1_distance)
 
 logistic_loss = LossSpec.logistic().value
 
@@ -287,34 +286,4 @@ def test_criterion_8_sampler_conservation():
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report_line("criterion 8 (joint rounding floor/ceil, zero cells empty, ties first, 1000 inputs)",
-                True, f"{elapsed:.1f}s")
-
-
-def test_criterion_9_noisy_gradient_calibration(three_binary_schema, monkeypatch):
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(909)
-    for _ in range(20):
-        C = float(rng.uniform(0.2, 4.0))
-        T = int(rng.integers(10, 500))
-        n = int(rng.integers(100, 5000))
-        eps = float(rng.uniform(0.1, 3.0))
-        delta = float(rng.uniform(1e-8, 0.1))
-        cfg = DpSgdConfig(iterations=T, batch_size=10, learning_rate=1.0,
-                          clip_norm=C, epsilon=eps, delta=delta)
-        from margsyn.learn import dp_sgd_sigma_sq
-        want = 16.0 * C * C * T * math.log(1.0 / delta) / (n * n * eps * eps)
-        got = dp_sgd_sigma_sq(cfg, n)
-        assert got == pytest.approx(want, rel=1e-15)
-
-    ds = random_dataset(three_binary_schema, 150, seed=33)
-    spec = LossSpec.logistic()
-    cfg = DpSgdConfig(iterations=80, batch_size=25, learning_rate=0.4,
-                      clip_norm=2.0, epsilon=1.0, delta=1e-5)  # above sqrt(3): clipping does nothing
-    monkeypatch.setattr(learn, "dp_sgd_sigma_sq", lambda cfg, n: 0.0)  # the zero-noise path
-    a = dp_sgd(ds, spec, cfg, np.random.default_rng(2024))
-    b = plain_sgd(ds, spec, 80, 25, 0.4, np.random.default_rng(2024))
-    assert np.array_equal(a.w, b.w)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 30.0
-    report_line("criterion 9 (noise-variance formula; zero-noise hook bit-exact)",
                 True, f"{elapsed:.1f}s")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from margsyn import cli
+from margsyn import cli, learn
 from margsyn.cli import build_parser, main
 from margsyn.dataset import Schema, load_csv, split, write_csv
 from margsyn.demo import make_demo_dataset
@@ -170,6 +170,19 @@ def test_eval_excess_risk_is_signed_gap(demo_files, monkeypatch):
     assert [m.w.tolist() for m in scored] == [m1.w.tolist(), m2.w.tolist()]  # each risk once
 
 
+def test_eval_warns_of_a_baseline_trained_on_another_schema(demo_files, capsys):
+    ds, data, schema, tmp = demo_files
+    other = Schema(("u", "v", "w", "label"), ds.schema.sizes)  # same feature count, other names
+    model = LinearModel(np.array([0.4, 0.0, 0.0]), math.inf, LossSpec.logistic())
+    save_model(model, ds.schema, tmp / "m.json")
+    save_model(model, other, tmp / "other.json")
+    argv = ["eval", "--model", str(tmp / "m.json"), "--data", data, "--schema", schema]
+    assert main([*argv, "--baseline-model", str(tmp / "m.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert main([*argv, "--baseline-model", str(tmp / "other.json")]) == 0
+    assert capsys.readouterr().err == "warning: baseline model schema hash does not match the evaluation schema\n"
+
+
 def test_train_command_rejects_nan_tau(demo_files, capsys):
     ds, data, schema, tmp = demo_files
     model = tmp / "model.json"
@@ -201,48 +214,6 @@ def test_gamma_margin_reads_gamma_and_defaults_to_one_half(demo_files):
         assert main(argv + ["--out", str(tmp / f"{name}.json")] + extra) == 0
     assert (tmp / "absent.json").read_bytes() == (tmp / "half.json").read_bytes()
     assert json.loads((tmp / "other.json").read_text())["loss"]["gamma"] == 0.3
-
-
-def test_dpsgd_command(demo_files):
-    ds, data, schema, tmp = demo_files
-    model = tmp / "dp_model.json"
-    rc = main(["dpsgd", "--data", data, "--schema", schema, "--out", str(model),
-               "--iterations", "30", "--batch-size", "20", "--learning-rate", "0.5",
-               "--clip-norm", "1.0", "--epsilon", "1.0", "--delta", "1e-5", "--seed", "1"])
-    assert rc == 0
-    doc = json.loads(model.read_text())
-    assert doc["tau"] == "inf"
-    assert len(doc["weights"]) == 3
-
-
-def test_dpsgd_command_has_no_lipschitz_flag(demo_files, capsys):
-    # the noise follows --clip-norm, the bound that clipping puts on every per-sample gradient
-    ds, data, schema, tmp = demo_files
-    with pytest.raises(SystemExit) as exit_info:
-        main(["dpsgd", "--data", data, "--schema", schema, "--out", str(tmp / "m.json"), "--lipschitz", "1"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --lipschitz 1" in capsys.readouterr().err
-    assert not (tmp / "m.json").exists()
-
-
-@pytest.mark.parametrize("flag", [["--loss", "gamma_margin"], ["--gamma", "0.3"]], ids=["loss", "gamma"])
-def test_dpsgd_command_has_no_loss_flag(demo_files, capsys, flag):
-    # dp_sgd trains unconstrained, so only the logistic loss is defined along its iterates
-    ds, data, schema, tmp = demo_files
-    with pytest.raises(SystemExit) as exit_info:
-        main(["dpsgd", "--data", data, "--schema", schema, "--out", str(tmp / "m.json"), *flag])
-    assert exit_info.value.code == 2
-    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
-    assert not (tmp / "m.json").exists()
-
-
-def test_dpsgd_command_refuses_an_infinite_clip_norm(demo_files, capsys):
-    ds, data, schema, tmp = demo_files
-    model = tmp / "dp_model.json"
-    assert_refused(capsys, ["dpsgd", "--data", data, "--schema", schema, "--out", str(model),
-                            "--iterations", "30", "--batch-size", "20", "--clip-norm", "inf"],
-                   "clip norm must be finite and positive, got inf")
-    assert not model.exists()
 
 
 def test_bound_command(tmp_path):
@@ -286,6 +257,24 @@ def test_approx_command_offers_only_its_functions(capsys):
         main(["approx", "--function", "sin"])
     assert exit_info.value.code == 2
     assert "invalid choice: 'sin'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", [["--b=inf"], ["--a=-inf"], ["--a=-1e308", "--b=1e308"]],
+                         ids=["b inf", "a -inf", "width overflows"])
+def test_approx_command_refuses_an_interval_a_float_cannot_hold(tmp_path, capsys, bounds):
+    out = tmp_path / "table.csv"
+    assert_refused(capsys, ["approx", *bounds, "--out", str(out)], r"need finite a, b and b - a, got \[")
+    assert not out.exists()
+
+
+def test_dpsgd_is_an_unknown_command(demo_files, capsys):
+    ds, data, schema, tmp = demo_files
+    with pytest.raises(SystemExit) as exit_info:
+        main(["dpsgd", "--data", data, "--schema", schema, "--out", str(tmp / "m.json")])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'dpsgd'" in capsys.readouterr().err
+    assert not (tmp / "m.json").exists()
+    assert not any(hasattr(learn, name) for name in ("dp_sgd", "DpSgdConfig", "dp_sgd_sigma_sq", "clip_rows"))
 
 
 def test_approx_command(tmp_path):
@@ -637,6 +626,14 @@ _REFUSED_DOCUMENTS = [
                  r"missing model keys: \['schema_hash'\]", id="model key missing"),
     pytest.param("eval", "model", lambda doc: {**doc, "tau": None},
                  r"model key 'tau' must be a number, got null", id="model tau null"),
+    pytest.param("eval", "model", lambda doc: {**doc, "weights": [math.nan, *doc["weights"][1:]]},
+                 r"model weight 0 is nan; weights must be finite", id="NaN weight"),
+    pytest.param("eval", "model", lambda doc: {**doc, "weights": [math.inf, *doc["weights"][1:]]},
+                 r"model weight 0 is inf; weights must be finite", id="Infinity weight"),
+    pytest.param("prep", "rules", lambda doc: {**doc, "age": {**doc["age"], "hi": math.inf}},
+                 r"rule bounds must be finite, got lo=None, hi=inf", id="hi Infinity"),
+    pytest.param("prep", "rules", lambda doc: {**doc, "age": {**doc["age"], "lo": -math.inf}},
+                 r"rule bounds must be finite, got lo=-inf, hi=None", id="lo -Infinity"),
 ]
 
 
@@ -681,9 +678,9 @@ def test_a_refused_document_writes_nothing(demo_files, tmp_path, capsys, command
     assert set(tmp_path.iterdir()) == given
 
 
-@pytest.mark.parametrize("command, match", [("synth", r"1\.25/delta overflows"), ("dpsgd", r"1/delta overflows")])
+@pytest.mark.parametrize("command, match", [("synth", r"1\.25/delta overflows")])
 def test_a_delta_whose_inverse_overflows_writes_nothing(demo_files, tmp_path, capsys, command, match):
-    # sigma would be infinite: synth used to crash, and dpsgd to write NaN weights
+    # sigma would be infinite: synth used to crash
     ds, data, schema, tmp = demo_files
     given = set(tmp_path.iterdir())
     assert_refused(capsys, [command, "--data", data, "--schema", schema, "--out", str(tmp_path / "out"),

@@ -1,19 +1,15 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from margsyn import learn
 from margsyn.dataset import Dataset, Schema
-from margsyn.demo import make_demo_dataset
-from margsyn.learn import (DpSgdConfig, LinearModel, LossError, LossSpec, TrainConfig,
-                           clip_rows, dp_sgd, dp_sgd_sigma_sq, gamma_margin_loss,
+from margsyn.learn import (LinearModel, LossError, LossSpec, TrainConfig, gamma_margin_loss,
                            load_model, predict, save_model, train_projected)
 
-from conftest import random_dataset, reference_encode_xy as encode_xy, reference_sgd
+from conftest import random_dataset, reference_encode_xy as encode_xy
 
 LN2 = math.log(2.0)
 
@@ -190,105 +186,6 @@ class TestTrainProjected:
             TrainConfig(tolerance=math.nan)
 
 
-class TestDpSgd:
-    def test_sigma_formula_frozen(self):
-        cfg = DpSgdConfig(iterations=100, batch_size=10, learning_rate=1.0,
-                          clip_norm=1.0, epsilon=1.0, delta=1e-5)
-        assert dp_sgd_sigma_sq(cfg, 1000) == pytest.approx(0.018420680743952367, rel=1e-15)
-
-    @given(st.floats(0.2, 4.0), st.integers(10, 500), st.integers(100, 5000),
-           st.floats(0.1, 3.0), st.floats(1e-8, 0.1))
-    def test_sigma_formula_randomized(self, C, T, n, eps, delta):
-        cfg = DpSgdConfig(iterations=T, batch_size=5, learning_rate=1.0,
-                          clip_norm=C, epsilon=eps, delta=delta)
-        want = 16.0 * C * C * T * math.log(1.0 / delta) / (n * n * eps * eps)
-        assert dp_sgd_sigma_sq(cfg, n) == pytest.approx(want, rel=1e-15)
-
-    def test_sigma_scales_with_the_clip_norm_squared(self):
-        # the per-sample gradient bound is the clip norm, so the noise follows it
-        sigma_sq = {C: dp_sgd_sigma_sq(DpSgdConfig(iterations=300, batch_size=100, learning_rate=1.0,
-                                                   clip_norm=C, epsilon=1.0, delta=1e-5), 32_000)
-                    for C in (0.1, 1.0, 5.0)}
-        assert sigma_sq[0.1] == pytest.approx(0.01 * sigma_sq[1.0], rel=1e-15)
-        assert sigma_sq[5.0] == pytest.approx(25.0 * sigma_sq[1.0], rel=1e-15)
-
-    @pytest.mark.parametrize("delta", [5e-309, 1e-320, 5e-324])
-    def test_a_delta_whose_inverse_overflows_is_refused(self, delta):
-        # ln(1/delta), so the noise, would be infinite, and the weights NaN
-        with pytest.raises(ValueError, match=f"delta={delta} is too small: 1/delta overflows"):
-            DpSgdConfig(iterations=5, batch_size=2, learning_rate=0.5, clip_norm=1.0,
-                        epsilon=1.0, delta=delta)
-
-    def test_the_smallest_deltas_keep_their_noise(self):
-        for delta in (1e-308, 5.6e-309):
-            cfg = DpSgdConfig(iterations=5, batch_size=2, learning_rate=0.5, clip_norm=1.0,
-                              epsilon=1.0, delta=delta)
-            assert dp_sgd_sigma_sq(cfg, 100) == 16.0 * 1.0 * 5 * math.log(1.0 / delta) / (100**2 * 1.0)
-
-    @pytest.mark.parametrize("clip_norm", [math.inf, math.nan, 0.0, -1.0])
-    def test_clip_norm_must_be_finite_and_positive(self, clip_norm):
-        with pytest.raises(ValueError, match="clip norm must be finite and positive"):
-            DpSgdConfig(iterations=5, batch_size=2, learning_rate=0.5, clip_norm=clip_norm,
-                        epsilon=1.0, delta=1e-5)
-
-    def test_clipping_caps_row_norms(self):
-        rng = np.random.default_rng(0)
-        g = rng.normal(0, 3.0, size=(40, 5))
-        clipped = clip_rows(g, 0.7)
-        norms = np.linalg.norm(clipped, axis=1)
-        assert np.all(norms <= 0.7 + 1e-12)
-        small = clip_rows(np.full((2, 2), 1e-3), 10.0)
-        assert np.allclose(small, 1e-3)  # below the cap rows pass through
-
-    def test_zero_noise_hook_matches_reference_sgd(self, three_binary_schema, monkeypatch):
-        ds = random_dataset(three_binary_schema, 120, seed=5)
-        spec = LossSpec.logistic()
-        # every per-sample gradient norm is below sqrt(3) < 2 on three binary features, so
-        # clipping divides each row by 1.0 and leaves the reference trajectory bit-exact
-        cfg = DpSgdConfig(iterations=60, batch_size=20, learning_rate=0.5,
-                          clip_norm=2.0, epsilon=1.0, delta=1e-5)
-        monkeypatch.setattr(learn, "dp_sgd_sigma_sq", lambda cfg, n: 0.0)
-        a = dp_sgd(ds, spec, cfg, np.random.default_rng(99))
-        b = reference_sgd(ds, spec, 60, 20, 0.5, np.random.default_rng(99))
-        assert np.array_equal(a.w, b.w)
-
-    def test_encodes_only_the_rows_it_draws(self):
-        # 10 binary features + label, n = 200,000: encoding every row would
-        # allocate 17.6 MB of floats, one batch of 100 rows 8.8 kB
-        ds = make_demo_dataset(m=10, n=200_000, seed=1)
-        cfg = DpSgdConfig(iterations=50, batch_size=100, learning_rate=1.0,
-                          clip_norm=1.0, epsilon=1.0, delta=1e-5)
-        tracemalloc.start()
-        try:
-            dp_sgd(ds, LossSpec.logistic(), cfg, np.random.default_rng(3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
-
-    def test_sigma_override_key_is_gone(self):
-        # neither the noise nor the gradient bound it follows is set apart from the clip norm
-        for key in ("sigma_override", "lipschitz_L"):
-            with pytest.raises(TypeError, match=key):
-                DpSgdConfig(iterations=5, batch_size=2, learning_rate=0.5, clip_norm=1.0,
-                            epsilon=1.0, delta=1e-5, **{key: 1.0})
-
-    def test_batch_size_gate(self, three_binary_schema):
-        ds = random_dataset(three_binary_schema, 10, seed=5)
-        cfg = DpSgdConfig(iterations=5, batch_size=11, learning_rate=0.5,
-                          clip_norm=1.0, epsilon=1.0, delta=1e-5)
-        with pytest.raises(ValueError):
-            dp_sgd(ds, LossSpec.logistic(), cfg, np.random.default_rng(0))
-
-    def test_noise_changes_trajectory(self, three_binary_schema):
-        ds = random_dataset(three_binary_schema, 100, seed=6)
-        cfg = DpSgdConfig(iterations=30, batch_size=20, learning_rate=0.5,
-                          clip_norm=1.0, epsilon=1.0, delta=1e-5)
-        noisy = dp_sgd(ds, LossSpec.logistic(), cfg, np.random.default_rng(7))
-        clean = reference_sgd(ds, LossSpec.logistic(), 30, 20, 0.5, np.random.default_rng(7))
-        assert not np.array_equal(noisy.w, clean.w)
-
-
 class TestPredict:
     def test_zero_weights_predict_positive(self):
         model = LinearModel(np.zeros(2), 1.0, LossSpec.logistic())
@@ -318,6 +215,13 @@ class TestPredict:
 def test_norm_invariant_enforced():
     with pytest.raises(ValueError):
         LinearModel(np.array([3.0, 4.0]), 1.0, LossSpec.logistic())
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_are_refused(weight):
+    # an unconstrained model has no norm check to catch them, and NaN passes any comparison
+    with pytest.raises(ValueError, match=f"model weight 1 is {weight}; weights must be finite"):
+        LinearModel(np.array([0.5, weight]), math.inf, LossSpec.logistic())
 
 
 @pytest.mark.parametrize("tau", [math.nan, -1.0])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ def piecewise_linear(knots_t, knots_v):
     def f(x):
         return np.interp(np.asarray(x, dtype=np.float64), knots_t, knots_v)
     return f
+
+
+@pytest.mark.parametrize("a, b", [(-5.0, math.inf), (-math.inf, 5.0), (-math.inf, math.inf), (-1e308, 1e308)],
+                         ids=["b inf", "a -inf", "both infinite", "width overflows"])
+def test_interval_refuses_what_a_float_cannot_hold(a, b):
+    with pytest.raises(ApproxError, match=re.escape(f"need finite a, b and b - a, got [{a}, {b}]")):
+        Interval(a, b)
+
+
+def test_interval_takes_the_widest_finite_width():
+    assert Interval(-8.9e307, 8.9e307).width == 1.78e308
 
 
 class TestBernstein:
