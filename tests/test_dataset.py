@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import re
 
 import numpy as np
@@ -12,7 +13,8 @@ from margsyn.dataset import (Dataset, DomainError, ParseError,
                              SplitSpec, encode_weighted, load_csv, load_raw_csv,
                              preprocess, split, write_csv)
 
-from conftest import cell_counts, random_dataset, reference_load_csv, reference_row_multiset
+from conftest import (cell_counts, random_dataset, reference_encode_xy, reference_load_csv,
+                      reference_row_multiset)
 
 
 def weighted_cells(ds: Dataset) -> np.ndarray:
@@ -272,6 +274,13 @@ class TestDatasetCheck:
         with pytest.raises(ValueError):
             ds.codes[0, 0] = 1
 
+    def test_counts_form_builds_its_rows_once(self):
+        ds = Dataset.from_counts(self.SCHEMA, np.bincount([0, 11, 11, 5], minlength=18).astype(np.int64))
+        assert "codes" not in vars(ds)
+        rows = ds.codes
+        assert rows.tolist() == [[0, 0, 0], [1, 0, 1], [2, 1, 1], [2, 1, 1]]  # cell order
+        assert ds.codes is rows
+
     def test_other_integer_dtype_accepted(self):
         ds = Dataset(self.SCHEMA, self.CODES.astype(np.int32))
         assert ds.codes.dtype == np.int64
@@ -331,6 +340,13 @@ class TestPreprocess:
         codes = ds.codes[:, 0]
         assert all(codes[i] <= codes[i + 1] for i in range(len(vals) - 1))
 
+    @pytest.mark.parametrize("bound", [{"lo": -math.inf}, {"hi": math.inf}, {"lo": math.nan}],
+                             ids=["lo -inf", "hi inf", "lo nan"])
+    def test_continuous_rule_refuses_a_non_finite_bound(self, bound):
+        # a bucket edge at infinity puts every finite value in one end bucket
+        with pytest.raises(SchemaError, match="rule bounds must be finite"):
+            PreprocessRule("continuous", buckets=3, **bound)
+
 
 class TestEncoding:
     def test_binary_maps_to_plus_minus_one(self):
@@ -362,6 +378,18 @@ class TestEncoding:
         X, y, _ = encode_weighted(random_dataset(schema, n, seed))
         assert np.all(X >= -1.0) and np.all(X <= 1.0)
         assert np.all(np.isin(y, (-1.0, 1.0)))
+
+    def test_counts_form_encodes_without_building_rows(self):
+        # each distinct row once, weighted by its count: the row-by-row sums over all n
+        schema = Schema(("a", "b", "label"), (3, 4, 2))
+        ds = Dataset.from_counts(schema, np.arange(24, dtype=np.int64) % 5)
+        X, y, counts = encode_weighted(ds)
+        assert "codes" not in vars(ds)
+        X_all, y_all = reference_encode_xy(ds)
+        assert counts.sum() == ds.n == len(y_all)
+        assert np.allclose(counts @ X, X_all.sum(axis=0), rtol=0, atol=1e-9)
+        assert counts @ y == y_all.sum()
+        assert np.allclose((counts * y) @ X, y_all @ X_all, rtol=0, atol=1e-9)
 
 
 class TestSplit:

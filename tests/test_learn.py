@@ -224,6 +224,19 @@ def test_non_finite_weights_are_refused(weight):
         LinearModel(np.array([0.5, weight]), math.inf, LossSpec.logistic())
 
 
+def test_a_nan_weight_is_refused_under_a_finite_budget():
+    # ||w|| is NaN, and NaN > tau is False, so the norm check alone would pass it
+    with pytest.raises(ValueError, match="model weight 0 is nan; weights must be finite"):
+        LinearModel(np.array([math.nan, 0.0]), 1.0, LossSpec.logistic())
+
+
+def test_the_largest_finite_weights_round_trip(tmp_path, three_binary_schema):
+    model = LinearModel(np.array([1.7976931348623157e308, -1.7976931348623157e308, 5e-324]),
+                        math.inf, LossSpec.logistic())
+    save_model(model, three_binary_schema, tmp_path / "m.json")
+    assert np.array_equal(load_model(tmp_path / "m.json")[0].w, model.w)
+
+
 @pytest.mark.parametrize("tau", [math.nan, -1.0])
 def test_model_budget_must_be_non_negative(tau):
     with pytest.raises(ValueError, match="tau"):

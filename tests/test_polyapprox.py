@@ -38,6 +38,12 @@ def test_interval_refuses_what_a_float_cannot_hold(a, b):
         Interval(a, b)
 
 
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan)], ids=["a nan", "b nan"])
+def test_interval_refuses_a_nan_end(a, b):
+    with pytest.raises(ApproxError, match=re.escape(f"need a < b, got [{a}, {b}]")):
+        Interval(a, b)
+
+
 def test_interval_takes_the_widest_finite_width():
     assert Interval(-8.9e307, 8.9e307).width == 1.78e308
 
