@@ -602,18 +602,25 @@ def _code_column(values: list[str], rule: PreprocessRule, name: str) -> tuple[li
         return [index[v] for v in values], len(distinct)
 
     if rule.kind == "continuous":
-        vals = [float(v) for v in values]
+        vals = _parse_column(values, float, name)
+        bad = next((raw for raw, v in zip(values, vals) if not math.isfinite(v)), None)
+        if bad is not None:
+            raise SchemaError(f"column {name!r}: value {bad!r} is not a finite number")
         lo = rule.lo if rule.lo is not None else min(vals)
         hi = rule.hi if rule.hi is not None else max(vals)
         if not hi > lo:
             raise SchemaError(f"column {name!r}: degenerate range [{lo}, {hi}]")
         k = int(rule.buckets)
         width = (hi - lo) / k
-        codes = [min(k - 1, max(0, int(math.floor((v - lo) / width)))) for v in vals]
+        if not 0 < width < math.inf:
+            raise SchemaError(f"column {name!r}: range [{lo}, {hi}] has no finite, positive "
+                              f"width in {k} buckets")
+        # a value is clamped to [lo, hi] first, so v - lo cannot overflow
+        codes = [min(k - 1, int(math.floor((min(max(v, lo), hi) - lo) / width))) for v in vals]
         return codes, k
 
     if rule.kind == "integer":
-        vals = [int(v) for v in values]
+        vals = _parse_column(values, int, name)
         base = min(vals)
         size = max(vals) - base + 1
         if size < 2:
@@ -621,11 +628,20 @@ def _code_column(values: list[str], rule: PreprocessRule, name: str) -> tuple[li
         return [v - base for v in vals], size
 
     # identity
-    vals = [int(v) for v in values]
+    vals = _parse_column(values, int, name)
     size = rule.size if rule.size is not None else max(vals) + 1
     if size < 2:
         raise SchemaError(f"column {name!r}: needs domain size >= 2")
     return vals, size
+
+
+def _parse_column(values: list[str], parse, name: str) -> list:
+    """Each value of column `name` read by `parse` (int or float); a value it
+    cannot read is refused, naming the column."""
+    try:
+        return [parse(v) for v in values]
+    except ValueError as exc:
+        raise SchemaError(f"column {name!r}: {exc}") from None
 
 
 def _category_key(values: list[str]):

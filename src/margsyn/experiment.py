@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import traceback
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -93,31 +93,14 @@ def _seed(base_seed: int, *key: int) -> int:
 
 
 def _fit_and_score(ds: Dataset, train: Dataset, test: Dataset, loss: LossSpec,
-                   cfg: ExperimentConfig, side: str) -> tuple[dict, float]:
+                   tau: float, side: str) -> tuple[dict, float]:
     """Train on ds as the sweep trains both of its models: accuracy, ROC-AUC and
     risk on the test split as `side`'s columns, and the risk on the training split."""
-    model = train_projected(ds, loss, cfg.tau, TrainConfig(max_iters=400))
+    model = train_projected(ds, loss, tau, TrainConfig(max_iters=400))
     columns = {f"accuracy_{side}": accuracy(model, test),
                f"roc_auc_{side}": roc_auc_model(model, test),
                f"risk_{side}_test": empirical_risk(model, test)}
     return columns, empirical_risk(model, train)
-
-
-def _run_cell(train: Dataset, test: Dataset, loss: LossSpec, real_risk: float,
-              cfg: ExperimentConfig, eps: float, gen_seed: int) -> tuple[dict, dict]:
-    """The cell's synthetic-side columns and its generation report (cfg.delta is set)."""
-    # a pair whose sigma is not (epsilon, delta)-DP fails the cell (privacy.gaussian_sigma)
-    privacy = PrivacyParams(eps, cfg.delta, lam=cfg.lam)
-    ds_syn, report = generate_synthetic(train, cfg.d, privacy, mode=cfg.mode, seed=gen_seed)
-    syn, syn_risk = _fit_and_score(ds_syn, train, test, loss, cfg, "syn")
-    metrics = {
-        "sigma": report.sigma,
-        **syn,
-        "excess_risk_train": syn_risk - real_risk,
-        "normalized_l1_mean": report.nonprivate_normalized_l1_mean,
-        "normalized_l1_max": report.nonprivate_normalized_l1_max,
-    }
-    return metrics, asdict(report)
 
 
 AGG_METRICS = ["accuracy_syn", "accuracy_real", "roc_auc_syn", "roc_auc_real",
@@ -164,31 +147,36 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         split_seed = _seed(cfg.base_seed, repeat)
         try:
             train, test = split(ds, SplitSpec(cfg.train_fraction, split_seed))
-            cell_cfg = cfg if cfg.delta is not None else replace(cfg, delta=1.0 / train.n**2)
-            real, real_risk = _fit_and_score(train, train, test, loss, cfg, "real")
-            real.update(n_train=train.n, n_test=test.n)
-            real_error = None
+            real, real_risk = _fit_and_score(train, train, test, loss, cfg.tau, "real")
+            repeat_error = None
         except Exception as exc:  # fails every cell of this repeat
-            real_error = exc
+            repeat_error = exc
         for eps_index, eps in enumerate(cfg.epsilons):
             row = dict.fromkeys(RUN_COLUMNS, "")
             grid[eps_index].append(row)
             row.update({"epsilon": eps, "repeat": repeat, "split_seed": split_seed,
                         "gen_seed": _seed(cfg.base_seed, eps_index, repeat), "status": "ok"})
-            error = real_error
+            name = f"run_eps{eps_index}_rep{repeat}"
+            error = repeat_error
             if error is None:
-                try:
-                    metrics, report = _run_cell(train, test, loss, real_risk, cell_cfg, eps, row["gen_seed"])
-                except Exception as exc:  # cell failure must not sink the sweep
+                try:  # a cell failure must not sink the sweep
+                    delta = cfg.delta if cfg.delta is not None else 1.0 / train.n**2
+                    # a pair whose sigma is not (epsilon, delta)-DP fails the cell (privacy.gaussian_sigma)
+                    ds_syn, report = generate_synthetic(train, cfg.d, PrivacyParams(eps, delta, lam=cfg.lam),
+                                                        mode=cfg.mode, seed=row["gen_seed"])
+                    syn, syn_risk = _fit_and_score(ds_syn, train, test, loss, cfg.tau, "syn")
+                except Exception as exc:
                     error = exc
             if error is not None:
                 row.update({"status": "failed", "error": repr(error)})
                 (out / "failures").mkdir(exist_ok=True)
-                (out / "failures" / f"run_eps{eps_index}_rep{repeat}.txt").write_text(
-                    "".join(traceback.format_exception(error)))
+                (out / "failures" / f"{name}.txt").write_text("".join(traceback.format_exception(error)))
                 continue
-            row.update({**real, **metrics})
-            _write_json(report, out / "reports" / f"run_eps{eps_index}_rep{repeat}.json")
+            row.update({**real, "n_train": train.n, "n_test": test.n, "sigma": report.sigma, **syn,
+                        "excess_risk_train": syn_risk - real_risk,
+                        "normalized_l1_mean": report.nonprivate_normalized_l1_mean,
+                        "normalized_l1_max": report.nonprivate_normalized_l1_max})
+            _write_json(asdict(report), out / "reports" / f"{name}.json")
     runs = [row for eps_rows in grid for row in eps_rows]
     aggregates = [_aggregate(eps_rows, eps) for eps_rows, eps in zip(grid, cfg.epsilons)]
 

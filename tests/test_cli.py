@@ -53,6 +53,24 @@ def test_prep_command(tmp_path):
     assert schema.sizes == (2, 2, 2)  # green vanished with the dropped row
 
 
+@pytest.mark.parametrize("ages, bounds", [
+    ("31,inf,52", {}),
+    ("-1e308,1e308,52", {}),
+    ("31,inf,52", {"lo": 0, "hi": 100}),
+    ("31,-inf,52", {"lo": 0, "hi": 100}),
+], ids=["inf", "width overflows", "inf within bounds", "-inf within bounds"])
+def test_prep_refuses_a_value_without_a_bucket_naming_its_column(tmp_path, capsys, ages, bounds):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("age,label\n" + "".join(f"{a},{y}\n" for a, y in zip(ages.split(","), "yny")))
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"age": {"kind": "continuous", "buckets": 2, **bounds},
+                                 "label": {"kind": "categorical"}}))
+    out = tmp_path / "coded.csv"
+    assert_refused(capsys, ["prep", "--raw", str(raw), "--rules", str(rules), "--out", str(out)],
+                   r"column 'age': (value '-?inf' is not a finite number|range .* has no finite, positive width)")
+    assert not out.exists()
+
+
 def test_demo_command(tmp_path):
     out = tmp_path / "demo"
     rc = main(["demo", "--out-dir", str(out), "-m", "3", "-n", "50", "--seed", "5"])
@@ -462,6 +480,39 @@ def test_failed_split_fails_every_cell_of_its_repeat(tmp_path):
     want = repr(ValueError("split of n=3 at fraction 0.9 leaves an empty part"))
     assert all(r["status"] == "failed" and r["error"] == want for r in rows)
     assert not list((tmp_path / "out" / "reports").iterdir())
+    # the repeat's one exception gives every cell one traceback; re-raising it
+    # once per cell would add a frame each time
+    for repeat in (0, 1):
+        texts = {(tmp_path / "out" / "failures" / f"run_eps{e}_rep{repeat}.txt").read_text() for e in range(3)}
+        assert len(texts) == 1 and "leaves an empty part" in texts.pop()
+
+
+@pytest.mark.parametrize("delta", [None, 1e-7])
+def test_pipeline_cells_run_at_the_config_delta_and_tau(demo_files, tmp_path, monkeypatch, delta):
+    from margsyn import experiment
+    norms = []
+
+    def training(*args, **kwargs):
+        model = train_projected(*args, **kwargs)
+        norms.append(float(np.linalg.norm(model.w)))
+        return model
+
+    monkeypatch.setattr(experiment, "train_projected", training)
+    ds, data, schema, tmp = demo_files
+    epsilons = (0.5, 1.0)
+    cfg = ExperimentConfig(
+        data_path=data, schema_path=schema, out_dir=str(tmp_path / "out"),
+        epsilons=epsilons, repeats=2, d=2, tau=0.5, base_seed=5, delta=delta)
+    result = run_experiment(cfg)
+    assert result.all_ok
+    for row in result.runs:
+        name = f"run_eps{epsilons.index(row['epsilon'])}_rep{row['repeat']}.json"
+        report = json.loads((tmp_path / "out" / "reports" / name).read_text())
+        assert report["delta"] == (1.0 / row["n_train"] ** 2 if delta is None else delta)
+    # a real and a synthetic model per cell of each repeat, all on the tau-ball
+    assert len(norms) == 2 * (1 + len(epsilons))
+    assert max(norms) <= 0.5 * (1 + 1e-12)
+    assert max(norms) == pytest.approx(0.5)  # the budget binds
 
 
 def test_aggregates_match_run_means(demo_files, tmp_path):

@@ -347,6 +347,42 @@ class TestPreprocess:
         with pytest.raises(SchemaError, match="rule bounds must be finite"):
             PreprocessRule("continuous", buckets=3, **bound)
 
+    @pytest.mark.parametrize("cells, bounds, bad", [
+        (("31", "inf", "52"), {}, "'inf'"),
+        (("31", "-inf", "52"), {}, "'-inf'"),
+        (("31", "inf", "52"), {"lo": 0.0, "hi": 100.0}, "'inf'"),
+        (("31", "-inf", "52"), {"lo": 0.0, "hi": 100.0}, "'-inf'"),
+    ], ids=["inf", "-inf", "inf within bounds", "-inf within bounds"])
+    def test_continuous_rule_refuses_a_non_finite_value(self, cells, bounds, bad):
+        raw = RawTable(("age", "label"), tuple((v, str(i % 2)) for i, v in enumerate(cells)))
+        with pytest.raises(SchemaError, match=rf"column 'age': value {bad} is not a finite number"):
+            preprocess(raw, {"age": PreprocessRule("continuous", buckets=2, **bounds),
+                             "label": PreprocessRule("identity", size=2)})
+
+    @pytest.mark.parametrize("cells, bounds", [
+        (("-1e308", "1e308", "52"), {}),
+        (("31", "52"), {"lo": -1e308, "hi": 1e308}),
+        (("0", "5e-324"), {}),
+    ], ids=["width overflows", "explicit width overflows", "width underflows"])
+    def test_continuous_rule_refuses_a_range_without_a_float_width(self, cells, bounds):
+        raw = RawTable(("age", "label"), tuple((v, str(i % 2)) for i, v in enumerate(cells)))
+        with pytest.raises(SchemaError, match=r"column 'age': range \[.*\] has no finite, positive width"):
+            preprocess(raw, {"age": PreprocessRule("continuous", buckets=2, **bounds),
+                             "label": PreprocessRule("identity", size=2)})
+
+    def test_a_value_far_outside_the_rule_bounds_lands_in_an_end_bucket(self):
+        # v - lo overflows a float for -1e308 against lo = 1e308, so values are clamped first
+        raw = RawTable(("age", "label"), (("-1e308", "0"), ("1.4e308", "1"), ("1.7e308", "0")))
+        ds = preprocess(raw, {"age": PreprocessRule("continuous", buckets=2, lo=1e308, hi=1.5e308),
+                              "label": PreprocessRule("identity", size=2)})
+        assert ds.codes[:, 0].tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("kind", ["integer", "identity"])
+    def test_an_unreadable_whole_number_names_its_column(self, kind):
+        raw = RawTable(("age", "label"), (("1", "0"), ("1.5", "1")))
+        with pytest.raises(SchemaError, match=r"column 'age': invalid literal for int\(\).*'1\.5'"):
+            preprocess(raw, {"age": PreprocessRule(kind), "label": PreprocessRule("identity", size=2)})
+
 
 class TestEncoding:
     def test_binary_maps_to_plus_minus_one(self):
