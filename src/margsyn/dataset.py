@@ -625,6 +625,8 @@ def _code_column(values: list[str], rule: PreprocessRule, name: str) -> tuple[li
         size = max(vals) - base + 1
         if size < 2:
             raise SchemaError(f"column {name!r}: needs at least 2 distinct values")
+        if size > _KEY_LIMIT:
+            raise SchemaError(f"column {name!r}: domain size {size} passes the int64 codes' limit {_KEY_LIMIT}")
         return [v - base for v in vals], size
 
     # identity
@@ -632,6 +634,12 @@ def _code_column(values: list[str], rule: PreprocessRule, name: str) -> tuple[li
     size = rule.size if rule.size is not None else max(vals) + 1
     if size < 2:
         raise SchemaError(f"column {name!r}: needs domain size >= 2")
+    if size > _KEY_LIMIT:
+        raise SchemaError(f"column {name!r}: domain size {size} passes the int64 codes' limit {_KEY_LIMIT}")
+    # a value in int64 but outside the domain is refused with its row when the dataset is built
+    far = next((v for v in vals if abs(v) > _KEY_LIMIT), None)
+    if far is not None:
+        raise SchemaError(f"column {name!r}: value {far} lies outside the domain [0, {size})")
     return vals, size
 
 

@@ -82,8 +82,6 @@ def compute_marginal(ds: Dataset, q: MarginalQuery) -> np.ndarray:
 # It bounds each factor's memory; on 2,048-8,192 binary cells wider factors
 # were slower.
 _GROUP_DIM = 32
-# Most bins numpy's pairwise float sum adds as one block, by 8 running sums.
-_PAIRWISE_BLOCK = 128
 
 
 def _kron_factors(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -154,9 +152,8 @@ class MarginalOperator:
     Joint cells are the row-major flat indices of the full domain
     (schema.sizes).  The marginals of all queries are one concatenated
     vector, query q's `num_bins[q]` bins from `offsets[q]` on; `forward`
-    and `forward_coef` return it, `adjoint_coef` and `l1_to` take it, and
-    `query_sums` reduces it to one value per query.  Building an operator
-    reads only sizes, so it is cheap over any domain.
+    and `forward_coef` return it, and `adjoint_coef` and `l1_to` take it.
+    Building an operator reads only sizes, so it is cheap over any domain.
 
     A is applied in a fixed basis: T, the Kronecker product of one
     Householder reflector H_a per attribute (`transform`), symmetric,
@@ -314,56 +311,33 @@ class MarginalOperator:
                 runs.append([first, 1, bins])
         return tuple(map(tuple, runs))
 
-    def query_sums(self, x: np.ndarray) -> np.ndarray:
-        """Each query's sum over its bins, along the last axis of concatenated vectors x.
-
-        Every sum is bit-equal to np.sum of that query's bins alone
-        (np.add.reduceat adds in another order).  The queries are reduced one
-        run of equal bin counts (`runs`) at a time, by `bin_sums`.
-        """
-        flat = x.reshape(-1, x.shape[-1])
-        rows = flat.shape[0]
-        out = np.zeros((len(self.num_bins), rows))
-        q = 0
-        for first, count, bins in self.runs:
-            run = flat[:, first:first + count * bins]
-            bin_sums(run.T.reshape(count, bins, rows), out[q:q + count])
-            q += count
-        return out.T.reshape(x.shape[:-1] + (len(self.num_bins),))
-
     def l1_to(self, marginals: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Per-query l1 distance between two concatenated marginal vectors."""
-        return self.query_sums(np.abs(target - marginals))
+        """Per-query l1 distance between two concatenated marginal vectors.
+
+        Each run of equal-sized queries (`runs`) is one numpy sum along its
+        bins, so every distance is bit-equal to np.sum of that query's
+        absolute differences alone (np.add.reduceat adds in another order).
+        """
+        diff = np.abs(target - marginals)
+        return np.concatenate([diff[first:first + count * bins].reshape(count, bins).sum(-1)
+                               for first, count, bins in self.runs])
 
 
 def bin_sums(cols: np.ndarray, out: np.ndarray) -> None:
     """Sum `cols` (queries, bins, ...) over its bins axis into `out` (queries,
     ...), which holds zeros, each sum bit-equal to np.sum of those bins alone.
 
-    numpy adds k floats as 0 + their pairwise sum: for k < 8 one by one; for
-    k <= _PAIRWISE_BLOCK as 8 running sums over the whole blocks of 8,
-    combined as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then the
-    other k mod 8 one by one; longer sums are split in halves.  Up to
-    _PAIRWISE_BLOCK bins the bins are added in that order, each add over
-    every query and every other index at once: about k / 8 + 8 numpy calls,
-    where one reduction per sum costs numpy's per-row overhead each.  More
-    bins are one np.sum over a copy with the bins last, so that numpy's inner
-    loop runs along them whatever the layout of `cols`.
+    numpy adds fewer than 8 floats one by one; below 8 bins so do these
+    column adds, each over every query and every other index at once, which
+    on many rows beats one reduction per row.  From 8 bins on it is one
+    np.sum over a copy with the bins last, so that numpy's inner loop runs
+    along them, in its pairwise order, whatever the layout of `cols`.
     """
     bins = cols.shape[1]
-    if bins > _PAIRWISE_BLOCK:
+    if bins >= 8:
         np.sum(np.ascontiguousarray(np.moveaxis(cols, 1, -1)), axis=-1, out=out)
         return
-    rest = 0
-    if bins >= 8:
-        rest = bins - bins % 8
-        acc = cols[:, :8].copy()
-        for i in range(8, rest, 8):
-            acc += cols[:, i:i + 8]
-        acc = acc[:, 0::2] + acc[:, 1::2]
-        acc = acc[:, 0::2] + acc[:, 1::2]
-        out += acc[:, 0] + acc[:, 1]
-    for j in range(rest, bins):
+    for j in range(bins):
         out += cols[:, j]
 
 

@@ -48,19 +48,24 @@ def gaussian_sigma(eps: float, delta: float, sensitivity: float) -> float:
     when the mechanism's exact delta at r = sensitivity / sigma,
     Phi(r/2 - eps/r) - e^eps Phi(-r/2 - eps/r) (Balle & Wang, ICML 2018,
     Thm 8), exceeds delta: above eps = 9.63 at delta = 1/32000^2, 8.78 at
-    1e-6, 6.77 at 0.01 and 5.68 at 1/9.
+    1e-6, 6.77 at 0.01 and 5.68 at 1/9.  So is an eps so small that sigma
+    overflows a float.
     """
     if not (eps > 0 and sensitivity > 0):
         raise ValueError("eps and sensitivity must be positive")
     _check_delta(delta)
     c = math.sqrt(2.0 * math.log(1.25 / delta))
+    sigma = sensitivity * c / eps
+    if not sigma < math.inf:
+        raise ValueError(f"sigma = sensitivity * sqrt(2 ln(1.25/delta)) / eps overflows a float "
+                         f"at eps={eps}, delta={delta}")
     r = eps / c
     tail = _normal_cdf(-r / 2 - eps / r)  # times e^eps in logs: e^eps overflows above 709
     exact = _normal_cdf(r / 2 - eps / r) - (math.exp(eps + math.log(tail)) if tail > 0 else 0.0)
     if exact > delta:
         raise ValueError(f"sigma = sensitivity * sqrt(2 ln(1.25/delta)) / eps is not "
                          f"(eps, delta)-DP at eps={eps}, delta={delta}: its exact delta is {exact:.3g}")
-    return sensitivity * c / eps
+    return sigma
 
 
 def _check_delta(delta: float) -> None:

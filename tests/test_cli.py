@@ -71,6 +71,22 @@ def test_prep_refuses_a_value_without_a_bucket_naming_its_column(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, ages", [
+    ("integer", "100000000000000000000000,0,1"),
+    ("integer", "-9000000000000000000,9000000000000000000,1"),
+    ("identity", "5,100000000000000000000,1"),
+], ids=["integer past int64", "integer range past int64", "identity past int64"])
+def test_prep_refuses_a_code_past_int64_naming_its_column(tmp_path, capsys, kind, ages):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("age,label\n" + "".join(f"{a},{y}\n" for a, y in zip(ages.split(","), "yny")))
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"age": {"kind": kind}, "label": {"kind": "categorical"}}))
+    out = tmp_path / "coded.csv"
+    assert_refused(capsys, ["prep", "--raw", str(raw), "--rules", str(rules), "--out", str(out)],
+                   r"column 'age': domain size \d+ passes the int64 codes' limit")
+    assert not out.exists()
+
+
 def test_demo_command(tmp_path):
     out = tmp_path / "demo"
     rc = main(["demo", "--out-dir", str(out), "-m", "3", "-n", "50", "--seed", "5"])
@@ -150,6 +166,16 @@ def test_synth_command_rejects_nan_epsilon(demo_files, capsys):
     out, report = tmp / "syn.csv", tmp / "report.json"
     assert_refused(capsys, ["synth", "--data", data, "--schema", schema, "--out", str(out),
                             "--epsilon", "nan", "--report", str(report)], "epsilon")
+    assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["5e-324", "1e-320"])
+def test_synth_command_refuses_an_epsilon_whose_sigma_overflows(demo_files, capsys, epsilon):
+    ds, data, schema, tmp = demo_files
+    out, report = tmp / "syn.csv", tmp / "report.json"
+    assert_refused(capsys, ["synth", "--data", data, "--schema", schema, "--out", str(out),
+                            "--epsilon", epsilon, "--report", str(report)],
+                   rf"overflows a float at eps={float(epsilon)}, delta=1e-06")
     assert not out.exists() and not report.exists()
 
 
@@ -259,9 +285,11 @@ def test_bound_command(tmp_path):
      r"missing bound inputs: \['nu'\]"),
     ({"family": "private-logistic", "n": 10_000, "m": 4, "d": 3, "tau": 0.5, "l": 2, "lam": 3.0,
       "epsilon": math.inf, "delta": 1e-6}, "epsilon must be finite"),
+    ({"family": "private-logistic", "n": 10_000, "m": 4, "d": 3, "tau": 0.5, "l": 2, "lam": 3.0,
+      "epsilon": 5e-324, "delta": 1e-6}, r"overflows a float at eps=5e-324, delta=1e-06"),
     ({"family": "hinge", "n": 10_000, "m": 4, "d": 3, "tau": 0.5, "nu": 1.0},
      "unknown bound family 'hinge'"),
-], ids=["negative nu", "missing nu", "infinite epsilon", "unknown family"])
+], ids=["negative nu", "missing nu", "infinite epsilon", "epsilon whose sigma overflows", "unknown family"])
 def test_bound_command_refuses_a_bad_parameter_file(tmp_path, capsys, params, match):
     path = tmp_path / "params.json"
     path.write_text(json.dumps(params))  # an infinite epsilon is written as the bare token Infinity

@@ -383,6 +383,31 @@ class TestPreprocess:
         with pytest.raises(SchemaError, match=r"column 'age': invalid literal for int\(\).*'1\.5'"):
             preprocess(raw, {"age": PreprocessRule(kind), "label": PreprocessRule("identity", size=2)})
 
+    @pytest.mark.parametrize("rule, cells, match", [
+        (PreprocessRule("integer"), ("100000000000000000000000", "0", "1"), "domain size 100000000000000000000001"),
+        (PreprocessRule("integer"), ("-9000000000000000000", "9000000000000000000", "1"),
+         "domain size 18000000000000000001"),
+        (PreprocessRule("integer"), ("-1", "9223372036854775806"), "domain size 9223372036854775808"),
+        (PreprocessRule("identity"), ("5", "100000000000000000000", "1"), "domain size 100000000000000000001"),
+        (PreprocessRule("identity"), ("1", "-100000000000000000000"),
+         r"value -100000000000000000000 lies outside the domain \[0, 2\)"),
+        (PreprocessRule("identity", size=6), ("5", "100000000000000000000"),
+         r"value 100000000000000000000 lies outside the domain \[0, 6\)"),
+    ], ids=["integer past int64", "integer range past int64", "integer one past int64", "identity past int64",
+            "identity below int64", "identity past its size"])
+    def test_a_code_past_int64_is_refused_naming_its_column(self, rule, cells, match):
+        raw = RawTable(("age", "label"), tuple((v, str(i % 2)) for i, v in enumerate(cells)))
+        with pytest.raises(SchemaError, match=rf"column 'age': {match}"):
+            preprocess(raw, {"age": rule, "label": PreprocessRule("identity", size=2)})
+
+    @pytest.mark.parametrize("kind, cells", [("integer", ("0", "9223372036854775806")),
+                                             ("identity", ("1", "9223372036854775806"))])
+    def test_the_largest_int64_domain_is_kept(self, kind, cells):
+        raw = RawTable(("age", "label"), tuple((v, str(i % 2)) for i, v in enumerate(cells)))
+        ds = preprocess(raw, {"age": PreprocessRule(kind), "label": PreprocessRule("identity", size=2)})
+        assert ds.schema.sizes[0] == np.iinfo(np.int64).max
+        assert ds.codes[:, 0].tolist() == [int(v) for v in cells]  # the integer rule's base is 0
+
 
 class TestEncoding:
     def test_binary_maps_to_plus_minus_one(self):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from margsyn.dataset import Dataset, Schema
-from margsyn.marginals import (_GROUP_DIM, MarginalOperator, MarginalQuery, QueryError, compute_marginal,
-                               enumerate_queries, order_operator, query_count, save_marginals)
+from margsyn.marginals import (_GROUP_DIM, MarginalOperator, MarginalQuery, QueryError, bin_sums,
+                               compute_marginal, enumerate_queries, order_operator, query_count, save_marginals)
 
 from conftest import (cell_counts, dense_marginal_matrix, random_dataset, reference_bin_maps,
                       reference_encode_xy as encode_xy, reference_l1_distance, reference_spectrum)
@@ -128,7 +128,8 @@ class TestProjection:
 
     def test_total_preserved(self, two_binary_rows):
         op = MarginalOperator(two_binary_rows.schema, [MarginalQuery(a) for a in [(0,), (1,), (0, 1)]])
-        assert op.query_sums(op.forward(cell_counts(two_binary_rows))).tolist() == [4.0, 4.0, 4.0]
+        counts = op.forward(cell_counts(two_binary_rows))
+        assert op.l1_to(counts, np.zeros_like(counts)).tolist() == [4.0, 4.0, 4.0]
 
     def test_last_attribute_varies_fastest(self):
         schema = OPERATOR_SCHEMAS[1]  # sizes (3, 2, 4, 2)
@@ -395,27 +396,47 @@ class TestMarginalOperator:
     # every query of each schema: segments of 2-9 bins (a domain has at least
     # 2 values), 127-129, 3,999-4,001, 4,095 and 4,097 bins and twice those;
     # numpy's pairwise sum adds blocks of 128
-    @pytest.mark.parametrize("sizes", [(2, 3, 5, 2), (7, 9, 2), (4, 2, 2), (8, 2), (127, 2), (128, 2),
-                                       (129, 2), (3999, 2), (4000, 2), (4001, 2), (4095, 2), (4097, 2)],
-                             ids=str)
-    @pytest.mark.parametrize("lead", [(), (5,)], ids=["1-D", "2-D"])
-    def test_query_sums_equal_each_query_summed_alone(self, sizes, lead):
+    SUM_SIZES = [(2, 3, 5, 2), (7, 9, 2), (4, 2, 2), (8, 2), (127, 2), (128, 2), (129, 2), (3999, 2),
+                 (4000, 2), (4001, 2), (4095, 2), (4097, 2)]
+
+    @staticmethod
+    def full_operator(sizes) -> MarginalOperator:
         schema = Schema(tuple(f"x{i}" for i in range(len(sizes) - 1)) + ("label",), sizes)
-        op = MarginalOperator(schema, enumerate_queries(len(sizes) - 1, len(sizes)))
+        return MarginalOperator(schema, enumerate_queries(len(sizes) - 1, len(sizes)))
+
+    @staticmethod
+    def spread(rng, shape) -> np.ndarray:
+        """Signed values of magnitudes 1e-3 to 1e6, so the order of addition shows."""
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 6.0, shape)
+
+    @staticmethod
+    def run_sums(op: MarginalOperator, x: np.ndarray) -> np.ndarray:
+        """Each query's sum over its bins in each row of x (rows, concatenated
+        bins), by one `bin_sums` per run of equal-sized queries, bins first."""
+        out = np.zeros((len(op.num_bins), x.shape[0]))
+        q = 0
+        for first, count, bins in op.runs:
+            bin_sums(x[:, first:first + count * bins].T.reshape(count, bins, -1), out[q:q + count])
+            q += count
+        return out.T
+
+    @pytest.mark.parametrize("sizes", SUM_SIZES, ids=str)
+    def test_l1_to_equals_each_query_summed_alone(self, sizes):
+        op = self.full_operator(sizes)
         rng = np.random.default_rng(sum(sizes))
-        shape = lead + (sum(op.num_bins),)
-        # magnitudes from 1e-3 to 1e6 in one vector, so the order of addition shows
-        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 6.0, shape)
+        marginals, target = self.spread(rng, (2, sum(op.num_bins)))
+        diff = np.abs(target - marginals)
+        want = [np.sum(np.array(diff[o:o + k])) for o, k in zip(op.offsets, op.num_bins)]  # a 1-D copy per query
+        assert op.l1_to(marginals, target).tolist() == want
+
+    @pytest.mark.parametrize("sizes", SUM_SIZES, ids=str)
+    def test_bin_sums_equal_each_query_summed_alone(self, sizes):
+        op = self.full_operator(sizes)
+        rng = np.random.default_rng(sum(sizes))
+        x = self.spread(rng, (5, sum(op.num_bins)))
         for v in (x, np.abs(x)):
-            want = []
-            for row in v.reshape(-1, shape[-1]):
-                start = 0
-                for k in op.num_bins:
-                    want.append(np.sum(np.array(row[start:start + k])))  # a 1-D copy per query
-                    start += k
-            got = op.query_sums(v)
-            assert got.shape == lead + (len(op.num_bins),)
-            assert got.ravel().tolist() == want
+            want = [[np.sum(np.array(row[o:o + k])) for o, k in zip(op.offsets, op.num_bins)] for row in v]
+            assert self.run_sums(op, v).tolist() == want
 
     # bin counts 2, 2, 2 | 6 | 4, 4 | 12, 12 | 6 | 2 | 6, 6: runs of one and of
     # more, equal counts that are not adjacent, and a run of 12 bins, one block
@@ -423,34 +444,43 @@ class TestMarginalOperator:
     RUN_QUERIES = [MarginalQuery(attrs) for attrs in [(1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (0, 1, 2),
                                                       (0, 1, 3), (0, 2), (4,), (0, 3), (0, 4)]]
 
-    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)], ids=["1-D", "2-D", "3-D"])
-    def test_query_sums_over_runs_of_equal_bin_counts(self, lead):
-        schema = Schema(("a", "b", "c", "d", "label"), (3, 2, 2, 2, 2))
-        op = MarginalOperator(schema, self.RUN_QUERIES)
+    def run_operator(self) -> MarginalOperator:
+        op = MarginalOperator(Schema(("a", "b", "c", "d", "label"), (3, 2, 2, 2, 2)), self.RUN_QUERIES)
         assert op.num_bins == (2, 2, 2, 6, 4, 4, 12, 12, 6, 2, 6, 6)
-        rng = np.random.default_rng(len(lead))
+        return op
+
+    def test_l1_to_over_runs_of_equal_bin_counts(self):
+        op = self.run_operator()
+        marginals, target = self.spread(np.random.default_rng(0), (2, sum(op.num_bins)))
+        diff = np.abs(target - marginals)
+        want = np.array([np.sum(np.array(diff[o:o + k])) for o, k in zip(op.offsets, op.num_bins)])
+        assert op.l1_to(marginals, target).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lead", [(7,), (3, 5)], ids=["2-D", "3-D"])
+    def test_bin_sums_over_runs_of_equal_bin_counts(self, lead):
+        op = self.run_operator()
         shape = lead + (sum(op.num_bins),)
-        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 6.0, shape)
+        x = self.spread(np.random.default_rng(len(lead)), shape)
         for v in (x, np.abs(x)):
             want = np.array([[np.sum(np.array(row[o:o + k])) for o, k in zip(op.offsets, op.num_bins)]
-                             for row in v.reshape(-1, shape[-1])]).reshape(lead + (len(op.num_bins),))
+                             for row in v.reshape(-1, shape[-1])])
             # bins last in memory, and bins first
             for layout in (v, np.moveaxis(np.moveaxis(v, -1, 0).copy(), 0, -1)):
-                got = op.query_sums(layout)
-                assert got.shape == want.shape
+                got = self.run_sums(op, layout.reshape(-1, shape[-1]))
                 assert got.tobytes() == want.tobytes()
 
-    # one run of two queries of k bins over 70 rows: added by columns up to
-    # 128 bins (numpy's block), summed along the bins beyond it
-    @pytest.mark.parametrize("k", [8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129])
-    def test_query_sums_by_columns_equal_numpys_blocks(self, k):
-        schema = Schema(("a", "b", "label"), (k, k, 2))
-        op = MarginalOperator(schema, [MarginalQuery((0,)), MarginalQuery((1,))])
+    # two queries of k bins over 70 rows: added by columns below 8 bins, where
+    # numpy adds one by one, and summed along the bins from 8 on, in numpy's
+    # pairwise order (blocks of 8 running sums up to 128 bins, halves beyond)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129])
+    def test_bin_sums_equal_numpys_order(self, k):
         rng = np.random.default_rng(k)
-        x = rng.choice([-1.0, 1.0], (70, 2 * k)) * 10.0 ** rng.uniform(-3.0, 6.0, (70, 2 * k))
+        x = self.spread(rng, (70, 2 * k))
         want = [[np.sum(np.array(row[:k])), np.sum(np.array(row[k:]))] for row in x]
-        assert op.query_sums(x).tolist() == want
-        assert op.query_sums(np.asfortranarray(x)).tolist() == want
+        for layout in (x, np.asfortranarray(x)):
+            out = np.zeros((2, 70))
+            bin_sums(layout.T.reshape(2, k, 70), out)
+            assert out.T.tolist() == want
 
     def test_rejects_query_outside_schema(self):
         with pytest.raises(QueryError):

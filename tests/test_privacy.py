@@ -55,6 +55,19 @@ class TestGaussianSigma:
         with pytest.raises(ValueError, match=f"delta={delta} is too small"):
             PrivacyParams(1.0, delta)
 
+    @pytest.mark.parametrize("eps", [5e-324, 1e-320, 1e-308])
+    def test_an_epsilon_whose_sigma_overflows_is_refused(self, eps):
+        # sigma = 3 sqrt(2 ln(1.25/delta)) / eps passes the largest float; at
+        # 5e-324, eps / sqrt(2 ln(1.25/delta)) is 0 as well
+        with pytest.raises(ValueError, match=f"overflows a float at eps={eps}, delta=1e-06"):
+            gaussian_sigma(eps, 1e-6, 3.0)
+        with pytest.raises(ValueError, match=f"overflows a float at eps={eps}, delta=1e-06"):
+            calibrate(2, 2, PrivacyParams(eps, 1e-6))
+
+    def test_the_smallest_epsilons_keep_their_sigma(self):
+        # 1e-300 still gives a finite sigma, the closed form
+        assert gaussian_sigma(1e-300, 1e-6, 3.0) == 3.0 * math.sqrt(2.0 * math.log(1.25 / 1e-6)) / 1e-300
+
     @pytest.mark.parametrize("delta", [1e-308, 6.96e-309])
     def test_the_smallest_deltas_keep_their_sigma(self, delta):
         want = 3.0 * math.sqrt(2.0 * math.log(1.25 / delta)) / 1.0

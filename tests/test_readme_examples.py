@@ -1,15 +1,16 @@
 """The README's examples run as written: the end-to-end commands, then the
 privacy-budget sweep from its config and its `pipeline` line, each through
 `cli.main` in a fresh directory, so an example the program no longer takes
-fails here."""
+fails here.  Its subcommand table names exactly the CLI's subcommands."""
 
+import argparse
 import csv
 import json
 import re
 import shlex
 from pathlib import Path
 
-from margsyn.cli import main
+from margsyn.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -47,3 +48,11 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(doc["epsilons"]) * doc["repeats"]
     assert all(row["status"] == "ok" for row in rows)
+
+
+def test_readme_table_names_every_subcommand():
+    text = README.read_text()
+    table = text[text.index("| subcommand | purpose |"):].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `([a-z-]+)` +\|", table, flags=re.M)
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert listed == list(sub.choices)
